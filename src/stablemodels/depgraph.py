@@ -12,20 +12,17 @@ subformulas of each rule, not the enclosing member.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import CapExceededError
 from .formula import (
     Atom,
-    Formula,
     Theory,
     positive_nonnegated_atoms,
     rules_of,
     spos,
     theory_atoms,
 )
+from .semantics import check_cap, interpretations_of
 
 Edge = tuple[Atom, Atom]
 
@@ -79,12 +76,11 @@ def sccs(g: DepGraph) -> list[frozenset[Atom]]:
     lowlink: dict[Atom, int] = {}
     on_stack: set[Atom] = set()
     stack: list[Atom] = []
-    counter = itertools.count()
     components: list[frozenset[Atom]] = []
     succ = {v: sorted(g.successors(v)) for v in g.vertices}
 
     def connect(v: Atom) -> None:
-        index[v] = lowlink[v] = next(counter)
+        index[v] = lowlink[v] = len(index)
         stack.append(v)
         on_stack.add(v)
         for w in succ[v]:
@@ -143,16 +139,13 @@ def strongly_connected_subsets(
 
     Singletons count whether or not they carry a self-loop.
     """
-    if len(g.vertices) > cap:
-        raise CapExceededError("loop enumeration", len(g.vertices), cap)
-    ordered = sorted(g.vertices)
-    out: list[frozenset[Atom]] = []
-    for k in range(1, len(ordered) + 1):
-        for combo in itertools.combinations(ordered, k):
-            ys = frozenset(combo)
-            if k == 1 or _induced_strongly_connected(g, ys):
-                out.append(ys)
-    return out
+    check_cap(len(g.vertices), cap, "loop enumeration")
+    subsets = interpretations_of(g.vertices)
+    next(subsets)  # the empty set
+    return [
+        ys for ys in subsets
+        if len(ys) == 1 or _induced_strongly_connected(g, ys)
+    ]
 
 
 def subgraph_of(small: DepGraph, big: DepGraph) -> bool:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by the workbench modules."""
 
+from .formula import print_formula
+
 
 class StableModelsError(Exception):
     """Base class for all workbench errors."""
@@ -29,8 +31,6 @@ class NotNondisjunctiveError(StableModelsError):
     """Raised when a nondisjunctive-only operation meets another formula."""
 
     def __init__(self, offender):
-        from .formula import print_formula
-
         super().__init__(
             f"not a nondisjunctive rule: {print_formula(offender)}"
         )

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .depgraph import GraphKind, g_pnn, g_sp, graph_of, has_cycle, subgraph_of
+from .depgraph import GraphKind, g_pnn, g_sp, has_cycle, subgraph_of
 from .formula import (
     And,
     AtomRef,
@@ -28,7 +28,6 @@ from .formula import (
     Or,
     Theory,
     atoms,
-    conj,
     is_nondisjunctive_theory,
     print_formula,
     print_theory,
@@ -39,6 +38,8 @@ from .loopformulas import stable_via_all_sets, stable_via_loops
 from .semantics import (
     classical_models,
     completion,
+    format_interpretation,
+    format_models,
     interpretations_of,
     is_stable,
     pointwise_stable_models,
@@ -114,12 +115,6 @@ class FuzzResult:
         return not self.violations
 
 
-def _fmt_models(models) -> str:
-    return ", ".join(
-        "{" + " ".join(sorted(m)) + "}" if m else "{}" for m in models
-    ) or "(none)"
-
-
 def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
     t = _sample_until(
         rng,
@@ -132,7 +127,7 @@ def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
         return (
             "supported and stable models differ for a nondisjunctive theory "
             f"with acyclic sp graph\ntheory:\n{print_theory(t)}\n"
-            f"supported: {_fmt_models(sup)}\nstable: {_fmt_models(st)}"
+            f"supported: {format_models(sup)}\nstable: {format_models(st)}"
         )
     return None
 
@@ -149,7 +144,8 @@ def _check_theorem2(rng: random.Random, pool, depth) -> Optional[str]:
         return (
             "pointwise stable and stable models differ for a theory with "
             f"acyclic sp graph\ntheory:\n{print_theory(t)}\n"
-            f"pointwise stable: {_fmt_models(pw)}\nstable: {_fmt_models(st)}"
+            f"pointwise stable: {format_models(pw)}\n"
+            f"stable: {format_models(st)}"
         )
     return None
 
@@ -179,7 +175,7 @@ def _check_loop_oracle(kind: GraphKind):
                 return (
                     f"loop oracle ({kind.value}) disagrees with brute force\n"
                     f"theory:\n{print_formula(f)}.\n"
-                    f"interpretation: {_fmt_models([i])}\n"
+                    f"interpretation: {format_interpretation(i)}\n"
                     f"brute-force stable: {brute}, all-sets: {all_sets}, "
                     f"{kind.value}-loops: {loops}"
                 )
@@ -195,24 +191,22 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         universe = sorted(atoms(And(f, g)))
         ps = frozenset(a for a in universe if r.random() < 0.5)
         qs = frozenset(universe) - ps
-        return f, g, ps, qs
+        # check_split draws nothing from r, so later cases are unchanged.
+        report = check_split(f, g, ps, qs, GraphKind.PNN) if universe else None
+        return f, g, ps, qs, report
 
     def accept(case) -> bool:
-        f, g, ps, qs = case
-        if not (ps | qs):
-            return False
-        report = check_split(f, g, ps, qs, GraphKind.PNN)
-        return report.conditions_pass
+        report = case[-1]
+        return report is not None and report.conditions_pass
 
-    f, g, ps, qs = _sample_until(rng, make, accept)
-    report = check_split(f, g, ps, qs, GraphKind.PNN)
+    f, g, ps, qs, report = _sample_until(rng, make, accept)
     if not report.equivalence_holds:
         return (
             "splitting equivalence failed although pnn conditions pass\n"
             f"theory:\n{print_formula(And(f, g))}.\n"
             f"f: {print_formula(f)}\ng: {print_formula(g)}\n"
             f"P: {sorted(ps)}  Q: {sorted(qs)}\n"
-            f"stable whole: {_fmt_models(report.stable_whole)}"
+            f"stable whole: {format_models(report.stable_whole)}"
         )
     return None
 
@@ -224,13 +218,14 @@ def _check_reduct_lemma(rng: random.Random, pool, depth) -> Optional[str]:
         if satisfies(i, red) != satisfies(i, f):
             return (
                 "reduct lemma violated\ntheory:\n"
-                f"{print_formula(f)}.\ninterpretation: {_fmt_models([i])}"
+                f"{print_formula(f)}.\n"
+                f"interpretation: {format_interpretation(i)}"
             )
         if not atoms(red) <= i:
             return (
                 "reduct mentions atoms outside the interpretation\n"
                 f"theory:\n{print_formula(f)}.\n"
-                f"interpretation: {_fmt_models([i])}\n"
+                f"interpretation: {format_interpretation(i)}\n"
                 f"reduct: {print_formula(red)}"
             )
     return None
@@ -250,7 +245,8 @@ def _check_lemma1(rng: random.Random, pool, depth) -> Optional[str]:
                     "supersets of the strictly positive atoms of the reduct "
                     "must satisfy it\ntheory:\n"
                     f"{print_formula(f)}.\n"
-                    f"I: {_fmt_models([i])}  J: {_fmt_models([j])}\n"
+                    f"I: {format_interpretation(i)}  "
+                    f"J: {format_interpretation(j)}\n"
                     f"reduct: {print_formula(red)}"
                 )
     return None
@@ -319,6 +315,8 @@ def run_fuzz(
     if property_name not in PROPERTIES:
         known = ", ".join(sorted(PROPERTIES))
         raise ValueError(f"unknown property {property_name!r}; known: {known}")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     if not 1 <= max_atoms <= MAX_FUZZ_ATOMS:
         raise ValueError(f"max_atoms must be between 1 and {MAX_FUZZ_ATOMS}")
     if not 1 <= max_depth <= MAX_FUZZ_DEPTH:

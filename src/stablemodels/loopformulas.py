@@ -8,11 +8,10 @@ unsound, and the workbench reproduces its failure mode.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
-from .errors import AtomsOutsideFormulaError, CapExceededError
+from .errors import AtomsOutsideFormulaError
 from .formula import (
     BOT,
     And,
@@ -80,13 +79,6 @@ def loop_formula(f: Formula, y: Iterable[Atom]) -> Formula:
     return conj(Implies(AtomRef(a), support) for a in sorted(ys))
 
 
-def _nonempty_subsets(atoms_: frozenset[Atom]) -> Iterable[frozenset[Atom]]:
-    ordered = sorted(atoms_)
-    for k in range(1, len(ordered) + 1):
-        for combo in itertools.combinations(ordered, k):
-            yield frozenset(combo)
-
-
 def stable_via_all_sets(
     i: Interpretation, f: Formula, cap: int = DEFAULT_CAP
 ) -> bool:
@@ -96,10 +88,9 @@ def stable_via_all_sets(
     check_cap(len(universe), cap, "loop-formula enumeration")
     if not satisfies(i, f):
         return False
-    return all(
-        satisfies(i, loop_formula(f, ys))
-        for ys in _nonempty_subsets(universe)
-    )
+    subsets = interpretations_of(universe)
+    next(subsets)  # the empty set, which has no loop formula
+    return all(satisfies(i, loop_formula(f, ys)) for ys in subsets)
 
 
 def stable_via_loops(

@@ -3,6 +3,11 @@
 All enumerators are exhaustive over subsets of the atom universe and
 guarded by a hard cap (default 20 atoms).  Model lists are returned in a
 deterministic order: by cardinality, then lexicographically.
+
+This module owns the workbench's one subset enumerator,
+``interpretations_of``, and its one cap check, ``check_cap``; the
+stability, loop and split searches in ``depgraph``, ``loopformulas`` and
+``splitting`` are built on them.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from .formula import (
 Interpretation = frozenset[str]
 
 DEFAULT_CAP = 20
-
-EMPTY: Interpretation = frozenset()
 
 
 def satisfies(i: Interpretation, f: Formula) -> bool:
@@ -88,8 +91,16 @@ def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
             yield frozenset(combo)
 
 
-def sort_models(models: Iterable[Interpretation]) -> list[Interpretation]:
-    return sorted(models, key=lambda m: (len(m), tuple(sorted(m))))
+def format_interpretation(i: Interpretation) -> str:
+    return "{" + " ".join(sorted(i)) + "}"
+
+
+def format_models(models: list[Interpretation]) -> str:
+    return ", ".join(map(format_interpretation, models)) or "(none)"
+
+
+def models_json(models: list[Interpretation]) -> list[list[str]]:
+    return [sorted(m) for m in models]
 
 
 def classical_models(
@@ -105,13 +116,6 @@ def classical_models(
     return [i for i in interpretations_of(atoms) if satisfies_all(i, t)]
 
 
-def _proper_subsets(i: Interpretation) -> Iterator[Interpretation]:
-    ordered = sorted(i)
-    for k in range(len(ordered)):
-        for combo in itertools.combinations(ordered, k):
-            yield frozenset(combo)
-
-
 def is_stable(i: Interpretation, t: Theory) -> bool:
     """Minimality of ``i`` among the models of the reduct of ``t`` wrt ``i``.
 
@@ -121,7 +125,9 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
     if not satisfies_all(i, t):
         return False
     red = reduct_theory(t, i)
-    return not any(satisfies_all(j, red) for j in _proper_subsets(i))
+    return not any(
+        j != i and satisfies_all(j, red) for j in interpretations_of(i)
+    )
 
 
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
@@ -208,17 +214,14 @@ class ModelReport:
     completion_theory: Optional[Theory]
 
     def to_json_dict(self) -> dict:
-        def render(models: list[Interpretation]) -> list[list[str]]:
-            return [sorted(m) for m in models]
-
         return {
             "universe": sorted(self.universe),
-            "classical": render(self.classical),
-            "stable": render(self.stable),
+            "classical": models_json(self.classical),
+            "stable": models_json(self.stable),
             "supported": (
-                None if self.supported is None else render(self.supported)
+                None if self.supported is None else models_json(self.supported)
             ),
-            "pointwise_stable": render(self.pointwise_stable),
+            "pointwise_stable": models_json(self.pointwise_stable),
         }
 
     def to_json(self) -> str:

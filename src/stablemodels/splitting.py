@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .depgraph import DepGraph, GraphKind, graph_of, sccs
+from .depgraph import GraphKind, graph_of, sccs
 from .errors import NotAPartitionError
 from .formula import (
     And,
@@ -26,13 +26,7 @@ from .formula import (
     neg,
     spos,
 )
-from .semantics import (
-    DEFAULT_CAP,
-    Interpretation,
-    check_cap,
-    interpretations_of,
-    is_stable,
-)
+from .semantics import DEFAULT_CAP, Interpretation, check_cap, stable_models
 
 
 def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
@@ -73,8 +67,11 @@ def check_split(
 ) -> SplitReport:
     """Evaluate the three splitting conditions and the stable-model equivalence.
 
-    All three enumerations run over the full atom universe of F & G, so
-    part models are comparable as sets.
+    Each stable-model list is enumerated over its own theory's atoms.
+    The lists equal those over the full atom universe of F & G: no stable
+    model contains an atom outside its theory, and the model order is
+    unchanged on a sub-universe.  Part models are therefore comparable as
+    sets.
     """
     ps = frozenset(p)
     qs = frozenset(q)
@@ -94,23 +91,11 @@ def check_split(
             iii_off = comp
             break
 
-    part_f = choice_augment(f, qs)
-    part_g = choice_augment(g, ps)
-    stable_whole = []
-    stable_both = []
-    stable_part_f = []
-    stable_part_g = []
-    for i in interpretations_of(universe):
-        in_f = is_stable(i, (part_f,))
-        in_g = is_stable(i, (part_g,))
-        if in_f:
-            stable_part_f.append(i)
-        if in_g:
-            stable_part_g.append(i)
-        if in_f and in_g:
-            stable_both.append(i)
-        if is_stable(i, (whole,)):
-            stable_whole.append(i)
+    stable_whole = stable_models((whole,), cap)
+    stable_part_f = stable_models((choice_augment(f, qs),), cap)
+    stable_part_g = stable_models((choice_augment(g, ps),), cap)
+    in_g = set(stable_part_g)
+    stable_both = [i for i in stable_part_f if i in in_g]
 
     return SplitReport(
         kind=kind,

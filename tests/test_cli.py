@@ -146,6 +146,17 @@ class TestTight:
         )
         assert code == 3
 
+    def test_over_cap_check_skipped_after_verdict(self, capsys, monkeypatch):
+        chain = ". ".join(f"a{i + 1} -> a{i}" for i in range(25))
+        code, out, err = run(
+            capsys, "tight", stdin=chain, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert err == ""
+        verdict, note = out.splitlines()
+        assert verdict == "graph pnn: acyclic"
+        assert "not checked" in note and "26 atoms" in note
+
 
 class TestLoops:
     def test_sp_unsound_verdict(self, capsys, monkeypatch):
@@ -298,6 +309,14 @@ class TestFuzz:
         code, _, err = run(capsys, "fuzz", "--property", "bogus")
         assert code == 1
         assert "unknown property" in err
+
+    def test_negative_count_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--property", "chain", "--count", "-5"
+        )
+        assert code == 1
+        assert out == ""
+        assert "count" in err
 
 
 class TestDeterminism:

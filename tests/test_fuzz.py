@@ -71,6 +71,8 @@ class TestRunFuzz:
             run_fuzz("chain", seed=0, count=1, max_atoms=9)
         with pytest.raises(ValueError):
             run_fuzz("chain", seed=0, count=1, max_depth=9)
+        with pytest.raises(ValueError):
+            run_fuzz("chain", seed=0, count=-5)
 
     def test_deterministic_results(self):
         a = run_fuzz("loop-oracle-sp", seed=1, count=100)

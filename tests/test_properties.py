@@ -1,5 +1,7 @@
 """Randomized invariants over the full formula space (hypothesis)."""
 
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -7,13 +9,17 @@ from stablemodels import (
     BOT,
     And,
     AtomRef,
+    GraphKind,
     Implies,
     Or,
     atoms,
+    check_split,
+    choice_augment,
     classify_occurrences,
     g_pnn,
     g_sp,
     interpretations_of,
+    is_stable,
     parse_formula,
     print_formula,
     reduct,
@@ -23,6 +29,7 @@ from stablemodels import (
     subgraph_of,
     theory_atoms,
 )
+from stablemodels.fuzz import ATOM_POOL, random_formula
 
 atom_names = st.sampled_from(("a", "b", "c", "d"))
 
@@ -122,3 +129,31 @@ def test_graph_vertices_are_theory_atoms(t):
 def test_duplicate_members_leave_graphs_unchanged(t):
     assert g_sp(t + t) == g_sp(t)
     assert g_pnn(t + t) == g_pnn(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(GraphKind))
+def test_check_split_matches_pointwise_stability_scan(seed, kind):
+    rng = random.Random(seed)
+    f = random_formula(rng, ATOM_POOL, 3)
+    g = random_formula(rng, ATOM_POOL, 3)
+    universe = atoms(And(f, g))
+    ps = frozenset(a for a in sorted(universe) if rng.random() < 0.5)
+    qs = universe - ps
+    report = check_split(f, g, ps, qs, kind)
+
+    def scan(theory):
+        # The definition: every interpretation of the full universe,
+        # checked one at a time.
+        subsets = interpretations_of(universe)
+        return [i for i in subsets if is_stable(i, theory)]
+
+    whole = scan((And(f, g),))
+    part_f = scan((choice_augment(f, qs),))
+    part_g = scan((choice_augment(g, ps),))
+    assert report.stable_whole == whole
+    assert report.stable_part_f == part_f
+    assert report.stable_part_g == part_g
+    assert report.equivalence_holds == (
+        whole == [i for i in part_f if i in part_g]
+    )
