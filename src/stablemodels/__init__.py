@@ -1,7 +1,8 @@
 """Workbench for propositional stable-model semantics.
 
 Builds formula ASTs with a small text grammar, enumerates classical,
-stable, supported, and pointwise stable models by brute force, derives
+stable, supported, and pointwise stable models from integer truth
+tables and here-and-there semantics, derives
 the two positive dependency graphs of a theory, generates loop
 formulas, and checks the splitting conditions for conjunctions.
 """

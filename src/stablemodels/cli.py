@@ -231,6 +231,14 @@ def cmd_fuzz(args) -> int:
     return EXIT_VIOLATIONS if result.violations else EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablemodels",
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cap(p):
         p.add_argument(
             "--cap",
-            type=int,
+            type=_non_negative_int,
             default=DEFAULT_CAP,
             help=f"atom cap for exhaustive enumeration (default {DEFAULT_CAP})",
         )
@@ -338,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error, or the help or version text.
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except FormulaParseError as exc:

@@ -154,13 +154,17 @@ def classify_occurrences(f: Formula) -> list[tuple[Atom, OccurrenceContext]]:
 
 def atoms(f: Formula) -> frozenset[Atom]:
     """Atoms with at least one occurrence in ``f``."""
-    if isinstance(f, AtomRef):
-        return frozenset((f.name,))
-    if isinstance(f, (And, Or)):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, Implies):
-        return atoms(f.antecedent) | atoms(f.consequent)
-    return frozenset()
+    out: set[Atom] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, AtomRef):
+            out.add(g.name)
+        elif isinstance(g, (And, Or)):
+            stack += (g.left, g.right)
+        elif isinstance(g, Implies):
+            stack += (g.antecedent, g.consequent)
+    return frozenset(out)
 
 
 def theory_atoms(t: Iterable[Formula]) -> frozenset[Atom]:

@@ -48,7 +48,7 @@ from .semantics import (
     stable_models,
     supported_models,
 )
-from .splitting import check_split
+from .splitting import check_split, split_conditions
 
 ATOM_POOL = ("a", "b", "c", "d")
 
@@ -190,16 +190,19 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         g = random_formula(r, pool, depth)
         universe = sorted(atoms(And(f, g)))
         ps = frozenset(a for a in universe if r.random() < 0.5)
-        qs = frozenset(universe) - ps
-        # check_split draws nothing from r, so later cases are unchanged.
-        report = check_split(f, g, ps, qs, GraphKind.PNN) if universe else None
-        return f, g, ps, qs, report
+        return f, g, ps, frozenset(universe) - ps
 
     def accept(case) -> bool:
-        report = case[-1]
-        return report is not None and report.conditions_pass
+        f, g, ps, qs = case
+        if not ps | qs:
+            return False
+        i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, GraphKind.PNN)
+        return not i_off and not ii_off and iii_off is None
 
-    f, g, ps, qs, report = _sample_until(rng, make, accept)
+    # Neither split_conditions nor check_split draws from rng, so the
+    # sampled cases depend on the seed alone.
+    f, g, ps, qs = _sample_until(rng, make, accept)
+    report = check_split(f, g, ps, qs, GraphKind.PNN)
     if not report.equivalence_holds:
         return (
             "splitting equivalence failed although pnn conditions pass\n"

@@ -1,8 +1,20 @@
-"""Interpretations, the reduct, and brute-force model enumeration.
+"""Interpretations, the reduct, and model enumeration.
 
-All enumerators are exhaustive over subsets of the atom universe and
-guarded by a hard cap (default 20 atoms).  Model lists are returned in a
-deterministic order: by cardinality, then lexicographically.
+The four enumerators (``classical_models``, ``stable_models``,
+``supported_models``, ``pointwise_stable_models``) share one evaluation
+core over truth tables held as Python ints: one pass over all 2**n
+interpretations gives the classical models, and for each classical
+model I one here-and-there pass over the subsets of I decides stability
+and pointwise stability.  Supported models are the classical models of
+the theory plus ``a -> (disjunction of a's bodies)`` for each atom.  Every
+enumerator is guarded by a hard cap (default 20 atoms), checked before
+any table is built.  Model lists are returned in ``interpretations_of``
+order: by cardinality, then lexicographically.
+
+``satisfies``, ``reduct`` and the predicates ``is_stable``,
+``is_pointwise_stable`` and ``is_supported`` state the definitions
+directly.  They are the oracle the enumerators are tested against; no
+enumerator calls them.
 
 This module owns the workbench's one subset enumerator,
 ``interpretations_of``, and its one cap check, ``check_cap``; the
@@ -29,6 +41,7 @@ from .formula import (
     Or,
     Theory,
     as_rule,
+    conj,
     disj,
     is_nondisjunctive_theory,
     theory_atoms,
@@ -113,7 +126,7 @@ def classical_models(
     if universe is not None and not atoms >= theory_atoms(t):
         raise ValueError("universe does not cover the theory's atoms")
     check_cap(len(atoms), cap)
-    return [i for i in interpretations_of(atoms) if satisfies_all(i, t)]
+    return _classical(t, atoms)
 
 
 def is_stable(i: Interpretation, t: Theory) -> bool:
@@ -131,9 +144,11 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 
 
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
-    atoms = theory_atoms(t)
-    check_cap(len(atoms), cap)
-    return [i for i in interpretations_of(atoms) if is_stable(i, t)]
+    """Classical models whose here-and-there table holds at ``J = I`` only."""
+    return [
+        i for i, table in _here_and_there(t, cap)
+        if table == 1 << ((1 << len(i)) - 1)
+    ]
 
 
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
@@ -160,9 +175,14 @@ def is_supported(i: Interpretation, t: Theory) -> bool:
 
 
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
+    """Models of ``t`` and of ``a -> (disjunction of a's bodies)`` per atom."""
     atoms = theory_atoms(t)
     check_cap(len(atoms), cap)
-    return [i for i in interpretations_of(atoms) if is_supported(i, t)]
+    by_head = _rules_by_head(t)
+    support = [
+        Implies(AtomRef(a), disj(by_head.get(a, []))) for a in sorted(atoms)
+    ]
+    return _classical((*t, *support), atoms)
 
 
 def is_pointwise_stable(i: Interpretation, t: Theory) -> bool:
@@ -176,9 +196,13 @@ def is_pointwise_stable(i: Interpretation, t: Theory) -> bool:
 def pointwise_stable_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> list[Interpretation]:
-    atoms = theory_atoms(t)
-    check_cap(len(atoms), cap)
-    return [i for i in interpretations_of(atoms) if is_pointwise_stable(i, t)]
+    """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
+    out = []
+    for i, table in _here_and_there(t, cap):
+        whole = (1 << len(i)) - 1  # the index of J = I
+        if not any(table >> (whole ^ (1 << r)) & 1 for r in range(len(i))):
+            out.append(i)
+    return out
 
 
 def completion(t: Theory) -> Theory:
@@ -196,6 +220,130 @@ def completion(t: Theory) -> Theory:
         ref = AtomRef(a)
         out.append(And(Implies(ref, body), Implies(body, ref)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation core.  A truth table over the atoms a_0 < ... < a_{n-1} is an
+# int of 2**n bits: bit k is the value at the interpretation containing
+# a_j exactly when bit j of k is set.  ``J |= F^I`` holds exactly when
+# <J, I> is a here-and-there model of F (Ferraris 2005), so one table over
+# the 2**|I| subsets J of a classical model I decides its minimality
+# without building the reduct.
+
+_ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
+_CODES = {And: _AND, Or: _OR, Implies: _IMPLIES}
+
+Ops = list[tuple[int, int, int]]
+
+
+def _compile(t: Theory, names: list[Atom]) -> Ops:
+    """Postorder ops ``(code, x, y)`` of the conjunction of ``t``.
+
+    ``x`` is the atom's position in ``names`` for an atom and the left
+    operand's position in the ops for a connective, ``y`` the right
+    operand's position.  The last op is the whole theory.
+    """
+    index = {a: j for j, a in enumerate(names)}
+    ops: Ops = []
+    done: list[int] = []
+    stack: list[tuple[Formula, bool]] = [(conj(t), False)]
+    while stack:
+        g, children_done = stack.pop()
+        if isinstance(g, AtomRef):
+            ops.append((_ATOM, index[g.name], 0))
+        elif isinstance(g, Bottom):
+            ops.append((_BOT, 0, 0))
+        elif children_done:
+            y = done.pop()
+            x = done.pop()
+            ops.append((_CODES[type(g)], x, y))
+        else:
+            if isinstance(g, Implies):
+                left, right = g.antecedent, g.consequent
+            else:
+                left, right = g.left, g.right
+            stack += ((g, True), (right, False), (left, False))
+            continue
+        done.append(len(ops) - 1)
+    return ops
+
+
+def _atom_tables(n: int) -> list[int]:
+    """Tables of a_0 .. a_{n-1} over 2**n points, one pattern times a repunit."""
+    full = (1 << (1 << n)) - 1
+    return [
+        (((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1))
+        for j in range(n)
+    ]
+
+
+def _evaluate(ops: Ops, atom_tables: list[int], full: int, there: int) -> int:
+    """Table of the last op.
+
+    An implication's table is cleared unless it is true somewhere in
+    ``there``: ``there = full`` gives classical truth, and the one point
+    I gives here-and-there truth at I.
+    """
+    vals: list[int] = []
+    for code, x, y in ops:
+        if code == _ATOM:
+            v = atom_tables[x]
+        elif code == _AND:
+            v = vals[x] & vals[y]
+        elif code == _OR:
+            v = vals[x] | vals[y]
+        elif code == _IMPLIES:
+            v = (~vals[x] | vals[y]) & full
+            if not v & there:
+                v = 0
+        else:
+            v = 0
+        vals.append(v)
+    return vals[-1]
+
+
+def _points(ops: Ops, n: int) -> Iterator[list[int]]:
+    """Classical models as atom-index lists, in ``interpretations_of`` order."""
+    full = (1 << (1 << n)) - 1
+    table = _evaluate(ops, _atom_tables(n), full, full)
+    bits = format(table, f"0{1 << n}b")[::-1]
+    weights = [1 << j for j in range(n)]
+    for size in range(n + 1):
+        for k in map(sum, itertools.combinations(weights, size)):
+            if bits[k] == "1":
+                yield [j for j in range(n) if k >> j & 1]
+
+
+def _classical(t: Theory, atoms: frozenset[Atom]) -> list[Interpretation]:
+    names = sorted(atoms)
+    ops = _compile(t, names)
+    return [frozenset([names[j] for j in p]) for p in _points(ops, len(names))]
+
+
+def _here_and_there(
+    t: Theory, cap: int
+) -> Iterator[tuple[Interpretation, int]]:
+    """Each classical model I of ``t`` with its here-and-there table.
+
+    Bit m of the table is the value of ``t`` at <J, I>, where J holds the
+    r-th atom of I exactly when bit r of m is set.
+    """
+    atoms = theory_atoms(t)
+    check_cap(len(atoms), cap)
+    names = sorted(atoms)
+    ops = _compile(t, names)
+    local: dict[int, list[int]] = {}
+    for p in _points(ops, len(names)):
+        width = len(p)
+        if width not in local:
+            local[width] = _atom_tables(width)
+        atom_tables = [0] * len(names)
+        for j, table in zip(p, local[width]):
+            atom_tables[j] = table
+        full = (1 << (1 << width)) - 1
+        top = 1 << ((1 << width) - 1)
+        i = frozenset([names[j] for j in p])
+        yield i, _evaluate(ops, atom_tables, full, top)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,28 @@ class SplitReport:
         return self.cond_i and self.cond_ii and self.cond_iii
 
 
+def split_conditions(
+    f: Formula,
+    g: Formula,
+    ps: frozenset[Atom],
+    qs: frozenset[Atom],
+    kind: GraphKind,
+) -> tuple[frozenset[Atom], frozenset[Atom], Optional[frozenset[Atom]]]:
+    """Offenders of conditions (i), (ii) and (iii) for the partition {P, Q}.
+
+    A condition holds when its offenders are empty, or None for (iii),
+    which names the first straddling strongly connected component.
+    """
+    i_off = spos(f) - ps
+    ii_off = spos(g) - qs
+    iii_off = None
+    for comp in sccs(graph_of((And(f, g),), kind)):
+        if not (comp <= ps or comp <= qs):
+            iii_off = comp
+            break
+    return i_off, ii_off, iii_off
+
+
 def check_split(
     f: Formula,
     g: Formula,
@@ -82,14 +104,7 @@ def check_split(
             "the two atom sets must partition the atoms of the conjunction"
         )
     check_cap(len(universe), cap)
-
-    i_off = spos(f) - ps
-    ii_off = spos(g) - qs
-    iii_off = None
-    for comp in sccs(graph_of((whole,), kind)):
-        if not (comp <= ps or comp <= qs):
-            iii_off = comp
-            break
+    i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, kind)
 
     stable_whole = stable_models((whole,), cap)
     stable_part_f = stable_models((choice_augment(f, qs),), cap)

@@ -1,6 +1,20 @@
 import pytest
 
-from stablemodels import parse_formula, parse_theory
+from stablemodels import (
+    classical_models,
+    interpretations_of,
+    is_nondisjunctive_theory,
+    is_pointwise_stable,
+    is_stable,
+    is_supported,
+    parse_formula,
+    parse_theory,
+    pointwise_stable_models,
+    stable_models,
+    supported_models,
+    theory_atoms,
+)
+from stablemodels.semantics import satisfies_all
 
 # Running examples used throughout the suite.
 P1_TEXT = "p -> q. q & not r -> p."
@@ -11,6 +25,39 @@ NESTED_TEXT = "((p -> q) -> r) -> s"
 
 def mset(*names):
     return frozenset(names)
+
+
+def oracle_mismatches(t):
+    """Names of the enumerators whose lists differ from a definitional scan.
+
+    Each scan runs the enumerator's predicate over ``interpretations_of``;
+    classical models are also checked over a universe with two extra
+    atoms, one sorting between the theory's atoms.  Supported models are
+    checked for nondisjunctive theories only.
+    """
+    universe = theory_atoms(t)
+    wider = universe | {"a0", "z"}
+
+    def scan(holds, atoms=universe):
+        return [i for i in interpretations_of(atoms) if holds(i)]
+
+    def classical(i):
+        return satisfies_all(i, t)
+
+    pairs = [
+        ("classical", classical_models(t), scan(classical)),
+        ("classical over a wider universe",
+         classical_models(t, wider), scan(classical, wider)),
+        ("stable", stable_models(t), scan(lambda i: is_stable(i, t))),
+        ("pointwise stable", pointwise_stable_models(t),
+         scan(lambda i: is_pointwise_stable(i, t))),
+    ]
+    if is_nondisjunctive_theory(t):
+        pairs.append(
+            ("supported", supported_models(t),
+             scan(lambda i: is_supported(i, t)))
+        )
+    return [name for name, fast, oracle in pairs if fast != oracle]
 
 
 @pytest.fixture

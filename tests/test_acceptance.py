@@ -4,6 +4,7 @@ Each criterion prints one pass/fail line (run with ``pytest -s`` to see
 them on success).
 """
 
+import random
 import time
 
 from stablemodels import (
@@ -27,7 +28,12 @@ from stablemodels import (
     supported_models,
 )
 from stablemodels.cli import main
-from stablemodels.fuzz import run_fuzz
+from stablemodels.fuzz import (
+    random_nondisjunctive_theory,
+    random_theory,
+    run_fuzz,
+)
+from conftest import oracle_mismatches
 
 P1 = parse_theory("p -> q. q & not r -> p.")
 P2 = parse_theory("p -> q. ((q -> r) -> r) -> p.")
@@ -137,3 +143,15 @@ def test_criterion_7_determinism(capsys):
             outs.append(capsys.readouterr())
         runs.append((codes, outs))
     report("7 (byte-identical reruns)", runs[0] == runs[1])
+
+
+def test_criterion_8_enumerators_match_oracle():
+    # Every other theory is nondisjunctive, so supported models are
+    # compared too.
+    rng = random.Random(8)
+    pool = ("a", "b", "c", "d", "e", "f")
+    ok = True
+    for case in range(1000):
+        make = random_nondisjunctive_theory if case % 2 else random_theory
+        ok &= not oracle_mismatches(make(rng, pool, 4))
+    report("8 (enumerators match the definitional oracle, 1000 theories)", ok)

@@ -75,6 +75,49 @@ class TestModels:
         assert out == ""
         assert "cap" in err
 
+    def test_long_conjunction_cap_exceeded_exit_2(self, capsys, monkeypatch):
+        theory = " & ".join(f"a{i}" for i in range(5000))
+        code, out, err = run(
+            capsys, "models", stdin=theory, monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert "5000 atoms exceeds the enumeration cap" in err
+
+
+class TestUsage:
+    def test_unknown_option_exit_1(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, "models", "--bogus", stdin="p.", monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_non_integer_count_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--property", "chain", "--count", "x"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--count" in err
+
+    def test_negative_cap_exit_1(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, "models", "--cap", "-3", stdin="p.", monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert "--cap" in err
+        assert "enumeration cap" not in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert code == 0
+        assert out
+        assert err == ""
+
 
 class TestGraph:
     def test_edges_format(self, capsys, monkeypatch):

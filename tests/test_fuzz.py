@@ -6,6 +6,8 @@ import pytest
 from stablemodels import (
     GraphKind,
     atoms,
+    check_split,
+    fuzz,
     is_nondisjunctive_theory,
     is_stable,
     parse_formula,
@@ -61,6 +63,18 @@ class TestRunFuzz:
     def test_splitting_holds(self):
         result = run_fuzz("splitting", seed=11, count=100)
         assert result.ok, result.violations[:1]
+
+    def test_splitting_splits_accepted_cases_only(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_split(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz, "check_split", counted)
+        result = run_fuzz("splitting", seed=1, count=100)
+        assert result.ok
+        assert len(calls) == 100
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.fuzz import ATOM_POOL, random_formula
+from conftest import oracle_mismatches
 
 atom_names = st.sampled_from(("a", "b", "c", "d"))
 
@@ -44,6 +45,13 @@ formulas = st.recursive(
 )
 
 theories = st.lists(formulas, max_size=3).map(tuple)
+
+rules = st.one_of(
+    st.builds(AtomRef, atom_names),
+    st.builds(Implies, formulas, st.builds(AtomRef, atom_names)),
+)
+
+programs = st.lists(rules, max_size=4).map(tuple)
 
 
 @given(formulas)
@@ -112,6 +120,12 @@ def test_lemma_supersets_of_spos_satisfy_reduct(f):
         for j in interpretations_of(universe):
             if base <= j:
                 assert satisfies(j, red)
+
+
+@settings(deadline=None)
+@given(st.one_of(theories, programs))
+def test_enumerators_match_definitional_scans(t):
+    assert oracle_mismatches(t) == []
 
 
 @given(theories)

@@ -111,6 +111,11 @@ class TestStable:
     def test_fact(self):
         assert stable_models(parse_theory("p.")) == [mset("p")]
 
+    def test_free_choice_14_atoms_all_subsets_in_order(self):
+        names = [f"a{k}" for k in range(14)]
+        t = parse_theory(" ".join(f"{a} | not {a}." for a in names))
+        assert stable_models(t) == list(interpretations_of(names))
+
 
 class TestSupported:
     def test_p1(self, p1):
