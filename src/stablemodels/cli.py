@@ -41,7 +41,7 @@ from .fuzz import (
     PROPERTIES,
     run_fuzz,
 )
-from .loopformulas import loop_formula, nes, stable_via_loops
+from .loopformulas import check_atoms, loop_formula, nes
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
@@ -128,21 +128,23 @@ def cmd_tight(args) -> int:
 def cmd_loops(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
+    interp = None
+    if args.interpretation is not None:
+        # Checked before any output, so a bad atom list prints nothing.
+        interp = check_atoms(f, _parse_atom_list(args.interpretation))
     loops = strongly_connected_subsets(graph_of((f,), kind))
-    interp = (
-        _parse_atom_list(args.interpretation)
-        if args.interpretation is not None
-        else None
-    )
+    # The loop oracle (``stable_via_loops``): a model of f that
+    # satisfies every loop formula.
+    accepted = interp is not None and satisfies(interp, f)
     for ys in loops:
         lf = loop_formula(f, ys)
         line = f"loop {format_interpretation(ys)}: {print_formula(lf)}"
         if interp is not None:
-            verdict = "satisfied" if satisfies(interp, lf) else "violated"
-            line += f"  [{verdict}]"
+            holds = satisfies(interp, lf)
+            accepted = accepted and holds
+            line += f"  [{'satisfied' if holds else 'violated'}]"
         print(line)
     if interp is not None:
-        accepted = stable_via_loops(interp, f, kind)
         label = f"{kind.value}-loop oracle"
         shown = format_interpretation(interp)
         if accepted:

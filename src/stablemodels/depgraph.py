@@ -7,6 +7,12 @@ body; they differ in which body atoms qualify: strictly positive
 occurrences for the "sp" graph, positive nonnegated occurrences for the
 "pnn" graph.  Polarity is evaluated relative to the body and head
 subformulas of each rule, not the enclosing member.
+
+Loops (vertex sets inducing a strongly connected subgraph) are
+enumerated per strongly connected component: every singleton, plus the
+subsets of each larger component tested as bitmasks.  The 16-vertex
+``SUBSET_CAP`` therefore applies to the largest component, not to the
+whole graph.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .formula import (
     spos,
     theory_atoms,
 )
-from .semantics import check_cap, interpretations_of
+from .semantics import check_cap
 
 Edge = tuple[Atom, Atom]
 
@@ -38,9 +44,6 @@ class GraphKind(enum.Enum):
 class DepGraph:
     vertices: frozenset[Atom]
     edges: frozenset[Edge]
-
-    def successors(self, v: Atom) -> frozenset[Atom]:
-        return frozenset(b for (a, b) in self.edges if a == v)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -70,38 +73,57 @@ def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
     return g_sp(t) if kind is GraphKind.SP else g_pnn(t)
 
 
+def _successors(g: DepGraph) -> dict[Atom, list[Atom]]:
+    """Sorted successor lists of every vertex, from one pass over the edges."""
+    succ: dict[Atom, list[Atom]] = {v: [] for v in g.vertices}
+    for (a, b) in sorted(g.edges):
+        succ[a].append(b)
+    return succ
+
+
 def sccs(g: DepGraph) -> list[frozenset[Atom]]:
     """Strongly connected components (Tarjan), ordered lexicographically."""
+    succ = _successors(g)
     index: dict[Atom, int] = {}
     lowlink: dict[Atom, int] = {}
     on_stack: set[Atom] = set()
     stack: list[Atom] = []
     components: list[frozenset[Atom]] = []
-    succ = {v: sorted(g.successors(v)) for v in g.vertices}
 
-    def connect(v: Atom) -> None:
+    def visit(v: Atom) -> None:
         index[v] = lowlink[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in succ[v]:
-            if w not in index:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.add(w)
-                if w == v:
-                    break
-            components.append(frozenset(comp))
 
-    for v in sorted(g.vertices):
-        if v not in index:
-            connect(v)
+    for root in sorted(g.vertices):
+        if root in index:
+            continue
+        visit(root)
+        # Depth-first path: each vertex with its pending successors.
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, pending = path[-1]
+            for w in pending:
+                if w not in index:
+                    visit(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    lowlink[u] = min(lowlink[u], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    components.append(frozenset(comp))
     return sorted(components, key=lambda c: tuple(sorted(c)))
 
 
@@ -112,24 +134,19 @@ def has_cycle(g: DepGraph) -> bool:
     return any(len(c) > 1 for c in sccs(g))
 
 
-def _induced_strongly_connected(g: DepGraph, ys: frozenset[Atom]) -> bool:
-    # Reachability within the induced subgraph, forward and backward
-    # from an arbitrary start vertex.
-    start = next(iter(ys))
-    for flip in (False, True):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for (a, b) in g.edges:
-                if flip:
-                    a, b = b, a
-                if a == v and b in ys and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        if seen != ys:
-            return False
-    return True
+def _reaches_all(adjacency: list[int], mask: int) -> bool:
+    """Whether the lowest vertex of ``mask`` reaches all of it inside ``mask``.
+
+    Vertex n is bit n; ``adjacency[n]`` is the mask of n's successors.
+    """
+    seen = frontier = mask & -mask
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacency[low.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen == mask
 
 
 def strongly_connected_subsets(
@@ -137,15 +154,37 @@ def strongly_connected_subsets(
 ) -> list[frozenset[Atom]]:
     """All nonempty vertex subsets whose induced subgraph is strongly connected.
 
-    Singletons count whether or not they carry a self-loop.
+    Singletons count whether or not they carry a self-loop.  Such a
+    subset lies inside one strongly connected component, so the subsets
+    of each component with k > 1 vertices are tested as k-bit masks,
+    and ``cap`` bounds the largest component, not the whole graph.  The
+    result is in ``interpretations_of`` order: by size, then
+    lexicographically.
     """
-    check_cap(len(g.vertices), cap, "loop enumeration")
-    subsets = interpretations_of(g.vertices)
-    next(subsets)  # the empty set
-    return [
-        ys for ys in subsets
-        if len(ys) == 1 or _induced_strongly_connected(g, ys)
-    ]
+    components = sccs(g)
+    check_cap(max(map(len, components), default=0), cap, "loop enumeration")
+    succ = _successors(g)
+    loops: list[frozenset[Atom]] = []
+    for comp in components:
+        if len(comp) == 1:
+            loops.append(comp)
+            continue
+        names = sorted(comp)
+        bit = {v: n for n, v in enumerate(names)}
+        forward = [0] * len(names)
+        backward = [0] * len(names)
+        for v in names:
+            for w in succ[v]:
+                if w in bit:
+                    forward[bit[v]] |= 1 << bit[w]
+                    backward[bit[w]] |= 1 << bit[v]
+        for mask in range(1, 1 << len(names)):
+            if _reaches_all(forward, mask) and _reaches_all(backward, mask):
+                loops.append(frozenset(
+                    v for n, v in enumerate(names) if mask >> n & 1
+                ))
+    loops.sort(key=lambda ys: (len(ys), sorted(ys)))
+    return loops
 
 
 def subgraph_of(small: DepGraph, big: DepGraph) -> bool:

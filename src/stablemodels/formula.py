@@ -176,22 +176,42 @@ def theory_atoms(t: Iterable[Formula]) -> frozenset[Atom]:
 
 def spos(f: Formula) -> frozenset[Atom]:
     """Atoms with at least one strictly positive occurrence in ``f``."""
-    if isinstance(f, AtomRef):
-        return frozenset((f.name,))
-    if isinstance(f, (And, Or)):
-        return spos(f.left) | spos(f.right)
-    if isinstance(f, Implies):
-        return spos(f.consequent)
-    return frozenset()
+    out: set[Atom] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, AtomRef):
+            out.add(g.name)
+        elif isinstance(g, (And, Or)):
+            stack += (g.left, g.right)
+        elif isinstance(g, Implies):
+            stack.append(g.consequent)
+    return frozenset(out)
 
 
 def positive_nonnegated_atoms(f: Formula) -> frozenset[Atom]:
-    """Atoms with at least one positive nonnegated occurrence in ``f``."""
-    return frozenset(
-        a
-        for a, ctx in classify_occurrences(f)
-        if ctx.positive and ctx.nonnegated
-    )
+    """Atoms with at least one positive nonnegated occurrence in ``f``.
+
+    Each stack item carries the parity of its antecedent count and
+    whether an enclosing antecedent belongs to a negation, as in
+    ``classify_occurrences``.
+    """
+    out: set[Atom] = set()
+    stack: list[tuple[Formula, bool, bool]] = [(f, False, False)]
+    while stack:
+        g, odd, negated = stack.pop()
+        if isinstance(g, AtomRef):
+            if not (odd or negated):
+                out.add(g.name)
+        elif isinstance(g, (And, Or)):
+            stack += ((g.left, odd, negated), (g.right, odd, negated))
+        elif isinstance(g, Implies):
+            in_neg = negated or g.consequent == BOT
+            stack += (
+                (g.antecedent, not odd, in_neg),
+                (g.consequent, odd, negated),
+            )
+    return frozenset(out)
 
 
 def rules_of(f: Formula) -> list[RuleOccurrence]:
@@ -201,16 +221,22 @@ def rules_of(f: Formula) -> list[RuleOccurrence]:
     positive, so rules nested on the consequent side are included.
     """
     out: list[RuleOccurrence] = []
-
-    def walk(g: Formula, path: Path) -> None:
+    # A trail is None at the root, else (parent trail, child index); it
+    # is spelled out as a path only where a rule is found.
+    stack: list[tuple[Formula, Optional[tuple]]] = [(f, None)]
+    while stack:
+        g, trail = stack.pop()
         if isinstance(g, (And, Or)):
-            walk(g.left, path + (0,))
-            walk(g.right, path + (1,))
+            stack += ((g.right, (trail, 1)), (g.left, (trail, 0)))
         elif isinstance(g, Implies):
-            out.append(RuleOccurrence(g.antecedent, g.consequent, path))
-            walk(g.consequent, path + (1,))
-
-    walk(f, ())
+            path: list[int] = []
+            node = trail
+            while node is not None:
+                node, idx = node
+                path.append(idx)
+            path.reverse()
+            out.append(RuleOccurrence(g.antecedent, g.consequent, tuple(path)))
+            stack.append((g.consequent, (trail, 1)))
     return out
 
 
@@ -246,39 +272,49 @@ _LV_IMPL = 0
 _LV_OR = 1
 _LV_AND = 2
 _LV_NOT = 3
-_LV_ATOM = 4
 
-
-def _level(f: Formula) -> int:
-    if isinstance(f, (AtomRef, Bottom)):
-        return _LV_ATOM
-    if isinstance(f, Implies):
-        return _LV_NOT if f.consequent == BOT else _LV_IMPL
-    if isinstance(f, And):
-        return _LV_AND
-    return _LV_OR
-
-
-def _pp(f: Formula, min_level: int) -> str:
-    if _level(f) < min_level:
-        return "(" + _pp(f, _LV_IMPL) + ")"
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, AtomRef):
-        return f.name
-    if isinstance(f, And):
-        return _pp(f.left, _LV_AND) + " & " + _pp(f.right, _LV_AND + 1)
-    if isinstance(f, Or):
-        return _pp(f.left, _LV_OR) + " | " + _pp(f.right, _LV_OR + 1)
-    assert isinstance(f, Implies)
-    if f.consequent == BOT:
-        return "not " + _pp(f.antecedent, _LV_NOT)
-    return _pp(f.antecedent, _LV_OR) + " -> " + _pp(f.consequent, _LV_IMPL)
+# Binary node type -> (its level, infix text, minimum levels of its
+# left and right operands): & and | associate left, -> right.
+_INFIX = {
+    And: (_LV_AND, " & ", _LV_AND, _LV_AND + 1),
+    Or: (_LV_OR, " | ", _LV_OR, _LV_OR + 1),
+    Implies: (_LV_IMPL, " -> ", _LV_OR, _LV_IMPL),
+}
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text form; reparsing it yields a structurally equal AST."""
-    return _pp(f, _LV_IMPL)
+    out: list[str] = []
+    # Items are (node, minimum level) pairs and literal text, pushed in
+    # reverse so that they pop in output order.
+    stack: list = [(f, _LV_IMPL)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, min_level = item
+        kind = type(g)
+        if kind is AtomRef:
+            out.append(g.name)
+        elif kind is Bottom:
+            out.append("bot")
+        elif kind is Implies and type(g.consequent) is Bottom:
+            # No operand asks for a level above _LV_NOT: never parenthesized.
+            out.append("not ")
+            stack.append((g.antecedent, _LV_NOT))
+        else:
+            level, text, left_min, right_min = _INFIX[kind]
+            if level < min_level:
+                out.append("(")
+                stack += (")", (g, _LV_IMPL))
+            else:
+                left, right = (
+                    (g.antecedent, g.consequent) if kind is Implies
+                    else (g.left, g.right)
+                )
+                stack += ((right, right_min), text, (left, left_min))
+    return "".join(out)
 
 
 def print_theory(t: Iterable[Formula]) -> str:

@@ -20,7 +20,6 @@ from .formula import (
     Bottom,
     Formula,
     Implies,
-    Or,
     atoms,
     conj,
     neg,
@@ -34,12 +33,41 @@ from .semantics import (
 )
 
 
-def _check_atoms(f: Formula, y: Iterable[Atom]) -> frozenset[Atom]:
+def check_atoms(f: Formula, y: Iterable[Atom]) -> frozenset[Atom]:
+    """``y`` as a frozenset; raises if it has an atom that ``f`` lacks."""
     ys = frozenset(y)
     extra = ys - atoms(f)
     if extra:
         raise AtomsOutsideFormulaError(extra)
     return ys
+
+
+def _nes(f: Formula, ys: frozenset[Atom]) -> Formula:
+    # Postorder over an explicit stack; ``done`` marks a node whose
+    # children's results are on top of ``out``.
+    out: list[Formula] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, done = stack.pop()
+        kind = type(g)
+        if kind is AtomRef:
+            out.append(BOT if g.name in ys else g)
+        elif kind is Bottom:
+            out.append(BOT)
+        elif not done:
+            stack.append((g, True))
+            if kind is Implies:
+                stack += ((g.consequent, False), (g.antecedent, False))
+            else:
+                stack += ((g.right, False), (g.left, False))
+        else:
+            right = out.pop()
+            left = out.pop()
+            if kind is Implies:
+                out.append(And(Implies(left, right), g))
+            else:
+                out.append(kind(left, right))
+    return out[0]
 
 
 def nes(f: Formula, y: Iterable[Atom]) -> Formula:
@@ -50,32 +78,15 @@ def nes(f: Formula, y: Iterable[Atom]) -> Formula:
     distribute; an implication F -> G becomes
     (NES(F) -> NES(G)) & (F -> G).
     """
-    ys = _check_atoms(f, y)
-
-    def build(g: Formula) -> Formula:
-        if isinstance(g, AtomRef):
-            return BOT if g.name in ys else g
-        if isinstance(g, Bottom):
-            return BOT
-        if isinstance(g, And):
-            return And(build(g.left), build(g.right))
-        if isinstance(g, Or):
-            return Or(build(g.left), build(g.right))
-        assert isinstance(g, Implies)
-        return And(
-            Implies(build(g.antecedent), build(g.consequent)),
-            Implies(g.antecedent, g.consequent),
-        )
-
-    return build(f)
+    return _nes(f, check_atoms(f, y))
 
 
 def loop_formula(f: Formula, y: Iterable[Atom]) -> Formula:
     """Conjunction over A in ``y`` of A -> not NES(f, y), in atom order."""
-    ys = _check_atoms(f, y)
+    ys = check_atoms(f, y)
     if not ys:
         raise ValueError("loop formula requires a nonempty atom set")
-    support = neg(nes(f, ys))
+    support = neg(_nes(f, ys))
     return conj(Implies(AtomRef(a), support) for a in sorted(ys))
 
 
@@ -84,7 +95,7 @@ def stable_via_all_sets(
 ) -> bool:
     """Stability via loop formulas for every nonempty atom subset of ``f``."""
     universe = atoms(f)
-    _check_atoms(f, i)
+    check_atoms(f, i)
     check_cap(len(universe), cap, "loop-formula enumeration")
     if not satisfies(i, f):
         return False
@@ -105,7 +116,7 @@ def stable_via_loops(
     intentionally unsound check, kept to exhibit the counterexample
     separating the two graphs.
     """
-    _check_atoms(f, i)
+    check_atoms(f, i)
     check_cap(len(atoms(f)), cap, "loop-formula enumeration")
     if not satisfies(i, f):
         return False

@@ -4,15 +4,17 @@ Grammar (ASCII)::
 
     theory  := formula ( ("." | NEWLINE) formula )*   trailing separators ok
     formula := impl ( "<->" impl )*                   left-assoc, pairwise
-    impl    := disj ( "->" impl )?                    right-assoc
+    impl    := disj ( "->" disj )*                    right-assoc
     disj    := conj ( "|" conj )*
     conj    := unary ( "&" unary )*
-    unary   := ("not" | "-" | "!") unary | "bot" | "false" | atom
-             | "(" formula ")"
+    unary   := ("not" | "-" | "!")* ( "bot" | "false" | atom
+                                    | "(" formula ")" )
     atom    := [a-z][A-Za-z0-9_]*
 
 ``%`` starts a comment running to the end of the line.  Newlines act as
-formula separators, so a formula cannot span lines.
+formula separators, so a formula cannot span lines.  Runs of ``not``
+and of ``->`` are read in loops; parentheses recurse and may nest at
+most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ _TOKEN_RE = re.compile(
 )
 
 _SEPARATORS = ("NEWLINE", "DOT")
+
+#: Deepest parenthesis nesting accepted; each level costs the parser a
+#: few stack frames, so deeper input is a parse error, not a crash.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     @property
     def current(self) -> Token:
@@ -108,10 +115,16 @@ class _Parser:
 
     def impl(self) -> Formula:
         left = self.disj()
-        if self.current.kind == "ARROW":
+        if self.current.kind != "ARROW":
+            return left
+        parts = [left]
+        while self.current.kind == "ARROW":
             self.advance()
-            return Implies(left, self.impl())
-        return left
+            parts.append(self.disj())
+        out = parts.pop()
+        while parts:
+            out = Implies(parts.pop(), out)
+        return out
 
     def disj(self) -> Formula:
         left = self.conj()
@@ -129,22 +142,33 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.current
-        if tok.kind == "NOT" or (tok.kind == "IDENT" and tok.text == "not"):
+        nots = 0
+        while tok.kind == "NOT" or (tok.kind == "IDENT" and tok.text == "not"):
             self.advance()
-            return neg(self.unary())
+            nots += 1
+            tok = self.current
         if tok.kind == "IDENT":
             self.advance()
-            if tok.text in ("bot", "false"):
-                return BOT
-            return AtomRef(tok.text)
-        if tok.kind == "LPAREN":
+            out = BOT if tok.text in ("bot", "false") else AtomRef(tok.text)
+        elif tok.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise FormulaParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}",
+                    tok.line,
+                    tok.column,
+                )
             self.advance()
-            inner = self.formula()
+            self.depth += 1
+            out = self.formula()
+            self.depth -= 1
             if self.current.kind != "RPAREN":
                 raise self.error("')'")
             self.advance()
-            return inner
-        raise self.error("a formula")
+        else:
+            raise self.error("a formula")
+        for _ in range(nots):
+            out = neg(out)
+        return out
 
 
 def parse_formula(text: str) -> Formula:

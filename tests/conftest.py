@@ -27,6 +27,36 @@ def mset(*names):
     return frozenset(names)
 
 
+def strongly_connected_subsets_scan(g):
+    """The loops of ``g`` by definition: every nonempty vertex subset whose
+    induced subgraph is strongly connected, in ``interpretations_of`` order.
+
+    Each subset is checked by forward and backward reachability from one
+    of its vertices over the edge set, with no per-component shortcut.
+    """
+
+    def strongly_connected(ys):
+        start = next(iter(ys))
+        for flip in (False, True):
+            seen = {start}
+            frontier = [start]
+            while frontier:
+                v = frontier.pop()
+                for (a, b) in g.edges:
+                    if flip:
+                        a, b = b, a
+                    if a == v and b in ys and b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+            if seen != ys:
+                return False
+        return True
+
+    subsets = interpretations_of(g.vertices)
+    next(subsets)  # the empty set
+    return [ys for ys in subsets if len(ys) == 1 or strongly_connected(ys)]
+
+
 def oracle_mismatches(t):
     """Names of the enumerators whose lists differ from a definitional scan.
 

@@ -248,6 +248,72 @@ class TestLoops:
         assert code == 0
         assert "accepted by pnn-loop oracle" in out
 
+    def test_acyclic_18_atom_chain_exit_0(self, capsys, monkeypatch):
+        # 18 vertices, but every strongly connected component is a
+        # singleton, so the cap on the largest component is not reached.
+        chain = " & ".join(f"(a{i + 1} -> a{i})" for i in range(17))
+        code, out, err = run(
+            capsys, "loops", stdin=chain, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 18
+        assert all(line.startswith("loop {a") for line in lines)
+
+    def test_interpretation_outside_formula_exit_1(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, "loops", "-i", "zz", stdin=P3, monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert "zz" in err
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("command", ["graph", "tight", "loops"])
+    def test_long_conjunction_exit_0(self, capsys, monkeypatch, command):
+        text = " & ".join(["a"] * 5000)
+        code, out, err = run(
+            capsys, command, stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert err == ""
+        assert out
+
+    def test_tight_long_chain_exit_0(self, capsys, monkeypatch):
+        text = ". ".join(f"a{i + 1} -> a{i}" for i in range(1500)) + "."
+        code, out, _ = run(
+            capsys, "tight", stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert out.startswith("graph pnn: acyclic\n")
+
+    def test_long_negation_run_exit_0(self, capsys, monkeypatch):
+        text = "not " * 3000 + "p"
+        code, out, _ = run(
+            capsys, "models", stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert "stable: (none)" in out
+
+    def test_long_implication_chain_exit_0(self, capsys, monkeypatch):
+        text = " -> ".join(["p"] * 3000)
+        code, out, _ = run(
+            capsys, "models", stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert "classical: {}, {p}" in out
+
+    def test_deep_parentheses_parse_error_exit_1(self, capsys, monkeypatch):
+        text = "(" * 3000 + "p" + ")" * 3000
+        code, out, err = run(
+            capsys, "models", stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert "parse error" in err
+
 
 class TestNes:
     def test_prints_canonical_formula(self, capsys, monkeypatch):

@@ -89,9 +89,18 @@ class TestStronglyConnectedSubsets:
         assert strongly_connected_subsets(g) == [mset("a")]
 
     def test_cap(self):
-        g = DepGraph(frozenset(f"a{i}" for i in range(17)), frozenset())
+        names = [f"a{i}" for i in range(17)]
+        cycle = {(names[i], names[(i + 1) % 17]) for i in range(17)}
+        g = DepGraph(frozenset(names), frozenset(cycle))
         with pytest.raises(CapExceededError):
             strongly_connected_subsets(g)
+
+    def test_cap_applies_per_component(self):
+        names = frozenset(f"a{i}" for i in range(18))
+        g = DepGraph(names, frozenset())
+        assert strongly_connected_subsets(g) == [
+            mset(v) for v in sorted(names)
+        ]
 
     def test_large_subsets_live_inside_one_scc(self, p2):
         g = g_pnn(p2)

@@ -1,6 +1,9 @@
 """Randomized invariants over the full formula space (hypothesis)."""
 
+import contextlib
+import io
 import random
+import sys
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from stablemodels import (
     BOT,
     And,
     AtomRef,
+    DepGraph,
     GraphKind,
     Implies,
     Or,
@@ -26,11 +30,14 @@ from stablemodels import (
     rules_of,
     satisfies,
     spos,
+    stable_via_loops,
+    strongly_connected_subsets,
     subgraph_of,
     theory_atoms,
 )
+from stablemodels.cli import main
 from stablemodels.fuzz import ATOM_POOL, random_formula
-from conftest import oracle_mismatches
+from conftest import oracle_mismatches, strongly_connected_subsets_scan
 
 atom_names = st.sampled_from(("a", "b", "c", "d"))
 
@@ -171,3 +178,39 @@ def test_check_split_matches_pointwise_stability_scan(seed, kind):
     assert report.equivalence_holds == (
         whole == [i for i in part_f if i in part_g]
     )
+
+
+@st.composite
+def graphs(draw):
+    """Directed graphs on up to 10 vertices, self-loops included."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(0, 10)))]
+    pairs = [(a, b) for a in vertices for b in vertices]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return DepGraph(frozenset(vertices), frozenset(edges))
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_loops_match_subset_scan(g):
+    assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
+
+
+@settings(deadline=None)
+@given(formulas, st.sampled_from(GraphKind), st.data())
+def test_loops_oracle_line_matches_stable_via_loops(f, kind, data):
+    universe = sorted(atoms(f))
+    interp = frozenset(
+        data.draw(st.sets(st.sampled_from(universe))) if universe else ()
+    )
+    argv = ["loops", "--graph", kind.value, "-i", ",".join(interp)]
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(print_formula(f))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code == 0
+    last = out.getvalue().splitlines()[-1]
+    accepted = " accepted by " in last
+    assert accepted == stable_via_loops(interp, f, kind)
