@@ -20,13 +20,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .depgraph import (
-    GraphKind,
-    graph_of,
-    has_cycle,
-    strongly_connected_subsets,
-    to_dot,
-)
+from .depgraph import GraphKind, graph_of, has_cycle, to_dot
 from .errors import (
     AtomsOutsideFormulaError,
     CapExceededError,
@@ -41,7 +35,7 @@ from .fuzz import (
     PROPERTIES,
     run_fuzz,
 )
-from .loopformulas import check_atoms, loop_formula, nes
+from .loopformulas import check_atoms, loop_formulas, nes
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
@@ -107,11 +101,12 @@ def cmd_graph(args) -> int:
 def cmd_tight(args) -> int:
     theory = parse_theory(_read_input(args.input))
     kind = GraphKind(args.graph)
-    graph = graph_of(theory, kind)
-    cyclic = has_cycle(graph)
+    cyclic = has_cycle(graph_of(theory, kind))
     print(f"graph {kind.value}: {'cyclic' if cyclic else 'acyclic'}")
-    sp = graph if kind is GraphKind.SP else graph_of(theory, GraphKind.SP)
-    if is_nondisjunctive_theory(theory) and not has_cycle(sp):
+    if is_nondisjunctive_theory(theory) and not (
+        cyclic if kind is GraphKind.SP
+        else has_cycle(graph_of(theory, GraphKind.SP))
+    ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
             sup = supported_models(theory, cap=args.cap)
@@ -132,12 +127,10 @@ def cmd_loops(args) -> int:
     if args.interpretation is not None:
         # Checked before any output, so a bad atom list prints nothing.
         interp = check_atoms(f, _parse_atom_list(args.interpretation))
-    loops = strongly_connected_subsets(graph_of((f,), kind))
     # The loop oracle (``stable_via_loops``): a model of f that
     # satisfies every loop formula.
     accepted = interp is not None and satisfies(interp, f)
-    for ys in loops:
-        lf = loop_formula(f, ys)
+    for ys, lf in loop_formulas(f, kind):
         line = f"loop {format_interpretation(ys)}: {print_formula(lf)}"
         if interp is not None:
             holds = satisfies(interp, lf)
@@ -365,11 +358,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         AtomsOutsideFormulaError,
         NotAPartitionError,
         NotNondisjunctiveError,
+        OSError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

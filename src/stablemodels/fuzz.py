@@ -28,21 +28,17 @@ from .formula import (
     Or,
     Theory,
     atoms,
-    is_nondisjunctive_theory,
     print_formula,
     print_theory,
     spos,
-    theory_atoms,
 )
 from .loopformulas import stable_via_all_sets, stable_via_loops
 from .semantics import (
+    analyze,
     classical_models,
-    completion,
     format_interpretation,
     format_models,
     interpretations_of,
-    is_stable,
-    pointwise_stable_models,
     reduct,
     satisfies,
     stable_models,
@@ -138,8 +134,8 @@ def _check_theorem2(rng: random.Random, pool, depth) -> Optional[str]:
         lambda r: random_theory(r, pool, depth),
         lambda t: not has_cycle(g_sp(t)),
     )
-    pw = pointwise_stable_models(t)
-    st = stable_models(t)
+    report = analyze(t)
+    pw, st = report.pointwise_stable, report.stable
     if pw != st:
         return (
             "pointwise stable and stable models differ for a theory with "
@@ -167,8 +163,9 @@ def _check_loop_oracle(kind: GraphKind):
             f = _adversarial_loop_formula(rng, pool)
         else:
             f = random_formula(rng, pool, depth)
+        stable = set(stable_models((f,)))
         for i in interpretations_of(atoms(f)):
-            brute = is_stable(i, (f,))
+            brute = i in stable
             all_sets = stable_via_all_sets(i, f)
             loops = stable_via_loops(i, f, kind)
             if not (brute == all_sets == loops):
@@ -268,20 +265,18 @@ def _check_sp_subgraph(rng: random.Random, pool, depth) -> Optional[str]:
 def _check_chain(rng: random.Random, pool, depth) -> Optional[str]:
     t = random_theory(rng, pool, depth)
     text = print_theory(t)
-    cls = set(map(frozenset, classical_models(t)))
-    st = set(map(frozenset, stable_models(t)))
-    pw = set(map(frozenset, pointwise_stable_models(t)))
+    report = analyze(t)
+    st = set(report.stable)
+    pw = set(report.pointwise_stable)
     if not st <= pw:
         return f"a stable model is not pointwise stable\ntheory:\n{text}"
-    if not pw <= cls:
+    if not pw <= set(report.classical):
         return f"a pointwise stable model is not classical\ntheory:\n{text}"
-    if is_nondisjunctive_theory(t):
-        sup = set(map(frozenset, supported_models(t)))
-        if not st <= sup:
+    if (sup := report.supported) is not None:
+        if not st <= set(sup):
             return f"a stable model is not supported\ntheory:\n{text}"
-        comp = set(
-            map(frozenset, classical_models(completion(t), theory_atoms(t)))
-        )
+        # Both lists are in ``interpretations_of`` order over the universe.
+        comp = classical_models(report.completion_theory, report.universe)
         if comp != sup:
             return (
                 "completion models differ from supported models\ntheory:\n"

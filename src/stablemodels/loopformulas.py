@@ -8,7 +8,7 @@ unsound, and the workbench reproduces its failure mode.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
 from .errors import AtomsOutsideFormulaError
@@ -86,8 +86,21 @@ def loop_formula(f: Formula, y: Iterable[Atom]) -> Formula:
     ys = check_atoms(f, y)
     if not ys:
         raise ValueError("loop formula requires a nonempty atom set")
+    return _loop_formula(f, ys)
+
+
+def _loop_formula(f: Formula, ys: frozenset[Atom]) -> Formula:
+    # ``ys`` is a nonempty set of f's atoms, already checked.
     support = neg(_nes(f, ys))
     return conj(Implies(AtomRef(a), support) for a in sorted(ys))
+
+
+def loop_formulas(
+    f: Formula, kind: GraphKind = GraphKind.PNN
+) -> Iterator[tuple[frozenset[Atom], Formula]]:
+    """Each loop of ``f``'s graph with its loop formula (no atom check)."""
+    for ys in strongly_connected_subsets(graph_of((f,), kind)):
+        yield ys, _loop_formula(f, ys)
 
 
 def stable_via_all_sets(
@@ -101,7 +114,7 @@ def stable_via_all_sets(
         return False
     subsets = interpretations_of(universe)
     next(subsets)  # the empty set, which has no loop formula
-    return all(satisfies(i, loop_formula(f, ys)) for ys in subsets)
+    return all(satisfies(i, _loop_formula(f, ys)) for ys in subsets)
 
 
 def stable_via_loops(
@@ -120,8 +133,7 @@ def stable_via_loops(
     check_cap(len(atoms(f)), cap, "loop-formula enumeration")
     if not satisfies(i, f):
         return False
-    loops = strongly_connected_subsets(graph_of((f,), kind))
-    return all(satisfies(i, loop_formula(f, ys)) for ys in loops)
+    return all(satisfies(i, lf) for _, lf in loop_formulas(f, kind))
 
 
 def is_tautology(f: Formula) -> bool:

@@ -2,11 +2,12 @@
 
 The four enumerators (``classical_models``, ``stable_models``,
 ``supported_models``, ``pointwise_stable_models``) share one evaluation
-core over truth tables held as Python ints: one pass over all 2**n
-interpretations gives the classical models, and for each classical
-model I one here-and-there pass over the subsets of I decides stability
-and pointwise stability.  Supported models are the classical models of
-the theory plus ``a -> (disjunction of a's bodies)`` for each atom.  Every
+core over truth tables held as Python ints.  ``analyze`` reads three
+classes from one sweep: a pass over all 2**n interpretations gives the
+classical models, and for each classical model I one here-and-there
+pass over the subsets of I decides both stability and pointwise
+stability.  Supported models are the classical models of the theory
+plus ``a -> (disjunction of a's bodies)`` for each atom.  Every
 enumerator is guarded by a hard cap (default 20 atoms), checked before
 any table is built.  Model lists are returned in ``interpretations_of``
 order: by cardinality, then lexicographically.
@@ -145,10 +146,7 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
-    return [
-        i for i, table in _here_and_there(t, cap)
-        if table == 1 << ((1 << len(i)) - 1)
-    ]
+    return _sweep(t, cap)[1]
 
 
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
@@ -197,12 +195,7 @@ def pointwise_stable_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> list[Interpretation]:
     """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
-    out = []
-    for i, table in _here_and_there(t, cap):
-        whole = (1 << len(i)) - 1  # the index of J = I
-        if not any(table >> (whole ^ (1 << r)) & 1 for r in range(len(i))):
-            out.append(i)
-    return out
+    return _sweep(t, cap)[2]
 
 
 def completion(t: Theory) -> Theory:
@@ -320,30 +313,39 @@ def _classical(t: Theory, atoms: frozenset[Atom]) -> list[Interpretation]:
     return [frozenset([names[j] for j in p]) for p in _points(ops, len(names))]
 
 
-def _here_and_there(
-    t: Theory, cap: int
-) -> Iterator[tuple[Interpretation, int]]:
-    """Each classical model I of ``t`` with its here-and-there table.
+def _sweep(t: Theory, cap: int) -> tuple[list[Interpretation], ...]:
+    """The classical, stable and pointwise stable models of ``t``.
 
-    Bit m of the table is the value of ``t`` at <J, I>, where J holds the
-    r-th atom of I exactly when bit r of m is set.
+    One classical pass, then one here-and-there table per classical model
+    I: bit m is the value of ``t`` at <J, I>, where J holds the r-th atom
+    of I exactly when bit r of m is set.  I is stable when only the
+    ``J = I`` bit is set and pointwise stable when no ``I - {a}`` bit is.
     """
     atoms = theory_atoms(t)
     check_cap(len(atoms), cap)
     names = sorted(atoms)
     ops = _compile(t, names)
-    local: dict[int, list[int]] = {}
+    # Per width of I: its atom tables and the mask of the I - {a} bits.
+    local: dict[int, tuple[list[int], int]] = {}
+    classical, stable, pointwise = [], [], []
     for p in _points(ops, len(names)):
         width = len(p)
+        top = 1 << ((1 << width) - 1)  # the bit of J = I
         if width not in local:
-            local[width] = _atom_tables(width)
+            drop_one = sum(top >> (1 << r) for r in range(width))
+            local[width] = _atom_tables(width), drop_one
+        tables, drop_one = local[width]
         atom_tables = [0] * len(names)
-        for j, table in zip(p, local[width]):
-            atom_tables[j] = table
-        full = (1 << (1 << width)) - 1
-        top = 1 << ((1 << width) - 1)
+        for j, atom_table in zip(p, tables):
+            atom_tables[j] = atom_table
+        table = _evaluate(ops, atom_tables, (top << 1) - 1, top)
         i = frozenset([names[j] for j in p])
-        yield i, _evaluate(ops, atom_tables, full, top)
+        classical.append(i)
+        if table == top:
+            stable.append(i)
+        if not table & drop_one:
+            pointwise.append(i)
+    return classical, stable, pointwise
 
 
 @dataclass(frozen=True)
@@ -377,12 +379,13 @@ class ModelReport:
 
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
+    classical, stable, pointwise = _sweep(t, cap)
     nondisjunctive = is_nondisjunctive_theory(t)
     return ModelReport(
         universe=theory_atoms(t),
-        classical=classical_models(t, cap=cap),
-        stable=stable_models(t, cap=cap),
+        classical=classical,
+        stable=stable,
         supported=supported_models(t, cap=cap) if nondisjunctive else None,
-        pointwise_stable=pointwise_stable_models(t, cap=cap),
+        pointwise_stable=pointwise,
         completion_theory=completion(t) if nondisjunctive else None,
     )

@@ -26,7 +26,7 @@ from .formula import (
     neg,
     spos,
 )
-from .semantics import DEFAULT_CAP, Interpretation, check_cap, stable_models
+from .semantics import DEFAULT_CAP, Interpretation, stable_models
 
 
 def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
@@ -103,7 +103,6 @@ def check_split(
         raise NotAPartitionError(
             "the two atom sets must partition the atoms of the conjunction"
         )
-    check_cap(len(universe), cap)
     i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, kind)
 
     stable_whole = stable_models((whole,), cap)

@@ -1,6 +1,7 @@
 import pytest
 
 from stablemodels import (
+    analyze,
     classical_models,
     interpretations_of,
     is_nondisjunctive_theory,
@@ -62,8 +63,9 @@ def oracle_mismatches(t):
 
     Each scan runs the enumerator's predicate over ``interpretations_of``;
     classical models are also checked over a universe with two extra
-    atoms, one sorting between the theory's atoms.  Supported models are
-    checked for nondisjunctive theories only.
+    atoms, one sorting between the theory's atoms.  ``analyze``'s
+    classical, stable and pointwise stable lists are checked too.
+    Supported models are checked for nondisjunctive theories only.
     """
     universe = theory_atoms(t)
     wider = universe | {"a0", "z"}
@@ -71,16 +73,19 @@ def oracle_mismatches(t):
     def scan(holds, atoms=universe):
         return [i for i in interpretations_of(atoms) if holds(i)]
 
-    def classical(i):
-        return satisfies_all(i, t)
-
+    classical = scan(lambda i: satisfies_all(i, t))
+    stable = scan(lambda i: is_stable(i, t))
+    pointwise = scan(lambda i: is_pointwise_stable(i, t))
+    report = analyze(t)
     pairs = [
-        ("classical", classical_models(t), scan(classical)),
-        ("classical over a wider universe",
-         classical_models(t, wider), scan(classical, wider)),
-        ("stable", stable_models(t), scan(lambda i: is_stable(i, t))),
-        ("pointwise stable", pointwise_stable_models(t),
-         scan(lambda i: is_pointwise_stable(i, t))),
+        ("classical", classical_models(t), classical),
+        ("classical over a wider universe", classical_models(t, wider),
+         scan(lambda i: satisfies_all(i, t), wider)),
+        ("stable", stable_models(t), stable),
+        ("pointwise stable", pointwise_stable_models(t), pointwise),
+        ("analyze classical", report.classical, classical),
+        ("analyze stable", report.stable, stable),
+        ("analyze pointwise stable", report.pointwise_stable, pointwise),
     ]
     if is_nondisjunctive_theory(t):
         pairs.append(

@@ -20,6 +20,7 @@ from stablemodels import (
     spos,
     theory_atoms,
 )
+from stablemodels.formula import subformula_at
 
 p, q, r, s = AtomRef("p"), AtomRef("q"), AtomRef("r"), AtomRef("s")
 
@@ -201,14 +202,8 @@ class TestRulesOf:
         assert rules_of(p) == []
 
     def test_rule_positions_are_strictly_positive(self, p3):
-        names = {
-            ctx.path
-            for _, ctx in classify_occurrences(p3)
-        }
         for ro in rules_of(p3):
             # Path addresses an Implies node in the host tree.
-            from stablemodels.formula import subformula_at
-
             node = subformula_at(p3, ro.path)
             assert node == Implies(ro.body, ro.head)
 
