@@ -42,8 +42,8 @@ from .semantics import (
     analyze,
     format_interpretation,
     format_models,
+    here_and_there_at,
     models_json,
-    satisfies,
     stable_models,
     supported_models,
 )
@@ -124,16 +124,20 @@ def cmd_loops(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
     interp = None
+    accepted = False
     if args.interpretation is not None:
         # Checked before any output, so a bad atom list prints nothing.
         interp = check_atoms(f, _parse_atom_list(args.interpretation))
-    # The loop oracle (``stable_via_loops``): a model of f that
-    # satisfies every loop formula.
-    accepted = interp is not None and satisfies(interp, f)
+        here_and_there = here_and_there_at((f,), interp)
+        # The loop oracle (``stable_via_loops``): a model of f that
+        # satisfies every loop formula.
+        accepted = here_and_there(frozenset())
     for ys, lf in loop_formulas(f, kind):
         line = f"loop {format_interpretation(ys)}: {print_formula(lf)}"
         if interp is not None:
-            holds = satisfies(interp, lf)
+            # I satisfies LF_Y exactly when Y misses I or <I - Y, I> is
+            # not a here-and-there model of f.
+            holds = not ys & interp or not here_and_there(ys)
             accepted = accepted and holds
             line += f"  [{'satisfied' if holds else 'violated'}]"
         print(line)

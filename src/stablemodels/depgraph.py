@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import check_cap
 from .formula import (
     Atom,
     Theory,
@@ -28,7 +29,6 @@ from .formula import (
     spos,
     theory_atoms,
 )
-from .semantics import check_cap
 
 Edge = tuple[Atom, Atom]
 

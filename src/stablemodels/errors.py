@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the workbench modules."""
+"""Exception hierarchy shared by the workbench modules, and the one cap check."""
 
 from .formula import print_formula
 
@@ -25,6 +25,11 @@ class CapExceededError(StableModelsError):
         )
         self.count = count
         self.cap = cap
+
+
+def check_cap(atom_count: int, cap: int, what: str = "enumeration") -> None:
+    if atom_count > cap:
+        raise CapExceededError(what, atom_count, cap)
 
 
 class NotNondisjunctiveError(StableModelsError):

@@ -10,7 +10,7 @@ desugared tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Atom = str
 Path = tuple[int, ...]

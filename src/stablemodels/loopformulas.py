@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
-from .errors import AtomsOutsideFormulaError
+from .errors import AtomsOutsideFormulaError, check_cap
 from .formula import (
     BOT,
     And,
@@ -27,7 +27,6 @@ from .formula import (
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
-    check_cap,
     interpretations_of,
     satisfies,
 )

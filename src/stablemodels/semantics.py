@@ -2,15 +2,31 @@
 
 The four enumerators (``classical_models``, ``stable_models``,
 ``supported_models``, ``pointwise_stable_models``) share one evaluation
-core over truth tables held as Python ints.  ``analyze`` reads three
-classes from one sweep: a pass over all 2**n interpretations gives the
-classical models, and for each classical model I one here-and-there
-pass over the subsets of I decides both stability and pointwise
-stability.  Supported models are the classical models of the theory
-plus ``a -> (disjunction of a's bodies)`` for each atom.  Every
-enumerator is guarded by a hard cap (default 20 atoms), checked before
-any table is built.  Model lists are returned in ``interpretations_of``
-order: by cardinality, then lexicographically.
+core over truth tables held as Python ints, and one evaluator with
+separate "here" and "there" tables.  ``analyze`` reads three classes
+from one sweep.  A classical pass over all 2**n interpretations gives
+the classical models and the there table of every implication.
+Stability and pointwise stability then come from one of two paths:
+
+- per model: for each classical model I, one here-and-there pass over
+  the subsets of I;
+- by loops: for each loop Y of the pnn graph, one pass over all 2**n
+  interpretations with Y's atoms cleared in the here-world.  By Ferraris,
+  Lee and Lifschitz's generalised Lin-Zhao theorem, which still holds
+  with the loops of the pnn graph but not with those of the sp graph, a
+  classical model I is stable exactly when for no loop Y that meets I is
+  <I - Y, I> a here-and-there model.  The singleton loops alone decide
+  pointwise stability.
+
+The path is chosen per theory by a cost model: n loop passes at least,
+or the bound of 2**k - 1 loops per strongly connected component of k
+atoms, each over 2**n points, against one pass over 2**|I| points per
+classical model I.  Small theories skip the graph build, and a component
+over ``SUBSET_CAP`` keeps the per-model path.  Supported models are the
+classical models of the theory plus ``a -> (disjunction of a's bodies)``
+for each atom.  Every enumerator is guarded by a hard cap (default 20
+atoms), checked before any table is built.  Model lists are returned in
+``interpretations_of`` order: by cardinality, then lexicographically.
 
 ``satisfies``, ``reduct`` and the predicates ``is_stable``,
 ``is_pointwise_stable`` and ``is_supported`` state the definitions
@@ -18,19 +34,22 @@ directly.  They are the oracle the enumerators are tested against; no
 enumerator calls them.
 
 This module owns the workbench's one subset enumerator,
-``interpretations_of``, and its one cap check, ``check_cap``; the
-stability, loop and split searches in ``depgraph``, ``loopformulas`` and
-``splitting`` are built on them.
+``interpretations_of``; the stability, loop and split searches in
+``depgraph``, ``loopformulas`` and ``splitting`` are built on it and on
+the one cap check, ``errors.check_cap``.  ``here_and_there_at`` evaluates
+a theory at one point for ``loops -i``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import CapExceededError, NotNondisjunctiveError
+from .depgraph import SUBSET_CAP, g_pnn, sccs, strongly_connected_subsets
+from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
     BOT,
     And,
@@ -90,11 +109,6 @@ def reduct(f: Formula, i: Interpretation) -> Formula:
 
 def reduct_theory(t: Theory, i: Interpretation) -> Theory:
     return tuple(reduct(f, i) for f in t)
-
-
-def check_cap(atom_count: int, cap: int, what: str = "enumeration") -> None:
-    if atom_count > cap:
-        raise CapExceededError(what, atom_count, cap)
 
 
 def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
@@ -218,9 +232,10 @@ def completion(t: Theory) -> Theory:
 # ---------------------------------------------------------------------------
 # Evaluation core.  A truth table over the atoms a_0 < ... < a_{n-1} is an
 # int of 2**n bits: bit k is the value at the interpretation containing
-# a_j exactly when bit j of k is set.  ``J |= F^I`` holds exactly when
-# <J, I> is a here-and-there model of F (Ferraris 2005), so one table over
-# the 2**|I| subsets J of a classical model I decides its minimality
+# a_j exactly when bit j of k is set.  A here-and-there table gives, at
+# each point, the value of an op at a pair <H, T> of a "here" and a
+# "there" interpretation; ``H |= F^T`` holds exactly when <H, T> is a
+# here-and-there model of F (Ferraris 2005), so stability is decided
 # without building the reduct.
 
 _ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
@@ -262,90 +277,254 @@ def _compile(t: Theory, names: list[Atom]) -> Ops:
 
 
 def _atom_tables(n: int) -> list[int]:
-    """Tables of a_0 .. a_{n-1} over 2**n points, one pattern times a repunit."""
-    full = (1 << (1 << n)) - 1
-    return [
-        (((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1))
-        for j in range(n)
-    ]
+    """Tables of a_0 .. a_{n-1} over 2**n points.
+
+    Built by doubling, not by dividing by a repunit, which is quadratic
+    in the table size: over 2**(j+1) points, a_j is 2**j zeros then
+    2**j ones, and every earlier table repeats its first 2**j bits.
+    """
+    tables: list[int] = []
+    for j in range(n):
+        half = 1 << j
+        tables = [table | table << half for table in tables]
+        tables.append(((1 << half) - 1) << half)
+    return tables
 
 
-def _evaluate(ops: Ops, atom_tables: list[int], full: int, there: int) -> int:
-    """Table of the last op.
+def _evaluate(ops: Ops, here: list[int], there: Iterator[int]) -> list[int]:
+    """The here table of every op.
 
-    An implication's table is cleared unless it is true somewhere in
-    ``there``: ``there = full`` gives classical truth, and the one point
-    I gives here-and-there truth at I.
+    ``here`` holds the atoms' tables in the here-world, and ``there``
+    yields each implication's table in the there-world, in op order.
+    Conjunction and disjunction combine here tables; an implication
+    holds where it holds there and ``~A | B`` holds here.  With every
+    there table all ones, this is classical truth.
     """
     vals: list[int] = []
     for code, x, y in ops:
         if code == _ATOM:
-            v = atom_tables[x]
+            v = here[x]
         elif code == _AND:
             v = vals[x] & vals[y]
         elif code == _OR:
             v = vals[x] | vals[y]
         elif code == _IMPLIES:
-            v = (~vals[x] | vals[y]) & full
-            if not v & there:
-                v = 0
+            v = (~vals[x] | vals[y]) & next(there)
         else:
             v = 0
         vals.append(v)
-    return vals[-1]
+    return vals
 
 
-def _points(ops: Ops, n: int) -> Iterator[list[int]]:
-    """Classical models as atom-index lists, in ``interpretations_of`` order."""
-    full = (1 << (1 << n)) - 1
-    table = _evaluate(ops, _atom_tables(n), full, full)
+def _implications(ops: Ops, vals: list[int]) -> list[int]:
+    """The tables of the implication ops, in op order."""
+    codes = map(operator.itemgetter(0), ops)
+    return list(itertools.compress(vals, map(_IMPLIES.__eq__, codes)))
+
+
+def here_and_there_at(
+    t: Theory, i: Interpretation
+) -> Callable[[frozenset[Atom]], bool]:
+    """Whether <I - Y, I> is a here-and-there model of ``t``, as a function of Y.
+
+    ``t`` is compiled once, and each call is one pass over its ops on
+    one-bit tables.  The empty Y gives classical truth at I.  I
+    satisfies the loop formula of Y exactly when Y misses I or this is
+    false at Y (Ferraris, Lee and Lifschitz 2006).
+    """
+    names = sorted(theory_atoms(t))
+    ops = _compile(t, names)
+    there = _implications(
+        ops, _evaluate(ops, [int(a in i) for a in names], itertools.repeat(1))
+    )
+
+    def holds(ys: frozenset[Atom]) -> bool:
+        here = [int(a in i and a not in ys) for a in names]
+        return _evaluate(ops, here, iter(there))[-1] == 1
+
+    return holds
+
+
+def _points(table: int, n: int) -> list[tuple[int, list[int]]]:
+    """The set bits of ``table`` with their atom indices, in
+    ``interpretations_of`` order."""
     bits = format(table, f"0{1 << n}b")[::-1]
     weights = [1 << j for j in range(n)]
-    for size in range(n + 1):
-        for k in map(sum, itertools.combinations(weights, size)):
-            if bits[k] == "1":
-                yield [j for j in range(n) if k >> j & 1]
+    return [
+        (k, [j for j in range(n) if k >> j & 1])
+        for size in range(n + 1)
+        for k in map(sum, itertools.combinations(weights, size))
+        if bits[k] == "1"
+    ]
+
+
+class _Classical(NamedTuple):
+    """One classical pass over all 2**n points."""
+
+    names: list[Atom]
+    ops: Ops
+    atom_tables: list[int]
+    # Every op's table; the last is the theory's.
+    vals: list[int]
+    # The classical models: bit index and atom indices, in
+    # ``interpretations_of`` order.
+    points: list[tuple[int, list[int]]]
+
+
+def _classical_pass(t: Theory, atoms: Iterable[Atom]) -> _Classical:
+    names = sorted(atoms)
+    n = len(names)
+    ops = _compile(t, names)
+    atom_tables = _atom_tables(n)
+    full = (1 << (1 << n)) - 1
+    vals = _evaluate(ops, atom_tables, itertools.repeat(full))
+    return _Classical(names, ops, atom_tables, vals, _points(vals[-1], n))
 
 
 def _classical(t: Theory, atoms: frozenset[Atom]) -> list[Interpretation]:
-    names = sorted(atoms)
-    ops = _compile(t, names)
-    return [frozenset([names[j] for j in p]) for p in _points(ops, len(names))]
+    c = _classical_pass(t, atoms)
+    return [frozenset([c.names[j] for j in p]) for _, p in c.points]
 
 
-def _sweep(t: Theory, cap: int) -> tuple[list[Interpretation], ...]:
-    """The classical, stable and pointwise stable models of ``t``.
+def _per_model(c: _Classical) -> list[tuple[bool, bool]]:
+    """Stable and pointwise stable flags of each classical model I.
 
-    One classical pass, then one here-and-there table per classical model
-    I: bit m is the value of ``t`` at <J, I>, where J holds the r-th atom
-    of I exactly when bit r of m is set.  I is stable when only the
-    ``J = I`` bit is set and pointwise stable when no ``I - {a}`` bit is.
+    One here-and-there table per I: bit m is the value of the theory at
+    <J, I>, where J holds the r-th atom of I exactly when bit r of m is
+    set, and each implication's there table is its classical value at I
+    (all ones or all zeros).  I is stable when only the ``J = I`` bit is
+    set and pointwise stable when no ``I - {a}`` bit is.
     """
-    atoms = theory_atoms(t)
-    check_cap(len(atoms), cap)
-    names = sorted(atoms)
-    ops = _compile(t, names)
+    # As bytes, a table's value at one point is read without shifting
+    # a 2**n-bit int.
+    size = ((1 << len(c.names)) + 7) // 8
+    rows = [v.to_bytes(size, "little") for v in _implications(c.ops, c.vals)]
     # Per width of I: its atom tables and the mask of the I - {a} bits.
     local: dict[int, tuple[list[int], int]] = {}
-    classical, stable, pointwise = [], [], []
-    for p in _points(ops, len(names)):
+    flags = []
+    for k, p in c.points:
+        if not p:
+            # The empty model has no proper subset to refute it.
+            flags.append((True, True))
+            continue
         width = len(p)
         top = 1 << ((1 << width) - 1)  # the bit of J = I
         if width not in local:
             drop_one = sum(top >> (1 << r) for r in range(width))
             local[width] = _atom_tables(width), drop_one
         tables, drop_one = local[width]
-        atom_tables = [0] * len(names)
+        here = [0] * len(c.names)
         for j, atom_table in zip(p, tables):
-            atom_tables[j] = atom_table
-        table = _evaluate(ops, atom_tables, (top << 1) - 1, top)
-        i = frozenset([names[j] for j in p])
+            here[j] = atom_table
+        full = (top << 1) - 1
+        byte, bit = k >> 3, 1 << (k & 7)
+        there = [full if row[byte] & bit else 0 for row in rows]
+        table = _evaluate(c.ops, here, iter(there))[-1]
+        flags.append((table == top, not table & drop_one))
+    return flags
+
+
+def _by_loops(
+    c: _Classical, loops: list[frozenset[Atom]]
+) -> list[tuple[bool, bool]]:
+    """Stable and pointwise stable flags of each classical model, by loops.
+
+    By the generalised Lin-Zhao theorem (Ferraris, Lee and Lifschitz
+    2006), with loops taken from the pnn graph, a classical model I is
+    stable exactly when for no loop Y that meets I is <I - Y, I> a
+    here-and-there model.  One pass per loop over all 2**n points, with
+    Y's atoms cleared in the here-world, finds every such I at once.
+    Every singleton is a loop, and the singletons alone decide
+    pointwise stability.
+    """
+    index = {a: j for j, a in enumerate(c.names)}
+    there = _implications(c.ops, c.vals)
+    stable = pointwise = c.vals[-1]
+    for ys in loops:
+        here = c.atom_tables.copy()
+        meets = 0
+        for a in ys:
+            j = index[a]
+            meets |= here[j]
+            here[j] = 0
+        singleton = len(ys) == 1
+        # Stable models are pointwise stable, so ``pointwise`` covers
+        # every candidate a singleton can still refute.
+        alive = (pointwise if singleton else stable) & meets
+        if not alive:
+            continue
+        refuted = _evaluate(c.ops, here, iter(there))[-1] & alive
+        stable &= ~refuted
+        if singleton:
+            pointwise &= ~refuted
+    n = len(c.names)
+    stable_bits = format(stable, f"0{1 << n}b")[::-1]
+    pointwise_bits = format(pointwise, f"0{1 << n}b")[::-1]
+    return [
+        (stable_bits[k] == "1", pointwise_bits[k] == "1") for k, _ in c.points
+    ]
+
+
+# Cost model of the path choice, in units of one pass over a few points.
+# A pass over 2**w points costs about 1 + 2**w / _WIDE_BITS of them: on a
+# 63-op theory a pass costs 0.16 us per op up to w = 4, 0.34 us at
+# w = 11, 0.54 at 12, 4.5 at 16, 23 at 18 and 132 at 20.  Building the
+# pnn graph, its components and its loops costs about _GRAPH_PASSES: on
+# two samples of about 500 random theories of 2 to 10 atoms, 12 picked
+# the faster path for all but 9 and 8 (0 missed 247 and 262), and 13,
+# within 0.2 % of 12's total time, keeps every theory of at most 4 atoms
+# (cost at most 16 + 3**4 / 2048 < 13 + 4 * (1 + 16 / 2048)) per model.
+_WIDE_BITS = 2048
+_GRAPH_PASSES = 13
+
+
+def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]:
+    """The pnn loops of ``t`` if one pass per loop over all 2**n points
+    costs less than one pass per classical model I over 2**|I| points,
+    else None.
+
+    The graph is built only if the n singleton loops alone would pay.
+    Its loops are then counted by their bound, the sum of 2**k - 1 over
+    the strongly connected components, before they are enumerated.
+    """
+    per_model = sum(1 + (1 << len(p)) / _WIDE_BITS for _, p in c.points)
+    n = len(c.names)
+    per_loop = 1 + (1 << n) / _WIDE_BITS
+    if _GRAPH_PASSES + n * per_loop >= per_model:
+        return None
+    graph = g_pnn(t)
+    components = sccs(graph)
+    if max(map(len, components)) > SUBSET_CAP:
+        return None
+    bound = sum((1 << len(comp)) - 1 for comp in components)
+    if _GRAPH_PASSES + bound * per_loop >= per_model:
+        return None
+    return strongly_connected_subsets(graph)
+
+
+def _lists(
+    c: _Classical, loops: Optional[list[frozenset[Atom]]]
+) -> tuple[list[Interpretation], ...]:
+    """The classical, stable and pointwise stable models, by the per-model
+    path (``loops`` None) or by the given loops, in one walk."""
+    flags = _per_model(c) if loops is None else _by_loops(c, loops)
+    classical, stable, pointwise = [], [], []
+    for (_, p), (stable_at, pointwise_at) in zip(c.points, flags):
+        i = frozenset([c.names[j] for j in p])
         classical.append(i)
-        if table == top:
+        if stable_at:
             stable.append(i)
-        if not table & drop_one:
+        if pointwise_at:
             pointwise.append(i)
     return classical, stable, pointwise
+
+
+def _sweep(t: Theory, cap: int) -> tuple[list[Interpretation], ...]:
+    """The classical, stable and pointwise stable models of ``t``."""
+    atoms = theory_atoms(t)
+    check_cap(len(atoms), cap)
+    c = _classical_pass(t, atoms)
+    return _lists(c, _loops_that_pay(t, c))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import pytest
 
 from stablemodels import (
+    GraphKind,
     analyze,
     classical_models,
+    graph_of,
     interpretations_of,
     is_nondisjunctive_theory,
     is_pointwise_stable,
@@ -12,10 +14,11 @@ from stablemodels import (
     parse_theory,
     pointwise_stable_models,
     stable_models,
+    strongly_connected_subsets,
     supported_models,
     theory_atoms,
 )
-from stablemodels.semantics import satisfies_all
+from stablemodels.semantics import _classical_pass, _lists, satisfies_all
 
 # Running examples used throughout the suite.
 P1_TEXT = "p -> q. q & not r -> p."
@@ -58,14 +61,25 @@ def strongly_connected_subsets_scan(g):
     return [ys for ys in subsets if len(ys) == 1 or strongly_connected(ys)]
 
 
+def sweep_paths(t, kind=GraphKind.PNN):
+    """The classical, stable and pointwise stable lists of each path of
+    ``analyze``'s sweep, called directly whatever path it would choose:
+    one here-and-there pass per classical model, and one pass per loop
+    of ``kind``'s graph (pnn is the production path)."""
+    c = _classical_pass(t, theory_atoms(t))
+    loops = strongly_connected_subsets(graph_of(t, kind))
+    return {"per-model": _lists(c, None), "loop-indexed": _lists(c, loops)}
+
+
 def oracle_mismatches(t):
     """Names of the enumerators whose lists differ from a definitional scan.
 
     Each scan runs the enumerator's predicate over ``interpretations_of``;
     classical models are also checked over a universe with two extra
     atoms, one sorting between the theory's atoms.  ``analyze``'s
-    classical, stable and pointwise stable lists are checked too.
-    Supported models are checked for nondisjunctive theories only.
+    classical, stable and pointwise stable lists are checked too, and so
+    are those of both sweep paths.  Supported models are checked for
+    nondisjunctive theories only.
     """
     universe = theory_atoms(t)
     wider = universe | {"a0", "z"}
@@ -87,6 +101,13 @@ def oracle_mismatches(t):
         ("analyze stable", report.stable, stable),
         ("analyze pointwise stable", report.pointwise_stable, pointwise),
     ]
+    for path, lists in sweep_paths(t).items():
+        for name, fast, oracle in zip(
+            ("classical", "stable", "pointwise stable"),
+            lists,
+            (classical, stable, pointwise),
+        ):
+            pairs.append((f"{path} {name}", fast, oracle))
     if is_nondisjunctive_theory(t):
         pairs.append(
             ("supported", supported_models(t),

@@ -147,7 +147,8 @@ def test_criterion_7_determinism(capsys):
 
 def test_criterion_8_enumerators_match_oracle():
     # Every other theory is nondisjunctive, so supported models are
-    # compared too.
+    # compared too.  Both sweep paths, per model and by pnn loops, are
+    # run directly on every theory.
     rng = random.Random(8)
     pool = ("a", "b", "c", "d", "e", "f")
     ok = True

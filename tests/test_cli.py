@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -11,9 +13,6 @@ P3 = "(p -> q) & (((q -> p) -> p) -> p)"
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -305,6 +304,27 @@ class TestDeepInputs:
         assert code == 0
         assert "classical: {}, {p}" in out
 
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [
+            (" & ".join(["a"] * 5000), "accepted"),
+            (" -> ".join(["a"] * 3000), "rejected"),
+            (" | ".join(["a"] * 3000), "accepted"),
+            ("not " * 3000 + "a", "rejected"),
+        ],
+        ids=["conjunction", "implication-chain", "disjunction", "negation-run"],
+    )
+    def test_loops_interpretation_exit_0(self, capsys, monkeypatch, text, verdict):
+        code, out, err = run(
+            capsys, "loops", "-i", "a", stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("loop {a}: ")
+        assert lines[1] == f"interpretation {{a}} {verdict} by pnn-loop oracle"
+
     def test_deep_parentheses_parse_error_exit_1(self, capsys, monkeypatch):
         text = "(" * 3000 + "p" + ")" * 3000
         code, out, err = run(
@@ -313,6 +333,42 @@ class TestDeepInputs:
         assert code == 1
         assert out == ""
         assert "parse error" in err
+
+
+class TestLoopCapOnModels:
+    """A 17-atom pnn component is over the loop-enumeration cap.  Each
+    theory below has enough classical models for the loop-indexed path
+    to be weighed, so the cap error must not escape these commands."""
+
+    RULES = [f"a{(i + 1) % 17} & a{(i + 2) % 17} -> a{i}" for i in range(17)]
+
+    def test_models(self, capsys, monkeypatch):
+        text = ". ".join(self.RULES) + "."
+        code, out, err = run(capsys, "models", stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        assert err == ""
+        assert "\nstable: {}\n" in out
+
+    def test_tight(self, capsys, monkeypatch):
+        # The nested bodies keep the sp graph acyclic, so the check runs.
+        text = ". ".join(
+            f"((a{(i + 1) % 17} -> z) -> z) & ((a{(i + 2) % 17} -> z) -> z)"
+            f" -> a{i}"
+            for i in range(17)
+        ) + "."
+        code, out, err = run(capsys, "tight", stdin=text, monkeypatch=monkeypatch)
+        assert code == 3
+        assert err == ""
+        assert "supported models = stable models (verified)" in out
+
+    def test_split(self, capsys):
+        f = " & ".join(f"({r})" for r in self.RULES[:9])
+        g = " & ".join(f"({r})" for r in self.RULES[9:])
+        ps = ",".join(f"a{i}" for i in range(9))
+        code, out, err = run(capsys, "split", f, g, "--p", ps)
+        assert code == 3
+        assert err == ""
+        assert "stable (whole): {}\n" in out
 
 
 class TestNes:

@@ -8,7 +8,6 @@ from stablemodels import (
     g_sp,
     graph_of,
     has_cycle,
-    parse_theory,
     sccs,
     strongly_connected_subsets,
     subgraph_of,

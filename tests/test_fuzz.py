@@ -12,11 +12,9 @@ from stablemodels import (
     is_stable,
     parse_formula,
     stable_via_loops,
-    theory_atoms,
 )
 from stablemodels.fuzz import (
     ATOM_POOL,
-    PROPERTIES,
     random_formula,
     random_nondisjunctive_theory,
     random_theory,

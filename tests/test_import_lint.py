@@ -1,0 +1,81 @@
+"""Import hygiene over ``src/`` and ``tests/``, checked on the syntax tree.
+
+Every imported name must be used in its module, except in a package's
+``__init__.py``, whose imports are its public re-exports, and in
+``from __future__`` imports.  No import may sit inside a function: the
+modules import what they need once, at the top.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for folder in ("src", "tests")
+    for path in (ROOT / folder).rglob("*.py")
+)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound_names(node):
+    """The names an import statement binds, with the statement's line."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [
+        ((alias.asname or alias.name).split(".")[0], node.lineno)
+        for alias in node.names
+    ]
+
+
+def unused_imports(tree):
+    """Imported names that no expression of the module reads."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [
+        (name, line)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name, line in _bound_names(node)
+        if name not in used
+    ]
+
+
+def function_local_imports(tree):
+    """Lines of import statements nested inside a function or lambda."""
+    lines = []
+    stack = [(tree, False)]
+    while stack:
+        node, in_function = stack.pop()
+        if in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines.append(node.lineno)
+        inside = in_function or isinstance(node, FUNCTIONS)
+        stack += ((child, inside) for child in ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
+)
+def test_imports_are_used_and_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    unused = [] if path.name == "__init__.py" else unused_imports(tree)
+    assert unused == [], f"unused imports (name, line): {unused}"
+    assert function_local_imports(tree) == [], "imports inside a function"
+
+
+def test_lint_flags_unused_and_local_imports():
+    tree = ast.parse(
+        "import os\n"
+        "import os.path as osp\n"
+        "from __future__ import annotations\n"
+        "from typing import Iterator, Optional\n"
+        "x: Optional[int] = None\n"
+        "def f():\n"
+        "    import sys\n"
+        "    return sys\n"
+        "g = lambda: __import__('json')\n"
+    )
+    assert unused_imports(tree) == [("os", 1), ("osp", 2), ("Iterator", 4)]
+    assert function_local_imports(tree) == [7]

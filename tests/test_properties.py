@@ -22,8 +22,10 @@ from stablemodels import (
     classify_occurrences,
     g_pnn,
     g_sp,
+    graph_of,
     interpretations_of,
     is_stable,
+    loop_formula,
     parse_formula,
     print_formula,
     reduct,
@@ -59,6 +61,26 @@ rules = st.one_of(
 )
 
 programs = st.lists(rules, max_size=4).map(tuple)
+
+# Up to six atoms, for the two sweep paths.
+wide_names = st.sampled_from(("a", "b", "c", "d", "e", "f"))
+wide_formulas = st.recursive(
+    st.one_of(st.just(BOT), st.builds(AtomRef, wide_names)),
+    lambda child: st.one_of(
+        st.builds(And, child, child),
+        st.builds(Or, child, child),
+        st.builds(Implies, child, child),
+    ),
+    max_leaves=10,
+)
+wide_theories = st.lists(wide_formulas, max_size=4).map(tuple)
+wide_programs = st.lists(
+    st.one_of(
+        st.builds(AtomRef, wide_names),
+        st.builds(Implies, wide_formulas, st.builds(AtomRef, wide_names)),
+    ),
+    max_size=6,
+).map(tuple)
 
 
 @given(formulas)
@@ -135,6 +157,14 @@ def test_enumerators_match_definitional_scans(t):
     assert oracle_mismatches(t) == []
 
 
+@settings(deadline=None)
+@given(st.one_of(wide_theories, wide_programs))
+def test_both_sweep_paths_match_definitional_scans(t):
+    # ``oracle_mismatches`` runs the per-model and the loop-indexed path
+    # directly, whichever one ``analyze`` would choose.
+    assert oracle_mismatches(t) == []
+
+
 @given(theories)
 def test_sp_graph_is_subgraph_of_pnn(t):
     assert subgraph_of(g_sp(t), g_pnn(t))
@@ -195,13 +225,7 @@ def test_loops_match_subset_scan(g):
     assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
 
 
-@settings(deadline=None)
-@given(formulas, st.sampled_from(GraphKind), st.data())
-def test_loops_oracle_line_matches_stable_via_loops(f, kind, data):
-    universe = sorted(atoms(f))
-    interp = frozenset(
-        data.draw(st.sets(st.sampled_from(universe))) if universe else ()
-    )
+def _loops_output(f, kind, interp):
     argv = ["loops", "--graph", kind.value, "-i", ",".join(interp)]
     out = io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(print_formula(f))
@@ -211,6 +235,34 @@ def test_loops_oracle_line_matches_stable_via_loops(f, kind, data):
     finally:
         sys.stdin = saved
     assert code == 0
-    last = out.getvalue().splitlines()[-1]
+    return out.getvalue().splitlines()
+
+
+def _draw_interpretation(f, data):
+    universe = sorted(atoms(f))
+    return frozenset(
+        data.draw(st.sets(st.sampled_from(universe))) if universe else ()
+    )
+
+
+@settings(deadline=None)
+@given(formulas, st.sampled_from(GraphKind), st.data())
+def test_loops_oracle_line_matches_stable_via_loops(f, kind, data):
+    interp = _draw_interpretation(f, data)
+    last = _loops_output(f, kind, interp)[-1]
     accepted = " accepted by " in last
     assert accepted == stable_via_loops(interp, f, kind)
+
+
+@settings(deadline=None)
+@given(formulas, st.sampled_from(GraphKind), st.data())
+def test_loop_verdicts_match_satisfies(f, kind, data):
+    # Each [satisfied]/[violated] verdict comes from a here-and-there
+    # pass of f; the oracle evaluates the printed loop formula itself.
+    interp = _draw_interpretation(f, data)
+    lines = _loops_output(f, kind, interp)[:-1]
+    loops = strongly_connected_subsets(graph_of((f,), kind))
+    assert len(lines) == len(loops)
+    for line, ys in zip(lines, loops):
+        holds = satisfies(interp, loop_formula(f, ys))
+        assert line.endswith("[satisfied]" if holds else "[violated]")

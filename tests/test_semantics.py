@@ -3,11 +3,13 @@ import pytest
 from stablemodels import (
     BOT,
     CapExceededError,
+    GraphKind,
     Implies,
     NotNondisjunctiveError,
     atoms,
     classical_models,
     completion,
+    g_pnn,
     interpretations_of,
     is_pointwise_stable,
     is_stable,
@@ -20,10 +22,13 @@ from stablemodels import (
     reduct_theory,
     satisfies,
     stable_models,
+    strongly_connected_subsets,
     supported_models,
     theory_atoms,
 )
-from conftest import mset
+from stablemodels import semantics
+from stablemodels.semantics import _classical_pass, _loops_that_pay
+from conftest import P3_TEXT, mset, sweep_paths
 
 TAUT = Implies(BOT, BOT)
 
@@ -179,3 +184,47 @@ class TestCompletion:
     def test_rejects_non_nondisjunctive(self):
         with pytest.raises(NotNondisjunctiveError):
             completion(parse_theory("p | q"))
+
+
+def ring(k):
+    """Each atom derived from the next two: one pnn component of k atoms."""
+    return parse_theory(
+        ". ".join(f"a{(i + 1) % k} & a{(i + 2) % k} -> a{i}" for i in range(k))
+        + "."
+    )
+
+
+class TestSweepPaths:
+    def test_sp_loops_accept_the_paper_counterexample(self):
+        # {p, q} is a classical model of (p3) but not stable.  The sp
+        # graph misses the loop {p, q}, so the loop-indexed table built
+        # from sp loops accepts it; the pnn loops reject it.
+        t = (parse_formula(P3_TEXT),)
+        by_sp = sweep_paths(t, GraphKind.SP)["loop-indexed"]
+        by_pnn = sweep_paths(t, GraphKind.PNN)["loop-indexed"]
+        assert mset("p", "q") in by_sp[0]
+        assert by_sp[1] == [mset(), mset("p", "q")]
+        assert by_pnn[1] == [mset()] == stable_models(t)
+
+    def test_component_over_subset_cap_takes_per_model_path(self):
+        t = ring(17)
+        with pytest.raises(CapExceededError, match="loop enumeration"):
+            strongly_connected_subsets(g_pnn(t))
+        c = _classical_pass(t, theory_atoms(t))
+        # Enough classical models to build the graph: n = 17 singleton
+        # passes over 2**17 points would cost less than 3572 small ones.
+        assert len(c.points) == 3572
+        assert _loops_that_pay(t, c) is None
+        assert stable_models(t) == [mset()]
+
+    def test_loop_path_taken_when_loops_pay(self):
+        t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
+        loops = _loops_that_pay(t, _classical_pass(t, theory_atoms(t)))
+        assert loops == [mset(f"a{i}") for i in range(8)]
+
+    def test_small_theory_skips_the_graph(self, p2, monkeypatch):
+        def no_graph(t):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(semantics, "g_pnn", no_graph)
+        assert _loops_that_pay(p2, _classical_pass(p2, theory_atoms(p2))) is None
