@@ -53,10 +53,9 @@ from .formula import (
     theory_atoms,
 )
 from .loopformulas import (
-    is_tautology,
     loop_formula,
+    loop_oracle_models,
     nes,
-    semantically_equivalent,
     stable_via_all_sets,
     stable_via_loops,
 )

@@ -32,7 +32,7 @@ from .formula import (
     print_theory,
     spos,
 )
-from .loopformulas import stable_via_all_sets, stable_via_loops
+from .loopformulas import loop_oracle_models
 from .semantics import (
     analyze,
     classical_models,
@@ -164,10 +164,12 @@ def _check_loop_oracle(kind: GraphKind):
         else:
             f = random_formula(rng, pool, depth)
         stable = set(stable_models((f,)))
+        by_all_sets = set(loop_oracle_models(f, None))
+        by_loops = set(loop_oracle_models(f, kind))
         for i in interpretations_of(atoms(f)):
             brute = i in stable
-            all_sets = stable_via_all_sets(i, f)
-            loops = stable_via_loops(i, f, kind)
+            all_sets = i in by_all_sets
+            loops = i in by_loops
             if not (brute == all_sets == loops):
                 return (
                     f"loop oracle ({kind.value}) disagrees with brute force\n"

@@ -1,14 +1,16 @@
 """Negated-external-support formulas, loop formulas, and loop oracles.
 
 The loop-based stability checks here serve as independent oracles
-against brute-force stability.  The "pnn" variant is sound and
-complete; the "sp" variant is exposed deliberately because it is
-unsound, and the workbench reproduces its failure mode.
+against brute-force stability; each reads its accepted set from one
+``classical_models`` table of the formula and its loop formulas.  The
+"pnn" variant is sound and complete; the "sp" variant is exposed
+deliberately because it is unsound, and the workbench reproduces its
+failure mode.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
 from .errors import AtomsOutsideFormulaError, check_cap
@@ -27,8 +29,8 @@ from .formula import (
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
+    classical_models,
     interpretations_of,
-    satisfies,
 )
 
 
@@ -102,18 +104,27 @@ def loop_formulas(
         yield ys, _loop_formula(f, ys)
 
 
+def loop_oracle_models(
+    f: Formula, kind: Optional[GraphKind], cap: int = DEFAULT_CAP
+) -> list[Interpretation]:
+    """The classical models of ``f`` and the loop formulas of the loops of
+    ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
+    universe = atoms(f)
+    check_cap(len(universe), cap, "loop-formula enumeration")
+    if kind is None:
+        loops = interpretations_of(universe)
+        next(loops)  # the empty set, which has no loop formula
+    else:
+        loops = strongly_connected_subsets(graph_of((f,), kind))
+    lfs = (_loop_formula(f, ys) for ys in loops)
+    return classical_models((f, *lfs), universe, cap)
+
+
 def stable_via_all_sets(
     i: Interpretation, f: Formula, cap: int = DEFAULT_CAP
 ) -> bool:
     """Stability via loop formulas for every nonempty atom subset of ``f``."""
-    universe = atoms(f)
-    check_atoms(f, i)
-    check_cap(len(universe), cap, "loop-formula enumeration")
-    if not satisfies(i, f):
-        return False
-    subsets = interpretations_of(universe)
-    next(subsets)  # the empty set, which has no loop formula
-    return all(satisfies(i, _loop_formula(f, ys)) for ys in subsets)
+    return check_atoms(f, i) in loop_oracle_models(f, None, cap)
 
 
 def stable_via_loops(
@@ -128,22 +139,4 @@ def stable_via_loops(
     intentionally unsound check, kept to exhibit the counterexample
     separating the two graphs.
     """
-    check_atoms(f, i)
-    check_cap(len(atoms(f)), cap, "loop-formula enumeration")
-    if not satisfies(i, f):
-        return False
-    return all(satisfies(i, lf) for _, lf in loop_formulas(f, kind))
-
-
-def is_tautology(f: Formula) -> bool:
-    """Truth-table check over the atoms of ``f``."""
-    return all(satisfies(i, f) for i in interpretations_of(atoms(f)))
-
-
-def semantically_equivalent(f: Formula, g: Formula) -> bool:
-    """Truth-table comparison over the union of both atom sets."""
-    universe = atoms(f) | atoms(g)
-    return all(
-        satisfies(i, f) == satisfies(i, g)
-        for i in interpretations_of(universe)
-    )
+    return check_atoms(f, i) in loop_oracle_models(f, kind, cap)

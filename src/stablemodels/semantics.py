@@ -30,14 +30,13 @@ atoms), checked before any table is built.  Model lists are returned in
 
 ``satisfies``, ``reduct`` and the predicates ``is_stable``,
 ``is_pointwise_stable`` and ``is_supported`` state the definitions
-directly.  They are the oracle the enumerators are tested against; no
-enumerator calls them.
+directly: the oracle the enumerators and the loop oracles are tested
+against.  Elsewhere in the package only fuzz's reduct properties call
+them (``reduct`` and ``satisfies``).
 
-This module owns the workbench's one subset enumerator,
-``interpretations_of``; the stability, loop and split searches in
-``depgraph``, ``loopformulas`` and ``splitting`` are built on it and on
-the one cap check, ``errors.check_cap``.  ``here_and_there_at`` evaluates
-a theory at one point for ``loops -i``.
+This module owns the one subset enumerator, ``interpretations_of``, and
+the one evaluation core: ``loopformulas`` reads its loop oracles from
+``classical_models``, and ``loops -i`` uses ``here_and_there_at``.
 """
 
 from __future__ import annotations
@@ -138,8 +137,6 @@ def classical_models(
 ) -> list[Interpretation]:
     """All subsets of the universe satisfying every member of ``t``."""
     atoms = theory_atoms(t) if universe is None else frozenset(universe)
-    if universe is not None and not atoms >= theory_atoms(t):
-        raise ValueError("universe does not cover the theory's atoms")
     check_cap(len(atoms), cap)
     return _classical(t, atoms)
 
@@ -249,15 +246,23 @@ def _compile(t: Theory, names: list[Atom]) -> Ops:
 
     ``x`` is the atom's position in ``names`` for an atom and the left
     operand's position in the ops for a connective, ``y`` the right
-    operand's position.  The last op is the whole theory.
+    operand's position.  The last op is the whole theory.  A node object
+    that recurs, as ``not NES`` does in a loop formula, gets one op.
     """
     index = {a: j for j, a in enumerate(names)}
     ops: Ops = []
     done: list[int] = []
+    # Op position by node id; no id is reused, as the root stays stacked.
+    compiled: dict[int, int] = {}
     stack: list[tuple[Formula, bool]] = [(conj(t), False)]
     while stack:
         g, children_done = stack.pop()
+        if id(g) in compiled:
+            done.append(compiled[id(g)])
+            continue
         if isinstance(g, AtomRef):
+            if g.name not in index:
+                raise ValueError("universe does not cover the theory's atoms")
             ops.append((_ATOM, index[g.name], 0))
         elif isinstance(g, Bottom):
             ops.append((_BOT, 0, 0))
@@ -272,6 +277,7 @@ def _compile(t: Theory, names: list[Atom]) -> Ops:
                 left, right = g.left, g.right
             stack += ((g, True), (right, False), (left, False))
             continue
+        compiled[id(g)] = len(ops) - 1
         done.append(len(ops) - 1)
     return ops
 

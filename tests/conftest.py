@@ -3,6 +3,7 @@ import pytest
 from stablemodels import (
     GraphKind,
     analyze,
+    atoms,
     classical_models,
     graph_of,
     interpretations_of,
@@ -10,9 +11,11 @@ from stablemodels import (
     is_pointwise_stable,
     is_stable,
     is_supported,
+    loop_formula,
     parse_formula,
     parse_theory,
     pointwise_stable_models,
+    satisfies,
     stable_models,
     strongly_connected_subsets,
     supported_models,
@@ -59,6 +62,24 @@ def strongly_connected_subsets_scan(g):
     subsets = interpretations_of(g.vertices)
     next(subsets)  # the empty set
     return [ys for ys in subsets if len(ys) == 1 or strongly_connected(ys)]
+
+
+def loop_oracle_scan(f, kind):
+    """The interpretations a loop oracle accepts, by definition: those of
+    ``f``'s atoms where ``satisfies`` holds for ``f`` and for
+    ``loop_formula(f, Y)`` for each loop Y of ``kind``'s graph, or for
+    each nonempty atom subset Y when ``kind`` is None."""
+    universe = atoms(f)
+    if kind is None:
+        family = list(interpretations_of(universe))[1:]
+    else:
+        family = strongly_connected_subsets(graph_of((f,), kind))
+    lfs = [loop_formula(f, ys) for ys in family]
+    return [
+        i
+        for i in interpretations_of(universe)
+        if satisfies(i, f) and all(satisfies(i, lf) for lf in lfs)
+    ]
 
 
 def sweep_paths(t, kind=GraphKind.PNN):

@@ -4,6 +4,11 @@ Every imported name must be used in its module, except in a package's
 ``__init__.py``, whose imports are its public re-exports, and in
 ``from __future__`` imports.  No import may sit inside a function: the
 modules import what they need once, at the top.
+
+The definitional predicates of ``semantics`` are the test oracle, not a
+production path: no module under ``src/`` imports them, except
+``semantics``, which defines them, ``__init__``, which re-exports them,
+and ``fuzz``, whose reduct properties test ``reduct`` and ``satisfies``.
 """
 
 import ast
@@ -18,6 +23,15 @@ MODULES = sorted(
     for path in (ROOT / folder).rglob("*.py")
 )
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+ORACLE = {
+    "satisfies", "reduct", "is_stable", "is_pointwise_stable", "is_supported"
+}
+ORACLE_ALLOWED = {
+    "semantics": ORACLE,
+    "__init__": ORACLE,
+    "fuzz": {"satisfies", "reduct"},
+}
+SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
 
 
 def _bound_names(node):
@@ -55,6 +69,18 @@ def function_local_imports(tree):
     return sorted(lines)
 
 
+def oracle_imports(tree, module):
+    """Oracle names that ``module`` imports but may not."""
+    forbidden = ORACLE - ORACLE_ALLOWED.get(module, set())
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in forbidden
+    )
+
+
 @pytest.mark.parametrize(
     "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
 )
@@ -79,3 +105,21 @@ def test_lint_flags_unused_and_local_imports():
     )
     assert unused_imports(tree) == [("os", 1), ("osp", 2), ("Iterator", 4)]
     assert function_local_imports(tree) == [7]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_oracle_stays_out_of_production(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert oracle_imports(tree, path.stem) == []
+
+
+def test_lint_flags_oracle_imports():
+    tree = ast.parse(
+        "from .semantics import reduct, satisfies, stable_models\n"
+        "from stablemodels import is_stable as stable\n"
+    )
+    assert oracle_imports(tree, "cli") == ["is_stable", "reduct", "satisfies"]
+    assert oracle_imports(tree, "fuzz") == ["is_stable"]
+    assert oracle_imports(tree, "__init__") == []

@@ -26,12 +26,14 @@ from stablemodels import (
     interpretations_of,
     is_stable,
     loop_formula,
+    loop_oracle_models,
     parse_formula,
     print_formula,
     reduct,
     rules_of,
     satisfies,
     spos,
+    stable_via_all_sets,
     stable_via_loops,
     strongly_connected_subsets,
     subgraph_of,
@@ -39,7 +41,11 @@ from stablemodels import (
 )
 from stablemodels.cli import main
 from stablemodels.fuzz import ATOM_POOL, random_formula
-from conftest import oracle_mismatches, strongly_connected_subsets_scan
+from conftest import (
+    loop_oracle_scan,
+    oracle_mismatches,
+    strongly_connected_subsets_scan,
+)
 
 atom_names = st.sampled_from(("a", "b", "c", "d"))
 
@@ -266,3 +272,20 @@ def test_loop_verdicts_match_satisfies(f, kind, data):
     for line, ys in zip(lines, loops):
         holds = satisfies(interp, loop_formula(f, ys))
         assert line.endswith("[satisfied]" if holds else "[violated]")
+
+
+@settings(deadline=None)
+@given(formulas)
+def test_loop_oracles_match_satisfies_scan(f):
+    # Each table oracle against ``satisfies`` on f and on each loop
+    # formula, for both graphs and for every nonempty atom subset.
+    for kind in (None, *GraphKind):
+        accepted = loop_oracle_scan(f, kind)
+        assert loop_oracle_models(f, kind) == accepted
+        for i in interpretations_of(atoms(f)):
+            verdict = (
+                stable_via_all_sets(i, f)
+                if kind is None
+                else stable_via_loops(i, f, kind)
+            )
+            assert verdict == (i in accepted)

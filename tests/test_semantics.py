@@ -14,6 +14,7 @@ from stablemodels import (
     is_pointwise_stable,
     is_stable,
     is_supported,
+    loop_formula,
     parse_formula,
     parse_theory,
     pointwise_stable_models,
@@ -228,3 +229,20 @@ class TestSweepPaths:
 
         monkeypatch.setattr(semantics, "g_pnn", no_graph)
         assert _loops_that_pay(p2, _classical_pass(p2, theory_atoms(p2))) is None
+
+
+class TestCompile:
+    def test_shared_subtrees_compile_once(self):
+        # The loop formula puts one ``not NES`` object under both atoms.
+        lf = loop_formula(parse_formula(P3_TEXT), {"p", "q"})
+        distinct, stack = set(), [lf]
+        while stack:
+            g = stack.pop()
+            if id(g) not in distinct:
+                distinct.add(id(g))
+                stack += (getattr(g, n) for n in g.__slots__ if n != "name")
+        c = _classical_pass((lf,), {"p", "q"})
+        assert len(c.ops) <= len(distinct)
+        for k, i in enumerate(interpretations_of({"p", "q"})):
+            # On two atoms, ``interpretations_of`` order is bit order.
+            assert (c.vals[-1] >> k & 1) == satisfies(i, lf)
