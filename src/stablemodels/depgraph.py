@@ -8,6 +8,12 @@ occurrences for the "sp" graph, positive nonnegated occurrences for the
 "pnn" graph.  Polarity is evaluated relative to the body and head
 subformulas of each rule, not the enclosing member.
 
+Both graphs are drawn in one walk per member over its strictly
+positive positions, each carrying the body atoms of the rules whose
+heads contain it, so every rule body is walked once and no head is
+walked again per enclosing rule.  ``formula.rules_of``, which lists the
+rules one by one, is the definition the tests compare the graphs with.
+
 Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the
 subsets of each larger component tested as bitmasks.  The 16-vertex
@@ -22,10 +28,13 @@ from dataclasses import dataclass
 
 from .errors import check_cap
 from .formula import (
+    And,
     Atom,
+    AtomRef,
+    Implies,
+    Or,
     Theory,
     positive_nonnegated_atoms,
-    rules_of,
     spos,
     theory_atoms,
 )
@@ -52,10 +61,17 @@ class DepGraph:
 def _build(t: Theory, body_atoms) -> DepGraph:
     edges: set[Edge] = set()
     for member in t:
-        for rule in rules_of(member):
-            heads = spos(rule.head)
-            bodies = body_atoms(rule.body)
-            edges.update((h, b) for h in heads for b in bodies)
+        # Strictly positive positions, each with the body atoms of the
+        # rules whose heads contain it.
+        stack: list[tuple] = [(member, frozenset())]
+        while stack:
+            g, bodies = stack.pop()
+            if isinstance(g, AtomRef):
+                edges.update((g.name, b) for b in bodies)
+            elif isinstance(g, (And, Or)):
+                stack += ((g.left, bodies), (g.right, bodies))
+            elif isinstance(g, Implies):
+                stack.append((g.consequent, bodies | body_atoms(g.antecedent)))
     return DepGraph(theory_atoms(t), frozenset(edges))
 
 

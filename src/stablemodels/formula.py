@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 Atom = str
-Path = tuple[int, ...]
 
 
 class Formula:
@@ -96,7 +95,6 @@ class OccurrenceContext:
     those implications has bottom as its consequent.
     """
 
-    path: Path
     antecedent_count: int
     negated: bool
 
@@ -119,36 +117,24 @@ class RuleOccurrence:
 
     body: Formula
     head: Formula
-    path: Path
-
-
-def subformula_at(f: Formula, path: Path) -> Formula:
-    for idx in path:
-        if isinstance(f, (And, Or)):
-            f = f.left if idx == 0 else f.right
-        elif isinstance(f, Implies):
-            f = f.antecedent if idx == 0 else f.consequent
-        else:
-            raise IndexError(f"no child {idx} at leaf node")
-    return f
 
 
 def classify_occurrences(f: Formula) -> list[tuple[Atom, OccurrenceContext]]:
     """All atom occurrences of ``f`` in preorder, with their polarity."""
     out: list[tuple[Atom, OccurrenceContext]] = []
 
-    def walk(g: Formula, path: Path, count: int, negated: bool) -> None:
+    def walk(g: Formula, count: int, negated: bool) -> None:
         if isinstance(g, AtomRef):
-            out.append((g.name, OccurrenceContext(path, count, negated)))
+            out.append((g.name, OccurrenceContext(count, negated)))
         elif isinstance(g, (And, Or)):
-            walk(g.left, path + (0,), count, negated)
-            walk(g.right, path + (1,), count, negated)
+            walk(g.left, count, negated)
+            walk(g.right, count, negated)
         elif isinstance(g, Implies):
             in_neg = negated or g.consequent == BOT
-            walk(g.antecedent, path + (0,), count + 1, in_neg)
-            walk(g.consequent, path + (1,), count, negated)
+            walk(g.antecedent, count + 1, in_neg)
+            walk(g.consequent, count, negated)
 
-    walk(f, (), 0, False)
+    walk(f, 0, False)
     return out
 
 
@@ -218,33 +204,25 @@ def rules_of(f: Formula) -> list[RuleOccurrence]:
     """Strictly positive implication occurrences of ``f``, in preorder.
 
     The consequent of a strictly positive implication is itself strictly
-    positive, so rules nested on the consequent side are included.
+    positive, so rules nested on the consequent side are included.  This
+    is the definition the dependency graphs are tested against; they are
+    built by one walk per member in ``depgraph``.
     """
     out: list[RuleOccurrence] = []
-    # A trail is None at the root, else (parent trail, child index); it
-    # is spelled out as a path only where a rule is found.
-    stack: list[tuple[Formula, Optional[tuple]]] = [(f, None)]
+    stack = [f]
     while stack:
-        g, trail = stack.pop()
+        g = stack.pop()
         if isinstance(g, (And, Or)):
-            stack += ((g.right, (trail, 1)), (g.left, (trail, 0)))
+            stack += (g.right, g.left)
         elif isinstance(g, Implies):
-            path: list[int] = []
-            node = trail
-            while node is not None:
-                node, idx = node
-                path.append(idx)
-            path.reverse()
-            out.append(RuleOccurrence(g.antecedent, g.consequent, tuple(path)))
-            stack.append((g.consequent, (trail, 1)))
+            out.append(RuleOccurrence(g.antecedent, g.consequent))
+            stack.append(g.consequent)
     return out
 
 
 def is_nondisjunctive_rule(f: Formula) -> bool:
     """True for ``Body -> atom`` and for bare atoms (facts)."""
-    if isinstance(f, AtomRef):
-        return True
-    return isinstance(f, Implies) and isinstance(f.consequent, AtomRef)
+    return as_rule(f) is not None
 
 
 def as_rule(f: Formula) -> Optional[tuple[Formula, Atom]]:

@@ -1,6 +1,7 @@
 import pytest
 
 from stablemodels import (
+    DepGraph,
     GraphKind,
     analyze,
     atoms,
@@ -15,12 +16,15 @@ from stablemodels import (
     parse_formula,
     parse_theory,
     pointwise_stable_models,
+    rules_of,
     satisfies,
+    spos,
     stable_models,
     strongly_connected_subsets,
     supported_models,
     theory_atoms,
 )
+from stablemodels.formula import positive_nonnegated_atoms
 from stablemodels.semantics import _classical_pass, _lists, satisfies_all
 
 # Running examples used throughout the suite.
@@ -32,6 +36,22 @@ NESTED_TEXT = "((p -> q) -> r) -> s"
 
 def mset(*names):
     return frozenset(names)
+
+
+def dependency_graph_scan(t, kind):
+    """``kind``'s dependency graph of ``t`` by definition: for each rule
+    Body -> Head that ``rules_of`` lists for a member, an edge from each
+    atom of ``spos(Head)`` to each strictly positive (sp) or positive
+    nonnegated (pnn) atom of Body."""
+    body_atoms = spos if kind is GraphKind.SP else positive_nonnegated_atoms
+    edges = {
+        (h, b)
+        for member in t
+        for rule in rules_of(member)
+        for h in spos(rule.head)
+        for b in body_atoms(rule.body)
+    }
+    return DepGraph(theory_atoms(t), frozenset(edges))
 
 
 def strongly_connected_subsets_scan(g):

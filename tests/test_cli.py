@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -287,6 +288,27 @@ class TestDeepInputs:
         )
         assert code == 0
         assert out.startswith("graph pnn: acyclic\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout",
+        [
+            (("graph", "--format", "edges"), 0, "a a\n"),
+            (("tight",), 3, "graph pnn: cyclic\n"),
+        ],
+        ids=["graph", "tight"],
+    )
+    def test_long_implication_chain_graph_in_budget(
+        self, capsys, monkeypatch, argv, code, stdout
+    ):
+        # One rule per arrow, each nested in the head of the one before:
+        # the graph must not walk each head once per enclosing rule.
+        text = " -> ".join(["a"] * 20001)
+        start = time.perf_counter()
+        got, out, _ = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        elapsed = time.perf_counter() - start
+        assert got == code
+        assert out == stdout
+        assert elapsed < 10.0, f"{elapsed:.1f} s for 20000 arrows"
 
     def test_long_negation_run_exit_0(self, capsys, monkeypatch):
         text = "not " * 3000 + "p"

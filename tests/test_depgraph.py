@@ -8,12 +8,13 @@ from stablemodels import (
     g_sp,
     graph_of,
     has_cycle,
+    parse_formula,
     sccs,
     strongly_connected_subsets,
     subgraph_of,
     to_dot,
 )
-from conftest import mset
+from conftest import dependency_graph_scan, mset
 
 
 class TestConstruction:
@@ -31,6 +32,27 @@ class TestConstruction:
     def test_p3(self, p3):
         assert g_sp((p3,)).edges == {("q", "p"), ("p", "p")}
         assert g_pnn((p3,)).edges == {("q", "p"), ("p", "p"), ("p", "q")}
+
+    @pytest.mark.parametrize(
+        "text, sp, pnn",
+        [
+            # A rule inside a head: r is in the heads of both rules.
+            ("p -> (q -> r)", {("r", "p"), ("r", "q")},
+             {("r", "p"), ("r", "q")}),
+            # q is positive and nonnegated in the body, not strictly
+            # positive.
+            ("((q -> p) -> p) -> p", {("p", "p")}, {("p", "p"), ("p", "q")}),
+            # q is positive in the body but under a negation.
+            ("not not q & r -> p", {("p", "r")}, {("p", "r")}),
+        ],
+        ids=["rule-in-head", "positive-body", "negated-antecedent"],
+    )
+    def test_fixed_cases_match_rule_scan(self, text, sp, pnn):
+        t = (parse_formula(text),)
+        assert g_sp(t).edges == sp
+        assert g_pnn(t).edges == pnn
+        assert g_sp(t) == dependency_graph_scan(t, GraphKind.SP)
+        assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
 
     def test_vertices_are_all_atoms(self, p1):
         assert g_sp(p1).vertices == {"p", "q", "r"}

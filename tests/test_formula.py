@@ -20,7 +20,6 @@ from stablemodels import (
     spos,
     theory_atoms,
 )
-from stablemodels.formula import subformula_at
 
 p, q, r, s = AtomRef("p"), AtomRef("q"), AtomRef("r"), AtomRef("s")
 
@@ -161,7 +160,6 @@ class TestOccurrences:
         assert name == "p"
         assert ctx.antecedent_count == 0
         assert not ctx.negated
-        assert ctx.path == ()
 
     def test_flags_are_consistent(self, p3):
         for _, ctx in classify_occurrences(p3):
@@ -200,12 +198,6 @@ class TestRulesOf:
 
     def test_atom_has_no_rules(self):
         assert rules_of(p) == []
-
-    def test_rule_positions_are_strictly_positive(self, p3):
-        for ro in rules_of(p3):
-            # Path addresses an Implies node in the host tree.
-            node = subformula_at(p3, ro.path)
-            assert node == Implies(ro.body, ro.head)
 
 
 class TestNondisjunctive:

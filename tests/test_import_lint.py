@@ -9,6 +9,9 @@ The definitional predicates of ``semantics`` are the test oracle, not a
 production path: no module under ``src/`` imports them, except
 ``semantics``, which defines them, ``__init__``, which re-exports them,
 and ``fuzz``, whose reduct properties test ``reduct`` and ``satisfies``.
+In the same way the definitional occurrence walks of ``formula``, which
+the dependency graphs are tested against, are imported by no module
+under ``src/`` except ``__init__``.
 """
 
 import ast
@@ -23,11 +26,14 @@ MODULES = sorted(
     for path in (ROOT / folder).rglob("*.py")
 )
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-ORACLE = {
+SEMANTICS_ORACLE = {
     "satisfies", "reduct", "is_stable", "is_pointwise_stable", "is_supported"
 }
+OCCURRENCE_WALKS = {"rules_of", "classify_occurrences"}
+ORACLE = SEMANTICS_ORACLE | OCCURRENCE_WALKS
 ORACLE_ALLOWED = {
-    "semantics": ORACLE,
+    "semantics": SEMANTICS_ORACLE,
+    "formula": OCCURRENCE_WALKS,
     "__init__": ORACLE,
     "fuzz": {"satisfies", "reduct"},
 }
@@ -122,4 +128,19 @@ def test_lint_flags_oracle_imports():
     )
     assert oracle_imports(tree, "cli") == ["is_stable", "reduct", "satisfies"]
     assert oracle_imports(tree, "fuzz") == ["is_stable"]
+    assert oracle_imports(tree, "__init__") == []
+
+
+def test_lint_flags_occurrence_walk_imports():
+    tree = ast.parse(
+        "from .formula import rules_of, spos\n"
+        "from stablemodels import classify_occurrences as occurrences\n"
+    )
+    assert oracle_imports(tree, "depgraph") == [
+        "classify_occurrences", "rules_of"
+    ]
+    assert oracle_imports(tree, "semantics") == [
+        "classify_occurrences", "rules_of"
+    ]
+    assert oracle_imports(tree, "formula") == []
     assert oracle_imports(tree, "__init__") == []

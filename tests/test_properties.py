@@ -42,6 +42,7 @@ from stablemodels import (
 from stablemodels.cli import main
 from stablemodels.fuzz import ATOM_POOL, random_formula
 from conftest import (
+    dependency_graph_scan,
     loop_oracle_scan,
     oracle_mismatches,
     strongly_connected_subsets_scan,
@@ -169,6 +170,12 @@ def test_both_sweep_paths_match_definitional_scans(t):
     # ``oracle_mismatches`` runs the per-model and the loop-indexed path
     # directly, whichever one ``analyze`` would choose.
     assert oracle_mismatches(t) == []
+
+
+@given(st.one_of(theories, programs, wide_theories, wide_programs))
+def test_graphs_match_rule_scan(t):
+    assert g_sp(t) == dependency_graph_scan(t, GraphKind.SP)
+    assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
 
 
 @given(theories)
