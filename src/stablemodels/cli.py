@@ -15,7 +15,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -40,10 +39,11 @@ from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
     analyze,
+    answer_json,
     format_interpretation,
+    format_model_lists,
     format_models,
     here_and_there_at,
-    models_json,
     stable_models,
     supported_models,
 )
@@ -74,12 +74,18 @@ def cmd_models(args) -> int:
     if args.json:
         print(report.to_json())
         return EXIT_OK
+    classical, stable, supported, pointwise = format_model_lists(
+        report.classical,
+        report.stable,
+        report.supported or [],
+        report.pointwise_stable,
+    )
     print("universe:", " ".join(sorted(report.universe)) or "(empty)")
-    print("classical:", format_models(report.classical))
-    print("stable:", format_models(report.stable))
+    print("classical:", classical)
+    print("stable:", stable)
     if report.supported is not None:
-        print("supported:", format_models(report.supported))
-    print("pointwise stable:", format_models(report.pointwise_stable))
+        print("supported:", supported)
+    print("pointwise stable:", pointwise)
     if report.completion_theory is not None:
         print("completion:")
         for f in report.completion_theory:
@@ -133,7 +139,7 @@ def cmd_loops(args) -> int:
         # satisfies every loop formula.
         accepted = here_and_there(frozenset())
     for ys, lf in loop_formulas(f, kind):
-        line = f"loop {format_interpretation(ys)}: {print_formula(lf)}"
+        line = f"loop {format_interpretation(ys)}: {lf}"
         if interp is not None:
             # I satisfies LF_Y exactly when Y misses I or <I - Y, I> is
             # not a here-and-there model of f.
@@ -168,18 +174,17 @@ def cmd_split(args) -> int:
     report = check_split(f, g, ps, qs, GraphKind(args.graph), cap=args.cap)
     if args.json:
         print(
-            json.dumps(
-                {
-                    "graph": report.kind.value,
-                    "cond_i": report.cond_i,
-                    "cond_ii": report.cond_ii,
-                    "cond_iii": report.cond_iii,
-                    "equivalence_holds": report.equivalence_holds,
-                    "stable_whole": models_json(report.stable_whole),
-                    "stable_part_f": models_json(report.stable_part_f),
-                    "stable_part_g": models_json(report.stable_part_g),
-                },
-                indent=2,
+            answer_json(
+                (
+                    ("graph", report.kind.value),
+                    ("cond_i", report.cond_i),
+                    ("cond_ii", report.cond_ii),
+                    ("cond_iii", report.cond_iii),
+                    ("equivalence_holds", report.equivalence_holds),
+                    ("stable_whole", report.stable_whole),
+                    ("stable_part_f", report.stable_part_f),
+                    ("stable_part_g", report.stable_part_g),
+                )
             )
         )
     else:
@@ -199,9 +204,12 @@ def cmd_split(args) -> int:
             "pass" if report.cond_iii else
             "FAIL, component " + format_interpretation(report.cond_iii_offender),
         )
-        print("stable (whole):", format_models(report.stable_whole))
-        print("stable (part f):", format_models(report.stable_part_f))
-        print("stable (part g):", format_models(report.stable_part_g))
+        whole, part_f, part_g = format_model_lists(
+            report.stable_whole, report.stable_part_f, report.stable_part_g
+        )
+        print("stable (whole):", whole)
+        print("stable (part f):", part_f)
+        print("stable (part g):", part_g)
         print("equivalence holds:", "yes" if report.equivalence_holds else "no")
     if not report.conditions_pass:
         return EXIT_CYCLIC
@@ -344,9 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Every option takes one value, but argparse (Python 3.11) reads
+    # "--opt=--" as an empty list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument {name}: expected one value")
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error, or the help or version text.
         return EXIT_PARSE if exc.code else EXIT_OK

@@ -1,8 +1,16 @@
 """Negated-external-support formulas, loop formulas, and loop oracles.
 
+This module alone knows the shape of a loop formula: the conjunction,
+over the atoms A of Y, of A -> not NES(f, Y), one support shared by
+every conjunct.  ``loop_formulas`` gives each loop of a graph with its
+loop formula as text, printing that support once.
+
 The loop-based stability checks here serve as independent oracles
-against brute-force stability; each reads its accepted set from one
-``classical_models`` table of the formula and its loop formulas.  The
+against brute-force stability.  ``loop_oracle_models`` reads the
+accepted list from one ``classical_models`` table of the formula and
+its loop formulas; ``stable_via_loops`` and ``stable_via_all_sets``
+decide one interpretation, evaluating the formula and then each loop
+formula in turn at that point and stopping at the first false one.  The
 "pnn" variant is sound and complete; the "sp" variant is exposed
 deliberately because it is unsound, and the workbench reproduces its
 failure mode.
@@ -10,6 +18,7 @@ failure mode.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
@@ -25,11 +34,13 @@ from .formula import (
     atoms,
     conj,
     neg,
+    print_formula,
 )
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
     classical_models,
+    here_and_there_at,
     interpretations_of,
 )
 
@@ -98,10 +109,31 @@ def _loop_formula(f: Formula, ys: frozenset[Atom]) -> Formula:
 
 def loop_formulas(
     f: Formula, kind: GraphKind = GraphKind.PNN
-) -> Iterator[tuple[frozenset[Atom], Formula]]:
-    """Each loop of ``f``'s graph with its loop formula (no atom check)."""
+) -> Iterator[tuple[frozenset[Atom], str]]:
+    """Each loop of ``f``'s graph with its printed loop formula.
+
+    The text is ``print_formula(loop_formula(f, Y))``, but the support
+    ``not NES(f, Y)``, one object under every atom of Y, is printed once.
+    """
     for ys in strongly_connected_subsets(graph_of((f,), kind)):
-        yield ys, _loop_formula(f, ys)
+        support = print_formula(neg(_nes(f, ys)))
+        if len(ys) == 1:
+            yield ys, f"{next(iter(ys))} -> {support}"
+        else:
+            yield ys, " & ".join([f"({a} -> {support})" for a in sorted(ys)])
+
+
+def _loops(
+    f: Formula, universe: frozenset[Atom], kind: Optional[GraphKind]
+) -> Iterator[frozenset[Atom]]:
+    """The loops of ``kind``'s graph of ``f``, or every nonempty subset of
+    ``universe`` if None; the graph is built on the first ``next``."""
+    if kind is None:
+        subsets = interpretations_of(universe)
+        next(subsets)  # the empty set, which has no loop formula
+        yield from subsets
+    else:
+        yield from strongly_connected_subsets(graph_of((f,), kind))
 
 
 def loop_oracle_models(
@@ -111,20 +143,30 @@ def loop_oracle_models(
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
     universe = atoms(f)
     check_cap(len(universe), cap, "loop-formula enumeration")
-    if kind is None:
-        loops = interpretations_of(universe)
-        next(loops)  # the empty set, which has no loop formula
-    else:
-        loops = strongly_connected_subsets(graph_of((f,), kind))
-    lfs = (_loop_formula(f, ys) for ys in loops)
+    lfs = (_loop_formula(f, ys) for ys in _loops(f, universe, kind))
     return classical_models((f, *lfs), universe, cap)
+
+
+def _loop_oracle_at(
+    i: Interpretation, f: Formula, kind: Optional[GraphKind], cap: int
+) -> bool:
+    """Whether ``i`` is in ``loop_oracle_models(f, kind, cap)``, decided at
+    the one point: the classical truth of f, then of each loop formula,
+    each on one-bit tables, stopping at the first false one."""
+    i = check_atoms(f, i)
+    universe = atoms(f)
+    check_cap(len(universe), cap, "loop-formula enumeration")
+    lfs = (_loop_formula(f, ys) for ys in _loops(f, universe, kind))
+    # With no atom cleared in the here-world, this is classical truth at I.
+    nothing = frozenset()
+    return all(here_and_there_at((g,), i)(nothing) for g in chain((f,), lfs))
 
 
 def stable_via_all_sets(
     i: Interpretation, f: Formula, cap: int = DEFAULT_CAP
 ) -> bool:
     """Stability via loop formulas for every nonempty atom subset of ``f``."""
-    return check_atoms(f, i) in loop_oracle_models(f, None, cap)
+    return _loop_oracle_at(i, f, None, cap)
 
 
 def stable_via_loops(
@@ -139,4 +181,4 @@ def stable_via_loops(
     intentionally unsound check, kept to exhibit the counterexample
     separating the two graphs.
     """
-    return check_atoms(f, i) in loop_oracle_models(f, kind, cap)
+    return _loop_oracle_at(i, f, kind, cap)

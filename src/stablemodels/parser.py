@@ -11,10 +11,11 @@ Grammar (ASCII)::
                                     | "(" formula ")" )
     atom    := [a-z][A-Za-z0-9_]*
 
-``%`` starts a comment running to the end of the line.  Newlines act as
-formula separators, so a formula cannot span lines.  Runs of ``not``
-and of ``->`` are read in loops; parentheses recurse and may nest at
-most ``MAX_NESTING`` deep.
+``%`` starts a comment running to the end of the line.  In a theory,
+newlines act as formula separators, so a member cannot span lines;
+``parse_formula`` reads them as whitespace, so a single formula can.
+Runs of ``not`` and of ``->`` are read in loops; parentheses recurse
+and may nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a single formula; the whole input must be consumed."""
-    parser = _Parser(_tokenize(text))
+    """Parse a single formula, which may span lines; the whole input must
+    be consumed."""
+    parser = _Parser([t for t in _tokenize(text) if t.kind != "NEWLINE"])
     f = parser.formula()
     if parser.current.kind != "EOF":
         raise parser.error("end of input")

@@ -36,7 +36,13 @@ them (``reduct`` and ``satisfies``).
 
 This module owns the one subset enumerator, ``interpretations_of``, and
 the one evaluation core: ``loopformulas`` reads its loop oracles from
-``classical_models``, and ``loops -i`` uses ``here_and_there_at``.
+``classical_models`` and ``here_and_there_at``, and ``loops -i`` uses
+``here_and_there_at``.
+
+It also renders model lists.  ``format_model_lists`` and ``answer_json``
+(the ``models --json`` and ``split --json`` documents, byte for byte as
+``json.dumps(..., indent=2)`` writes them) render each distinct model of
+an answer once, since an answer's lists share their models.
 """
 
 from __future__ import annotations
@@ -126,8 +132,53 @@ def format_models(models: list[Interpretation]) -> str:
     return ", ".join(map(format_interpretation, models)) or "(none)"
 
 
-def models_json(models: list[Interpretation]) -> list[list[str]]:
-    return [sorted(m) for m in models]
+def format_model_lists(*lists: list[Interpretation]) -> list[str]:
+    """``format_models`` of each list, formatting each distinct model once."""
+    shown = {
+        m: format_interpretation(m)
+        for m in dict.fromkeys(itertools.chain.from_iterable(lists))
+    }
+    return [", ".join(map(shown.__getitem__, ms)) or "(none)" for ms in lists]
+
+
+def _json_array(items: Iterable[str], depth: int) -> str:
+    """An array of rendered items as ``json.dumps(..., indent=2)`` lays it
+    out ``depth`` levels down."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+
+
+def answer_json(fields: Iterable[tuple[str, object]]) -> str:
+    """``json.dumps(dict(fields), indent=2)`` for an answer whose values are
+    JSON scalars, atom sets and model lists.
+
+    An atom set (a frozenset) is written as its sorted atoms, a model
+    list as a list of them.  Each atom name is quoted once and each
+    distinct model rendered once, so lists that share their models, as
+    the stable and classical lists do, cost one rendering per model.
+    """
+    fields = list(fields)
+    models = dict.fromkeys(
+        itertools.chain.from_iterable(v for _, v in fields if type(v) is list)
+    )
+    sets = [v for _, v in fields if type(v) is frozenset]
+    quoted = {a: json.dumps(a) for a in frozenset().union(*sets, *models)}
+
+    def atom_array(i: Interpretation, depth: int) -> str:
+        return _json_array(map(quoted.__getitem__, sorted(i)), depth)
+
+    shown = {m: atom_array(m, 2) for m in models}
+
+    def value(v: object) -> str:
+        if type(v) is frozenset:
+            return atom_array(v, 1)
+        if type(v) is list:
+            return _json_array(map(shown.__getitem__, v), 1)
+        return json.dumps(v)
+
+    members = [f"{json.dumps(key)}: {value(v)}" for key, v in fields]
+    return "{\n  " + ",\n  ".join(members) + "\n}"
 
 
 def classical_models(
@@ -548,19 +599,17 @@ class ModelReport:
     pointwise_stable: list[Interpretation]
     completion_theory: Optional[Theory]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "universe": sorted(self.universe),
-            "classical": models_json(self.classical),
-            "stable": models_json(self.stable),
-            "supported": (
-                None if self.supported is None else models_json(self.supported)
-            ),
-            "pointwise_stable": models_json(self.pointwise_stable),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The ``models --json`` document."""
+        return answer_json(
+            (
+                ("universe", self.universe),
+                ("classical", self.classical),
+                ("stable", self.stable),
+                ("supported", self.supported),
+                ("pointwise_stable", self.pointwise_stable),
+            )
+        )
 
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:

@@ -111,6 +111,23 @@ class TestUsage:
         assert "--cap" in err
         assert "enumeration cap" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fuzz", "--property=--"),
+            ("models", "--cap=--"),
+            ("nes", "--atoms=--"),
+            ("loops", "-i=--"),
+        ],
+    )
+    def test_option_given_a_double_dash_exit_1(self, capsys, monkeypatch, argv):
+        # argparse (Python 3.11) reads "--opt=--" as an empty list, which
+        # no command expects.
+        code, out, err = run(capsys, *argv, stdin="p", monkeypatch=monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
         code, out, err = run(capsys, flag)
@@ -268,6 +285,22 @@ class TestLoops:
         assert code == 1
         assert out == ""
         assert "zz" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("loops",), ("loops", "-i", "p"), ("nes", "--atoms", "p")]
+    )
+    def test_formula_spread_over_lines(self, capsys, monkeypatch, argv):
+        one_line = run(
+            capsys, *argv, stdin="(p -> q) & (q -> p)\n", monkeypatch=monkeypatch
+        )
+        spread = run(
+            capsys,
+            *argv,
+            stdin="(p -> q) &\n(q -> p)\n",
+            monkeypatch=monkeypatch,
+        )
+        assert one_line[0] == 0
+        assert spread == one_line
 
 
 class TestDeepInputs:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from stablemodels import (
@@ -116,3 +118,19 @@ def test_oracles_answer_on_a_long_conjunction():
     f = parse_formula(" & ".join(["a"] * 5000))
     assert stable_via_loops(mset("a"), f)
     assert stable_via_all_sets(mset("a"), f)
+
+
+def test_single_point_oracle_stops_at_the_first_false_formula():
+    # {a0} violates its own loop formula, the first of the 2047 over these
+    # 11 atoms; building them all over 2**11 points peaks near 52 MB.
+    f = parse_formula(
+        "(a0 -> a0) & " + " & ".join(f"(a{k} | not a{k})" for k in range(1, 11))
+    )
+    tracemalloc.start()
+    try:
+        accepted = stable_via_all_sets(mset("a0"), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not accepted
+    assert peak < 2_000_000

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import random
 import sys
 
@@ -16,6 +17,7 @@ from stablemodels import (
     GraphKind,
     Implies,
     Or,
+    analyze,
     atoms,
     check_split,
     choice_augment,
@@ -29,6 +31,7 @@ from stablemodels import (
     loop_oracle_models,
     parse_formula,
     print_formula,
+    print_theory,
     reduct,
     rules_of,
     satisfies,
@@ -40,7 +43,12 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.cli import main
-from stablemodels.fuzz import ATOM_POOL, random_formula
+from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
+from stablemodels.semantics import (
+    answer_json,
+    format_interpretation,
+    format_models,
+)
 from conftest import (
     dependency_graph_scan,
     loop_oracle_scan,
@@ -238,17 +246,25 @@ def test_loops_match_subset_scan(g):
     assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
 
 
-def _loops_output(f, kind, interp):
-    argv = ["loops", "--graph", kind.value, "-i", ",".join(interp)]
+def _cli(argv, stdin=""):
+    """Exit code and stdout of one in-process CLI call."""
     out = io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(print_formula(f))
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
             code = main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue()
+
+
+def _loops_output(f, kind, interp):
+    argv = ["loops", "--graph", kind.value, "-i", ",".join(interp)]
+    code, out = _cli(argv, print_formula(f))
     assert code == 0
-    return out.getvalue().splitlines()
+    return out.splitlines()
 
 
 def _draw_interpretation(f, data):
@@ -296,3 +312,185 @@ def test_loop_oracles_match_satisfies_scan(f):
                 else stable_via_loops(i, f, kind)
             )
             assert verdict == (i in accepted)
+
+
+@settings(deadline=None)
+@given(formulas, st.sampled_from(GraphKind), st.booleans(), st.data())
+def test_loops_lines_print_the_loop_formulas(f, kind, with_i, data):
+    # Each line is the printed loop formula, whose support the CLI prints
+    # once, plus the verdict under -i.
+    argv = ["loops", "--graph", kind.value]
+    interp = None
+    if with_i:
+        interp = _draw_interpretation(f, data)
+        argv += ["-i", ",".join(interp)]
+    code, out = _cli(argv, print_formula(f))
+    assert code == 0
+    loops = strongly_connected_subsets(graph_of((f,), kind))
+    expected = []
+    for ys in loops:
+        lf = loop_formula(f, ys)
+        line = f"loop {format_interpretation(ys)}: {print_formula(lf)}"
+        if interp is not None:
+            holds = satisfies(interp, lf)
+            line += f"  [{'satisfied' if holds else 'violated'}]"
+        expected.append(line)
+    assert out.splitlines()[: len(loops)] == expected
+    assert len(out.splitlines()) == len(loops) + (interp is not None)
+
+
+def _models_json(models):
+    return None if models is None else [sorted(m) for m in models]
+
+
+@settings(deadline=None)
+@given(st.one_of(theories, programs, wide_theories, wide_programs))
+def test_models_json_matches_json_dumps(t):
+    # Theories with no models and nondisjunctive ones ("supported" a list,
+    # not null) are both drawn.
+    report = analyze(t)
+    expected = {
+        "universe": sorted(report.universe),
+        "classical": _models_json(report.classical),
+        "stable": _models_json(report.stable),
+        "supported": _models_json(report.supported),
+        "pointwise_stable": _models_json(report.pointwise_stable),
+    }
+    code, out = _cli(["models", "--json"], print_theory(t))
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@settings(deadline=None)
+@given(st.one_of(theories, programs, wide_theories, wide_programs))
+def test_models_text_matches_format_models(t):
+    report = analyze(t)
+    expected = [
+        "universe: " + (" ".join(sorted(report.universe)) or "(empty)"),
+        "classical: " + format_models(report.classical),
+        "stable: " + format_models(report.stable),
+    ]
+    if report.supported is not None:
+        expected.append("supported: " + format_models(report.supported))
+    expected.append("pointwise stable: " + format_models(report.pointwise_stable))
+    if report.completion_theory is not None:
+        expected.append("completion:")
+        expected += [f"  {print_formula(f)}." for f in report.completion_theory]
+    code, out = _cli(["models"], print_theory(t))
+    assert code == 0
+    assert out.splitlines() == expected
+
+
+@settings(deadline=None)
+@given(formulas, formulas, st.sampled_from(GraphKind), st.data())
+def test_split_json_matches_json_dumps(f, g, kind, data):
+    ps = _draw_interpretation(And(f, g), data)
+    report = check_split(f, g, ps, atoms(And(f, g)) - ps, kind)
+    expected = {
+        "graph": kind.value,
+        "cond_i": report.cond_i,
+        "cond_ii": report.cond_ii,
+        "cond_iii": report.cond_iii,
+        "equivalence_holds": report.equivalence_holds,
+        "stable_whole": _models_json(report.stable_whole),
+        "stable_part_f": _models_json(report.stable_part_f),
+        "stable_part_g": _models_json(report.stable_part_g),
+    }
+    argv = ["split", print_formula(f), print_formula(g), "--p", ",".join(ps)]
+    code, out = _cli(argv + ["--graph", kind.value, "--json"])
+    assert code in (0, 3, 4)
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+atom_sets = st.frozensets(st.text(max_size=4), max_size=4)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.text(min_size=1, max_size=6),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.text(max_size=6),
+                atom_sets,
+                st.lists(atom_sets, max_size=4),
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+        unique_by=lambda field: field[0],
+    )
+)
+def test_answer_json_matches_json_dumps(fields):
+    # Any atom names, including ones that need escaping, and lists that
+    # share their models.
+    def plain(v):
+        if isinstance(v, frozenset):
+            return sorted(v)
+        if isinstance(v, list):
+            return [sorted(m) for m in v]
+        return v
+
+    expected = {key: plain(v) for key, v in fields}
+    assert answer_json(fields) == json.dumps(expected, indent=2)
+
+
+# At most 40 characters: the grammar's alphabet, its keywords and junk,
+# or the start of a printed formula, so that some inputs parse.
+cli_text = st.one_of(
+    st.lists(
+        st.sampled_from(
+            list("abpq01_ .,\t\n()&|-!<>%#é") + ["not ", "bot", "->", "<->"]
+        ),
+        max_size=40,
+    ).map("".join),
+    formulas.map(print_formula),
+).map(lambda text: text[:40])
+cli_caps = st.integers(0, 4).map(str)
+
+
+@st.composite
+def cli_calls(draw):
+    """One subcommand's argv, with arbitrary text where text goes."""
+    graph = ["--graph", draw(st.sampled_from(("sp", "pnn")))]
+    cap = ["--cap", draw(cli_caps)]
+    json_flag = draw(st.sampled_from(([], ["--json"])))
+    command = draw(
+        st.sampled_from(("models", "graph", "tight", "loops", "nes", "split", "fuzz"))
+    )
+    if command == "models":
+        return ["models", *cap, *json_flag]
+    if command == "graph":
+        fmt = draw(st.sampled_from(("dot", "edges")))
+        return ["graph", *graph, "--format", fmt]
+    if command == "tight":
+        return ["tight", *graph, *cap]
+    if command == "loops":
+        i = draw(st.one_of(st.just([]), cli_text.map(lambda x: [f"-i={x}"])))
+        return ["loops", *graph, *i]
+    if command == "nes":
+        return ["nes", f"--atoms={draw(cli_text)}"]
+    if command == "split":
+        f, g, p = draw(cli_text), draw(cli_text), draw(cli_text)
+        # "--" and "=" keep a text that starts with "-" an argument.
+        return ["split", f"--p={p}", *graph, *cap, *json_flag, "--", f, g]
+    prop = draw(st.one_of(st.sampled_from(sorted(PROPERTIES)), cli_text))
+    numbers = st.integers(-2, 6).map(str)
+    return [
+        "fuzz",
+        f"--property={prop}",
+        "--count", draw(st.integers(-1, 3).map(str)),
+        "--seed", draw(st.one_of(numbers, cli_text)),
+        "--max-atoms", draw(numbers),
+        "--max-depth", draw(numbers),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls(), cli_text)
+def test_cli_answers_any_short_input_with_an_exit_code(argv, stdin):
+    # Whatever the text, each call ends in a documented exit code, 0 to
+    # 5, and no exception escapes ``main``.
+    code, _ = _cli(argv, stdin)
+    assert code in range(6)
