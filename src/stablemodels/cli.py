@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import tee
 from typing import Optional
 
 from . import __version__
@@ -34,7 +35,7 @@ from .fuzz import (
     PROPERTIES,
     run_fuzz,
 )
-from .loopformulas import check_atoms, loop_formulas, nes
+from .loopformulas import loop_formulas, loop_verdicts, nes
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
@@ -43,7 +44,6 @@ from .semantics import (
     format_interpretation,
     format_model_lists,
     format_models,
-    here_and_there_at,
     stable_models,
     supported_models,
 )
@@ -129,32 +129,25 @@ def cmd_tight(args) -> int:
 def cmd_loops(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
-    interp = None
-    accepted = False
-    if args.interpretation is not None:
-        # Checked before any output, so a bad atom list prints nothing.
-        interp = check_atoms(f, _parse_atom_list(args.interpretation))
-        here_and_there = here_and_there_at((f,), interp)
-        # The loop oracle (``stable_via_loops``): a model of f that
-        # satisfies every loop formula.
-        accepted = here_and_there(frozenset())
-    for ys, lf in loop_formulas(f, kind):
-        line = f"loop {format_interpretation(ys)}: {lf}"
-        if interp is not None:
-            # I satisfies LF_Y exactly when Y misses I or <I - Y, I> is
-            # not a here-and-there model of f.
-            holds = not ys & interp or not here_and_there(ys)
-            accepted = accepted and holds
-            line += f"  [{'satisfied' if holds else 'violated'}]"
-        print(line)
-    if interp is not None:
-        label = f"{kind.value}-loop oracle"
-        shown = format_interpretation(interp)
-        if accepted:
-            note = " (UNSOUND)" if kind is GraphKind.SP else ""
-            print(f"interpretation {shown} accepted by {label}{note}")
-        else:
-            print(f"interpretation {shown} rejected by {label}")
+    lines = loop_formulas(f, kind)
+    if args.interpretation is None:
+        for ys, lf in lines:
+            print(f"loop {format_interpretation(ys)}: {lf}")
+        return EXIT_OK
+    interp = _parse_atom_list(args.interpretation)
+    # The verdicts follow the printed loops, so the graph is built once;
+    # the first, the model check, checks I's atoms before any output.
+    lines, loops = tee(lines)
+    verdicts = loop_verdicts(interp, f, (ys for ys, _ in loops))
+    accepted = next(verdicts)
+    for (ys, lf), holds in zip(lines, verdicts):
+        accepted = accepted and holds
+        verdict = "satisfied" if holds else "violated"
+        print(f"loop {format_interpretation(ys)}: {lf}  [{verdict}]")
+    shown = format_interpretation(interp)
+    outcome = "accepted" if accepted else "rejected"
+    note = " (UNSOUND)" if accepted and kind is GraphKind.SP else ""
+    print(f"interpretation {shown} {outcome} by {kind.value}-loop oracle{note}")
     return EXIT_OK
 
 

@@ -3,22 +3,22 @@
 This module alone knows the shape of a loop formula: the conjunction,
 over the atoms A of Y, of A -> not NES(f, Y), one support shared by
 every conjunct.  ``loop_formulas`` gives each loop of a graph with its
-loop formula as text, printing that support once.
+loop formula as text, printing that support once.  ``_loops`` is the one
+source of loops: the loops of a graph, or every nonempty atom subset.
 
 The loop-based stability checks here serve as independent oracles
-against brute-force stability.  ``loop_oracle_models`` reads the
-accepted list from one ``classical_models`` table of the formula and
-its loop formulas; ``stable_via_loops`` and ``stable_via_all_sets``
-decide one interpretation, evaluating the formula and then each loop
-formula in turn at that point and stopping at the first false one.  The
-"pnn" variant is sound and complete; the "sp" variant is exposed
-deliberately because it is unsound, and the workbench reproduces its
-failure mode.
+against brute-force stability.  ``loop_oracle_models`` evaluates the
+loop formulas themselves, in one ``classical_models`` table of the
+formula and its loop formulas.  ``loop_verdicts`` decides one
+interpretation I by the here-and-there lemma, with f compiled once and
+no loop formula built; ``stable_via_loops``, ``stable_via_all_sets`` and
+``loops -i`` take their verdicts from it.  The "pnn" variant is sound
+and complete; the "sp" variant is exposed deliberately because it is
+unsound, and the workbench reproduces its failure mode.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
@@ -115,7 +115,7 @@ def loop_formulas(
     The text is ``print_formula(loop_formula(f, Y))``, but the support
     ``not NES(f, Y)``, one object under every atom of Y, is printed once.
     """
-    for ys in strongly_connected_subsets(graph_of((f,), kind)):
+    for ys in _loops(f, kind):
         support = print_formula(neg(_nes(f, ys)))
         if len(ys) == 1:
             yield ys, f"{next(iter(ys))} -> {support}"
@@ -123,13 +123,11 @@ def loop_formulas(
             yield ys, " & ".join([f"({a} -> {support})" for a in sorted(ys)])
 
 
-def _loops(
-    f: Formula, universe: frozenset[Atom], kind: Optional[GraphKind]
-) -> Iterator[frozenset[Atom]]:
+def _loops(f: Formula, kind: Optional[GraphKind]) -> Iterator[frozenset[Atom]]:
     """The loops of ``kind``'s graph of ``f``, or every nonempty subset of
-    ``universe`` if None; the graph is built on the first ``next``."""
+    ``f``'s atoms if None; nothing is built before the first ``next``."""
     if kind is None:
-        subsets = interpretations_of(universe)
+        subsets = interpretations_of(atoms(f))
         next(subsets)  # the empty set, which has no loop formula
         yield from subsets
     else:
@@ -143,29 +141,38 @@ def loop_oracle_models(
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
     universe = atoms(f)
     check_cap(len(universe), cap, "loop-formula enumeration")
-    lfs = (_loop_formula(f, ys) for ys in _loops(f, universe, kind))
+    lfs = (_loop_formula(f, ys) for ys in _loops(f, kind))
     return classical_models((f, *lfs), universe, cap)
+
+
+def loop_verdicts(
+    i: Iterable[Atom], f: Formula, loops: Iterable[frozenset[Atom]]
+) -> Iterator[bool]:
+    """Whether ``i`` is a model of ``f``, then whether it satisfies the
+    loop formula of each of ``loops``, with f compiled once: I satisfies
+    LF_Y exactly when Y misses I or <I - Y, I> is not a here-and-there
+    model of f (Ferraris, Lee and Lifschitz 2006).  I's atoms are checked
+    on the first ``next``."""
+    i = check_atoms(f, i)
+    here_and_there = here_and_there_at((f,), i)
+    yield here_and_there(frozenset())
+    for ys in loops:
+        yield not ys & i or not here_and_there(ys)
 
 
 def _loop_oracle_at(
     i: Interpretation, f: Formula, kind: Optional[GraphKind], cap: int
 ) -> bool:
-    """Whether ``i`` is in ``loop_oracle_models(f, kind, cap)``, decided at
-    the one point: the classical truth of f, then of each loop formula,
-    each on one-bit tables, stopping at the first false one."""
-    i = check_atoms(f, i)
-    universe = atoms(f)
-    check_cap(len(universe), cap, "loop-formula enumeration")
-    lfs = (_loop_formula(f, ys) for ys in _loops(f, universe, kind))
-    # With no atom cleared in the here-world, this is classical truth at I.
-    nothing = frozenset()
-    return all(here_and_there_at((g,), i)(nothing) for g in chain((f,), lfs))
+    """Whether ``i`` is in ``loop_oracle_models(f, kind, cap)``."""
+    check_cap(len(atoms(f)), cap, "loop-formula enumeration")
+    return all(loop_verdicts(i, f, _loops(f, kind)))
 
 
 def stable_via_all_sets(
     i: Interpretation, f: Formula, cap: int = DEFAULT_CAP
 ) -> bool:
-    """Stability via loop formulas for every nonempty atom subset of ``f``."""
+    """Stability via the loop formulas of every nonempty atom subset of
+    ``f``, decided at I by the here-and-there lemma (``loop_verdicts``)."""
     return _loop_oracle_at(i, f, None, cap)
 
 
@@ -179,6 +186,7 @@ def stable_via_loops(
 
     Sound and complete for GraphKind.PNN.  For GraphKind.SP it is an
     intentionally unsound check, kept to exhibit the counterexample
-    separating the two graphs.
+    separating the two graphs.  Both are decided at I by the
+    here-and-there lemma (``loop_verdicts``).
     """
     return _loop_oracle_at(i, f, kind, cap)

@@ -35,9 +35,8 @@ against.  Elsewhere in the package only fuzz's reduct properties call
 them (``reduct`` and ``satisfies``).
 
 This module owns the one subset enumerator, ``interpretations_of``, and
-the one evaluation core: ``loopformulas`` reads its loop oracles from
-``classical_models`` and ``here_and_there_at``, and ``loops -i`` uses
-``here_and_there_at``.
+the one evaluation core, from which ``loopformulas`` reads every loop
+oracle (``classical_models`` and ``here_and_there_at``).
 
 It also renders model lists.  ``format_model_lists`` and ``answer_json``
 (the ``models --json`` and ``split --json`` documents, byte for byte as

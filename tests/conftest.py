@@ -1,5 +1,6 @@
 import pytest
 
+import stablemodels.loopformulas as loopformulas
 from stablemodels import (
     DepGraph,
     GraphKind,
@@ -175,3 +176,17 @@ def p3():
 @pytest.fixture
 def nested():
     return parse_formula(NESTED_TEXT)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The calls of ``graph_of`` made through ``loopformulas``' binding,
+    which builds every graph that ``loops`` and the loop oracles use."""
+    builds = []
+
+    def counting_graph_of(*args):
+        builds.append(args)
+        return graph_of(*args)
+
+    monkeypatch.setattr(loopformulas, "graph_of", counting_graph_of)
+    return builds

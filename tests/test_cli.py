@@ -219,6 +219,17 @@ class TestTight:
 
 
 class TestLoops:
+    def test_interpretation_builds_the_graph_once(
+        self, capsys, monkeypatch, graph_builds
+    ):
+        code, out, _ = run(
+            capsys, "loops", "-i", "p,q", stdin=P3, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4  # three loops and the verdict
+        assert "rejected by pnn-loop oracle" in out
+        assert len(graph_builds) == 1
+
     def test_sp_unsound_verdict(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys,

@@ -11,7 +11,9 @@ production path: no module under ``src/`` imports them, except
 and ``fuzz``, whose reduct properties test ``reduct`` and ``satisfies``.
 In the same way the definitional occurrence walks of ``formula``, which
 the dependency graphs are tested against, are imported by no module
-under ``src/`` except ``__init__``.
+under ``src/`` except ``__init__``.  And ``semantics.here_and_there_at``,
+the point form of the loop-formula lemma, is imported by ``loopformulas``
+alone, so one module turns it into loop verdicts.
 """
 
 import ast
@@ -30,12 +32,14 @@ SEMANTICS_ORACLE = {
     "satisfies", "reduct", "is_stable", "is_pointwise_stable", "is_supported"
 }
 OCCURRENCE_WALKS = {"rules_of", "classify_occurrences"}
+POINT_LEMMA = {"here_and_there_at"}
 ORACLE = SEMANTICS_ORACLE | OCCURRENCE_WALKS
 ORACLE_ALLOWED = {
     "semantics": SEMANTICS_ORACLE,
     "formula": OCCURRENCE_WALKS,
     "__init__": ORACLE,
     "fuzz": {"satisfies", "reduct"},
+    "loopformulas": POINT_LEMMA,
 }
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
 
@@ -76,8 +80,8 @@ def function_local_imports(tree):
 
 
 def oracle_imports(tree, module):
-    """Oracle names that ``module`` imports but may not."""
-    forbidden = ORACLE - ORACLE_ALLOWED.get(module, set())
+    """Oracle and point-lemma names that ``module`` imports but may not."""
+    forbidden = (ORACLE | POINT_LEMMA) - ORACLE_ALLOWED.get(module, set())
     return sorted(
         alias.name
         for node in ast.walk(tree)
@@ -144,3 +148,13 @@ def test_lint_flags_occurrence_walk_imports():
     ]
     assert oracle_imports(tree, "formula") == []
     assert oracle_imports(tree, "__init__") == []
+
+
+def test_lint_flags_point_lemma_imports():
+    tree = ast.parse(
+        "from .semantics import here_and_there_at, stable_models\n"
+        "from stablemodels.semantics import here_and_there_at as ht\n"
+    )
+    assert oracle_imports(tree, "cli") == ["here_and_there_at"] * 2
+    assert oracle_imports(tree, "__init__") == ["here_and_there_at"] * 2
+    assert oracle_imports(tree, "loopformulas") == []

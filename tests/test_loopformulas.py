@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -121,8 +122,9 @@ def test_oracles_answer_on_a_long_conjunction():
 
 
 def test_single_point_oracle_stops_at_the_first_false_formula():
-    # {a0} violates its own loop formula, the first of the 2047 over these
-    # 11 atoms; building them all over 2**11 points peaks near 52 MB.
+    # {a0} violates the loop formula of {a0}, the first of the 2047
+    # nonempty subsets of these 11 atoms, so the check stops there; a
+    # table of all 2047 loop formulas over 2**11 points peaks near 52 MB.
     f = parse_formula(
         "(a0 -> a0) & " + " & ".join(f"(a{k} | not a{k})" for k in range(1, 11))
     )
@@ -134,3 +136,22 @@ def test_single_point_oracle_stops_at_the_first_false_formula():
         tracemalloc.stop()
     assert not accepted
     assert peak < 2_000_000
+
+
+def test_single_point_oracles_accept_free_choice_of_14_atoms():
+    # Every one of the 2**14 - 1 loop formulas holds at the full
+    # interpretation, so stable_via_all_sets makes 16383 verdicts.
+    names = [f"a{k}" for k in range(14)]
+    f = parse_formula(" & ".join(f"({a} | not {a})" for a in names))
+    start = time.perf_counter()
+    assert stable_via_all_sets(frozenset(names), f)
+    assert stable_via_loops(frozenset(names), f)
+    assert time.perf_counter() - start < 5
+
+
+def test_single_point_oracles_build_no_graph_for_a_non_model(graph_builds):
+    f = parse_formula("(p -> q) & (q -> p)")
+    assert not stable_via_loops(mset("p"), f)
+    assert graph_builds == []
+    assert not stable_via_loops(mset("p", "q"), f, GraphKind.SP)
+    assert len(graph_builds) == 1

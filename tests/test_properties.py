@@ -276,11 +276,13 @@ def _draw_interpretation(f, data):
 
 @settings(deadline=None)
 @given(formulas, st.sampled_from(GraphKind), st.data())
-def test_loops_oracle_line_matches_stable_via_loops(f, kind, data):
+def test_loops_oracle_line_matches_loop_oracle_scan(f, kind, data):
+    # Against the definitional oracle: ``stable_via_loops`` now runs the
+    # CLI's own code, so comparing with it would test nothing.
     interp = _draw_interpretation(f, data)
     last = _loops_output(f, kind, interp)[-1]
     accepted = " accepted by " in last
-    assert accepted == stable_via_loops(interp, f, kind)
+    assert accepted == (interp in loop_oracle_scan(f, kind))
 
 
 @settings(deadline=None)
