@@ -44,8 +44,6 @@ from .semantics import (
     format_interpretation,
     format_model_lists,
     format_models,
-    stable_models,
-    supported_models,
 )
 from .splitting import check_split
 
@@ -115,13 +113,13 @@ def cmd_tight(args) -> int:
     ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
-            sup = supported_models(theory, cap=args.cap)
-            st = stable_models(theory, cap=args.cap)
+            report = analyze(theory, cap=args.cap)
         except CapExceededError as exc:
             # The check is an extra; the verdict above stands.
             print(f"{claim} (not checked: {exc})")
         else:
-            verdict = "verified" if sup == st else "VIOLATED"
+            st = report.stable
+            verdict = "verified" if report.supported == st else "VIOLATED"
             print(f"{claim} ({verdict}): {format_models(st)}")
     return EXIT_CYCLIC if cyclic else EXIT_OK
 

@@ -165,20 +165,19 @@ def _reaches_all(adjacency: list[int], mask: int) -> bool:
     return seen == mask
 
 
-def strongly_connected_subsets(
-    g: DepGraph, cap: int = SUBSET_CAP
-) -> list[frozenset[Atom]]:
+def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
     """All nonempty vertex subsets whose induced subgraph is strongly connected.
 
     Singletons count whether or not they carry a self-loop.  Such a
     subset lies inside one strongly connected component, so the subsets
     of each component with k > 1 vertices are tested as k-bit masks,
-    and ``cap`` bounds the largest component, not the whole graph.  The
-    result is in ``interpretations_of`` order: by size, then
+    and ``SUBSET_CAP`` bounds the largest component, not the whole
+    graph.  The result is in ``interpretations_of`` order: by size, then
     lexicographically.
     """
     components = sccs(g)
-    check_cap(max(map(len, components), default=0), cap, "loop enumeration")
+    largest = max(map(len, components), default=0)
+    check_cap(largest, SUBSET_CAP, "loop enumeration")
     succ = _successors(g)
     loops: list[frozenset[Atom]] = []
     for comp in components:

@@ -42,7 +42,6 @@ from .semantics import (
     reduct,
     satisfies,
     stable_models,
-    supported_models,
 )
 from .splitting import check_split, split_conditions
 
@@ -117,8 +116,8 @@ def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
         lambda r: random_nondisjunctive_theory(r, pool, depth),
         lambda t: not has_cycle(g_sp(t)),
     )
-    sup = supported_models(t)
-    st = stable_models(t)
+    report = analyze(t)
+    sup, st = report.supported, report.stable
     if sup != st:
         return (
             "supported and stable models differ for a nondisjunctive theory "
@@ -315,6 +314,8 @@ def run_fuzz(
     if property_name not in PROPERTIES:
         known = ", ".join(sorted(PROPERTIES))
         raise ValueError(f"unknown property {property_name!r}; known: {known}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if count < 1:
         raise ValueError("count must be at least 1")
     if not 1 <= max_atoms <= MAX_FUZZ_ATOMS:

@@ -135,14 +135,14 @@ def _loops(f: Formula, kind: Optional[GraphKind]) -> Iterator[frozenset[Atom]]:
 
 
 def loop_oracle_models(
-    f: Formula, kind: Optional[GraphKind], cap: int = DEFAULT_CAP
+    f: Formula, kind: Optional[GraphKind]
 ) -> list[Interpretation]:
     """The classical models of ``f`` and the loop formulas of the loops of
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
     universe = atoms(f)
-    check_cap(len(universe), cap, "loop-formula enumeration")
+    check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
     lfs = (_loop_formula(f, ys) for ys in _loops(f, kind))
-    return classical_models((f, *lfs), universe, cap)
+    return classical_models((f, *lfs), universe)
 
 
 def loop_verdicts(
@@ -161,26 +161,21 @@ def loop_verdicts(
 
 
 def _loop_oracle_at(
-    i: Interpretation, f: Formula, kind: Optional[GraphKind], cap: int
+    i: Interpretation, f: Formula, kind: Optional[GraphKind]
 ) -> bool:
-    """Whether ``i`` is in ``loop_oracle_models(f, kind, cap)``."""
-    check_cap(len(atoms(f)), cap, "loop-formula enumeration")
+    """Whether ``i`` is in ``loop_oracle_models(f, kind)``."""
+    check_cap(len(atoms(f)), DEFAULT_CAP, "loop-formula enumeration")
     return all(loop_verdicts(i, f, _loops(f, kind)))
 
 
-def stable_via_all_sets(
-    i: Interpretation, f: Formula, cap: int = DEFAULT_CAP
-) -> bool:
+def stable_via_all_sets(i: Interpretation, f: Formula) -> bool:
     """Stability via the loop formulas of every nonempty atom subset of
     ``f``, decided at I by the here-and-there lemma (``loop_verdicts``)."""
-    return _loop_oracle_at(i, f, None, cap)
+    return _loop_oracle_at(i, f, None)
 
 
 def stable_via_loops(
-    i: Interpretation,
-    f: Formula,
-    kind: GraphKind = GraphKind.PNN,
-    cap: int = DEFAULT_CAP,
+    i: Interpretation, f: Formula, kind: GraphKind = GraphKind.PNN
 ) -> bool:
     """Stability via loop formulas for the loops of the chosen graph only.
 
@@ -189,4 +184,4 @@ def stable_via_loops(
     separating the two graphs.  Both are decided at I by the
     here-and-there lemma (``loop_verdicts``).
     """
-    return _loop_oracle_at(i, f, kind, cap)
+    return _loop_oracle_at(i, f, kind)

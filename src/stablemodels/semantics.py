@@ -23,10 +23,11 @@ or the bound of 2**k - 1 loops per strongly connected component of k
 atoms, each over 2**n points, against one pass over 2**|I| points per
 classical model I.  Small theories skip the graph build, and a component
 over ``SUBSET_CAP`` keeps the per-model path.  Supported models are the
-classical models of the theory plus ``a -> (disjunction of a's bodies)``
-for each atom.  Every enumerator is guarded by a hard cap (default 20
-atoms), checked before any table is built.  Model lists are returned in
-``interpretations_of`` order: by cardinality, then lexicographically.
+classical models where the support halves of ``completion`` hold too,
+read in ``analyze`` from the sweep's classical pass.  Every enumerator
+is guarded by a hard cap (default 20 atoms), checked before any table
+is built.  Model lists are in ``interpretations_of`` order: by
+cardinality, then lexicographically.
 
 ``satisfies``, ``reduct`` and the predicates ``is_stable``,
 ``is_pointwise_stable`` and ``is_supported`` state the definitions
@@ -188,7 +189,8 @@ def classical_models(
     """All subsets of the universe satisfying every member of ``t``."""
     atoms = theory_atoms(t) if universe is None else frozenset(universe)
     check_cap(len(atoms), cap)
-    return _classical(t, atoms)
+    c = _classical_pass(t, atoms)
+    return [frozenset([c.names[j] for j in p]) for _, p in c.points]
 
 
 def is_stable(i: Interpretation, t: Theory) -> bool:
@@ -207,7 +209,7 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
-    return _sweep(t, cap)[1]
+    return _sweep(t, cap)[2]
 
 
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
@@ -234,14 +236,10 @@ def is_supported(i: Interpretation, t: Theory) -> bool:
 
 
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
-    """Models of ``t`` and of ``a -> (disjunction of a's bodies)`` per atom."""
+    """Classical models where the support halves of ``completion(t)`` hold."""
     atoms = theory_atoms(t)
     check_cap(len(atoms), cap)
-    by_head = _rules_by_head(t)
-    support = [
-        Implies(AtomRef(a), disj(by_head.get(a, []))) for a in sorted(atoms)
-    ]
-    return _classical((*t, *support), atoms)
+    return _supported(completion(t), _classical_pass(t, atoms))
 
 
 def is_pointwise_stable(i: Interpretation, t: Theory) -> bool:
@@ -256,7 +254,7 @@ def pointwise_stable_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> list[Interpretation]:
     """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
-    return _sweep(t, cap)[2]
+    return _sweep(t, cap)[3]
 
 
 def completion(t: Theory) -> Theory:
@@ -437,9 +435,19 @@ def _classical_pass(t: Theory, atoms: Iterable[Atom]) -> _Classical:
     return _Classical(names, ops, atom_tables, vals, _points(vals[-1], n))
 
 
-def _classical(t: Theory, atoms: frozenset[Atom]) -> list[Interpretation]:
-    c = _classical_pass(t, atoms)
-    return [frozenset([c.names[j] for j in p]) for _, p in c.points]
+def _supported(comp: Theory, c: _Classical) -> list[Interpretation]:
+    """The classical models of ``c`` where the support halves ``a ->
+    (disjunction of a's bodies)`` of the completion ``comp`` hold too."""
+    n = len(c.names)
+    ops = _compile([f.left for f in comp], c.names)
+    full = itertools.repeat((1 << (1 << n)) - 1)
+    table = _evaluate(ops, c.atom_tables, full)[-1]
+    row = table.to_bytes(((1 << n) + 7) // 8, "little")
+    return [
+        frozenset([c.names[j] for j in p])
+        for k, p in c.points
+        if row[k >> 3] >> (k & 7) & 1
+    ]
 
 
 def _per_model(c: _Classical) -> list[tuple[bool, bool]]:
@@ -575,12 +583,12 @@ def _lists(
     return classical, stable, pointwise
 
 
-def _sweep(t: Theory, cap: int) -> tuple[list[Interpretation], ...]:
-    """The classical, stable and pointwise stable models of ``t``."""
+def _sweep(t: Theory, cap: int) -> tuple[_Classical, list, list, list]:
+    """The classical pass of ``t`` and its three model lists."""
     atoms = theory_atoms(t)
     check_cap(len(atoms), cap)
     c = _classical_pass(t, atoms)
-    return _lists(c, _loops_that_pay(t, c))
+    return (c, *_lists(c, _loops_that_pay(t, c)))
 
 
 @dataclass(frozen=True)
@@ -612,13 +620,11 @@ class ModelReport:
 
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
-    classical, stable, pointwise = _sweep(t, cap)
-    nondisjunctive = is_nondisjunctive_theory(t)
-    return ModelReport(
-        universe=theory_atoms(t),
-        classical=classical,
-        stable=stable,
-        supported=supported_models(t, cap=cap) if nondisjunctive else None,
-        pointwise_stable=pointwise,
-        completion_theory=completion(t) if nondisjunctive else None,
-    )
+    """All four model classes of ``t`` from one classical pass."""
+    c, classical, stable, pointwise = _sweep(t, cap)
+    supported = comp = None
+    if is_nondisjunctive_theory(t):
+        comp = completion(t)
+        supported = _supported(comp, c)
+    universe = frozenset(c.names)
+    return ModelReport(universe, classical, stable, supported, pointwise, comp)

@@ -1,6 +1,7 @@
 import pytest
 
 import stablemodels.loopformulas as loopformulas
+import stablemodels.semantics as semantics
 from stablemodels import (
     DepGraph,
     GraphKind,
@@ -190,3 +191,17 @@ def graph_builds(monkeypatch):
 
     monkeypatch.setattr(loopformulas, "graph_of", counting_graph_of)
     return builds
+
+
+@pytest.fixture
+def classical_passes(monkeypatch):
+    """The calls of ``semantics._classical_pass``, each one evaluation of a
+    theory over all 2**n interpretations."""
+    passes = []
+
+    def counting_pass(*args):
+        passes.append(args)
+        return _classical_pass(*args)
+
+    monkeypatch.setattr(semantics, "_classical_pass", counting_pass)
+    return passes

@@ -179,7 +179,9 @@ class TestGraph:
 
 
 class TestTight:
-    def test_p2_sp_acyclic_and_verified(self, capsys, monkeypatch):
+    def test_p2_sp_acyclic_and_verified(
+        self, capsys, monkeypatch, classical_passes
+    ):
         code, out, _ = run(
             capsys, "tight", "--graph", "sp", stdin=P2, monkeypatch=monkeypatch
         )
@@ -187,6 +189,8 @@ class TestTight:
         assert "acyclic" in out
         assert "verified" in out
         assert "{}, {p q}" in out
+        # Supported and stable models come from one classical pass.
+        assert len(classical_passes) == 1
 
     def test_p2_pnn_cyclic(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -548,6 +552,16 @@ class TestFuzz:
         assert code == 1
         assert out == ""
         assert "count" in err
+
+    def test_negative_seed_exit_1(self, capsys):
+        # random.Random(-5) draws what random.Random(5) draws, so a
+        # negative seed would rerun the cases of its absolute value.
+        code, out, err = run(
+            capsys, "fuzz", "--property", "chain", "--seed", "-5", "--count", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "seed" in err
 
 
 class TestDeterminism:

@@ -86,6 +86,15 @@ class TestRunFuzz:
         with pytest.raises(ValueError):
             run_fuzz("chain", seed=0, count=-5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_fuzz("chain", seed=-5, count=1)
+
+    def test_theorem1_makes_one_classical_pass_per_case(self, classical_passes):
+        result = run_fuzz("theorem1", seed=3, count=40)
+        assert result.ok
+        assert len(classical_passes) == 40
+
     def test_deterministic_results(self):
         a = run_fuzz("loop-oracle-sp", seed=1, count=100)
         b = run_fuzz("loop-oracle-sp", seed=1, count=100)

@@ -6,6 +6,7 @@ from stablemodels import (
     GraphKind,
     Implies,
     NotNondisjunctiveError,
+    analyze,
     atoms,
     classical_models,
     completion,
@@ -141,6 +142,48 @@ class TestSupported:
         with pytest.raises(NotNondisjunctiveError) as info:
             is_supported(frozenset(), parse_theory("p | q"))
         assert "p | q" in str(info.value)
+
+    def test_support_formulas_come_from_completion(self, p1, monkeypatch):
+        calls = []
+
+        def counting_completion(t):
+            calls.append(t)
+            return completion(t)
+
+        monkeypatch.setattr(semantics, "completion", counting_completion)
+        assert supported_models(p1) == [frozenset(), mset("p", "q")]
+        assert calls == [p1]
+
+    def test_makes_no_stability_pass(self, p2, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("stability pass made")
+
+        monkeypatch.setattr(semantics, "_per_model", no_pass)
+        monkeypatch.setattr(semantics, "_by_loops", no_pass)
+        assert supported_models(p2) == [frozenset(), mset("p", "q")]
+
+
+class TestAnalyze:
+    def test_one_classical_pass_for_a_nondisjunctive_theory(
+        self, p1, classical_passes
+    ):
+        report = analyze(p1)
+        assert len(classical_passes) == 1
+        assert report.supported == [frozenset(), mset("p", "q")]
+        assert report.stable == [frozenset()]
+        assert report.completion_theory == completion(p1)
+
+    def test_disjunctive_theory_has_no_supported_list(self, classical_passes):
+        report = analyze(parse_theory("p | q. q -> p."))
+        assert len(classical_passes) == 1
+        assert report.supported is None
+        assert report.completion_theory is None
+        assert report.stable == [mset("p")]
+
+    def test_empty_theory(self):
+        report = analyze(())
+        assert report.universe == frozenset()
+        assert report.supported == report.stable == [frozenset()]
 
 
 class TestPointwiseStable:
