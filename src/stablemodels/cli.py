@@ -2,6 +2,8 @@
 
 Subcommands: models, graph, tight, loops, nes, split, fuzz.  Input
 comes from a file argument or standard input ("-" also means stdin).
+A call builds only the parser of the command it names; help, version
+and usage errors outside a command go through the full parser tree.
 
 Exit codes:
   0  success
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import tee
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .depgraph import GraphKind, graph_of, has_cycle, to_dot
@@ -237,6 +239,131 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _add_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "input",
+        nargs="?",
+        default=None,
+        help="input file ('-' or omitted reads standard input)",
+    )
+
+
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--cap",
+        type=_non_negative_int,
+        default=DEFAULT_CAP,
+        help=f"atom cap for exhaustive enumeration (default {DEFAULT_CAP})",
+    )
+
+
+def _add_graph(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--graph",
+        choices=("sp", "pnn"),
+        default="pnn",
+        help="dependency-graph construction (default pnn)",
+    )
+
+
+def _models_arguments(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
+    _add_cap(p)
+    p.add_argument("--json", action="store_true", help="structured output")
+
+
+def _graph_arguments(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
+    _add_graph(p)
+    p.add_argument(
+        "--format",
+        choices=("dot", "edges"),
+        default="dot",
+        help="output format (default dot)",
+    )
+
+
+def _tight_arguments(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
+    _add_graph(p)
+    _add_cap(p)
+
+
+def _loops_arguments(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
+    _add_graph(p)
+    p.add_argument(
+        "--interpretation",
+        "-i",
+        default=None,
+        help="atom list to evaluate the loop formulas under, e.g. 'p,q'",
+    )
+
+
+def _nes_arguments(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
+    p.add_argument(
+        "--atoms",
+        required=True,
+        help="atom set Y, e.g. 'p,q'",
+    )
+
+
+def _split_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("f", help="first formula text")
+    p.add_argument("g", help="second formula text")
+    p.add_argument(
+        "--p",
+        required=True,
+        help="atom list for the first part; the rest goes to the second",
+    )
+    _add_graph(p)
+    _add_cap(p)
+    p.add_argument("--json", action="store_true", help="structured output")
+
+
+def _fuzz_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--property",
+        required=True,
+        help="one of: " + ", ".join(sorted(PROPERTIES)),
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--max-atoms", type=int, default=MAX_FUZZ_ATOMS)
+    p.add_argument("--max-depth", type=int, default=MAX_FUZZ_DEPTH)
+
+
+class Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    func: Callable[[argparse.Namespace], int]
+
+
+# Every subcommand, in the order ``stablemodels --help`` lists them.
+COMMANDS: dict[str, Command] = {
+    "models": Command(
+        "enumerate model classes of a theory", _models_arguments, cmd_models
+    ),
+    "graph": Command(
+        "emit a positive dependency graph", _graph_arguments, cmd_graph
+    ),
+    "tight": Command(
+        "check acyclicity of a dependency graph", _tight_arguments, cmd_tight
+    ),
+    "loops": Command(
+        "loops and loop formulas of a formula", _loops_arguments, cmd_loops
+    ),
+    "nes": Command("negated-external-support formula", _nes_arguments, cmd_nes),
+    "split": Command(
+        "check the splitting conditions", _split_arguments, cmd_split
+    ),
+    "fuzz": Command(
+        "randomized refutation-seeking checks", _fuzz_arguments, cmd_fuzz
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablemodels",
@@ -247,103 +374,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        command.add_arguments(p)
+        p.set_defaults(func=command.func)
+    return parser
 
-    def add_input(p):
-        p.add_argument(
-            "input",
-            nargs="?",
-            default=None,
-            help="input file ('-' or omitted reads standard input)",
-        )
 
-    def add_cap(p):
-        p.add_argument(
-            "--cap",
-            type=_non_negative_int,
-            default=DEFAULT_CAP,
-            help=f"atom cap for exhaustive enumeration (default {DEFAULT_CAP})",
-        )
-
-    def add_graph(p):
-        p.add_argument(
-            "--graph",
-            choices=("sp", "pnn"),
-            default="pnn",
-            help="dependency-graph construction (default pnn)",
-        )
-
-    p = sub.add_parser("models", help="enumerate model classes of a theory")
-    add_input(p)
-    add_cap(p)
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_models)
-
-    p = sub.add_parser("graph", help="emit a positive dependency graph")
-    add_input(p)
-    add_graph(p)
-    p.add_argument(
-        "--format",
-        choices=("dot", "edges"),
-        default="dot",
-        help="output format (default dot)",
-    )
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("tight", help="check acyclicity of a dependency graph")
-    add_input(p)
-    add_graph(p)
-    add_cap(p)
-    p.set_defaults(func=cmd_tight)
-
-    p = sub.add_parser("loops", help="loops and loop formulas of a formula")
-    add_input(p)
-    add_graph(p)
-    p.add_argument(
-        "--interpretation",
-        "-i",
-        default=None,
-        help="atom list to evaluate the loop formulas under, e.g. 'p,q'",
-    )
-    p.set_defaults(func=cmd_loops)
-
-    p = sub.add_parser("nes", help="negated-external-support formula")
-    add_input(p)
-    p.add_argument(
-        "--atoms",
-        required=True,
-        help="atom set Y, e.g. 'p,q'",
-    )
-    p.set_defaults(func=cmd_nes)
-
-    p = sub.add_parser("split", help="check the splitting conditions")
-    p.add_argument("f", help="first formula text")
-    p.add_argument("g", help="second formula text")
-    p.add_argument(
-        "--p",
-        required=True,
-        help="atom list for the first part; the rest goes to the second",
-    )
-    add_graph(p)
-    add_cap(p)
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("fuzz", help="randomized refutation-seeking checks")
-    p.add_argument(
-        "--property",
-        required=True,
-        help="one of: " + ", ".join(sorted(PROPERTIES)),
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--max-atoms", type=int, default=MAX_FUZZ_ATOMS)
-    p.add_argument("--max-depth", type=int, default=MAX_FUZZ_DEPTH)
-    p.set_defaults(func=cmd_fuzz)
-
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone: it parses, and prints help
+    and usage, as the full tree's subparser for ``name`` does."""
+    parser = argparse.ArgumentParser(prog=f"stablemodels {name}")
+    COMMANDS[name].add_arguments(parser)
     return parser
 
 
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:
+        # Only this command's parser is built.  Leftover arguments and
+        # list values (below) go to the full tree, so that its errors
+        # keep the top-level usage line.
+        name = argv[0]
+        args, rest = command_parser(name).parse_known_args(
+            argv[1:], argparse.Namespace(command=name)
+        )
+        if not rest and not any(
+            isinstance(value, list) for value in vars(args).values()
+        ):
+            args.func = COMMANDS[name].func
+            return args
     parser = build_parser()
     args = parser.parse_args(argv)
     # Every option takes one value, but argparse (Python 3.11) reads

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 import stablemodels.loopformulas as loopformulas
@@ -205,3 +207,17 @@ def classical_passes(monkeypatch):
 
     monkeypatch.setattr(semantics, "_classical_pass", counting_pass)
     return passes
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The ``argparse.ArgumentParser`` objects built, subparsers included."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built

@@ -1,11 +1,17 @@
+import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from stablemodels.cli import main
+from stablemodels.cli import COMMANDS, build_parser, command_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 P1 = "p -> q. q & not r -> p."
 P2 = "p -> q. ((q -> r) -> r) -> p."
@@ -134,6 +140,60 @@ class TestUsage:
         assert code == 0
         assert out
         assert err == ""
+
+
+class TestParsers:
+    """A call builds only its command's parser; everything else goes
+    through the full tree, with the same help and usage text."""
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_help_matches_the_full_tree(self, name):
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices[name]
+        alone = command_parser(name)
+        assert alone.format_help() == sub.format_help()
+        assert alone.format_usage() == sub.format_usage()
+
+    def test_top_level_help_lists_the_commands_in_order(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "{models,graph,tight,loops,nes,split,fuzz}" in out
+
+    def test_a_command_builds_only_its_parser(
+        self, capsys, monkeypatch, parsers_built
+    ):
+        code, out, _ = run(capsys, "models", stdin="p.", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.startswith("universe: p\n")
+        assert len(parsers_built) == 1
+
+    @pytest.mark.parametrize("argv", [("bogus",), ("--help",)])
+    def test_other_calls_build_the_full_tree(self, capsys, parsers_built, argv):
+        run(capsys, *argv)
+        # The top-level parser and one subparser per command.
+        assert len(parsers_built) == 1 + len(COMMANDS)
+
+    @pytest.mark.parametrize(
+        ("argv", "code"), [(("models",), 0), (("bogus",), 1)]
+    )
+    def test_module_entry_point(self, capsys, monkeypatch, argv, code):
+        # ``python -m stablemodels`` reads sys.argv and exits with main's
+        # code, and prints what an in-process call prints.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", "stablemodels", *argv],
+            input="p.",
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == code
+        assert done.stdout == run(
+            capsys, *argv, stdin="p.", monkeypatch=monkeypatch
+        )[1]
 
 
 class TestGraph:

@@ -42,7 +42,7 @@ from stablemodels import (
     subgraph_of,
     theory_atoms,
 )
-from stablemodels.cli import main
+from stablemodels.cli import COMMANDS, _parse_args, build_parser, main
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.semantics import (
     answer_json,
@@ -496,3 +496,51 @@ def test_cli_answers_any_short_input_with_an_exit_code(argv, stdin):
     # 5, and no exception escapes ``main``.
     code, _ = _cli(argv, stdin)
     assert code in range(6)
+
+
+def _parse_outcome(parse, argv):
+    """The Namespace's fields of one parse, or its exit code, stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _full_tree_parse(argv):
+    # The reference for ``_parse_args``: the whole tree's parse, then
+    # the check for list values.
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument {name}: expected one value")
+    return args
+
+
+cli_extra_tokens = st.sampled_from(
+    ["-h", "--help", "--version", "--vers", "--js", "--bogus", "-x", "--",
+     "=", "--cap=--", *COMMANDS]
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand's argv, or none, with extra tokens inserted anywhere:
+    help and version flags, abbreviations, junk options and commands."""
+    argv = list(draw(st.one_of(cli_calls(), st.just([]))))
+    for token in draw(st.lists(cli_extra_tokens, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_argvs())
+def test_cli_parses_as_the_full_parser_tree(argv):
+    # Building only the named command's parser changes no parse: the
+    # same fields, or the same exit code, stdout and stderr.
+    assert _parse_outcome(_parse_args, argv) == _parse_outcome(
+        _full_tree_parse, argv
+    )

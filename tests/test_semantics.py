@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from stablemodels import (
     BOT,
@@ -272,6 +274,27 @@ class TestSweepPaths:
 
         monkeypatch.setattr(semantics, "g_pnn", no_graph)
         assert _loops_that_pay(p2, _classical_pass(p2, theory_atoms(p2))) is None
+
+
+@st.composite
+def truth_tables(draw):
+    """An atom count n of at most 8 and a table of 2**n bits."""
+    n = draw(st.integers(0, 8))
+    return draw(st.integers(0, (1 << (1 << n)) - 1)), n
+
+
+class TestPoints:
+    @given(truth_tables())
+    def test_set_bits_in_interpretations_of_order(self, table_and_n):
+        # Point k holds atom j when bit j of k is set.
+        table, n = table_and_n
+        expected = [
+            (k, sorted(i))
+            for i in interpretations_of(range(n))
+            for k in [sum(1 << j for j in i)]
+            if table >> k & 1
+        ]
+        assert semantics._points(table, n) == expected
 
 
 class TestCompile:
