@@ -37,7 +37,7 @@ from .fuzz import (
     PROPERTIES,
     run_fuzz,
 )
-from .loopformulas import loop_formulas, loop_verdicts, nes
+from .loopformulas import loop_formulas, loop_verdicts, nes_text
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
@@ -153,8 +153,7 @@ def cmd_loops(args) -> int:
 
 def cmd_nes(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
-    ys = _parse_atom_list(args.atoms)
-    print(print_formula(nes(f, ys)))
+    print(nes_text(f, _parse_atom_list(args.atoms)))
     return EXIT_OK
 
 

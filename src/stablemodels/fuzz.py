@@ -41,6 +41,7 @@ from .semantics import (
     interpretations_of,
     reduct,
     satisfies,
+    stable_and_pointwise_models,
     stable_models,
 )
 from .splitting import check_split, split_conditions
@@ -133,8 +134,7 @@ def _check_theorem2(rng: random.Random, pool, depth) -> Optional[str]:
         lambda r: random_theory(r, pool, depth),
         lambda t: not has_cycle(g_sp(t)),
     )
-    report = analyze(t)
-    pw, st = report.pointwise_stable, report.stable
+    st, pw = stable_and_pointwise_models(t)
     if pw != st:
         return (
             "pointwise stable and stable models differ for a theory with "

@@ -2,9 +2,15 @@
 
 This module alone knows the shape of a loop formula: the conjunction,
 over the atoms A of Y, of A -> not NES(f, Y), one support shared by
-every conjunct.  ``loop_formulas`` gives each loop of a graph with its
-loop formula as text, printing that support once.  ``_loops`` is the one
-source of loops: the loops of a graph, or every nonempty atom subset.
+every conjunct.  ``nes`` and ``loop_formula`` build these formulas; the
+oracles and the tests use them.  Their text comes from ``NesPrinter``,
+which walks each distinct node of f once and keeps f's text and the
+text of NES(f, {}) as one token template; the text for a set Y walks
+down only the subtrees that meet Y and copies the others.
+``loop_formulas`` gives each loop of a graph with its loop formula as
+text, printing the support once per loop; ``nes_text`` is the ``nes``
+command's text.  ``_loops`` is the one source of loops: the loops of a
+graph, or every nonempty atom subset.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability.  ``loop_oracle_models`` evaluates the
@@ -24,6 +30,11 @@ from typing import Iterable, Iterator, Optional
 from .depgraph import GraphKind, graph_of, strongly_connected_subsets
 from .errors import AtomsOutsideFormulaError, check_cap
 from .formula import (
+    _INFIX,
+    _LV_AND,
+    _LV_IMPL,
+    _LV_NOT,
+    _LV_OR,
     BOT,
     And,
     Atom,
@@ -34,7 +45,6 @@ from .formula import (
     atoms,
     conj,
     neg,
-    print_formula,
 )
 from .semantics import (
     DEFAULT_CAP,
@@ -107,16 +117,236 @@ def _loop_formula(f: Formula, ys: frozenset[Atom]) -> Formula:
     return conj(Implies(AtomRef(a), support) for a in sorted(ys))
 
 
+# A node's atoms are summarized by a signature of this many bits, atom k
+# of f setting bit k mod _SIGNATURE_BITS: exact up to this many atoms,
+# and a few machine words per node however many atoms f has.
+_SIGNATURE_BITS = 60
+
+
+def _levels(g: Formula) -> tuple[int, int]:
+    """The precedence levels of ``g``'s root in the text of f and in the
+    text of NES(f, Y), which are the same for every Y: NES keeps atoms
+    and bottom atomic (an atom of Y becomes bottom) and turns every
+    implication into a conjunction."""
+    kind = type(g)
+    if kind is AtomRef or kind is Bottom:
+        return _LV_NOT, _LV_NOT
+    if kind is Implies:
+        # "not x" is atomic in f's text.
+        return (_LV_NOT if type(g.consequent) is Bottom else _LV_IMPL), _LV_AND
+    level = _INFIX[kind][0]
+    return level, level
+
+
+def _enter(g: Formula, min_level: int) -> tuple[Formula, bool, bool, bool]:
+    """The stack item that enters ``g`` as an operand printed at
+    ``min_level``: whether it is parenthesized in f's and in NES's text."""
+    f_level, nes_level = _levels(g)
+    return g, f_level < min_level, nes_level < min_level, False
+
+
+def _operand(g: Formula, pos: int, min_level: int) -> tuple:
+    """The items that print NES(g, Y), g at ``pos``, as an operand at
+    ``min_level``."""
+    return ("(", pos, ")") if _levels(g)[1] < min_level else (pos,)
+
+
+class NesPrinter:
+    """The text of NES(f, Y) for any set Y of ``f``'s atoms, as
+    ``print_formula(nes(f, Y))`` prints it, from one walk of f.
+
+    The walk visits each distinct node of f once (the nodes that ``<->``
+    shares are told apart by identity).  It records a bit signature of
+    each node's atoms and renders two token lists, in which every node's
+    text is one span: the text of f and the text of NES(f, {}).  A
+    subtree with no atom of Y has the same NES text for every Y, so
+    printing for Y walks down only the nodes whose signature meets Y's
+    and copies every other subtree's span as a list slice; the copy of
+    F -> G in NES(F -> G) = (NES F -> NES G) & (F -> G) is a span of f's
+    tokens.  Whether an atom is in Y is decided by name, so a signature
+    bit shared by two atoms only sends the walk down a subtree that it
+    could have copied.  Parentheses follow from the levels of
+    ``_levels``.  Memory is linear in the printed size of NES(f, {}):
+    spans are slices of the two lists, not a string per node.
+    """
+
+    def __init__(self, f: Formula):
+        bits: dict[Atom, int] = {}
+        f_tokens: list[str] = []
+        nes_tokens: list[str] = []
+        # By node position, in order of first visit: the atom signature,
+        # the spans in f_tokens and nes_tokens (start offsets until the
+        # node is left), and the items of NES(g, Y) for a Y that meets g.
+        masks: list[int] = []
+        f_spans: list = []
+        nes_spans: list = []
+        expand: list[tuple] = []
+        position: dict[int, int] = {}
+        # Items are tokens for both lists and (node, parenthesized in f,
+        # parenthesized in NES, done) tuples; ``done`` marks a node whose
+        # operands have been printed.
+        stack: list = [_enter(f, _LV_IMPL)]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                f_tokens.append(item)
+                nes_tokens.append(item)
+                continue
+            g, f_open, nes_open, done = item
+            kind = type(g)
+            if not done:
+                if f_open:
+                    f_tokens.append("(")
+                if nes_open:
+                    nes_tokens.append("(")
+                i = position.get(id(g))
+                if i is None:
+                    position[id(g)] = len(masks)
+                    masks.append(0)
+                    f_spans.append(len(f_tokens))
+                    nes_spans.append(len(nes_tokens))
+                    expand.append(())
+                    stack.append((g, f_open, nes_open, True))
+                    if kind is AtomRef:
+                        stack.append(g.name)
+                    elif kind is Bottom:
+                        stack.append("bot")
+                    elif kind is not Implies:
+                        _, text, left_min, right_min = _INFIX[kind]
+                        stack += (
+                            _enter(g.right, right_min), text,
+                            _enter(g.left, left_min),
+                        )
+                    elif type(g.consequent) is Bottom:
+                        f_tokens.append("not ")
+                        nes_tokens.append("not ")
+                        stack.append(_enter(g.antecedent, _LV_NOT))
+                    else:
+                        nes_tokens.append("(")
+                        stack += (
+                            _enter(g.consequent, _LV_IMPL), " -> ",
+                            _enter(g.antecedent, _LV_OR),
+                        )
+                    continue
+                # A shared node: its text is printed already.
+                f_tokens += f_tokens[f_spans[i]]
+                nes_tokens += nes_tokens[nes_spans[i]]
+            else:
+                i = position[id(g)]
+                f_span = f_spans[i] = slice(f_spans[i], len(f_tokens))
+                if kind is AtomRef:
+                    bit = 1 << len(bits) % _SIGNATURE_BITS
+                    masks[i] = bits.setdefault(g.name, bit)
+                    items = ((g.name, ("bot",), (g.name,)),)
+                elif kind is Bottom:
+                    items = ()
+                elif kind is not Implies:
+                    _, text, left_min, right_min = _INFIX[kind]
+                    l_pos, r_pos = position[id(g.left)], position[id(g.right)]
+                    masks[i] = masks[l_pos] | masks[r_pos]
+                    items = (
+                        *_operand(g.left, l_pos, left_min), text,
+                        *_operand(g.right, r_pos, right_min),
+                    )
+                elif type(g.consequent) is Bottom:
+                    l_pos = position[id(g.antecedent)]
+                    masks[i] = masks[l_pos]
+                    nes_tokens.append(" & ")
+                    nes_tokens += f_tokens[f_span]
+                    items = (
+                        "not ", *_operand(g.antecedent, l_pos, _LV_NOT),
+                        " & ", f_span,
+                    )
+                else:
+                    left, right = g.antecedent, g.consequent
+                    l_pos, r_pos = position[id(left)], position[id(right)]
+                    masks[i] = masks[l_pos] | masks[r_pos]
+                    nes_tokens.append(") & (")
+                    nes_tokens += f_tokens[f_span]
+                    nes_tokens.append(")")
+                    items = (
+                        "(", *_operand(left, l_pos, _LV_OR), " -> ", r_pos,
+                        ") & (", f_span, ")",
+                    )
+                    if type(right) is AtomRef:
+                        # NES(y) is bottom for y in Y, and the first
+                        # conjunct is printed "not NES(F)".
+                        in_y = (
+                            "not ", *_operand(left, l_pos, _LV_NOT), " & (",
+                            f_span, ")",
+                        )
+                        items = ((right.name, in_y[::-1], items[::-1]),)
+                nes_spans[i] = slice(nes_spans[i], len(nes_tokens))
+                expand[i] = items[::-1]
+            if f_open:
+                f_tokens.append(")")
+            if nes_open:
+                nes_tokens.append(")")
+        self._bits = bits
+        self._f_tokens = f_tokens
+        self._nes_tokens = nes_tokens
+        self._masks = masks
+        self._nes_spans = nes_spans
+        self._expand = expand
+        self._root_atomic = _levels(f)[1] == _LV_NOT
+
+    def _print(self, items: list, ys: frozenset[Atom]) -> str:
+        # ``items`` is a stack: node positions, tokens, slices of f's
+        # tokens, and (atom, items if it is in Y, items otherwise) choices.
+        bits = self._bits
+        y_mask = 0
+        for a in ys:
+            y_mask |= bits[a]
+        f_tokens, nes_tokens = self._f_tokens, self._nes_tokens
+        masks, nes_spans, expand = self._masks, self._nes_spans, self._expand
+        out: list[str] = []
+        stack = items
+        while stack:
+            item = stack.pop()
+            kind = type(item)
+            if kind is int:
+                if masks[item] & y_mask:
+                    stack += expand[item]
+                else:
+                    out += nes_tokens[nes_spans[item]]
+            elif kind is str:
+                out.append(item)
+            elif kind is slice:
+                out += f_tokens[item]
+            else:
+                atom, in_y, otherwise = item
+                stack += in_y if atom in ys else otherwise
+        return "".join(out)
+
+    def text(self, ys: frozenset[Atom]) -> str:
+        """The text of NES(f, ys); ``ys`` holds atoms of f only."""
+        return self._print([0], ys)
+
+    def support(self, ys: frozenset[Atom]) -> str:
+        """The text of not NES(f, ys), the support of a loop formula."""
+        if self._root_atomic:
+            return self._print([0, "not "], ys)
+        return self._print([")", 0, "(", "not "], ys)
+
+
+def nes_text(f: Formula, y: Iterable[Atom]) -> str:
+    """``print_formula(nes(f, y))``, printed by ``NesPrinter``."""
+    ys = check_atoms(f, y)
+    return NesPrinter(f).text(ys)
+
+
 def loop_formulas(
     f: Formula, kind: GraphKind = GraphKind.PNN
 ) -> Iterator[tuple[frozenset[Atom], str]]:
     """Each loop of ``f``'s graph with its printed loop formula.
 
-    The text is ``print_formula(loop_formula(f, Y))``, but the support
-    ``not NES(f, Y)``, one object under every atom of Y, is printed once.
+    The text is ``print_formula(loop_formula(f, Y))``, printed by one
+    ``NesPrinter`` of f; the support ``not NES(f, Y)``, one object under
+    every atom of Y, is printed once.
     """
+    printer = NesPrinter(f)
     for ys in _loops(f, kind):
-        support = print_formula(neg(_nes(f, ys)))
+        support = printer.support(ys)
         if len(ys) == 1:
             yield ys, f"{next(iter(ys))} -> {support}"
         else:

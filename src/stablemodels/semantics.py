@@ -257,6 +257,14 @@ def pointwise_stable_models(
     return _sweep(t, cap)[3]
 
 
+def stable_and_pointwise_models(
+    t: Theory, cap: int = DEFAULT_CAP
+) -> tuple[list[Interpretation], list[Interpretation]]:
+    """The stable and the pointwise stable models of ``t``, from one sweep."""
+    _, _, stable, pointwise = _sweep(t, cap)
+    return stable, pointwise
+
+
 def completion(t: Theory) -> Theory:
     """Clark completion of a nondisjunctive theory, desugared.
 

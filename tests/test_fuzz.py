@@ -3,10 +3,12 @@ import re
 
 import pytest
 
+import stablemodels.semantics as semantics
 from stablemodels import (
     GraphKind,
     atoms,
     check_split,
+    completion,
     fuzz,
     is_nondisjunctive_theory,
     is_stable,
@@ -94,6 +96,21 @@ class TestRunFuzz:
         result = run_fuzz("theorem1", seed=3, count=40)
         assert result.ok
         assert len(classical_passes) == 40
+
+    def test_theorem2_builds_no_completion(self, monkeypatch):
+        # theorem2 reads the stable and pointwise lists only; theorem1,
+        # which compares with the supported list, is the control.
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return completion(t)
+
+        monkeypatch.setattr(semantics, "completion", counted)
+        assert run_fuzz("theorem2", seed=3, count=200).ok
+        assert calls == []
+        assert run_fuzz("theorem1", seed=3, count=5).ok
+        assert len(calls) == 5
 
     def test_deterministic_results(self):
         a = run_fuzz("loop-oracle-sp", seed=1, count=100)

@@ -13,7 +13,11 @@ In the same way the definitional occurrence walks of ``formula``, which
 the dependency graphs are tested against, are imported by no module
 under ``src/`` except ``__init__``.  And ``semantics.here_and_there_at``,
 the point form of the loop-formula lemma, is imported by ``loopformulas``
-alone, so one module turns it into loop verdicts.
+alone, so one module turns it into loop verdicts.  The constructors of NES
+and loop-formula objects (``nes``, ``loop_formula`` and their private
+forms) belong to the oracle side too: no module under ``src/`` imports
+them except ``__init__``; ``loopformulas`` defines them and prints the
+production text with ``NesPrinter``.
 """
 
 import ast
@@ -33,13 +37,14 @@ SEMANTICS_ORACLE = {
 }
 OCCURRENCE_WALKS = {"rules_of", "classify_occurrences"}
 POINT_LEMMA = {"here_and_there_at"}
-ORACLE = SEMANTICS_ORACLE | OCCURRENCE_WALKS
+NES_CONSTRUCTORS = {"nes", "_nes", "loop_formula", "_loop_formula"}
+ORACLE = SEMANTICS_ORACLE | OCCURRENCE_WALKS | NES_CONSTRUCTORS
 ORACLE_ALLOWED = {
     "semantics": SEMANTICS_ORACLE,
     "formula": OCCURRENCE_WALKS,
     "__init__": ORACLE,
     "fuzz": {"satisfies", "reduct"},
-    "loopformulas": POINT_LEMMA,
+    "loopformulas": POINT_LEMMA | NES_CONSTRUCTORS,
 }
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
 
@@ -157,4 +162,20 @@ def test_lint_flags_point_lemma_imports():
     )
     assert oracle_imports(tree, "cli") == ["here_and_there_at"] * 2
     assert oracle_imports(tree, "__init__") == ["here_and_there_at"] * 2
+    assert oracle_imports(tree, "loopformulas") == []
+
+
+def test_lint_flags_nes_constructor_imports():
+    tree = ast.parse(
+        "from .loopformulas import loop_formulas, nes, nes_text\n"
+        "from stablemodels.loopformulas import _loop_formula, loop_formula\n"
+        "from stablemodels import nes as build_nes\n"
+    )
+    assert oracle_imports(tree, "cli") == [
+        "_loop_formula", "loop_formula", "nes", "nes"
+    ]
+    assert oracle_imports(tree, "fuzz") == [
+        "_loop_formula", "loop_formula", "nes", "nes"
+    ]
+    assert oracle_imports(tree, "__init__") == []
     assert oracle_imports(tree, "loopformulas") == []

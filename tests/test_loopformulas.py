@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -15,10 +16,12 @@ from stablemodels import (
     loop_formula,
     nes,
     parse_formula,
+    print_formula,
     satisfies,
     stable_via_all_sets,
     stable_via_loops,
 )
+from stablemodels.loopformulas import NesPrinter, loop_formulas
 from conftest import mset
 
 PQ = mset("p", "q")
@@ -155,3 +158,37 @@ def test_single_point_oracles_build_no_graph_for_a_non_model(graph_builds):
     assert graph_builds == []
     assert not stable_via_loops(mset("p", "q"), f, GraphKind.SP)
     assert len(graph_builds) == 1
+
+
+def _rule_chain(n):
+    # (a1 -> a0) & (a2 -> a1) & ...: a left-associated conjunction.
+    return parse_formula(" & ".join(f"(a{k + 1} -> a{k})" for k in range(n)))
+
+
+def test_loop_formulas_print_a_long_conjunction_of_rules():
+    # Stack depth does not grow with the conjunction, and atoms beyond
+    # the printer's signature width share signature bits.
+    f = _rule_chain(3000)
+    lines = list(islice(loop_formulas(f), 3))
+    assert [ys for ys, _ in lines] == [mset("a0"), mset("a1"), mset("a10")]
+    for ys, text in lines:
+        assert text == print_formula(loop_formula(f, ys))
+
+
+def _support_peak(n):
+    f = _rule_chain(n)
+    # A first printer, freed, fills the interpreter's free lists, so that
+    # the measured one finds them as full at every n.
+    NesPrinter(f).support(mset("a0"))
+    tracemalloc.start()
+    try:
+        NesPrinter(f).support(mset("a0"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_printing_a_support_takes_memory_linear_in_the_formula():
+    # A string per node is quadratic on the conjunction's spine: the
+    # peak then grows about fourfold.
+    assert _support_peak(2000) <= 2.5 * _support_peak(1000)

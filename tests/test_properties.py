@@ -5,10 +5,12 @@ import io
 import json
 import random
 import sys
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import stablemodels.loopformulas as loopformulas
 from stablemodels import (
     BOT,
     And,
@@ -29,6 +31,7 @@ from stablemodels import (
     is_stable,
     loop_formula,
     loop_oracle_models,
+    nes,
     parse_formula,
     print_formula,
     print_theory,
@@ -43,6 +46,7 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.cli import COMMANDS, _parse_args, build_parser, main
+from stablemodels.formula import neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.semantics import (
     answer_json,
@@ -339,6 +343,42 @@ def test_loops_lines_print_the_loop_formulas(f, kind, with_i, data):
         expected.append(line)
     assert out.splitlines()[: len(loops)] == expected
     assert len(out.splitlines()) == len(loops) + (interp is not None)
+
+
+# Formula text with "<->", whose parse shares both operands of each
+# biconditional under two implications, and with runs of "not" and "bot".
+iff_texts = st.recursive(
+    st.one_of(st.just("bot"), atom_names),
+    lambda child: st.one_of(
+        st.tuples(child, st.sampled_from(("<->", "&", "|", "->")), child).map(
+            lambda parts: "({} {} {})".format(*parts)
+        ),
+        st.tuples(st.integers(1, 3), child).map(
+            lambda parts: "not " * parts[0] + parts[1]
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(formulas.map(print_formula), iff_texts))
+def test_nes_text_matches_printed_nes(text):
+    # For every Y, including the empty set and all atoms: the support a
+    # loop line prints and the ``nes`` line against the printed NES
+    # objects.  With one signature bit all atoms share it, so the printer
+    # also walks down subtrees that it could have copied.
+    f = parse_formula(text)
+    printer = loopformulas.NesPrinter(f)
+    with mock.patch.object(loopformulas, "_SIGNATURE_BITS", 1):
+        one_bit = loopformulas.NesPrinter(f)
+    for ys in interpretations_of(atoms(f)):
+        built = nes(f, ys)
+        support = print_formula(neg(built))
+        assert printer.support(ys) == support
+        assert one_bit.support(ys) == support
+        argv = ["nes", f"--atoms={','.join(sorted(ys))}"]
+        assert _cli(argv, text) == (0, print_formula(built) + "\n")
 
 
 def _models_json(models):
