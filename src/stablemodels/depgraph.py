@@ -16,9 +16,11 @@ rules one by one, is the definition the tests compare the graphs with.
 
 Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the
-subsets of each larger component tested as bitmasks.  The 16-vertex
-``SUBSET_CAP`` therefore applies to the largest component, not to the
-whole graph.
+loops of each larger component, found by a search that branches on its
+vertices and prunes by reachability, so its work grows with the loops
+found rather than with the 2**k vertex subsets.  The 16-vertex
+``SUBSET_CAP`` applies to the largest component, not to the whole
+graph.
 """
 
 from __future__ import annotations
@@ -89,17 +91,20 @@ def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
     return g_sp(t) if kind is GraphKind.SP else g_pnn(t)
 
 
-def _successors(g: DepGraph) -> dict[Atom, list[Atom]]:
-    """Sorted successor lists of every vertex, from one pass over the edges."""
+def _components(
+    g: DepGraph,
+) -> tuple[dict[Atom, list[Atom]], list[frozenset[Atom]]]:
+    """Sorted successor lists of every vertex, from one pass over the
+    edges, and the strongly connected components (Tarjan), ordered
+    lexicographically.
+
+    ``sccs`` and ``strongly_connected_subsets`` read both from one call,
+    and so does ``semantics``' path choice, which sizes the components
+    before it hands the pair to ``_loops``.
+    """
     succ: dict[Atom, list[Atom]] = {v: [] for v in g.vertices}
     for (a, b) in sorted(g.edges):
         succ[a].append(b)
-    return succ
-
-
-def sccs(g: DepGraph) -> list[frozenset[Atom]]:
-    """Strongly connected components (Tarjan), ordered lexicographically."""
-    succ = _successors(g)
     index: dict[Atom, int] = {}
     lowlink: dict[Atom, int] = {}
     on_stack: set[Atom] = set()
@@ -140,7 +145,12 @@ def sccs(g: DepGraph) -> list[frozenset[Atom]]:
                         if w == v:
                             break
                     components.append(frozenset(comp))
-    return sorted(components, key=lambda c: tuple(sorted(c)))
+    return succ, sorted(components, key=lambda c: tuple(sorted(c)))
+
+
+def sccs(g: DepGraph) -> list[frozenset[Atom]]:
+    """Strongly connected components (Tarjan), ordered lexicographically."""
+    return _components(g)[1]
 
 
 def has_cycle(g: DepGraph) -> bool:
@@ -150,35 +160,75 @@ def has_cycle(g: DepGraph) -> bool:
     return any(len(c) > 1 for c in sccs(g))
 
 
-def _reaches_all(adjacency: list[int], mask: int) -> bool:
-    """Whether the lowest vertex of ``mask`` reaches all of it inside ``mask``.
+def _reach(adjacency: list[int], start: int, allowed: int) -> int:
+    """The vertices of ``allowed`` that the vertex ``start`` reaches inside it.
 
-    Vertex n is bit n; ``adjacency[n]`` is the mask of n's successors.
+    Vertex n is bit n; ``adjacency[n]`` is the mask of n's successors (or
+    predecessors, for backward reach), and ``start`` is one bit.  The pass
+    stops as soon as it has reached all of ``allowed``, which on a dense
+    component is after the first vertex.
     """
-    seen = frontier = mask & -mask
+    seen = frontier = start
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        new = adjacency[low.bit_length() - 1] & mask & ~seen
+        new = adjacency[low.bit_length() - 1] & allowed & ~seen
         seen |= new
+        if seen == allowed:
+            break
         frontier |= new
-    return seen == mask
+    return seen
 
 
-def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
-    """All nonempty vertex subsets whose induced subgraph is strongly connected.
+def _component_loops(forward: list[int], backward: list[int]) -> list[int]:
+    """The masks of the strongly connected vertex sets of one component.
 
-    Singletons count whether or not they carry a self-loop.  Such a
-    subset lies inside one strongly connected component, so the subsets
-    of each component with k > 1 vertices are tested as k-bit masks,
-    and ``SUBSET_CAP`` bounds the largest component, not the whole
-    graph.  The result is in ``interpretations_of`` order: by size, then
-    lexicographically.
+    Each set is found once, from its lowest vertex v.  A search node holds
+    the vertices included so far and the vertices still allowed: the
+    strongly connected part, holding v, of the component's vertices from v
+    upward less those dropped.  It branches on the lowest allowed vertex
+    not yet included.  Including it leaves ``allowed`` as it is; dropping
+    it shrinks ``allowed`` to what v reaches, forward and then backward,
+    in the rest, and cuts the branch if that loses an included vertex.
+    As ``allowed`` stays strongly connected, every node has a loop below
+    it (including all of ``allowed``), and a node with nothing left to
+    decide is one.  A node costs at most two reachability passes and a
+    loop has at most k nodes above it that lead to it by inclusions
+    alone, so the search makes at most 2k passes per loop, however many
+    of the 2**k vertex sets are not loops.
     """
-    components = sccs(g)
+    k = len(forward)
+    found = []
+    for v in range(k):
+        start = 1 << v
+        # The vertices from v upward, shrunk to the part strongly
+        # connected with v.
+        allowed = _reach(forward, start, (1 << k) - start)
+        allowed = _reach(backward, start, allowed)
+        stack = [(start, allowed)]
+        while stack:
+            included, allowed = stack.pop()
+            undecided = allowed & ~included
+            if not undecided:
+                found.append(included)
+                continue
+            low = undecided & -undecided
+            stack.append((included | low, allowed))
+            rest = _reach(forward, start, allowed ^ low)
+            if included & ~rest:
+                continue
+            rest = _reach(backward, start, rest)
+            if not included & ~rest:
+                stack.append((included, rest))
+    return found
+
+
+def _loops(
+    succ: dict[Atom, list[Atom]], components: list[frozenset[Atom]]
+) -> list[frozenset[Atom]]:
+    """``strongly_connected_subsets`` from a graph's ``_components``."""
     largest = max(map(len, components), default=0)
     check_cap(largest, SUBSET_CAP, "loop enumeration")
-    succ = _successors(g)
     loops: list[frozenset[Atom]] = []
     for comp in components:
         if len(comp) == 1:
@@ -193,13 +243,26 @@ def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
                 if w in bit:
                     forward[bit[v]] |= 1 << bit[w]
                     backward[bit[w]] |= 1 << bit[v]
-        for mask in range(1, 1 << len(names)):
-            if _reaches_all(forward, mask) and _reaches_all(backward, mask):
-                loops.append(frozenset(
-                    v for n, v in enumerate(names) if mask >> n & 1
-                ))
+        for mask in _component_loops(forward, backward):
+            loops.append(frozenset(
+                v for n, v in enumerate(names) if mask >> n & 1
+            ))
     loops.sort(key=lambda ys: (len(ys), sorted(ys)))
     return loops
+
+
+def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
+    """All nonempty vertex subsets whose induced subgraph is strongly connected.
+
+    Singletons count whether or not they carry a self-loop.  Such a
+    subset lies inside one strongly connected component, so each
+    component with k > 1 vertices is searched on its own, branching on
+    its vertices with reachability pruning (``_component_loops``), and
+    ``SUBSET_CAP`` bounds the largest component, not the whole graph.
+    The result is in ``interpretations_of`` order: by size, then
+    lexicographically.
+    """
+    return _loops(*_components(g))
 
 
 def subgraph_of(small: DepGraph, big: DepGraph) -> bool:

@@ -53,7 +53,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .depgraph import SUBSET_CAP, g_pnn, sccs, strongly_connected_subsets
+from .depgraph import SUBSET_CAP, _components, _loops, g_pnn
 from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
     BOT,
@@ -546,6 +546,11 @@ def _by_loops(
 # the faster path for all but 9 and 8 (0 missed 247 and 262), and 13,
 # within 0.2 % of 12's total time, keeps every theory of at most 4 atoms
 # (cost at most 16 + 3**4 / 2048 < 13 + 4 * (1 + 16 / 2048)) per model.
+# These figures were measured when loops were found by testing all
+# 2**k - 1 vertex masks of each component.  The branching search of
+# ``depgraph._component_loops`` that replaced it is about as fast on
+# complete components and much faster on sparse ones; the constant has
+# not been measured again.
 _WIDE_BITS = 2048
 _GRAPH_PASSES = 13
 
@@ -564,14 +569,13 @@ def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]
     per_loop = 1 + (1 << n) / _WIDE_BITS
     if _GRAPH_PASSES + n * per_loop >= per_model:
         return None
-    graph = g_pnn(t)
-    components = sccs(graph)
+    succ, components = _components(g_pnn(t))
     if max(map(len, components)) > SUBSET_CAP:
         return None
     bound = sum((1 << len(comp)) - 1 for comp in components)
     if _GRAPH_PASSES + bound * per_loop >= per_model:
         return None
-    return strongly_connected_subsets(graph)
+    return _loops(succ, components)
 
 
 def _lists(

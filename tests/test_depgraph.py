@@ -1,5 +1,6 @@
 import pytest
 
+import stablemodels.depgraph as depgraph
 from stablemodels import (
     CapExceededError,
     DepGraph,
@@ -8,6 +9,7 @@ from stablemodels import (
     g_sp,
     graph_of,
     has_cycle,
+    interpretations_of,
     parse_formula,
     sccs,
     strongly_connected_subsets,
@@ -129,6 +131,44 @@ class TestStronglyConnectedSubsets:
         for ys in strongly_connected_subsets(g):
             if len(ys) >= 2:
                 assert any(ys <= c for c in components)
+
+
+def ring(n, both_ways=False):
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = {(names[i], names[(i + 1) % n]) for i in range(n)}
+    if both_ways:
+        edges |= {(b, a) for (a, b) in edges}
+    return DepGraph(frozenset(names), frozenset(edges))
+
+
+class TestSearchWork:
+    """The loop search does work in proportion to the loops it finds, not
+    to the 2**k vertex sets of a k-vertex component."""
+
+    @pytest.mark.parametrize("both_ways, loops", [(False, 17), (True, 241)])
+    def test_ring_passes_grow_with_loops(self, monkeypatch, both_ways, loops):
+        passes = []
+        reach = depgraph._reach
+
+        def counted(adjacency, start, allowed):
+            passes.append(start)
+            return reach(adjacency, start, allowed)
+
+        monkeypatch.setattr(depgraph, "_reach", counted)
+        assert len(strongly_connected_subsets(ring(16, both_ways))) == loops
+        # At most two passes per search node and at most k nodes per loop,
+        # against 2 * (2**16 - 1) for a test of every vertex mask.
+        assert 0 < len(passes) <= 2 * 16 * loops
+
+    def test_complete_digraph_gives_every_subset(self):
+        names = [f"v{i:02d}" for i in range(12)]
+        g = DepGraph(
+            frozenset(names),
+            frozenset((a, b) for a in names for b in names if a != b),
+        )
+        expected = list(interpretations_of(names))[1:]
+        assert len(expected) == 4095
+        assert strongly_connected_subsets(g) == expected
 
 
 class TestSubgraph:

@@ -250,6 +250,42 @@ def test_loops_match_subset_scan(g):
     assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
 
 
+@st.composite
+def shaped_graphs(draw):
+    """Graphs on up to 12 vertices, in blocks joined by one-way edges.
+
+    Each block is a ring with a few chords or a graph of drawn edge
+    density, up to complete with self-loops, so sparse and dense strongly
+    connected components both appear; edges between blocks run from an
+    earlier block to a later one only.
+    """
+    n = draw(st.integers(1, 12))
+    vertices = [f"v{i:02d}" for i in range(n)]
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else set()
+    rng = draw(st.randoms(use_true_random=False))
+    edges = set()
+    bounds = [0, *sorted(cuts), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = vertices[lo:hi]
+        pairs = [(a, b) for a in block for b in block]
+        if draw(st.booleans()):
+            edges |= {(a, block[(i + 1) % len(block)]) for i, a in enumerate(block)}
+            edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+        else:
+            density = draw(st.floats(0, 1))
+            edges |= {pair for pair in pairs if rng.random() < density}
+        joins = [(a, b) for a in block for b in vertices[hi:]]
+        if joins:
+            edges |= set(draw(st.lists(st.sampled_from(joins), max_size=4)))
+    return DepGraph(frozenset(vertices), frozenset(edges))
+
+
+@settings(deadline=None, max_examples=150)
+@given(shaped_graphs())
+def test_loops_match_subset_scan_on_shaped_graphs(g):
+    assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
+
+
 def _cli(argv, stdin=""):
     """Exit code and stdout of one in-process CLI call."""
     out = io.StringIO()
