@@ -26,8 +26,9 @@ over ``SUBSET_CAP`` keeps the per-model path.  Supported models are the
 classical models where the support halves of ``completion`` hold too,
 read in ``analyze`` from the sweep's classical pass.  Every enumerator
 is guarded by a hard cap (default 20 atoms), checked before any table
-is built.  Model lists are in ``interpretations_of`` order: by
-cardinality, then lexicographically.
+is built.  Each class is a table over the 2**n points, read at the
+set bits of the classical table, which one scan lists in
+``interpretations_of`` order: by cardinality, then lexicographically.
 
 ``satisfies``, ``reduct`` and the predicates ``is_stable``,
 ``is_pointwise_stable`` and ``is_supported`` state the definitions
@@ -188,9 +189,7 @@ def classical_models(
 ) -> list[Interpretation]:
     """All subsets of the universe satisfying every member of ``t``."""
     atoms = theory_atoms(t) if universe is None else frozenset(universe)
-    check_cap(len(atoms), cap)
-    c = _classical_pass(t, atoms)
-    return [frozenset([c.names[j] for j in p]) for _, p in c.points]
+    return _classical_pass(t, atoms, cap).models
 
 
 def is_stable(i: Interpretation, t: Theory) -> bool:
@@ -209,7 +208,8 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
-    return _sweep(t, cap)[2]
+    c, stable, _ = _sweep(t, cap)
+    return c.select(stable)
 
 
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
@@ -237,9 +237,8 @@ def is_supported(i: Interpretation, t: Theory) -> bool:
 
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models where the support halves of ``completion(t)`` hold."""
-    atoms = theory_atoms(t)
-    check_cap(len(atoms), cap)
-    return _supported(completion(t), _classical_pass(t, atoms))
+    c = _classical_pass(t, theory_atoms(t), cap)
+    return c.select(_supported(completion(t), c))
 
 
 def is_pointwise_stable(i: Interpretation, t: Theory) -> bool:
@@ -254,15 +253,16 @@ def pointwise_stable_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> list[Interpretation]:
     """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
-    return _sweep(t, cap)[3]
+    c, _, pointwise = _sweep(t, cap)
+    return c.select(pointwise)
 
 
 def stable_and_pointwise_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> tuple[list[Interpretation], list[Interpretation]]:
     """The stable and the pointwise stable models of ``t``, from one sweep."""
-    _, _, stable, pointwise = _sweep(t, cap)
-    return stable, pointwise
+    c, stable, pointwise = _sweep(t, cap)
+    return c.select(stable), c.select(pointwise)
 
 
 def completion(t: Theory) -> Theory:
@@ -283,8 +283,8 @@ def completion(t: Theory) -> Theory:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation core.  A truth table over the atoms a_0 < ... < a_{n-1} is an
-# int of 2**n bits: bit k is the value at the interpretation containing
+# Evaluation core.  A truth table over a list of atoms a_0, ..., a_{n-1} is
+# an int of 2**n bits: bit k is the value at the interpretation containing
 # a_j exactly when bit j of k is set.  A here-and-there table gives, at
 # each point, the value of an op at a pair <H, T> of a "here" and a
 # "there" interpretation; ``H |= F^T`` holds exactly when <H, T> is a
@@ -407,59 +407,76 @@ def here_and_there_at(
     return holds
 
 
-def _points(table: int, n: int) -> list[tuple[int, list[int]]]:
-    """The set bits of ``table`` with their atom indices, in
-    ``interpretations_of`` order."""
-    bits = format(table, f"0{1 << n}b")[::-1]
-    weights = [1 << j for j in range(n)]
-    return [
-        (k, [j for j in range(n) if k >> j & 1])
-        for size in range(n + 1)
-        for k in map(sum, itertools.combinations(weights, size))
-        if bits[k] == "1"
-    ]
+def _set_bits(table: int, n: int) -> list[int]:
+    """The set bits of ``table`` over 2**n points, read off its binary text
+    by descending index, then sorted stably by popcount (see ``_Classical``)."""
+    runs = format(table, f"0{1 << n}b").split("1")[:-1]
+    # Each 1 lies one bit below the run of zeros before it.
+    steps = map(operator.add, map(len, runs), itertools.repeat(1))
+    keys = itertools.accumulate(steps, operator.sub, initial=1 << n)
+    return sorted(itertools.islice(keys, 1, None), key=int.bit_count)
+
+
+def _models(keys: list[int], names: list[Atom]) -> list[Interpretation]:
+    """The interpretation at each point of ``keys``, joined from the atoms
+    of its low and of its high bits, each read from a table of subsets."""
+    half = len(names) // 2
+    low: list[tuple[Atom, ...]] = [()]
+    high: list[tuple[Atom, ...]] = [()]
+    for table, part in (low, names[:half]), (high, names[half:]):
+        for a in part:
+            table += [s + (a,) for s in table]
+    mask = (1 << half) - 1
+    return [frozenset(low[k & mask] + high[k >> half]) for k in keys]
 
 
 class _Classical(NamedTuple):
-    """One classical pass over all 2**n points."""
+    """One classical pass over all 2**n points, with atom j of ``names``,
+    in descending order, as bit j.  So within one size, ``interpretations_of``
+    order is descending bit index: two sets of one size first differ at
+    some atom, and the set that holds it has the higher bit there."""
 
     names: list[Atom]
     ops: Ops
     atom_tables: list[int]
     # Every op's table; the last is the theory's.
     vals: list[int]
-    # The classical models: bit index and atom indices, in
-    # ``interpretations_of`` order.
-    points: list[tuple[int, list[int]]]
+    # The classical models, in ``interpretations_of`` order, each built
+    # once and shared by every list read from this pass, and their points.
+    models: list[Interpretation]
+    keys: list[int]
+
+    def select(self, table: int) -> list[Interpretation]:
+        """The classical models at whose points ``table`` is 1."""
+        # The text's last digit is bit 0, so bit k is digit ~k.
+        bits = format(table, f"0{1 << len(self.names)}b")
+        return [m for k, m in zip(self.keys, self.models) if bits[~k] == "1"]
 
 
-def _classical_pass(t: Theory, atoms: Iterable[Atom]) -> _Classical:
-    names = sorted(atoms)
+def _classical_pass(
+    t: Theory, atoms: Iterable[Atom], cap: int = DEFAULT_CAP
+) -> _Classical:
+    names = sorted(atoms, reverse=True)
     n = len(names)
+    check_cap(n, cap)
     ops = _compile(t, names)
     atom_tables = _atom_tables(n)
     full = (1 << (1 << n)) - 1
     vals = _evaluate(ops, atom_tables, itertools.repeat(full))
-    return _Classical(names, ops, atom_tables, vals, _points(vals[-1], n))
+    keys = _set_bits(vals[-1], n)
+    return _Classical(names, ops, atom_tables, vals, _models(keys, names), keys)
 
 
-def _supported(comp: Theory, c: _Classical) -> list[Interpretation]:
-    """The classical models of ``c`` where the support halves ``a ->
-    (disjunction of a's bodies)`` of the completion ``comp`` hold too."""
-    n = len(c.names)
+def _supported(comp: Theory, c: _Classical) -> int:
+    """The table of the support halves ``a -> (disjunction of a's
+    bodies)`` of the completion ``comp`` over ``c``'s points."""
     ops = _compile([f.left for f in comp], c.names)
-    full = itertools.repeat((1 << (1 << n)) - 1)
-    table = _evaluate(ops, c.atom_tables, full)[-1]
-    row = table.to_bytes(((1 << n) + 7) // 8, "little")
-    return [
-        frozenset([c.names[j] for j in p])
-        for k, p in c.points
-        if row[k >> 3] >> (k & 7) & 1
-    ]
+    full = itertools.repeat((1 << (1 << len(c.names))) - 1)
+    return _evaluate(ops, c.atom_tables, full)[-1]
 
 
-def _per_model(c: _Classical) -> list[tuple[bool, bool]]:
-    """Stable and pointwise stable flags of each classical model I.
+def _per_model(c: _Classical) -> tuple[int, int]:
+    """The stable and pointwise stable tables, one pass per classical model I.
 
     One here-and-there table per I: bit m is the value of the theory at
     <J, I>, where J holds the r-th atom of I exactly when bit r of m is
@@ -467,39 +484,43 @@ def _per_model(c: _Classical) -> list[tuple[bool, bool]]:
     (all ones or all zeros).  I is stable when only the ``J = I`` bit is
     set and pointwise stable when no ``I - {a}`` bit is.
     """
-    # As bytes, a table's value at one point is read without shifting
-    # a 2**n-bit int.
-    size = ((1 << len(c.names)) + 7) // 8
+    # As bytes, a table's value at one point is read and set without
+    # shifting a 2**n-bit int.
+    n = len(c.names)
+    size = ((1 << n) + 7) // 8
     rows = [v.to_bytes(size, "little") for v in _implications(c.ops, c.vals)]
+    stable, pointwise = bytearray(size), bytearray(size)
+    # The empty model, first if it is one, has no proper subset to refute it.
+    empty = stable[0] = pointwise[0] = c.vals[-1] & 1
     # Per width of I: its atom tables and the mask of the I - {a} bits.
     local: dict[int, tuple[list[int], int]] = {}
-    flags = []
-    for k, p in c.points:
-        if not p:
-            # The empty model has no proper subset to refute it.
-            flags.append((True, True))
-            continue
-        width = len(p)
+    for k in c.keys[empty:]:
+        byte, bit = k >> 3, 1 << (k & 7)
+        width = k.bit_count()
         top = 1 << ((1 << width) - 1)  # the bit of J = I
         if width not in local:
             drop_one = sum(top >> (1 << r) for r in range(width))
             local[width] = _atom_tables(width), drop_one
         tables, drop_one = local[width]
-        here = [0] * len(c.names)
-        for j, atom_table in zip(p, tables):
-            here[j] = atom_table
+        # The r-th lowest atom of I takes the r-th atom table of its width.
+        here = [0] * n
+        rest = k
+        for atom_table in tables:
+            low = rest & -rest
+            here[low.bit_length() - 1] = atom_table
+            rest ^= low
         full = (top << 1) - 1
-        byte, bit = k >> 3, 1 << (k & 7)
         there = [full if row[byte] & bit else 0 for row in rows]
         table = _evaluate(c.ops, here, iter(there))[-1]
-        flags.append((table == top, not table & drop_one))
-    return flags
+        if table == top:
+            stable[byte] |= bit
+        if not table & drop_one:
+            pointwise[byte] |= bit
+    return int.from_bytes(stable, "little"), int.from_bytes(pointwise, "little")
 
 
-def _by_loops(
-    c: _Classical, loops: list[frozenset[Atom]]
-) -> list[tuple[bool, bool]]:
-    """Stable and pointwise stable flags of each classical model, by loops.
+def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, int]:
+    """The stable and pointwise stable tables, one pass per loop.
 
     By the generalised Lin-Zhao theorem (Ferraris, Lee and Lifschitz
     2006), with loops taken from the pnn graph, a classical model I is
@@ -529,12 +550,7 @@ def _by_loops(
         stable &= ~refuted
         if singleton:
             pointwise &= ~refuted
-    n = len(c.names)
-    stable_bits = format(stable, f"0{1 << n}b")[::-1]
-    pointwise_bits = format(pointwise, f"0{1 << n}b")[::-1]
-    return [
-        (stable_bits[k] == "1", pointwise_bits[k] == "1") for k, _ in c.points
-    ]
+    return stable, pointwise
 
 
 # Cost model of the path choice, in units of one pass over a few points.
@@ -564,7 +580,7 @@ def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]
     Its loops are then counted by their bound, the sum of 2**k - 1 over
     the strongly connected components, before they are enumerated.
     """
-    per_model = sum(1 + (1 << len(p)) / _WIDE_BITS for _, p in c.points)
+    per_model = sum(1 + (1 << k.bit_count()) / _WIDE_BITS for k in c.keys)
     n = len(c.names)
     per_loop = 1 + (1 << n) / _WIDE_BITS
     if _GRAPH_PASSES + n * per_loop >= per_model:
@@ -578,29 +594,11 @@ def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]
     return _loops(succ, components)
 
 
-def _lists(
-    c: _Classical, loops: Optional[list[frozenset[Atom]]]
-) -> tuple[list[Interpretation], ...]:
-    """The classical, stable and pointwise stable models, by the per-model
-    path (``loops`` None) or by the given loops, in one walk."""
-    flags = _per_model(c) if loops is None else _by_loops(c, loops)
-    classical, stable, pointwise = [], [], []
-    for (_, p), (stable_at, pointwise_at) in zip(c.points, flags):
-        i = frozenset([c.names[j] for j in p])
-        classical.append(i)
-        if stable_at:
-            stable.append(i)
-        if pointwise_at:
-            pointwise.append(i)
-    return classical, stable, pointwise
-
-
-def _sweep(t: Theory, cap: int) -> tuple[_Classical, list, list, list]:
-    """The classical pass of ``t`` and its three model lists."""
-    atoms = theory_atoms(t)
-    check_cap(len(atoms), cap)
-    c = _classical_pass(t, atoms)
-    return (c, *_lists(c, _loops_that_pay(t, c)))
+def _sweep(t: Theory, cap: int) -> tuple[_Classical, int, int]:
+    """The classical pass of ``t``, its stable and its pointwise tables."""
+    c = _classical_pass(t, theory_atoms(t), cap)
+    loops = _loops_that_pay(t, c)
+    return c, *(_per_model(c) if loops is None else _by_loops(c, loops))
 
 
 @dataclass(frozen=True)
@@ -633,10 +631,10 @@ class ModelReport:
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     """All four model classes of ``t`` from one classical pass."""
-    c, classical, stable, pointwise = _sweep(t, cap)
+    c, stable, pointwise = _sweep(t, cap)
     supported = comp = None
     if is_nondisjunctive_theory(t):
         comp = completion(t)
-        supported = _supported(comp, c)
-    universe = frozenset(c.names)
-    return ModelReport(universe, classical, stable, supported, pointwise, comp)
+        supported = c.select(_supported(comp, c))
+    lists = c.models, c.select(stable), supported, c.select(pointwise)
+    return ModelReport(frozenset(c.names), *lists, comp)

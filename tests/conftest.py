@@ -29,7 +29,12 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.formula import positive_nonnegated_atoms
-from stablemodels.semantics import _classical_pass, _lists, satisfies_all
+from stablemodels.semantics import (
+    _by_loops,
+    _classical_pass,
+    _per_model,
+    satisfies_all,
+)
 
 # Running examples used throughout the suite.
 P1_TEXT = "p -> q. q & not r -> p."
@@ -113,7 +118,13 @@ def sweep_paths(t, kind=GraphKind.PNN):
     of ``kind``'s graph (pnn is the production path)."""
     c = _classical_pass(t, theory_atoms(t))
     loops = strongly_connected_subsets(graph_of(t, kind))
-    return {"per-model": _lists(c, None), "loop-indexed": _lists(c, loops)}
+    return {
+        path: (c.models, *map(c.select, tables))
+        for path, tables in (
+            ("per-model", _per_model(c)),
+            ("loop-indexed", _by_loops(c, loops)),
+        )
+    }
 
 
 def oracle_mismatches(t):

@@ -18,6 +18,9 @@ and loop-formula objects (``nes``, ``loop_formula`` and their private
 forms) belong to the oracle side too: no module under ``src/`` imports
 them except ``__init__``; ``loopformulas`` defines them and prints the
 production text with ``NesPrinter``.
+
+Subsets are enumerated in one place: ``itertools.combinations`` is used
+only inside ``semantics.interpretations_of``.
 """
 
 import ast
@@ -47,6 +50,8 @@ ORACLE_ALLOWED = {
     "loopformulas": POINT_LEMMA | NES_CONSTRUCTORS,
 }
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
+SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
+NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
 def _bound_names(node):
@@ -96,6 +101,25 @@ def oracle_imports(tree, module):
     )
 
 
+def combinations_uses(tree, module):
+    """Lines that name ``combinations`` outside the one subset enumerator."""
+    lines = []
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        field = NAME_FIELDS.get(type(node))
+        if (
+            field
+            and getattr(node, field) == "combinations"
+            and (module, function) != SUBSET_ENUMERATOR
+        ):
+            lines.append(node.lineno)
+        stack += ((child, function) for child in ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
 @pytest.mark.parametrize(
     "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
 )
@@ -128,6 +152,27 @@ def test_lint_flags_unused_and_local_imports():
 def test_oracle_stays_out_of_production(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert oracle_imports(tree, path.stem) == []
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
+)
+def test_one_subset_enumerator(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert combinations_uses(tree, path.stem) == []
+
+
+def test_lint_flags_combinations_uses():
+    tree = ast.parse(
+        "import itertools\n"
+        "from itertools import combinations\n"
+        "def interpretations_of(u):\n"
+        "    return itertools.combinations(u, 2)\n"
+        "def pairs(u):\n"
+        "    return [c for c in combinations(u, 2)]\n"
+    )
+    assert combinations_uses(tree, "semantics") == [2, 6]
+    assert combinations_uses(tree, "depgraph") == [2, 4, 6]
 
 
 def test_lint_flags_oracle_imports():

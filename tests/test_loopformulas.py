@@ -1,3 +1,4 @@
+import gc
 import time
 import tracemalloc
 from itertools import islice
@@ -177,15 +178,19 @@ def test_loop_formulas_print_a_long_conjunction_of_rules():
 
 def _support_peak(n):
     f = _rule_chain(n)
-    # A first printer, freed, fills the interpreter's free lists, so that
-    # the measured one finds them as full at every n.
-    NesPrinter(f).support(mset("a0"))
+    # Objects taken from the interpreter's free lists are not traced, and
+    # a full collection, run whenever the collector's counts say, empties
+    # those lists.  So empty them now and keep the collector off while
+    # measuring: the printer then finds them empty at every n, every run.
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         NesPrinter(f).support(mset("a0"))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 def test_printing_a_support_takes_memory_linear_in_the_formula():

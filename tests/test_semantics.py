@@ -259,7 +259,7 @@ class TestSweepPaths:
         c = _classical_pass(t, theory_atoms(t))
         # Enough classical models to build the graph: n = 17 singleton
         # passes over 2**17 points would cost less than 3572 small ones.
-        assert len(c.points) == 3572
+        assert len(c.models) == 3572
         assert _loops_that_pay(t, c) is None
         assert stable_models(t) == [mset()]
 
@@ -286,15 +286,17 @@ def truth_tables(draw):
 class TestPoints:
     @given(truth_tables())
     def test_set_bits_in_interpretations_of_order(self, table_and_n):
-        # Point k holds atom j when bit j of k is set.
+        # Point k holds names[j] when bit j of k is set, with the names
+        # in descending order as ``_classical_pass`` lays them out.
         table, n = table_and_n
+        names = sorted((f"a{j}" for j in range(n)), reverse=True)
         expected = [
-            (k, sorted(i))
-            for i in interpretations_of(range(n))
-            for k in [sum(1 << j for j in i)]
+            k
+            for i in interpretations_of(names)
+            for k in [sum(1 << names.index(a) for a in i)]
             if table >> k & 1
         ]
-        assert semantics._points(table, n) == expected
+        assert semantics._set_bits(table, n) == expected
 
 
 class TestCompile:
@@ -309,6 +311,23 @@ class TestCompile:
                 stack += (getattr(g, n) for n in g.__slots__ if n != "name")
         c = _classical_pass((lf,), {"p", "q"})
         assert len(c.ops) <= len(distinct)
-        for k, i in enumerate(interpretations_of({"p", "q"})):
-            # On two atoms, ``interpretations_of`` order is bit order.
+        for i in interpretations_of({"p", "q"}):
+            k = sum(1 << j for j, a in enumerate(c.names) if a in i)
             assert (c.vals[-1] >> k & 1) == satisfies(i, lf)
+
+
+class TestTopOfCap:
+    def test_sparse_ring_of_twenty_atoms(self):
+        # The ring forces all atoms equal; every third atom is a choice.
+        names = [f"a{i}" for i in range(20)]
+        rules = [f"{names[(i + 1) % 20]} -> {a}" for i, a in enumerate(names)]
+        rules += [f"{a} | not {a}" for a in names[::3]]
+        report = analyze(parse_theory(". ".join(rules) + "."))
+        both = [frozenset(), frozenset(names)]
+        assert report.classical == report.stable == both
+        assert report.pointwise_stable == both
+
+    def test_free_choice_on_sixteen_atoms(self):
+        names = [f"a{i}" for i in range(16)]
+        t = parse_theory(". ".join(f"{a} | not {a}" for a in names) + ".")
+        assert classical_models(t) == list(interpretations_of(names))
