@@ -18,15 +18,17 @@ Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the
 loops of each larger component, found by a search that branches on its
 vertices and prunes by reachability, so its work grows with the loops
-found rather than with the 2**k vertex subsets.  The 16-vertex
-``SUBSET_CAP`` applies to the largest component, not to the whole
-graph.
+found rather than with the 2**k vertex subsets.  Given a limit, the
+search gives up as soon as it has found more loops than that.  The
+16-vertex ``SUBSET_CAP`` applies to the largest component, not to the
+whole graph, and only ``strongly_connected_subsets`` checks it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .errors import check_cap
 from .formula import (
@@ -99,8 +101,8 @@ def _components(
     lexicographically.
 
     ``sccs`` and ``strongly_connected_subsets`` read both from one call,
-    and so does ``semantics``' path choice, which sizes the components
-    before it hands the pair to ``_loops``.
+    and so does ``semantics``' path choice, which hands the pair to
+    ``_loops`` with a limit on the loops that pay.
     """
     succ: dict[Atom, list[Atom]] = {v: [] for v in g.vertices}
     for (a, b) in sorted(g.edges):
@@ -180,8 +182,9 @@ def _reach(adjacency: list[int], start: int, allowed: int) -> int:
     return seen
 
 
-def _component_loops(forward: list[int], backward: list[int]) -> list[int]:
-    """The masks of the strongly connected vertex sets of one component.
+def _component_loops(forward: list[int], backward: list[int]) -> Iterator[int]:
+    """The masks of the strongly connected vertex sets of one component,
+    yielded as the search finds them, so that a caller may stop it.
 
     Each set is found once, from its lowest vertex v.  A search node holds
     the vertices included so far and the vertices still allowed: the
@@ -198,7 +201,6 @@ def _component_loops(forward: list[int], backward: list[int]) -> list[int]:
     of the 2**k vertex sets are not loops.
     """
     k = len(forward)
-    found = []
     for v in range(k):
         start = 1 << v
         # The vertices from v upward, shrunk to the part strongly
@@ -210,7 +212,7 @@ def _component_loops(forward: list[int], backward: list[int]) -> list[int]:
             included, allowed = stack.pop()
             undecided = allowed & ~included
             if not undecided:
-                found.append(included)
+                yield included
                 continue
             low = undecided & -undecided
             stack.append((included | low, allowed))
@@ -220,24 +222,25 @@ def _component_loops(forward: list[int], backward: list[int]) -> list[int]:
             rest = _reach(backward, start, rest)
             if not included & ~rest:
                 stack.append((included, rest))
-    return found
 
 
 def _loops(
-    succ: dict[Atom, list[Atom]], components: list[frozenset[Atom]]
-) -> list[frozenset[Atom]]:
-    """``strongly_connected_subsets`` from a graph's ``_components``."""
-    largest = max(map(len, components), default=0)
-    check_cap(largest, SUBSET_CAP, "loop enumeration")
-    loops: list[frozenset[Atom]] = []
+    succ: dict[Atom, list[Atom]],
+    components: list[frozenset[Atom]],
+    limit: float = float("inf"),
+) -> Optional[list[frozenset[Atom]]]:
+    """The loops of a graph from its ``_components``, sorted as
+    ``strongly_connected_subsets`` gives them, or None as soon as more
+    than ``limit`` are found, counting the singletons first."""
+    loops = [comp for comp in components if len(comp) == 1]
+    if len(loops) > limit:
+        return None
     for comp in components:
         if len(comp) == 1:
-            loops.append(comp)
             continue
         names = sorted(comp)
         bit = {v: n for n, v in enumerate(names)}
-        forward = [0] * len(names)
-        backward = [0] * len(names)
+        forward, backward = [0] * len(names), [0] * len(names)
         for v in names:
             for w in succ[v]:
                 if w in bit:
@@ -247,6 +250,8 @@ def _loops(
             loops.append(frozenset(
                 v for n, v in enumerate(names) if mask >> n & 1
             ))
+            if len(loops) > limit:
+                return None
     loops.sort(key=lambda ys: (len(ys), sorted(ys)))
     return loops
 
@@ -258,11 +263,14 @@ def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
     subset lies inside one strongly connected component, so each
     component with k > 1 vertices is searched on its own, branching on
     its vertices with reachability pruning (``_component_loops``), and
-    ``SUBSET_CAP`` bounds the largest component, not the whole graph.
-    The result is in ``interpretations_of`` order: by size, then
-    lexicographically.
+    ``SUBSET_CAP`` bounds the largest component, not the whole graph;
+    this is the one place the cap is checked.  The result is in
+    ``interpretations_of`` order: by size, then lexicographically.
     """
-    return _loops(*_components(g))
+    succ, components = _components(g)
+    largest = max(map(len, components), default=0)
+    check_cap(largest, SUBSET_CAP, "loop enumeration")
+    return _loops(succ, components)
 
 
 def subgraph_of(small: DepGraph, big: DepGraph) -> bool:

@@ -18,11 +18,12 @@ Stability and pointwise stability then come from one of two paths:
   <I - Y, I> a here-and-there model.  The singleton loops alone decide
   pointwise stability.
 
-The path is chosen per theory by a cost model: n loop passes at least,
-or the bound of 2**k - 1 loops per strongly connected component of k
-atoms, each over 2**n points, against one pass over 2**|I| points per
-classical model I.  Small theories skip the graph build, and a component
-over ``SUBSET_CAP`` keeps the per-model path.  Supported models are the
+The path is chosen per theory by one cost model: one pass over 2**n
+points per loop, against one pass over 2**|I| points per classical
+model I.  Their prices give the number of loops up to which the loop
+path pays.  If that is not more than the n singleton loops, the graph is
+not built; else the loop search gives up as soon as it has found more
+loops than that, and the per-model path runs.  Supported models are the
 classical models where the support halves of ``completion`` hold too,
 read in ``analyze`` from the sweep's classical pass.  Every enumerator
 is guarded by a hard cap (default 20 atoms), checked before any table
@@ -54,7 +55,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .depgraph import SUBSET_CAP, _components, _loops, g_pnn
+from .depgraph import _components, _loops, g_pnn
 from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
     BOT,
@@ -557,16 +558,16 @@ def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, int]:
 # A pass over 2**w points costs about 1 + 2**w / _WIDE_BITS of them: on a
 # 63-op theory a pass costs 0.16 us per op up to w = 4, 0.34 us at
 # w = 11, 0.54 at 12, 4.5 at 16, 23 at 18 and 132 at 20.  Building the
-# pnn graph, its components and its loops costs about _GRAPH_PASSES: on
-# two samples of about 500 random theories of 2 to 10 atoms, 12 picked
-# the faster path for all but 9 and 8 (0 missed 247 and 262), and 13,
-# within 0.2 % of 12's total time, keeps every theory of at most 4 atoms
-# (cost at most 16 + 3**4 / 2048 < 13 + 4 * (1 + 16 / 2048)) per model.
-# These figures were measured when loops were found by testing all
-# 2**k - 1 vertex masks of each component.  The branching search of
-# ``depgraph._component_loops`` that replaced it is about as fast on
-# complete components and much faster on sparse ones; the constant has
-# not been measured again.
+# pnn graph, its components and its loops costs about _GRAPH_PASSES:
+# two samples of 500 random theories of 2 to 10 atoms (rules, choices and
+# free formulas; Python 3.11, 2-core shared VM), timed with the budgeted
+# loop search, 13 picked the slower path for 89 and 86 of them, costing
+# 7 % and 10 % over always taking the faster one.  4 would miss 25 and
+# 32 (1 %), and 0 misses 177 and 196 (8 %).  13 is the least integer
+# that keeps every theory of at most 4 atoms (cost at most
+# 16 + 3**4 / 2048 < 13 + 4 * (1 + 16 / 2048)) per model, so that fuzz
+# checks the loop oracles against a path that uses no loops, and of the
+# values that do, it misses fewest on both samples.
 _WIDE_BITS = 2048
 _GRAPH_PASSES = 13
 
@@ -576,22 +577,19 @@ def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]
     costs less than one pass per classical model I over 2**|I| points,
     else None.
 
-    The graph is built only if the n singleton loops alone would pay.
-    Its loops are then counted by their bound, the sum of 2**k - 1 over
-    the strongly connected components, before they are enumerated.
+    Both prices give one limit: the loop count up to which the loop path
+    pays.  The graph is built only if the n singleton loops stay under
+    it, and the loop search gives up as soon as it finds more loops.
     """
-    per_model = sum(1 + (1 << k.bit_count()) / _WIDE_BITS for k in c.keys)
-    n = len(c.names)
-    per_loop = 1 + (1 << n) / _WIDE_BITS
-    if _GRAPH_PASSES + n * per_loop >= per_model:
+    # The 2**|I| points of every classical model I, summed without a
+    # Python-level loop over the models.
+    points = sum(map((1).__lshift__, map(int.bit_count, c.keys)))
+    per_model = len(c.keys) + points / _WIDE_BITS
+    per_loop = 1 + (1 << len(c.names)) / _WIDE_BITS
+    limit = (per_model - _GRAPH_PASSES) / per_loop
+    if limit <= len(c.names):
         return None
-    succ, components = _components(g_pnn(t))
-    if max(map(len, components)) > SUBSET_CAP:
-        return None
-    bound = sum((1 << len(comp)) - 1 for comp in components)
-    if _GRAPH_PASSES + bound * per_loop >= per_model:
-        return None
-    return _loops(succ, components)
+    return _loops(*_components(g_pnn(t)), limit)
 
 
 def _sweep(t: Theory, cap: int) -> tuple[_Classical, int, int]:

@@ -500,6 +500,13 @@ class TestLoopCapOnModels:
         assert err == ""
         assert "stable (whole): {}\n" in out
 
+    def test_loops_keeps_the_cap(self, capsys, monkeypatch):
+        f = " & ".join(f"({r})" for r in self.RULES)
+        code, out, err = run(capsys, "loops", stdin=f, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "loop enumeration: 17 atoms exceeds" in err
+
 
 class TestNes:
     def test_prints_canonical_formula(self, capsys, monkeypatch):

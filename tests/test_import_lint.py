@@ -20,7 +20,9 @@ them except ``__init__``; ``loopformulas`` defines them and prints the
 production text with ``NesPrinter``.
 
 Subsets are enumerated in one place: ``itertools.combinations`` is used
-only inside ``semantics.interpretations_of``.
+only inside ``semantics.interpretations_of``.  And loop search has one
+cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
+other module prices or refuses loop enumeration by component size.
 """
 
 import ast
@@ -51,6 +53,7 @@ ORACLE_ALLOWED = {
 }
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
 SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
+CAP_OWNER = "depgraph"
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
@@ -101,23 +104,36 @@ def oracle_imports(tree, module):
     )
 
 
-def combinations_uses(tree, module):
-    """Lines that name ``combinations`` outside the one subset enumerator."""
-    lines = []
+def _names(tree):
+    """Each name, attribute and imported name of the module, with its line
+    and the innermost function it sits in (None at module level)."""
     stack = [(tree, None)]
     while stack:
         node, function = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         field = NAME_FIELDS.get(type(node))
-        if (
-            field
-            and getattr(node, field) == "combinations"
-            and (module, function) != SUBSET_ENUMERATOR
-        ):
-            lines.append(node.lineno)
+        if field:
+            yield getattr(node, field), node.lineno, function
         stack += ((child, function) for child in ast.iter_child_nodes(node))
-    return sorted(lines)
+
+
+def combinations_uses(tree, module):
+    """Lines that name ``combinations`` outside the one subset enumerator."""
+    return sorted(
+        line
+        for name, line, function in _names(tree)
+        if name == "combinations" and (module, function) != SUBSET_ENUMERATOR
+    )
+
+
+def cap_uses(tree, module):
+    """Lines that name ``SUBSET_CAP`` outside ``depgraph``."""
+    return sorted(
+        line
+        for name, line, _ in _names(tree)
+        if name == "SUBSET_CAP" and module != CAP_OWNER
+    )
 
 
 @pytest.mark.parametrize(
@@ -173,6 +189,26 @@ def test_lint_flags_combinations_uses():
     )
     assert combinations_uses(tree, "semantics") == [2, 6]
     assert combinations_uses(tree, "depgraph") == [2, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
+)
+def test_one_loop_cost_model(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert cap_uses(tree, path.stem) == []
+
+
+def test_lint_flags_cap_uses():
+    tree = ast.parse(
+        "from .depgraph import SUBSET_CAP as CAP, _loops\n"
+        "import stablemodels.depgraph as depgraph\n"
+        "def fits(k):\n"
+        "    return k <= depgraph.SUBSET_CAP\n"
+        "LIMIT = SUBSET_CAP\n"
+    )
+    assert cap_uses(tree, "semantics") == [1, 4, 5]
+    assert cap_uses(tree, "depgraph") == []
 
 
 def test_lint_flags_oracle_imports():

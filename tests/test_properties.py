@@ -10,6 +10,7 @@ from unittest import mock
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import stablemodels.depgraph as depgraph
 import stablemodels.loopformulas as loopformulas
 from stablemodels import (
     BOT,
@@ -248,6 +249,15 @@ def graphs(draw):
 @given(graphs())
 def test_loops_match_subset_scan(g):
     assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
+
+
+@settings(deadline=None)
+@given(graphs(), st.data())
+def test_budgeted_loops_give_all_loops_or_none(g, data):
+    loops = strongly_connected_subsets(g)
+    limit = data.draw(st.integers(0, len(loops) + 2))
+    budgeted = depgraph._loops(*depgraph._components(g), limit)
+    assert budgeted == (loops if len(loops) <= limit else None)
 
 
 @st.composite

@@ -30,8 +30,14 @@ from stablemodels import (
     supported_models,
     theory_atoms,
 )
-from stablemodels import semantics
-from stablemodels.semantics import _classical_pass, _loops_that_pay
+from stablemodels import depgraph, semantics
+from stablemodels.semantics import (
+    _by_loops,
+    _classical_pass,
+    _loops_that_pay,
+    _per_model,
+    stable_and_pointwise_models,
+)
 from conftest import P3_TEXT, mset, sweep_paths
 
 TAUT = Implies(BOT, BOT)
@@ -252,16 +258,50 @@ class TestSweepPaths:
         assert by_sp[1] == [mset(), mset("p", "q")]
         assert by_pnn[1] == [mset()] == stable_models(t)
 
-    def test_component_over_subset_cap_takes_per_model_path(self):
+    def test_loops_that_do_not_pay_take_per_model_path(self, monkeypatch):
         t = ring(17)
         with pytest.raises(CapExceededError, match="loop enumeration"):
             strongly_connected_subsets(g_pnn(t))
         c = _classical_pass(t, theory_atoms(t))
         # Enough classical models to build the graph: n = 17 singleton
         # passes over 2**17 points would cost less than 3572 small ones.
+        # The ring's 3588 loops would not, so the search gives up once it
+        # has found more loops than the limit that still pays.
         assert len(c.models) == 3572
+        limits, passes = [], []
+        loops, reach = semantics._loops, depgraph._reach
+
+        def budgeted(succ, components, limit):
+            limits.append(limit)
+            return loops(succ, components, limit)
+
+        def counted(adjacency, start, allowed):
+            passes.append(start)
+            return reach(adjacency, start, allowed)
+
+        monkeypatch.setattr(semantics, "_loops", budgeted)
+        monkeypatch.setattr(depgraph, "_reach", counted)
         assert _loops_that_pay(t, c) is None
+        [limit] = limits
+        assert 17 < limit < 3588
+        # At most 2k passes per loop found, up to the first loop over the
+        # limit, against 10457 passes for all 3588 loops.
+        assert 0 < len(passes) <= 2 * 17 * (limit + 1)
         assert stable_models(t) == [mset()]
+
+    def test_sparse_ring_over_many_models_takes_loop_path(self):
+        # A ring of 12 atoms, each also a choice, with c in every head:
+        # 4098 classical models and 14 loops (the ring and 13
+        # singletons), far fewer than the ring's 2**12 - 1 vertex sets.
+        rules = [f"a{(i + 1) % 12} -> a{i} | c" for i in range(12)]
+        rules += [f"not not a{i} -> a{i}" for i in range(12)]
+        t = parse_theory(". ".join(rules) + ".")
+        c = _classical_pass(t, theory_atoms(t))
+        assert len(c.models) == 4098
+        loops = _loops_that_pay(t, c)
+        assert loops == strongly_connected_subsets(g_pnn(t))
+        assert len(loops) == 14
+        assert _by_loops(c, loops) == _per_model(c)
 
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
@@ -326,6 +366,18 @@ class TestTopOfCap:
         both = [frozenset(), frozenset(names)]
         assert report.classical == report.stable == both
         assert report.pointwise_stable == both
+
+    def test_normal_ring_of_seventeen_atoms(self):
+        # Without c the ring forces its 16 atoms, each a choice, equal.
+        names = [f"a{i}" for i in range(16)]
+        rules = [
+            f"{names[(i + 1) % 16]} & not c -> {a}" for i, a in enumerate(names)
+        ]
+        rules += [f"not not {a} -> {a}" for a in names]
+        t = parse_theory(". ".join(rules) + ".")
+        assert len(classical_models(t)) == 2**16 + 2
+        both = [frozenset(), frozenset(names)]
+        assert stable_and_pointwise_models(t) == (both, both)
 
     def test_free_choice_on_sixteen_atoms(self):
         names = [f"a{i}" for i in range(16)]
