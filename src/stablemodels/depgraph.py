@@ -232,7 +232,8 @@ def _loops(
     """The loops of a graph from its ``_components``, sorted as
     ``strongly_connected_subsets`` gives them, or None as soon as more
     than ``limit`` are found, counting the singletons first."""
-    loops = [comp for comp in components if len(comp) == 1]
+    # Each loop as its names in ascending order, for the sort.
+    loops = [tuple(comp) for comp in components if len(comp) == 1]
     if len(loops) > limit:
         return None
     for comp in components:
@@ -247,13 +248,15 @@ def _loops(
                     forward[bit[v]] |= 1 << bit[w]
                     backward[bit[w]] |= 1 << bit[v]
         for mask in _component_loops(forward, backward):
-            loops.append(frozenset(
+            loops.append(tuple(
                 v for n, v in enumerate(names) if mask >> n & 1
             ))
             if len(loops) > limit:
                 return None
-    loops.sort(key=lambda ys: (len(ys), sorted(ys)))
-    return loops
+    # By names, then stably by size: the order of (size, names).
+    loops.sort()
+    loops.sort(key=len)
+    return list(map(frozenset, loops))
 
 
 def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:

@@ -4,9 +4,10 @@ This module alone knows the shape of a loop formula: the conjunction,
 over the atoms A of Y, of A -> not NES(f, Y), one support shared by
 every conjunct.  ``nes`` and ``loop_formula`` build these formulas; the
 oracles and the tests use them.  Their text comes from ``NesPrinter``,
-which walks each distinct node of f once and keeps f's text and the
-text of NES(f, {}) as one token template; the text for a set Y walks
-down only the subtrees that meet Y and copies the others.
+whose one walk of f renders the text of NES(f, {}) as one token list;
+f's own text is a mode of that walk, since NES copies every
+implication of f.  The text for a set Y walks down only the subtrees
+that meet Y and copies the others from the list.
 ``loop_formulas`` gives each loop of a graph with its loop formula as
 text, printing the support once per loop; ``nes_text`` is the ``nes``
 command's text.  ``_loops`` is the one source of loops: the loops of a
@@ -138,13 +139,6 @@ def _levels(g: Formula) -> tuple[int, int]:
     return level, level
 
 
-def _enter(g: Formula, min_level: int) -> tuple[Formula, bool, bool, bool]:
-    """The stack item that enters ``g`` as an operand printed at
-    ``min_level``: whether it is parenthesized in f's and in NES's text."""
-    f_level, nes_level = _levels(g)
-    return g, f_level < min_level, nes_level < min_level, False
-
-
 def _operand(g: Formula, pos: int, min_level: int) -> tuple:
     """The items that print NES(g, Y), g at ``pos``, as an operand at
     ``min_level``."""
@@ -155,150 +149,149 @@ class NesPrinter:
     """The text of NES(f, Y) for any set Y of ``f``'s atoms, as
     ``print_formula(nes(f, Y))`` prints it, from one walk of f.
 
-    The walk visits each distinct node of f once (the nodes that ``<->``
-    shares are told apart by identity).  It records a bit signature of
-    each node's atoms and renders two token lists, in which every node's
-    text is one span: the text of f and the text of NES(f, {}).  A
-    subtree with no atom of Y has the same NES text for every Y, so
-    printing for Y walks down only the nodes whose signature meets Y's
-    and copies every other subtree's span as a list slice; the copy of
-    F -> G in NES(F -> G) = (NES F -> NES G) & (F -> G) is a span of f's
-    tokens.  Whether an atom is in Y is decided by name, so a signature
-    bit shared by two atoms only sends the walk down a subtree that it
-    could have copied.  Parentheses follow from the levels of
-    ``_levels``.  Memory is linear in the printed size of NES(f, {}):
-    spans are slices of the two lists, not a string per node.
+    The walk renders NES(f, {}) into one token list, in which every
+    node's text is one span, and records a bit signature of each node's
+    atoms.  The text of f is a mode of the same walk, entered where
+    NES(F -> G) = (NES F -> NES G) & (F -> G) copies an implication, so
+    the list holds the text of every implication of f as well.  A
+    compound node is printed once in each mode (the nodes that ``<->``
+    shares are told apart by identity) and copied as a span when met
+    again.  A subtree with no atom of Y has the same NES text for every
+    Y, so printing for Y walks down only the nodes whose signature meets
+    Y's and copies every other subtree's span as a list slice.  Whether
+    an atom is in Y is decided by name, so a signature bit shared by two
+    atoms only sends the walk down a subtree that it could have copied.
+    Parentheses follow from the levels of ``_levels``.  Memory is linear
+    in the printed size of NES(f, {}): spans are slices of the one list,
+    not a string per node.
     """
 
     def __init__(self, f: Formula):
         bits: dict[Atom, int] = {}
-        f_tokens: list[str] = []
-        nes_tokens: list[str] = []
+        tokens: list[str] = []
         # By node position, in order of first visit: the atom signature,
-        # the spans in f_tokens and nes_tokens (start offsets until the
-        # node is left), and the items of NES(g, Y) for a Y that meets g.
+        # the spans of f's and NES's text of the node (None until it is
+        # printed in that mode), and the items of NES(g, Y) for a Y that
+        # meets g.
         masks: list[int] = []
-        f_spans: list = []
-        nes_spans: list = []
+        spans: tuple[list, list] = ([], [])
         expand: list[tuple] = []
         position: dict[int, int] = {}
-        # Items are tokens for both lists and (node, parenthesized in f,
-        # parenthesized in NES, done) tuples; ``done`` marks a node whose
-        # operands have been printed.
-        stack: list = [_enter(f, _LV_IMPL)]
+        # Items are tokens, (node, in NES, minimum level) operands, and
+        # [node, in NES, start, position] markers that close a node's
+        # first printing.
+        stack: list = [(f, True, _LV_IMPL)]
         while stack:
             item = stack.pop()
-            if type(item) is str:
-                f_tokens.append(item)
-                nes_tokens.append(item)
+            kind = type(item)
+            if kind is str:
+                tokens.append(item)
                 continue
-            g, f_open, nes_open, done = item
-            kind = type(g)
-            if not done:
-                if f_open:
-                    f_tokens.append("(")
-                if nes_open:
-                    nes_tokens.append("(")
+            if kind is tuple:
+                g, in_nes, min_level = item
+                if not in_nes and type(g) is AtomRef:
+                    # f's text of an atom needs no span.
+                    tokens.append(g.name)
+                    continue
+                if min_level > _LV_IMPL and _levels(g)[in_nes] < min_level:
+                    tokens.append("(")
+                    stack.append(")")
                 i = position.get(id(g))
                 if i is None:
-                    position[id(g)] = len(masks)
+                    i = position[id(g)] = len(masks)
                     masks.append(0)
-                    f_spans.append(len(f_tokens))
-                    nes_spans.append(len(nes_tokens))
+                    spans[0].append(None)
+                    spans[1].append(None)
                     expand.append(())
-                    stack.append((g, f_open, nes_open, True))
-                    if kind is AtomRef:
-                        stack.append(g.name)
-                    elif kind is Bottom:
-                        stack.append("bot")
-                    elif kind is not Implies:
-                        _, text, left_min, right_min = _INFIX[kind]
-                        stack += (
-                            _enter(g.right, right_min), text,
-                            _enter(g.left, left_min),
-                        )
-                    elif type(g.consequent) is Bottom:
-                        f_tokens.append("not ")
-                        nes_tokens.append("not ")
-                        stack.append(_enter(g.antecedent, _LV_NOT))
-                    else:
-                        nes_tokens.append("(")
-                        stack += (
-                            _enter(g.consequent, _LV_IMPL), " -> ",
-                            _enter(g.antecedent, _LV_OR),
-                        )
+                span = spans[in_nes][i]
+                if span is not None:
+                    # A shared node: its text is printed already.
+                    tokens += tokens[span]
                     continue
-                # A shared node: its text is printed already.
-                f_tokens += f_tokens[f_spans[i]]
-                nes_tokens += nes_tokens[nes_spans[i]]
-            else:
-                i = position[id(g)]
-                f_span = f_spans[i] = slice(f_spans[i], len(f_tokens))
-                if kind is AtomRef:
-                    bit = 1 << len(bits) % _SIGNATURE_BITS
-                    masks[i] = bits.setdefault(g.name, bit)
-                    items = ((g.name, ("bot",), (g.name,)),)
-                elif kind is Bottom:
-                    items = ()
+                stack.append([g, in_nes, len(tokens), i])
+                kind = type(g)
+                if kind is AtomRef or kind is Bottom:
+                    tokens.append("bot" if kind is Bottom else g.name)
                 elif kind is not Implies:
                     _, text, left_min, right_min = _INFIX[kind]
-                    l_pos, r_pos = position[id(g.left)], position[id(g.right)]
-                    masks[i] = masks[l_pos] | masks[r_pos]
-                    items = (
-                        *_operand(g.left, l_pos, left_min), text,
-                        *_operand(g.right, r_pos, right_min),
+                    stack += (
+                        (g.right, in_nes, right_min), text,
+                        (g.left, in_nes, left_min),
                     )
                 elif type(g.consequent) is Bottom:
-                    l_pos = position[id(g.antecedent)]
-                    masks[i] = masks[l_pos]
-                    nes_tokens.append(" & ")
-                    nes_tokens += f_tokens[f_span]
-                    items = (
-                        "not ", *_operand(g.antecedent, l_pos, _LV_NOT),
-                        " & ", f_span,
-                    )
+                    if in_nes:
+                        stack += ((g, False, _LV_AND + 1), " & ")
+                    stack.append((g.antecedent, in_nes, _LV_NOT))
+                    tokens.append("not ")
                 else:
-                    left, right = g.antecedent, g.consequent
-                    l_pos, r_pos = position[id(left)], position[id(right)]
-                    masks[i] = masks[l_pos] | masks[r_pos]
-                    nes_tokens.append(") & (")
-                    nes_tokens += f_tokens[f_span]
-                    nes_tokens.append(")")
-                    items = (
-                        "(", *_operand(left, l_pos, _LV_OR), " -> ", r_pos,
-                        ") & (", f_span, ")",
+                    if in_nes:
+                        # The text of F -> G is the second conjunct.
+                        stack += (")", (g, False, _LV_IMPL), ") & (")
+                        tokens.append("(")
+                    stack += (
+                        (g.consequent, in_nes, _LV_IMPL), " -> ",
+                        (g.antecedent, in_nes, _LV_OR),
                     )
-                    if type(right) is AtomRef:
-                        # NES(y) is bottom for y in Y, and the first
-                        # conjunct is printed "not NES(F)".
-                        in_y = (
-                            "not ", *_operand(left, l_pos, _LV_NOT), " & (",
-                            f_span, ")",
-                        )
-                        items = ((right.name, in_y[::-1], items[::-1]),)
-                nes_spans[i] = slice(nes_spans[i], len(nes_tokens))
-                expand[i] = items[::-1]
-            if f_open:
-                f_tokens.append(")")
-            if nes_open:
-                nes_tokens.append(")")
+                continue
+            # A marker: the node's first printing is complete.
+            g, in_nes, start, i = item
+            spans[in_nes][i] = slice(start, len(tokens))
+            kind = type(g)
+            if not in_nes or kind is Bottom:
+                continue
+            if kind is AtomRef:
+                bit = 1 << len(bits) % _SIGNATURE_BITS
+                masks[i] = bits.setdefault(g.name, bit)
+                items = ((g.name, ("bot",), (g.name,)),)
+            elif kind is not Implies:
+                _, text, left_min, right_min = _INFIX[kind]
+                l_pos, r_pos = position[id(g.left)], position[id(g.right)]
+                masks[i] = masks[l_pos] | masks[r_pos]
+                items = (
+                    *_operand(g.left, l_pos, left_min), text,
+                    *_operand(g.right, r_pos, right_min),
+                )
+            elif type(g.consequent) is Bottom:
+                l_pos = position[id(g.antecedent)]
+                masks[i] = masks[l_pos]
+                items = (
+                    "not ", *_operand(g.antecedent, l_pos, _LV_NOT), " & ",
+                    spans[0][i],
+                )
+            else:
+                left, right = g.antecedent, g.consequent
+                l_pos, r_pos = position[id(left)], position[id(right)]
+                masks[i] = masks[l_pos] | masks[r_pos]
+                f_span = spans[0][i]
+                items = (
+                    "(", *_operand(left, l_pos, _LV_OR), " -> ", r_pos,
+                    ") & (", f_span, ")",
+                )
+                if type(right) is AtomRef:
+                    # NES(y) is bottom for y in Y, and the first conjunct
+                    # is printed "not NES(F)".
+                    in_y = (
+                        "not ", *_operand(left, l_pos, _LV_NOT), " & (",
+                        f_span, ")",
+                    )
+                    items = ((right.name, in_y[::-1], items[::-1]),)
+            expand[i] = items[::-1]
         self._bits = bits
-        self._f_tokens = f_tokens
-        self._nes_tokens = nes_tokens
+        self._tokens = tokens
         self._masks = masks
-        self._nes_spans = nes_spans
+        self._spans = spans[1]
         self._expand = expand
-        self._root_atomic = _levels(f)[1] == _LV_NOT
+        self._support = ("not ", *_operand(f, 0, _LV_NOT))[::-1]
 
     def _print(self, items: list, ys: frozenset[Atom]) -> str:
-        # ``items`` is a stack: node positions, tokens, slices of f's
+        # ``items`` is a stack: node positions, tokens, slices of the
         # tokens, and (atom, items if it is in Y, items otherwise) choices.
         bits = self._bits
         y_mask = 0
         for a in ys:
             y_mask |= bits[a]
-        f_tokens, nes_tokens = self._f_tokens, self._nes_tokens
-        masks, nes_spans, expand = self._masks, self._nes_spans, self._expand
+        tokens, masks = self._tokens, self._masks
+        spans, expand = self._spans, self._expand
         out: list[str] = []
         stack = items
         while stack:
@@ -308,11 +301,11 @@ class NesPrinter:
                 if masks[item] & y_mask:
                     stack += expand[item]
                 else:
-                    out += nes_tokens[nes_spans[item]]
+                    out += tokens[spans[item]]
             elif kind is str:
                 out.append(item)
             elif kind is slice:
-                out += f_tokens[item]
+                out += tokens[item]
             else:
                 atom, in_y, otherwise = item
                 stack += in_y if atom in ys else otherwise
@@ -324,9 +317,7 @@ class NesPrinter:
 
     def support(self, ys: frozenset[Atom]) -> str:
         """The text of not NES(f, ys), the support of a loop formula."""
-        if self._root_atomic:
-            return self._print([0, "not "], ys)
-        return self._print([")", 0, "(", "not "], ys)
+        return self._print([*self._support], ys)
 
 
 def nes_text(f: Formula, y: Iterable[Atom]) -> str:
@@ -393,8 +384,12 @@ def loop_verdicts(
 def _loop_oracle_at(
     i: Interpretation, f: Formula, kind: Optional[GraphKind]
 ) -> bool:
-    """Whether ``i`` is in ``loop_oracle_models(f, kind)``."""
-    check_cap(len(atoms(f)), DEFAULT_CAP, "loop-formula enumeration")
+    """Whether ``i`` is in ``loop_oracle_models(f, kind)``.  Only the
+    family of every atom subset (None), 2^n sets, is held to
+    ``DEFAULT_CAP``; a graph's loops are bounded by the component cap of
+    ``strongly_connected_subsets``."""
+    if kind is None:
+        check_cap(len(atoms(f)), DEFAULT_CAP, "loop-formula enumeration")
     return all(loop_verdicts(i, f, _loops(f, kind)))
 
 

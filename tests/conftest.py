@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import io
+import sys
 
 import pytest
 
@@ -28,6 +31,7 @@ from stablemodels import (
     supported_models,
     theory_atoms,
 )
+from stablemodels.cli import main
 from stablemodels.formula import positive_nonnegated_atoms
 from stablemodels.semantics import (
     _by_loops,
@@ -45,6 +49,20 @@ NESTED_TEXT = "((p -> q) -> r) -> s"
 
 def mset(*names):
     return frozenset(names)
+
+
+def run_cli(argv, stdin=""):
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
 
 
 def dependency_graph_scan(t, kind):

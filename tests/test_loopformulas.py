@@ -9,6 +9,7 @@ from stablemodels import (
     BOT,
     AtomRef,
     AtomsOutsideFormulaError,
+    CapExceededError,
     GraphKind,
     atoms,
     classical_models,
@@ -23,7 +24,7 @@ from stablemodels import (
     stable_via_loops,
 )
 from stablemodels.loopformulas import NesPrinter, loop_formulas
-from conftest import mset
+from conftest import mset, run_cli
 
 PQ = mset("p", "q")
 ALL_PQ = list(interpretations_of(PQ))
@@ -164,6 +165,22 @@ def test_single_point_oracles_build_no_graph_for_a_non_model(graph_builds):
 def _rule_chain(n):
     # (a1 -> a0) & (a2 -> a1) & ...: a left-associated conjunction.
     return parse_formula(" & ".join(f"(a{k + 1} -> a{k})" for k in range(n)))
+
+
+@pytest.mark.parametrize("i", [(), ("a0",), ("a29", "a30")])
+def test_graph_oracles_take_no_atom_cap_as_loops_i_does(i):
+    # 31 atoms, past DEFAULT_CAP, and only singleton loops: the graph
+    # oracles answer as ``loops -i`` does, while the family of every atom
+    # subset (2**31 sets) is still held to the cap.
+    f = _rule_chain(30)
+    for kind in GraphKind:
+        argv = ["loops", "--graph", kind.value, "-i", ",".join(i)]
+        code, out = run_cli(argv, print_formula(f))
+        assert code == 0
+        accepted = " accepted by " in out.splitlines()[-1]
+        assert stable_via_loops(frozenset(i), f, kind) == accepted
+    with pytest.raises(CapExceededError):
+        stable_via_all_sets(frozenset(i), f)
 
 
 def test_loop_formulas_print_a_long_conjunction_of_rules():

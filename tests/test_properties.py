@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import random
-import sys
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -46,8 +45,8 @@ from stablemodels import (
     subgraph_of,
     theory_atoms,
 )
-from stablemodels.cli import COMMANDS, _parse_args, build_parser, main
-from stablemodels.formula import neg
+from stablemodels.cli import COMMANDS, _parse_args, build_parser
+from stablemodels.formula import neg, positive_nonnegated_atoms
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.semantics import (
     answer_json,
@@ -58,6 +57,7 @@ from conftest import (
     dependency_graph_scan,
     loop_oracle_scan,
     oracle_mismatches,
+    run_cli,
     strongly_connected_subsets_scan,
 )
 
@@ -114,6 +114,32 @@ def test_spos_matches_occurrence_classification(f):
         a for a, ctx in classify_occurrences(f) if ctx.antecedent_count == 0
     }
     assert spos(f) == via_contexts
+
+
+# Formulas with negations drawn as often as the other connectives, so
+# that an occurrence is often positive but negated, as a is in not (a -> b).
+negating_formulas = st.recursive(
+    st.one_of(st.just(BOT), st.builds(AtomRef, atom_names)),
+    lambda child: st.one_of(
+        st.builds(And, child, child),
+        st.builds(Or, child, child),
+        st.builds(Implies, child, child),
+        st.builds(neg, child),
+    ),
+    max_leaves=12,
+)
+
+
+@given(negating_formulas)
+def test_pnn_matches_occurrence_classification(f):
+    # The pnn rule against its definition: ``dependency_graph_scan``
+    # calls ``positive_nonnegated_atoms`` itself, so the graph properties
+    # cannot catch a wrong classification.
+    via_contexts = {
+        a for a, ctx in classify_occurrences(f)
+        if ctx.positive and ctx.nonnegated
+    }
+    assert positive_nonnegated_atoms(f) == via_contexts
 
 
 @given(formulas)
@@ -296,23 +322,9 @@ def test_loops_match_subset_scan_on_shaped_graphs(g):
     assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
 
 
-def _cli(argv, stdin=""):
-    """Exit code and stdout of one in-process CLI call."""
-    out = io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
-            io.StringIO()
-        ):
-            code = main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
-
-
 def _loops_output(f, kind, interp):
     argv = ["loops", "--graph", kind.value, "-i", ",".join(interp)]
-    code, out = _cli(argv, print_formula(f))
+    code, out = run_cli(argv, print_formula(f))
     assert code == 0
     return out.splitlines()
 
@@ -376,7 +388,7 @@ def test_loops_lines_print_the_loop_formulas(f, kind, with_i, data):
     if with_i:
         interp = _draw_interpretation(f, data)
         argv += ["-i", ",".join(interp)]
-    code, out = _cli(argv, print_formula(f))
+    code, out = run_cli(argv, print_formula(f))
     assert code == 0
     loops = strongly_connected_subsets(graph_of((f,), kind))
     expected = []
@@ -424,7 +436,7 @@ def test_nes_text_matches_printed_nes(text):
         assert printer.support(ys) == support
         assert one_bit.support(ys) == support
         argv = ["nes", f"--atoms={','.join(sorted(ys))}"]
-        assert _cli(argv, text) == (0, print_formula(built) + "\n")
+        assert run_cli(argv, text) == (0, print_formula(built) + "\n")
 
 
 def _models_json(models):
@@ -444,7 +456,7 @@ def test_models_json_matches_json_dumps(t):
         "supported": _models_json(report.supported),
         "pointwise_stable": _models_json(report.pointwise_stable),
     }
-    code, out = _cli(["models", "--json"], print_theory(t))
+    code, out = run_cli(["models", "--json"], print_theory(t))
     assert code == 0
     assert out == json.dumps(expected, indent=2) + "\n"
 
@@ -464,7 +476,7 @@ def test_models_text_matches_format_models(t):
     if report.completion_theory is not None:
         expected.append("completion:")
         expected += [f"  {print_formula(f)}." for f in report.completion_theory]
-    code, out = _cli(["models"], print_theory(t))
+    code, out = run_cli(["models"], print_theory(t))
     assert code == 0
     assert out.splitlines() == expected
 
@@ -485,7 +497,7 @@ def test_split_json_matches_json_dumps(f, g, kind, data):
         "stable_part_g": _models_json(report.stable_part_g),
     }
     argv = ["split", print_formula(f), print_formula(g), "--p", ",".join(ps)]
-    code, out = _cli(argv + ["--graph", kind.value, "--json"])
+    code, out = run_cli(argv + ["--graph", kind.value, "--json"])
     assert code in (0, 3, 4)
     assert out == json.dumps(expected, indent=2) + "\n"
 
@@ -580,7 +592,7 @@ def cli_calls(draw):
 def test_cli_answers_any_short_input_with_an_exit_code(argv, stdin):
     # Whatever the text, each call ends in a documented exit code, 0 to
     # 5, and no exception escapes ``main``.
-    code, _ = _cli(argv, stdin)
+    code, _ = run_cli(argv, stdin)
     assert code in range(6)
 
 
