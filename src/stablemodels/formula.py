@@ -251,25 +251,34 @@ _LV_OR = 1
 _LV_AND = 2
 _LV_NOT = 3
 
-# Binary node type -> (its level, infix text, minimum levels of its
-# left and right operands): & and | associate left, -> right.
+# & and | -> (its level, infix text, minimum levels of its left and
+# right operands): both associate left; -> associates right.
 _INFIX = {
     And: (_LV_AND, " & ", _LV_AND, _LV_AND + 1),
     Or: (_LV_OR, " | ", _LV_OR, _LV_OR + 1),
-    Implies: (_LV_IMPL, " -> ", _LV_OR, _LV_IMPL),
 }
 
 
-def print_formula(f: Formula) -> str:
-    """Canonical text form; reparsing it yields a structurally equal AST."""
+def print_tokens(f: Formula) -> tuple[list[str], dict[int, slice]]:
+    """The tokens of ``print_formula(f)``, and the span of the tokens of
+    each implication of ``f`` (without enclosing parentheses) by the
+    node's id.  An implication met again, as ``<->`` shares its
+    operands, has its tokens copied rather than walked again."""
     out: list[str] = []
-    # Items are (node, minimum level) pairs and literal text, pushed in
-    # reverse so that they pop in output order.
+    spans: dict = {}
+    # Items are (node, minimum level) pairs, literal text, and the ids
+    # of implications whose tokens end there, pushed in reverse so that
+    # they pop in output order.  An implication's entry in ``spans`` is
+    # its first token's index until its tokens end.
     stack: list = [(f, _LV_IMPL)]
     while stack:
         item = stack.pop()
-        if type(item) is str:
+        kind = type(item)
+        if kind is str:
             out.append(item)
+            continue
+        if kind is int:
+            spans[item] = slice(spans[item], len(out))
             continue
         g, min_level = item
         kind = type(g)
@@ -277,22 +286,37 @@ def print_formula(f: Formula) -> str:
             out.append(g.name)
         elif kind is Bottom:
             out.append("bot")
-        elif kind is Implies and type(g.consequent) is Bottom:
-            # No operand asks for a level above _LV_NOT: never parenthesized.
-            out.append("not ")
-            stack.append((g.antecedent, _LV_NOT))
-        else:
+        elif kind is not Implies:
             level, text, left_min, right_min = _INFIX[kind]
             if level < min_level:
                 out.append("(")
                 stack += (")", (g, _LV_IMPL))
             else:
-                left, right = (
-                    (g.antecedent, g.consequent) if kind is Implies
-                    else (g.left, g.right)
+                stack += ((g.right, right_min), text, (g.left, left_min))
+        elif min_level != _LV_IMPL and type(g.consequent) is not Bottom:
+            # Only "not x" is never parenthesized: no operand asks for
+            # a level above _LV_NOT.
+            out.append("(")
+            stack += (")", (g, _LV_IMPL))
+        else:
+            key = id(g)
+            span = spans.setdefault(key, len(out))
+            if type(span) is slice:
+                out += out[span]
+            elif type(g.consequent) is Bottom:
+                out.append("not ")
+                stack += (key, (g.antecedent, _LV_NOT))
+            else:
+                stack += (
+                    key, (g.consequent, _LV_IMPL), " -> ",
+                    (g.antecedent, _LV_OR),
                 )
-                stack += ((right, right_min), text, (left, left_min))
-    return "".join(out)
+    return out, spans
+
+
+def print_formula(f: Formula) -> str:
+    """Canonical text form; reparsing it yields a structurally equal AST."""
+    return "".join(print_tokens(f)[0])
 
 
 def print_theory(t: Iterable[Formula]) -> str:

@@ -4,10 +4,10 @@ This module alone knows the shape of a loop formula: the conjunction,
 over the atoms A of Y, of A -> not NES(f, Y), one support shared by
 every conjunct.  ``nes`` and ``loop_formula`` build these formulas; the
 oracles and the tests use them.  Their text comes from ``NesPrinter``,
-whose one walk of f renders the text of NES(f, {}) as one token list;
-f's own text is a mode of that walk, since NES copies every
-implication of f.  The text for a set Y walks down only the subtrees
-that meet Y and copies the others from the list.
+whose one walk of f renders a template of NES(f, Y) for every Y:
+literal text, with a choice of text at each atom occurrence and around
+the antecedent of each rule F -> y, and f's own text cut from one
+printing of f.  The text for a set Y picks each choice and joins.
 ``loop_formulas`` gives each loop of a graph with its loop formula as
 text, printing the support once per loop; ``nes_text`` is the ``nes``
 command's text.  ``_loops`` is the one source of loops: the loops of a
@@ -33,7 +33,6 @@ from .errors import AtomsOutsideFormulaError, check_cap
 from .formula import (
     _INFIX,
     _LV_AND,
-    _LV_IMPL,
     _LV_NOT,
     _LV_OR,
     BOT,
@@ -43,9 +42,11 @@ from .formula import (
     Bottom,
     Formula,
     Implies,
+    Or,
     atoms,
     conj,
     neg,
+    print_tokens,
 )
 from .semantics import (
     DEFAULT_CAP,
@@ -118,206 +119,112 @@ def _loop_formula(f: Formula, ys: frozenset[Atom]) -> Formula:
     return conj(Implies(AtomRef(a), support) for a in sorted(ys))
 
 
-# A node's atoms are summarized by a signature of this many bits, atom k
-# of f setting bit k mod _SIGNATURE_BITS: exact up to this many atoms,
-# and a few machine words per node however many atoms f has.
-_SIGNATURE_BITS = 60
+# The precedence level of NES(g) by the type of g: NES keeps atoms and
+# bottom atomic (an atom of Y becomes bottom) and turns every
+# implication into a conjunction, so no level depends on Y.
+_NES_LEVEL = {
+    AtomRef: _LV_NOT, Bottom: _LV_NOT, And: _LV_AND, Or: _LV_OR,
+    Implies: _LV_AND,
+}
 
 
-def _levels(g: Formula) -> tuple[int, int]:
-    """The precedence levels of ``g``'s root in the text of f and in the
-    text of NES(f, Y), which are the same for every Y: NES keeps atoms
-    and bottom atomic (an atom of Y becomes bottom) and turns every
-    implication into a conjunction."""
-    kind = type(g)
-    if kind is AtomRef or kind is Bottom:
-        return _LV_NOT, _LV_NOT
-    if kind is Implies:
-        # "not x" is atomic in f's text.
-        return (_LV_NOT if type(g.consequent) is Bottom else _LV_IMPL), _LV_AND
-    level = _INFIX[kind][0]
-    return level, level
-
-
-def _operand(g: Formula, pos: int, min_level: int) -> tuple:
-    """The items that print NES(g, Y), g at ``pos``, as an operand at
+def _nes_operand(g: Formula, min_level: int) -> tuple:
+    """The stack items, in reverse, of NES(g) as an operand at
     ``min_level``."""
-    return ("(", pos, ")") if _levels(g)[1] < min_level else (pos,)
+    return (")", g, "(") if _NES_LEVEL[type(g)] < min_level else (g,)
 
 
 class NesPrinter:
     """The text of NES(f, Y) for any set Y of ``f``'s atoms, as
     ``print_formula(nes(f, Y))`` prints it, from one walk of f.
 
-    The walk renders NES(f, {}) into one token list, in which every
-    node's text is one span, and records a bit signature of each node's
-    atoms.  The text of f is a mode of the same walk, entered where
-    NES(F -> G) = (NES F -> NES G) & (F -> G) copies an implication, so
-    the list holds the text of every implication of f as well.  A
-    compound node is printed once in each mode (the nodes that ``<->``
-    shares are told apart by identity) and copied as a span when met
-    again.  A subtree with no atom of Y has the same NES text for every
-    Y, so printing for Y walks down only the nodes whose signature meets
-    Y's and copies every other subtree's span as a list slice.  Whether
-    an atom is in Y is decided by name, so a signature bit shared by two
-    atoms only sends the walk down a subtree that it could have copied.
-    Parentheses follow from the levels of ``_levels``.  Memory is linear
-    in the printed size of NES(f, {}): spans are slices of the one list,
-    not a string per node.
+    NES(f, Y) differs from NES(f, {}) only where an atom of Y occurs:
+    the atom prints ``bot``, and the first conjunct of NES(F -> y) prints
+    ``not NES(F)`` instead of ``(NES(F) -> y)``.  So the walk renders a
+    template: runs of literal text, each followed by a choice
+    ``(atom, text if it is in Y, text otherwise)``, one for each atom
+    occurrence and two around NES(F) in NES(F -> y).  The copies of an
+    implication that NES(F -> G) = (NES F -> NES G) & (F -> G) holds are
+    literal text, cut from the one printing of f by ``print_tokens``.
+    Printing for a Y picks each choice's text and joins.
     """
 
     def __init__(self, f: Formula):
-        bits: dict[Atom, int] = {}
-        tokens: list[str] = []
-        # By node position, in order of first visit: the atom signature,
-        # the spans of f's and NES's text of the node (None until it is
-        # printed in that mode), and the items of NES(g, Y) for a Y that
-        # meets g.
-        masks: list[int] = []
-        spans: tuple[list, list] = ([], [])
-        expand: list[tuple] = []
-        position: dict[int, int] = {}
-        # Items are tokens, (node, in NES, minimum level) operands, and
-        # [node, in NES, start, position] markers that close a node's
-        # first printing.
-        stack: list = [(f, True, _LV_IMPL)]
+        tokens, spans = print_tokens(f)
+        template: list = []
+        # One object for each distinct literal run and atom choice: the
+        # operands that ``<->`` shares repeat both many times.
+        literals: dict[str, str] = {}
+        atom_choices: dict[Atom, tuple[Atom, str, str]] = {}
+        run: list[str] = []
+        # Items are literal text, choices and the nodes whose NES is
+        # printed there, pushed in reverse so that they pop in order.
+        stack: list = [f]
         while stack:
-            item = stack.pop()
-            kind = type(item)
-            if kind is str:
-                tokens.append(item)
-                continue
-            if kind is tuple:
-                g, in_nes, min_level = item
-                if not in_nes and type(g) is AtomRef:
-                    # f's text of an atom needs no span.
-                    tokens.append(g.name)
-                    continue
-                if min_level > _LV_IMPL and _levels(g)[in_nes] < min_level:
-                    tokens.append("(")
-                    stack.append(")")
-                i = position.get(id(g))
-                if i is None:
-                    i = position[id(g)] = len(masks)
-                    masks.append(0)
-                    spans[0].append(None)
-                    spans[1].append(None)
-                    expand.append(())
-                span = spans[in_nes][i]
-                if span is not None:
-                    # A shared node: its text is printed already.
-                    tokens += tokens[span]
-                    continue
-                stack.append([g, in_nes, len(tokens), i])
-                kind = type(g)
-                if kind is AtomRef or kind is Bottom:
-                    tokens.append("bot" if kind is Bottom else g.name)
-                elif kind is not Implies:
-                    _, text, left_min, right_min = _INFIX[kind]
-                    stack += (
-                        (g.right, in_nes, right_min), text,
-                        (g.left, in_nes, left_min),
-                    )
-                elif type(g.consequent) is Bottom:
-                    if in_nes:
-                        stack += ((g, False, _LV_AND + 1), " & ")
-                    stack.append((g.antecedent, in_nes, _LV_NOT))
-                    tokens.append("not ")
-                else:
-                    if in_nes:
-                        # The text of F -> G is the second conjunct.
-                        stack += (")", (g, False, _LV_IMPL), ") & (")
-                        tokens.append("(")
-                    stack += (
-                        (g.consequent, in_nes, _LV_IMPL), " -> ",
-                        (g.antecedent, in_nes, _LV_OR),
-                    )
-                continue
-            # A marker: the node's first printing is complete.
-            g, in_nes, start, i = item
-            spans[in_nes][i] = slice(start, len(tokens))
+            g = stack.pop()
             kind = type(g)
-            if not in_nes or kind is Bottom:
+            if kind is str:
+                run.append(g)
                 continue
             if kind is AtomRef:
-                bit = 1 << len(bits) % _SIGNATURE_BITS
-                masks[i] = bits.setdefault(g.name, bit)
-                items = ((g.name, ("bot",), (g.name,)),)
+                g = atom_choices.setdefault(g.name, (g.name, "bot", g.name))
+                kind = tuple
+            if kind is tuple:
+                text = "".join(run)
+                template += (literals.setdefault(text, text), g)
+                run.clear()
+            elif kind is Bottom:
+                run.append("bot")
             elif kind is not Implies:
-                _, text, left_min, right_min = _INFIX[kind]
-                l_pos, r_pos = position[id(g.left)], position[id(g.right)]
-                masks[i] = masks[l_pos] | masks[r_pos]
-                items = (
-                    *_operand(g.left, l_pos, left_min), text,
-                    *_operand(g.right, r_pos, right_min),
-                )
-            elif type(g.consequent) is Bottom:
-                l_pos = position[id(g.antecedent)]
-                masks[i] = masks[l_pos]
-                items = (
-                    "not ", *_operand(g.antecedent, l_pos, _LV_NOT), " & ",
-                    spans[0][i],
+                _, infix, left_min, right_min = _INFIX[kind]
+                stack += (
+                    *_nes_operand(g.right, right_min), infix,
+                    *_nes_operand(g.left, left_min),
                 )
             else:
                 left, right = g.antecedent, g.consequent
-                l_pos, r_pos = position[id(left)], position[id(right)]
-                masks[i] = masks[l_pos] | masks[r_pos]
-                f_span = spans[0][i]
-                items = (
-                    "(", *_operand(left, l_pos, _LV_OR), " -> ", r_pos,
-                    ") & (", f_span, ")",
-                )
-                if type(right) is AtomRef:
-                    # NES(y) is bottom for y in Y, and the first conjunct
-                    # is printed "not NES(F)".
-                    in_y = (
-                        "not ", *_operand(left, l_pos, _LV_NOT), " & (",
-                        f_span, ")",
+                f_text = "".join(tokens[spans[id(g)]])
+                if type(right) is Bottom:
+                    stack += (f_text, " & ", *_nes_operand(left, _LV_NOT))
+                    run.append("not ")
+                elif type(right) is AtomRef:
+                    # "(NES(F) -> y) & (", or "not NES(F) & (" for y in Y.
+                    y = right.name
+                    open_, close = (
+                        ("not ", " & (") if _NES_LEVEL[type(left)] == _LV_NOT
+                        else ("not (", ") & (")
                     )
-                    items = ((right.name, in_y[::-1], items[::-1]),)
-            expand[i] = items[::-1]
-        self._bits = bits
-        self._tokens = tokens
-        self._masks = masks
-        self._spans = spans[1]
-        self._expand = expand
-        self._support = ("not ", *_operand(f, 0, _LV_NOT))[::-1]
-
-    def _print(self, items: list, ys: frozenset[Atom]) -> str:
-        # ``items`` is a stack: node positions, tokens, slices of the
-        # tokens, and (atom, items if it is in Y, items otherwise) choices.
-        bits = self._bits
-        y_mask = 0
-        for a in ys:
-            y_mask |= bits[a]
-        tokens, masks = self._tokens, self._masks
-        spans, expand = self._spans, self._expand
-        out: list[str] = []
-        stack = items
-        while stack:
-            item = stack.pop()
-            kind = type(item)
-            if kind is int:
-                if masks[item] & y_mask:
-                    stack += expand[item]
+                    stack += (
+                        ")", f_text, (y, close, f" -> {y}) & ("), left,
+                        (y, open_, "("),
+                    )
                 else:
-                    out += tokens[spans[item]]
-            elif kind is str:
-                out.append(item)
-            elif kind is slice:
-                out += tokens[item]
-            else:
-                atom, in_y, otherwise = item
-                stack += in_y if atom in ys else otherwise
+                    stack += (")", f_text, ") & (", right, " -> ", left)
+                    run.append("(")
+        text = "".join(run)
+        template.append(literals.setdefault(text, text))
+        self._template = template
+        self._support = (
+            ("not ", "") if _NES_LEVEL[type(f)] == _LV_NOT else ("not (", ")")
+        )
+
+    def _print(self, ys: frozenset[Atom], head: str, tail: str) -> str:
+        out = [head]
+        out += [
+            item if type(item) is str else item[1] if item[0] in ys
+            else item[2]
+            for item in self._template
+        ]
+        out.append(tail)
         return "".join(out)
 
     def text(self, ys: frozenset[Atom]) -> str:
         """The text of NES(f, ys); ``ys`` holds atoms of f only."""
-        return self._print([0], ys)
+        return self._print(ys, "", "")
 
     def support(self, ys: frozenset[Atom]) -> str:
         """The text of not NES(f, ys), the support of a loop formula."""
-        return self._print([*self._support], ys)
+        return self._print(ys, *self._support)
 
 
 def nes_text(f: Formula, y: Iterable[Atom]) -> str:

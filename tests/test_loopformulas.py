@@ -1,7 +1,9 @@
 import gc
+import sys
 import time
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,10 @@ from stablemodels import (
     AtomsOutsideFormulaError,
     CapExceededError,
     GraphKind,
+    Implies,
     atoms,
     classical_models,
+    graph_of,
     interpretations_of,
     is_stable,
     loop_formula,
@@ -22,9 +26,15 @@ from stablemodels import (
     satisfies,
     stable_via_all_sets,
     stable_via_loops,
+    strongly_connected_subsets,
 )
-from stablemodels.loopformulas import NesPrinter, loop_formulas
+from stablemodels.formula import neg
+from stablemodels.loopformulas import NesPrinter, loop_formulas, nes_text
 from conftest import mset, run_cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS, instance  # noqa: E402
 
 PQ = mset("p", "q")
 ALL_PQ = list(interpretations_of(PQ))
@@ -184,8 +194,9 @@ def test_graph_oracles_take_no_atom_cap_as_loops_i_does(i):
 
 
 def test_loop_formulas_print_a_long_conjunction_of_rules():
-    # Stack depth does not grow with the conjunction, and atoms beyond
-    # the printer's signature width share signature bits.
+    # Stack depth does not grow with the conjunction of 3000 rules, and
+    # each support picks the choices of its one atom among 6000 atom
+    # occurrences.
     f = _rule_chain(3000)
     lines = list(islice(loop_formulas(f), 3))
     assert [ys for ys, _ in lines] == [mset("a0"), mset("a1"), mset("a10")]
@@ -193,24 +204,90 @@ def test_loop_formulas_print_a_long_conjunction_of_rules():
         assert text == print_formula(loop_formula(f, ys))
 
 
-def _support_peak(n):
-    f = _rule_chain(n)
+def _printing_peak(f, ys):
+    """The support of ``ys`` in ``f`` and the ``tracemalloc`` peak of
+    building the printer and printing it."""
     # Objects taken from the interpreter's free lists are not traced, and
     # a full collection, run whenever the collector's counts say, empties
     # those lists.  So empty them now and keep the collector off while
-    # measuring: the printer then finds them empty at every n, every run.
+    # measuring: the printer then finds them empty for every formula,
+    # every run.
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        NesPrinter(f).support(mset("a0"))
-        return tracemalloc.get_traced_memory()[1]
+        support = NesPrinter(f).support(ys)
+        return support, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def _support_peak(n):
+    return _printing_peak(_rule_chain(n), mset("a0"))[1]
 
 
 def test_printing_a_support_takes_memory_linear_in_the_formula():
     # A string per node is quadratic on the conjunction's spine: the
     # peak then grows about fourfold.
     assert _support_peak(2000) <= 2.5 * _support_peak(1000)
+
+
+@pytest.mark.parametrize(
+    "text, atom",
+    [(" -> ".join(["a"] * 1000), "a"), (" <-> ".join(["p"] * 12), "p")],
+    ids=["implication-chain", "biconditional-chain"],
+)
+def test_printing_a_support_takes_a_few_bytes_per_character(text, atom):
+    # The support of {a} in a -> ... -> a is 2.5 MB of text, quadratic in
+    # the formula; the biconditionals share their operands.  A token list
+    # of the text alone would take 8 bytes per token.
+    f = parse_formula(text)
+    support, peak = _printing_peak(f, mset(atom))
+    assert support == print_formula(neg(nes(f, mset(atom))))
+    assert peak <= 5 * len(support)
+
+
+def test_deep_left_nesting_prints():
+    # ((a0 -> a1) -> a2) -> ...: each antecedent is one level deeper,
+    # past the interpreter's recursion limit.
+    f = AtomRef("a0")
+    for k in range(1, 4000):
+        f = Implies(f, AtomRef(f"a{k}"))
+    text = print_formula(f)
+    assert text == "(" * 3998 + "a0 -> a1" + "".join(
+        f") -> a{k}" for k in range(2, 4000)
+    )
+    f = f.antecedent
+    for _ in range(2500):
+        f = f.antecedent
+    assert NesPrinter(f).support(mset("a0")) == print_formula(
+        neg(nes(f, mset("a0")))
+    )
+
+
+def _loop_printing_requests():
+    """Instance 0 of each class of the ``loops`` workload that prints
+    loop formulas."""
+    workload = WORKLOADS["loops"]
+    requests = [
+        instance("loops", cls, 0) for cls in range(len(workload.classes))
+    ]
+    return [r for r in requests if r.argv[0] == "loops"]
+
+
+@pytest.mark.parametrize(
+    "request_", _loop_printing_requests(), ids=lambda r: r.kind
+)
+def test_nes_text_on_the_benchmark_formulas(request_):
+    # Formulas of 10 to 15 atoms, larger than the properties draw; the
+    # corpus has no ``nes`` request, so this is where ``text`` meets them.
+    f = parse_formula(request_.stdin)
+    kind = GraphKind(request_.argv[request_.argv.index("--graph") + 1])
+    printer = NesPrinter(f)
+    loops = strongly_connected_subsets(graph_of((f,), kind))
+    assert loops
+    for ys in loops:
+        built = nes(f, ys)
+        assert nes_text(f, ys) == print_formula(built)
+        assert printer.support(ys) == print_formula(neg(built))

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import random
-from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -379,7 +378,10 @@ def test_loop_oracles_match_satisfies_scan(f):
 
 
 @settings(deadline=None)
-@given(formulas, st.sampled_from(GraphKind), st.booleans(), st.data())
+@given(
+    st.one_of(formulas, negating_formulas), st.sampled_from(GraphKind),
+    st.booleans(), st.data(),
+)
 def test_loops_lines_print_the_loop_formulas(f, kind, with_i, data):
     # Each line is the printed loop formula, whose support the CLI prints
     # once, plus the verdict under -i.
@@ -420,21 +422,21 @@ iff_texts = st.recursive(
 
 
 @settings(deadline=None)
-@given(st.one_of(formulas.map(print_formula), iff_texts))
+@given(
+    st.one_of(
+        formulas.map(print_formula), negating_formulas.map(print_formula),
+        iff_texts,
+    )
+)
 def test_nes_text_matches_printed_nes(text):
     # For every Y, including the empty set and all atoms: the support a
     # loop line prints and the ``nes`` line against the printed NES
-    # objects.  With one signature bit all atoms share it, so the printer
-    # also walks down subtrees that it could have copied.
+    # objects.
     f = parse_formula(text)
     printer = loopformulas.NesPrinter(f)
-    with mock.patch.object(loopformulas, "_SIGNATURE_BITS", 1):
-        one_bit = loopformulas.NesPrinter(f)
     for ys in interpretations_of(atoms(f)):
         built = nes(f, ys)
-        support = print_formula(neg(built))
-        assert printer.support(ys) == support
-        assert one_bit.support(ys) == support
+        assert printer.support(ys) == print_formula(neg(built))
         argv = ["nes", f"--atoms={','.join(sorted(ys))}"]
         assert run_cli(argv, text) == (0, print_formula(built) + "\n")
 
