@@ -126,13 +126,22 @@ def cmd_tight(args) -> int:
     return EXIT_CYCLIC if cyclic else EXIT_OK
 
 
+def _print_loop(ys: frozenset[str], pieces: list[str], end: str) -> None:
+    # Piece by piece, so that a long support is written, not copied.
+    out = sys.stdout
+    out.write(f"loop {format_interpretation(ys)}: ")
+    for piece in pieces:
+        out.write(piece)
+    out.write(end)
+
+
 def cmd_loops(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
     lines = loop_formulas(f, kind)
     if args.interpretation is None:
-        for ys, lf in lines:
-            print(f"loop {format_interpretation(ys)}: {lf}")
+        for ys, pieces in lines:
+            _print_loop(ys, pieces, "\n")
         return EXIT_OK
     interp = _parse_atom_list(args.interpretation)
     # The verdicts follow the printed loops, so the graph is built once;
@@ -140,10 +149,10 @@ def cmd_loops(args) -> int:
     lines, loops = tee(lines)
     verdicts = loop_verdicts(interp, f, (ys for ys, _ in loops))
     accepted = next(verdicts)
-    for (ys, lf), holds in zip(lines, verdicts):
+    for (ys, pieces), holds in zip(lines, verdicts):
         accepted = accepted and holds
         verdict = "satisfied" if holds else "violated"
-        print(f"loop {format_interpretation(ys)}: {lf}  [{verdict}]")
+        _print_loop(ys, pieces, f"  [{verdict}]\n")
     shown = format_interpretation(interp)
     outcome = "accepted" if accepted else "rejected"
     note = " (UNSOUND)" if accepted and kind is GraphKind.SP else ""

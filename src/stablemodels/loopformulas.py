@@ -8,10 +8,10 @@ whose one walk of f renders a template of NES(f, Y) for every Y:
 literal text, with a choice of text at each atom occurrence and around
 the antecedent of each rule F -> y, and f's own text cut from one
 printing of f.  The text for a set Y picks each choice and joins.
-``loop_formulas`` gives each loop of a graph with its loop formula as
-text, printing the support once per loop; ``nes_text`` is the ``nes``
-command's text.  ``_loops`` is the one source of loops: the loops of a
-graph, or every nonempty atom subset.
+``loop_formulas`` gives each loop of a graph with its loop formula in
+pieces of text, printing the support once per loop; ``nes_text`` is the
+``nes`` command's text.  ``_loops`` is the one source of loops: the
+loops of a graph, or every nonempty atom subset.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability.  ``loop_oracle_models`` evaluates the
@@ -235,20 +235,25 @@ def nes_text(f: Formula, y: Iterable[Atom]) -> str:
 
 def loop_formulas(
     f: Formula, kind: GraphKind = GraphKind.PNN
-) -> Iterator[tuple[frozenset[Atom], str]]:
-    """Each loop of ``f``'s graph with its printed loop formula.
+) -> Iterator[tuple[frozenset[Atom], list[str]]]:
+    """Each loop of ``f``'s graph with its printed loop formula in pieces.
 
-    The text is ``print_formula(loop_formula(f, Y))``, printed by one
-    ``NesPrinter`` of f; the support ``not NES(f, Y)``, one object under
-    every atom of Y, is printed once.
+    The pieces join to ``print_formula(loop_formula(f, Y))``: literal
+    text alternating with the support ``not NES(f, Y)``, one object under
+    every atom of Y, printed once by one ``NesPrinter`` of f and never
+    copied into a longer string.
     """
     printer = NesPrinter(f)
     for ys in _loops(f, kind):
         support = printer.support(ys)
         if len(ys) == 1:
-            yield ys, f"{next(iter(ys))} -> {support}"
+            yield ys, [f"{next(iter(ys))} -> ", support]
         else:
-            yield ys, " & ".join([f"({a} -> {support})" for a in sorted(ys)])
+            pieces = []
+            for a in sorted(ys):
+                pieces += [f") & ({a} -> " if pieces else f"({a} -> ", support]
+            pieces.append(")")
+            yield ys, pieces
 
 
 def _loops(f: Formula, kind: Optional[GraphKind]) -> Iterator[frozenset[Atom]]:

@@ -16,111 +16,99 @@ newlines act as formula separators, so a member cannot span lines;
 ``parse_formula`` reads them as whitespace, so a single formula can.
 Runs of ``not`` and of ``->`` are read in loops; parentheses recurse
 and may nest at most ``MAX_NESTING`` deep.
+
+The input is cut into token texts by one ``findall`` of ``_TOKEN_RE``,
+which skips the blanks and comments before each token; a token's text
+is its kind, the catch-all ``.`` picks up any character the grammar has
+no token for, and the final ``""`` is the end of input.  No token
+carries a position: line and column are found only for an error, by
+scanning the text again up to the token at fault.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import islice
 
 from .errors import FormulaParseError
 from .formula import BOT, And, AtomRef, Formula, Implies, Or, Theory, neg
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>[ \t\r]+)
-  | (?P<COMMENT>%[^\n]*)
-  | (?P<NEWLINE>\n)
-  | (?P<IFF><->)
-  | (?P<ARROW>->)
-  | (?P<AND>&)
-  | (?P<OR>\|)
-  | (?P<NOT>[-!])
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<DOT>\.)
-  | (?P<IDENT>[a-z][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
+    r"(?:[ \t\r]+|%[^\n]*)*(<->|->|[-!&|().\n]|[a-z][A-Za-z0-9_]*|.|\Z)"
 )
 
-_SEPARATORS = ("NEWLINE", "DOT")
+#: Every token text that is not an atom; an atom starts with [a-z], and
+#: any other text is a character with no token.
+_SYMBOLS = frozenset(
+    ("<->", "->", "-", "!", "&", "|", "(", ")", ".", "\n", "")
+)
+_NOT = ("not", "-", "!")
+_SEPARATORS = ("\n", ".")
 
 #: Deepest parenthesis nesting accepted; each level costs the parser a
 #: few stack frames, so deeper input is a parse error, not a crash.
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaParseError(
-                f"unexpected character {text[pos]!r}",
-                line,
-                pos - line_start + 1,
-            )
-        kind = m.lastgroup
-        assert kind is not None
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+def _error(
+    text: str, k: int, newlines: bool, message: str
+) -> FormulaParseError:
+    """The error ``message`` at token ``k`` of ``text``, counted without
+    the newline tokens unless ``newlines``."""
+    matches = _TOKEN_RE.finditer(text)
+    if not newlines:
+        matches = (m for m in matches if m[1] != "\n")
+    offset = next(islice(matches, k, None)).start(1)
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return FormulaParseError(message, line, column)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, newlines: bool):
+        tokens = _TOKEN_RE.findall(text)
+        bad = [t for t in set(tokens) - _SYMBOLS if not "a" <= t[0] <= "z"]
+        if bad:
+            k = min(map(tokens.index, bad))
+            raise _error(text, k, True, f"unexpected character {tokens[k]!r}")
+        if not newlines:
+            tokens = list(filter("\n".__ne__, tokens))
+        self.text = text
+        self.newlines = newlines
+        self.count = len(tokens)
+        # The tokens not yet read, last first: ``rest[-1]`` is the current
+        # one and ``rest.pop()`` reads it.  The final "" is never read.
+        tokens.reverse()
+        self.rest = tokens
         self.depth = 0  # open parentheses around the current position
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str) -> FormulaParseError:
+        """The error ``message`` at the current token."""
+        k = self.count - len(self.rest)
+        return _error(self.text, k, self.newlines, message)
 
-    def advance(self) -> Token:
-        tok = self.current
-        self.pos += 1
-        return tok
-
-    def error(self, expected: str) -> FormulaParseError:
-        tok = self.current
-        got = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        return FormulaParseError(
-            f"expected {expected}, got {got}", tok.line, tok.column
-        )
+    def expected(self, what: str) -> FormulaParseError:
+        tok = self.rest[-1]
+        got = repr(tok) if tok else "end of input"
+        return self.error(f"expected {what}, got {got}")
 
     def formula(self) -> Formula:
+        rest = self.rest
         left = self.impl()
-        while self.current.kind == "IFF":
-            self.advance()
+        while rest[-1] == "<->":
+            rest.pop()
             right = self.impl()
             left = And(Implies(left, right), Implies(right, left))
         return left
 
     def impl(self) -> Formula:
+        rest = self.rest
         left = self.disj()
-        if self.current.kind != "ARROW":
+        if rest[-1] != "->":
             return left
         parts = [left]
-        while self.current.kind == "ARROW":
-            self.advance()
+        while rest[-1] == "->":
+            rest.pop()
             parts.append(self.disj())
         out = parts.pop()
         while parts:
@@ -128,45 +116,45 @@ class _Parser:
         return out
 
     def disj(self) -> Formula:
+        rest = self.rest
         left = self.conj()
-        while self.current.kind == "OR":
-            self.advance()
+        while rest[-1] == "|":
+            rest.pop()
             left = Or(left, self.conj())
         return left
 
     def conj(self) -> Formula:
+        rest = self.rest
         left = self.unary()
-        while self.current.kind == "AND":
-            self.advance()
+        while rest[-1] == "&":
+            rest.pop()
             left = And(left, self.unary())
         return left
 
     def unary(self) -> Formula:
-        tok = self.current
+        rest = self.rest
         nots = 0
-        while tok.kind == "NOT" or (tok.kind == "IDENT" and tok.text == "not"):
-            self.advance()
+        while rest[-1] in _NOT:
+            rest.pop()
             nots += 1
-            tok = self.current
-        if tok.kind == "IDENT":
-            self.advance()
-            out = BOT if tok.text in ("bot", "false") else AtomRef(tok.text)
-        elif tok.kind == "LPAREN":
+        tok = rest[-1]
+        if tok not in _SYMBOLS:
+            rest.pop()
+            out = BOT if tok in ("bot", "false") else AtomRef(tok)
+        elif tok == "(":
             if self.depth == MAX_NESTING:
-                raise FormulaParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}",
-                    tok.line,
-                    tok.column,
+                raise self.error(
+                    f"parentheses nested deeper than {MAX_NESTING}"
                 )
-            self.advance()
+            rest.pop()
             self.depth += 1
             out = self.formula()
             self.depth -= 1
-            if self.current.kind != "RPAREN":
-                raise self.error("')'")
-            self.advance()
+            if rest[-1] != ")":
+                raise self.expected("')'")
+            rest.pop()
         else:
-            raise self.error("a formula")
+            raise self.expected("a formula")
         for _ in range(nots):
             out = neg(out)
         return out
@@ -175,23 +163,24 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse a single formula, which may span lines; the whole input must
     be consumed."""
-    parser = _Parser([t for t in _tokenize(text) if t.kind != "NEWLINE"])
+    parser = _Parser(text, newlines=False)
     f = parser.formula()
-    if parser.current.kind != "EOF":
-        raise parser.error("end of input")
+    if parser.rest[-1]:
+        raise parser.expected("end of input")
     return f
 
 
 def parse_theory(text: str) -> Theory:
     """Parse a sequence of formulas separated by '.' or newlines."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text, newlines=True)
+    rest = parser.rest
     formulas: list[Formula] = []
     while True:
-        while parser.current.kind in _SEPARATORS:
-            parser.advance()
-        if parser.current.kind == "EOF":
+        while rest[-1] in _SEPARATORS:
+            rest.pop()
+        if not rest[-1]:
             break
         formulas.append(parser.formula())
-        if parser.current.kind not in _SEPARATORS + ("EOF",):
-            raise parser.error("'.', a newline, or end of input")
+        if rest[-1] and rest[-1] not in _SEPARATORS:
+            raise parser.expected("'.', a newline, or end of input")
     return tuple(formulas)

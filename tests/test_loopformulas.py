@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import sys
 import time
 import tracemalloc
@@ -28,6 +30,7 @@ from stablemodels import (
     stable_via_loops,
     strongly_connected_subsets,
 )
+from stablemodels.cli import main
 from stablemodels.formula import neg
 from stablemodels.loopformulas import NesPrinter, loop_formulas, nes_text
 from conftest import mset, run_cli
@@ -200,13 +203,12 @@ def test_loop_formulas_print_a_long_conjunction_of_rules():
     f = _rule_chain(3000)
     lines = list(islice(loop_formulas(f), 3))
     assert [ys for ys, _ in lines] == [mset("a0"), mset("a1"), mset("a10")]
-    for ys, text in lines:
-        assert text == print_formula(loop_formula(f, ys))
+    for ys, pieces in lines:
+        assert "".join(pieces) == print_formula(loop_formula(f, ys))
 
 
-def _printing_peak(f, ys):
-    """The support of ``ys`` in ``f`` and the ``tracemalloc`` peak of
-    building the printer and printing it."""
+def _traced(call):
+    """The result of ``call()`` and the ``tracemalloc`` peak of it."""
     # Objects taken from the interpreter's free lists are not traced, and
     # a full collection, run whenever the collector's counts say, empties
     # those lists.  So empty them now and keep the collector off while
@@ -216,11 +218,17 @@ def _printing_peak(f, ys):
     gc.disable()
     tracemalloc.start()
     try:
-        support = NesPrinter(f).support(ys)
-        return support, tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def _printing_peak(f, ys):
+    """The support of ``ys`` in ``f`` and the ``tracemalloc`` peak of
+    building the printer and printing it."""
+    return _traced(lambda: NesPrinter(f).support(ys))
 
 
 def _support_peak(n):
@@ -246,6 +254,37 @@ def test_printing_a_support_takes_a_few_bytes_per_character(text, atom):
     support, peak = _printing_peak(f, mset(atom))
     assert support == print_formula(neg(nes(f, mset(atom))))
     assert peak <= 5 * len(support)
+
+
+class _LengthSink:
+    """A stdout that keeps only the length of what is written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [["loops"], ["loops", "-i", "a"]])
+def test_loops_line_writes_its_support_without_copying_it(argv):
+    # a -> ... -> a has the one loop {a}; its support is 22.5 MB of text,
+    # and a line built as one string would hold two more copies of it.
+    text = " -> ".join(["a"] * 3000)
+    support, printing = _printing_peak(parse_formula(text), mset("a"))
+    length = len(support)
+    del support
+    sink = _LengthSink()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(sink):
+            code, peak = _traced(lambda: main(argv))
+    finally:
+        sys.stdin = saved
+    assert code == 0
+    assert sink.length > length
+    assert peak < 1.1 * printing
 
 
 def test_deep_left_nesting_prints():

@@ -74,6 +74,20 @@ formulas = st.recursive(
 
 theories = st.lists(formulas, max_size=3).map(tuple)
 
+# Formulas with negations drawn as often as the other connectives, so
+# that an occurrence is often positive but negated, as a is in not (a -> b).
+negating_formulas = st.recursive(
+    st.one_of(st.just(BOT), st.builds(AtomRef, atom_names)),
+    lambda child: st.one_of(
+        st.builds(And, child, child),
+        st.builds(Or, child, child),
+        st.builds(Implies, child, child),
+        st.builds(neg, child),
+    ),
+    max_leaves=12,
+)
+negating_theories = st.lists(negating_formulas, max_size=3).map(tuple)
+
 rules = st.one_of(
     st.builds(AtomRef, atom_names),
     st.builds(Implies, formulas, st.builds(AtomRef, atom_names)),
@@ -102,7 +116,7 @@ wide_programs = st.lists(
 ).map(tuple)
 
 
-@given(formulas)
+@given(st.one_of(formulas, negating_formulas))
 def test_print_parse_round_trip(f):
     assert parse_formula(print_formula(f)) == f
 
@@ -113,20 +127,6 @@ def test_spos_matches_occurrence_classification(f):
         a for a, ctx in classify_occurrences(f) if ctx.antecedent_count == 0
     }
     assert spos(f) == via_contexts
-
-
-# Formulas with negations drawn as often as the other connectives, so
-# that an occurrence is often positive but negated, as a is in not (a -> b).
-negating_formulas = st.recursive(
-    st.one_of(st.just(BOT), st.builds(AtomRef, atom_names)),
-    lambda child: st.one_of(
-        st.builds(And, child, child),
-        st.builds(Or, child, child),
-        st.builds(Implies, child, child),
-        st.builds(neg, child),
-    ),
-    max_leaves=12,
-)
 
 
 @given(negating_formulas)
@@ -210,7 +210,11 @@ def test_both_sweep_paths_match_definitional_scans(t):
     assert oracle_mismatches(t) == []
 
 
-@given(st.one_of(theories, programs, wide_theories, wide_programs))
+@given(
+    st.one_of(
+        theories, negating_theories, programs, wide_theories, wide_programs
+    )
+)
 def test_graphs_match_rule_scan(t):
     assert g_sp(t) == dependency_graph_scan(t, GraphKind.SP)
     assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
@@ -347,7 +351,10 @@ def test_loops_oracle_line_matches_loop_oracle_scan(f, kind, data):
 
 
 @settings(deadline=None)
-@given(formulas, st.sampled_from(GraphKind), st.data())
+@given(
+    st.one_of(formulas, negating_formulas), st.sampled_from(GraphKind),
+    st.data(),
+)
 def test_loop_verdicts_match_satisfies(f, kind, data):
     # Each [satisfied]/[violated] verdict comes from a here-and-there
     # pass of f; the oracle evaluates the printed loop formula itself.
@@ -361,7 +368,7 @@ def test_loop_verdicts_match_satisfies(f, kind, data):
 
 
 @settings(deadline=None)
-@given(formulas)
+@given(st.one_of(formulas, negating_formulas))
 def test_loop_oracles_match_satisfies_scan(f):
     # Each table oracle against ``satisfies`` on f and on each loop
     # formula, for both graphs and for every nonempty atom subset.
