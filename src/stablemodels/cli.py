@@ -126,12 +126,18 @@ def cmd_tight(args) -> int:
     return EXIT_CYCLIC if cyclic else EXIT_OK
 
 
+# Characters per write of a loop line: a text stream encodes all it is
+# given at once, so a long support is written in slices of this size.
+_WRITE_SLICE = 1 << 16
+
+
 def _print_loop(ys: frozenset[str], pieces: list[str], end: str) -> None:
-    # Piece by piece, so that a long support is written, not copied.
+    # Piece by piece and in slices, so that a long support is not copied.
     out = sys.stdout
     out.write(f"loop {format_interpretation(ys)}: ")
     for piece in pieces:
-        out.write(piece)
+        for start in range(0, len(piece), _WRITE_SLICE):
+            out.write(piece[start:start + _WRITE_SLICE])
     out.write(end)
 
 

@@ -26,10 +26,11 @@ not built; else the loop search gives up as soon as it has found more
 loops than that, and the per-model path runs.  Supported models are the
 classical models where the support halves of ``completion`` hold too,
 read in ``analyze`` from the sweep's classical pass.  Every enumerator
-is guarded by a hard cap (default 20 atoms), checked before any table
-is built.  Each class is a table over the 2**n points, read at the
-set bits of the classical table, which one scan lists in
-``interpretations_of`` order: by cardinality, then lexicographically.
+is guarded by a hard cap (default 20 atoms), checked once the walk that
+compiles the theory has found its atoms, but before any table is built.
+Each class is a table over the 2**n points, read at the set bits of the
+classical table, which one scan lists in ``interpretations_of`` order:
+by cardinality, then lexicographically.
 
 ``satisfies``, ``reduct`` and the predicates ``is_stable``,
 ``is_pointwise_stable`` and ``is_supported`` state the definitions
@@ -189,8 +190,7 @@ def classical_models(
     cap: int = DEFAULT_CAP,
 ) -> list[Interpretation]:
     """All subsets of the universe satisfying every member of ``t``."""
-    atoms = theory_atoms(t) if universe is None else frozenset(universe)
-    return _classical_pass(t, atoms, cap).models
+    return _classical_pass(t, universe, cap).models
 
 
 def is_stable(i: Interpretation, t: Theory) -> bool:
@@ -238,7 +238,7 @@ def is_supported(i: Interpretation, t: Theory) -> bool:
 
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models where the support halves of ``completion(t)`` hold."""
-    c = _classical_pass(t, theory_atoms(t), cap)
+    c = _classical_pass(t, cap=cap)
     return c.select(_supported(completion(t), c))
 
 
@@ -295,18 +295,19 @@ def completion(t: Theory) -> Theory:
 _ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
 _CODES = {And: _AND, Or: _OR, Implies: _IMPLIES}
 
-Ops = list[tuple[int, int, int]]
+Ops = list[tuple[int, Atom | int, int]]
 
 
-def _compile(t: Theory, names: list[Atom]) -> Ops:
-    """Postorder ops ``(code, x, y)`` of the conjunction of ``t``.
+def _compile(t: Theory) -> tuple[Ops, set[Atom]]:
+    """Postorder ops ``(code, x, y)`` of the conjunction of ``t``, and its atoms.
 
-    ``x`` is the atom's position in ``names`` for an atom and the left
-    operand's position in the ops for a connective, ``y`` the right
-    operand's position.  The last op is the whole theory.  A node object
-    that recurs, as ``not NES`` does in a loop formula, gets one op.
+    ``x`` is the atom's name for an atom and the left operand's position
+    in the ops for a connective, ``y`` the right operand's position.  The
+    last op is the whole theory.  A node object that recurs, as ``not
+    NES`` does in a loop formula and the operands of ``<->`` do, gets one
+    op, so the walk visits each distinct node once.
     """
-    index = {a: j for j, a in enumerate(names)}
+    atoms: set[Atom] = set()
     ops: Ops = []
     done: list[int] = []
     # Op position by node id; no id is reused, as the root stays stacked.
@@ -318,9 +319,8 @@ def _compile(t: Theory, names: list[Atom]) -> Ops:
             done.append(compiled[id(g)])
             continue
         if isinstance(g, AtomRef):
-            if g.name not in index:
-                raise ValueError("universe does not cover the theory's atoms")
-            ops.append((_ATOM, index[g.name], 0))
+            atoms.add(g.name)
+            ops.append((_ATOM, g.name, 0))
         elif isinstance(g, Bottom):
             ops.append((_BOT, 0, 0))
         elif children_done:
@@ -336,7 +336,7 @@ def _compile(t: Theory, names: list[Atom]) -> Ops:
             continue
         compiled[id(g)] = len(ops) - 1
         done.append(len(ops) - 1)
-    return ops
+    return ops, atoms
 
 
 def _atom_tables(n: int) -> list[int]:
@@ -354,10 +354,10 @@ def _atom_tables(n: int) -> list[int]:
     return tables
 
 
-def _evaluate(ops: Ops, here: list[int], there: Iterator[int]) -> list[int]:
+def _evaluate(ops: Ops, here: dict[Atom, int], there: Iterator[int]) -> list[int]:
     """The here table of every op.
 
-    ``here`` holds the atoms' tables in the here-world, and ``there``
+    ``here`` maps each atom to its table in the here-world, and ``there``
     yields each implication's table in the there-world, in op order.
     Conjunction and disjunction combine here tables; an implication
     holds where it holds there and ``~A | B`` holds here.  With every
@@ -395,14 +395,12 @@ def here_and_there_at(
     satisfies the loop formula of Y exactly when Y misses I or this is
     false at Y (Ferraris, Lee and Lifschitz 2006).
     """
-    names = sorted(theory_atoms(t))
-    ops = _compile(t, names)
-    there = _implications(
-        ops, _evaluate(ops, [int(a in i) for a in names], itertools.repeat(1))
-    )
+    ops, atoms = _compile(t)
+    vals = _evaluate(ops, {a: int(a in i) for a in atoms}, itertools.repeat(1))
+    there = _implications(ops, vals)
 
     def holds(ys: frozenset[Atom]) -> bool:
-        here = [int(a in i and a not in ys) for a in names]
+        here = {a: int(a in i and a not in ys) for a in atoms}
         return _evaluate(ops, here, iter(there))[-1] == 1
 
     return holds
@@ -435,11 +433,12 @@ class _Classical(NamedTuple):
     """One classical pass over all 2**n points, with atom j of ``names``,
     in descending order, as bit j.  So within one size, ``interpretations_of``
     order is descending bit index: two sets of one size first differ at
-    some atom, and the set that holds it has the higher bit there."""
+    some atom, and the set that holds it has the higher bit there.
+    ``atom_tables`` maps each atom of ``names`` to its table."""
 
     names: list[Atom]
     ops: Ops
-    atom_tables: list[int]
+    atom_tables: dict[Atom, int]
     # Every op's table; the last is the theory's.
     vals: list[int]
     # The classical models, in ``interpretations_of`` order, each built
@@ -455,13 +454,16 @@ class _Classical(NamedTuple):
 
 
 def _classical_pass(
-    t: Theory, atoms: Iterable[Atom], cap: int = DEFAULT_CAP
+    t: Theory, universe: Optional[Iterable[Atom]] = None, cap: int = DEFAULT_CAP
 ) -> _Classical:
-    names = sorted(atoms, reverse=True)
+    """The pass over ``universe``, by default the atoms ``_compile`` finds."""
+    ops, atoms = _compile(t)
+    names = sorted(atoms if universe is None else set(universe), reverse=True)
     n = len(names)
     check_cap(n, cap)
-    ops = _compile(t, names)
-    atom_tables = _atom_tables(n)
+    if not atoms.issubset(names):
+        raise ValueError("universe does not cover the theory's atoms")
+    atom_tables = dict(zip(names, _atom_tables(n)))
     full = (1 << (1 << n)) - 1
     vals = _evaluate(ops, atom_tables, itertools.repeat(full))
     keys = _set_bits(vals[-1], n)
@@ -471,7 +473,7 @@ def _classical_pass(
 def _supported(comp: Theory, c: _Classical) -> int:
     """The table of the support halves ``a -> (disjunction of a's
     bodies)`` of the completion ``comp`` over ``c``'s points."""
-    ops = _compile([f.left for f in comp], c.names)
+    ops, _ = _compile([f.left for f in comp])
     full = itertools.repeat((1 << (1 << len(c.names))) - 1)
     return _evaluate(ops, c.atom_tables, full)[-1]
 
@@ -487,14 +489,14 @@ def _per_model(c: _Classical) -> tuple[int, int]:
     """
     # As bytes, a table's value at one point is read and set without
     # shifting a 2**n-bit int.
-    n = len(c.names)
-    size = ((1 << n) + 7) // 8
+    size = ((1 << len(c.names)) + 7) // 8
     rows = [v.to_bytes(size, "little") for v in _implications(c.ops, c.vals)]
     stable, pointwise = bytearray(size), bytearray(size)
     # The empty model, first if it is one, has no proper subset to refute it.
     empty = stable[0] = pointwise[0] = c.vals[-1] & 1
     # Per width of I: its atom tables and the mask of the I - {a} bits.
     local: dict[int, tuple[list[int], int]] = {}
+    zero = dict.fromkeys(c.names, 0)
     for k in c.keys[empty:]:
         byte, bit = k >> 3, 1 << (k & 7)
         width = k.bit_count()
@@ -504,11 +506,11 @@ def _per_model(c: _Classical) -> tuple[int, int]:
             local[width] = _atom_tables(width), drop_one
         tables, drop_one = local[width]
         # The r-th lowest atom of I takes the r-th atom table of its width.
-        here = [0] * n
+        here = zero.copy()
         rest = k
         for atom_table in tables:
             low = rest & -rest
-            here[low.bit_length() - 1] = atom_table
+            here[c.names[low.bit_length() - 1]] = atom_table
             rest ^= low
         full = (top << 1) - 1
         there = [full if row[byte] & bit else 0 for row in rows]
@@ -531,16 +533,14 @@ def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, int]:
     Every singleton is a loop, and the singletons alone decide
     pointwise stability.
     """
-    index = {a: j for j, a in enumerate(c.names)}
     there = _implications(c.ops, c.vals)
     stable = pointwise = c.vals[-1]
     for ys in loops:
         here = c.atom_tables.copy()
         meets = 0
         for a in ys:
-            j = index[a]
-            meets |= here[j]
-            here[j] = 0
+            meets |= here[a]
+            here[a] = 0
         singleton = len(ys) == 1
         # Stable models are pointwise stable, so ``pointwise`` covers
         # every candidate a singleton can still refute.
@@ -594,7 +594,7 @@ def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]
 
 def _sweep(t: Theory, cap: int) -> tuple[_Classical, int, int]:
     """The classical pass of ``t``, its stable and its pointwise tables."""
-    c = _classical_pass(t, theory_atoms(t), cap)
+    c = _classical_pass(t, cap=cap)
     loops = _loops_that_pay(t, c)
     return c, *(_per_model(c) if loops is None else _by_loops(c, loops))
 

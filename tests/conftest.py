@@ -134,7 +134,7 @@ def sweep_paths(t, kind=GraphKind.PNN):
     ``analyze``'s sweep, called directly whatever path it would choose:
     one here-and-there pass per classical model, and one pass per loop
     of ``kind``'s graph (pnn is the production path)."""
-    c = _classical_pass(t, theory_atoms(t))
+    c = _classical_pass(t)
     loops = strongly_connected_subsets(graph_of(t, kind))
     return {
         path: (c.models, *map(c.select, tables))
@@ -230,9 +230,9 @@ def classical_passes(monkeypatch):
     theory over all 2**n interpretations."""
     passes = []
 
-    def counting_pass(*args):
+    def counting_pass(*args, **kwargs):
         passes.append(args)
-        return _classical_pass(*args)
+        return _classical_pass(*args, **kwargs)
 
     monkeypatch.setattr(semantics, "_classical_pass", counting_pass)
     return passes

@@ -434,6 +434,33 @@ class TestDeepInputs:
         assert code == 0
         assert "classical: {}, {p}" in out
 
+    def test_long_biconditional_chain_in_budget(self, capsys, monkeypatch):
+        # Each <-> shares its operands between two implications, so the
+        # tree has about 2**24 paths: a walk per path takes many seconds.
+        text = " <-> ".join(["p"] * 24)
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "models", stdin=text, monkeypatch=monkeypatch
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "classical: {}, {p}" in out
+        assert elapsed < 0.1, f"{elapsed:.2f} s for 24 operands"
+
+    def test_biconditional_chain_over_cap_refused_in_budget(
+        self, capsys, monkeypatch
+    ):
+        text = " <-> ".join(f"a{k}" for k in range(23))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "models", stdin=text, monkeypatch=monkeypatch
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        assert "23 atoms exceeds the enumeration cap of 20" in err
+        assert elapsed < 0.1, f"{elapsed:.2f} s to refuse 23 atoms"
+
     @pytest.mark.parametrize(
         "text, verdict",
         [

@@ -22,7 +22,10 @@ production text with ``NesPrinter``.
 Subsets are enumerated in one place: ``itertools.combinations`` is used
 only inside ``semantics.interpretations_of``.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
-other module prices or refuses loop enumeration by component size.
+other module prices or refuses loop enumeration by component size.  In
+``semantics``, ``atoms`` and ``theory_atoms`` are called only inside
+``completion``: the enumerators take their universe from the one walk
+of ``_compile``, which visits each distinct node once, not once per path.
 """
 
 import ast
@@ -54,6 +57,8 @@ ORACLE_ALLOWED = {
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
 SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
 CAP_OWNER = "depgraph"
+UNIVERSE_WALKS = {"atoms", "theory_atoms"}
+UNIVERSE_WALKER = "completion"
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
@@ -104,18 +109,25 @@ def oracle_imports(tree, module):
     )
 
 
-def _names(tree):
-    """Each name, attribute and imported name of the module, with its line
-    and the innermost function it sits in (None at module level)."""
+def _nodes(tree):
+    """Each node of the module with the innermost function it sits in
+    (None at module level)."""
     stack = [(tree, None)]
     while stack:
         node, function = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+        yield node, function
+        stack += ((child, function) for child in ast.iter_child_nodes(node))
+
+
+def _names(tree):
+    """Each name, attribute and imported name of the module, with its line
+    and the innermost function it sits in (None at module level)."""
+    for node, function in _nodes(tree):
         field = NAME_FIELDS.get(type(node))
         if field:
             yield getattr(node, field), node.lineno, function
-        stack += ((child, function) for child in ast.iter_child_nodes(node))
 
 
 def combinations_uses(tree, module):
@@ -124,6 +136,18 @@ def combinations_uses(tree, module):
         line
         for name, line, function in _names(tree)
         if name == "combinations" and (module, function) != SUBSET_ENUMERATOR
+    )
+
+
+def universe_walk_calls(tree):
+    """Lines that call ``atoms`` or ``theory_atoms`` outside ``completion``."""
+    return sorted(
+        node.lineno
+        for node, function in _nodes(tree)
+        if isinstance(node, ast.Call)
+        and type(node.func) in NAME_FIELDS
+        and getattr(node.func, NAME_FIELDS[type(node.func)]) in UNIVERSE_WALKS
+        and function != UNIVERSE_WALKER
     )
 
 
@@ -209,6 +233,26 @@ def test_lint_flags_cap_uses():
     )
     assert cap_uses(tree, "semantics") == [1, 4, 5]
     assert cap_uses(tree, "depgraph") == []
+
+
+def test_enumerators_take_their_universe_from_compile():
+    path = ROOT / "src" / "stablemodels" / "semantics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert universe_walk_calls(tree) == []
+
+
+def test_lint_flags_universe_walk_calls():
+    tree = ast.parse(
+        "from .formula import atoms, theory_atoms\n"
+        "import stablemodels.formula as formula\n"
+        "def completion(t):\n"
+        "    return sorted(theory_atoms(t))\n"
+        "def _sweep(t):\n"
+        "    atoms = theory_atoms(t)\n"
+        "    return formula.atoms(t[0]) | atoms\n"
+        "UNIVERSE = theory_atoms(())\n"
+    )
+    assert universe_walk_calls(tree) == [6, 7, 8]
 
 
 def test_lint_flags_oracle_imports():

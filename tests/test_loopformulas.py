@@ -256,35 +256,45 @@ def test_printing_a_support_takes_a_few_bytes_per_character(text, atom):
     assert peak <= 5 * len(support)
 
 
-class _LengthSink:
-    """A stdout that keeps only the length of what is written to it."""
+class _LengthSink(io.RawIOBase):
+    """A stream that keeps only the length of what is written to it: the
+    characters as a stdout, the bytes as the raw stream of a text one."""
 
     def __init__(self):
+        super().__init__()
         self.length = 0
 
-    def write(self, text):
-        self.length += len(text)
-        return len(text)
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.length += len(data)
+        return len(data)
 
 
 @pytest.mark.parametrize("argv", [["loops"], ["loops", "-i", "a"]])
 def test_loops_line_writes_its_support_without_copying_it(argv):
     # a -> ... -> a has the one loop {a}; its support is 22.5 MB of text,
     # and a line built as one string would hold two more copies of it.
+    # A real text stream encodes each write whole, so one write of the
+    # support would copy it too.
     text = " -> ".join(["a"] * 3000)
     support, printing = _printing_peak(parse_formula(text), mset("a"))
     length = len(support)
     del support
-    sink = _LengthSink()
-    saved, sys.stdin = sys.stdin, io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(sink):
-            code, peak = _traced(lambda: main(argv))
-    finally:
-        sys.stdin = saved
-    assert code == 0
-    assert sink.length > length
-    assert peak < 1.1 * printing
+    for text_stream in False, True:
+        sink = _LengthSink()
+        out = io.TextIOWrapper(io.BufferedWriter(sink)) if text_stream else sink
+        saved, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out):
+                code, peak = _traced(lambda: main(argv))
+            out.flush()
+        finally:
+            sys.stdin = saved
+        assert code == 0
+        assert sink.length > length
+        assert peak < 1.1 * printing, text_stream
 
 
 def test_deep_left_nesting_prints():

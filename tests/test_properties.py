@@ -116,6 +116,23 @@ wide_programs = st.lists(
 ).map(tuple)
 
 
+# Formula text with "<->", whose parse shares both operands of each
+# biconditional under two implications, and with runs of "not" and "bot".
+iff_texts = st.recursive(
+    st.one_of(st.just("bot"), atom_names),
+    lambda child: st.one_of(
+        st.tuples(child, st.sampled_from(("<->", "&", "|", "->")), child).map(
+            lambda parts: "({} {} {})".format(*parts)
+        ),
+        st.tuples(st.integers(1, 3), child).map(
+            lambda parts: "not " * parts[0] + parts[1]
+        ),
+    ),
+    max_leaves=8,
+)
+iff_theories = st.lists(iff_texts.map(parse_formula), max_size=3).map(tuple)
+
+
 @given(st.one_of(formulas, negating_formulas))
 def test_print_parse_round_trip(f):
     assert parse_formula(print_formula(f)) == f
@@ -197,7 +214,7 @@ def test_lemma_supersets_of_spos_satisfy_reduct(f):
 
 
 @settings(deadline=None)
-@given(st.one_of(theories, programs))
+@given(st.one_of(theories, programs, iff_theories))
 def test_enumerators_match_definitional_scans(t):
     assert oracle_mismatches(t) == []
 
@@ -410,22 +427,6 @@ def test_loops_lines_print_the_loop_formulas(f, kind, with_i, data):
         expected.append(line)
     assert out.splitlines()[: len(loops)] == expected
     assert len(out.splitlines()) == len(loops) + (interp is not None)
-
-
-# Formula text with "<->", whose parse shares both operands of each
-# biconditional under two implications, and with runs of "not" and "bot".
-iff_texts = st.recursive(
-    st.one_of(st.just("bot"), atom_names),
-    lambda child: st.one_of(
-        st.tuples(child, st.sampled_from(("<->", "&", "|", "->")), child).map(
-            lambda parts: "({} {} {})".format(*parts)
-        ),
-        st.tuples(st.integers(1, 3), child).map(
-            lambda parts: "not " * parts[0] + parts[1]
-        ),
-    ),
-    max_leaves=8,
-)
 
 
 @settings(deadline=None)

@@ -108,6 +108,9 @@ class TestClassicalModels:
     def test_universe_must_cover_atoms(self, p1):
         with pytest.raises(ValueError):
             classical_models(p1, {"p"})
+        # The cap is checked on a given universe first.
+        with pytest.raises(CapExceededError, match="21 atoms"):
+            classical_models(p1, {f"x{k}" for k in range(21)})
 
 
 class TestStable:
@@ -262,7 +265,7 @@ class TestSweepPaths:
         t = ring(17)
         with pytest.raises(CapExceededError, match="loop enumeration"):
             strongly_connected_subsets(g_pnn(t))
-        c = _classical_pass(t, theory_atoms(t))
+        c = _classical_pass(t)
         # Enough classical models to build the graph: n = 17 singleton
         # passes over 2**17 points would cost less than 3572 small ones.
         # The ring's 3588 loops would not, so the search gives up once it
@@ -296,7 +299,7 @@ class TestSweepPaths:
         rules = [f"a{(i + 1) % 12} -> a{i} | c" for i in range(12)]
         rules += [f"not not a{i} -> a{i}" for i in range(12)]
         t = parse_theory(". ".join(rules) + ".")
-        c = _classical_pass(t, theory_atoms(t))
+        c = _classical_pass(t)
         assert len(c.models) == 4098
         loops = _loops_that_pay(t, c)
         assert loops == strongly_connected_subsets(g_pnn(t))
@@ -305,7 +308,7 @@ class TestSweepPaths:
 
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
-        loops = _loops_that_pay(t, _classical_pass(t, theory_atoms(t)))
+        loops = _loops_that_pay(t, _classical_pass(t))
         assert loops == [mset(f"a{i}") for i in range(8)]
 
     def test_small_theory_skips_the_graph(self, p2, monkeypatch):
@@ -313,7 +316,7 @@ class TestSweepPaths:
             raise AssertionError("graph built")
 
         monkeypatch.setattr(semantics, "g_pnn", no_graph)
-        assert _loops_that_pay(p2, _classical_pass(p2, theory_atoms(p2))) is None
+        assert _loops_that_pay(p2, _classical_pass(p2)) is None
 
 
 @st.composite
