@@ -194,7 +194,8 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         f, g, ps, qs = case
         if not ps | qs:
             return False
-        i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, GraphKind.PNN)
+        pnn = g_pnn((And(f, g),))
+        i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, pnn)
         return not i_off and not ii_off and iii_off is None
 
     # Neither split_conditions nor check_split draws from rng, so the

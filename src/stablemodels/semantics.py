@@ -32,6 +32,22 @@ Each class is a table over the 2**n points, read at the set bits of the
 classical table, which one scan lists in ``interpretations_of`` order:
 by cardinality, then lexicographically.
 
+The same sweep answers ``splitting.check_split``.  At <H, T> a choice
+``A | not A`` holds exactly when A is in H or not in T (Ferraris 2005),
+so F & choice(Q) holds at <J, I> exactly when F does and J keeps every
+atom of Q that I holds.  F & G is compiled once, and its last op's
+operands are F's and G's ops; one classical pass over its universe
+gives the tables of F, G and F & G, and its candidates are the
+classical models of F or of G.  Each part is an op with such kept
+atoms, and the sweep decides it alongside the whole: on the per-model
+path, F's part is stable at I when F's table has only the ``J = I``
+bit among the J that keep I's atoms of Q; on the loop path, the pass
+for a loop Y refutes it at the points I that meet Y but hold no atom
+of Y in Q.  The choices add no pnn edge, so the loops of F & G cover
+each part's loops.  The path choice prices the per-model path over the
+candidates, and only the interpretations that some list holds are
+built.
+
 ``satisfies``, ``reduct`` and the predicates ``is_stable``,
 ``is_pointwise_stable`` and ``is_supported`` state the definitions
 directly: the oracle the enumerators and the loop oracles are tested
@@ -50,13 +66,14 @@ an answer once, since an answer's lists share their models.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
-from .depgraph import _components, _loops, g_pnn
+from .depgraph import DepGraph, _components, _loops, g_pnn
 from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
     BOT,
@@ -190,7 +207,7 @@ def classical_models(
     cap: int = DEFAULT_CAP,
 ) -> list[Interpretation]:
     """All subsets of the universe satisfying every member of ``t``."""
-    return _classical_pass(t, universe, cap).models
+    return _classical_pass(*_compile(t), universe, cap).models
 
 
 def is_stable(i: Interpretation, t: Theory) -> bool:
@@ -209,8 +226,8 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
-    c, stable, _ = _sweep(t, cap)
-    return c.select(stable)
+    c = _classical_pass(*_compile(t), cap=cap)
+    return c.select(_sweep(t, c)[0])
 
 
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
@@ -238,7 +255,7 @@ def is_supported(i: Interpretation, t: Theory) -> bool:
 
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models where the support halves of ``completion(t)`` hold."""
-    c = _classical_pass(t, cap=cap)
+    c = _classical_pass(*_compile(t), cap=cap)
     return c.select(_supported(completion(t), c))
 
 
@@ -254,15 +271,16 @@ def pointwise_stable_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> list[Interpretation]:
     """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
-    c, _, pointwise = _sweep(t, cap)
-    return c.select(pointwise)
+    c = _classical_pass(*_compile(t), cap=cap)
+    return c.select(_sweep(t, c)[1])
 
 
 def stable_and_pointwise_models(
     t: Theory, cap: int = DEFAULT_CAP
 ) -> tuple[list[Interpretation], list[Interpretation]]:
     """The stable and the pointwise stable models of ``t``, from one sweep."""
-    c, stable, pointwise = _sweep(t, cap)
+    c = _classical_pass(*_compile(t), cap=cap)
+    stable, pointwise = _sweep(t, c)
     return c.select(stable), c.select(pointwise)
 
 
@@ -296,6 +314,11 @@ _ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
 _CODES = {And: _AND, Or: _OR, Implies: _IMPLIES}
 
 Ops = list[tuple[int, Atom | int, int]]
+# A part ``(op, kept)`` of a sweep stands for the op's formula conjoined
+# with a choice ``A | not A`` for each kept atom A.  At <H, T> such a
+# choice holds exactly when A is in H or not in T (Ferraris 2005), so
+# the part's here-world keeps the kept atoms of T.
+Parts = tuple[tuple[int, frozenset[Atom]], ...]
 
 
 def _compile(t: Theory) -> tuple[Ops, set[Atom]]:
@@ -429,7 +452,8 @@ def _models(keys: list[int], names: list[Atom]) -> list[Interpretation]:
     return [frozenset(low[k & mask] + high[k >> half]) for k in keys]
 
 
-class _Classical(NamedTuple):
+@dataclass
+class _Classical:
     """One classical pass over all 2**n points, with atom j of ``names``,
     in descending order, as bit j.  So within one size, ``interpretations_of``
     order is descending bit index: two sets of one size first differ at
@@ -441,23 +465,39 @@ class _Classical(NamedTuple):
     atom_tables: dict[Atom, int]
     # Every op's table; the last is the theory's.
     vals: list[int]
-    # The classical models, in ``interpretations_of`` order, each built
-    # once and shared by every list read from this pass, and their points.
-    models: list[Interpretation]
+    # The candidates' points: where some root op of the pass holds, in
+    # ``interpretations_of`` order.
     keys: list[int]
 
+    @functools.cached_property
+    def models(self) -> list[Interpretation]:
+        """The candidates, each built once and shared by every list read
+        from this pass."""
+        return _models(self.keys, self.names)
+
     def select(self, table: int) -> list[Interpretation]:
-        """The classical models at whose points ``table`` is 1."""
+        """The candidates at whose points ``table`` is 1."""
         # The text's last digit is bit 0, so bit k is digit ~k.
         bits = format(table, f"0{1 << len(self.names)}b")
         return [m for k, m in zip(self.keys, self.models) if bits[~k] == "1"]
 
+    def narrowed(self, table: int) -> _Classical:
+        """This pass with the points where ``table`` is 1 as its only
+        candidates, so that only they are built.  ``table`` is 0 at every
+        other point."""
+        return replace(self, keys=_set_bits(table, len(self.names)))
+
 
 def _classical_pass(
-    t: Theory, universe: Optional[Iterable[Atom]] = None, cap: int = DEFAULT_CAP
+    ops: Ops,
+    atoms: set[Atom],
+    universe: Optional[Iterable[Atom]] = None,
+    cap: int = DEFAULT_CAP,
+    roots: tuple[int, ...] = (-1,),
 ) -> _Classical:
-    """The pass over ``universe``, by default the atoms ``_compile`` finds."""
-    ops, atoms = _compile(t)
+    """The pass of ``_compile``'s ops and atoms over ``universe``, by
+    default those atoms.  The candidates are the points where some op of
+    ``roots`` holds, by default the theory's classical models."""
     names = sorted(atoms if universe is None else set(universe), reverse=True)
     n = len(names)
     check_cap(n, cap)
@@ -466,8 +506,11 @@ def _classical_pass(
     atom_tables = dict(zip(names, _atom_tables(n)))
     full = (1 << (1 << n)) - 1
     vals = _evaluate(ops, atom_tables, itertools.repeat(full))
-    keys = _set_bits(vals[-1], n)
-    return _Classical(names, ops, atom_tables, vals, _models(keys, names), keys)
+    candidates = 0
+    for root in roots:
+        candidates |= vals[root]
+    keys = _set_bits(candidates, n)
+    return _Classical(names, ops, atom_tables, vals, keys)
 
 
 def _supported(comp: Theory, c: _Classical) -> int:
@@ -478,22 +521,36 @@ def _supported(comp: Theory, c: _Classical) -> int:
     return _evaluate(ops, c.atom_tables, full)[-1]
 
 
-def _per_model(c: _Classical) -> tuple[int, int]:
-    """The stable and pointwise stable tables, one pass per classical model I.
+def _per_model(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
+    """The stable and pointwise stable tables, then the stable table of
+    each part, one pass per candidate I.
 
-    One here-and-there table per I: bit m is the value of the theory at
+    One here-and-there table per I: bit m is the value of an op at
     <J, I>, where J holds the r-th atom of I exactly when bit r of m is
     set, and each implication's there table is its classical value at I
-    (all ones or all zeros).  I is stable when only the ``J = I`` bit is
-    set and pointwise stable when no ``I - {a}`` bit is.
+    (all ones or all zeros).  I is stable when the theory's table has
+    only the ``J = I`` bit set, and pointwise stable when it has that bit
+    and no ``I - {a}`` bit.  A part is stable at I when its op's table
+    has only the ``J = I`` bit among the J that keep its kept atoms of I.
     """
     # As bytes, a table's value at one point is read and set without
     # shifting a 2**n-bit int.
     size = ((1 << len(c.names)) + 7) // 8
     rows = [v.to_bytes(size, "little") for v in _implications(c.ops, c.vals)]
     stable, pointwise = bytearray(size), bytearray(size)
-    # The empty model, first if it is one, has no proper subset to refute it.
-    empty = stable[0] = pointwise[0] = c.vals[-1] & 1
+    # Each part's op, the mask of the points' bits of its kept atoms and
+    # its table.
+    kept_bits = [
+        (op, sum(1 << c.names.index(a) for a in kept), bytearray(size))
+        for op, kept in parts
+    ]
+    # The empty candidate, first if it is one, has no proper subset to
+    # refute it.
+    empty = c.keys[:1] == [0]
+    if empty:
+        stable[0] = pointwise[0] = c.vals[-1] & 1
+        for op, _, part in kept_bits:
+            part[0] = c.vals[op] & 1
     # Per width of I: its atom tables and the mask of the I - {a} bits.
     local: dict[int, tuple[list[int], int]] = {}
     zero = dict.fromkeys(c.names, 0)
@@ -514,16 +571,34 @@ def _per_model(c: _Classical) -> tuple[int, int]:
             rest ^= low
         full = (top << 1) - 1
         there = [full if row[byte] & bit else 0 for row in rows]
-        table = _evaluate(c.ops, here, iter(there))[-1]
+        vals = _evaluate(c.ops, here, iter(there))
+        table = vals[-1]
         if table == top:
             stable[byte] |= bit
-        if not table & drop_one:
+        if table & (top | drop_one) == top:
             pointwise[byte] |= bit
-    return int.from_bytes(stable, "little"), int.from_bytes(pointwise, "little")
+        for op, mask, part in kept_bits:
+            # The J that keep every kept atom of I.
+            keeps = full
+            rest = k & mask
+            while rest:
+                low = rest & -rest
+                keeps &= here[c.names[low.bit_length() - 1]]
+                rest ^= low
+            if vals[op] & keeps == top:
+                part[byte] |= bit
+    return (
+        int.from_bytes(stable, "little"),
+        int.from_bytes(pointwise, "little"),
+        *[int.from_bytes(part, "little") for _, _, part in kept_bits],
+    )
 
 
-def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, int]:
-    """The stable and pointwise stable tables, one pass per loop.
+def _by_loops(
+    c: _Classical, loops: list[frozenset[Atom]], parts: Parts = ()
+) -> tuple[int, ...]:
+    """The stable and pointwise stable tables, then the stable table of
+    each part, one pass per loop.
 
     By the generalised Lin-Zhao theorem (Ferraris, Lee and Lifschitz
     2006), with loops taken from the pnn graph, a classical model I is
@@ -531,10 +606,14 @@ def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, int]:
     here-and-there model.  One pass per loop over all 2**n points, with
     Y's atoms cleared in the here-world, finds every such I at once.
     Every singleton is a loop, and the singletons alone decide
-    pointwise stability.
+    pointwise stability.  The same pass gives every op's table, so it
+    refutes a part's candidates too, at the points where I holds none
+    of the part's kept atoms of Y: elsewhere <I - Y, I> drops a kept
+    atom, and the part's choice for that atom fails there.
     """
     there = _implications(c.ops, c.vals)
     stable = pointwise = c.vals[-1]
+    part_tables = [c.vals[op] for op, _ in parts]
     for ys in loops:
         here = c.atom_tables.copy()
         meets = 0
@@ -545,13 +624,23 @@ def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, int]:
         # Stable models are pointwise stable, so ``pointwise`` covers
         # every candidate a singleton can still refute.
         alive = (pointwise if singleton else stable) & meets
-        if not alive:
+        part_alive = []
+        for (_, kept), table in zip(parts, part_tables):
+            for a in ys & kept:
+                table &= ~c.atom_tables[a]
+            part_alive.append(table & meets)
+        if not alive and not any(part_alive):
             continue
-        refuted = _evaluate(c.ops, here, iter(there))[-1] & alive
+        vals = _evaluate(c.ops, here, iter(there))
+        refuted = vals[-1] & alive
         stable &= ~refuted
         if singleton:
             pointwise &= ~refuted
-    return stable, pointwise
+        part_tables = [
+            table & ~(vals[op] & part)
+            for (op, _), table, part in zip(parts, part_tables, part_alive)
+        ]
+    return stable, pointwise, *part_tables
 
 
 # Cost model of the path choice, in units of one pass over a few points.
@@ -572,31 +661,39 @@ _WIDE_BITS = 2048
 _GRAPH_PASSES = 13
 
 
-def _loops_that_pay(t: Theory, c: _Classical) -> Optional[list[frozenset[Atom]]]:
+def _loops_that_pay(
+    t: Theory, c: _Classical, pnn: Optional[DepGraph] = None
+) -> Optional[list[frozenset[Atom]]]:
     """The pnn loops of ``t`` if one pass per loop over all 2**n points
-    costs less than one pass per classical model I over 2**|I| points,
-    else None.
+    costs less than one pass per candidate I over 2**|I| points, else
+    None.
 
     Both prices give one limit: the loop count up to which the loop path
-    pays.  The graph is built only if the n singleton loops stay under
-    it, and the loop search gives up as soon as it finds more loops.
+    pays.  The graph, unless given as ``pnn``, is built only if the n
+    singleton loops stay under it, and the loop search gives up as soon
+    as it finds more loops.
     """
-    # The 2**|I| points of every classical model I, summed without a
-    # Python-level loop over the models.
+    # The 2**|I| points of every candidate I, summed without a
+    # Python-level loop over the candidates.
     points = sum(map((1).__lshift__, map(int.bit_count, c.keys)))
     per_model = len(c.keys) + points / _WIDE_BITS
     per_loop = 1 + (1 << len(c.names)) / _WIDE_BITS
     limit = (per_model - _GRAPH_PASSES) / per_loop
     if limit <= len(c.names):
         return None
-    return _loops(*_components(g_pnn(t)), limit)
+    return _loops(*_components(g_pnn(t) if pnn is None else pnn), limit)
 
 
-def _sweep(t: Theory, cap: int) -> tuple[_Classical, int, int]:
-    """The classical pass of ``t``, its stable and its pointwise tables."""
-    c = _classical_pass(t, cap=cap)
-    loops = _loops_that_pay(t, c)
-    return c, *(_per_model(c) if loops is None else _by_loops(c, loops))
+def _sweep(
+    t: Theory, c: _Classical, parts: Parts = (), pnn: Optional[DepGraph] = None
+) -> tuple[int, ...]:
+    """The stable and pointwise stable tables of ``t`` over its classical
+    pass ``c``, then the stable table of each part, by the cheaper path.
+    ``pnn`` is ``t``'s pnn graph, if the caller has built it."""
+    loops = _loops_that_pay(t, c, pnn)
+    if loops is None:
+        return _per_model(c, parts)
+    return _by_loops(c, loops, parts)
 
 
 @dataclass(frozen=True)
@@ -629,7 +726,8 @@ class ModelReport:
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     """All four model classes of ``t`` from one classical pass."""
-    c, stable, pointwise = _sweep(t, cap)
+    c = _classical_pass(*_compile(t), cap=cap)
+    stable, pointwise = _sweep(t, c)
     supported = comp = None
     if is_nondisjunctive_theory(t):
         comp = completion(t)

@@ -5,8 +5,15 @@ checked: strictly positive atoms of F lie in P, strictly positive atoms
 of G lie in Q, and no strongly connected component of the dependency
 graph of F & G straddles the partition.  Under the pnn graph the
 conditions guarantee that the stable models of F & G are exactly the
-interpretations stable for both augmented parts; under the sp graph
-they do not, and the report exposes that.
+interpretations stable for both augmented parts, F & choice(Q) and
+G & choice(P); under the sp graph they do not, and the report exposes
+that.
+
+The three stable-model lists come from one compile of F & G, one
+classical pass over its universe and one stability sweep, in which each
+part is F's or G's op with a restricted here-world (see ``semantics``).
+``choice_augment`` builds the parts as formulas: it is the test oracle
+for that sweep, and no production path calls it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .depgraph import GraphKind, graph_of, sccs
+from .depgraph import DepGraph, GraphKind, graph_of, sccs
 from .errors import NotAPartitionError
 from .formula import (
     And,
@@ -22,15 +29,22 @@ from .formula import (
     AtomRef,
     Formula,
     Or,
-    atoms,
     neg,
     spos,
 )
-from .semantics import DEFAULT_CAP, Interpretation, stable_models
+from .semantics import (
+    DEFAULT_CAP,
+    Interpretation,
+    _classical_pass,
+    _compile,
+    _sweep,
+)
 
 
 def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
-    """Conjoin ``f`` with a choice A | not A for each atom, in atom order."""
+    """Conjoin ``f`` with a choice A | not A for each atom, in atom order.
+
+    The definition of a part, kept as the oracle of ``check_split``."""
     out = f
     for a in sorted(frozenset(xs)):
         ref = AtomRef(a)
@@ -62,9 +76,10 @@ def split_conditions(
     g: Formula,
     ps: frozenset[Atom],
     qs: frozenset[Atom],
-    kind: GraphKind,
+    graph: DepGraph,
 ) -> tuple[frozenset[Atom], frozenset[Atom], Optional[frozenset[Atom]]]:
-    """Offenders of conditions (i), (ii) and (iii) for the partition {P, Q}.
+    """Offenders of conditions (i), (ii) and (iii) for the partition {P, Q},
+    with ``graph`` the sp or pnn dependency graph of F & G.
 
     A condition holds when its offenders are empty, or None for (iii),
     which names the first straddling strongly connected component.
@@ -72,7 +87,7 @@ def split_conditions(
     i_off = spos(f) - ps
     ii_off = spos(g) - qs
     iii_off = None
-    for comp in sccs(graph_of((And(f, g),), kind)):
+    for comp in sccs(graph):
         if not (comp <= ps or comp <= qs):
             iii_off = comp
             break
@@ -89,28 +104,35 @@ def check_split(
 ) -> SplitReport:
     """Evaluate the three splitting conditions and the stable-model equivalence.
 
-    Each stable-model list is enumerated over its own theory's atoms.
-    The lists equal those over the full atom universe of F & G: no stable
-    model contains an atom outside its theory, and the model order is
-    unchanged on a sub-universe.  Part models are therefore comparable as
-    sets.
+    F & G is compiled once; its last op is the conjunction, whose
+    operands are F's and G's ops.  One classical pass over the atoms of
+    F & G gives the tables of F, G and F & G, and one sweep decides the
+    three lists, with F & choice(Q) read as F's op whose here-world keeps
+    the atoms of Q that the there-world holds, and G & choice(P) likewise.
+    Every list is over the whole universe, which changes no part's list:
+    no stable model holds an atom outside its theory, and the model order
+    is unchanged on a sub-universe.  Part models are therefore comparable
+    as sets.  Under the pnn graph, the graph of the conditions is the one
+    the sweep's loop search reads.
     """
     ps = frozenset(p)
     qs = frozenset(q)
-    whole = And(f, g)
-    universe = atoms(whole)
+    whole = (And(f, g),)
+    ops, universe = _compile(whole)
     if ps | qs != universe or ps & qs:
         raise NotAPartitionError(
             "the two atom sets must partition the atoms of the conjunction"
         )
-    i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, kind)
+    _, f_op, g_op = ops[-1]
+    c = _classical_pass(ops, universe, cap=cap, roots=(f_op, g_op))
+    graph = graph_of(whole, kind)
+    i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, graph)
+    pnn = graph if kind is GraphKind.PNN else None
+    stable, _, part_f, part_g = _sweep(
+        whole, c, ((f_op, qs), (g_op, ps)), pnn
+    )
 
-    stable_whole = stable_models((whole,), cap)
-    stable_part_f = stable_models((choice_augment(f, qs),), cap)
-    stable_part_g = stable_models((choice_augment(g, ps),), cap)
-    in_g = set(stable_part_g)
-    stable_both = [i for i in stable_part_f if i in in_g]
-
+    shown = c.narrowed(stable | part_f | part_g)
     return SplitReport(
         kind=kind,
         cond_i=not i_off,
@@ -119,8 +141,8 @@ def check_split(
         cond_ii_offenders=ii_off,
         cond_iii=iii_off is None,
         cond_iii_offender=iii_off,
-        equivalence_holds=stable_whole == stable_both,
-        stable_whole=stable_whole,
-        stable_part_f=stable_part_f,
-        stable_part_g=stable_part_g,
+        equivalence_holds=stable == part_f & part_g,
+        stable_whole=shown.select(stable),
+        stable_part_f=shown.select(part_f),
+        stable_part_g=shown.select(part_g),
     )

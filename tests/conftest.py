@@ -12,6 +12,7 @@ from stablemodels import (
     GraphKind,
     analyze,
     atoms,
+    check_split,
     classical_models,
     graph_of,
     interpretations_of,
@@ -36,6 +37,7 @@ from stablemodels.formula import positive_nonnegated_atoms
 from stablemodels.semantics import (
     _by_loops,
     _classical_pass,
+    _compile,
     _per_model,
     satisfies_all,
 )
@@ -134,7 +136,7 @@ def sweep_paths(t, kind=GraphKind.PNN):
     ``analyze``'s sweep, called directly whatever path it would choose:
     one here-and-there pass per classical model, and one pass per loop
     of ``kind``'s graph (pnn is the production path)."""
-    c = _classical_pass(t)
+    c = _classical_pass(*_compile(t))
     loops = strongly_connected_subsets(graph_of(t, kind))
     return {
         path: (c.models, *map(c.select, tables))
@@ -143,6 +145,25 @@ def sweep_paths(t, kind=GraphKind.PNN):
             ("loop-indexed", _by_loops(c, loops)),
         )
     }
+
+
+def split_sweep_paths(f, g, ps, qs, kind=GraphKind.PNN):
+    """``check_split``'s report on each path of its one sweep, forced as
+    ``sweep_paths`` forces them: the path choice is replaced by one that
+    takes the per-model path, or the loop path over every loop of the
+    pnn graph of F & G."""
+    choices = {
+        "per-model": lambda t, c, pnn=None: None,
+        "loop-indexed": lambda t, c, pnn=None: strongly_connected_subsets(
+            graph_of(t, GraphKind.PNN)
+        ),
+    }
+    reports = {}
+    for path, choice in choices.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(semantics, "_loops_that_pay", choice)
+            reports[path] = check_split(f, g, ps, qs, kind)
+    return reports
 
 
 def oracle_mismatches(t):
@@ -224,18 +245,34 @@ def graph_builds(monkeypatch):
     return builds
 
 
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of the calls of ``module``'s function ``name``,
+    counted through every binding of it in the package's modules."""
+    calls = []
+    function = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.split(".")[0] == "stablemodels":
+            if getattr(loaded, name, None) is function:
+                monkeypatch.setattr(loaded, name, counting)
+    return calls
+
+
 @pytest.fixture
 def classical_passes(monkeypatch):
     """The calls of ``semantics._classical_pass``, each one evaluation of a
     theory over all 2**n interpretations."""
-    passes = []
+    return count_calls(monkeypatch, semantics, "_classical_pass")
 
-    def counting_pass(*args, **kwargs):
-        passes.append(args)
-        return _classical_pass(*args, **kwargs)
 
-    monkeypatch.setattr(semantics, "_classical_pass", counting_pass)
-    return passes
+@pytest.fixture
+def compiles(monkeypatch):
+    """The calls of ``semantics._compile``, each one walk of a theory."""
+    return count_calls(monkeypatch, semantics, "_compile")
 
 
 @pytest.fixture

@@ -604,6 +604,40 @@ class TestSplit:
         assert data["equivalence_holds"] is True
         assert data["stable_whole"] == [["p", "q"]]
 
+    # Rules a0 -> a1 -> ... -> a20 split after a9: 21 atoms in all.
+    WIDE_F = " & ".join(f"(a{i} -> a{i + 1})" for i in range(10))
+    WIDE_G = " & ".join(f"(a{i} -> a{i + 1})" for i in range(10, 20))
+    WIDE_P = ",".join(f"a{i}" for i in range(10))
+
+    def test_non_partition_refused_before_the_cap(self, capsys):
+        argv = ["split", self.WIDE_F, self.WIDE_G, "--p", self.WIDE_P + ",z"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "partition" in err
+
+    def test_over_the_cap_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "split", self.WIDE_F, self.WIDE_G, "--p", self.WIDE_P
+        )
+        assert code == 2
+        assert out == ""
+        assert "21 atoms exceeds the enumeration cap of 20" in err
+
+    def test_cap_applies_to_the_whole(self, capsys):
+        # Each part has 3 atoms, F & G has 4: F & choice(Q) is over
+        # {p, s, q} and G & choice(P) over {q, r, p}.
+        code, out, err = run(
+            capsys, "split", "p & s", "q & r", "--p", "p,r", "--cap", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "4 atoms exceeds the enumeration cap of 3" in err
+        code, _, _ = run(
+            capsys, "split", "p & s", "q & r", "--p", "p,r", "--cap", "4"
+        )
+        assert code == 3
+
 
 class TestFuzz:
     def test_clean_run_exit_0(self, capsys):

@@ -24,8 +24,12 @@ only inside ``semantics.interpretations_of``.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
 other module prices or refuses loop enumeration by component size.  In
 ``semantics``, ``atoms`` and ``theory_atoms`` are called only inside
-``completion``: the enumerators take their universe from the one walk
-of ``_compile``, which visits each distinct node once, not once per path.
+``completion``, and in ``splitting`` nowhere: the enumerators and
+``check_split`` take their universe from the one walk of ``_compile``,
+which visits each distinct node once, not once per path.  And
+``splitting.choice_augment``, which builds a split's parts as formulas,
+is the oracle of ``check_split``'s one sweep: no module under ``src/``
+calls it (``__init__`` re-exports it).
 """
 
 import ast
@@ -59,6 +63,7 @@ SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
 CAP_OWNER = "depgraph"
 UNIVERSE_WALKS = {"atoms", "theory_atoms"}
 UNIVERSE_WALKER = "completion"
+PART_BUILDER = {"choice_augment"}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
@@ -139,16 +144,30 @@ def combinations_uses(tree, module):
     )
 
 
+def _calls(tree, names):
+    """Each call of a function of ``names``, by name or as an attribute,
+    with its line and the innermost function it sits in."""
+    for node, function in _nodes(tree):
+        if (
+            isinstance(node, ast.Call)
+            and type(node.func) in NAME_FIELDS
+            and getattr(node.func, NAME_FIELDS[type(node.func)]) in names
+        ):
+            yield node.lineno, function
+
+
 def universe_walk_calls(tree):
     """Lines that call ``atoms`` or ``theory_atoms`` outside ``completion``."""
     return sorted(
-        node.lineno
-        for node, function in _nodes(tree)
-        if isinstance(node, ast.Call)
-        and type(node.func) in NAME_FIELDS
-        and getattr(node.func, NAME_FIELDS[type(node.func)]) in UNIVERSE_WALKS
-        and function != UNIVERSE_WALKER
+        line
+        for line, function in _calls(tree, UNIVERSE_WALKS)
+        if function != UNIVERSE_WALKER
     )
+
+
+def part_builder_calls(tree):
+    """Lines that call ``choice_augment``."""
+    return sorted(line for line, _ in _calls(tree, PART_BUILDER))
 
 
 def cap_uses(tree, module):
@@ -239,6 +258,44 @@ def test_enumerators_take_their_universe_from_compile():
     path = ROOT / "src" / "stablemodels" / "semantics.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert universe_walk_calls(tree) == []
+
+
+def test_check_split_takes_its_universe_from_compile():
+    path = ROOT / "src" / "stablemodels" / "splitting.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert universe_walk_calls(tree) == []
+
+
+def test_lint_flags_universe_walks_of_a_split():
+    tree = ast.parse(
+        "from .formula import And, atoms\n"
+        "def check_split(f, g, p, q):\n"
+        "    whole = And(f, g)\n"
+        "    universe = atoms(whole)\n"
+        "    return universe\n"
+    )
+    assert universe_walk_calls(tree) == [4]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_choice_augment_is_only_the_oracle(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert part_builder_calls(tree) == []
+
+
+def test_lint_flags_part_builder_calls():
+    tree = ast.parse(
+        "import stablemodels.splitting as splitting\n"
+        "def choice_augment(f, xs):\n"
+        "    return f\n"
+        "def check_split(f, g, ps, qs):\n"
+        "    part_f = stable_models((choice_augment(f, qs),))\n"
+        "    part_g = stable_models((splitting.choice_augment(g, ps),))\n"
+        "    return part_f, part_g\n"
+    )
+    assert part_builder_calls(tree) == [5, 6]
 
 
 def test_lint_flags_universe_walk_calls():

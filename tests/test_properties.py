@@ -38,6 +38,7 @@ from stablemodels import (
     rules_of,
     satisfies,
     spos,
+    stable_models,
     stable_via_all_sets,
     stable_via_loops,
     strongly_connected_subsets,
@@ -57,6 +58,7 @@ from conftest import (
     loop_oracle_scan,
     oracle_mismatches,
     run_cli,
+    split_sweep_paths,
     strongly_connected_subsets_scan,
 )
 
@@ -280,6 +282,47 @@ def test_check_split_matches_pointwise_stability_scan(seed, kind):
     assert report.equivalence_holds == (
         whole == [i for i in part_f if i in part_g]
     )
+
+
+# Splits of up to eight atoms: F and G, each with negations, and a
+# partition {P, Q} of the atoms of F & G.
+split_names = st.sampled_from(("a", "b", "c", "d", "e", "f", "g", "h"))
+split_formulas = st.recursive(
+    st.one_of(st.just(BOT), st.builds(AtomRef, split_names)),
+    lambda child: st.one_of(
+        st.builds(And, child, child),
+        st.builds(Or, child, child),
+        st.builds(Implies, child, child),
+        st.builds(neg, child),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def splits(draw):
+    f, g = draw(split_formulas), draw(split_formulas)
+    universe = atoms(And(f, g))
+    ps = frozenset()
+    if universe:
+        ps = frozenset(draw(st.sets(st.sampled_from(sorted(universe)))))
+    return f, g, ps, universe - ps
+
+
+@settings(deadline=None)
+@given(splits(), st.sampled_from(GraphKind))
+def test_split_sweep_paths_match_choice_augmented_enumeration(split, kind):
+    # The oracle is the route that builds each part as a formula and
+    # enumerates it on its own.
+    f, g, ps, qs = split
+    whole = stable_models((And(f, g),))
+    part_f = stable_models((choice_augment(f, qs),))
+    part_g = stable_models((choice_augment(g, ps),))
+    both = [i for i in part_f if i in part_g]
+    for path, report in split_sweep_paths(f, g, ps, qs, kind).items():
+        lists = report.stable_whole, report.stable_part_f, report.stable_part_g
+        assert lists == (whole, part_f, part_g), path
+        assert report.equivalence_holds == (whole == both), path
 
 
 @st.composite

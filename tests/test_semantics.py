@@ -34,6 +34,7 @@ from stablemodels import depgraph, semantics
 from stablemodels.semantics import (
     _by_loops,
     _classical_pass,
+    _compile,
     _loops_that_pay,
     _per_model,
     stable_and_pointwise_models,
@@ -265,7 +266,7 @@ class TestSweepPaths:
         t = ring(17)
         with pytest.raises(CapExceededError, match="loop enumeration"):
             strongly_connected_subsets(g_pnn(t))
-        c = _classical_pass(t)
+        c = _classical_pass(*_compile(t))
         # Enough classical models to build the graph: n = 17 singleton
         # passes over 2**17 points would cost less than 3572 small ones.
         # The ring's 3588 loops would not, so the search gives up once it
@@ -299,7 +300,7 @@ class TestSweepPaths:
         rules = [f"a{(i + 1) % 12} -> a{i} | c" for i in range(12)]
         rules += [f"not not a{i} -> a{i}" for i in range(12)]
         t = parse_theory(". ".join(rules) + ".")
-        c = _classical_pass(t)
+        c = _classical_pass(*_compile(t))
         assert len(c.models) == 4098
         loops = _loops_that_pay(t, c)
         assert loops == strongly_connected_subsets(g_pnn(t))
@@ -308,7 +309,7 @@ class TestSweepPaths:
 
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
-        loops = _loops_that_pay(t, _classical_pass(t))
+        loops = _loops_that_pay(t, _classical_pass(*_compile(t)))
         assert loops == [mset(f"a{i}") for i in range(8)]
 
     def test_small_theory_skips_the_graph(self, p2, monkeypatch):
@@ -316,7 +317,7 @@ class TestSweepPaths:
             raise AssertionError("graph built")
 
         monkeypatch.setattr(semantics, "g_pnn", no_graph)
-        assert _loops_that_pay(p2, _classical_pass(p2)) is None
+        assert _loops_that_pay(p2, _classical_pass(*_compile(p2))) is None
 
 
 @st.composite
@@ -352,7 +353,7 @@ class TestCompile:
             if id(g) not in distinct:
                 distinct.add(id(g))
                 stack += (getattr(g, n) for n in g.__slots__ if n != "name")
-        c = _classical_pass((lf,), {"p", "q"})
+        c = _classical_pass(*_compile((lf,)), {"p", "q"})
         assert len(c.ops) <= len(distinct)
         for i in interpretations_of({"p", "q"}):
             k = sum(1 << j for j, a in enumerate(c.names) if a in i)

@@ -1,5 +1,7 @@
 import pytest
 
+import stablemodels.depgraph as depgraph
+import stablemodels.semantics as semantics
 from stablemodels import (
     GraphKind,
     NotAPartitionError,
@@ -8,7 +10,8 @@ from stablemodels import (
     parse_formula,
     stable_models,
 )
-from conftest import mset
+from stablemodels.formula import positive_nonnegated_atoms, spos
+from conftest import count_calls, mset, run_cli
 
 
 class TestChoiceAugment:
@@ -108,3 +111,48 @@ class TestCheckSplit:
                 set(),
                 GraphKind.PNN,
             )
+
+
+# Choices on a0..a4 in F and on b0..b4 in G, and a rule in each:
+# 2**10 points, most of them classical models of F or of G, and only the
+# 10 singleton pnn loops, so the sweep takes the loop path.  The
+# conditions pass under both graphs.
+WIDE_F = " & ".join(
+    [f"(a{i} | not a{i})" for i in range(5)] + ["(b0 & not b1 -> a0)"]
+)
+WIDE_G = " & ".join(
+    [f"(b{i} | not b{i})" for i in range(5)] + ["(b2 & not a1 -> b1)"]
+)
+WIDE_P = ",".join(f"a{i}" for i in range(5))
+
+
+WIDE_Q = ",".join(f"b{i}" for i in range(5))
+
+
+class TestSplitWork:
+    @pytest.mark.parametrize(
+        ("f", "g", "p", "q", "path"),
+        [(F3, G3, "q", "p", "_per_model"),
+         (WIDE_F, WIDE_G, WIDE_P, WIDE_Q, "_by_loops")],
+        ids=["per-model", "loop-indexed"],
+    )
+    def test_one_compile_one_pass_one_sweep(
+        self, monkeypatch, compiles, classical_passes, f, g, p, q, path
+    ):
+        sweeps = count_calls(monkeypatch, semantics, path)
+        f, g = parse_formula(f), parse_formula(g)
+        check_split(f, g, p.split(","), q.split(","))
+        assert len(compiles) == len(classical_passes) == len(sweeps) == 1
+
+    @pytest.mark.parametrize(
+        ("f", "g", "p", "kind", "graphs"),
+        [(WIDE_F, WIDE_G, WIDE_P, "pnn", [positive_nonnegated_atoms]),
+         (WIDE_F, WIDE_G, WIDE_P, "sp", [spos, positive_nonnegated_atoms]),
+         # On the per-model path the sweep needs no pnn graph.
+         (F3, G3, "q", "sp", [spos])],
+        ids=["pnn", "sp-loop-indexed", "sp-per-model"],
+    )
+    def test_graphs_built(self, monkeypatch, f, g, p, kind, graphs):
+        builds = count_calls(monkeypatch, depgraph, "_build")
+        run_cli(["split", f, g, "--p", p, "--graph", kind])
+        assert [body_atoms for _, body_atoms in builds] == graphs
