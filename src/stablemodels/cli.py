@@ -30,7 +30,7 @@ from .errors import (
     NotAPartitionError,
     NotNondisjunctiveError,
 )
-from .formula import And, atoms, is_nondisjunctive_theory, print_formula
+from .formula import is_nondisjunctive_theory, print_formula
 from .fuzz import (
     MAX_FUZZ_ATOMS,
     MAX_FUZZ_DEPTH,
@@ -176,9 +176,7 @@ def cmd_split(args) -> int:
     f = parse_formula(args.f)
     g = parse_formula(args.g)
     ps = _parse_atom_list(args.p)
-    universe = atoms(And(f, g))
-    qs = universe - ps
-    report = check_split(f, g, ps, qs, GraphKind(args.graph), cap=args.cap)
+    report = check_split(f, g, ps, kind=GraphKind(args.graph), cap=args.cap)
     if args.json:
         print(
             answer_json(

@@ -8,11 +8,11 @@ occurrences for the "sp" graph, positive nonnegated occurrences for the
 "pnn" graph.  Polarity is evaluated relative to the body and head
 subformulas of each rule, not the enclosing member.
 
-Both graphs are drawn in one walk per member over its strictly
-positive positions, each carrying the body atoms of the rules whose
-heads contain it, so every rule body is walked once and no head is
-walked again per enclosing rule.  ``formula.rules_of``, which lists the
-rules one by one, is the definition the tests compare the graphs with.
+Both graphs are read from ``formula._compile``'s ops in two passes: one
+gives each op its body atoms as an int mask, and one carries down the
+strictly positive ops the body atoms of the rules above them, so a node
+that ``<->`` shares is visited once, not once per path to it.
+``formula.rules_of`` is the definition the tests compare them with.
 
 Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the
@@ -32,15 +32,15 @@ from typing import Iterator, Optional
 
 from .errors import check_cap
 from .formula import (
-    And,
+    _AND,
+    _ATOM,
+    _BOT,
+    _IMPLIES,
+    _OR,
     Atom,
-    AtomRef,
-    Implies,
-    Or,
+    Ops,
     Theory,
-    positive_nonnegated_atoms,
-    spos,
-    theory_atoms,
+    _compile,
 )
 
 Edge = tuple[Atom, Atom]
@@ -62,31 +62,68 @@ class DepGraph:
         return sorted(self.edges)
 
 
-def _build(t: Theory, body_atoms) -> DepGraph:
-    edges: set[Edge] = set()
-    for member in t:
-        # Strictly positive positions, each with the body atoms of the
-        # rules whose heads contain it.
-        stack: list[tuple] = [(member, frozenset())]
-        while stack:
-            g, bodies = stack.pop()
-            if isinstance(g, AtomRef):
-                edges.update((g.name, b) for b in bodies)
-            elif isinstance(g, (And, Or)):
-                stack += ((g.left, bodies), (g.right, bodies))
-            elif isinstance(g, Implies):
-                stack.append((g.consequent, bodies | body_atoms(g.antecedent)))
-    return DepGraph(theory_atoms(t), frozenset(edges))
+def _bodies(ops: Ops, kind: GraphKind) -> tuple[list[Atom], list[int]]:
+    """The atoms of ``ops`` by first op, and per op the mask (bit j for
+    atom j) of the body atoms of ``kind``'s graph in the op's formula.
+    For pnn, ``odd`` holds those that an antecedent would turn positive,
+    and an implication into bottom has none: it negates its antecedent."""
+    bit: dict[Atom, int] = {}
+    masks: list[int] = []
+    odd: list[int] = []
+    for code, x, y in ops:
+        if code == _ATOM:
+            mask, rest = bit.setdefault(x, 1 << len(bit)), 0
+        elif code == _IMPLIES and ops[y][0] != _BOT:
+            mask = odd[x] | masks[y]
+            rest = 0 if kind is GraphKind.SP else masks[x] | odd[y]
+        elif code == _AND or code == _OR:
+            mask, rest = masks[x] | masks[y], odd[x] | odd[y]
+        else:
+            mask = rest = 0
+        masks.append(mask)
+        odd.append(rest)
+    return list(bit), masks
+
+
+def _named(mask: int, names: list[Atom]) -> Iterator[Atom]:
+    """The atoms of ``names`` at the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield names[low.bit_length() - 1]
+        mask ^= low
+
+
+def _graph(ops: Ops, kind: GraphKind) -> DepGraph:
+    """``kind``'s graph of ``_compile``'s ``ops``.  In reverse op order,
+    parents first, each strictly positive op has the body atoms of the
+    rules above it by every path before it passes them on."""
+    names, bodies = _bodies(ops, kind)
+    # None off the strictly positive ops; each read after all its parents.
+    above: list[Optional[int]] = [None] * len(ops)
+    above[-1] = 0
+    heads: dict[Atom, int] = {}
+    for (code, x, y), mask in zip(reversed(ops), reversed(above)):
+        if mask is None:
+            continue
+        if code == _ATOM:
+            heads[x] = heads.get(x, 0) | mask
+        elif code == _IMPLIES:
+            above[y] = (above[y] or 0) | mask | bodies[x]
+        elif code != _BOT:
+            above[x] = (above[x] or 0) | mask
+            above[y] = (above[y] or 0) | mask
+    edges = ((h, b) for h, mask in heads.items() for b in _named(mask, names))
+    return DepGraph(frozenset(names), frozenset(edges))
 
 
 def g_sp(t: Theory) -> DepGraph:
     """Edges from strictly positive head atoms to strictly positive body atoms."""
-    return _build(t, spos)
+    return _graph(_compile(t)[0], GraphKind.SP)
 
 
 def g_pnn(t: Theory) -> DepGraph:
     """Edges from strictly positive head atoms to positive nonnegated body atoms."""
-    return _build(t, positive_nonnegated_atoms)
+    return _graph(_compile(t)[0], GraphKind.PNN)
 
 
 def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
@@ -248,9 +285,7 @@ def _loops(
                     forward[bit[v]] |= 1 << bit[w]
                     backward[bit[w]] |= 1 << bit[v]
         for mask in _component_loops(forward, backward):
-            loops.append(tuple(
-                v for n, v in enumerate(names) if mask >> n & 1
-            ))
+            loops.append(tuple(_named(mask, names)))
             if len(loops) > limit:
                 return None
     # By names, then stably by size: the order of (size, names).

@@ -3,8 +3,8 @@
 Formulas are built from atoms and bottom with the binary connectives
 ``&``, ``|`` and ``->``.  Negation and the biconditional are surface
 sugar only: ``not F`` is stored as ``F -> bot`` and ``F <-> G`` as the
-conjunction of both implications.  All analysis below runs on the
-desugared tree.
+conjunction of both implications.  The walks below define the analyses;
+production reads ``_compile``'s ops instead, one per distinct node.
 """
 
 from __future__ import annotations
@@ -175,38 +175,13 @@ def spos(f: Formula) -> frozenset[Atom]:
     return frozenset(out)
 
 
-def positive_nonnegated_atoms(f: Formula) -> frozenset[Atom]:
-    """Atoms with at least one positive nonnegated occurrence in ``f``.
-
-    Each stack item carries the parity of its antecedent count and
-    whether an enclosing antecedent belongs to a negation, as in
-    ``classify_occurrences``.
-    """
-    out: set[Atom] = set()
-    stack: list[tuple[Formula, bool, bool]] = [(f, False, False)]
-    while stack:
-        g, odd, negated = stack.pop()
-        if isinstance(g, AtomRef):
-            if not (odd or negated):
-                out.add(g.name)
-        elif isinstance(g, (And, Or)):
-            stack += ((g.left, odd, negated), (g.right, odd, negated))
-        elif isinstance(g, Implies):
-            in_neg = negated or g.consequent == BOT
-            stack += (
-                (g.antecedent, not odd, in_neg),
-                (g.consequent, odd, negated),
-            )
-    return frozenset(out)
-
-
 def rules_of(f: Formula) -> list[RuleOccurrence]:
     """Strictly positive implication occurrences of ``f``, in preorder.
 
     The consequent of a strictly positive implication is itself strictly
     positive, so rules nested on the consequent side are included.  This
     is the definition the dependency graphs are tested against; they are
-    built by one walk per member in ``depgraph``.
+    read from ``_compile``'s ops in ``depgraph``.
     """
     out: list[RuleOccurrence] = []
     stack = [f]
@@ -240,6 +215,54 @@ def as_rule(f: Formula) -> Optional[tuple[Formula, Atom]]:
 
 def is_nondisjunctive_theory(t: Iterable[Formula]) -> bool:
     return all(is_nondisjunctive_rule(f) for f in t)
+
+
+_ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
+_CODES = {And: _AND, Or: _OR, Implies: _IMPLIES}
+
+Ops = list[tuple[int, Atom | int, int]]
+
+
+def _compile(t: Iterable[Formula]) -> tuple[Ops, set[Atom]]:
+    """Postorder ops ``(code, x, y)`` of the conjunction of ``t``, and its atoms.
+
+    ``x`` is an atom's name, or a connective's left operand's op, and ``y``
+    its right operand's op; the last op is the whole theory.  A node object
+    that recurs, as ``not NES`` does in a loop formula and the operands of
+    ``<->`` do, gets one op: the walk visits each distinct node once.
+    """
+    ops: Ops = []
+    # Finished ops whose parents are not, and the binary nodes begun, each
+    # with the height of ``done`` at which both its operands are finished.
+    done: list[int] = []
+    pending: list[tuple[Formula, int]] = []
+    # Op by node id; no id is reused, as ``pending`` holds the root.
+    compiled: dict[int, int] = {}
+    stack = [conj(t)]
+    while stack:
+        g = stack.pop()
+        op = compiled.get(id(g))
+        if op is None:
+            kind = type(g)
+            if kind is AtomRef:
+                ops.append((_ATOM, g.name, 0))
+            elif kind is Bottom:
+                ops.append((_BOT, 0, 0))
+            else:
+                pending.append((g, len(done) + 2))
+                if kind is Implies:
+                    stack += (g.consequent, g.antecedent)
+                else:
+                    stack += (g.right, g.left)
+                continue
+            op = compiled[id(g)] = len(ops) - 1
+        done.append(op)
+        while pending and pending[-1][1] == len(done):
+            g = pending.pop()[0]
+            y = done.pop()
+            ops.append((_CODES[type(g)], done[-1], y))
+            done[-1] = compiled[id(g)] = len(ops) - 1
+    return ops, {x for code, x, _ in ops if code == _ATOM}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .depgraph import GraphKind, g_pnn, g_sp, has_cycle, subgraph_of
+from .depgraph import GraphKind, _graph, g_pnn, g_sp, has_cycle, subgraph_of
 from .formula import (
     And,
     AtomRef,
@@ -27,6 +27,7 @@ from .formula import (
     Implies,
     Or,
     Theory,
+    _compile,
     atoms,
     print_formula,
     print_theory,
@@ -194,9 +195,8 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         f, g, ps, qs = case
         if not ps | qs:
             return False
-        pnn = g_pnn((And(f, g),))
-        i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, pnn)
-        return not i_off and not ii_off and iii_off is None
+        ops, _ = _compile((And(f, g),))
+        return not any(split_conditions(ops, ps, qs, _graph(ops, GraphKind.PNN)))
 
     # Neither split_conditions nor check_split draws from rng, so the
     # sampled cases depend on the seed alone.

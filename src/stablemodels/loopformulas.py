@@ -43,7 +43,7 @@ from .formula import (
     Formula,
     Implies,
     Or,
-    atoms,
+    _compile,
     conj,
     neg,
     print_tokens,
@@ -57,10 +57,10 @@ from .semantics import (
 )
 
 
-def check_atoms(f: Formula, y: Iterable[Atom]) -> frozenset[Atom]:
-    """``y`` as a frozenset; raises if it has an atom that ``f`` lacks."""
+def check_atoms(y: Iterable[Atom], universe: set[Atom]) -> frozenset[Atom]:
+    """``y`` as a frozenset; raises if it has an atom outside ``universe``."""
     ys = frozenset(y)
-    extra = ys - atoms(f)
+    extra = ys - universe
     if extra:
         raise AtomsOutsideFormulaError(extra)
     return ys
@@ -102,12 +102,12 @@ def nes(f: Formula, y: Iterable[Atom]) -> Formula:
     distribute; an implication F -> G becomes
     (NES(F) -> NES(G)) & (F -> G).
     """
-    return _nes(f, check_atoms(f, y))
+    return _nes(f, check_atoms(y, _compile((f,))[1]))
 
 
 def loop_formula(f: Formula, y: Iterable[Atom]) -> Formula:
     """Conjunction over A in ``y`` of A -> not NES(f, y), in atom order."""
-    ys = check_atoms(f, y)
+    ys = check_atoms(y, _compile((f,))[1])
     if not ys:
         raise ValueError("loop formula requires a nonempty atom set")
     return _loop_formula(f, ys)
@@ -229,7 +229,7 @@ class NesPrinter:
 
 def nes_text(f: Formula, y: Iterable[Atom]) -> str:
     """``print_formula(nes(f, y))``, printed by ``NesPrinter``."""
-    ys = check_atoms(f, y)
+    ys = check_atoms(y, _compile((f,))[1])
     return NesPrinter(f).text(ys)
 
 
@@ -260,7 +260,7 @@ def _loops(f: Formula, kind: Optional[GraphKind]) -> Iterator[frozenset[Atom]]:
     """The loops of ``kind``'s graph of ``f``, or every nonempty subset of
     ``f``'s atoms if None; nothing is built before the first ``next``."""
     if kind is None:
-        subsets = interpretations_of(atoms(f))
+        subsets = interpretations_of(_compile((f,))[1])
         next(subsets)  # the empty set, which has no loop formula
         yield from subsets
     else:
@@ -272,7 +272,7 @@ def loop_oracle_models(
 ) -> list[Interpretation]:
     """The classical models of ``f`` and the loop formulas of the loops of
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
-    universe = atoms(f)
+    universe = _compile((f,))[1]
     check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
     lfs = (_loop_formula(f, ys) for ys in _loops(f, kind))
     return classical_models((f, *lfs), universe)
@@ -285,9 +285,10 @@ def loop_verdicts(
     loop formula of each of ``loops``, with f compiled once: I satisfies
     LF_Y exactly when Y misses I or <I - Y, I> is not a here-and-there
     model of f (Ferraris, Lee and Lifschitz 2006).  I's atoms are checked
-    on the first ``next``."""
-    i = check_atoms(f, i)
-    here_and_there = here_and_there_at((f,), i)
+    against that compile on the first ``next``."""
+    ops, universe = _compile((f,))
+    i = check_atoms(i, universe)
+    here_and_there = here_and_there_at(ops, universe, i)
     yield here_and_there(frozenset())
     for ys in loops:
         yield not ys & i or not here_and_there(ys)
@@ -301,7 +302,8 @@ def _loop_oracle_at(
     ``DEFAULT_CAP``; a graph's loops are bounded by the component cap of
     ``strongly_connected_subsets``."""
     if kind is None:
-        check_cap(len(atoms(f)), DEFAULT_CAP, "loop-formula enumeration")
+        universe = _compile((f,))[1]
+        check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
     return all(loop_verdicts(i, f, _loops(f, kind)))
 
 

@@ -26,8 +26,8 @@ not built; else the loop search gives up as soon as it has found more
 loops than that, and the per-model path runs.  Supported models are the
 classical models where the support halves of ``completion`` hold too,
 read in ``analyze`` from the sweep's classical pass.  Every enumerator
-is guarded by a hard cap (default 20 atoms), checked once the walk that
-compiles the theory has found its atoms, but before any table is built.
+is guarded by a hard cap (default 20 atoms), checked once the one walk
+of ``formula._compile`` has found the theory's atoms, before any table.
 Each class is a table over the 2**n points, read at the set bits of the
 classical table, which one scan lists in ``interpretations_of`` order:
 by cardinality, then lexicographically.
@@ -73,9 +73,13 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
-from .depgraph import DepGraph, _components, _loops, g_pnn
+from .depgraph import DepGraph, GraphKind, _components, _graph, _loops, _named
 from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
+    _AND,
+    _ATOM,
+    _IMPLIES,
+    _OR,
     BOT,
     And,
     Atom,
@@ -83,13 +87,13 @@ from .formula import (
     Bottom,
     Formula,
     Implies,
+    Ops,
     Or,
     Theory,
+    _compile,
     as_rule,
-    conj,
     disj,
     is_nondisjunctive_theory,
-    theory_atoms,
 )
 
 Interpretation = frozenset[str]
@@ -227,7 +231,7 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
     c = _classical_pass(*_compile(t), cap=cap)
-    return c.select(_sweep(t, c)[0])
+    return c.select(_sweep(c)[0])
 
 
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
@@ -272,7 +276,7 @@ def pointwise_stable_models(
 ) -> list[Interpretation]:
     """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
     c = _classical_pass(*_compile(t), cap=cap)
-    return c.select(_sweep(t, c)[1])
+    return c.select(_sweep(c)[1])
 
 
 def stable_and_pointwise_models(
@@ -280,7 +284,7 @@ def stable_and_pointwise_models(
 ) -> tuple[list[Interpretation], list[Interpretation]]:
     """The stable and the pointwise stable models of ``t``, from one sweep."""
     c = _classical_pass(*_compile(t), cap=cap)
-    stable, pointwise = _sweep(t, c)
+    stable, pointwise = _sweep(c)
     return c.select(stable), c.select(pointwise)
 
 
@@ -294,7 +298,7 @@ def completion(t: Theory) -> Theory:
     """
     by_head = _rules_by_head(t)
     out: list[Formula] = []
-    for a in sorted(theory_atoms(t)):
+    for a in sorted(_compile(t)[1]):
         body = disj(by_head.get(a, []))
         ref = AtomRef(a)
         out.append(And(Implies(ref, body), Implies(body, ref)))
@@ -310,56 +314,11 @@ def completion(t: Theory) -> Theory:
 # here-and-there model of F (Ferraris 2005), so stability is decided
 # without building the reduct.
 
-_ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
-_CODES = {And: _AND, Or: _OR, Implies: _IMPLIES}
-
-Ops = list[tuple[int, Atom | int, int]]
 # A part ``(op, kept)`` of a sweep stands for the op's formula conjoined
 # with a choice ``A | not A`` for each kept atom A.  At <H, T> such a
 # choice holds exactly when A is in H or not in T (Ferraris 2005), so
 # the part's here-world keeps the kept atoms of T.
 Parts = tuple[tuple[int, frozenset[Atom]], ...]
-
-
-def _compile(t: Theory) -> tuple[Ops, set[Atom]]:
-    """Postorder ops ``(code, x, y)`` of the conjunction of ``t``, and its atoms.
-
-    ``x`` is the atom's name for an atom and the left operand's position
-    in the ops for a connective, ``y`` the right operand's position.  The
-    last op is the whole theory.  A node object that recurs, as ``not
-    NES`` does in a loop formula and the operands of ``<->`` do, gets one
-    op, so the walk visits each distinct node once.
-    """
-    atoms: set[Atom] = set()
-    ops: Ops = []
-    done: list[int] = []
-    # Op position by node id; no id is reused, as the root stays stacked.
-    compiled: dict[int, int] = {}
-    stack: list[tuple[Formula, bool]] = [(conj(t), False)]
-    while stack:
-        g, children_done = stack.pop()
-        if id(g) in compiled:
-            done.append(compiled[id(g)])
-            continue
-        if isinstance(g, AtomRef):
-            atoms.add(g.name)
-            ops.append((_ATOM, g.name, 0))
-        elif isinstance(g, Bottom):
-            ops.append((_BOT, 0, 0))
-        elif children_done:
-            y = done.pop()
-            x = done.pop()
-            ops.append((_CODES[type(g)], x, y))
-        else:
-            if isinstance(g, Implies):
-                left, right = g.antecedent, g.consequent
-            else:
-                left, right = g.left, g.right
-            stack += ((g, True), (right, False), (left, False))
-            continue
-        compiled[id(g)] = len(ops) - 1
-        done.append(len(ops) - 1)
-    return ops, atoms
 
 
 def _atom_tables(n: int) -> list[int]:
@@ -409,16 +368,16 @@ def _implications(ops: Ops, vals: list[int]) -> list[int]:
 
 
 def here_and_there_at(
-    t: Theory, i: Interpretation
+    ops: Ops, atoms: set[Atom], i: Interpretation
 ) -> Callable[[frozenset[Atom]], bool]:
-    """Whether <I - Y, I> is a here-and-there model of ``t``, as a function of Y.
+    """Whether <I - Y, I> is a here-and-there model of ``_compile``'s
+    ``ops`` and ``atoms``, as a function of Y.
 
-    ``t`` is compiled once, and each call is one pass over its ops on
-    one-bit tables.  The empty Y gives classical truth at I.  I
-    satisfies the loop formula of Y exactly when Y misses I or this is
-    false at Y (Ferraris, Lee and Lifschitz 2006).
+    Each call is one pass over the ops on one-bit tables.  The empty Y
+    gives classical truth at I.  I satisfies the loop formula of Y
+    exactly when Y misses I or this is false at Y (Ferraris, Lee and
+    Lifschitz 2006).
     """
-    ops, atoms = _compile(t)
     vals = _evaluate(ops, {a: int(a in i) for a in atoms}, itertools.repeat(1))
     there = _implications(ops, vals)
 
@@ -474,6 +433,11 @@ class _Classical:
         """The candidates, each built once and shared by every list read
         from this pass."""
         return _models(self.keys, self.names)
+
+    @functools.cached_property
+    def pnn(self) -> DepGraph:
+        """The pnn graph of the ops, for the path choice and the split."""
+        return _graph(self.ops, GraphKind.PNN)
 
     def select(self, table: int) -> list[Interpretation]:
         """The candidates at whose points ``table`` is 1."""
@@ -564,11 +528,7 @@ def _per_model(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
         tables, drop_one = local[width]
         # The r-th lowest atom of I takes the r-th atom table of its width.
         here = zero.copy()
-        rest = k
-        for atom_table in tables:
-            low = rest & -rest
-            here[c.names[low.bit_length() - 1]] = atom_table
-            rest ^= low
+        here.update(zip(_named(k, c.names), tables))
         full = (top << 1) - 1
         there = [full if row[byte] & bit else 0 for row in rows]
         vals = _evaluate(c.ops, here, iter(there))
@@ -580,11 +540,8 @@ def _per_model(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
         for op, mask, part in kept_bits:
             # The J that keep every kept atom of I.
             keeps = full
-            rest = k & mask
-            while rest:
-                low = rest & -rest
-                keeps &= here[c.names[low.bit_length() - 1]]
-                rest ^= low
+            for a in _named(k & mask, c.names):
+                keeps &= here[a]
             if vals[op] & keeps == top:
                 part[byte] |= bit
     return (
@@ -661,17 +618,14 @@ _WIDE_BITS = 2048
 _GRAPH_PASSES = 13
 
 
-def _loops_that_pay(
-    t: Theory, c: _Classical, pnn: Optional[DepGraph] = None
-) -> Optional[list[frozenset[Atom]]]:
-    """The pnn loops of ``t`` if one pass per loop over all 2**n points
-    costs less than one pass per candidate I over 2**|I| points, else
-    None.
+def _loops_that_pay(c: _Classical) -> Optional[list[frozenset[Atom]]]:
+    """The pnn loops of ``c``'s theory if one pass per loop over all 2**n
+    points costs less than one pass per candidate I over 2**|I| points,
+    else None.
 
     Both prices give one limit: the loop count up to which the loop path
-    pays.  The graph, unless given as ``pnn``, is built only if the n
-    singleton loops stay under it, and the loop search gives up as soon
-    as it finds more loops.
+    pays.  The graph is built only if the n singleton loops stay under
+    it, and the loop search gives up as soon as it finds more loops.
     """
     # The 2**|I| points of every candidate I, summed without a
     # Python-level loop over the candidates.
@@ -681,16 +635,14 @@ def _loops_that_pay(
     limit = (per_model - _GRAPH_PASSES) / per_loop
     if limit <= len(c.names):
         return None
-    return _loops(*_components(g_pnn(t) if pnn is None else pnn), limit)
+    return _loops(*_components(c.pnn), limit)
 
 
-def _sweep(
-    t: Theory, c: _Classical, parts: Parts = (), pnn: Optional[DepGraph] = None
-) -> tuple[int, ...]:
-    """The stable and pointwise stable tables of ``t`` over its classical
-    pass ``c``, then the stable table of each part, by the cheaper path.
-    ``pnn`` is ``t``'s pnn graph, if the caller has built it."""
-    loops = _loops_that_pay(t, c, pnn)
+def _sweep(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
+    """The stable and pointwise stable tables of the theory of the
+    classical pass ``c``, then the stable table of each part, by the
+    cheaper path."""
+    loops = _loops_that_pay(c)
     if loops is None:
         return _per_model(c, parts)
     return _by_loops(c, loops, parts)
@@ -727,7 +679,7 @@ class ModelReport:
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     """All four model classes of ``t`` from one classical pass."""
     c = _classical_pass(*_compile(t), cap=cap)
-    stable, pointwise = _sweep(t, c)
+    stable, pointwise = _sweep(c)
     supported = comp = None
     if is_nondisjunctive_theory(t):
         comp = completion(t)

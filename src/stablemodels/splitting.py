@@ -9,9 +9,9 @@ interpretations stable for both augmented parts, F & choice(Q) and
 G & choice(P); under the sp graph they do not, and the report exposes
 that.
 
-The three stable-model lists come from one compile of F & G, one
-classical pass over its universe and one stability sweep, in which each
-part is F's or G's op with a restricted here-world (see ``semantics``).
+One compile of F & G gives its universe, its graph, the strictly
+positive atoms of F and G, and, by one classical pass and one sweep in
+which a part is an op with a restricted here-world, the three lists.
 ``choice_augment`` builds the parts as formulas: it is the test oracle
 for that sweep, and no production path calls it.
 """
@@ -21,24 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .depgraph import DepGraph, GraphKind, graph_of, sccs
+from .depgraph import DepGraph, GraphKind, _bodies, _graph, _named, sccs
 from .errors import NotAPartitionError
 from .formula import (
     And,
     Atom,
     AtomRef,
     Formula,
+    Ops,
     Or,
-    neg,
-    spos,
-)
-from .semantics import (
-    DEFAULT_CAP,
-    Interpretation,
-    _classical_pass,
     _compile,
-    _sweep,
+    neg,
 )
+from .semantics import DEFAULT_CAP, Interpretation, _classical_pass, _sweep
 
 
 def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
@@ -72,65 +67,59 @@ class SplitReport:
 
 
 def split_conditions(
-    f: Formula,
-    g: Formula,
+    ops: Ops,
     ps: frozenset[Atom],
     qs: frozenset[Atom],
     graph: DepGraph,
 ) -> tuple[frozenset[Atom], frozenset[Atom], Optional[frozenset[Atom]]]:
     """Offenders of conditions (i), (ii) and (iii) for the partition {P, Q},
-    with ``graph`` the sp or pnn dependency graph of F & G.
+    with ``ops`` the compile of F & G and ``graph`` its sp or pnn graph.
 
     A condition holds when its offenders are empty, or None for (iii),
     which names the first straddling strongly connected component.
     """
-    i_off = spos(f) - ps
-    ii_off = spos(g) - qs
-    iii_off = None
-    for comp in sccs(graph):
-        if not (comp <= ps or comp <= qs):
-            iii_off = comp
-            break
-    return i_off, ii_off, iii_off
+    _, f_op, g_op = ops[-1]
+    names, spos = _bodies(ops, GraphKind.SP)
+    i_off = frozenset(_named(spos[f_op], names)) - ps
+    ii_off = frozenset(_named(spos[g_op], names)) - qs
+    straddling = (c for c in sccs(graph) if not (c <= ps or c <= qs))
+    return i_off, ii_off, next(straddling, None)
 
 
 def check_split(
     f: Formula,
     g: Formula,
     p: Iterable[Atom],
-    q: Iterable[Atom],
+    q: Optional[Iterable[Atom]] = None,
     kind: GraphKind = GraphKind.PNN,
     cap: int = DEFAULT_CAP,
 ) -> SplitReport:
     """Evaluate the three splitting conditions and the stable-model equivalence.
 
-    F & G is compiled once; its last op is the conjunction, whose
-    operands are F's and G's ops.  One classical pass over the atoms of
-    F & G gives the tables of F, G and F & G, and one sweep decides the
-    three lists, with F & choice(Q) read as F's op whose here-world keeps
-    the atoms of Q that the there-world holds, and G & choice(P) likewise.
-    Every list is over the whole universe, which changes no part's list:
-    no stable model holds an atom outside its theory, and the model order
-    is unchanged on a sub-universe.  Part models are therefore comparable
-    as sets.  Under the pnn graph, the graph of the conditions is the one
-    the sweep's loop search reads.
+    ``q`` is by default the atoms of F & G outside ``p``.  F & G is
+    compiled once; its last op has F's and G's ops as its operands.  One
+    classical pass over the atoms of F & G gives the tables of F, G and
+    F & G, and one sweep decides the three lists, with F & choice(Q) read
+    as F's op whose here-world keeps the atoms of Q that the there-world
+    holds, and G & choice(P) likewise.  Every list is over the whole
+    universe, which changes no part's list: no stable model holds an atom
+    outside its theory, and the model order is unchanged on a
+    sub-universe.  Part models are therefore comparable as sets.  Under
+    the pnn graph, the graph of the conditions is the one the sweep's
+    loop search reads.
     """
+    ops, universe = _compile((And(f, g),))
     ps = frozenset(p)
-    qs = frozenset(q)
-    whole = (And(f, g),)
-    ops, universe = _compile(whole)
+    qs = universe - ps if q is None else frozenset(q)
     if ps | qs != universe or ps & qs:
         raise NotAPartitionError(
             "the two atom sets must partition the atoms of the conjunction"
         )
     _, f_op, g_op = ops[-1]
     c = _classical_pass(ops, universe, cap=cap, roots=(f_op, g_op))
-    graph = graph_of(whole, kind)
-    i_off, ii_off, iii_off = split_conditions(f, g, ps, qs, graph)
-    pnn = graph if kind is GraphKind.PNN else None
-    stable, _, part_f, part_g = _sweep(
-        whole, c, ((f_op, qs), (g_op, ps)), pnn
-    )
+    graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind)
+    i_off, ii_off, iii_off = split_conditions(ops, ps, qs, graph)
+    stable, _, part_f, part_g = _sweep(c, ((f_op, qs), (g_op, ps)))
 
     shown = c.narrowed(stable | part_f | part_g)
     return SplitReport(

@@ -5,15 +5,18 @@ import sys
 
 import pytest
 
+import stablemodels.formula as formula
 import stablemodels.loopformulas as loopformulas
 import stablemodels.semantics as semantics
 from stablemodels import (
+    And,
     DepGraph,
     GraphKind,
     analyze,
     atoms,
     check_split,
     classical_models,
+    classify_occurrences,
     graph_of,
     interpretations_of,
     is_nondisjunctive_theory,
@@ -33,11 +36,10 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.cli import main
-from stablemodels.formula import positive_nonnegated_atoms
+from stablemodels.formula import _compile
 from stablemodels.semantics import (
     _by_loops,
     _classical_pass,
-    _compile,
     _per_model,
     satisfies_all,
 )
@@ -67,11 +69,20 @@ def run_cli(argv, stdin=""):
     return code, out.getvalue()
 
 
+def positive_nonnegated_atoms(f):
+    """The atoms of ``f`` with a positive nonnegated occurrence, as
+    ``classify_occurrences`` classifies them."""
+    return frozenset(
+        a for a, ctx in classify_occurrences(f)
+        if ctx.positive and ctx.nonnegated
+    )
+
+
 def dependency_graph_scan(t, kind):
     """``kind``'s dependency graph of ``t`` by definition: for each rule
     Body -> Head that ``rules_of`` lists for a member, an edge from each
     atom of ``spos(Head)`` to each strictly positive (sp) or positive
-    nonnegated (pnn) atom of Body."""
+    nonnegated (pnn, by ``classify_occurrences``) atom of Body."""
     body_atoms = spos if kind is GraphKind.SP else positive_nonnegated_atoms
     edges = {
         (h, b)
@@ -152,11 +163,10 @@ def split_sweep_paths(f, g, ps, qs, kind=GraphKind.PNN):
     ``sweep_paths`` forces them: the path choice is replaced by one that
     takes the per-model path, or the loop path over every loop of the
     pnn graph of F & G."""
+    pnn = graph_of((And(f, g),), GraphKind.PNN)
     choices = {
-        "per-model": lambda t, c, pnn=None: None,
-        "loop-indexed": lambda t, c, pnn=None: strongly_connected_subsets(
-            graph_of(t, GraphKind.PNN)
-        ),
+        "per-model": lambda c: None,
+        "loop-indexed": lambda c: strongly_connected_subsets(pnn),
     }
     reports = {}
     for path, choice in choices.items():
@@ -271,8 +281,8 @@ def classical_passes(monkeypatch):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The calls of ``semantics._compile``, each one walk of a theory."""
-    return count_calls(monkeypatch, semantics, "_compile")
+    """The calls of ``formula._compile``, each one walk of a theory."""
+    return count_calls(monkeypatch, formula, "_compile")
 
 
 @pytest.fixture

@@ -16,6 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 P1 = "p -> q. q & not r -> p."
 P2 = "p -> q. ((q -> r) -> r) -> p."
 P3 = "(p -> q) & (((q -> p) -> p) -> p)"
+# 24 operands: about 2**24 paths through the shared operands of "<->".
+CHAIN = " <-> ".join(["p"] * 24)
+CHAIN_Q = " <-> ".join(["q"] * 24)
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -445,6 +448,31 @@ class TestDeepInputs:
         elapsed = time.perf_counter() - start
         assert code == 0
         assert "classical: {}, {p}" in out
+        assert elapsed < 0.1, f"{elapsed:.2f} s for 24 operands"
+
+    @pytest.mark.parametrize(
+        "argv, text, code, stdout",
+        [
+            (("graph", "--format", "edges"), CHAIN, 0, "p p\n"),
+            (("tight",), CHAIN, 3, "graph pnn: cyclic\n"),
+            (("split", CHAIN, "q", "--p", "p"), None, 0,
+             "stable (whole): {q}\n"),
+            (("tight", "--graph", "sp"), f"({CHAIN_Q}) -> p", 0,
+             "tight (sp graph acyclic): supported models = stable models "
+             "(verified): {p}\n"),
+        ],
+        ids=["graph", "tight", "split", "tight-sp-under-a-rule"],
+    )
+    def test_biconditional_chain_analyses_in_budget(
+        self, capsys, monkeypatch, argv, text, code, stdout
+    ):
+        # The graphs, the split conditions and the completion's atoms
+        # must visit each shared operand once, not once per path.
+        start = time.perf_counter()
+        got, out, _ = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        elapsed = time.perf_counter() - start
+        assert got == code
+        assert stdout in out
         assert elapsed < 0.1, f"{elapsed:.2f} s for 24 operands"
 
     def test_biconditional_chain_over_cap_refused_in_budget(

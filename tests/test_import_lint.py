@@ -22,11 +22,14 @@ production text with ``NesPrinter``.
 Subsets are enumerated in one place: ``itertools.combinations`` is used
 only inside ``semantics.interpretations_of``.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
-other module prices or refuses loop enumeration by component size.  In
-``semantics``, ``atoms`` and ``theory_atoms`` are called only inside
-``completion``, and in ``splitting`` nowhere: the enumerators and
-``check_split`` take their universe from the one walk of ``_compile``,
-which visits each distinct node once, not once per path.  And
+other module prices or refuses loop enumeration by component size.  The
+walks ``atoms``, ``theory_atoms`` and ``spos`` are called only in
+``formula``, which defines them, and in ``fuzz``, whose reduct
+properties are on the oracle side, and no module but ``formula`` calls
+``positive_nonnegated_atoms``: every analysis takes a theory's atoms,
+its strictly positive atoms and its graphs from the ops of
+``formula._compile``, whose walk visits each distinct node once, not
+once per path.  And
 ``splitting.choice_augment``, which builds a split's parts as formulas,
 is the oracle of ``check_split``'s one sweep: no module under ``src/``
 calls it (``__init__`` re-exports it).
@@ -61,8 +64,11 @@ ORACLE_ALLOWED = {
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
 SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
 CAP_OWNER = "depgraph"
-UNIVERSE_WALKS = {"atoms", "theory_atoms"}
-UNIVERSE_WALKER = "completion"
+# The modules that may call each per-path walk of ``formula``.
+WALK_CALLERS = {
+    **dict.fromkeys(("atoms", "theory_atoms", "spos"), {"formula", "fuzz"}),
+    "positive_nonnegated_atoms": {"formula"},
+}
 PART_BUILDER = {"choice_augment"}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
@@ -156,13 +162,12 @@ def _calls(tree, names):
             yield node.lineno, function
 
 
-def universe_walk_calls(tree):
-    """Lines that call ``atoms`` or ``theory_atoms`` outside ``completion``."""
-    return sorted(
-        line
-        for line, function in _calls(tree, UNIVERSE_WALKS)
-        if function != UNIVERSE_WALKER
-    )
+def universe_walk_calls(tree, module):
+    """Lines that call a walk of ``WALK_CALLERS`` that ``module`` may not."""
+    forbidden = {
+        name for name, callers in WALK_CALLERS.items() if module not in callers
+    }
+    return sorted(line for line, _ in _calls(tree, forbidden))
 
 
 def part_builder_calls(tree):
@@ -254,16 +259,12 @@ def test_lint_flags_cap_uses():
     assert cap_uses(tree, "depgraph") == []
 
 
-def test_enumerators_take_their_universe_from_compile():
-    path = ROOT / "src" / "stablemodels" / "semantics.py"
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_analyses_take_their_atoms_from_compile(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert universe_walk_calls(tree) == []
-
-
-def test_check_split_takes_its_universe_from_compile():
-    path = ROOT / "src" / "stablemodels" / "splitting.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert universe_walk_calls(tree) == []
+    assert universe_walk_calls(tree, path.stem) == []
 
 
 def test_lint_flags_universe_walks_of_a_split():
@@ -274,7 +275,9 @@ def test_lint_flags_universe_walks_of_a_split():
         "    universe = atoms(whole)\n"
         "    return universe\n"
     )
-    assert universe_walk_calls(tree) == [4]
+    assert universe_walk_calls(tree, "splitting") == [4]
+    assert universe_walk_calls(tree, "cli") == [4]
+    assert universe_walk_calls(tree, "fuzz") == []
 
 
 @pytest.mark.parametrize(
@@ -300,7 +303,7 @@ def test_lint_flags_part_builder_calls():
 
 def test_lint_flags_universe_walk_calls():
     tree = ast.parse(
-        "from .formula import atoms, theory_atoms\n"
+        "from .formula import atoms, spos, theory_atoms\n"
         "import stablemodels.formula as formula\n"
         "def completion(t):\n"
         "    return sorted(theory_atoms(t))\n"
@@ -308,8 +311,13 @@ def test_lint_flags_universe_walk_calls():
         "    atoms = theory_atoms(t)\n"
         "    return formula.atoms(t[0]) | atoms\n"
         "UNIVERSE = theory_atoms(())\n"
+        "def split_conditions(f, g):\n"
+        "    return spos(f), formula.positive_nonnegated_atoms(g)\n"
     )
-    assert universe_walk_calls(tree) == [6, 7, 8]
+    assert universe_walk_calls(tree, "semantics") == [4, 6, 7, 8, 10, 10]
+    assert universe_walk_calls(tree, "loopformulas") == [4, 6, 7, 8, 10, 10]
+    assert universe_walk_calls(tree, "fuzz") == [10]
+    assert universe_walk_calls(tree, "formula") == []
 
 
 def test_lint_flags_oracle_imports():

@@ -37,6 +37,7 @@ from stablemodels import (
     reduct,
     rules_of,
     satisfies,
+    sccs,
     spos,
     stable_models,
     stable_via_all_sets,
@@ -46,7 +47,7 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.cli import COMMANDS, _parse_args, build_parser
-from stablemodels.formula import neg, positive_nonnegated_atoms
+from stablemodels.formula import neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.semantics import (
     answer_json,
@@ -118,6 +119,14 @@ wide_programs = st.lists(
 ).map(tuple)
 
 
+# Theories whose one member reaches one node object, the head, by two
+# strictly positive paths under different rule bodies.
+shared_heads = st.builds(
+    lambda body, other, head: (And(Implies(body, head), Implies(other, head)),),
+    negating_formulas, negating_formulas, negating_formulas,
+)
+
+
 # Formula text with "<->", whose parse shares both operands of each
 # biconditional under two implications, and with runs of "not" and "bot".
 iff_texts = st.recursive(
@@ -150,14 +159,15 @@ def test_spos_matches_occurrence_classification(f):
 
 @given(negating_formulas)
 def test_pnn_matches_occurrence_classification(f):
-    # The pnn rule against its definition: ``dependency_graph_scan``
-    # calls ``positive_nonnegated_atoms`` itself, so the graph properties
-    # cannot catch a wrong classification.
+    # The pnn rule against its definition, on the one rule f -> h with
+    # h fresh: its pnn edges run from h to the positive nonnegated atoms
+    # of f.
     via_contexts = {
         a for a, ctx in classify_occurrences(f)
         if ctx.positive and ctx.nonnegated
     }
-    assert positive_nonnegated_atoms(f) == via_contexts
+    edges = g_pnn((Implies(f, AtomRef("h")),)).edges
+    assert edges == {("h", a) for a in via_contexts}
 
 
 @given(formulas)
@@ -231,10 +241,19 @@ def test_both_sweep_paths_match_definitional_scans(t):
 
 @given(
     st.one_of(
-        theories, negating_theories, programs, wide_theories, wide_programs
+        theories, negating_theories, programs, wide_theories, wide_programs,
+        iff_theories,
     )
 )
 def test_graphs_match_rule_scan(t):
+    assert g_sp(t) == dependency_graph_scan(t, GraphKind.SP)
+    assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
+
+
+@given(shared_heads)
+def test_graphs_of_a_shared_head_match_rule_scan(t):
+    # ``dependency_graph_scan`` walks each path, so it sees the head
+    # under both bodies.
     assert g_sp(t) == dependency_graph_scan(t, GraphKind.SP)
     assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
 
@@ -553,6 +572,31 @@ def test_split_json_matches_json_dumps(f, g, kind, data):
     code, out = run_cli(argv + ["--graph", kind.value, "--json"])
     assert code in (0, 3, 4)
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(iff_texts, iff_texts, st.sampled_from(GraphKind), st.data())
+def test_split_offenders_match_rule_scan(f_text, g_text, kind, data):
+    # Parsed "<->" shares its operands, so the conditions meet nodes
+    # reached by two paths.
+    # Both orientations of the partition, so that between them every
+    # strictly positive atom of F and of G is an offender once.
+    f, g = parse_formula(f_text), parse_formula(g_text)
+    part = _draw_interpretation(And(f, g), data)
+    rest = atoms(And(f, g)) - part
+    graph = dependency_graph_scan((And(f, g),), kind)
+
+    def strictly_positive(h):
+        return {a for a, ctx in classify_occurrences(h) if ctx.strictly_positive}
+
+    for ps, qs in (part, rest), (rest, part):
+        report = check_split(f, g, ps, qs, kind)
+        straddling = [c for c in sccs(graph) if not (c <= ps or c <= qs)]
+        assert report.cond_i_offenders == strictly_positive(f) - ps
+        assert report.cond_ii_offenders == strictly_positive(g) - qs
+        assert report.cond_iii_offender == (
+            straddling[0] if straddling else None
+        )
 
 
 atom_sets = st.frozensets(st.text(max_size=4), max_size=4)

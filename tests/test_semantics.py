@@ -31,10 +31,10 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels import depgraph, semantics
+from stablemodels.formula import _compile
 from stablemodels.semantics import (
     _by_loops,
     _classical_pass,
-    _compile,
     _loops_that_pay,
     _per_model,
     stable_and_pointwise_models,
@@ -285,7 +285,7 @@ class TestSweepPaths:
 
         monkeypatch.setattr(semantics, "_loops", budgeted)
         monkeypatch.setattr(depgraph, "_reach", counted)
-        assert _loops_that_pay(t, c) is None
+        assert _loops_that_pay(c) is None
         [limit] = limits
         assert 17 < limit < 3588
         # At most 2k passes per loop found, up to the first loop over the
@@ -302,22 +302,22 @@ class TestSweepPaths:
         t = parse_theory(". ".join(rules) + ".")
         c = _classical_pass(*_compile(t))
         assert len(c.models) == 4098
-        loops = _loops_that_pay(t, c)
+        loops = _loops_that_pay(c)
         assert loops == strongly_connected_subsets(g_pnn(t))
         assert len(loops) == 14
         assert _by_loops(c, loops) == _per_model(c)
 
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
-        loops = _loops_that_pay(t, _classical_pass(*_compile(t)))
+        loops = _loops_that_pay(_classical_pass(*_compile(t)))
         assert loops == [mset(f"a{i}") for i in range(8)]
 
     def test_small_theory_skips_the_graph(self, p2, monkeypatch):
-        def no_graph(t):
+        def no_graph(ops, kind):
             raise AssertionError("graph built")
 
-        monkeypatch.setattr(semantics, "g_pnn", no_graph)
-        assert _loops_that_pay(p2, _classical_pass(*_compile(p2))) is None
+        monkeypatch.setattr(semantics, "_graph", no_graph)
+        assert _loops_that_pay(_classical_pass(*_compile(p2))) is None
 
 
 @st.composite

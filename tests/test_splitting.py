@@ -10,8 +10,9 @@ from stablemodels import (
     parse_formula,
     stable_models,
 )
-from stablemodels.formula import positive_nonnegated_atoms, spos
 from conftest import count_calls, mset, run_cli
+
+SP, PNN = GraphKind.SP, GraphKind.PNN
 
 
 class TestChoiceAugment:
@@ -93,6 +94,16 @@ class TestCheckSplit:
         assert report.cond_i_offenders == mset("p")
         assert not report.cond_ii
         assert report.cond_ii_offenders == mset("q")
+        # q occurs in F positively and nonnegated, but not strictly
+        # positively, so it does not offend against condition (i).
+        report = check_split(
+            parse_formula("(q -> r) -> p"),
+            parse_formula("q <-> r"),
+            {"p"},
+            {"q", "r"},
+            GraphKind.PNN,
+        )
+        assert report.cond_i and report.cond_ii
 
     def test_rejects_non_partition(self):
         with pytest.raises(NotAPartitionError):
@@ -146,13 +157,13 @@ class TestSplitWork:
 
     @pytest.mark.parametrize(
         ("f", "g", "p", "kind", "graphs"),
-        [(WIDE_F, WIDE_G, WIDE_P, "pnn", [positive_nonnegated_atoms]),
-         (WIDE_F, WIDE_G, WIDE_P, "sp", [spos, positive_nonnegated_atoms]),
+        [(WIDE_F, WIDE_G, WIDE_P, "pnn", [PNN]),
+         (WIDE_F, WIDE_G, WIDE_P, "sp", [SP, PNN]),
          # On the per-model path the sweep needs no pnn graph.
-         (F3, G3, "q", "sp", [spos])],
+         (F3, G3, "q", "sp", [SP])],
         ids=["pnn", "sp-loop-indexed", "sp-per-model"],
     )
     def test_graphs_built(self, monkeypatch, f, g, p, kind, graphs):
-        builds = count_calls(monkeypatch, depgraph, "_build")
+        builds = count_calls(monkeypatch, depgraph, "_graph")
         run_cli(["split", f, g, "--p", p, "--graph", kind])
-        assert [body_atoms for _, body_atoms in builds] == graphs
+        assert [graph_kind for _, graph_kind in builds] == graphs
