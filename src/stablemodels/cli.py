@@ -18,11 +18,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import tee
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .depgraph import GraphKind, graph_of, has_cycle, to_dot
+from .depgraph import (
+    GraphKind,
+    _graph,
+    graph_of,
+    has_cycle,
+    strongly_connected_subsets,
+    to_dot,
+)
 from .errors import (
     AtomsOutsideFormulaError,
     CapExceededError,
@@ -30,14 +36,14 @@ from .errors import (
     NotAPartitionError,
     NotNondisjunctiveError,
 )
-from .formula import is_nondisjunctive_theory, print_formula
+from .formula import _compile, is_nondisjunctive_theory, print_formula
 from .fuzz import (
     MAX_FUZZ_ATOMS,
     MAX_FUZZ_DEPTH,
     PROPERTIES,
     run_fuzz,
 )
-from .loopformulas import loop_formulas, loop_verdicts, nes_text
+from .loopformulas import check_atoms, loop_formulas, loop_verdicts, nes_text
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
@@ -107,11 +113,12 @@ def cmd_graph(args) -> int:
 def cmd_tight(args) -> int:
     theory = parse_theory(_read_input(args.input))
     kind = GraphKind(args.graph)
-    cyclic = has_cycle(graph_of(theory, kind))
+    ops = _compile(theory)[0]
+    cyclic = has_cycle(_graph(ops, kind))
     print(f"graph {kind.value}: {'cyclic' if cyclic else 'acyclic'}")
     if is_nondisjunctive_theory(theory) and not (
         cyclic if kind is GraphKind.SP
-        else has_cycle(graph_of(theory, GraphKind.SP))
+        else has_cycle(_graph(ops, GraphKind.SP))
     ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
@@ -144,16 +151,18 @@ def _print_loop(ys: frozenset[str], pieces: list[str], end: str) -> None:
 def cmd_loops(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
-    lines = loop_formulas(f, kind)
-    if args.interpretation is None:
+    ops, universe = _compile((f,))
+    interp = args.interpretation
+    if interp is not None:
+        # Checked before the loop search, whose cap may refuse.
+        interp = check_atoms(_parse_atom_list(interp), universe)
+    loops = strongly_connected_subsets(_graph(ops, kind))
+    lines = loop_formulas(f, loops)
+    if interp is None:
         for ys, pieces in lines:
             _print_loop(ys, pieces, "\n")
         return EXIT_OK
-    interp = _parse_atom_list(args.interpretation)
-    # The verdicts follow the printed loops, so the graph is built once;
-    # the first, the model check, checks I's atoms before any output.
-    lines, loops = tee(lines)
-    verdicts = loop_verdicts(interp, f, (ys for ys, _ in loops))
+    verdicts = loop_verdicts(ops, universe, interp, loops)
     accepted = next(verdicts)
     for (ys, pieces), holds in zip(lines, verdicts):
         accepted = accepted and holds

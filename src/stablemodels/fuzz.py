@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .depgraph import GraphKind, _graph, g_pnn, g_sp, has_cycle, subgraph_of
+from .depgraph import GraphKind, _graph, g_sp, has_cycle, subgraph_of
 from .formula import (
     And,
     AtomRef,
@@ -256,7 +256,8 @@ def _check_lemma1(rng: random.Random, pool, depth) -> Optional[str]:
 
 def _check_sp_subgraph(rng: random.Random, pool, depth) -> Optional[str]:
     t = random_theory(rng, pool, depth)
-    if not subgraph_of(g_sp(t), g_pnn(t)):
+    ops = _compile(t)[0]
+    if not subgraph_of(_graph(ops, GraphKind.SP), _graph(ops, GraphKind.PNN)):
         return (
             "sp graph is not a subgraph of the pnn graph\ntheory:\n"
             f"{print_theory(t)}"

@@ -8,27 +8,32 @@ whose one walk of f renders a template of NES(f, Y) for every Y:
 literal text, with a choice of text at each atom occurrence and around
 the antecedent of each rule F -> y, and f's own text cut from one
 printing of f.  The text for a set Y picks each choice and joins.
-``loop_formulas`` gives each loop of a graph with its loop formula in
+``loop_formulas`` gives each of a list of loops with its loop formula in
 pieces of text, printing the support once per loop; ``nes_text`` is the
-``nes`` command's text.  ``_loops`` is the one source of loops: the
-loops of a graph, or every nonempty atom subset.
+``nes`` command's text.  ``_loops`` is the oracles' one source of loops:
+the loops of a graph built from a compile's ops, or every nonempty atom
+subset.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability.  ``loop_oracle_models`` evaluates the
 loop formulas themselves, in one ``classical_models`` table of the
-formula and its loop formulas.  ``loop_verdicts`` decides one
-interpretation I by the here-and-there lemma, with f compiled once and
-no loop formula built; ``stable_via_loops``, ``stable_via_all_sets`` and
-``loops -i`` take their verdicts from it.  The "pnn" variant is sound
-and complete; the "sp" variant is exposed deliberately because it is
-unsound, and the workbench reproduces its failure mode.
+formula and its loop formulas.  The rest decide one interpretation I by
+the here-and-there lemma, ``semantics.loop_lemma_at``, with f compiled
+once and no loop formula built: one pass over the ops decides a batch of
+loops, bit j standing for loop j.  ``loop_verdicts`` gives ``loops -i``
+every verdict from one batch; ``stable_via_loops`` and
+``stable_via_all_sets`` stop at the first false verdict, so they draw
+their loops in batches of 1, 2, 4, 8 and so on.  The "pnn" variant is
+sound and complete; the "sp" variant is exposed deliberately because it
+is unsound, and the workbench reproduces its failure mode.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Optional
 
-from .depgraph import GraphKind, graph_of, strongly_connected_subsets
+from .depgraph import GraphKind, _graph, strongly_connected_subsets
 from .errors import AtomsOutsideFormulaError, check_cap
 from .formula import (
     _INFIX,
@@ -42,6 +47,7 @@ from .formula import (
     Bottom,
     Formula,
     Implies,
+    Ops,
     Or,
     _compile,
     conj,
@@ -52,8 +58,8 @@ from .semantics import (
     DEFAULT_CAP,
     Interpretation,
     classical_models,
-    here_and_there_at,
     interpretations_of,
+    loop_lemma_at,
 )
 
 
@@ -234,9 +240,10 @@ def nes_text(f: Formula, y: Iterable[Atom]) -> str:
 
 
 def loop_formulas(
-    f: Formula, kind: GraphKind = GraphKind.PNN
+    f: Formula, loops: Iterable[frozenset[Atom]]
 ) -> Iterator[tuple[frozenset[Atom], list[str]]]:
-    """Each loop of ``f``'s graph with its printed loop formula in pieces.
+    """Each of ``loops``, sets of ``f``'s atoms, with its printed loop
+    formula in pieces.
 
     The pieces join to ``print_formula(loop_formula(f, Y))``: literal
     text alternating with the support ``not NES(f, Y)``, one object under
@@ -244,7 +251,7 @@ def loop_formulas(
     copied into a longer string.
     """
     printer = NesPrinter(f)
-    for ys in _loops(f, kind):
+    for ys in loops:
         support = printer.support(ys)
         if len(ys) == 1:
             yield ys, [f"{next(iter(ys))} -> ", support]
@@ -256,15 +263,18 @@ def loop_formulas(
             yield ys, pieces
 
 
-def _loops(f: Formula, kind: Optional[GraphKind]) -> Iterator[frozenset[Atom]]:
-    """The loops of ``kind``'s graph of ``f``, or every nonempty subset of
-    ``f``'s atoms if None; nothing is built before the first ``next``."""
+def _loops(
+    ops: Ops, atoms: set[Atom], kind: Optional[GraphKind]
+) -> Iterator[frozenset[Atom]]:
+    """The loops of ``kind``'s graph of ``_compile``'s ``ops`` and
+    ``atoms``, or every nonempty subset of the atoms if None; nothing is
+    built before the first ``next``."""
     if kind is None:
-        subsets = interpretations_of(_compile((f,))[1])
+        subsets = interpretations_of(atoms)
         next(subsets)  # the empty set, which has no loop formula
         yield from subsets
     else:
-        yield from strongly_connected_subsets(graph_of((f,), kind))
+        yield from strongly_connected_subsets(_graph(ops, kind))
 
 
 def loop_oracle_models(
@@ -272,44 +282,64 @@ def loop_oracle_models(
 ) -> list[Interpretation]:
     """The classical models of ``f`` and the loop formulas of the loops of
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
-    universe = _compile((f,))[1]
+    ops, universe = _compile((f,))
     check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    lfs = (_loop_formula(f, ys) for ys in _loops(f, kind))
+    lfs = (_loop_formula(f, ys) for ys in _loops(ops, universe, kind))
     return classical_models((f, *lfs), universe)
 
 
 def loop_verdicts(
-    i: Iterable[Atom], f: Formula, loops: Iterable[frozenset[Atom]]
+    ops: Ops,
+    atoms: set[Atom],
+    i: Interpretation,
+    loops: list[frozenset[Atom]],
 ) -> Iterator[bool]:
-    """Whether ``i`` is a model of ``f``, then whether it satisfies the
-    loop formula of each of ``loops``, with f compiled once: I satisfies
-    LF_Y exactly when Y misses I or <I - Y, I> is not a here-and-there
-    model of f (Ferraris, Lee and Lifschitz 2006).  I's atoms are checked
-    against that compile on the first ``next``."""
-    ops, universe = _compile((f,))
-    i = check_atoms(i, universe)
-    here_and_there = here_and_there_at(ops, universe, i)
-    yield here_and_there(frozenset())
-    for ys in loops:
-        yield not ys & i or not here_and_there(ys)
+    """Whether ``i``, a set of ``atoms``, is a model of ``_compile``'s
+    ``ops`` and ``atoms``, then whether it satisfies the loop formula of
+    each of ``loops``, decided by the here-and-there lemma with no loop
+    formula built (``semantics.loop_lemma_at``).  For a caller that reads
+    every verdict, as ``loops -i`` does: the loops are one batch, decided
+    by one pass over the ops."""
+    return loop_lemma_at(ops, atoms, i, (loops,))
+
+
+def _doubling(
+    loops: Iterable[frozenset[Atom]],
+) -> Iterator[Iterator[frozenset[Atom]]]:
+    """``loops`` in batches of 1, 2, 4, 8 and so on, each read lazily;
+    the batches after the last loop are empty."""
+    loops = iter(loops)
+    size = 1
+    while True:
+        yield itertools.islice(loops, size)
+        size <<= 1
 
 
 def _loop_oracle_at(
     i: Interpretation, f: Formula, kind: Optional[GraphKind]
 ) -> bool:
-    """Whether ``i`` is in ``loop_oracle_models(f, kind)``.  Only the
-    family of every atom subset (None), 2^n sets, is held to
-    ``DEFAULT_CAP``; a graph's loops are bounded by the component cap of
-    ``strongly_connected_subsets``."""
+    """Whether ``i`` is in ``loop_oracle_models(f, kind)``, from one
+    compile of f.  Only the family of every atom subset (None), 2^n sets,
+    is held to ``DEFAULT_CAP``; a graph's loops are bounded by the
+    component cap of ``strongly_connected_subsets``.
+
+    The verdicts stop at the first false one, so the loops come in
+    batches of 1, 2, 4, 8 and so on, one pass over the ops each: at most
+    twice the loops before that one are decided, and no batch is held.
+    The model check comes before any loop is drawn, so a non-model builds
+    no graph.
+    """
+    ops, universe = _compile((f,))
     if kind is None:
-        universe = _compile((f,))[1]
         check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    return all(loop_verdicts(i, f, _loops(f, kind)))
+    i = check_atoms(i, universe)
+    loops = _loops(ops, universe, kind)
+    return all(loop_lemma_at(ops, universe, i, _doubling(loops)))
 
 
 def stable_via_all_sets(i: Interpretation, f: Formula) -> bool:
     """Stability via the loop formulas of every nonempty atom subset of
-    ``f``, decided at I by the here-and-there lemma (``loop_verdicts``)."""
+    ``f``, decided at I by the here-and-there lemma (``loop_lemma_at``)."""
     return _loop_oracle_at(i, f, None)
 
 
@@ -321,6 +351,6 @@ def stable_via_loops(
     Sound and complete for GraphKind.PNN.  For GraphKind.SP it is an
     intentionally unsound check, kept to exhibit the counterexample
     separating the two graphs.  Both are decided at I by the
-    here-and-there lemma (``loop_verdicts``).
+    here-and-there lemma (``loop_lemma_at``).
     """
     return _loop_oracle_at(i, f, kind)

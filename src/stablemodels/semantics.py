@@ -56,7 +56,10 @@ them (``reduct`` and ``satisfies``).
 
 This module owns the one subset enumerator, ``interpretations_of``, and
 the one evaluation core, from which ``loopformulas`` reads every loop
-oracle (``classical_models`` and ``here_and_there_at``).
+oracle (``classical_models`` and ``loop_lemma_at``).  ``loop_lemma_at``
+applies the lemma behind the loop path at one classical model I instead
+of at every point: one pass over the ops decides a batch of loops, with
+bit j of every table standing for loop j.
 
 It also renders model lists.  ``format_model_lists`` and ``answer_json``
 (the ``models --json`` and ``split --json`` documents, byte for byte as
@@ -71,7 +74,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .depgraph import DepGraph, GraphKind, _components, _graph, _loops, _named
 from .errors import NotNondisjunctiveError, check_cap
@@ -260,7 +263,7 @@ def is_supported(i: Interpretation, t: Theory) -> bool:
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models where the support halves of ``completion(t)`` hold."""
     c = _classical_pass(*_compile(t), cap=cap)
-    return c.select(_supported(completion(t), c))
+    return c.select(_supported(_completion(t, c.names), c))
 
 
 def is_pointwise_stable(i: Interpretation, t: Theory) -> bool:
@@ -296,9 +299,14 @@ def completion(t: Theory) -> Theory:
     rendered as the conjunction of both implications.  Atoms are taken
     in lexicographic order; disjuncts keep rule order, unsimplified.
     """
+    return _completion(t, _compile(t)[1])
+
+
+def _completion(t: Theory, atoms: Iterable[Atom]) -> Theory:
+    """``completion(t)``, where ``atoms`` are the atoms of ``t``."""
     by_head = _rules_by_head(t)
     out: list[Formula] = []
-    for a in sorted(_compile(t)[1]):
+    for a in sorted(atoms):
         body = disj(by_head.get(a, []))
         ref = AtomRef(a)
         out.append(And(Implies(ref, body), Implies(body, ref)))
@@ -367,25 +375,48 @@ def _implications(ops: Ops, vals: list[int]) -> list[int]:
     return list(itertools.compress(vals, map(_IMPLIES.__eq__, codes)))
 
 
-def here_and_there_at(
-    ops: Ops, atoms: set[Atom], i: Interpretation
-) -> Callable[[frozenset[Atom]], bool]:
-    """Whether <I - Y, I> is a here-and-there model of ``_compile``'s
-    ``ops`` and ``atoms``, as a function of Y.
+def loop_lemma_at(
+    ops: Ops,
+    atoms: set[Atom],
+    i: Interpretation,
+    batches: Iterable[Iterable[frozenset[Atom]]],
+) -> Iterator[bool]:
+    """Whether I, a set of ``atoms``, is a model of ``_compile``'s ``ops``
+    and ``atoms``, then for each set Y of each batch whether I satisfies
+    the loop formula of Y.  Stops at the first empty batch.
 
-    Each call is one pass over the ops on one-bit tables.  The empty Y
-    gives classical truth at I.  I satisfies the loop formula of Y
-    exactly when Y misses I or this is false at Y (Ferraris, Lee and
-    Lifschitz 2006).
+    I satisfies it exactly when Y misses I or <I - Y, I> is not a
+    here-and-there model (Ferraris, Lee and Lifschitz 2006).  A batch
+    Y_0, ..., Y_{m-1} is read once, not held, and decided by one pass over
+    the ops on m-bit tables, bit j standing for Y_j: an atom of I is all
+    ones but at the Y that hold it, any other atom is 0, and each
+    implication's there table is all ones or all zeros, its classical
+    value at I.  The model check, one pass on one-bit tables that gives
+    those values, comes before the first batch is drawn.
     """
     vals = _evaluate(ops, {a: int(a in i) for a in atoms}, itertools.repeat(1))
+    yield vals[-1] == 1
     there = _implications(ops, vals)
-
-    def holds(ys: frozenset[Atom]) -> bool:
-        here = {a: int(a in i and a not in ys) for a in atoms}
-        return _evaluate(ops, here, iter(there))[-1] == 1
-
-    return holds
+    for batch in batches:
+        # Per atom of I, the bits of the sets that hold it.
+        cleared = dict.fromkeys(i, 0)
+        bit = 1
+        for ys in batch:
+            for a in ys & i:
+                cleared[a] |= bit
+            bit <<= 1
+        if bit == 1:
+            return
+        full = bit - 1
+        here = dict.fromkeys(atoms, 0)
+        meets = 0
+        for a, mask in cleared.items():
+            here[a] = full ^ mask
+            meets |= mask
+        models = _evaluate(ops, here, map(full.__mul__, there))[-1]
+        # Bit j of the text's reverse is the verdict of Y_j.
+        satisfied = format(full & ~(meets & models), f"0{full.bit_length()}b")
+        yield from map("1".__eq__, reversed(satisfied))
 
 
 def _set_bits(table: int, n: int) -> list[int]:
@@ -682,7 +713,7 @@ def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     stable, pointwise = _sweep(c)
     supported = comp = None
     if is_nondisjunctive_theory(t):
-        comp = completion(t)
+        comp = _completion(t, c.names)
         supported = c.select(_supported(comp, c))
     lists = c.models, c.select(stable), supported, c.select(pointwise)
     return ModelReport(frozenset(c.names), *lists, comp)

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
+import stablemodels.depgraph as depgraph
 import stablemodels.formula as formula
-import stablemodels.loopformulas as loopformulas
 import stablemodels.semantics as semantics
 from stablemodels import (
     And,
@@ -243,16 +243,9 @@ def nested():
 
 @pytest.fixture
 def graph_builds(monkeypatch):
-    """The calls of ``graph_of`` made through ``loopformulas``' binding,
-    which builds every graph that ``loops`` and the loop oracles use."""
-    builds = []
-
-    def counting_graph_of(*args):
-        builds.append(args)
-        return graph_of(*args)
-
-    monkeypatch.setattr(loopformulas, "graph_of", counting_graph_of)
-    return builds
+    """The calls of ``depgraph._graph``, as (ops, kind): every graph that
+    ``loops`` and the loop oracles use is built from a compile's ops."""
+    return count_calls(monkeypatch, depgraph, "_graph")
 
 
 def count_calls(monkeypatch, module, name):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stablemodels.cli import COMMANDS, build_parser, command_parser, main
+from stablemodels.depgraph import GraphKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -295,7 +296,14 @@ class TestLoops:
         assert code == 0
         assert len(out.splitlines()) == 4  # three loops and the verdict
         assert "rejected by pnn-loop oracle" in out
-        assert len(graph_builds) == 1
+        assert [kind for _, kind in graph_builds] == [GraphKind.PNN]
+
+    def test_interpretation_compiles_once(self, capsys, monkeypatch, compiles):
+        code, _, _ = run(
+            capsys, "loops", "-i", "p,q", stdin=P3, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert len(compiles) == 1
 
     def test_sp_unsound_verdict(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -561,6 +569,15 @@ class TestLoopCapOnModels:
         assert code == 2
         assert out == ""
         assert "loop enumeration: 17 atoms exceeds" in err
+
+    def test_loops_checks_the_atoms_before_the_cap(self, capsys, monkeypatch):
+        f = " & ".join(f"({r})" for r in self.RULES)
+        code, out, err = run(
+            capsys, "loops", "-i", "zz", stdin=f, monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert "zz" in err and "exceeds" not in err
 
 
 class TestNes:

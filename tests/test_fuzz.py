@@ -8,7 +8,6 @@ from stablemodels import (
     GraphKind,
     atoms,
     check_split,
-    completion,
     fuzz,
     is_nondisjunctive_theory,
     is_stable,
@@ -22,6 +21,7 @@ from stablemodels.fuzz import (
     random_theory,
     run_fuzz,
 )
+from conftest import count_calls
 
 
 class TestGenerator:
@@ -100,13 +100,7 @@ class TestRunFuzz:
     def test_theorem2_builds_no_completion(self, monkeypatch):
         # theorem2 reads the stable and pointwise lists only; theorem1,
         # which compares with the supported list, is the control.
-        calls = []
-
-        def counted(t):
-            calls.append(t)
-            return completion(t)
-
-        monkeypatch.setattr(semantics, "completion", counted)
+        calls = count_calls(monkeypatch, semantics, "_completion")
         assert run_fuzz("theorem2", seed=3, count=200).ok
         assert calls == []
         assert run_fuzz("theorem1", seed=3, count=5).ok

@@ -11,9 +11,9 @@ production path: no module under ``src/`` imports them, except
 and ``fuzz``, whose reduct properties test ``reduct`` and ``satisfies``.
 In the same way the definitional occurrence walks of ``formula``, which
 the dependency graphs are tested against, are imported by no module
-under ``src/`` except ``__init__``.  And ``semantics.here_and_there_at``,
-the point form of the loop-formula lemma, is imported by ``loopformulas``
-alone, so one module turns it into loop verdicts.  The constructors of NES
+under ``src/`` except ``__init__``.  And ``semantics.loop_lemma_at``, the
+loop-formula lemma at one interpretation, is imported by ``loopformulas``
+alone, so one module turns loops into loop verdicts.  The constructors of NES
 and loop-formula objects (``nes``, ``loop_formula`` and their private
 forms) belong to the oracle side too: no module under ``src/`` imports
 them except ``__init__``; ``loopformulas`` defines them and prints the
@@ -51,7 +51,7 @@ SEMANTICS_ORACLE = {
     "satisfies", "reduct", "is_stable", "is_pointwise_stable", "is_supported"
 }
 OCCURRENCE_WALKS = {"rules_of", "classify_occurrences"}
-POINT_LEMMA = {"here_and_there_at"}
+POINT_LEMMA = {"loop_lemma_at"}
 NES_CONSTRUCTORS = {"nes", "_nes", "loop_formula", "_loop_formula"}
 ORACLE = SEMANTICS_ORACLE | OCCURRENCE_WALKS | NES_CONSTRUCTORS
 ORACLE_ALLOWED = {
@@ -347,11 +347,11 @@ def test_lint_flags_occurrence_walk_imports():
 
 def test_lint_flags_point_lemma_imports():
     tree = ast.parse(
-        "from .semantics import here_and_there_at, stable_models\n"
-        "from stablemodels.semantics import here_and_there_at as ht\n"
+        "from .semantics import loop_lemma_at, stable_models\n"
+        "from stablemodels.semantics import loop_lemma_at as lemma\n"
     )
-    assert oracle_imports(tree, "cli") == ["here_and_there_at"] * 2
-    assert oracle_imports(tree, "__init__") == ["here_and_there_at"] * 2
+    assert oracle_imports(tree, "cli") == ["loop_lemma_at"] * 2
+    assert oracle_imports(tree, "__init__") == ["loop_lemma_at"] * 2
     assert oracle_imports(tree, "loopformulas") == []
 
 

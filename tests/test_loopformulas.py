@@ -107,6 +107,78 @@ class TestAllSetsOracle:
             assert stable_via_all_sets(i, f) == is_stable(i, (f,))
 
 
+    # The five atoms a < b < c < d < e take the 31 nonempty subsets in
+    # ``interpretations_of`` order, and the verdicts come in batches of 1,
+    # 2, 4, 8 and 16.  At the full interpretation only the subset at the
+    # given (1-based) position refutes it: the self-supporting atom, with
+    # a choice on every other atom, or the whole ring.
+    @pytest.mark.parametrize(
+        ("text", "position"),
+        [
+            ("(a -> a) & (b | not b) & (c | not c) & (d | not d) & (e | not e)",
+             1),
+            ("(a | not a) & (b -> b) & (c | not c) & (d | not d) & (e | not e)",
+             2),
+            ("(a | not a) & (b | not b) & (c -> c) & (d | not d) & (e | not e)",
+             3),
+            ("(b -> a) & (c -> b) & (d -> c) & (e -> d) & (a -> e)", 31),
+        ],
+        ids=["first-batch", "first-bit-of-a-batch", "last-bit-of-a-batch",
+             "last-subset"],
+    )
+    def test_one_refuting_subset(self, text, position):
+        f = parse_formula(text)
+        i = frozenset("abcde")
+        subsets = list(interpretations_of(i))[1:]
+        refuting = [
+            n for n, ys in enumerate(subsets, 1)
+            if not satisfies(i, loop_formula(f, ys))
+        ]
+        assert satisfies(i, f) and refuting == [position]
+        assert not is_stable(i, (f,))
+        assert not stable_via_all_sets(i, f)
+
+
+# Every nonempty subset of a0 .. a6 is a loop: 127 loops of one complete
+# component, and {c}.  ``loops -i`` decides them in one batch of 128;
+# the oracles in batches of 1, 2, 4, ..., 64, then one of 1.
+SEVEN = [f"a{k}" for k in range(7)]
+COMPLETE = " & ".join(
+    [f"({x} & c -> {y})" for x in SEVEN for y in SEVEN if x != y]
+    + ["(c | not c)"]
+)
+COMPLETE_INTERPRETATIONS = pytest.mark.parametrize(
+    "i",
+    [SEVEN[:3], [*SEVEN, "c"], ["a4", "c"]],
+    ids=["112-violated", "only-the-last-violated", "not-a-model"],
+)
+
+
+@COMPLETE_INTERPRETATIONS
+def test_loops_verdicts_on_a_complete_component_match_satisfies(i):
+    f = parse_formula(COMPLETE)
+    code, out = run_cli(["loops", "-i", ",".join(i)], COMPLETE)
+    lines = out.splitlines()
+    loops = strongly_connected_subsets(graph_of((f,), GraphKind.PNN))
+    assert code == 0
+    assert len(loops) == len(lines) - 1 == 128
+    for line, ys in zip(lines, loops):
+        assert line.startswith(f"loop {{{' '.join(sorted(ys))}}}: ")
+        holds = satisfies(frozenset(i), loop_formula(f, ys))
+        assert line.endswith("  [satisfied]" if holds else "  [violated]")
+
+
+@COMPLETE_INTERPRETATIONS
+def test_loop_oracle_on_a_complete_component_matches_satisfies(i):
+    f = parse_formula(COMPLETE)
+    i = frozenset(i)
+    loops = strongly_connected_subsets(graph_of((f,), GraphKind.PNN))
+    accepted = satisfies(i, f) and all(
+        satisfies(i, loop_formula(f, ys)) for ys in loops
+    )
+    assert stable_via_loops(i, f) == accepted == is_stable(i, (f,))
+
+
 class TestLoopOracle:
     def test_sp_unsound_on_p3(self, p3):
         i = mset("p", "q")
@@ -172,7 +244,7 @@ def test_single_point_oracles_build_no_graph_for_a_non_model(graph_builds):
     assert not stable_via_loops(mset("p"), f)
     assert graph_builds == []
     assert not stable_via_loops(mset("p", "q"), f, GraphKind.SP)
-    assert len(graph_builds) == 1
+    assert [kind for _, kind in graph_builds] == [GraphKind.SP]
 
 
 def _rule_chain(n):
@@ -201,7 +273,8 @@ def test_loop_formulas_print_a_long_conjunction_of_rules():
     # each support picks the choices of its one atom among 6000 atom
     # occurrences.
     f = _rule_chain(3000)
-    lines = list(islice(loop_formulas(f), 3))
+    loops = strongly_connected_subsets(graph_of((f,), GraphKind.PNN))
+    lines = list(islice(loop_formulas(f, loops), 3))
     assert [ys for ys, _ in lines] == [mset("a0"), mset("a1"), mset("a10")]
     for ys, pieces in lines:
         assert "".join(pieces) == print_formula(loop_formula(f, ys))

@@ -39,7 +39,7 @@ from stablemodels.semantics import (
     _per_model,
     stable_and_pointwise_models,
 )
-from conftest import P3_TEXT, mset, sweep_paths
+from conftest import P3_TEXT, count_calls, mset, sweep_paths
 
 TAUT = Implies(BOT, BOT)
 
@@ -156,15 +156,12 @@ class TestSupported:
         assert "p | q" in str(info.value)
 
     def test_support_formulas_come_from_completion(self, p1, monkeypatch):
-        calls = []
-
-        def counting_completion(t):
-            calls.append(t)
-            return completion(t)
-
-        monkeypatch.setattr(semantics, "completion", counting_completion)
+        # From the completion of p1 over the atoms of its one compile.
+        calls = count_calls(monkeypatch, semantics, "_completion")
         assert supported_models(p1) == [frozenset(), mset("p", "q")]
-        assert calls == [p1]
+        assert [(t, sorted(names)) for t, names in calls] == [
+            (p1, ["p", "q", "r"])
+        ]
 
     def test_makes_no_stability_pass(self, p2, monkeypatch):
         def no_pass(*args):
