@@ -36,7 +36,7 @@ from .errors import (
     NotAPartitionError,
     NotNondisjunctiveError,
 )
-from .formula import _compile, is_nondisjunctive_theory, print_formula
+from .formula import And, _compile, is_nondisjunctive_theory, print_formula
 from .fuzz import (
     MAX_FUZZ_ATOMS,
     MAX_FUZZ_DEPTH,
@@ -47,13 +47,13 @@ from .loopformulas import check_atoms, loop_formulas, loop_verdicts, nes_text
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
-    analyze,
+    _analysis,
     answer_json,
     format_interpretation,
-    format_model_lists,
-    format_models,
+    format_points,
+    models_json,
 )
-from .splitting import check_split
+from .splitting import _split
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -76,25 +76,23 @@ def _parse_atom_list(text: str) -> frozenset[str]:
 
 def cmd_models(args) -> int:
     theory = parse_theory(_read_input(args.input))
-    report = analyze(theory, cap=args.cap)
+    a = _analysis(theory, _compile(theory), args.cap)
+    names = a.c.names
     if args.json:
-        print(report.to_json())
+        print(models_json(names, a.classical, a.stable, a.supported, a.pointwise))
         return EXIT_OK
-    classical, stable, supported, pointwise = format_model_lists(
-        report.classical,
-        report.stable,
-        report.supported or [],
-        report.pointwise_stable,
+    classical, stable, supported, pointwise = format_points(
+        names, a.classical, a.stable, a.supported or [], a.pointwise
     )
-    print("universe:", " ".join(sorted(report.universe)) or "(empty)")
+    print("universe:", " ".join(reversed(names)) or "(empty)")
     print("classical:", classical)
     print("stable:", stable)
-    if report.supported is not None:
+    if a.supported is not None:
         print("supported:", supported)
     print("pointwise stable:", pointwise)
-    if report.completion_theory is not None:
+    if a.completion is not None:
         print("completion:")
-        for f in report.completion_theory:
+        for f in a.completion:
             print(" ", print_formula(f) + ".")
     return EXIT_OK
 
@@ -113,7 +111,8 @@ def cmd_graph(args) -> int:
 def cmd_tight(args) -> int:
     theory = parse_theory(_read_input(args.input))
     kind = GraphKind(args.graph)
-    ops = _compile(theory)[0]
+    compiled = _compile(theory)
+    ops = compiled[0]
     cyclic = has_cycle(_graph(ops, kind))
     print(f"graph {kind.value}: {'cyclic' if cyclic else 'acyclic'}")
     if is_nondisjunctive_theory(theory) and not (
@@ -122,14 +121,14 @@ def cmd_tight(args) -> int:
     ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
-            report = analyze(theory, cap=args.cap)
+            a = _analysis(theory, compiled, args.cap)
         except CapExceededError as exc:
             # The check is an extra; the verdict above stands.
             print(f"{claim} (not checked: {exc})")
         else:
-            st = report.stable
-            verdict = "verified" if report.supported == st else "VIOLATED"
-            print(f"{claim} ({verdict}): {format_models(st)}")
+            verdict = "verified" if a.supported == a.stable else "VIOLATED"
+            [stable] = format_points(a.c.names, a.stable)
+            print(f"{claim} ({verdict}): {stable}")
     return EXIT_CYCLIC if cyclic else EXIT_OK
 
 
@@ -185,49 +184,51 @@ def cmd_split(args) -> int:
     f = parse_formula(args.f)
     g = parse_formula(args.g)
     ps = _parse_atom_list(args.p)
-    report = check_split(f, g, ps, kind=GraphKind(args.graph), cap=args.cap)
+    kind = GraphKind(args.graph)
+    s = _split(_compile((And(f, g),)), ps, kind=kind, cap=args.cap)
+    i_off, ii_off, iii_off = s.offenders
+    names = s.c.names
     if args.json:
         print(
             answer_json(
+                names,
                 (
-                    ("graph", report.kind.value),
-                    ("cond_i", report.cond_i),
-                    ("cond_ii", report.cond_ii),
-                    ("cond_iii", report.cond_iii),
-                    ("equivalence_holds", report.equivalence_holds),
-                    ("stable_whole", report.stable_whole),
-                    ("stable_part_f", report.stable_part_f),
-                    ("stable_part_g", report.stable_part_g),
-                )
+                    ("graph", kind.value),
+                    ("cond_i", not i_off),
+                    ("cond_ii", not ii_off),
+                    ("cond_iii", iii_off is None),
+                    ("equivalence_holds", s.equivalence_holds),
+                    ("stable_whole", s.whole),
+                    ("stable_part_f", s.part_f),
+                    ("stable_part_g", s.part_g),
+                ),
             )
         )
     else:
-        print(f"graph: {report.kind.value}")
+        print(f"graph: {kind.value}")
         print(
             "condition (i):",
-            "pass" if report.cond_i else
-            "FAIL, atoms " + " ".join(sorted(report.cond_i_offenders)),
+            "pass" if not i_off else
+            "FAIL, atoms " + " ".join(sorted(i_off)),
         )
         print(
             "condition (ii):",
-            "pass" if report.cond_ii else
-            "FAIL, atoms " + " ".join(sorted(report.cond_ii_offenders)),
+            "pass" if not ii_off else
+            "FAIL, atoms " + " ".join(sorted(ii_off)),
         )
         print(
             "condition (iii):",
-            "pass" if report.cond_iii else
-            "FAIL, component " + format_interpretation(report.cond_iii_offender),
+            "pass" if iii_off is None else
+            "FAIL, component " + format_interpretation(iii_off),
         )
-        whole, part_f, part_g = format_model_lists(
-            report.stable_whole, report.stable_part_f, report.stable_part_g
-        )
+        whole, part_f, part_g = format_points(names, s.whole, s.part_f, s.part_g)
         print("stable (whole):", whole)
         print("stable (part f):", part_f)
         print("stable (part g):", part_g)
-        print("equivalence holds:", "yes" if report.equivalence_holds else "no")
-    if not report.conditions_pass:
+        print("equivalence holds:", "yes" if s.equivalence_holds else "no")
+    if any(s.offenders):
         return EXIT_CYCLIC
-    if not report.equivalence_holds:
+    if not s.equivalence_holds:
         return EXIT_NOT_EQUIVALENT
     return EXIT_OK
 

@@ -39,13 +39,14 @@ from .semantics import (
     classical_models,
     format_interpretation,
     format_models,
+    format_points,
     interpretations_of,
     reduct,
     satisfies,
     stable_and_pointwise_models,
     stable_models,
 )
-from .splitting import check_split, split_conditions
+from .splitting import _split, split_conditions
 
 ATOM_POOL = ("a", "b", "c", "d")
 
@@ -191,24 +192,30 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         ps = frozenset(a for a in universe if r.random() < 0.5)
         return f, g, ps, frozenset(universe) - ps
 
+    # The compile and pnn graph of F & G of the last case tried, which the
+    # split of an accepted case reads.
+    built = {}
+
     def accept(case) -> bool:
         f, g, ps, qs = case
         if not ps | qs:
             return False
-        ops, _ = _compile((And(f, g),))
-        return not any(split_conditions(ops, ps, qs, _graph(ops, GraphKind.PNN)))
+        ops, _ = built["compiled"] = _compile((And(f, g),))
+        pnn = built["pnn"] = _graph(ops, GraphKind.PNN)
+        return not any(split_conditions(ops, ps, qs, pnn))
 
-    # Neither split_conditions nor check_split draws from rng, so the
+    # Neither split_conditions nor the split draws from rng, so the
     # sampled cases depend on the seed alone.
     f, g, ps, qs = _sample_until(rng, make, accept)
-    report = check_split(f, g, ps, qs, GraphKind.PNN)
-    if not report.equivalence_holds:
+    s = _split(built["compiled"], ps, qs, GraphKind.PNN, pnn=built["pnn"])
+    if not s.equivalence_holds:
+        [whole] = format_points(s.c.names, s.whole)
         return (
             "splitting equivalence failed although pnn conditions pass\n"
             f"theory:\n{print_formula(And(f, g))}.\n"
             f"f: {print_formula(f)}\ng: {print_formula(g)}\n"
             f"P: {sorted(ps)}  Q: {sorted(qs)}\n"
-            f"stable whole: {format_models(report.stable_whole)}"
+            f"stable whole: {whole}"
         )
     return None
 

@@ -61,10 +61,15 @@ applies the lemma behind the loop path at one classical model I instead
 of at every point: one pass over the ops decides a batch of loops, with
 bit j of every table standing for loop j.
 
-It also renders model lists.  ``format_model_lists`` and ``answer_json``
-(the ``models --json`` and ``split --json`` documents, byte for byte as
-``json.dumps(..., indent=2)`` writes them) render each distinct model of
-an answer once, since an answer's lists share their models.
+It also renders model lists, from points rather than interpretations.
+``_analysis`` gives a theory's four classes as points of its classical
+pass (``splitting._split`` does the same for a split), and
+``format_points`` and ``answer_json`` (the ``models --json`` and
+``split --json`` documents, byte for byte as ``json.dumps(..., indent=2)``
+writes them) render a point from two tables over the halves of its bits,
+one join per point.  ``_models`` builds interpretations from the same
+tables: the public enumerators and ``analyze`` build one only for a point
+they return, once per pass, so an answer's lists share their models.
 """
 
 from __future__ import annotations
@@ -73,8 +78,8 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .depgraph import DepGraph, GraphKind, _components, _graph, _loops, _named
 from .errors import NotNondisjunctiveError, check_cap
@@ -156,16 +161,65 @@ def format_interpretation(i: Interpretation) -> str:
 
 
 def format_models(models: list[Interpretation]) -> str:
+    """A list of interpretations as text: the definition ``format_points``
+    is tested against, kept for fuzz's counterexamples."""
     return ", ".join(map(format_interpretation, models)) or "(none)"
 
 
-def format_model_lists(*lists: list[Interpretation]) -> list[str]:
-    """``format_models`` of each list, formatting each distinct model once."""
-    shown = {
-        m: format_interpretation(m)
-        for m in dict.fromkeys(itertools.chain.from_iterable(lists))
-    }
-    return [", ".join(map(shown.__getitem__, ms)) or "(none)" for ms in lists]
+def _halves(
+    items: list[str],
+) -> tuple[int, list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """The width of the low half of the bits of ``items``, item j standing
+    for bit j, and for each half the items of every subset of its bits,
+    by descending bit.  With items in descending order, as
+    ``_Classical`` lays out its atoms, each subset's items ascend, and
+    the high half's items all come before the low half's."""
+    half = len(items) // 2
+    low: list[tuple[str, ...]] = [()]
+    high: list[tuple[str, ...]] = [()]
+    for table, part in (low, items[:half]), (high, items[half:]):
+        for a in part:
+            table += [(a,) + s for s in table]
+    return half, low, high
+
+
+# An interpretation as text and as a JSON array two levels down, as
+# ``json.dumps(..., indent=2)`` lays it out: its opening, the separator
+# between two atoms, its closing, and the empty set.
+_TEXT_FORM = ("{", " ", "}", "{}")
+_JSON_FORM = ("[\n      ", ",\n      ", "\n    ]", "[]")
+
+
+def _renderer(
+    items: list[str], form: tuple[str, str, str, str]
+) -> Callable[[Iterable[int]], list[str]]:
+    """The rendering in ``form`` of the interpretation at each point, with
+    item j the rendering of the atom of bit j (see ``_Classical``).
+
+    A point whose low half is set is the high half's opening piece
+    joined to the low half's closing piece; any other is one piece.
+    """
+    half, low, high = _halves(items)
+    opening, sep, closing, empty = form
+    tails = [sep.join(s) + closing for s in low]
+    heads = [opening + sep.join(s) + sep if s else opening for s in high]
+    alone = [opening + sep.join(s) + closing if s else empty for s in high]
+    mask = (1 << half) - 1
+
+    def render(keys: Iterable[int]) -> list[str]:
+        return [
+            heads[k >> half] + tails[k & mask] if k & mask else alone[k >> half]
+            for k in keys
+        ]
+
+    return render
+
+
+def format_points(names: list[Atom], *lists: list[int]) -> list[str]:
+    """``format_models`` of each list of points over ``names``, in
+    descending order (see ``_Classical``)."""
+    render = _renderer(names, _TEXT_FORM)
+    return [", ".join(render(keys)) or "(none)" for keys in lists]
 
 
 def _json_array(items: Iterable[str], depth: int) -> str:
@@ -176,36 +230,50 @@ def _json_array(items: Iterable[str], depth: int) -> str:
     return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
 
 
-def answer_json(fields: Iterable[tuple[str, object]]) -> str:
+def answer_json(names: list[Atom], fields: Iterable[tuple[str, object]]) -> str:
     """``json.dumps(dict(fields), indent=2)`` for an answer whose values are
-    JSON scalars, atom sets and model lists.
+    JSON scalars, sets of ``names`` and model lists, with each model list
+    given as its points over ``names``, in descending order (see
+    ``_Classical``).
 
-    An atom set (a frozenset) is written as its sorted atoms, a model
-    list as a list of them.  Each atom name is quoted once and each
-    distinct model rendered once, so lists that share their models, as
-    the stable and classical lists do, cost one rendering per model.
+    A set is written as its sorted atoms, and a model list as a list of
+    them.  Each atom name is quoted once.
     """
-    fields = list(fields)
-    models = dict.fromkeys(
-        itertools.chain.from_iterable(v for _, v in fields if type(v) is list)
-    )
-    sets = [v for _, v in fields if type(v) is frozenset]
-    quoted = {a: json.dumps(a) for a in frozenset().union(*sets, *models)}
-
-    def atom_array(i: Interpretation, depth: int) -> str:
-        return _json_array(map(quoted.__getitem__, sorted(i)), depth)
-
-    shown = {m: atom_array(m, 2) for m in models}
+    quoted = [json.dumps(a) for a in names]
+    render = _renderer(quoted, _JSON_FORM)
 
     def value(v: object) -> str:
         if type(v) is frozenset:
-            return atom_array(v, 1)
+            return _json_array(
+                [q for a, q in zip(names, quoted) if a in v][::-1], 1
+            )
         if type(v) is list:
-            return _json_array(map(shown.__getitem__, v), 1)
+            return _json_array(render(v), 1)
         return json.dumps(v)
 
     members = [f"{json.dumps(key)}: {value(v)}" for key, v in fields]
     return "{\n  " + ",\n  ".join(members) + "\n}"
+
+
+def models_json(
+    names: list[Atom],
+    classical: list[int],
+    stable: list[int],
+    supported: Optional[list[int]],
+    pointwise: list[int],
+) -> str:
+    """The ``models --json`` document of the four lists of points over
+    ``names``."""
+    return answer_json(
+        names,
+        (
+            ("universe", frozenset(names)),
+            ("classical", classical),
+            ("stable", stable),
+            ("supported", supported),
+            ("pointwise_stable", pointwise),
+        ),
+    )
 
 
 def classical_models(
@@ -431,15 +499,24 @@ def _set_bits(table: int, n: int) -> list[int]:
 
 def _models(keys: list[int], names: list[Atom]) -> list[Interpretation]:
     """The interpretation at each point of ``keys``, joined from the atoms
-    of its low and of its high bits, each read from a table of subsets."""
-    half = len(names) // 2
-    low: list[tuple[Atom, ...]] = [()]
-    high: list[tuple[Atom, ...]] = [()]
-    for table, part in (low, names[:half]), (high, names[half:]):
-        for a in part:
-            table += [s + (a,) for s in table]
+    of its low and of its high bits."""
+    half, low, high = _halves(names)
     mask = (1 << half) - 1
-    return [frozenset(low[k & mask] + high[k >> half]) for k in keys]
+    return [frozenset(high[k >> half] + low[k & mask]) for k in keys]
+
+
+@functools.cache
+def _layers(n: int) -> list[int]:
+    """The table over 2**n points of the points of each popcount, 0 to n.
+
+    Built by doubling, as ``_atom_tables`` is: over 2**(j+1) points, the
+    points from 2**j up have one more bit set than those below.
+    """
+    layers = [1]
+    for j in range(n):
+        half = 1 << j
+        layers = [lo | hi << half for lo, hi in zip(layers + [0], [0] + layers)]
+    return layers
 
 
 @dataclass
@@ -455,32 +532,59 @@ class _Classical:
     atom_tables: dict[Atom, int]
     # Every op's table; the last is the theory's.
     vals: list[int]
-    # The candidates' points: where some root op of the pass holds, in
-    # ``interpretations_of`` order.
-    keys: list[int]
+    # Where some root op of the pass holds: the candidates' table.
+    candidates: int
+    # The candidates' points once listed (see ``keys``), and the
+    # interpretation at each point built so far, shared by every list
+    # read from this pass.
+    listed: Optional[list[int]] = field(default=None, init=False, repr=False)
+    built: dict[int, Interpretation] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
-    @functools.cached_property
+    @property
+    def keys(self) -> list[int]:
+        """The candidates' points, in ``interpretations_of`` order, listed
+        only when a path or a list reads them."""
+        # Not a cached property: on Python 3.11 its lock costs about a
+        # microsecond, a sixth of a fuzz-size theory's pass.
+        if self.listed is None:
+            self.listed = _set_bits(self.candidates, len(self.names))
+        return self.listed
+
+    @property
     def models(self) -> list[Interpretation]:
-        """The candidates, each built once and shared by every list read
-        from this pass."""
-        return _models(self.keys, self.names)
+        """The candidates."""
+        return self.build(self.keys)
 
     @functools.cached_property
     def pnn(self) -> DepGraph:
         """The pnn graph of the ops, for the path choice and the split."""
         return _graph(self.ops, GraphKind.PNN)
 
-    def select(self, table: int) -> list[Interpretation]:
-        """The candidates at whose points ``table`` is 1."""
+    def points(self, table: int) -> list[int]:
+        """The candidates' points where ``table`` is 1."""
         # The text's last digit is bit 0, so bit k is digit ~k.
         bits = format(table, f"0{1 << len(self.names)}b")
-        return [m for k, m in zip(self.keys, self.models) if bits[~k] == "1"]
+        return [k for k in self.keys if bits[~k] == "1"]
+
+    def build(self, keys: list[int]) -> list[Interpretation]:
+        """The interpretation at each point of ``keys``, each built once."""
+        built = self.built
+        missing = [k for k in keys if k not in built]
+        if missing:
+            built.update(zip(missing, _models(missing, self.names)))
+        return list(map(built.__getitem__, keys))
+
+    def select(self, table: int) -> list[Interpretation]:
+        """The candidates at whose points ``table`` is 1."""
+        return self.build(self.points(table))
 
     def narrowed(self, table: int) -> _Classical:
         """This pass with the points where ``table`` is 1 as its only
-        candidates, so that only they are built.  ``table`` is 0 at every
+        candidates, so that only they are listed.  ``table`` is 0 at every
         other point."""
-        return replace(self, keys=_set_bits(table, len(self.names)))
+        return replace(self, candidates=table)
 
 
 def _classical_pass(
@@ -504,8 +608,7 @@ def _classical_pass(
     candidates = 0
     for root in roots:
         candidates |= vals[root]
-    keys = _set_bits(candidates, n)
-    return _Classical(names, ops, atom_tables, vals, keys)
+    return _Classical(names, ops, atom_tables, vals, candidates)
 
 
 def _supported(comp: Theory, c: _Classical) -> int:
@@ -658,10 +761,11 @@ def _loops_that_pay(c: _Classical) -> Optional[list[frozenset[Atom]]]:
     pays.  The graph is built only if the n singleton loops stay under
     it, and the loop search gives up as soon as it finds more loops.
     """
-    # The 2**|I| points of every candidate I, summed without a
-    # Python-level loop over the candidates.
-    points = sum(map((1).__lshift__, map(int.bit_count, c.keys)))
-    per_model = len(c.keys) + points / _WIDE_BITS
+    # The candidates of each width, counted without listing them.
+    layers = _layers(len(c.names))
+    counts = [(c.candidates & layer).bit_count() for layer in layers]
+    points = sum(map(operator.lshift, counts, range(len(counts))))
+    per_model = sum(counts) + points / _WIDE_BITS
     per_loop = 1 + (1 << len(c.names)) / _WIDE_BITS
     limit = (per_model - _GRAPH_PASSES) / per_loop
     if limit <= len(c.names):
@@ -696,24 +800,61 @@ class ModelReport:
 
     def to_json(self) -> str:
         """The ``models --json`` document."""
-        return answer_json(
-            (
-                ("universe", self.universe),
-                ("classical", self.classical),
-                ("stable", self.stable),
-                ("supported", self.supported),
-                ("pointwise_stable", self.pointwise_stable),
-            )
+        names = sorted(self.universe, reverse=True)
+        bit = {a: 1 << j for j, a in enumerate(names)}
+
+        def points(models: list[Interpretation]) -> list[int]:
+            return [sum(map(bit.__getitem__, m)) for m in models]
+
+        supported = None if self.supported is None else points(self.supported)
+        return models_json(
+            names,
+            points(self.classical),
+            points(self.stable),
+            supported,
+            points(self.pointwise_stable),
         )
 
 
-def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
-    """All four model classes of ``t`` from one classical pass."""
-    c = _classical_pass(*_compile(t), cap=cap)
+class _Analysis(NamedTuple):
+    """A theory's classical pass and the points of its four model classes
+    on it, in ``interpretations_of`` order.  ``supported`` and
+    ``completion`` are None unless every member is a nondisjunctive
+    rule."""
+
+    c: _Classical
+    classical: list[int]
+    stable: list[int]
+    supported: Optional[list[int]]
+    pointwise: list[int]
+    completion: Optional[Theory]
+
+
+def _analysis(
+    t: Theory, compiled: tuple[Ops, set[Atom]], cap: int = DEFAULT_CAP
+) -> _Analysis:
+    """All four model classes of ``t``, whose ``_compile`` is ``compiled``,
+    as points of one classical pass."""
+    c = _classical_pass(*compiled, cap=cap)
     stable, pointwise = _sweep(c)
     supported = comp = None
     if is_nondisjunctive_theory(t):
         comp = _completion(t, c.names)
-        supported = c.select(_supported(comp, c))
-    lists = c.models, c.select(stable), supported, c.select(pointwise)
-    return ModelReport(frozenset(c.names), *lists, comp)
+        supported = c.points(_supported(comp, c))
+    return _Analysis(
+        c, c.keys, c.points(stable), supported, c.points(pointwise), comp
+    )
+
+
+def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
+    """All four model classes of ``t`` from one classical pass."""
+    a = _analysis(t, _compile(t), cap)
+    # The classical list first: the others are read from its models.
+    classical, stable, pointwise = map(
+        a.c.build, (a.classical, a.stable, a.pointwise)
+    )
+    supported = None if a.supported is None else a.c.build(a.supported)
+    universe = frozenset(a.c.names)
+    return ModelReport(
+        universe, classical, stable, supported, pointwise, a.completion
+    )

@@ -12,6 +12,8 @@ that.
 One compile of F & G gives its universe, its graph, the strictly
 positive atoms of F and G, and, by one classical pass and one sweep in
 which a part is an op with a restricted here-world, the three lists.
+``_split`` gives the answer as points of that pass, for the CLI to
+render, and takes the pnn graph of F & G if it has been built already.
 ``choice_augment`` builds the parts as formulas: it is the test oracle
 for that sweep, and no production path calls it.
 """
@@ -19,7 +21,7 @@ for that sweep, and no production path calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .depgraph import DepGraph, GraphKind, _bodies, _graph, _named, sccs
 from .errors import NotAPartitionError
@@ -33,7 +35,13 @@ from .formula import (
     _compile,
     neg,
 )
-from .semantics import DEFAULT_CAP, Interpretation, _classical_pass, _sweep
+from .semantics import (
+    DEFAULT_CAP,
+    Interpretation,
+    _Classical,
+    _classical_pass,
+    _sweep,
+)
 
 
 def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
@@ -86,6 +94,53 @@ def split_conditions(
     return i_off, ii_off, next(straddling, None)
 
 
+class _Split(NamedTuple):
+    """A split's answer as points: the offenders of the three conditions,
+    as ``split_conditions`` gives them, whether the equivalence holds, and
+    the points of the three lists on ``c``, a pass narrowed to them."""
+
+    offenders: tuple[frozenset[Atom], frozenset[Atom], Optional[frozenset[Atom]]]
+    equivalence_holds: bool
+    c: _Classical
+    whole: list[int]
+    part_f: list[int]
+    part_g: list[int]
+
+
+def _split(
+    compiled: tuple[Ops, set[Atom]],
+    p: Iterable[Atom],
+    q: Optional[Iterable[Atom]] = None,
+    kind: GraphKind = GraphKind.PNN,
+    cap: int = DEFAULT_CAP,
+    pnn: Optional[DepGraph] = None,
+) -> _Split:
+    """``check_split`` on ``compiled``, the ``_compile`` of F & G, whose
+    pnn graph is ``pnn`` if it has been built."""
+    ops, universe = compiled
+    ps = frozenset(p)
+    qs = universe - ps if q is None else frozenset(q)
+    if ps | qs != universe or ps & qs:
+        raise NotAPartitionError(
+            "the two atom sets must partition the atoms of the conjunction"
+        )
+    _, f_op, g_op = ops[-1]
+    c = _classical_pass(ops, universe, cap=cap, roots=(f_op, g_op))
+    if pnn is not None:
+        # The pass's own pnn graph: both are read from ``ops``.
+        c.pnn = pnn
+    graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind)
+    offenders = split_conditions(ops, ps, qs, graph)
+    stable, _, part_f, part_g = _sweep(c, ((f_op, qs), (g_op, ps)))
+    shown = c.narrowed(stable | part_f | part_g)
+    return _Split(
+        offenders,
+        stable == part_f & part_g,
+        shown,
+        *map(shown.points, (stable, part_f, part_g)),
+    )
+
+
 def check_split(
     f: Formula,
     g: Formula,
@@ -108,20 +163,8 @@ def check_split(
     the pnn graph, the graph of the conditions is the one the sweep's
     loop search reads.
     """
-    ops, universe = _compile((And(f, g),))
-    ps = frozenset(p)
-    qs = universe - ps if q is None else frozenset(q)
-    if ps | qs != universe or ps & qs:
-        raise NotAPartitionError(
-            "the two atom sets must partition the atoms of the conjunction"
-        )
-    _, f_op, g_op = ops[-1]
-    c = _classical_pass(ops, universe, cap=cap, roots=(f_op, g_op))
-    graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind)
-    i_off, ii_off, iii_off = split_conditions(ops, ps, qs, graph)
-    stable, _, part_f, part_g = _sweep(c, ((f_op, qs), (g_op, ps)))
-
-    shown = c.narrowed(stable | part_f | part_g)
+    s = _split(_compile((And(f, g),)), p, q, kind, cap)
+    i_off, ii_off, iii_off = s.offenders
     return SplitReport(
         kind=kind,
         cond_i=not i_off,
@@ -130,8 +173,8 @@ def check_split(
         cond_ii_offenders=ii_off,
         cond_iii=iii_off is None,
         cond_iii_offender=iii_off,
-        equivalence_holds=stable == part_f & part_g,
-        stable_whole=shown.select(stable),
-        stable_part_f=shown.select(part_f),
-        stable_part_g=shown.select(part_g),
+        equivalence_holds=s.equivalence_holds,
+        stable_whole=s.c.build(s.whole),
+        stable_part_f=s.c.build(s.part_f),
+        stable_part_g=s.c.build(s.part_g),
     )

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import stablemodels.semantics as semantics
+from stablemodels import analyze, parse_theory
 from stablemodels.cli import COMMANDS, build_parser, command_parser, main
 from stablemodels.depgraph import GraphKind
+from conftest import count_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -242,6 +245,31 @@ class TestGraph:
         assert edges == {("q", "p"), ("p", "q")}
 
 
+class TestModelLists:
+    """Every model list the CLI prints is rendered from its points: no
+    interpretation is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("models",), ("models", "--json"),
+         ("split", "p | not p", "q -> p", "--p", "p"),
+         ("split", "p | not p", "q -> p", "--p", "p", "--json")],
+        ids=["models", "models-json", "split", "split-json"],
+    )
+    def test_no_interpretation_built(self, capsys, monkeypatch, argv):
+        built = count_calls(monkeypatch, semantics, "_models")
+        code, out, _ = run(capsys, *argv, stdin=P2, monkeypatch=monkeypatch)
+        assert code in (0, 3, 4)
+        assert "p" in out
+        assert built == []
+
+    def test_control_builds_interpretations(self, monkeypatch):
+        # The public API builds them, through the counted function.
+        built = count_calls(monkeypatch, semantics, "_models")
+        analyze(parse_theory(P2))
+        assert len(built) == 1
+
+
 class TestTight:
     def test_p2_sp_acyclic_and_verified(
         self, capsys, monkeypatch, classical_passes
@@ -273,6 +301,17 @@ class TestTight:
             capsys, "tight", "--graph", "sp", stdin=P1, monkeypatch=monkeypatch
         )
         assert code == 3
+
+    def test_compiles_its_input_once(self, capsys, monkeypatch, compiles):
+        # The input once, for both graphs and the check, then the
+        # completion's support halves.
+        code, out, _ = run(
+            capsys, "tight", stdin="p -> q. q -> r.", monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert "(verified): {}" in out
+        assert len(compiles) == 2
+        assert len(compiles[0][0]) == 2  # the input's two rules
 
     def test_over_cap_check_skipped_after_verdict(self, capsys, monkeypatch):
         chain = ". ".join(f"a{i + 1} -> a{i}" for i in range(25))

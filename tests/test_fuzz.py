@@ -4,11 +4,10 @@ import re
 import pytest
 
 import stablemodels.semantics as semantics
+import stablemodels.splitting as splitting
 from stablemodels import (
     GraphKind,
     atoms,
-    check_split,
-    fuzz,
     is_nondisjunctive_theory,
     is_stable,
     parse_formula,
@@ -65,16 +64,23 @@ class TestRunFuzz:
         assert result.ok, result.violations[:1]
 
     def test_splitting_splits_accepted_cases_only(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check_split(*args, **kwargs)
-
-        monkeypatch.setattr(fuzz, "check_split", counted)
+        calls = count_calls(monkeypatch, splitting, "_split")
         result = run_fuzz("splitting", seed=1, count=100)
         assert result.ok
         assert len(calls) == 100
+
+    def test_splitting_builds_one_graph_per_case(
+        self, monkeypatch, compiles, graph_builds
+    ):
+        # One compile and one pnn graph per sampled case, in ``accept``;
+        # the split of each accepted case reads both (208 cases sampled
+        # for 100 accepted ones; 308 graphs were built when the split
+        # built its own).
+        splits = count_calls(monkeypatch, splitting, "_split")
+        assert run_fuzz("splitting", seed=1, count=100).ok
+        assert len(splits) == 100
+        assert len(compiles) == len(graph_builds) == 208
+        assert {kind for _, kind in graph_builds} == {GraphKind.PNN}
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,10 @@ its strictly positive atoms and its graphs from the ops of
 once per path.  And
 ``splitting.choice_augment``, which builds a split's parts as formulas,
 is the oracle of ``check_split``'s one sweep: no module under ``src/``
-calls it (``__init__`` re-exports it).
+calls it (``__init__`` re-exports it).  ``cli`` imports neither
+``analyze`` nor ``format_models``, which hold and render models as
+sets: every model list the CLI prints is rendered from the points of
+one classical pass.
 """
 
 import ast
@@ -70,6 +73,9 @@ WALK_CALLERS = {
     "positive_nonnegated_atoms": {"formula"},
 }
 PART_BUILDER = {"choice_augment"}
+# Per module, the names it may not import: the model lists of ``cli``
+# come from points, not from sets.
+SET_RENDERERS = {"cli": {"analyze", "format_models"}}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
@@ -111,6 +117,18 @@ def function_local_imports(tree):
 def oracle_imports(tree, module):
     """Oracle and point-lemma names that ``module`` imports but may not."""
     forbidden = (ORACLE | POINT_LEMMA) - ORACLE_ALLOWED.get(module, set())
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in forbidden
+    )
+
+
+def set_renderer_imports(tree, module):
+    """Names of ``SET_RENDERERS`` that ``module`` imports."""
+    forbidden = SET_RENDERERS.get(module, set())
     return sorted(
         alias.name
         for node in ast.walk(tree)
@@ -216,6 +234,25 @@ def test_lint_flags_unused_and_local_imports():
 def test_oracle_stays_out_of_production(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert oracle_imports(tree, path.stem) == []
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_cli_renders_model_lists_from_points(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert set_renderer_imports(tree, path.stem) == []
+
+
+def test_lint_flags_set_renderer_imports():
+    tree = ast.parse(
+        "from .semantics import analyze, format_models, format_points\n"
+        "from stablemodels import analyze as analyse\n"
+    )
+    assert set_renderer_imports(tree, "cli") == [
+        "analyze", "analyze", "format_models"
+    ]
+    assert set_renderer_imports(tree, "fuzz") == []
 
 
 @pytest.mark.parametrize(

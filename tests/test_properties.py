@@ -53,6 +53,7 @@ from stablemodels.semantics import (
     answer_json,
     format_interpretation,
     format_models,
+    format_points,
 )
 from conftest import (
     dependency_graph_scan,
@@ -621,7 +622,7 @@ atom_sets = st.frozensets(st.text(max_size=4), max_size=4)
 )
 def test_answer_json_matches_json_dumps(fields):
     # Any atom names, including ones that need escaping, and lists that
-    # share their models.
+    # share their models.  Model lists go in as points over the names.
     def plain(v):
         if isinstance(v, frozenset):
             return sorted(v)
@@ -629,8 +630,60 @@ def test_answer_json_matches_json_dumps(fields):
             return [sorted(m) for m in v]
         return v
 
+    sets = [v for _, v in fields if isinstance(v, frozenset)]
+    models = [m for _, v in fields if isinstance(v, list) for m in v]
+    names = sorted(frozenset().union(*sets, *models), reverse=True)
+    bit = {a: 1 << j for j, a in enumerate(names)}
+
+    def points(v):
+        if isinstance(v, list):
+            return [sum(bit[a] for a in m) for m in v]
+        return v
+
     expected = {key: plain(v) for key, v in fields}
-    assert answer_json(fields) == json.dumps(expected, indent=2)
+    given_fields = [(key, points(v)) for key, v in fields]
+    assert answer_json(names, given_fields) == json.dumps(expected, indent=2)
+
+
+@st.composite
+def point_lists(draw):
+    """Atom names in descending order, n of them for n up to 8, and lists
+    of points over them that may share points."""
+    names = sorted(
+        draw(st.sets(st.text(min_size=1, max_size=3), max_size=8)), reverse=True
+    )
+    points = st.integers(0, (1 << len(names)) - 1)
+    shared = draw(st.lists(points, max_size=6))
+    lists = st.lists(st.one_of(points, st.sampled_from(shared or [0])))
+    return names, draw(st.lists(lists, max_size=4))
+
+
+@given(point_lists())
+def test_point_rendering_matches_sets(names_and_lists):
+    # Odd n and n <= 1 leave one half table short or empty.
+    names, lists = names_and_lists
+
+    def model(k):
+        return frozenset(a for j, a in enumerate(names) if k >> j & 1)
+
+    assert format_points(names, *lists) == [
+        format_models([model(k) for k in keys]) for keys in lists
+    ]
+    for keys in lists:
+        fields = [("models", keys)]
+        expected = {"models": [sorted(model(k)) for k in keys]}
+        assert answer_json(names, fields) == json.dumps(expected, indent=2)
+
+
+@given(st.integers(0, 8))
+def test_point_rendering_of_every_subset(n):
+    names = sorted((f"a{j}" for j in range(n)), reverse=True)
+    keys = list(range(1 << n))
+    sets = [frozenset(a for j, a in enumerate(names) if k >> j & 1) for k in keys]
+    [text] = format_points(names, keys)
+    assert text == ", ".join(map(format_interpretation, sets))
+    expected = json.dumps({"m": [sorted(i) for i in sets]}, indent=2)
+    assert answer_json(names, [("m", keys)]) == expected
 
 
 # At most 40 characters: the grammar's alphabet, its keywords and junk,

@@ -339,6 +339,14 @@ class TestPoints:
         ]
         assert semantics._set_bits(table, n) == expected
 
+    @given(truth_tables())
+    def test_layers_count_the_points_of_each_size(self, table_and_n):
+        # The path choice prices the candidates from these counts.
+        table, n = table_and_n
+        sizes = [k.bit_count() for k in semantics._set_bits(table, n)]
+        counts = [(table & layer).bit_count() for layer in semantics._layers(n)]
+        assert counts == [sizes.count(w) for w in range(n + 1)]
+
 
 class TestCompile:
     def test_shared_subtrees_compile_once(self):

@@ -155,6 +155,20 @@ class TestSplitWork:
         check_split(f, g, p.split(","), q.split(","))
         assert len(compiles) == len(classical_passes) == len(sweeps) == 1
 
+    def test_loop_path_lists_only_the_answer(self, monkeypatch):
+        # The path choice counts the candidates per size from their
+        # table, so only the points that some list holds are listed.
+        listed = count_calls(monkeypatch, semantics, "_set_bits")
+        sweeps = count_calls(monkeypatch, semantics, "_by_loops")
+        f, g = parse_formula(WIDE_F), parse_formula(WIDE_G)
+        report = check_split(f, g, WIDE_P.split(","), WIDE_Q.split(","))
+        assert len(sweeps) == 1
+        [(table, _)] = listed
+        shown = {
+            *report.stable_whole, *report.stable_part_f, *report.stable_part_g
+        }
+        assert table.bit_count() == len(shown) > 0
+
     @pytest.mark.parametrize(
         ("f", "g", "p", "kind", "graphs"),
         [(WIDE_F, WIDE_G, WIDE_P, "pnn", [PNN]),
