@@ -51,7 +51,6 @@ from .semantics import (
     answer_json,
     format_interpretation,
     format_points,
-    models_json,
 )
 from .splitting import _split
 
@@ -77,22 +76,22 @@ def _parse_atom_list(text: str) -> frozenset[str]:
 def cmd_models(args) -> int:
     theory = parse_theory(_read_input(args.input))
     a = _analysis(theory, _compile(theory), args.cap)
-    names = a.c.names
     if args.json:
-        print(models_json(names, a.classical, a.stable, a.supported, a.pointwise))
+        print(a.to_json())
         return EXIT_OK
+    names = a._c.names
     classical, stable, supported, pointwise = format_points(
-        names, a.classical, a.stable, a.supported or [], a.pointwise
+        names, a._classical, a._stable, a._supported or [], a._pointwise
     )
     print("universe:", " ".join(reversed(names)) or "(empty)")
     print("classical:", classical)
     print("stable:", stable)
-    if a.supported is not None:
+    if a._supported is not None:
         print("supported:", supported)
     print("pointwise stable:", pointwise)
-    if a.completion is not None:
+    if a.completion_theory is not None:
         print("completion:")
-        for f in a.completion:
+        for f in a.completion_theory:
             print(" ", print_formula(f) + ".")
     return EXIT_OK
 
@@ -126,8 +125,8 @@ def cmd_tight(args) -> int:
             # The check is an extra; the verdict above stands.
             print(f"{claim} (not checked: {exc})")
         else:
-            verdict = "verified" if a.supported == a.stable else "VIOLATED"
-            [stable] = format_points(a.c.names, a.stable)
+            verdict = "verified" if a._supported == a._stable else "VIOLATED"
+            [stable] = format_points(a._c.names, a._stable)
             print(f"{claim} ({verdict}): {stable}")
     return EXIT_CYCLIC if cyclic else EXIT_OK
 
@@ -186,21 +185,19 @@ def cmd_split(args) -> int:
     ps = _parse_atom_list(args.p)
     kind = GraphKind(args.graph)
     s = _split(_compile((And(f, g),)), ps, kind=kind, cap=args.cap)
-    i_off, ii_off, iii_off = s.offenders
-    names = s.c.names
     if args.json:
         print(
             answer_json(
-                names,
+                s._names,
                 (
                     ("graph", kind.value),
-                    ("cond_i", not i_off),
-                    ("cond_ii", not ii_off),
-                    ("cond_iii", iii_off is None),
+                    ("cond_i", s.cond_i),
+                    ("cond_ii", s.cond_ii),
+                    ("cond_iii", s.cond_iii),
                     ("equivalence_holds", s.equivalence_holds),
-                    ("stable_whole", s.whole),
-                    ("stable_part_f", s.part_f),
-                    ("stable_part_g", s.part_g),
+                    ("stable_whole", s._whole),
+                    ("stable_part_f", s._part_f),
+                    ("stable_part_g", s._part_g),
                 ),
             )
         )
@@ -208,25 +205,27 @@ def cmd_split(args) -> int:
         print(f"graph: {kind.value}")
         print(
             "condition (i):",
-            "pass" if not i_off else
-            "FAIL, atoms " + " ".join(sorted(i_off)),
+            "pass" if s.cond_i else
+            "FAIL, atoms " + " ".join(sorted(s.cond_i_offenders)),
         )
         print(
             "condition (ii):",
-            "pass" if not ii_off else
-            "FAIL, atoms " + " ".join(sorted(ii_off)),
+            "pass" if s.cond_ii else
+            "FAIL, atoms " + " ".join(sorted(s.cond_ii_offenders)),
         )
         print(
             "condition (iii):",
-            "pass" if iii_off is None else
-            "FAIL, component " + format_interpretation(iii_off),
+            "pass" if s.cond_iii else
+            "FAIL, component " + format_interpretation(s.cond_iii_offender),
         )
-        whole, part_f, part_g = format_points(names, s.whole, s.part_f, s.part_g)
+        whole, part_f, part_g = format_points(
+            s._names, s._whole, s._part_f, s._part_g
+        )
         print("stable (whole):", whole)
         print("stable (part f):", part_f)
         print("stable (part g):", part_g)
         print("equivalence holds:", "yes" if s.equivalence_holds else "no")
-    if any(s.offenders):
+    if not s.conditions_pass:
         return EXIT_CYCLIC
     if not s.equivalence_holds:
         return EXIT_NOT_EQUIVALENT

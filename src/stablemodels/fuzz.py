@@ -18,13 +18,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .depgraph import GraphKind, _graph, g_sp, has_cycle, subgraph_of
+from .depgraph import GraphKind, _graph, has_cycle, subgraph_of
 from .formula import (
     And,
+    Atom,
     AtomRef,
     BOT,
     Formula,
     Implies,
+    Ops,
     Or,
     Theory,
     _compile,
@@ -35,15 +37,16 @@ from .formula import (
 )
 from .loopformulas import loop_oracle_models
 from .semantics import (
+    _analysis,
+    _classical_pass,
+    _sweep,
     analyze,
     classical_models,
     format_interpretation,
-    format_models,
     format_points,
     interpretations_of,
     reduct,
     satisfies,
-    stable_and_pointwise_models,
     stable_models,
 )
 from .splitting import _split, split_conditions
@@ -94,11 +97,20 @@ def random_nondisjunctive_theory(
 
 
 def _sample_until(rng, make, accept, limit: int = 10000):
+    """The first case ``make`` draws for which ``accept`` returns something
+    other than None, and what it returned: work that the check reads."""
     for _ in range(limit):
         candidate = make(rng)
-        if accept(candidate):
-            return candidate
+        taken = accept(candidate)
+        if taken is not None:
+            return candidate, taken
     raise RuntimeError("rejection sampling failed to find an acceptable case")
+
+
+def _sp_acyclic(t: Theory) -> Optional[tuple[Ops, set[Atom]]]:
+    """The compile of ``t`` if its sp graph is acyclic, else None."""
+    compiled = _compile(t)
+    return None if has_cycle(_graph(compiled[0], GraphKind.SP)) else compiled
 
 
 @dataclass
@@ -114,35 +126,33 @@ class FuzzResult:
 
 
 def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
-    t = _sample_until(
-        rng,
-        lambda r: random_nondisjunctive_theory(r, pool, depth),
-        lambda t: not has_cycle(g_sp(t)),
+    t, compiled = _sample_until(
+        rng, lambda r: random_nondisjunctive_theory(r, pool, depth), _sp_acyclic
     )
-    report = analyze(t)
-    sup, st = report.supported, report.stable
-    if sup != st:
+    a = _analysis(t, compiled)
+    if a._supported != a._stable:
+        sup, st = format_points(a._c.names, a._supported, a._stable)
         return (
             "supported and stable models differ for a nondisjunctive theory "
             f"with acyclic sp graph\ntheory:\n{print_theory(t)}\n"
-            f"supported: {format_models(sup)}\nstable: {format_models(st)}"
+            f"supported: {sup}\nstable: {st}"
         )
     return None
 
 
 def _check_theorem2(rng: random.Random, pool, depth) -> Optional[str]:
-    t = _sample_until(
-        rng,
-        lambda r: random_theory(r, pool, depth),
-        lambda t: not has_cycle(g_sp(t)),
+    t, compiled = _sample_until(
+        rng, lambda r: random_theory(r, pool, depth), _sp_acyclic
     )
-    st, pw = stable_and_pointwise_models(t)
+    c = _classical_pass(*compiled)
+    st, pw = _sweep(c)
     if pw != st:
+        pw_text, st_text = format_points(c.names, c.points(pw), c.points(st))
         return (
             "pointwise stable and stable models differ for a theory with "
             f"acyclic sp graph\ntheory:\n{print_theory(t)}\n"
-            f"pointwise stable: {format_models(pw)}\n"
-            f"stable: {format_models(st)}"
+            f"pointwise stable: {pw_text}\n"
+            f"stable: {st_text}"
         )
     return None
 
@@ -192,24 +202,23 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         ps = frozenset(a for a in universe if r.random() < 0.5)
         return f, g, ps, frozenset(universe) - ps
 
-    # The compile and pnn graph of F & G of the last case tried, which the
-    # split of an accepted case reads.
-    built = {}
-
-    def accept(case) -> bool:
+    def accept(case):
+        # The compile and pnn graph of F & G, which the split reads.
         f, g, ps, qs = case
         if not ps | qs:
-            return False
-        ops, _ = built["compiled"] = _compile((And(f, g),))
-        pnn = built["pnn"] = _graph(ops, GraphKind.PNN)
-        return not any(split_conditions(ops, ps, qs, pnn))
+            return None
+        compiled = _compile((And(f, g),))
+        pnn = _graph(compiled[0], GraphKind.PNN)
+        if any(split_conditions(compiled[0], ps, qs, pnn)):
+            return None
+        return compiled, pnn
 
     # Neither split_conditions nor the split draws from rng, so the
     # sampled cases depend on the seed alone.
-    f, g, ps, qs = _sample_until(rng, make, accept)
-    s = _split(built["compiled"], ps, qs, GraphKind.PNN, pnn=built["pnn"])
+    (f, g, ps, qs), (compiled, pnn) = _sample_until(rng, make, accept)
+    s = _split(compiled, ps, qs, GraphKind.PNN, pnn=pnn)
     if not s.equivalence_holds:
-        [whole] = format_points(s.c.names, s.whole)
+        [whole] = format_points(s._names, s._whole)
         return (
             "splitting equivalence failed although pnn conditions pass\n"
             f"theory:\n{print_formula(And(f, g))}.\n"
@@ -274,25 +283,24 @@ def _check_sp_subgraph(rng: random.Random, pool, depth) -> Optional[str]:
 
 def _check_chain(rng: random.Random, pool, depth) -> Optional[str]:
     t = random_theory(rng, pool, depth)
-    text = print_theory(t)
     report = analyze(t)
     st = set(report.stable)
     pw = set(report.pointwise_stable)
+    sup = report.supported
     if not st <= pw:
-        return f"a stable model is not pointwise stable\ntheory:\n{text}"
-    if not pw <= set(report.classical):
-        return f"a pointwise stable model is not classical\ntheory:\n{text}"
-    if (sup := report.supported) is not None:
-        if not st <= set(sup):
-            return f"a stable model is not supported\ntheory:\n{text}"
-        # Both lists are in ``interpretations_of`` order over the universe.
-        comp = classical_models(report.completion_theory, report.universe)
-        if comp != sup:
-            return (
-                "completion models differ from supported models\ntheory:\n"
-                f"{text}"
-            )
-    return None
+        problem = "a stable model is not pointwise stable"
+    elif not pw <= set(report.classical):
+        problem = "a pointwise stable model is not classical"
+    elif sup is not None and not st <= set(sup):
+        problem = "a stable model is not supported"
+    # Both lists are in ``interpretations_of`` order over the universe.
+    elif sup is not None and sup != classical_models(
+        report.completion_theory, report.universe
+    ):
+        problem = "completion models differ from supported models"
+    else:
+        return None
+    return f"{problem}\ntheory:\n{print_theory(t)}"
 
 
 Check = Callable[[random.Random, tuple[str, ...], int], Optional[str]]

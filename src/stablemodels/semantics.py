@@ -62,14 +62,17 @@ of at every point: one pass over the ops decides a batch of loops, with
 bit j of every table standing for loop j.
 
 It also renders model lists, from points rather than interpretations.
-``_analysis`` gives a theory's four classes as points of its classical
-pass (``splitting._split`` does the same for a split), and
-``format_points`` and ``answer_json`` (the ``models --json`` and
-``split --json`` documents, byte for byte as ``json.dumps(..., indent=2)``
-writes them) render a point from two tables over the halves of its bits,
-one join per point.  ``_models`` builds interpretations from the same
-tables: the public enumerators and ``analyze`` build one only for a point
-they return, once per pass, so an answer's lists share their models.
+A ``ModelReport`` holds a theory's classical pass and the points of its
+four classes on it (``splitting.SplitReport`` does the same for a
+split); a class whose table covers every candidate is the candidates'
+list itself.  ``format_points`` and ``answer_json`` (the ``models
+--json`` and ``split --json`` documents, byte for byte as
+``json.dumps(..., indent=2)`` writes them) render a point from two
+tables over the halves of its bits, one join per point, and a list
+object once however often it is given.  ``_models`` builds
+interpretations from the same tables: the public enumerators and a
+report's lists build one only for a point they return, once per pass,
+so an answer's lists share their models.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .depgraph import DepGraph, GraphKind, _components, _graph, _loops, _named
 from .errors import NotNondisjunctiveError, check_cap
@@ -161,8 +164,8 @@ def format_interpretation(i: Interpretation) -> str:
 
 
 def format_models(models: list[Interpretation]) -> str:
-    """A list of interpretations as text: the definition ``format_points``
-    is tested against, kept for fuzz's counterexamples."""
+    """A list of interpretations as text: only the definition that
+    ``format_points`` is tested against."""
     return ", ".join(map(format_interpretation, models)) or "(none)"
 
 
@@ -217,9 +220,13 @@ def _renderer(
 
 def format_points(names: list[Atom], *lists: list[int]) -> list[str]:
     """``format_models`` of each list of points over ``names``, in
-    descending order (see ``_Classical``)."""
+    descending order (see ``_Classical``).  A list object given twice,
+    such as a class that ``_Classical.points`` gives as the candidates'
+    list itself, is rendered once."""
     render = _renderer(names, _TEXT_FORM)
-    return [", ".join(render(keys)) or "(none)" for keys in lists]
+    unique = {id(keys): keys for keys in lists}
+    texts = {i: ", ".join(render(keys)) or "(none)" for i, keys in unique.items()}
+    return [texts[id(keys)] for keys in lists]
 
 
 def _json_array(items: Iterable[str], depth: int) -> str:
@@ -237,10 +244,12 @@ def answer_json(names: list[Atom], fields: Iterable[tuple[str, object]]) -> str:
     ``_Classical``).
 
     A set is written as its sorted atoms, and a model list as a list of
-    them.  Each atom name is quoted once.
+    them.  Each atom name is quoted once, and each model list object
+    rendered once.
     """
     quoted = [json.dumps(a) for a in names]
     render = _renderer(quoted, _JSON_FORM)
+    arrays: dict[int, str] = {}
 
     def value(v: object) -> str:
         if type(v) is frozenset:
@@ -248,32 +257,19 @@ def answer_json(names: list[Atom], fields: Iterable[tuple[str, object]]) -> str:
                 [q for a, q in zip(names, quoted) if a in v][::-1], 1
             )
         if type(v) is list:
-            return _json_array(render(v), 1)
+            if id(v) not in arrays:
+                arrays[id(v)] = _json_array(render(v), 1)
+            return arrays[id(v)]
         return json.dumps(v)
 
-    members = [f"{json.dumps(key)}: {value(v)}" for key, v in fields]
-    return "{\n  " + ",\n  ".join(members) + "\n}"
-
-
-def models_json(
-    names: list[Atom],
-    classical: list[int],
-    stable: list[int],
-    supported: Optional[list[int]],
-    pointwise: list[int],
-) -> str:
-    """The ``models --json`` document of the four lists of points over
-    ``names``."""
-    return answer_json(
-        names,
-        (
-            ("universe", frozenset(names)),
-            ("classical", classical),
-            ("stable", stable),
-            ("supported", supported),
-            ("pointwise_stable", pointwise),
-        ),
-    )
+    # One join of all the pieces, so that a rendered list is copied only
+    # into the document, not into a member first.
+    pieces = [
+        piece
+        for key, v in fields
+        for piece in (",\n  ", json.dumps(key), ": ", value(v))
+    ]
+    return "".join(["{\n  ", *pieces[1:], "\n}"])
 
 
 def classical_models(
@@ -348,15 +344,6 @@ def pointwise_stable_models(
     """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
     c = _classical_pass(*_compile(t), cap=cap)
     return c.select(_sweep(c)[1])
-
-
-def stable_and_pointwise_models(
-    t: Theory, cap: int = DEFAULT_CAP
-) -> tuple[list[Interpretation], list[Interpretation]]:
-    """The stable and the pointwise stable models of ``t``, from one sweep."""
-    c = _classical_pass(*_compile(t), cap=cap)
-    stable, pointwise = _sweep(c)
-    return c.select(stable), c.select(pointwise)
 
 
 def completion(t: Theory) -> Theory:
@@ -563,7 +550,10 @@ class _Classical:
         return _graph(self.ops, GraphKind.PNN)
 
     def points(self, table: int) -> list[int]:
-        """The candidates' points where ``table`` is 1."""
+        """The candidates' points where ``table`` is 1: ``keys`` itself
+        if that is all of them."""
+        if not self.candidates & ~table:
+            return self.keys
         # The text's last digit is bit 0, so bit k is digit ~k.
         bits = format(table, f"0{1 << len(self.names)}b")
         return [k for k in self.keys if bits[~k] == "1"]
@@ -785,76 +775,78 @@ def _sweep(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ModelReport:
-    """Full enumeration summary for one theory.
+    """All four model classes of one theory, read from one classical pass.
 
+    The report holds the pass and the points of each class on it, in
+    ``interpretations_of`` order; a list is built when it is read, each
+    interpretation once per pass, so the lists share their models.
     ``supported`` and ``completion_theory`` are present only when every
     member is a nondisjunctive rule.
     """
 
     universe: frozenset[Atom]
-    classical: list[Interpretation]
-    stable: list[Interpretation]
-    supported: Optional[list[Interpretation]]
-    pointwise_stable: list[Interpretation]
     completion_theory: Optional[Theory]
+    # The pass, whose memo grows as lists are read, is left out of the
+    # report's equality and repr; the universe names its points.
+    _c: _Classical = field(repr=False, compare=False)
+    _classical: list[int]
+    _stable: list[int]
+    _supported: Optional[list[int]]
+    _pointwise: list[int]
+
+    @property
+    def classical(self) -> list[Interpretation]:
+        return self._c.build(self._classical)
+
+    @property
+    def stable(self) -> list[Interpretation]:
+        return self._c.build(self._stable)
+
+    @property
+    def supported(self) -> Optional[list[Interpretation]]:
+        if self._supported is None:
+            return None
+        return self._c.build(self._supported)
+
+    @property
+    def pointwise_stable(self) -> list[Interpretation]:
+        return self._c.build(self._pointwise)
 
     def to_json(self) -> str:
-        """The ``models --json`` document."""
-        names = sorted(self.universe, reverse=True)
-        bit = {a: 1 << j for j, a in enumerate(names)}
-
-        def points(models: list[Interpretation]) -> list[int]:
-            return [sum(map(bit.__getitem__, m)) for m in models]
-
-        supported = None if self.supported is None else points(self.supported)
-        return models_json(
-            names,
-            points(self.classical),
-            points(self.stable),
-            supported,
-            points(self.pointwise_stable),
+        """The ``models --json`` document, rendered from the points."""
+        return answer_json(
+            self._c.names,
+            (
+                ("universe", self.universe),
+                ("classical", self._classical),
+                ("stable", self._stable),
+                ("supported", self._supported),
+                ("pointwise_stable", self._pointwise),
+            ),
         )
-
-
-class _Analysis(NamedTuple):
-    """A theory's classical pass and the points of its four model classes
-    on it, in ``interpretations_of`` order.  ``supported`` and
-    ``completion`` are None unless every member is a nondisjunctive
-    rule."""
-
-    c: _Classical
-    classical: list[int]
-    stable: list[int]
-    supported: Optional[list[int]]
-    pointwise: list[int]
-    completion: Optional[Theory]
 
 
 def _analysis(
     t: Theory, compiled: tuple[Ops, set[Atom]], cap: int = DEFAULT_CAP
-) -> _Analysis:
-    """All four model classes of ``t``, whose ``_compile`` is ``compiled``,
-    as points of one classical pass."""
+) -> ModelReport:
+    """``analyze(t)``, where ``compiled`` is ``_compile(t)``."""
     c = _classical_pass(*compiled, cap=cap)
     stable, pointwise = _sweep(c)
     supported = comp = None
     if is_nondisjunctive_theory(t):
         comp = _completion(t, c.names)
         supported = c.points(_supported(comp, c))
-    return _Analysis(
-        c, c.keys, c.points(stable), supported, c.points(pointwise), comp
+    return ModelReport(
+        frozenset(c.names),
+        comp,
+        c,
+        c.keys,
+        c.points(stable),
+        supported,
+        c.points(pointwise),
     )
 
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     """All four model classes of ``t`` from one classical pass."""
-    a = _analysis(t, _compile(t), cap)
-    # The classical list first: the others are read from its models.
-    classical, stable, pointwise = map(
-        a.c.build, (a.classical, a.stable, a.pointwise)
-    )
-    supported = None if a.supported is None else a.c.build(a.supported)
-    universe = frozenset(a.c.names)
-    return ModelReport(
-        universe, classical, stable, supported, pointwise, a.completion
-    )
+    return _analysis(t, _compile(t), cap)

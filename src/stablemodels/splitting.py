@@ -12,16 +12,19 @@ that.
 One compile of F & G gives its universe, its graph, the strictly
 positive atoms of F and G, and, by one classical pass and one sweep in
 which a part is an op with a restricted here-world, the three lists.
-``_split`` gives the answer as points of that pass, for the CLI to
-render, and takes the pnn graph of F & G if it has been built already.
+A ``SplitReport`` holds the offenders of the conditions, that pass and
+the points of the three lists on it, which the CLI renders and which
+the report builds as interpretations when they are read.  ``_split``,
+behind ``check_split``, takes a compile of F & G and its pnn graph if
+that has been built already.
 ``choice_augment`` builds the parts as formulas: it is the test oracle
 for that sweep, and no production path calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from .depgraph import DepGraph, GraphKind, _bodies, _graph, _named, sccs
 from .errors import NotAPartitionError
@@ -57,21 +60,56 @@ def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
 
 @dataclass(frozen=True)
 class SplitReport:
+    """The three conditions of a split, by their offenders as
+    ``split_conditions`` gives them, and the stable models of the whole
+    and of both parts.
+
+    The report holds a pass narrowed to the points that some list holds
+    and the points of each list on it; a list is built when it is read,
+    each interpretation once, so the lists share their models.
+    """
+
     kind: GraphKind
-    cond_i: bool
     cond_i_offenders: frozenset[Atom]
-    cond_ii: bool
     cond_ii_offenders: frozenset[Atom]
-    cond_iii: bool
     cond_iii_offender: Optional[frozenset[Atom]]
     equivalence_holds: bool
-    stable_whole: list[Interpretation]
-    stable_part_f: list[Interpretation]
-    stable_part_g: list[Interpretation]
+    # The atoms of F & G, which name the points, and the pass, which is
+    # left out of the report's equality and repr: its memo grows as
+    # lists are read.
+    _names: list[Atom]
+    _c: _Classical = field(repr=False, compare=False)
+    _whole: list[int]
+    _part_f: list[int]
+    _part_g: list[int]
+
+    @property
+    def cond_i(self) -> bool:
+        return not self.cond_i_offenders
+
+    @property
+    def cond_ii(self) -> bool:
+        return not self.cond_ii_offenders
+
+    @property
+    def cond_iii(self) -> bool:
+        return self.cond_iii_offender is None
 
     @property
     def conditions_pass(self) -> bool:
         return self.cond_i and self.cond_ii and self.cond_iii
+
+    @property
+    def stable_whole(self) -> list[Interpretation]:
+        return self._c.build(self._whole)
+
+    @property
+    def stable_part_f(self) -> list[Interpretation]:
+        return self._c.build(self._part_f)
+
+    @property
+    def stable_part_g(self) -> list[Interpretation]:
+        return self._c.build(self._part_g)
 
 
 def split_conditions(
@@ -94,19 +132,6 @@ def split_conditions(
     return i_off, ii_off, next(straddling, None)
 
 
-class _Split(NamedTuple):
-    """A split's answer as points: the offenders of the three conditions,
-    as ``split_conditions`` gives them, whether the equivalence holds, and
-    the points of the three lists on ``c``, a pass narrowed to them."""
-
-    offenders: tuple[frozenset[Atom], frozenset[Atom], Optional[frozenset[Atom]]]
-    equivalence_holds: bool
-    c: _Classical
-    whole: list[int]
-    part_f: list[int]
-    part_g: list[int]
-
-
 def _split(
     compiled: tuple[Ops, set[Atom]],
     p: Iterable[Atom],
@@ -114,9 +139,10 @@ def _split(
     kind: GraphKind = GraphKind.PNN,
     cap: int = DEFAULT_CAP,
     pnn: Optional[DepGraph] = None,
-) -> _Split:
+) -> SplitReport:
     """``check_split`` on ``compiled``, the ``_compile`` of F & G, whose
-    pnn graph is ``pnn`` if it has been built."""
+    pnn graph is ``pnn`` if it has been built.  The sweep runs here, not
+    when a list is read."""
     ops, universe = compiled
     ps = frozenset(p)
     qs = universe - ps if q is None else frozenset(q)
@@ -133,9 +159,11 @@ def _split(
     offenders = split_conditions(ops, ps, qs, graph)
     stable, _, part_f, part_g = _sweep(c, ((f_op, qs), (g_op, ps)))
     shown = c.narrowed(stable | part_f | part_g)
-    return _Split(
-        offenders,
+    return SplitReport(
+        kind,
+        *offenders,
         stable == part_f & part_g,
+        shown.names,
         shown,
         *map(shown.points, (stable, part_f, part_g)),
     )
@@ -163,18 +191,4 @@ def check_split(
     the pnn graph, the graph of the conditions is the one the sweep's
     loop search reads.
     """
-    s = _split(_compile((And(f, g),)), p, q, kind, cap)
-    i_off, ii_off, iii_off = s.offenders
-    return SplitReport(
-        kind=kind,
-        cond_i=not i_off,
-        cond_i_offenders=i_off,
-        cond_ii=not ii_off,
-        cond_ii_offenders=ii_off,
-        cond_iii=iii_off is None,
-        cond_iii_offender=iii_off,
-        equivalence_holds=s.equivalence_holds,
-        stable_whole=s.c.build(s.whole),
-        stable_part_f=s.c.build(s.part_f),
-        stable_part_g=s.c.build(s.part_g),
-    )
+    return _split(_compile((And(f, g),)), p, q, kind, cap)

@@ -264,10 +264,28 @@ class TestModelLists:
         assert built == []
 
     def test_control_builds_interpretations(self, monkeypatch):
-        # The public API builds them, through the counted function.
+        # The public API builds them, through the counted function, when
+        # its lists are read: the classical list first, and the others
+        # from its models.
         built = count_calls(monkeypatch, semantics, "_models")
-        analyze(parse_theory(P2))
+        report = analyze(parse_theory(P2))
+        assert report.classical and report.stable and report.pointwise_stable
         assert len(built) == 1
+
+    def test_a_list_given_again_is_rendered_once(self, capsys, monkeypatch):
+        # On free choice the stable and pointwise stable lists are the
+        # classical list itself: one array for it, one for the universe.
+        arrays = count_calls(monkeypatch, semantics, "_json_array")
+        free = "p | not p. q | not q."
+        code, out, _ = run(
+            capsys, "models", "--json", stdin=free, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out)["pointwise_stable"] == [[], ["p"], ["q"], ["p", "q"]]
+        assert len(arrays) == 2
+        keys = [0, 2, 1, 3]
+        classical, stable = semantics.format_points(["q", "p"], keys, keys)
+        assert stable is classical == "{}, {p}, {q}, {p q}"
 
 
 class TestTight:

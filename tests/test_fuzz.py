@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import stablemodels.formula as formula
 import stablemodels.semantics as semantics
 import stablemodels.splitting as splitting
 from stablemodels import (
@@ -81,6 +82,21 @@ class TestRunFuzz:
         assert len(splits) == 100
         assert len(compiles) == len(graph_builds) == 208
         assert {kind for _, kind in graph_builds} == {GraphKind.PNN}
+
+    @pytest.mark.parametrize(
+        ("prop", "count"), [("theorem1", 250), ("theorem2", 118)]
+    )
+    def test_theorems_compile_each_sample_once(self, compiles, prop, count):
+        # At seed 1, 150 and 118 sampled theories for 100 accepted ones,
+        # each compiled once by ``accept``, whose compile the check reads;
+        # theorem1 also compiles the support halves of each accepted one.
+        assert run_fuzz(prop, seed=1, count=100).ok
+        assert len(compiles) == count
+
+    def test_chain_prints_only_a_violation(self, monkeypatch):
+        printed = count_calls(monkeypatch, formula, "print_tokens")
+        assert run_fuzz("chain", seed=1, count=100).ok
+        assert printed == []
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,11 @@ calls it (``__init__`` re-exports it).  ``cli`` imports neither
 ``analyze`` nor ``format_models``, which hold and render models as
 sets: every model list the CLI prints is rendered from the points of
 one classical pass.
+
+Every function, method and class defined under ``src/`` is named
+somewhere in ``src/`` or ``tests/`` other than its definition: called,
+read, or imported.  Dunder methods, which Python itself calls, are
+exempt.
 """
 
 import ast
@@ -77,6 +82,7 @@ PART_BUILDER = {"choice_augment"}
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze", "format_models"}}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _bound_names(node):
@@ -193,6 +199,24 @@ def part_builder_calls(tree):
     return sorted(line for line, _ in _calls(tree, PART_BUILDER))
 
 
+def used_names(trees):
+    """The names that the modules of ``trees`` read, call or import."""
+    return {name for tree in trees for name, _, _ in _names(tree)}
+
+
+def dead_definitions(tree, used):
+    """Functions, methods and classes that the module defines and whose
+    name is not in ``used``, with their lines.  Dunder methods, which
+    Python itself calls, are left out."""
+    return sorted(
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS)
+        and node.name not in used
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
 def cap_uses(tree, module):
     """Lines that name ``SUBSET_CAP`` outside ``depgraph``."""
     return sorted(
@@ -253,6 +277,38 @@ def test_lint_flags_set_renderer_imports():
         "analyze", "analyze", "format_models"
     ]
     assert set_renderer_imports(tree, "fuzz") == []
+
+
+def test_every_definition_is_used():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in MODULES}
+    used = used_names(trees.values())
+    dead = [
+        (path.name, *definition)
+        for path in SOURCES
+        for definition in dead_definitions(trees[path], used)
+    ]
+    assert dead == []
+
+
+def test_lint_flags_dead_definitions():
+    tree = ast.parse(
+        "class Report:\n"
+        "    def __eq__(self, other):\n"
+        "        return helper(other)\n"
+        "    def to_json(self):\n"
+        "        return '{}'\n"
+        "def helper(r):\n"
+        "    return r\n"
+        "def unused():\n"
+        "    pass\n"
+    )
+    caller = ast.parse("from .semantics import Report\n")
+    assert dead_definitions(tree, used_names([tree, caller])) == [
+        ("to_json", 4), ("unused", 8)
+    ]
+    assert dead_definitions(tree, used_names([tree])) == [
+        ("Report", 1), ("to_json", 4), ("unused", 8)
+    ]
 
 
 @pytest.mark.parametrize(

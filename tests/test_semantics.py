@@ -37,7 +37,6 @@ from stablemodels.semantics import (
     _classical_pass,
     _loops_that_pay,
     _per_model,
-    stable_and_pointwise_models,
 )
 from conftest import P3_TEXT, count_calls, mset, sweep_paths
 
@@ -193,6 +192,37 @@ class TestAnalyze:
         report = analyze(())
         assert report.universe == frozenset()
         assert report.supported == report.stable == [frozenset()]
+
+    def test_lists_share_their_models(self):
+        # Whichever list is read first, each is built through the pass's
+        # one memo: a model of any class is the equal classical model.
+        report = analyze(parse_theory("not q -> p. not p -> q."))
+        stable = report.stable
+        classical = {i: i for i in report.classical}
+        assert len(classical) == 3
+        for models in stable, report.supported, report.pointwise_stable:
+            assert models == [mset("p"), mset("q")]
+            assert all(m is classical[m] for m in models)
+
+    def test_equality_and_repr_ignore_the_memo(self, p1):
+        # Reading a list fills the pass's memo of one report only.
+        read, unread = analyze(p1), analyze(p1)
+        assert read.classical and read.supported
+        assert read == unread
+        assert repr(read) == repr(unread)
+        # Equal points over other atoms are another answer.
+        a, b = (analyze(parse_theory(f"{x} | not {x}.")) for x in "ab")
+        assert a._classical == b._classical
+        assert a != b
+
+    def test_free_choice_classes_are_the_classical_list(self):
+        # Every candidate is stable, so both tables cover the candidates
+        # and their points are the candidates' list itself.
+        t = parse_theory("a | not a. b | not b. c | not c.")
+        report = semantics._analysis(t, _compile(t))
+        assert len(report._classical) == 8
+        assert report._stable is report._classical
+        assert report._pointwise is report._classical
 
 
 class TestPointwiseStable:
@@ -386,7 +416,8 @@ class TestTopOfCap:
         t = parse_theory(". ".join(rules) + ".")
         assert len(classical_models(t)) == 2**16 + 2
         both = [frozenset(), frozenset(names)]
-        assert stable_and_pointwise_models(t) == (both, both)
+        report = analyze(t)
+        assert (report.stable, report.pointwise_stable) == (both, both)
 
     def test_free_choice_on_sixteen_atoms(self):
         names = [f"a{i}" for i in range(16)]

@@ -155,6 +155,40 @@ class TestSplitWork:
         check_split(f, g, p.split(","), q.split(","))
         assert len(compiles) == len(classical_passes) == len(sweeps) == 1
 
+    def test_lists_share_their_models(self):
+        # The three lists are built through one memo: a part's model that
+        # is stable for the whole is the whole's model itself.
+        f, g = parse_formula(WIDE_F), parse_formula(WIDE_G)
+        report = check_split(f, g, WIDE_P.split(","), WIDE_Q.split(","))
+        whole = {i: i for i in report.stable_whole}
+        parts = report.stable_part_f + report.stable_part_g
+        shared = [m for m in parts if m in whole]
+        assert len(shared) == 2 * len(whole) > 0
+        assert all(m is whole[m] for m in shared)
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        f, g = parse_formula(F3), parse_formula(G3)
+        read, unread = (check_split(f, g, {"q"}, {"p"}) for _ in range(2))
+        assert read.stable_whole and read.stable_part_f
+        assert read == unread
+        assert repr(read) == repr(unread)
+        a, b = (
+            check_split(parse_formula(f"{x} | not {x}"), parse_formula("c"), {x})
+            for x in "ab"
+        )
+        assert a._whole == b._whole
+        assert a != b
+
+    def test_sweeps_before_it_returns(self, monkeypatch):
+        # Only the models are built when a list is read: the forced paths
+        # of ``split_sweep_paths`` are undone before it reads the lists.
+        sweeps = count_calls(monkeypatch, semantics, "_sweep")
+        f, g = parse_formula(F3), parse_formula(G3)
+        report = check_split(f, g, {"q"}, {"p"})
+        assert len(sweeps) == 1
+        assert report.stable_whole == [frozenset()]
+        assert len(sweeps) == 1
+
     def test_loop_path_lists_only_the_answer(self, monkeypatch):
         # The path choice counts the candidates per size from their
         # table, so only the points that some list holds are listed.
