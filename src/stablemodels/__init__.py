@@ -37,27 +37,35 @@ from .formula import (
     Bottom,
     Formula,
     Implies,
-    OccurrenceContext,
     Or,
-    RuleOccurrence,
     Theory,
     as_rule,
     atoms,
-    classify_occurrences,
     is_nondisjunctive_rule,
     is_nondisjunctive_theory,
     print_formula,
     print_theory,
-    rules_of,
-    spos,
     theory_atoms,
 )
-from .loopformulas import (
+from .loopformulas import stable_via_all_sets, stable_via_loops
+from .oracle import (
+    OccurrenceContext,
+    RuleOccurrence,
+    choice_augment,
+    classify_occurrences,
+    format_models,
+    is_pointwise_stable,
+    is_stable,
+    is_supported,
     loop_formula,
     loop_oracle_models,
     nes,
-    stable_via_all_sets,
-    stable_via_loops,
+    reduct,
+    reduct_theory,
+    rules_of,
+    satisfies,
+    satisfies_all,
+    spos,
 )
 from .parser import parse_formula, parse_theory
 from .semantics import (
@@ -68,14 +76,8 @@ from .semantics import (
     classical_models,
     completion,
     interpretations_of,
-    is_pointwise_stable,
-    is_stable,
-    is_supported,
     pointwise_stable_models,
-    reduct,
-    reduct_theory,
-    satisfies,
     stable_models,
     supported_models,
 )
-from .splitting import SplitReport, check_split, choice_augment
+from .splitting import SplitReport, check_split

@@ -12,7 +12,7 @@ Both graphs are read from ``formula._compile``'s ops in two passes: one
 gives each op its body atoms as an int mask, and one carries down the
 strictly positive ops the body atoms of the rules above them, so a node
 that ``<->`` shares is visited once, not once per path to it.
-``formula.rules_of`` is the definition the tests compare them with.
+``oracle.rules_of`` is the definition the tests compare them with.
 
 Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the

@@ -1,10 +1,11 @@
-"""Formula AST and syntactic occurrence analysis.
+"""Formula AST, its compiled form, and printing.
 
 Formulas are built from atoms and bottom with the binary connectives
 ``&``, ``|`` and ``->``.  Negation and the biconditional are surface
 sugar only: ``not F`` is stored as ``F -> bot`` and ``F <-> G`` as the
-conjunction of both implications.  The walks below define the analyses;
-production reads ``_compile``'s ops instead, one per distinct node.
+conjunction of both implications.  Production reads ``_compile``'s ops,
+one per distinct node; the walks that define the occurrence analyses
+live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -86,58 +87,6 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-@dataclass(frozen=True)
-class OccurrenceContext:
-    """Polarity data for one atom occurrence inside a host formula.
-
-    ``antecedent_count`` is the number of implications whose antecedent
-    contains the occurrence; ``negated`` is true when at least one of
-    those implications has bottom as its consequent.
-    """
-
-    antecedent_count: int
-    negated: bool
-
-    @property
-    def strictly_positive(self) -> bool:
-        return self.antecedent_count == 0
-
-    @property
-    def positive(self) -> bool:
-        return self.antecedent_count % 2 == 0
-
-    @property
-    def nonnegated(self) -> bool:
-        return not self.negated
-
-
-@dataclass(frozen=True)
-class RuleOccurrence:
-    """A strictly positive implication occurrence: Body -> Head."""
-
-    body: Formula
-    head: Formula
-
-
-def classify_occurrences(f: Formula) -> list[tuple[Atom, OccurrenceContext]]:
-    """All atom occurrences of ``f`` in preorder, with their polarity."""
-    out: list[tuple[Atom, OccurrenceContext]] = []
-
-    def walk(g: Formula, count: int, negated: bool) -> None:
-        if isinstance(g, AtomRef):
-            out.append((g.name, OccurrenceContext(count, negated)))
-        elif isinstance(g, (And, Or)):
-            walk(g.left, count, negated)
-            walk(g.right, count, negated)
-        elif isinstance(g, Implies):
-            in_neg = negated or g.consequent == BOT
-            walk(g.antecedent, count + 1, in_neg)
-            walk(g.consequent, count, negated)
-
-    walk(f, 0, False)
-    return out
-
-
 def atoms(f: Formula) -> frozenset[Atom]:
     """Atoms with at least one occurrence in ``f``."""
     out: set[Atom] = set()
@@ -157,41 +106,6 @@ def theory_atoms(t: Iterable[Formula]) -> frozenset[Atom]:
     out: frozenset[Atom] = frozenset()
     for f in t:
         out |= atoms(f)
-    return out
-
-
-def spos(f: Formula) -> frozenset[Atom]:
-    """Atoms with at least one strictly positive occurrence in ``f``."""
-    out: set[Atom] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, AtomRef):
-            out.add(g.name)
-        elif isinstance(g, (And, Or)):
-            stack += (g.left, g.right)
-        elif isinstance(g, Implies):
-            stack.append(g.consequent)
-    return frozenset(out)
-
-
-def rules_of(f: Formula) -> list[RuleOccurrence]:
-    """Strictly positive implication occurrences of ``f``, in preorder.
-
-    The consequent of a strictly positive implication is itself strictly
-    positive, so rules nested on the consequent side are included.  This
-    is the definition the dependency graphs are tested against; they are
-    read from ``_compile``'s ops in ``depgraph``.
-    """
-    out: list[RuleOccurrence] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (And, Or)):
-            stack += (g.right, g.left)
-        elif isinstance(g, Implies):
-            out.append(RuleOccurrence(g.antecedent, g.consequent))
-            stack.append(g.consequent)
     return out
 
 

@@ -33,9 +33,8 @@ from .formula import (
     atoms,
     print_formula,
     print_theory,
-    spos,
 )
-from .loopformulas import loop_oracle_models
+from .oracle import loop_oracle_models, reduct, satisfies, spos
 from .semantics import (
     _analysis,
     _classical_pass,
@@ -45,8 +44,6 @@ from .semantics import (
     format_interpretation,
     format_points,
     interpretations_of,
-    reduct,
-    satisfies,
     stable_models,
 )
 from .splitting import _split, split_conditions

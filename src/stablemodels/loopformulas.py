@@ -1,31 +1,31 @@
-"""Negated-external-support formulas, loop formulas, and loop oracles.
+"""The text of negated-external-support and loop formulas, and loop oracles.
 
-This module alone knows the shape of a loop formula: the conjunction,
-over the atoms A of Y, of A -> not NES(f, Y), one support shared by
-every conjunct.  ``nes`` and ``loop_formula`` build these formulas; the
-oracles and the tests use them.  Their text comes from ``NesPrinter``,
-whose one walk of f renders a template of NES(f, Y) for every Y:
-literal text, with a choice of text at each atom occurrence and around
-the antecedent of each rule F -> y, and f's own text cut from one
-printing of f.  The text for a set Y picks each choice and joins.
-``loop_formulas`` gives each of a list of loops with its loop formula in
-pieces of text, printing the support once per loop; ``nes_text`` is the
-``nes`` command's text.  ``_loops`` is the oracles' one source of loops:
-the loops of a graph built from a compile's ops, or every nonempty atom
+A loop formula is the conjunction, over the atoms A of Y, of
+A -> not NES(f, Y), one support shared by every conjunct.  The formulas
+as objects are built only in ``oracle`` (``nes`` and ``loop_formula``);
+production prints their text with ``NesPrinter``, whose one walk of f
+renders a template of NES(f, Y) for every Y: literal text, with a
+choice of text at each atom occurrence and around the antecedent of
+each rule F -> y, and f's own text cut from one printing of f.  The
+text for a set Y picks each choice and joins.  ``loop_formulas`` gives
+each of a list of loops with its loop formula in pieces of text,
+printing the support once per loop; ``nes_text`` is the ``nes``
+command's text.  ``_loops`` is the oracles' one source of loops: the
+loops of a graph built from a compile's ops, or every nonempty atom
 subset.
 
 The loop-based stability checks here serve as independent oracles
-against brute-force stability.  ``loop_oracle_models`` evaluates the
-loop formulas themselves, in one ``classical_models`` table of the
-formula and its loop formulas.  The rest decide one interpretation I by
-the here-and-there lemma, ``semantics.loop_lemma_at``, with f compiled
-once and no loop formula built: one pass over the ops decides a batch of
-loops, bit j standing for loop j.  ``loop_verdicts`` gives ``loops -i``
-every verdict from one batch; ``stable_via_loops`` and
-``stable_via_all_sets`` stop at the first false verdict, so they draw
-their loops in batches of 1, 2, 4, 8 and so on.  The "pnn" variant is
-sound and complete; the "sp" variant is exposed deliberately because it
-is unsound, and the workbench reproduces its failure mode.
+against brute-force stability, next to ``oracle.loop_oracle_models``,
+which evaluates the loop formulas themselves.  They decide one
+interpretation I by the here-and-there lemma,
+``semantics.loop_lemma_at``, with f compiled once and no loop formula
+built: one pass over the ops decides a batch of loops, bit j standing
+for loop j.  ``loop_verdicts`` gives ``loops -i`` every verdict from
+one batch; ``stable_via_loops`` and ``stable_via_all_sets`` stop at the
+first false verdict, so they draw their loops in batches of 1, 2, 4, 8
+and so on.  The "pnn" variant is sound and complete; the "sp" variant
+is exposed deliberately because it is unsound, and the workbench
+reproduces its failure mode.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .formula import (
     _LV_AND,
     _LV_NOT,
     _LV_OR,
-    BOT,
     And,
     Atom,
     AtomRef,
@@ -50,14 +49,11 @@ from .formula import (
     Ops,
     Or,
     _compile,
-    conj,
-    neg,
     print_tokens,
 )
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
-    classical_models,
     interpretations_of,
     loop_lemma_at,
 )
@@ -70,59 +66,6 @@ def check_atoms(y: Iterable[Atom], universe: set[Atom]) -> frozenset[Atom]:
     if extra:
         raise AtomsOutsideFormulaError(extra)
     return ys
-
-
-def _nes(f: Formula, ys: frozenset[Atom]) -> Formula:
-    # Postorder over an explicit stack; ``done`` marks a node whose
-    # children's results are on top of ``out``.
-    out: list[Formula] = []
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, done = stack.pop()
-        kind = type(g)
-        if kind is AtomRef:
-            out.append(BOT if g.name in ys else g)
-        elif kind is Bottom:
-            out.append(BOT)
-        elif not done:
-            stack.append((g, True))
-            if kind is Implies:
-                stack += ((g.consequent, False), (g.antecedent, False))
-            else:
-                stack += ((g.right, False), (g.left, False))
-        else:
-            right = out.pop()
-            left = out.pop()
-            if kind is Implies:
-                out.append(And(Implies(left, right), g))
-            else:
-                out.append(kind(left, right))
-    return out[0]
-
-
-def nes(f: Formula, y: Iterable[Atom]) -> Formula:
-    """Negated external support of the atom set ``y`` in ``f``.
-
-    Recursion: an atom becomes bottom when it is in ``y`` and stays
-    itself otherwise; bottom stays bottom; conjunction and disjunction
-    distribute; an implication F -> G becomes
-    (NES(F) -> NES(G)) & (F -> G).
-    """
-    return _nes(f, check_atoms(y, _compile((f,))[1]))
-
-
-def loop_formula(f: Formula, y: Iterable[Atom]) -> Formula:
-    """Conjunction over A in ``y`` of A -> not NES(f, y), in atom order."""
-    ys = check_atoms(y, _compile((f,))[1])
-    if not ys:
-        raise ValueError("loop formula requires a nonempty atom set")
-    return _loop_formula(f, ys)
-
-
-def _loop_formula(f: Formula, ys: frozenset[Atom]) -> Formula:
-    # ``ys`` is a nonempty set of f's atoms, already checked.
-    support = neg(_nes(f, ys))
-    return conj(Implies(AtomRef(a), support) for a in sorted(ys))
 
 
 # The precedence level of NES(g) by the type of g: NES keeps atoms and
@@ -277,17 +220,6 @@ def _loops(
         yield from strongly_connected_subsets(_graph(ops, kind))
 
 
-def loop_oracle_models(
-    f: Formula, kind: Optional[GraphKind]
-) -> list[Interpretation]:
-    """The classical models of ``f`` and the loop formulas of the loops of
-    ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
-    ops, universe = _compile((f,))
-    check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    lfs = (_loop_formula(f, ys) for ys in _loops(ops, universe, kind))
-    return classical_models((f, *lfs), universe)
-
-
 def loop_verdicts(
     ops: Ops,
     atoms: set[Atom],
@@ -318,7 +250,7 @@ def _doubling(
 def _loop_oracle_at(
     i: Interpretation, f: Formula, kind: Optional[GraphKind]
 ) -> bool:
-    """Whether ``i`` is in ``loop_oracle_models(f, kind)``, from one
+    """Whether ``i`` is in ``oracle.loop_oracle_models(f, kind)``, from one
     compile of f.  Only the family of every atom subset (None), 2^n sets,
     is held to ``DEFAULT_CAP``; a graph's loops are bounded by the
     component cap of ``strongly_connected_subsets``.

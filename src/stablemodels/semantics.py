@@ -1,4 +1,4 @@
-"""Interpretations, the reduct, and model enumeration.
+"""Interpretations and model enumeration.
 
 The four enumerators (``classical_models``, ``stable_models``,
 ``supported_models``, ``pointwise_stable_models``) share one evaluation
@@ -48,11 +48,9 @@ each part's loops.  The path choice prices the per-model path over the
 candidates, and only the interpretations that some list holds are
 built.
 
-``satisfies``, ``reduct`` and the predicates ``is_stable``,
-``is_pointwise_stable`` and ``is_supported`` state the definitions
-directly: the oracle the enumerators and the loop oracles are tested
-against.  Elsewhere in the package only fuzz's reduct properties call
-them (``reduct`` and ``satisfies``).
+The definitions these enumerators are tested against, the reduct and
+the predicates ``is_stable``, ``is_pointwise_stable`` and
+``is_supported``, live in ``oracle``; no production module imports it.
 
 This module owns the one subset enumerator, ``interpretations_of``, and
 the one evaluation core, from which ``loopformulas`` reads every loop
@@ -91,15 +89,12 @@ from .formula import (
     _ATOM,
     _IMPLIES,
     _OR,
-    BOT,
     And,
     Atom,
     AtomRef,
-    Bottom,
     Formula,
     Implies,
     Ops,
-    Or,
     Theory,
     _compile,
     as_rule,
@@ -112,45 +107,6 @@ Interpretation = frozenset[str]
 DEFAULT_CAP = 20
 
 
-def satisfies(i: Interpretation, f: Formula) -> bool:
-    """Classical truth of ``f`` under the assignment identified with ``i``."""
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, AtomRef):
-        return f.name in i
-    if isinstance(f, And):
-        return satisfies(i, f.left) and satisfies(i, f.right)
-    if isinstance(f, Or):
-        return satisfies(i, f.left) or satisfies(i, f.right)
-    assert isinstance(f, Implies)
-    return not satisfies(i, f.antecedent) or satisfies(i, f.consequent)
-
-
-def satisfies_all(i: Interpretation, t: Iterable[Formula]) -> bool:
-    return all(satisfies(i, f) for f in t)
-
-
-def reduct(f: Formula, i: Interpretation) -> Formula:
-    """Replace every maximal subformula not satisfied by ``i`` with bottom.
-
-    Computed top-down: an unsatisfied node becomes bottom outright, a
-    satisfied node is rebuilt from the reducts of its children.
-    """
-    if not satisfies(i, f):
-        return BOT
-    if isinstance(f, And):
-        return And(reduct(f.left, i), reduct(f.right, i))
-    if isinstance(f, Or):
-        return Or(reduct(f.left, i), reduct(f.right, i))
-    if isinstance(f, Implies):
-        return Implies(reduct(f.antecedent, i), reduct(f.consequent, i))
-    return f
-
-
-def reduct_theory(t: Theory, i: Interpretation) -> Theory:
-    return tuple(reduct(f, i) for f in t)
-
-
 def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
     """All subsets of ``universe``, by cardinality then lexicographically."""
     ordered = sorted(universe)
@@ -161,12 +117,6 @@ def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
 
 def format_interpretation(i: Interpretation) -> str:
     return "{" + " ".join(sorted(i)) + "}"
-
-
-def format_models(models: list[Interpretation]) -> str:
-    """A list of interpretations as text: only the definition that
-    ``format_points`` is tested against."""
-    return ", ".join(map(format_interpretation, models)) or "(none)"
 
 
 def _halves(
@@ -281,20 +231,6 @@ def classical_models(
     return _classical_pass(*_compile(t), universe, cap).models
 
 
-def is_stable(i: Interpretation, t: Theory) -> bool:
-    """Minimality of ``i`` among the models of the reduct of ``t`` wrt ``i``.
-
-    Only subsets of ``i`` need checking: every atom occurring in the
-    reduct belongs to ``i``.
-    """
-    if not satisfies_all(i, t):
-        return False
-    red = reduct_theory(t, i)
-    return not any(
-        j != i and satisfies_all(j, red) for j in interpretations_of(i)
-    )
-
-
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
     c = _classical_pass(*_compile(t), cap=cap)
@@ -313,29 +249,10 @@ def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
     return by_head
 
 
-def is_supported(i: Interpretation, t: Theory) -> bool:
-    """Every atom of ``i`` heads some rule whose body ``i`` satisfies."""
-    by_head = _rules_by_head(t)
-    if not satisfies_all(i, t):
-        return False
-    return all(
-        any(satisfies(i, body) for body in by_head.get(a, ()))
-        for a in i
-    )
-
-
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models where the support halves of ``completion(t)`` hold."""
     c = _classical_pass(*_compile(t), cap=cap)
     return c.select(_supported(_completion(t, c.names), c))
-
-
-def is_pointwise_stable(i: Interpretation, t: Theory) -> bool:
-    """No single atom can be dropped from ``i`` while satisfying the reduct."""
-    if not satisfies_all(i, t):
-        return False
-    red = reduct_theory(t, i)
-    return not any(satisfies_all(i - {a}, red) for a in i)
 
 
 def pointwise_stable_models(

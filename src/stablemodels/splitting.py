@@ -16,9 +16,8 @@ A ``SplitReport`` holds the offenders of the conditions, that pass and
 the points of the three lists on it, which the CLI renders and which
 the report builds as interpretations when they are read.  ``_split``,
 behind ``check_split``, takes a compile of F & G and its pnn graph if
-that has been built already.
-``choice_augment`` builds the parts as formulas: it is the test oracle
-for that sweep, and no production path calls it.
+that has been built already.  ``oracle.choice_augment``, which builds
+the parts as formulas, is the test oracle for that sweep.
 """
 
 from __future__ import annotations
@@ -28,16 +27,7 @@ from typing import Iterable, Optional
 
 from .depgraph import DepGraph, GraphKind, _bodies, _graph, _named, sccs
 from .errors import NotAPartitionError
-from .formula import (
-    And,
-    Atom,
-    AtomRef,
-    Formula,
-    Ops,
-    Or,
-    _compile,
-    neg,
-)
+from .formula import And, Atom, Formula, Ops, _compile
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
@@ -45,17 +35,6 @@ from .semantics import (
     _classical_pass,
     _sweep,
 )
-
-
-def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:
-    """Conjoin ``f`` with a choice A | not A for each atom, in atom order.
-
-    The definition of a part, kept as the oracle of ``check_split``."""
-    out = f
-    for a in sorted(frozenset(xs)):
-        ref = AtomRef(a)
-        out = And(out, Or(ref, neg(ref)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,8 @@ from stablemodels import (
 )
 from stablemodels.cli import main
 from stablemodels.formula import _compile
-from stablemodels.semantics import (
-    _by_loops,
-    _classical_pass,
-    _per_model,
-    satisfies_all,
-)
+from stablemodels.oracle import satisfies_all
+from stablemodels.semantics import _by_loops, _classical_pass, _per_model
 
 # Running examples used throughout the suite.
 P1_TEXT = "p -> q. q & not r -> p."

@@ -5,36 +5,29 @@ Every imported name must be used in its module, except in a package's
 ``from __future__`` imports.  No import may sit inside a function: the
 modules import what they need once, at the top.
 
-The definitional predicates of ``semantics`` are the test oracle, not a
-production path: no module under ``src/`` imports them, except
-``semantics``, which defines them, ``__init__``, which re-exports them,
-and ``fuzz``, whose reduct properties test ``reduct`` and ``satisfies``.
-In the same way the definitional occurrence walks of ``formula``, which
-the dependency graphs are tested against, are imported by no module
-under ``src/`` except ``__init__``.  And ``semantics.loop_lemma_at``, the
-loop-formula lemma at one interpretation, is imported by ``loopformulas``
-alone, so one module turns loops into loop verdicts.  The constructors of NES
-and loop-formula objects (``nes``, ``loop_formula`` and their private
-forms) belong to the oracle side too: no module under ``src/`` imports
-them except ``__init__``; ``loopformulas`` defines them and prints the
-production text with ``NesPrinter``.
+The paper's definitions live in ``oracle``, the test oracle, and
+production code never reaches them.  The oracle's names are the
+functions and classes that ``oracle.py`` defines at its top level, read
+from its syntax tree, so a definition moved into it is covered with no
+edit here.  A production module, any module under ``src/`` but
+``oracle``, ``fuzz`` (whose properties are on the oracle side) and
+``__init__`` (whose imports are the public re-exports), may not import
+the ``oracle`` module, import one of its names from anywhere, call one,
+directly or as an attribute, or define one.  Calls, not bare names,
+are matched: a local variable may share a name with the oracle, as
+``splitting``'s ``spos`` does.  And ``semantics.loop_lemma_at``, the
+loop-formula lemma at one interpretation, is imported by
+``loopformulas`` alone, so one module turns loops into loop verdicts.
 
 Subsets are enumerated in one place: ``itertools.combinations`` is used
 only inside ``semantics.interpretations_of``.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
 other module prices or refuses loop enumeration by component size.  The
-walks ``atoms``, ``theory_atoms`` and ``spos`` are called only in
-``formula``, which defines them, and in ``fuzz``, whose reduct
-properties are on the oracle side, and no module but ``formula`` calls
-``positive_nonnegated_atoms``: every analysis takes a theory's atoms,
-its strictly positive atoms and its graphs from the ops of
+per-path walks ``atoms`` and ``theory_atoms`` are called only in
+``formula``, which defines them, and in ``fuzz``: every analysis takes a theory's atoms and its graphs from the ops of
 ``formula._compile``, whose walk visits each distinct node once, not
-once per path.  And
-``splitting.choice_augment``, which builds a split's parts as formulas,
-is the oracle of ``check_split``'s one sweep: no module under ``src/``
-calls it (``__init__`` re-exports it).  ``cli`` imports neither
-``analyze`` nor ``format_models``, which hold and render models as
-sets: every model list the CLI prints is rendered from the points of
+once per path.  ``cli`` does not import ``analyze``, which holds models
+as sets: every model list the CLI prints is rendered from the points of
 one classical pass.
 
 Every function, method and class defined under ``src/`` is named
@@ -55,34 +48,28 @@ MODULES = sorted(
     for path in (ROOT / folder).rglob("*.py")
 )
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-SEMANTICS_ORACLE = {
-    "satisfies", "reduct", "is_stable", "is_pointwise_stable", "is_supported"
-}
-OCCURRENCE_WALKS = {"rules_of", "classify_occurrences"}
-POINT_LEMMA = {"loop_lemma_at"}
-NES_CONSTRUCTORS = {"nes", "_nes", "loop_formula", "_loop_formula"}
-ORACLE = SEMANTICS_ORACLE | OCCURRENCE_WALKS | NES_CONSTRUCTORS
-ORACLE_ALLOWED = {
-    "semantics": SEMANTICS_ORACLE,
-    "formula": OCCURRENCE_WALKS,
-    "__init__": ORACLE,
-    "fuzz": {"satisfies", "reduct"},
-    "loopformulas": POINT_LEMMA | NES_CONSTRUCTORS,
-}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 SOURCES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
+# The modules that may reach the oracle: itself, the fuzz properties and
+# the package's re-exports.
+ORACLE_SIDE = {"oracle", "fuzz", "__init__"}
+ORACLE_NAMES = {
+    node.name
+    for node in ast.parse(
+        (ROOT / "src" / "stablemodels" / "oracle.py").read_text(encoding="utf-8")
+    ).body
+    if isinstance(node, DEFINITIONS)
+}
+# The one module, besides ``semantics``, that may import the point lemma.
+POINT_LEMMA = ("loop_lemma_at", "loopformulas")
 SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
 CAP_OWNER = "depgraph"
 # The modules that may call each per-path walk of ``formula``.
-WALK_CALLERS = {
-    **dict.fromkeys(("atoms", "theory_atoms", "spos"), {"formula", "fuzz"}),
-    "positive_nonnegated_atoms": {"formula"},
-}
-PART_BUILDER = {"choice_augment"}
+WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
 # Per module, the names it may not import: the model lists of ``cli``
 # come from points, not from sets.
-SET_RENDERERS = {"cli": {"analyze", "format_models"}}
+SET_RENDERERS = {"cli": {"analyze"}}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _bound_names(node):
@@ -120,28 +107,27 @@ def function_local_imports(tree):
     return sorted(lines)
 
 
-def oracle_imports(tree, module):
-    """Oracle and point-lemma names that ``module`` imports but may not."""
-    forbidden = (ORACLE | POINT_LEMMA) - ORACLE_ALLOWED.get(module, set())
+def imported(tree, names):
+    """The names of ``names`` that the module imports from a module."""
     return sorted(
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name in forbidden
+        if alias.name in names
     )
+
+
+def point_lemma_imports(tree, module):
+    """``loop_lemma_at`` once for each import of it, unless ``module`` is
+    ``loopformulas``."""
+    name, importer = POINT_LEMMA
+    return [] if module == importer else imported(tree, {name})
 
 
 def set_renderer_imports(tree, module):
     """Names of ``SET_RENDERERS`` that ``module`` imports."""
-    forbidden = SET_RENDERERS.get(module, set())
-    return sorted(
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name in forbidden
-    )
+    return imported(tree, SET_RENDERERS.get(module, set()))
 
 
 def _nodes(tree):
@@ -194,9 +180,22 @@ def universe_walk_calls(tree, module):
     return sorted(line for line, _ in _calls(tree, forbidden))
 
 
-def part_builder_calls(tree):
-    """Lines that call ``choice_augment``."""
-    return sorted(line for line, _ in _calls(tree, PART_BUILDER))
+def oracle_uses(tree, module):
+    """Lines where ``module`` imports the ``oracle`` module or one of
+    ``ORACLE_NAMES``, or calls or defines one of them; none if ``module``
+    is on the oracle side."""
+    if module in ORACLE_SIDE:
+        return []
+    lines = [line for line, _ in _calls(tree, ORACLE_NAMES)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            paths = [getattr(node, "module", None) or ""]
+            paths += [alias.name for alias in node.names]
+            if any(p.split(".")[-1] in ORACLE_NAMES | {"oracle"} for p in paths):
+                lines.append(node.lineno)
+        elif isinstance(node, DEFINITIONS) and node.name in ORACLE_NAMES:
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def used_names(trees):
@@ -257,7 +256,8 @@ def test_lint_flags_unused_and_local_imports():
 )
 def test_oracle_stays_out_of_production(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert oracle_imports(tree, path.stem) == []
+    assert oracle_uses(tree, path.stem) == []
+    assert point_lemma_imports(tree, path.stem) == []
 
 
 @pytest.mark.parametrize(
@@ -270,12 +270,10 @@ def test_cli_renders_model_lists_from_points(path):
 
 def test_lint_flags_set_renderer_imports():
     tree = ast.parse(
-        "from .semantics import analyze, format_models, format_points\n"
+        "from .semantics import analyze, format_points\n"
         "from stablemodels import analyze as analyse\n"
     )
-    assert set_renderer_imports(tree, "cli") == [
-        "analyze", "analyze", "format_models"
-    ]
+    assert set_renderer_imports(tree, "cli") == ["analyze", "analyze"]
     assert set_renderer_imports(tree, "fuzz") == []
 
 
@@ -373,30 +371,9 @@ def test_lint_flags_universe_walks_of_a_split():
     assert universe_walk_calls(tree, "fuzz") == []
 
 
-@pytest.mark.parametrize(
-    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
-)
-def test_choice_augment_is_only_the_oracle(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert part_builder_calls(tree) == []
-
-
-def test_lint_flags_part_builder_calls():
-    tree = ast.parse(
-        "import stablemodels.splitting as splitting\n"
-        "def choice_augment(f, xs):\n"
-        "    return f\n"
-        "def check_split(f, g, ps, qs):\n"
-        "    part_f = stable_models((choice_augment(f, qs),))\n"
-        "    part_g = stable_models((splitting.choice_augment(g, ps),))\n"
-        "    return part_f, part_g\n"
-    )
-    assert part_builder_calls(tree) == [5, 6]
-
-
 def test_lint_flags_universe_walk_calls():
     tree = ast.parse(
-        "from .formula import atoms, spos, theory_atoms\n"
+        "from .formula import atoms, theory_atoms\n"
         "import stablemodels.formula as formula\n"
         "def completion(t):\n"
         "    return sorted(theory_atoms(t))\n"
@@ -404,38 +381,31 @@ def test_lint_flags_universe_walk_calls():
         "    atoms = theory_atoms(t)\n"
         "    return formula.atoms(t[0]) | atoms\n"
         "UNIVERSE = theory_atoms(())\n"
-        "def split_conditions(f, g):\n"
-        "    return spos(f), formula.positive_nonnegated_atoms(g)\n"
     )
-    assert universe_walk_calls(tree, "semantics") == [4, 6, 7, 8, 10, 10]
-    assert universe_walk_calls(tree, "loopformulas") == [4, 6, 7, 8, 10, 10]
-    assert universe_walk_calls(tree, "fuzz") == [10]
+    assert universe_walk_calls(tree, "semantics") == [4, 6, 7, 8]
+    assert universe_walk_calls(tree, "loopformulas") == [4, 6, 7, 8]
+    assert universe_walk_calls(tree, "fuzz") == []
     assert universe_walk_calls(tree, "formula") == []
 
 
 def test_lint_flags_oracle_imports():
     tree = ast.parse(
-        "from .semantics import reduct, satisfies, stable_models\n"
-        "from stablemodels import is_stable as stable\n"
+        "from .oracle import reduct\n"
+        "from stablemodels.oracle import nes\n"
+        "import stablemodels.oracle as o\n"
+        "from . import oracle\n"
+        "from stablemodels import is_stable\n"
+        "from .semantics import stable_models\n"
+        "names, spos = split(ops)\n"
+        "first = spos[0]\n"
+        "def check(i, t):\n"
+        "    return semantics.is_stable(i, t)\n"
+        "def choice_augment(f, xs):\n"
+        "    return f\n"
     )
-    assert oracle_imports(tree, "cli") == ["is_stable", "reduct", "satisfies"]
-    assert oracle_imports(tree, "fuzz") == ["is_stable"]
-    assert oracle_imports(tree, "__init__") == []
-
-
-def test_lint_flags_occurrence_walk_imports():
-    tree = ast.parse(
-        "from .formula import rules_of, spos\n"
-        "from stablemodels import classify_occurrences as occurrences\n"
-    )
-    assert oracle_imports(tree, "depgraph") == [
-        "classify_occurrences", "rules_of"
-    ]
-    assert oracle_imports(tree, "semantics") == [
-        "classify_occurrences", "rules_of"
-    ]
-    assert oracle_imports(tree, "formula") == []
-    assert oracle_imports(tree, "__init__") == []
+    assert oracle_uses(tree, "cli") == [1, 2, 3, 4, 5, 10, 11]
+    for module in ORACLE_SIDE:
+        assert oracle_uses(tree, module) == []
 
 
 def test_lint_flags_point_lemma_imports():
@@ -443,22 +413,6 @@ def test_lint_flags_point_lemma_imports():
         "from .semantics import loop_lemma_at, stable_models\n"
         "from stablemodels.semantics import loop_lemma_at as lemma\n"
     )
-    assert oracle_imports(tree, "cli") == ["loop_lemma_at"] * 2
-    assert oracle_imports(tree, "__init__") == ["loop_lemma_at"] * 2
-    assert oracle_imports(tree, "loopformulas") == []
-
-
-def test_lint_flags_nes_constructor_imports():
-    tree = ast.parse(
-        "from .loopformulas import loop_formulas, nes, nes_text\n"
-        "from stablemodels.loopformulas import _loop_formula, loop_formula\n"
-        "from stablemodels import nes as build_nes\n"
-    )
-    assert oracle_imports(tree, "cli") == [
-        "_loop_formula", "loop_formula", "nes", "nes"
-    ]
-    assert oracle_imports(tree, "fuzz") == [
-        "_loop_formula", "loop_formula", "nes", "nes"
-    ]
-    assert oracle_imports(tree, "__init__") == []
-    assert oracle_imports(tree, "loopformulas") == []
+    assert point_lemma_imports(tree, "cli") == ["loop_lemma_at"] * 2
+    assert point_lemma_imports(tree, "__init__") == ["loop_lemma_at"] * 2
+    assert point_lemma_imports(tree, "loopformulas") == []

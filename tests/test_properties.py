@@ -49,10 +49,10 @@ from stablemodels import (
 from stablemodels.cli import COMMANDS, _parse_args, build_parser
 from stablemodels.formula import neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
+from stablemodels.oracle import format_models
 from stablemodels.semantics import (
     answer_json,
     format_interpretation,
-    format_models,
     format_points,
 )
 from conftest import (
