@@ -26,7 +26,10 @@ other module prices or refuses loop enumeration by component size.  The
 per-path walks ``atoms`` and ``theory_atoms`` are called only in
 ``formula``, which defines them, and in ``fuzz``: every analysis takes a theory's atoms and its graphs from the ops of
 ``formula._compile``, whose walk visits each distinct node once, not
-once per path.  ``cli`` does not import ``analyze``, which holds models
+once per path.  No module under ``src/`` calls
+``oracle.choice_augment``, which builds a split's parts as formulas and
+is the oracle of ``check_split``'s one sweep.  ``cli`` does not import
+``analyze``, which holds models
 as sets: every model list the CLI prints is rendered from the points of
 one classical pass.
 
@@ -69,6 +72,7 @@ WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
 # Per module, the names it may not import: the model lists of ``cli``
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze"}}
+PART_BUILDER = {"choice_augment"}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
@@ -196,6 +200,11 @@ def oracle_uses(tree, module):
         elif isinstance(node, DEFINITIONS) and node.name in ORACLE_NAMES:
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def part_builder_calls(tree):
+    """Lines that call ``choice_augment``."""
+    return sorted(line for line, _ in _calls(tree, PART_BUILDER))
 
 
 def used_names(trees):
@@ -371,6 +380,27 @@ def test_lint_flags_universe_walks_of_a_split():
     assert universe_walk_calls(tree, "fuzz") == []
 
 
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_choice_augment_is_only_the_oracle(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert part_builder_calls(tree) == []
+
+
+def test_lint_flags_part_builder_calls():
+    tree = ast.parse(
+        "import stablemodels.oracle as oracle\n"
+        "def choice_augment(f, xs):\n"
+        "    return f\n"
+        "def check_split(f, g, ps, qs):\n"
+        "    part_f = stable_models((choice_augment(f, qs),))\n"
+        "    part_g = stable_models((oracle.choice_augment(g, ps),))\n"
+        "    return part_f, part_g\n"
+    )
+    assert part_builder_calls(tree) == [5, 6]
+
+
 def test_lint_flags_universe_walk_calls():
     tree = ast.parse(
         "from .formula import atoms, theory_atoms\n"
@@ -406,6 +436,31 @@ def test_lint_flags_oracle_imports():
     assert oracle_uses(tree, "cli") == [1, 2, 3, 4, 5, 10, 11]
     for module in ORACLE_SIDE:
         assert oracle_uses(tree, module) == []
+
+
+def test_lint_flags_occurrence_walk_imports():
+    tree = ast.parse(
+        "from .formula import rules_of, spos\n"
+        "from stablemodels import classify_occurrences as occurrences\n"
+    )
+    assert oracle_uses(tree, "depgraph") == [1, 2]
+    assert oracle_uses(tree, "semantics") == [1, 2]
+    assert oracle_uses(tree, "formula") == [1, 2]
+    assert oracle_uses(tree, "oracle") == []
+    assert oracle_uses(tree, "__init__") == []
+
+
+def test_lint_flags_nes_constructor_imports():
+    tree = ast.parse(
+        "from .loopformulas import loop_formulas, nes_text\n"
+        "from .oracle import nes\n"
+        "from stablemodels.oracle import _loop_formula, loop_formula\n"
+        "from stablemodels import nes as build_nes\n"
+    )
+    assert oracle_uses(tree, "cli") == [2, 3, 4]
+    assert oracle_uses(tree, "loopformulas") == [2, 3, 4]
+    assert oracle_uses(tree, "fuzz") == []
+    assert oracle_uses(tree, "__init__") == []
 
 
 def test_lint_flags_point_lemma_imports():
