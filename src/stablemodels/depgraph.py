@@ -315,14 +315,24 @@ def subgraph_of(small: DepGraph, big: DepGraph) -> bool:
     return small.vertices <= big.vertices and small.edges <= big.edges
 
 
+# The DOT keywords, in any letter case: an atom so named is an ID only
+# when quoted.
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _dot_id(atom: Atom) -> str:
+    """``atom`` as a DOT ID: quoted if it is a DOT keyword, else bare."""
+    return f'"{atom}"' if atom.lower() in _DOT_KEYWORDS else atom
+
+
 def to_dot(g: DepGraph, label: str = "") -> str:
     """DOT digraph with sorted vertex and edge statements."""
     lines = ["digraph G {"]
     if label:
         lines.append(f'  label="{label}";')
     for v in sorted(g.vertices):
-        lines.append(f"  {v};")
+        lines.append(f"  {_dot_id(v)};")
     for (a, b) in g.sorted_edges():
-        lines.append(f"  {a} -> {b};")
+        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

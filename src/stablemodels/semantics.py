@@ -32,19 +32,25 @@ Each class is a table over the 2**n points, read at the set bits of the
 classical table, which one scan lists in ``interpretations_of`` order:
 by cardinality, then lexicographically.
 
-The same sweep answers ``splitting.check_split``.  At <H, T> a choice
-``A | not A`` holds exactly when A is in H or not in T (Ferraris 2005),
-so F & choice(Q) holds at <J, I> exactly when F does and J keeps every
-atom of Q that I holds.  F & G is compiled once, and its last op's
-operands are F's and G's ops; one classical pass over its universe
-gives the tables of F, G and F & G, and its candidates are the
-classical models of F or of G.  Each part is an op with such kept
-atoms, and the sweep decides it alongside the whole: on the per-model
-path, F's part is stable at I when F's table has only the ``J = I``
-bit among the J that keep I's atoms of Q; on the loop path, the pass
-for a loop Y refutes it at the points I that meet Y but hold no atom
-of Y in Q.  The choices add no pnn edge, so the loops of F & G cover
-each part's loops.  The path choice prices the per-model path over the
+The sweep decides a list of parts, each an op with a set of kept
+atoms.  At <H, T> a choice ``A | not A`` holds exactly when A is in H
+or not in T (Ferraris 2005), so the op conjoined with a choice for each
+kept atom holds at <J, I> exactly when the op does and J keeps every
+kept atom that I holds.  The theory is the first part, its last op with
+no kept atoms; the classical pass carries the parts, and its candidates
+are the points where some part holds.  Each path decides every part in
+one loop: on the per-model path, a part is stable at I when its op's
+table has only the ``J = I`` bit among the J that keep its kept atoms
+of I; on the loop path, the pass for a loop Y refutes it at the points
+I that meet Y but hold none of its kept atoms of Y.
+
+That sweep answers ``splitting.check_split``.  F & G is compiled once,
+and its last op's operands are F's and G's ops; F & choice(Q) is the
+part of F's op with Q kept, and G & choice(P) that of G's op with P
+kept.  One classical pass over the universe of F & G gives the tables
+of F, G and F & G, and its candidates are the classical models of F or
+of G.  The choices add no pnn edge, so the loops of F & G cover each
+part's loops.  The path choice prices the per-model path over the
 candidates, and only the interpretations that some list holds are
 built.
 
@@ -297,7 +303,8 @@ def _completion(t: Theory, atoms: Iterable[Atom]) -> Theory:
 # A part ``(op, kept)`` of a sweep stands for the op's formula conjoined
 # with a choice ``A | not A`` for each kept atom A.  At <H, T> such a
 # choice holds exactly when A is in H or not in T (Ferraris 2005), so
-# the part's here-world keeps the kept atoms of T.
+# the part's here-world keeps the kept atoms of T.  The theory is the
+# part ``(-1, frozenset())``: its last op, with no kept atoms.
 Parts = tuple[tuple[int, frozenset[Atom]], ...]
 
 
@@ -436,8 +443,10 @@ class _Classical:
     atom_tables: dict[Atom, int]
     # Every op's table; the last is the theory's.
     vals: list[int]
-    # Where some root op of the pass holds: the candidates' table.
+    # Where some part holds: the candidates' table.
     candidates: int
+    # The parts the sweep decides, the theory first.
+    parts: Parts
     # The candidates' points once listed (see ``keys``), and the
     # interpretation at each point built so far, shared by every list
     # read from this pass.
@@ -499,11 +508,12 @@ def _classical_pass(
     atoms: set[Atom],
     universe: Optional[Iterable[Atom]] = None,
     cap: int = DEFAULT_CAP,
-    roots: tuple[int, ...] = (-1,),
+    parts: Parts = (),
 ) -> _Classical:
     """The pass of ``_compile``'s ops and atoms over ``universe``, by
-    default those atoms.  The candidates are the points where some op of
-    ``roots`` holds, by default the theory's classical models."""
+    default those atoms, carrying the theory's part and then ``parts``.
+    The candidates are the points where some part holds, by default the
+    theory's classical models."""
     names = sorted(atoms if universe is None else set(universe), reverse=True)
     n = len(names)
     check_cap(n, cap)
@@ -512,10 +522,11 @@ def _classical_pass(
     atom_tables = dict(zip(names, _atom_tables(n)))
     full = (1 << (1 << n)) - 1
     vals = _evaluate(ops, atom_tables, itertools.repeat(full))
+    parts = ((-1, frozenset()), *parts)
     candidates = 0
-    for root in roots:
-        candidates |= vals[root]
-    return _Classical(names, ops, atom_tables, vals, candidates)
+    for op, _ in parts:
+        candidates |= vals[op]
+    return _Classical(names, ops, atom_tables, vals, candidates, parts)
 
 
 def _supported(comp: Theory, c: _Classical) -> int:
@@ -526,40 +537,34 @@ def _supported(comp: Theory, c: _Classical) -> int:
     return _evaluate(ops, c.atom_tables, full)[-1]
 
 
-def _per_model(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
-    """The stable and pointwise stable tables, then the stable table of
-    each part, one pass per candidate I.
+def _per_model(c: _Classical) -> tuple[int, ...]:
+    """The stable and pointwise stable tables of the theory, then the
+    stable table of each other part of ``c``, one pass per candidate I.
 
     One here-and-there table per I: bit m is the value of an op at
     <J, I>, where J holds the r-th atom of I exactly when bit r of m is
     set, and each implication's there table is its classical value at I
-    (all ones or all zeros).  I is stable when the theory's table has
-    only the ``J = I`` bit set, and pointwise stable when it has that bit
-    and no ``I - {a}`` bit.  A part is stable at I when its op's table
-    has only the ``J = I`` bit among the J that keep its kept atoms of I.
+    (all ones or all zeros).  A part is stable at I when its op's table
+    has only the ``J = I`` bit among the J that keep its kept atoms of I;
+    the theory keeps none.  The theory is pointwise stable at I when its
+    table has that bit and no ``I - {a}`` bit.  The empty candidate has
+    one point, ``J = I``, and no ``I - {a}`` bit.
     """
     # As bytes, a table's value at one point is read and set without
     # shifting a 2**n-bit int.
     size = ((1 << len(c.names)) + 7) // 8
     rows = [v.to_bytes(size, "little") for v in _implications(c.ops, c.vals)]
-    stable, pointwise = bytearray(size), bytearray(size)
+    pointwise = bytearray(size)
     # Each part's op, the mask of the points' bits of its kept atoms and
     # its table.
     kept_bits = [
         (op, sum(1 << c.names.index(a) for a in kept), bytearray(size))
-        for op, kept in parts
+        for op, kept in c.parts
     ]
-    # The empty candidate, first if it is one, has no proper subset to
-    # refute it.
-    empty = c.keys[:1] == [0]
-    if empty:
-        stable[0] = pointwise[0] = c.vals[-1] & 1
-        for op, _, part in kept_bits:
-            part[0] = c.vals[op] & 1
     # Per width of I: its atom tables and the mask of the I - {a} bits.
     local: dict[int, tuple[list[int], int]] = {}
     zero = dict.fromkeys(c.names, 0)
-    for k in c.keys[empty:]:
+    for k in c.keys:
         byte, bit = k >> 3, 1 << (k & 7)
         width = k.bit_count()
         top = 1 << ((1 << width) - 1)  # the bit of J = I
@@ -573,10 +578,7 @@ def _per_model(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
         full = (top << 1) - 1
         there = [full if row[byte] & bit else 0 for row in rows]
         vals = _evaluate(c.ops, here, iter(there))
-        table = vals[-1]
-        if table == top:
-            stable[byte] |= bit
-        if table & (top | drop_one) == top:
+        if vals[-1] & (top | drop_one) == top:
             pointwise[byte] |= bit
         for op, mask, part in kept_bits:
             # The J that keep every kept atom of I.
@@ -585,18 +587,13 @@ def _per_model(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
                 keeps &= here[a]
             if vals[op] & keeps == top:
                 part[byte] |= bit
-    return (
-        int.from_bytes(stable, "little"),
-        int.from_bytes(pointwise, "little"),
-        *[int.from_bytes(part, "little") for _, _, part in kept_bits],
-    )
+    stable = [int.from_bytes(part, "little") for _, _, part in kept_bits]
+    return stable[0], int.from_bytes(pointwise, "little"), *stable[1:]
 
 
-def _by_loops(
-    c: _Classical, loops: list[frozenset[Atom]], parts: Parts = ()
-) -> tuple[int, ...]:
-    """The stable and pointwise stable tables, then the stable table of
-    each part, one pass per loop.
+def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, ...]:
+    """The stable and pointwise stable tables of the theory, then the
+    stable table of each other part of ``c``, one pass per loop.
 
     By the generalised Lin-Zhao theorem (Ferraris, Lee and Lifschitz
     2006), with loops taken from the pnn graph, a classical model I is
@@ -605,40 +602,39 @@ def _by_loops(
     Y's atoms cleared in the here-world, finds every such I at once.
     Every singleton is a loop, and the singletons alone decide
     pointwise stability.  The same pass gives every op's table, so it
-    refutes a part's candidates too, at the points where I holds none
-    of the part's kept atoms of Y: elsewhere <I - Y, I> drops a kept
-    atom, and the part's choice for that atom fails there.
+    refutes each part's candidates, at the points where I holds none of
+    the part's kept atoms of Y: elsewhere <I - Y, I> drops a kept atom,
+    and the part's choice for that atom fails there.  The theory keeps
+    no atom.
     """
     there = _implications(c.ops, c.vals)
-    stable = pointwise = c.vals[-1]
-    part_tables = [c.vals[op] for op, _ in parts]
+    tables = [c.vals[op] for op, _ in c.parts]
+    pointwise = c.vals[-1]
     for ys in loops:
         here = c.atom_tables.copy()
         meets = 0
         for a in ys:
             meets |= here[a]
             here[a] = 0
-        singleton = len(ys) == 1
-        # Stable models are pointwise stable, so ``pointwise`` covers
-        # every candidate a singleton can still refute.
-        alive = (pointwise if singleton else stable) & meets
-        part_alive = []
-        for (_, kept), table in zip(parts, part_tables):
+        # Per part, the points this pass can refute.
+        alive = []
+        for (_, kept), table in zip(c.parts, tables):
             for a in ys & kept:
                 table &= ~c.atom_tables[a]
-            part_alive.append(table & meets)
-        if not alive and not any(part_alive):
+            alive.append(table & meets)
+        singleton = len(ys) == 1
+        if singleton:
+            # Stable models are pointwise stable, so ``pointwise`` covers
+            # every candidate a singleton can still refute.
+            alive[0] = pointwise & meets
+        if not any(alive):
             continue
         vals = _evaluate(c.ops, here, iter(there))
-        refuted = vals[-1] & alive
-        stable &= ~refuted
+        refuted = [vals[op] & live for (op, _), live in zip(c.parts, alive)]
+        tables = [table & ~r for table, r in zip(tables, refuted)]
         if singleton:
-            pointwise &= ~refuted
-        part_tables = [
-            table & ~(vals[op] & part)
-            for (op, _), table, part in zip(parts, part_tables, part_alive)
-        ]
-    return stable, pointwise, *part_tables
+            pointwise &= ~refuted[0]
+    return tables[0], pointwise, *tables[1:]
 
 
 # Cost model of the path choice, in units of one pass over a few points.
@@ -680,14 +676,14 @@ def _loops_that_pay(c: _Classical) -> Optional[list[frozenset[Atom]]]:
     return _loops(*_components(c.pnn), limit)
 
 
-def _sweep(c: _Classical, parts: Parts = ()) -> tuple[int, ...]:
+def _sweep(c: _Classical) -> tuple[int, ...]:
     """The stable and pointwise stable tables of the theory of the
-    classical pass ``c``, then the stable table of each part, by the
-    cheaper path."""
+    classical pass ``c``, then the stable table of each other part, by
+    the cheaper path."""
     loops = _loops_that_pay(c)
     if loops is None:
-        return _per_model(c, parts)
-    return _by_loops(c, loops, parts)
+        return _per_model(c)
+    return _by_loops(c, loops)
 
 
 @dataclass(frozen=True)

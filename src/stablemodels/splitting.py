@@ -10,8 +10,11 @@ G & choice(P); under the sp graph they do not, and the report exposes
 that.
 
 One compile of F & G gives its universe, its graph, the strictly
-positive atoms of F and G, and, by one classical pass and one sweep in
-which a part is an op with a restricted here-world, the three lists.
+positive atoms of F and G, and, by one classical pass and one sweep,
+the three lists.  A part of the sweep is an op with a set of kept
+atoms, of which its here-world keeps those that the there-world holds:
+the pass carries F's op with Q kept and G's op with P kept, after the
+whole, the part that keeps no atom.
 A ``SplitReport`` holds the offenders of the conditions, that pass and
 the points of the three lists on it, which the CLI renders and which
 the report builds as interpretations when they are read.  ``_split``,
@@ -130,13 +133,13 @@ def _split(
             "the two atom sets must partition the atoms of the conjunction"
         )
     _, f_op, g_op = ops[-1]
-    c = _classical_pass(ops, universe, cap=cap, roots=(f_op, g_op))
+    c = _classical_pass(ops, universe, cap=cap, parts=((f_op, qs), (g_op, ps)))
     if pnn is not None:
         # The pass's own pnn graph: both are read from ``ops``.
         c.pnn = pnn
     graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind)
     offenders = split_conditions(ops, ps, qs, graph)
-    stable, _, part_f, part_g = _sweep(c, ((f_op, qs), (g_op, ps)))
+    stable, _, part_f, part_g = _sweep(c)
     shown = c.narrowed(stable | part_f | part_g)
     return SplitReport(
         kind,
@@ -161,11 +164,12 @@ def check_split(
     ``q`` is by default the atoms of F & G outside ``p``.  F & G is
     compiled once; its last op has F's and G's ops as its operands.  One
     classical pass over the atoms of F & G gives the tables of F, G and
-    F & G, and one sweep decides the three lists, with F & choice(Q) read
-    as F's op whose here-world keeps the atoms of Q that the there-world
-    holds, and G & choice(P) likewise.  Every list is over the whole
-    universe, which changes no part's list: no stable model holds an atom
-    outside its theory, and the model order is unchanged on a
+    F & G and carries the parts: F & choice(Q) is F's op with Q kept, its
+    here-world keeping the atoms of Q that the there-world holds, and
+    G & choice(P) is G's op with P kept.  One sweep decides the whole,
+    the part that keeps no atom, and both parts.  Every list is over the
+    whole universe, which changes no part's list: no stable model holds
+    an atom outside its theory, and the model order is unchanged on a
     sub-universe.  Part models are therefore comparable as sets.  Under
     the pnn graph, the graph of the conditions is the one the sweep's
     loop search reads.

@@ -193,6 +193,21 @@ class TestDot:
         assert "  p -> q;" in text
         assert 'label="sp";' in text
 
+    def test_keyword_atoms_are_quoted(self):
+        # DOT keywords, in any letter case, are IDs only when quoted.
+        f = parse_formula("node & sTrict & nodes -> edge")
+        assert to_dot(g_sp((f,))) == (
+            "digraph G {\n"
+            '  "edge";\n'
+            '  "node";\n'
+            "  nodes;\n"
+            '  "sTrict";\n'
+            '  "edge" -> "node";\n'
+            '  "edge" -> nodes;\n'
+            '  "edge" -> "sTrict";\n'
+            "}\n"
+        )
+
     def test_round_trip_of_edges(self, p2):
         g = g_pnn(p2)
         text = to_dot(g)

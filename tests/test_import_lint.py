@@ -16,22 +16,26 @@ the ``oracle`` module, import one of its names from anywhere, call one,
 directly or as an attribute, or define one.  Calls, not bare names,
 are matched: a local variable may share a name with the oracle, as
 ``splitting``'s ``spos`` does.  And ``semantics.loop_lemma_at``, the
-loop-formula lemma at one interpretation, is imported by
-``loopformulas`` alone, so one module turns loops into loop verdicts.
+loop-formula lemma at one interpretation, is named by ``loopformulas``
+alone, so one module turns loops into loop verdicts.
 
 Subsets are enumerated in one place: ``itertools.combinations`` is used
 only inside ``semantics.interpretations_of``.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
 other module prices or refuses loop enumeration by component size.  The
 per-path walks ``atoms`` and ``theory_atoms`` are called only in
-``formula``, which defines them, and in ``fuzz``: every analysis takes a theory's atoms and its graphs from the ops of
-``formula._compile``, whose walk visits each distinct node once, not
-once per path.  No module under ``src/`` calls
-``oracle.choice_augment``, which builds a split's parts as formulas and
-is the oracle of ``check_split``'s one sweep.  ``cli`` does not import
-``analyze``, which holds models
-as sets: every model list the CLI prints is rendered from the points of
-one classical pass.
+``formula``, which defines them, and in ``fuzz``: every analysis takes
+a theory's atoms and its graphs from the ops of ``formula._compile``,
+whose walk visits each distinct node once, not once per path.  No
+module under ``src/`` calls ``oracle.choice_augment``, which builds a
+split's parts as formulas and is the oracle of ``check_split``'s one
+sweep.  ``cli`` does not name ``analyze``, which holds models as sets:
+every model list the CLI prints is rendered from the points of one
+classical pass.
+
+A name that a module may not use is matched wherever the module refers
+to it: as an imported name, under an alias, or as an attribute, such
+as ``s.analyze`` after ``import stablemodels.semantics as s``.
 
 Every function, method and class defined under ``src/`` is named
 somewhere in ``src/`` or ``tests/`` other than its definition: called,
@@ -63,13 +67,13 @@ ORACLE_NAMES = {
     ).body
     if isinstance(node, DEFINITIONS)
 }
-# The one module, besides ``semantics``, that may import the point lemma.
+# The one module, besides ``semantics``, that may name the point lemma.
 POINT_LEMMA = ("loop_lemma_at", "loopformulas")
 SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
 CAP_OWNER = "depgraph"
 # The modules that may call each per-path walk of ``formula``.
 WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
-# Per module, the names it may not import: the model lists of ``cli``
+# Per module, the names it may not use: the model lists of ``cli``
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze"}}
 PART_BUILDER = {"choice_augment"}
@@ -111,29 +115,6 @@ def function_local_imports(tree):
     return sorted(lines)
 
 
-def imported(tree, names):
-    """The names of ``names`` that the module imports from a module."""
-    return sorted(
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name in names
-    )
-
-
-def point_lemma_imports(tree, module):
-    """``loop_lemma_at`` once for each import of it, unless ``module`` is
-    ``loopformulas``."""
-    name, importer = POINT_LEMMA
-    return [] if module == importer else imported(tree, {name})
-
-
-def set_renderer_imports(tree, module):
-    """Names of ``SET_RENDERERS`` that ``module`` imports."""
-    return imported(tree, SET_RENDERERS.get(module, set()))
-
-
 def _nodes(tree):
     """Each node of the module with the innermost function it sits in
     (None at module level)."""
@@ -153,6 +134,24 @@ def _names(tree):
         field = NAME_FIELDS.get(type(node))
         if field:
             yield getattr(node, field), node.lineno, function
+
+
+def _uses(tree, names):
+    """Lines that name one of ``names``: imported, under an alias or as
+    an attribute."""
+    return sorted(line for name, line, _ in _names(tree) if name in names)
+
+
+def point_lemma_uses(tree, module):
+    """Lines that name ``loop_lemma_at``, unless ``module`` is
+    ``loopformulas``."""
+    name, importer = POINT_LEMMA
+    return [] if module == importer else _uses(tree, {name})
+
+
+def set_renderer_uses(tree, module):
+    """Lines that name one of the ``SET_RENDERERS`` of ``module``."""
+    return _uses(tree, SET_RENDERERS.get(module, set()))
 
 
 def combinations_uses(tree, module):
@@ -227,11 +226,7 @@ def dead_definitions(tree, used):
 
 def cap_uses(tree, module):
     """Lines that name ``SUBSET_CAP`` outside ``depgraph``."""
-    return sorted(
-        line
-        for name, line, _ in _names(tree)
-        if name == "SUBSET_CAP" and module != CAP_OWNER
-    )
+    return [] if module == CAP_OWNER else _uses(tree, {"SUBSET_CAP"})
 
 
 @pytest.mark.parametrize(
@@ -266,7 +261,7 @@ def test_lint_flags_unused_and_local_imports():
 def test_oracle_stays_out_of_production(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert oracle_uses(tree, path.stem) == []
-    assert point_lemma_imports(tree, path.stem) == []
+    assert point_lemma_uses(tree, path.stem) == []
 
 
 @pytest.mark.parametrize(
@@ -274,16 +269,19 @@ def test_oracle_stays_out_of_production(path):
 )
 def test_cli_renders_model_lists_from_points(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert set_renderer_imports(tree, path.stem) == []
+    assert set_renderer_uses(tree, path.stem) == []
 
 
 def test_lint_flags_set_renderer_imports():
     tree = ast.parse(
         "from .semantics import analyze, format_points\n"
         "from stablemodels import analyze as analyse\n"
+        "import stablemodels.semantics as s\n"
+        "def models(t):\n"
+        "    return s.analyze(t)\n"
     )
-    assert set_renderer_imports(tree, "cli") == ["analyze", "analyze"]
-    assert set_renderer_imports(tree, "fuzz") == []
+    assert set_renderer_uses(tree, "cli") == [1, 2, 5]
+    assert set_renderer_uses(tree, "fuzz") == []
 
 
 def test_every_definition_is_used():
@@ -467,7 +465,10 @@ def test_lint_flags_point_lemma_imports():
     tree = ast.parse(
         "from .semantics import loop_lemma_at, stable_models\n"
         "from stablemodels.semantics import loop_lemma_at as lemma\n"
+        "import stablemodels.semantics as s\n"
+        "def verdicts(ops, atoms, i, loops):\n"
+        "    return s.loop_lemma_at(ops, atoms, i, (loops,))\n"
     )
-    assert point_lemma_imports(tree, "cli") == ["loop_lemma_at"] * 2
-    assert point_lemma_imports(tree, "__init__") == ["loop_lemma_at"] * 2
-    assert point_lemma_imports(tree, "loopformulas") == []
+    assert point_lemma_uses(tree, "cli") == [1, 2, 5]
+    assert point_lemma_uses(tree, "__init__") == [1, 2, 5]
+    assert point_lemma_uses(tree, "loopformulas") == []

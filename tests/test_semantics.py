@@ -1,9 +1,12 @@
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from stablemodels import (
     BOT,
+    And,
     CapExceededError,
     GraphKind,
     Implies,
@@ -333,6 +336,23 @@ class TestSweepPaths:
         assert loops == strongly_connected_subsets(g_pnn(t))
         assert len(loops) == 14
         assert _by_loops(c, loops) == _per_model(c)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["theory", "split"])
+    def test_loop_path_tables_do_not_depend_on_loop_order(self, split):
+        # {a, b} is refuted by the loop {a, b} and by each singleton, so a
+        # singleton must still refute it as pointwise stable after the
+        # loop {a, b} has refuted it as stable.
+        f, g = parse_formula("b & c -> a"), parse_formula("a & c -> b")
+        ops, universe = _compile((And(f, g),))
+        _, f_op, g_op = ops[-1]
+        parts = ((f_op, mset("b", "c")), (g_op, mset("a"))) if split else ()
+        c = _classical_pass(ops, universe, parts=parts)
+        loops = strongly_connected_subsets(g_pnn((f, g)))
+        assert mset("a", "b") in loops
+        tables = _per_model(c)
+        assert mset("a", "b") not in c.select(tables[1])
+        for order in itertools.permutations(loops):
+            assert _by_loops(c, list(order)) == tables
 
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")

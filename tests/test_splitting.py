@@ -155,6 +155,20 @@ class TestSplitWork:
         check_split(f, g, p.split(","), q.split(","))
         assert len(compiles) == len(classical_passes) == len(sweeps) == 1
 
+    def test_per_model_path_decides_the_empty_candidate_per_part(
+        self, monkeypatch
+    ):
+        # The empty interpretation is a model of F's part only, and each
+        # part is decided there on its own.
+        sweeps = count_calls(monkeypatch, semantics, "_per_model")
+        f, g = parse_formula("p | not p"), parse_formula("q")
+        report = check_split(f, g, {"p"})
+        assert len(sweeps) == 1
+        assert report.stable_part_f[0] == frozenset()
+        assert report.stable_whole == stable_models((f, g))
+        assert report.stable_part_f == stable_models((choice_augment(f, {"q"}),))
+        assert report.stable_part_g == stable_models((choice_augment(g, {"p"}),))
+
     def test_lists_share_their_models(self):
         # The three lists are built through one memo: a part's model that
         # is stable for the whole is the whole's model itself.
