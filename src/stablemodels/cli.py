@@ -2,8 +2,9 @@
 
 Subcommands: models, graph, tight, loops, nes, split, fuzz.  Input
 comes from a file argument or standard input ("-" also means stdin).
-A call builds only the parser of the command it names; help, version
-and usage errors outside a command go through the full parser tree.
+A command's parser is built once per process, on the command's first
+call, and serves every later call; help, version and usage errors
+outside a command go through the full parser tree, built per call.
 
 Exit codes:
   0  success
@@ -17,6 +18,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -402,9 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of command ``name`` alone: it parses, and prints help
-    and usage, as the full tree's subparser for ``name`` does."""
+    and usage, as the full tree's subparser for ``name`` does.
+
+    Built once per process for each of the names in ``COMMANDS``.  A
+    parser may serve every call: ``parse_known_args`` keeps no state on
+    it, every default is immutable, and help and usage read
+    ``sys.stderr``, ``sys.stdout`` and the terminal width when they print,
+    not when the parser is built."""
     parser = argparse.ArgumentParser(prog=f"stablemodels {name}")
     COMMANDS[name].add_arguments(parser)
     return parser
@@ -414,7 +423,7 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in COMMANDS:
-        # Only this command's parser is built.  Leftover arguments and
+        # Only this command's parser is used.  Leftover arguments and
         # list values (below) go to the full tree, so that its errors
         # keep the top-level usage line.
         name = argv[0]

@@ -7,12 +7,13 @@ production prints their text with ``NesPrinter``, whose one walk of f
 renders a template of NES(f, Y) for every Y: literal text, with a
 choice of text at each atom occurrence and around the antecedent of
 each rule F -> y, and f's own text cut from one printing of f.  The
-text for a set Y picks each choice and joins.  ``loop_formulas`` gives
-each of a list of loops with its loop formula in pieces of text,
-printing the support once per loop; ``nes_text`` is the ``nes``
-command's text.  ``_loops`` is the oracles' one source of loops: the
-loops of a graph built from a compile's ops, or every nonempty atom
-subset.
+printer keeps the text for the empty set as a base list and each atom's
+positions in it; the text for a set Y is a copy of the base patched at
+the positions of Y's atoms.  ``loop_formulas`` gives each of a list of
+loops with its loop formula in pieces of text, printing the support
+once per loop; ``nes_text`` is the ``nes`` command's text.  ``_loops``
+is the oracles' one source of loops: the loops of a graph built from a
+compile's ops, or every nonempty atom subset.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability, next to ``oracle.loop_oracle_models``,
@@ -95,7 +96,12 @@ class NesPrinter:
     occurrence and two around NES(F) in NES(F -> y).  The copies of an
     implication that NES(F -> G) = (NES F -> NES G) & (F -> G) holds are
     literal text, cut from the one printing of f by ``print_tokens``.
-    Printing for a Y picks each choice's text and joins.
+
+    The walk also keeps the base text, the template printed for Y = {},
+    and each atom's positions in it, the indices of its choices.  Printing
+    for a Y copies the base, writes the in-Y text of each choice of Y's
+    atoms at its position and joins, so its Python-level work is one step
+    per occurrence of an atom of Y, not one per template item.
     """
 
     def __init__(self, f: Formula):
@@ -105,6 +111,8 @@ class NesPrinter:
         # operands that ``<->`` shares repeat both many times.
         literals: dict[str, str] = {}
         atom_choices: dict[Atom, tuple[Atom, str, str]] = {}
+        # Each atom's choices, by their index in the base text below.
+        positions: dict[Atom, list[int]] = {}
         run: list[str] = []
         # Items are literal text, choices and the nodes whose NES is
         # printed there, pushed in reverse so that they pop in order.
@@ -121,6 +129,7 @@ class NesPrinter:
             if kind is tuple:
                 text = "".join(run)
                 template += (literals.setdefault(text, text), g)
+                positions.setdefault(g[0], []).append(len(template))
                 run.clear()
             elif kind is Bottom:
                 run.append("bot")
@@ -153,18 +162,26 @@ class NesPrinter:
         text = "".join(run)
         template.append(literals.setdefault(text, text))
         self._template = template
+        # The text for Y = {}, with a slot before and after for the head
+        # and the tail of a support; template item j is at index j + 1.
+        self._base = [
+            "",
+            *[item if type(item) is str else item[2] for item in template],
+            "",
+        ]
+        self._positions = positions
         self._support = (
             ("not ", "") if _NES_LEVEL[type(f)] == _LV_NOT else ("not (", ")")
         )
 
     def _print(self, ys: frozenset[Atom], head: str, tail: str) -> str:
-        out = [head]
-        out += [
-            item if type(item) is str else item[1] if item[0] in ys
-            else item[2]
-            for item in self._template
-        ]
-        out.append(tail)
+        out = self._base.copy()
+        out[0] = head
+        out[-1] = tail
+        template = self._template
+        for a in ys:
+            for index in self._positions[a]:
+                out[index] = template[index - 1][1]
         return "".join(out)
 
     def text(self, ys: frozenset[Atom]) -> str:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import stablemodels.cli as cli
 import stablemodels.depgraph as depgraph
 import stablemodels.formula as formula
 import stablemodels.semantics as semantics
@@ -276,7 +277,9 @@ def compiles(monkeypatch):
 
 @pytest.fixture
 def parsers_built(monkeypatch):
-    """The ``argparse.ArgumentParser`` objects built, subparsers included."""
+    """The ``argparse.ArgumentParser`` objects built, subparsers included,
+    counted from an empty cache of command parsers."""
+    cli.command_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 

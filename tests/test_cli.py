@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -150,8 +151,9 @@ class TestUsage:
 
 
 class TestParsers:
-    """A call builds only its command's parser; everything else goes
-    through the full tree, with the same help and usage text."""
+    """A call uses only its command's parser, built once per process;
+    everything else goes through the full tree, with the same help and
+    usage text."""
 
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_command_help_matches_the_full_tree(self, name):
@@ -175,6 +177,44 @@ class TestParsers:
         assert code == 0
         assert out.startswith("universe: p\n")
         assert len(parsers_built) == 1
+        # A command's parser is built once per process and serves every
+        # later call of that command.
+        code, out, _ = run(capsys, "models", stdin="q.", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.startswith("universe: q\n")
+        assert len(parsers_built) == 1
+        code, _, _ = run(capsys, "loops", stdin="p -> p", monkeypatch=monkeypatch)
+        assert code == 0
+        assert len(parsers_built) == 2
+        # Help outside a command still builds the full tree.
+        run(capsys, "--help")
+        assert len(parsers_built) == 2 + 1 + len(COMMANDS)
+
+    def test_warm_parsers_print_help_at_the_current_width(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = {name: command_parser(name).format_help() for name in COMMANDS}
+        monkeypatch.setenv("COLUMNS", "40")
+        for name in COMMANDS:
+            code, out, _ = run(capsys, name, "--help")
+            assert code == 0
+            # Built afresh, outside the cache, under the same width.
+            assert out == command_parser.__wrapped__(name).format_help()
+            assert out != wide[name]
+
+    def test_warm_parsers_write_usage_errors_to_the_current_stderr(
+        self, capsys
+    ):
+        assert run(capsys, "models", "--cap", "x")[0] == 1
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["models", "--cap", "x"]) == 1
+        assert err.getvalue().startswith("usage: stablemodels models ")
+        assert "argument --cap: expected a non-negative integer" in (
+            err.getvalue()
+        )
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv", [("bogus",), ("--help",)])
     def test_other_calls_build_the_full_tree(self, capsys, parsers_built, argv):

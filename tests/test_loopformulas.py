@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import random
 import sys
 import time
 import tracemalloc
@@ -396,6 +397,40 @@ def _loop_printing_requests():
         instance("loops", cls, 0) for cls in range(len(workload.classes))
     ]
     return [r for r in requests if r.argv[0] == "loops"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _loop_printing_requests()[0].stdin,
+        "a <-> b <-> c <-> a",
+        "((q -> p) -> p) -> p",
+    ],
+    ids=["benchmark", "biconditional-chain", "peirce"],
+)
+def test_a_printer_prints_any_sequence_of_sets(text):
+    # One printer serves every loop of a ``loops`` call: a set printed
+    # after another, the empty set after a nonempty one and a set again,
+    # each as a fresh printer and the oracle print it.
+    f = parse_formula(text)
+    names = sorted(atoms(f))
+    sets = [
+        frozenset(),
+        *(mset(a) for a in names),
+        frozenset(names[::2]),
+        frozenset(names),
+    ]
+    order = sets * 2
+    random.Random(28).shuffle(order)
+    order += [frozenset(names), frozenset()]
+    printer = NesPrinter(f)
+    for ys in order:
+        built = nes(f, ys)
+        fresh = NesPrinter(f)
+        assert printer.support(ys) == fresh.support(ys)
+        assert printer.support(ys) == print_formula(neg(built))
+        assert printer.text(ys) == fresh.text(ys)
+        assert printer.text(ys) == print_formula(built)
 
 
 @pytest.mark.parametrize(

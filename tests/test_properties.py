@@ -46,7 +46,12 @@ from stablemodels import (
     subgraph_of,
     theory_atoms,
 )
-from stablemodels.cli import COMMANDS, _parse_args, build_parser
+from stablemodels.cli import (
+    COMMANDS,
+    _parse_args,
+    build_parser,
+    command_parser,
+)
 from stablemodels.formula import neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.oracle import format_models
@@ -792,3 +797,25 @@ def test_cli_parses_as_the_full_parser_tree(argv):
     assert _parse_outcome(_parse_args, argv) == _parse_outcome(
         _full_tree_parse, argv
     )
+
+
+# Calls that end a parse early (help, version, usage errors and the
+# list value of "--cap=--") on each side of the command parser's route.
+cli_stopping_argvs = st.sampled_from(
+    [["models", "-h"], ["loops", "--version"], ["tight", "--graph", "x"],
+     ["models", "--cap=--"], ["split", "--cap=--", "--p", "p", "p", "q"],
+     ["nes", "--bogus"], ["fuzz"], ["--version"], []]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(cli_argvs(), cli_stopping_argvs), min_size=1,
+                max_size=4))
+def test_warm_command_parsers_keep_no_state(argvs):
+    # The command parsers built once per process parse call after call,
+    # whatever the calls before ended in, as a fresh full tree does.
+    for argv in argvs:
+        assert _parse_outcome(_parse_args, argv) == _parse_outcome(
+            _full_tree_parse, argv
+        )
+    assert command_parser.cache_info().currsize <= len(COMMANDS)
