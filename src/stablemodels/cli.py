@@ -25,10 +25,13 @@ from typing import Callable, NamedTuple, Optional
 from . import __version__
 from .depgraph import (
     GraphKind,
+    _all_loops,
+    _cyclic,
     _graph,
+    _layout,
+    _mask,
+    _named,
     graph_of,
-    has_cycle,
-    strongly_connected_subsets,
     to_dot,
 )
 from .errors import (
@@ -45,7 +48,7 @@ from .fuzz import (
     PROPERTIES,
     run_fuzz,
 )
-from .loopformulas import check_atoms, loop_formulas, loop_verdicts, nes_text
+from .loopformulas import NesPrinter, check_atoms, loop_verdicts, nes_text
 from .parser import parse_formula, parse_theory
 from .semantics import (
     DEFAULT_CAP,
@@ -114,11 +117,12 @@ def cmd_tight(args) -> int:
     kind = GraphKind(args.graph)
     compiled = _compile(theory)
     ops = compiled[0]
-    cyclic = has_cycle(_graph(ops, kind))
+    names = _layout(compiled[1])
+    cyclic = _cyclic(_graph(ops, kind, names))
     print(f"graph {kind.value}: {'cyclic' if cyclic else 'acyclic'}")
     if is_nondisjunctive_theory(theory) and not (
         cyclic if kind is GraphKind.SP
-        else has_cycle(_graph(ops, GraphKind.SP))
+        else _cyclic(_graph(ops, GraphKind.SP, names))
     ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
@@ -134,40 +138,63 @@ def cmd_tight(args) -> int:
 
 
 # Characters per write of a loop line: a text stream encodes all it is
-# given at once, so a long support is written in slices of this size.
+# given at once, so a longer line is written in slices of this size.
 _WRITE_SLICE = 1 << 16
 
 
-def _print_loop(ys: frozenset[str], pieces: list[str], end: str) -> None:
-    # Piece by piece and in slices, so that a long support is not copied.
+def _print_loop(ys: list[str], support: str, end: str) -> None:
+    """Write the line of the loop whose atoms, in ascending order, are
+    ``ys`` and whose loop formula has the support ``support``, then
+    ``end``: with one write if it is shorter than ``_WRITE_SLICE``, else
+    piece by piece and in slices, so that a long support is not copied."""
     out = sys.stdout
-    out.write(f"loop {format_interpretation(ys)}: ")
+    shown = " ".join(ys)
+    # "loop {Y}: ", then per atom its name, " -> ", the support and the
+    # text between conjuncts: "(", ") & (" or ")" for more than one.
+    length = 2 * len(shown) + len(ys) * (len(support) + 8) + len(end)
+    length += 5 if len(ys) == 1 else 7
+    if length < _WRITE_SLICE:
+        if len(ys) == 1:
+            out.write(f"loop {{{shown}}}: {shown} -> {support}{end}")
+        else:
+            conjuncts = f" -> {support}) & (".join(ys)
+            out.write(f"loop {{{shown}}}: ({conjuncts} -> {support}){end}")
+        return
+    pieces = [f"loop {{{shown}}}: "]
+    if len(ys) == 1:
+        pieces += [f"{shown} -> ", support, end]
+    else:
+        pieces += [f"({ys[0]} -> ", support]
+        for a in ys[1:]:
+            pieces += [f") & ({a} -> ", support]
+        pieces.append(f"){end}")
     for piece in pieces:
         for start in range(0, len(piece), _WRITE_SLICE):
             out.write(piece[start:start + _WRITE_SLICE])
-    out.write(end)
 
 
 def cmd_loops(args) -> int:
     f = parse_formula(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
     ops, universe = _compile((f,))
+    names = _layout(universe)
     interp = args.interpretation
     if interp is not None:
         # Checked before the loop search, whose cap may refuse.
         interp = check_atoms(_parse_atom_list(interp), universe)
-    loops = strongly_connected_subsets(_graph(ops, kind))
-    lines = loop_formulas(f, loops)
+    loops = _all_loops(_graph(ops, kind, names))
+    # The printer's layout is ``names``: both are f's atoms, sorted.
+    printer = NesPrinter(f)
     if interp is None:
-        for ys, pieces in lines:
-            _print_loop(ys, pieces, "\n")
+        for ys in loops:
+            _print_loop(_named(ys, names), printer.support(ys), "\n")
         return EXIT_OK
-    verdicts = loop_verdicts(ops, universe, interp, loops)
+    verdicts = loop_verdicts(ops, names, _mask(interp, names), loops)
     accepted = next(verdicts)
-    for (ys, pieces), holds in zip(lines, verdicts):
+    for ys, holds in zip(loops, verdicts):
         accepted = accepted and holds
         verdict = "satisfied" if holds else "violated"
-        _print_loop(ys, pieces, f"  [{verdict}]\n")
+        _print_loop(_named(ys, names), printer.support(ys), f"  [{verdict}]\n")
     shown = format_interpretation(interp)
     outcome = "accepted" if accepted else "rejected"
     note = " (UNSOUND)" if accepted and kind is GraphKind.SP else ""

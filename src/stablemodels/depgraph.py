@@ -8,27 +8,37 @@ occurrences for the "sp" graph, positive nonnegated occurrences for the
 "pnn" graph.  Polarity is evaluated relative to the body and head
 subformulas of each rule, not the enclosing member.
 
-Both graphs are read from ``formula._compile``'s ops in two passes: one
-gives each op its body atoms as an int mask, and one carries down the
-strictly positive ops the body atoms of the rules above them, so a node
-that ``<->`` shares is visited once, not once per path to it.
-``oracle.rules_of`` is the definition the tests compare them with.
+One layout serves from the ops to the output: the classical pass's,
+in which atom ``names[j]`` of ``names = sorted(atoms, reverse=True)``
+is bit j (``_layout``).  Within one size, ``interpretations_of`` order
+is then descending int.  Both graphs are read from ``formula._compile``'s
+ops in two passes: one gives each op its body atoms as a mask, and one
+carries down the strictly positive ops the body atoms of the rules
+above them, so a node that ``<->`` shares is visited once, not once per
+path to it.  The graph production reads is ``_graph``'s list of
+successor masks, one int per vertex; its components and its loops stay
+masks, and names are decoded only where text is written or a public
+function returns sets (``g_sp``, ``g_pnn``, ``graph_of``, ``sccs``,
+``strongly_connected_subsets``).  ``oracle.rules_of`` is the definition
+the tests compare the graphs with.
 
 Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the
 loops of each larger component, found by a search that branches on its
 vertices and prunes by reachability, so its work grows with the loops
-found rather than with the 2**k vertex subsets.  Given a limit, the
-search gives up as soon as it has found more loops than that.  The
-16-vertex ``SUBSET_CAP`` applies to the largest component, not to the
-whole graph, and only ``strongly_connected_subsets`` checks it.
+found rather than with the 2**k vertex subsets.  The components come
+from Kosaraju's algorithm on the masks, in steps linear in the graph.
+Given a limit, the search gives up as soon as it has found more loops
+than that.  The 16-vertex ``SUBSET_CAP`` applies to the largest
+component, not to the whole graph, and only ``_all_loops``, behind
+``strongly_connected_subsets`` and the ``loops`` command, checks it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import check_cap
 from .formula import (
@@ -62,17 +72,40 @@ class DepGraph:
         return sorted(self.edges)
 
 
-def _bodies(ops: Ops, kind: GraphKind) -> tuple[list[Atom], list[int]]:
-    """The atoms of ``ops`` by first op, and per op the mask (bit j for
-    atom j) of the body atoms of ``kind``'s graph in the op's formula.
+def _layout(atoms: Iterable[Atom]) -> list[Atom]:
+    """``atoms`` in the classical pass's layout: ``names[j]`` is bit j, in
+    descending order, so that within one size ``interpretations_of``
+    order is descending int (see ``semantics._Classical``)."""
+    return sorted(atoms, reverse=True)
+
+
+def _mask(atoms: Iterable[Atom], names: list[Atom]) -> int:
+    """The mask of ``atoms``, all of them in ``names``, in that layout."""
+    return sum(1 << names.index(a) for a in set(atoms))
+
+
+def _named(mask: int, names: list[Atom]) -> list[Atom]:
+    """The atoms of ``names`` at the set bits of ``mask``, from the highest
+    bit down: in ascending order, in the layout."""
+    out = []
+    while mask:
+        j = mask.bit_length() - 1
+        out.append(names[j])
+        mask ^= 1 << j
+    return out
+
+
+def _bodies(ops: Ops, kind: GraphKind, names: list[Atom]) -> list[int]:
+    """Per op, the mask in the layout ``names`` of the body atoms of
+    ``kind``'s graph in the op's formula; an atom op's is its own bit.
     For pnn, ``odd`` holds those that an antecedent would turn positive,
     and an implication into bottom has none: it negates its antecedent."""
-    bit: dict[Atom, int] = {}
+    bit = {a: 1 << j for j, a in enumerate(names)}
     masks: list[int] = []
     odd: list[int] = []
     for code, x, y in ops:
         if code == _ATOM:
-            mask, rest = bit.setdefault(x, 1 << len(bit)), 0
+            mask, rest = bit[x], 0
         elif code == _IMPLIES and ops[y][0] != _BOT:
             mask = odd[x] | masks[y]
             rest = 0 if kind is GraphKind.SP else masks[x] | odd[y]
@@ -82,121 +115,134 @@ def _bodies(ops: Ops, kind: GraphKind) -> tuple[list[Atom], list[int]]:
             mask = rest = 0
         masks.append(mask)
         odd.append(rest)
-    return list(bit), masks
+    return masks
 
 
-def _named(mask: int, names: list[Atom]) -> Iterator[Atom]:
-    """The atoms of ``names`` at the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield names[low.bit_length() - 1]
-        mask ^= low
-
-
-def _graph(ops: Ops, kind: GraphKind) -> DepGraph:
-    """``kind``'s graph of ``_compile``'s ``ops``.  In reverse op order,
-    parents first, each strictly positive op has the body atoms of the
-    rules above it by every path before it passes them on."""
-    names, bodies = _bodies(ops, kind)
+def _graph(ops: Ops, kind: GraphKind, names: list[Atom]) -> list[int]:
+    """``kind``'s graph of ``_compile``'s ``ops`` in the layout ``names``
+    of their atoms: per vertex j, the mask of its successors.  In reverse
+    op order, parents first, each strictly positive op has the body atoms
+    of the rules above it by every path before it passes them on."""
+    bodies = _bodies(ops, kind, names)
     # None off the strictly positive ops; each read after all its parents.
     above: list[Optional[int]] = [None] * len(ops)
     above[-1] = 0
-    heads: dict[Atom, int] = {}
-    for (code, x, y), mask in zip(reversed(ops), reversed(above)):
+    succ = [0] * len(names)
+    for (code, x, y), mask, body in zip(
+        reversed(ops), reversed(above), reversed(bodies)
+    ):
         if mask is None:
             continue
         if code == _ATOM:
-            heads[x] = heads.get(x, 0) | mask
+            succ[body.bit_length() - 1] |= mask
         elif code == _IMPLIES:
             above[y] = (above[y] or 0) | mask | bodies[x]
         elif code != _BOT:
             above[x] = (above[x] or 0) | mask
             above[y] = (above[y] or 0) | mask
-    edges = ((h, b) for h, mask in heads.items() for b in _named(mask, names))
+    return succ
+
+
+def _graph_of(t: Theory, kind: GraphKind) -> DepGraph:
+    """``kind``'s graph of ``t``, decoded from its masks."""
+    ops, atoms = _compile(t)
+    names = _layout(atoms)
+    succ = _graph(ops, kind, names)
+    edges = (
+        (h, b) for h, mask in zip(names, succ) for b in _named(mask, names)
+    )
     return DepGraph(frozenset(names), frozenset(edges))
 
 
 def g_sp(t: Theory) -> DepGraph:
     """Edges from strictly positive head atoms to strictly positive body atoms."""
-    return _graph(_compile(t)[0], GraphKind.SP)
+    return _graph_of(t, GraphKind.SP)
 
 
 def g_pnn(t: Theory) -> DepGraph:
     """Edges from strictly positive head atoms to positive nonnegated body atoms."""
-    return _graph(_compile(t)[0], GraphKind.PNN)
+    return _graph_of(t, GraphKind.PNN)
 
 
 def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
     return g_sp(t) if kind is GraphKind.SP else g_pnn(t)
 
 
-def _components(
-    g: DepGraph,
-) -> tuple[dict[Atom, list[Atom]], list[frozenset[Atom]]]:
-    """Sorted successor lists of every vertex, from one pass over the
-    edges, and the strongly connected components (Tarjan), ordered
-    lexicographically.
+def _encoded(g: DepGraph) -> tuple[list[Atom], list[int]]:
+    """The vertices of ``g`` in the layout and its successor masks."""
+    names = _layout(g.vertices)
+    bit = {v: j for j, v in enumerate(names)}
+    succ = [0] * len(names)
+    for (a, b) in g.edges:
+        succ[bit[a]] |= 1 << bit[b]
+    return names, succ
 
-    ``sccs`` and ``strongly_connected_subsets`` read both from one call,
-    and so does ``semantics``' path choice, which hands the pair to
-    ``_loops`` with a limit on the loops that pay.
+
+def _transposed(succ: list[int]) -> list[int]:
+    """Per vertex of the graph ``succ``, the mask of its predecessors."""
+    pred = [0] * len(succ)
+    for v, mask in enumerate(succ):
+        while mask:
+            w = mask.bit_length() - 1
+            pred[w] |= 1 << v
+            mask ^= 1 << w
+    return pred
+
+
+def _components(succ: list[int]) -> list[int]:
+    """The strongly connected components of the graph ``succ``, as masks,
+    ordered as ``sccs`` orders them.
+
+    Kosaraju's algorithm over vertex indices, in a number of steps
+    linear in the graph, each a few operations on masks: a depth-first
+    search lists the vertices by the time they finish, and, latest
+    first, each vertex not yet placed has as its component the vertices
+    not yet placed that reach it.  Components are disjoint, so
+    lexicographic order by their atoms is the order of their least
+    atoms, which are their highest bits.
     """
-    succ: dict[Atom, list[Atom]] = {v: [] for v in g.vertices}
-    for (a, b) in sorted(g.edges):
-        succ[a].append(b)
-    index: dict[Atom, int] = {}
-    lowlink: dict[Atom, int] = {}
-    on_stack: set[Atom] = set()
-    stack: list[Atom] = []
-    components: list[frozenset[Atom]] = []
-
-    def visit(v: Atom) -> None:
-        index[v] = lowlink[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-
-    for root in sorted(g.vertices):
-        if root in index:
-            continue
-        visit(root)
-        # Depth-first path: each vertex with its pending successors.
-        path = [(root, iter(succ[root]))]
+    finished = []
+    unvisited = (1 << len(succ)) - 1
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        path = [root.bit_length() - 1]
         while path:
-            v, pending = path[-1]
-            for w in pending:
-                if w not in index:
-                    visit(w)
-                    path.append((w, iter(succ[w])))
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
+            pending = succ[path[-1]] & unvisited
+            if pending:
+                low = pending & -pending
+                unvisited ^= low
+                path.append(low.bit_length() - 1)
             else:
-                path.pop()
-                if path:
-                    u = path[-1][0]
-                    lowlink[u] = min(lowlink[u], lowlink[v])
-                if lowlink[v] == index[v]:
-                    comp = set()
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.add(w)
-                        if w == v:
-                            break
-                    components.append(frozenset(comp))
-    return succ, sorted(components, key=lambda c: tuple(sorted(c)))
+                finished.append(path.pop())
+    backward = _transposed(succ)
+    unplaced = (1 << len(succ)) - 1
+    components = []
+    for v in reversed(finished):
+        if unplaced >> v & 1:
+            comp = _reach(backward, 1 << v, unplaced)
+            unplaced ^= comp
+            components.append(comp)
+    components.sort(key=int.bit_length, reverse=True)
+    return components
 
 
 def sccs(g: DepGraph) -> list[frozenset[Atom]]:
-    """Strongly connected components (Tarjan), ordered lexicographically."""
-    return _components(g)[1]
+    """Strongly connected components, ordered lexicographically."""
+    names, succ = _encoded(g)
+    return [frozenset(_named(comp, names)) for comp in _components(succ)]
+
+
+def _cyclic(succ: list[int]) -> bool:
+    """True iff the graph ``succ`` has a directed cycle; self-loops count."""
+    if any(mask >> j & 1 for j, mask in enumerate(succ)):
+        return True
+    return any(comp & (comp - 1) for comp in _components(succ))
 
 
 def has_cycle(g: DepGraph) -> bool:
     """True iff the graph has a directed cycle; self-loops count."""
-    if any(a == b for (a, b) in g.edges):
-        return True
-    return any(len(c) > 1 for c in sccs(g))
+    return _cyclic(_encoded(g)[1])
 
 
 def _reach(adjacency: list[int], start: int, allowed: int) -> int:
@@ -219,9 +265,13 @@ def _reach(adjacency: list[int], start: int, allowed: int) -> int:
     return seen
 
 
-def _component_loops(forward: list[int], backward: list[int]) -> Iterator[int]:
-    """The masks of the strongly connected vertex sets of one component,
-    yielded as the search finds them, so that a caller may stop it.
+def _component_loops(
+    forward: list[int], backward: list[int], comp: int
+) -> Iterator[int]:
+    """The masks of the strongly connected vertex sets of the component
+    ``comp``, yielded as the search finds them, so that a caller may stop
+    it.  ``forward`` and ``backward`` hold each vertex's successors and
+    its predecessors; the search reads them inside ``comp`` only.
 
     Each set is found once, from its lowest vertex v.  A search node holds
     the vertices included so far and the vertices still allowed: the
@@ -237,12 +287,13 @@ def _component_loops(forward: list[int], backward: list[int]) -> Iterator[int]:
     alone, so the search makes at most 2k passes per loop, however many
     of the 2**k vertex sets are not loops.
     """
-    k = len(forward)
-    for v in range(k):
-        start = 1 << v
+    starts = comp
+    while starts:
+        start = starts & -starts
+        starts ^= start
         # The vertices from v upward, shrunk to the part strongly
         # connected with v.
-        allowed = _reach(forward, start, (1 << k) - start)
+        allowed = _reach(forward, start, comp & -start)
         allowed = _reach(backward, start, allowed)
         stack = [(start, allowed)]
         while stack:
@@ -262,36 +313,36 @@ def _component_loops(forward: list[int], backward: list[int]) -> Iterator[int]:
 
 
 def _loops(
-    succ: dict[Atom, list[Atom]],
-    components: list[frozenset[Atom]],
-    limit: float = float("inf"),
-) -> Optional[list[frozenset[Atom]]]:
-    """The loops of a graph from its ``_components``, sorted as
-    ``strongly_connected_subsets`` gives them, or None as soon as more
-    than ``limit`` are found, counting the singletons first."""
-    # Each loop as its names in ascending order, for the sort.
-    loops = [tuple(comp) for comp in components if len(comp) == 1]
+    succ: list[int], components: list[int], limit: float = float("inf")
+) -> Optional[list[int]]:
+    """The loops, as masks, of the graph ``succ`` with the ``_components``
+    ``components``, in ``strongly_connected_subsets`` order, or None as
+    soon as more than ``limit`` are found, counting the singletons first.
+    """
+    loops = [comp for comp in components if not comp & (comp - 1)]
     if len(loops) > limit:
         return None
-    for comp in components:
-        if len(comp) == 1:
-            continue
-        names = sorted(comp)
-        bit = {v: n for n, v in enumerate(names)}
-        forward, backward = [0] * len(names), [0] * len(names)
-        for v in names:
-            for w in succ[v]:
-                if w in bit:
-                    forward[bit[v]] |= 1 << bit[w]
-                    backward[bit[w]] |= 1 << bit[v]
-        for mask in _component_loops(forward, backward):
-            loops.append(tuple(_named(mask, names)))
+    larger = [comp for comp in components if comp & (comp - 1)]
+    backward = _transposed(succ) if larger else []
+    for comp in larger:
+        for mask in _component_loops(succ, backward, comp):
+            loops.append(mask)
             if len(loops) > limit:
                 return None
-    # By names, then stably by size: the order of (size, names).
-    loops.sort()
-    loops.sort(key=len)
-    return list(map(frozenset, loops))
+    # Descending, then stably by size: ``interpretations_of`` order.
+    loops.sort(reverse=True)
+    loops.sort(key=int.bit_count)
+    return loops
+
+
+def _all_loops(succ: list[int]) -> list[int]:
+    """The loops of the graph ``succ`` as masks, in ``interpretations_of``
+    order over its layout.  ``SUBSET_CAP`` bounds the largest component;
+    this is the one place the cap is checked."""
+    components = _components(succ)
+    largest = max(map(int.bit_count, components), default=0)
+    check_cap(largest, SUBSET_CAP, "loop enumeration")
+    return _loops(succ, components)
 
 
 def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
@@ -301,14 +352,12 @@ def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
     subset lies inside one strongly connected component, so each
     component with k > 1 vertices is searched on its own, branching on
     its vertices with reachability pruning (``_component_loops``), and
-    ``SUBSET_CAP`` bounds the largest component, not the whole graph;
-    this is the one place the cap is checked.  The result is in
-    ``interpretations_of`` order: by size, then lexicographically.
+    ``SUBSET_CAP`` bounds the largest component, not the whole graph.
+    The result is in ``interpretations_of`` order: by size, then
+    lexicographically.
     """
-    succ, components = _components(g)
-    largest = max(map(len, components), default=0)
-    check_cap(largest, SUBSET_CAP, "loop enumeration")
-    return _loops(succ, components)
+    names, succ = _encoded(g)
+    return [frozenset(_named(ys, names)) for ys in _all_loops(succ)]
 
 
 def subgraph_of(small: DepGraph, big: DepGraph) -> bool:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .depgraph import GraphKind, _graph, has_cycle, subgraph_of
+from .depgraph import GraphKind, _cyclic, _graph, _layout
 from .formula import (
     And,
     Atom,
@@ -107,7 +107,8 @@ def _sample_until(rng, make, accept, limit: int = 10000):
 def _sp_acyclic(t: Theory) -> Optional[tuple[Ops, set[Atom]]]:
     """The compile of ``t`` if its sp graph is acyclic, else None."""
     compiled = _compile(t)
-    return None if has_cycle(_graph(compiled[0], GraphKind.SP)) else compiled
+    sp = _graph(compiled[0], GraphKind.SP, _layout(compiled[1]))
+    return None if _cyclic(sp) else compiled
 
 
 @dataclass
@@ -205,8 +206,9 @@ def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
         if not ps | qs:
             return None
         compiled = _compile((And(f, g),))
-        pnn = _graph(compiled[0], GraphKind.PNN)
-        if any(split_conditions(compiled[0], ps, qs, pnn)):
+        names = _layout(compiled[1])
+        pnn = _graph(compiled[0], GraphKind.PNN, names)
+        if any(split_conditions(compiled[0], names, ps, qs, pnn)):
             return None
         return compiled, pnn
 
@@ -269,8 +271,12 @@ def _check_lemma1(rng: random.Random, pool, depth) -> Optional[str]:
 
 def _check_sp_subgraph(rng: random.Random, pool, depth) -> Optional[str]:
     t = random_theory(rng, pool, depth)
-    ops = _compile(t)[0]
-    if not subgraph_of(_graph(ops, GraphKind.SP), _graph(ops, GraphKind.PNN)):
+    ops, universe = _compile(t)
+    names = _layout(universe)
+    sp = _graph(ops, GraphKind.SP, names)
+    pnn = _graph(ops, GraphKind.PNN, names)
+    # Both graphs have every atom of t as a vertex, in one layout.
+    if any(s & ~p for s, p in zip(sp, pnn)):
         return (
             "sp graph is not a subgraph of the pnn graph\ntheory:\n"
             f"{print_theory(t)}"

@@ -8,25 +8,27 @@ renders a template of NES(f, Y) for every Y: literal text, with a
 choice of text at each atom occurrence and around the antecedent of
 each rule F -> y, and f's own text cut from one printing of f.  The
 printer keeps the text for the empty set as a base list and each atom's
-positions in it; the text for a set Y is a copy of the base patched at
-the positions of Y's atoms.  ``loop_formulas`` gives each of a list of
-loops with its loop formula in pieces of text, printing the support
-once per loop; ``nes_text`` is the ``nes`` command's text.  ``_loops``
-is the oracles' one source of loops: the loops of a graph built from a
-compile's ops, or every nonempty atom subset.
+positions in it; the text for a set Y, given as a mask in the classical
+pass's layout of f's atoms (see ``depgraph``), is a copy of the base
+patched at the positions of Y's atoms.  Loops stay masks from the loop
+search to the output: the ``loops`` command prints each loop's support
+once, from its mask, and writes the loop formula around it;
+``nes_text`` is the ``nes`` command's text.  ``_loops`` is the oracles'
+one source of loops: the loops of a graph built from a compile's ops,
+or every nonempty atom subset, as masks.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability, next to ``oracle.loop_oracle_models``,
 which evaluates the loop formulas themselves.  They decide one
 interpretation I by the here-and-there lemma,
 ``semantics.loop_lemma_at``, with f compiled once and no loop formula
-built: one pass over the ops decides a batch of loops, bit j standing
-for loop j.  ``loop_verdicts`` gives ``loops -i`` every verdict from
-one batch; ``stable_via_loops`` and ``stable_via_all_sets`` stop at the
-first false verdict, so they draw their loops in batches of 1, 2, 4, 8
-and so on.  The "pnn" variant is sound and complete; the "sp" variant
-is exposed deliberately because it is unsound, and the workbench
-reproduces its failure mode.
+built: one pass over the ops decides a batch of loops, given as masks,
+bit j of its tables standing for loop j.  ``loop_verdicts`` gives
+``loops -i`` every verdict from one batch; ``stable_via_loops`` and
+``stable_via_all_sets`` stop at the first false verdict, so they draw
+their loops in batches of 1, 2, 4, 8 and so on.  The "pnn" variant is
+sound and complete; the "sp" variant is exposed deliberately because it
+is unsound, and the workbench reproduces its failure mode.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
-from .depgraph import GraphKind, _graph, strongly_connected_subsets
+from .depgraph import GraphKind, _all_loops, _graph, _layout, _mask, _named
 from .errors import AtomsOutsideFormulaError, check_cap
 from .formula import (
     _INFIX,
@@ -98,10 +100,12 @@ class NesPrinter:
     literal text, cut from the one printing of f by ``print_tokens``.
 
     The walk also keeps the base text, the template printed for Y = {},
-    and each atom's positions in it, the indices of its choices.  Printing
-    for a Y copies the base, writes the in-Y text of each choice of Y's
-    atoms at its position and joins, so its Python-level work is one step
-    per occurrence of an atom of Y, not one per template item.
+    and each atom's positions in it, the indices of its choices.  Y is
+    given as a mask in ``names``, f's atoms in the classical pass's
+    layout.  Printing for a Y copies the base, writes the in-Y text of
+    each choice of Y's atoms at its position and joins, so its
+    Python-level work is one step per occurrence of an atom of Y, not one
+    per template item.
     """
 
     def __init__(self, f: Formula):
@@ -169,92 +173,72 @@ class NesPrinter:
             *[item if type(item) is str else item[2] for item in template],
             "",
         ]
+        # Every atom of f has a choice, so ``positions`` holds them all.
+        self.names = _layout(positions)
         self._positions = positions
         self._support = (
             ("not ", "") if _NES_LEVEL[type(f)] == _LV_NOT else ("not (", ")")
         )
 
-    def _print(self, ys: frozenset[Atom], head: str, tail: str) -> str:
+    def _print(self, ys: int, head: str, tail: str) -> str:
         out = self._base.copy()
         out[0] = head
         out[-1] = tail
         template = self._template
-        for a in ys:
+        for a in _named(ys, self.names):
             for index in self._positions[a]:
                 out[index] = template[index - 1][1]
         return "".join(out)
 
-    def text(self, ys: frozenset[Atom]) -> str:
-        """The text of NES(f, ys); ``ys`` holds atoms of f only."""
+    def text(self, ys: int) -> str:
+        """The text of NES(f, Y), for the mask ``ys`` of Y in ``names``."""
         return self._print(ys, "", "")
 
-    def support(self, ys: frozenset[Atom]) -> str:
-        """The text of not NES(f, ys), the support of a loop formula."""
+    def support(self, ys: int) -> str:
+        """The text of not NES(f, Y), the support of a loop formula, for
+        the mask ``ys`` of Y in ``names``."""
         return self._print(ys, *self._support)
 
 
 def nes_text(f: Formula, y: Iterable[Atom]) -> str:
     """``print_formula(nes(f, y))``, printed by ``NesPrinter``."""
     ys = check_atoms(y, _compile((f,))[1])
-    return NesPrinter(f).text(ys)
-
-
-def loop_formulas(
-    f: Formula, loops: Iterable[frozenset[Atom]]
-) -> Iterator[tuple[frozenset[Atom], list[str]]]:
-    """Each of ``loops``, sets of ``f``'s atoms, with its printed loop
-    formula in pieces.
-
-    The pieces join to ``print_formula(loop_formula(f, Y))``: literal
-    text alternating with the support ``not NES(f, Y)``, one object under
-    every atom of Y, printed once by one ``NesPrinter`` of f and never
-    copied into a longer string.
-    """
     printer = NesPrinter(f)
-    for ys in loops:
-        support = printer.support(ys)
-        if len(ys) == 1:
-            yield ys, [f"{next(iter(ys))} -> ", support]
-        else:
-            pieces = []
-            for a in sorted(ys):
-                pieces += [f") & ({a} -> " if pieces else f"({a} -> ", support]
-            pieces.append(")")
-            yield ys, pieces
+    return printer.text(_mask(ys, printer.names))
 
 
 def _loops(
-    ops: Ops, atoms: set[Atom], kind: Optional[GraphKind]
-) -> Iterator[frozenset[Atom]]:
-    """The loops of ``kind``'s graph of ``_compile``'s ``ops`` and
-    ``atoms``, or every nonempty subset of the atoms if None; nothing is
-    built before the first ``next``."""
+    ops: Ops, names: list[Atom], kind: Optional[GraphKind]
+) -> Iterator[int]:
+    """The loops of ``kind``'s graph of ``_compile``'s ``ops``, or every
+    nonempty subset of their atoms if None, as masks in the layout
+    ``names`` of the atoms; nothing is built before the first ``next``."""
     if kind is None:
-        subsets = interpretations_of(atoms)
+        subsets = interpretations_of(names)
         next(subsets)  # the empty set, which has no loop formula
-        yield from subsets
+        for ys in subsets:
+            yield _mask(ys, names)
     else:
-        yield from strongly_connected_subsets(_graph(ops, kind))
+        yield from _all_loops(_graph(ops, kind, names))
 
 
 def loop_verdicts(
     ops: Ops,
-    atoms: set[Atom],
-    i: Interpretation,
-    loops: list[frozenset[Atom]],
+    names: list[Atom],
+    i: int,
+    loops: list[int],
 ) -> Iterator[bool]:
-    """Whether ``i``, a set of ``atoms``, is a model of ``_compile``'s
-    ``ops`` and ``atoms``, then whether it satisfies the loop formula of
-    each of ``loops``, decided by the here-and-there lemma with no loop
-    formula built (``semantics.loop_lemma_at``).  For a caller that reads
-    every verdict, as ``loops -i`` does: the loops are one batch, decided
-    by one pass over the ops."""
-    return loop_lemma_at(ops, atoms, i, (loops,))
+    """Whether I is a model of ``_compile``'s ``ops``, then whether it
+    satisfies the loop formula of each of ``loops``, decided by the
+    here-and-there lemma with no loop formula built
+    (``semantics.loop_lemma_at``).  I and the loops are masks in the
+    layout ``names`` of the ops' atoms.  For a caller that reads every
+    verdict, as ``loops -i`` does: the loops are one batch, decided by
+    one pass over the ops."""
+    return loop_lemma_at(ops, names, i, (loops,))
 
 
-def _doubling(
-    loops: Iterable[frozenset[Atom]],
-) -> Iterator[Iterator[frozenset[Atom]]]:
+def _doubling(loops: Iterable[int]) -> Iterator[Iterator[int]]:
     """``loops`` in batches of 1, 2, 4, 8 and so on, each read lazily;
     the batches after the last loop are empty."""
     loops = iter(loops)
@@ -281,9 +265,10 @@ def _loop_oracle_at(
     ops, universe = _compile((f,))
     if kind is None:
         check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    i = check_atoms(i, universe)
-    loops = _loops(ops, universe, kind)
-    return all(loop_lemma_at(ops, universe, i, _doubling(loops)))
+    names = _layout(universe)
+    i = _mask(check_atoms(i, universe), names)
+    loops = _loops(ops, names, kind)
+    return all(loop_lemma_at(ops, names, i, _doubling(loops)))
 
 
 def stable_via_all_sets(i: Interpretation, f: Formula) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .depgraph import GraphKind
+from .depgraph import GraphKind, _layout, _named
 from .errors import check_cap
 from .formula import (
     BOT,
@@ -285,7 +285,9 @@ def loop_oracle_models(
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
     ops, universe = _compile((f,))
     check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    lfs = (_loop_formula(f, ys) for ys in _loops(ops, universe, kind))
+    names = _layout(universe)
+    loops = (frozenset(_named(ys, names)) for ys in _loops(ops, names, kind))
+    lfs = (_loop_formula(f, ys) for ys in loops)
     return classical_models((f, *lfs), universe)
 
 

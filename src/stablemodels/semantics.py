@@ -11,7 +11,10 @@ Stability and pointwise stability then come from one of two paths:
 - per model: for each classical model I, one here-and-there pass over
   the subsets of I;
 - by loops: for each loop Y of the pnn graph, one pass over all 2**n
-  interpretations with Y's atoms cleared in the here-world.  By Ferraris,
+  interpretations with Y's atoms cleared in the here-world.  The graph,
+  its components and its loops are masks in the pass's own layout, atom
+  j of ``names`` as bit j (see ``depgraph``), and so is each part's set
+  of kept atoms, so no loop is turned into a set of names.  By Ferraris,
   Lee and Lifschitz's generalised Lin-Zhao theorem, which still holds
   with the loops of the pnn graph but not with those of the sp graph, a
   classical model I is stable exactly when for no loop Y that meets I is
@@ -88,7 +91,15 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional
 
-from .depgraph import DepGraph, GraphKind, _components, _graph, _loops, _named
+from .depgraph import (
+    GraphKind,
+    _components,
+    _graph,
+    _layout,
+    _loops,
+    _mask,
+    _named,
+)
 from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
     _AND,
@@ -304,7 +315,8 @@ def _completion(t: Theory, atoms: Iterable[Atom]) -> Theory:
 # with a choice ``A | not A`` for each kept atom A.  At <H, T> such a
 # choice holds exactly when A is in H or not in T (Ferraris 2005), so
 # the part's here-world keeps the kept atoms of T.  The theory is the
-# part ``(-1, frozenset())``: its last op, with no kept atoms.
+# part ``(-1, frozenset())``: its last op, with no kept atoms.  A pass
+# holds each part's kept atoms as a mask in its layout.
 Parts = tuple[tuple[int, frozenset[Atom]], ...]
 
 
@@ -356,13 +368,14 @@ def _implications(ops: Ops, vals: list[int]) -> list[int]:
 
 def loop_lemma_at(
     ops: Ops,
-    atoms: set[Atom],
-    i: Interpretation,
-    batches: Iterable[Iterable[frozenset[Atom]]],
+    names: list[Atom],
+    i: int,
+    batches: Iterable[Iterable[int]],
 ) -> Iterator[bool]:
-    """Whether I, a set of ``atoms``, is a model of ``_compile``'s ``ops``
-    and ``atoms``, then for each set Y of each batch whether I satisfies
-    the loop formula of Y.  Stops at the first empty batch.
+    """Whether I is a model of ``_compile``'s ``ops``, then for each set Y
+    of each batch whether I satisfies the loop formula of Y.  I and every
+    Y are masks in the layout ``names`` of the ops' atoms.  Stops at the
+    first empty batch.
 
     I satisfies it exactly when Y misses I or <I - Y, I> is not a
     here-and-there model (Ferraris, Lee and Lifschitz 2006).  A batch
@@ -373,21 +386,23 @@ def loop_lemma_at(
     value at I.  The model check, one pass on one-bit tables that gives
     those values, comes before the first batch is drawn.
     """
-    vals = _evaluate(ops, {a: int(a in i) for a in atoms}, itertools.repeat(1))
+    here = {a: i >> j & 1 for j, a in enumerate(names)}
+    vals = _evaluate(ops, here, itertools.repeat(1))
     yield vals[-1] == 1
     there = _implications(ops, vals)
+    held = _named(i, names)
     for batch in batches:
         # Per atom of I, the bits of the sets that hold it.
-        cleared = dict.fromkeys(i, 0)
+        cleared = dict.fromkeys(held, 0)
         bit = 1
         for ys in batch:
-            for a in ys & i:
+            for a in _named(ys & i, names):
                 cleared[a] |= bit
             bit <<= 1
         if bit == 1:
             return
         full = bit - 1
-        here = dict.fromkeys(atoms, 0)
+        here = dict.fromkeys(names, 0)
         meets = 0
         for a, mask in cleared.items():
             here[a] = full ^ mask
@@ -445,8 +460,9 @@ class _Classical:
     vals: list[int]
     # Where some part holds: the candidates' table.
     candidates: int
-    # The parts the sweep decides, the theory first.
-    parts: Parts
+    # The parts the sweep decides, the theory first, each with the mask
+    # of its kept atoms.
+    parts: tuple[tuple[int, int], ...]
     # The candidates' points once listed (see ``keys``), and the
     # interpretation at each point built so far, shared by every list
     # read from this pass.
@@ -471,9 +487,10 @@ class _Classical:
         return self.build(self.keys)
 
     @functools.cached_property
-    def pnn(self) -> DepGraph:
-        """The pnn graph of the ops, for the path choice and the split."""
-        return _graph(self.ops, GraphKind.PNN)
+    def pnn(self) -> list[int]:
+        """The pnn graph of the ops in this pass's layout, as ``_graph``'s
+        successor masks, for the path choice and the split."""
+        return _graph(self.ops, GraphKind.PNN, self.names)
 
     def points(self, table: int) -> list[int]:
         """The candidates' points where ``table`` is 1: ``keys`` itself
@@ -514,7 +531,7 @@ def _classical_pass(
     default those atoms, carrying the theory's part and then ``parts``.
     The candidates are the points where some part holds, by default the
     theory's classical models."""
-    names = sorted(atoms if universe is None else set(universe), reverse=True)
+    names = _layout(atoms if universe is None else set(universe))
     n = len(names)
     check_cap(n, cap)
     if not atoms.issubset(names):
@@ -522,11 +539,11 @@ def _classical_pass(
     atom_tables = dict(zip(names, _atom_tables(n)))
     full = (1 << (1 << n)) - 1
     vals = _evaluate(ops, atom_tables, itertools.repeat(full))
-    parts = ((-1, frozenset()), *parts)
+    masks = ((-1, 0), *((op, _mask(kept, names)) for op, kept in parts))
     candidates = 0
-    for op, _ in parts:
+    for op, _ in masks:
         candidates |= vals[op]
-    return _Classical(names, ops, atom_tables, vals, candidates, parts)
+    return _Classical(names, ops, atom_tables, vals, candidates, masks)
 
 
 def _supported(comp: Theory, c: _Classical) -> int:
@@ -557,10 +574,7 @@ def _per_model(c: _Classical) -> tuple[int, ...]:
     pointwise = bytearray(size)
     # Each part's op, the mask of the points' bits of its kept atoms and
     # its table.
-    kept_bits = [
-        (op, sum(1 << c.names.index(a) for a in kept), bytearray(size))
-        for op, kept in c.parts
-    ]
+    kept_bits = [(op, mask, bytearray(size)) for op, mask in c.parts]
     # Per width of I: its atom tables and the mask of the I - {a} bits.
     local: dict[int, tuple[list[int], int]] = {}
     zero = dict.fromkeys(c.names, 0)
@@ -591,7 +605,7 @@ def _per_model(c: _Classical) -> tuple[int, ...]:
     return stable[0], int.from_bytes(pointwise, "little"), *stable[1:]
 
 
-def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, ...]:
+def _by_loops(c: _Classical, loops: list[int]) -> tuple[int, ...]:
     """The stable and pointwise stable tables of the theory, then the
     stable table of each other part of ``c``, one pass per loop.
 
@@ -605,7 +619,7 @@ def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, ...]:
     refutes each part's candidates, at the points where I holds none of
     the part's kept atoms of Y: elsewhere <I - Y, I> drops a kept atom,
     and the part's choice for that atom fails there.  The theory keeps
-    no atom.
+    no atom.  Each loop is a mask in ``c``'s layout.
     """
     there = _implications(c.ops, c.vals)
     tables = [c.vals[op] for op, _ in c.parts]
@@ -613,16 +627,16 @@ def _by_loops(c: _Classical, loops: list[frozenset[Atom]]) -> tuple[int, ...]:
     for ys in loops:
         here = c.atom_tables.copy()
         meets = 0
-        for a in ys:
+        for a in _named(ys, c.names):
             meets |= here[a]
             here[a] = 0
         # Per part, the points this pass can refute.
         alive = []
         for (_, kept), table in zip(c.parts, tables):
-            for a in ys & kept:
+            for a in _named(ys & kept, c.names):
                 table &= ~c.atom_tables[a]
             alive.append(table & meets)
-        singleton = len(ys) == 1
+        singleton = not ys & (ys - 1)
         if singleton:
             # Stable models are pointwise stable, so ``pointwise`` covers
             # every candidate a singleton can still refute.
@@ -655,10 +669,10 @@ _WIDE_BITS = 2048
 _GRAPH_PASSES = 13
 
 
-def _loops_that_pay(c: _Classical) -> Optional[list[frozenset[Atom]]]:
-    """The pnn loops of ``c``'s theory if one pass per loop over all 2**n
-    points costs less than one pass per candidate I over 2**|I| points,
-    else None.
+def _loops_that_pay(c: _Classical) -> Optional[list[int]]:
+    """The pnn loops of ``c``'s theory, as masks in its layout, if one
+    pass per loop over all 2**n points costs less than one pass per
+    candidate I over 2**|I| points, else None.
 
     Both prices give one limit: the loop count up to which the loop path
     pays.  The graph is built only if the n singleton loops stay under
@@ -673,7 +687,7 @@ def _loops_that_pay(c: _Classical) -> Optional[list[frozenset[Atom]]]:
     limit = (per_model - _GRAPH_PASSES) / per_loop
     if limit <= len(c.names):
         return None
-    return _loops(*_components(c.pnn), limit)
+    return _loops(c.pnn, _components(c.pnn), limit)
 
 
 def _sweep(c: _Classical) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .depgraph import DepGraph, GraphKind, _bodies, _graph, _named, sccs
+from .depgraph import GraphKind, _bodies, _components, _graph, _mask, _named
 from .errors import NotAPartitionError
 from .formula import And, Atom, Formula, Ops, _compile
 from .semantics import (
@@ -96,22 +96,28 @@ class SplitReport:
 
 def split_conditions(
     ops: Ops,
+    names: list[Atom],
     ps: frozenset[Atom],
     qs: frozenset[Atom],
-    graph: DepGraph,
+    graph: list[int],
 ) -> tuple[frozenset[Atom], frozenset[Atom], Optional[frozenset[Atom]]]:
     """Offenders of conditions (i), (ii) and (iii) for the partition {P, Q},
-    with ``ops`` the compile of F & G and ``graph`` its sp or pnn graph.
+    with ``ops`` the compile of F & G, ``names`` the layout of its atoms
+    and ``graph`` its sp or pnn graph as ``_graph`` gives it.
 
     A condition holds when its offenders are empty, or None for (iii),
-    which names the first straddling strongly connected component.
+    which names the first straddling strongly connected component in
+    lexicographic order.  A component straddles when it meets both P and
+    Q, which partition its atoms.
     """
     _, f_op, g_op = ops[-1]
-    names, spos = _bodies(ops, GraphKind.SP)
-    i_off = frozenset(_named(spos[f_op], names)) - ps
-    ii_off = frozenset(_named(spos[g_op], names)) - qs
-    straddling = (c for c in sccs(graph) if not (c <= ps or c <= qs))
-    return i_off, ii_off, next(straddling, None)
+    spos = _bodies(ops, GraphKind.SP, names)
+    p, q = _mask(ps, names), _mask(qs, names)
+    i_off = frozenset(_named(spos[f_op] & ~p, names))
+    ii_off = frozenset(_named(spos[g_op] & ~q, names))
+    straddling = [c for c in _components(graph) if c & p and c & q]
+    iii_off = frozenset(_named(straddling[0], names)) if straddling else None
+    return i_off, ii_off, iii_off
 
 
 def _split(
@@ -120,11 +126,12 @@ def _split(
     q: Optional[Iterable[Atom]] = None,
     kind: GraphKind = GraphKind.PNN,
     cap: int = DEFAULT_CAP,
-    pnn: Optional[DepGraph] = None,
+    pnn: Optional[list[int]] = None,
 ) -> SplitReport:
     """``check_split`` on ``compiled``, the ``_compile`` of F & G, whose
-    pnn graph is ``pnn`` if it has been built.  The sweep runs here, not
-    when a list is read."""
+    pnn graph is ``pnn`` if it has been built, as ``_graph``'s masks in
+    the layout of its atoms.  The sweep runs here, not when a list is
+    read."""
     ops, universe = compiled
     ps = frozenset(p)
     qs = universe - ps if q is None else frozenset(q)
@@ -137,8 +144,8 @@ def _split(
     if pnn is not None:
         # The pass's own pnn graph: both are read from ``ops``.
         c.pnn = pnn
-    graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind)
-    offenders = split_conditions(ops, ps, qs, graph)
+    graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind, c.names)
+    offenders = split_conditions(ops, c.names, ps, qs, graph)
     stable, _, part_f, part_g = _sweep(c)
     shown = c.narrowed(stable | part_f | part_g)
     return SplitReport(

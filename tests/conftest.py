@@ -37,6 +37,7 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.cli import main
+from stablemodels.depgraph import _mask
 from stablemodels.formula import _compile
 from stablemodels.oracle import satisfies_all
 from stablemodels.semantics import _by_loops, _classical_pass, _per_model
@@ -121,6 +122,39 @@ def strongly_connected_subsets_scan(g):
     return [ys for ys in subsets if len(ys) == 1 or strongly_connected(ys)]
 
 
+def _reached(g):
+    """Each vertex of ``g`` with the vertices it reaches by zero or more
+    edges."""
+    reached = {}
+    for v in g.vertices:
+        seen, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for (a, b) in g.edges:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        reached[v] = seen
+    return reached
+
+
+def sccs_scan(g):
+    """The strongly connected components of ``g`` by definition: the
+    classes of mutual reachability, ordered lexicographically."""
+    reached = _reached(g)
+    components = {
+        frozenset(w for w in reached[v] if v in reached[w]) for v in g.vertices
+    }
+    return sorted(components, key=lambda c: tuple(sorted(c)))
+
+
+def cyclic_scan(g):
+    """Whether ``g`` has a directed cycle, by definition: some edge (a, b)
+    whose b reaches a."""
+    reached = _reached(g)
+    return any(a in reached[b] for (a, b) in g.edges)
+
+
 def loop_oracle_scan(f, kind):
     """The interpretations a loop oracle accepts, by definition: those of
     ``f``'s atoms where ``satisfies`` holds for ``f`` and for
@@ -139,13 +173,20 @@ def loop_oracle_scan(f, kind):
     ]
 
 
+def masks(sets, names):
+    """Each of ``sets`` as its mask in the layout ``names``, as the loop
+    path of the sweep takes loops."""
+    return [_mask(ys, names) for ys in sets]
+
+
 def sweep_paths(t, kind=GraphKind.PNN):
     """The classical, stable and pointwise stable lists of each path of
     ``analyze``'s sweep, called directly whatever path it would choose:
     one here-and-there pass per classical model, and one pass per loop
-    of ``kind``'s graph (pnn is the production path)."""
+    of ``kind``'s graph (pnn is the production path), the loops given
+    as masks in the pass's layout."""
     c = _classical_pass(*_compile(t))
-    loops = strongly_connected_subsets(graph_of(t, kind))
+    loops = masks(strongly_connected_subsets(graph_of(t, kind)), c.names)
     return {
         path: (c.models, *map(c.select, tables))
         for path, tables in (
@@ -159,11 +200,11 @@ def split_sweep_paths(f, g, ps, qs, kind=GraphKind.PNN):
     """``check_split``'s report on each path of its one sweep, forced as
     ``sweep_paths`` forces them: the path choice is replaced by one that
     takes the per-model path, or the loop path over every loop of the
-    pnn graph of F & G."""
-    pnn = graph_of((And(f, g),), GraphKind.PNN)
+    pnn graph of F & G, as masks in the pass's layout."""
+    loops = strongly_connected_subsets(graph_of((And(f, g),), GraphKind.PNN))
     choices = {
         "per-model": lambda c: None,
-        "loop-indexed": lambda c: strongly_connected_subsets(pnn),
+        "loop-indexed": lambda c: masks(loops, c.names),
     }
     reports = {}
     for path, choice in choices.items():
@@ -240,8 +281,8 @@ def nested():
 
 @pytest.fixture
 def graph_builds(monkeypatch):
-    """The calls of ``depgraph._graph``, as (ops, kind): every graph that
-    ``loops`` and the loop oracles use is built from a compile's ops."""
+    """The calls of ``depgraph._graph``, as (ops, kind, names): every graph
+    that ``loops`` and the loop oracles use is built from a compile's ops."""
     return count_calls(monkeypatch, depgraph, "_graph")
 
 

@@ -393,7 +393,7 @@ class TestLoops:
         assert code == 0
         assert len(out.splitlines()) == 4  # three loops and the verdict
         assert "rejected by pnn-loop oracle" in out
-        assert [kind for _, kind in graph_builds] == [GraphKind.PNN]
+        assert [kind for _, kind, _ in graph_builds] == [GraphKind.PNN]
 
     def test_interpretation_compiles_once(self, capsys, monkeypatch, compiles):
         code, _, _ = run(

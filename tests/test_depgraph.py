@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import stablemodels.depgraph as depgraph
@@ -16,7 +18,7 @@ from stablemodels import (
     subgraph_of,
     to_dot,
 )
-from conftest import dependency_graph_scan, mset
+from conftest import dependency_graph_scan, mset, run_cli
 
 
 class TestConstruction:
@@ -161,14 +163,35 @@ class TestSearchWork:
         assert 0 < len(passes) <= 2 * 16 * loops
 
     def test_complete_digraph_gives_every_subset(self):
-        names = [f"v{i:02d}" for i in range(12)]
+        # The top of the cap: one 16-vertex component, every vertex set a
+        # loop.
+        names = [f"v{i:02d}" for i in range(16)]
         g = DepGraph(
             frozenset(names),
             frozenset((a, b) for a in names for b in names if a != b),
         )
         expected = list(interpretations_of(names))[1:]
-        assert len(expected) == 4095
+        assert len(expected) == 65535
         assert strongly_connected_subsets(g) == expected
+
+    def test_long_acyclic_chain_takes_linear_time(self):
+        # (x1 -> x0) & ... & (x3000 -> x2999): 3001 singleton components
+        # on a path, so one reachability pass per vertex would walk the
+        # chain 3001 times.  ``loops`` is left out: it would print 347 MB.
+        text = " & ".join(f"(x{k + 1} -> x{k})" for k in range(3000))
+        start = time.perf_counter()
+        code, out = run_cli(["tight"], text)
+        assert code == 0
+        assert out.startswith("graph pnn: acyclic\n")
+        code, out = run_cli(["graph", "--format", "edges"], text)
+        assert code == 0
+        assert len(out.splitlines()) == 3000
+        names = sorted(f"x{k}" for k in range(3001))
+        g = g_pnn((parse_formula(text),))
+        assert strongly_connected_subsets(g) == [mset(v) for v in names]
+        # About 0.2 s on a 2-core x86-64 VM; one reachability pass per
+        # vertex took about 13 s there.
+        assert time.perf_counter() - start < 1.5
 
 
 class TestSubgraph:

@@ -81,7 +81,7 @@ class TestRunFuzz:
         assert run_fuzz("splitting", seed=1, count=100).ok
         assert len(splits) == 100
         assert len(compiles) == len(graph_builds) == 208
-        assert {kind for _, kind in graph_builds} == {GraphKind.PNN}
+        assert {kind for _, kind, _ in graph_builds} == {GraphKind.PNN}
 
     @pytest.mark.parametrize(
         ("prop", "count"), [("theorem1", 250), ("theorem2", 118)]

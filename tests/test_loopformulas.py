@@ -5,7 +5,6 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -31,10 +30,12 @@ from stablemodels import (
     stable_via_loops,
     strongly_connected_subsets,
 )
-from stablemodels.cli import main
+from stablemodels.cli import _WRITE_SLICE, main
+from stablemodels.depgraph import _layout, _mask
 from stablemodels.formula import neg
-from stablemodels.loopformulas import NesPrinter, loop_formulas, nes_text
-from conftest import mset, run_cli
+from stablemodels.loopformulas import NesPrinter, nes_text
+from stablemodels.semantics import format_interpretation
+from conftest import masks, mset, run_cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -245,7 +246,7 @@ def test_single_point_oracles_build_no_graph_for_a_non_model(graph_builds):
     assert not stable_via_loops(mset("p"), f)
     assert graph_builds == []
     assert not stable_via_loops(mset("p", "q"), f, GraphKind.SP)
-    assert [kind for _, kind in graph_builds] == [GraphKind.SP]
+    assert [kind for _, kind, _ in graph_builds] == [GraphKind.SP]
 
 
 def _rule_chain(n):
@@ -275,10 +276,11 @@ def test_loop_formulas_print_a_long_conjunction_of_rules():
     # occurrences.
     f = _rule_chain(3000)
     loops = strongly_connected_subsets(graph_of((f,), GraphKind.PNN))
-    lines = list(islice(loop_formulas(f, loops), 3))
-    assert [ys for ys, _ in lines] == [mset("a0"), mset("a1"), mset("a10")]
-    for ys, pieces in lines:
-        assert "".join(pieces) == print_formula(loop_formula(f, ys))
+    assert loops[:3] == [mset("a0"), mset("a1"), mset("a10")]
+    printer = NesPrinter(f)
+    for [a], mask in zip(loops[:3], masks(loops[:3], printer.names)):
+        line = f"{a} -> {printer.support(mask)}"
+        assert line == print_formula(loop_formula(f, {a}))
 
 
 def _traced(call):
@@ -302,7 +304,8 @@ def _traced(call):
 def _printing_peak(f, ys):
     """The support of ``ys`` in ``f`` and the ``tracemalloc`` peak of
     building the printer and printing it."""
-    return _traced(lambda: NesPrinter(f).support(ys))
+    mask = _mask(ys, _layout(atoms(f)))
+    return _traced(lambda: NesPrinter(f).support(mask))
 
 
 def _support_peak(n):
@@ -384,7 +387,8 @@ def test_deep_left_nesting_prints():
     f = f.antecedent
     for _ in range(2500):
         f = f.antecedent
-    assert NesPrinter(f).support(mset("a0")) == print_formula(
+    printer = NesPrinter(f)
+    assert printer.support(_mask({"a0"}, printer.names)) == print_formula(
         neg(nes(f, mset("a0")))
     )
 
@@ -427,10 +431,11 @@ def test_a_printer_prints_any_sequence_of_sets(text):
     for ys in order:
         built = nes(f, ys)
         fresh = NesPrinter(f)
-        assert printer.support(ys) == fresh.support(ys)
-        assert printer.support(ys) == print_formula(neg(built))
-        assert printer.text(ys) == fresh.text(ys)
-        assert printer.text(ys) == print_formula(built)
+        mask = _mask(ys, printer.names)
+        assert printer.support(mask) == fresh.support(mask)
+        assert printer.support(mask) == print_formula(neg(built))
+        assert printer.text(mask) == fresh.text(mask)
+        assert printer.text(mask) == print_formula(built)
 
 
 @pytest.mark.parametrize(
@@ -447,4 +452,82 @@ def test_nes_text_on_the_benchmark_formulas(request_):
     for ys in loops:
         built = nes(f, ys)
         assert nes_text(f, ys) == print_formula(built)
-        assert printer.support(ys) == print_formula(neg(built))
+        support = printer.support(_mask(ys, printer.names))
+        assert support == print_formula(neg(built))
+
+
+class _WriteCounter(io.StringIO):
+    """A stdout that keeps what is written to it and the length of each
+    write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+def _loops_writes(argv, text):
+    """The stdout of ``argv`` on ``text`` and the length of each write."""
+    sink = _WriteCounter()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    assert code == 0
+    return sink.getvalue(), sink.lengths
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [r for r in _loop_printing_requests() if r.kind.startswith("scc")],
+    ids=lambda r: r.kind,
+)
+def test_loops_writes_each_corpus_line_once(request_):
+    # A line of a few hundred characters is one write, not one per atom
+    # and support; the verdict line under -i is a print, two writes.
+    out, lengths = _loops_writes(request_.argv, request_.stdin)
+    lines = out.splitlines(keepends=True)
+    if "-i" in request_.argv:
+        lengths, verdict = lengths[:-2], lines.pop()
+        assert verdict.startswith("interpretation ")
+    assert len(lines) > 1
+    assert lengths == list(map(len, lines))
+
+
+def _padded(n):
+    # The line of {a} prints p's name once, so it grows by one character
+    # per character of the name; those of {p...} and {a, b} print it
+    # twice.
+    return f"(a -> b) & (b -> a) & p{'x' * n}"
+
+
+def _oracle_lines(text):
+    f = parse_formula(text)
+    loops = strongly_connected_subsets(graph_of((f,), GraphKind.PNN))
+    formulas = [print_formula(loop_formula(f, ys)) for ys in loops]
+    return [
+        f"loop {format_interpretation(ys)}: {text}\n"
+        for ys, text in zip(loops, formulas)
+    ]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_loops_lines_around_the_write_slice(offset):
+    # The line of {a} is just under, at or just over one write slice; the
+    # lines of {p...} and {a, b} are longer and are written in slices.
+    n = _WRITE_SLICE + offset - len(_oracle_lines(_padded(0))[0])
+    text = _padded(n)
+    expected = _oracle_lines(text)
+    assert len(expected[0]) == _WRITE_SLICE + offset
+    assert expected[-1].startswith("loop {a b}: (a -> not ")
+    assert len(expected[-1]) > _WRITE_SLICE
+    out, lengths = _loops_writes(["loops"], text)
+    assert out == "".join(expected)
+    assert max(lengths) <= _WRITE_SLICE
+    # The first line is one write exactly when it is shorter than a slice.
+    assert (lengths[0] == len(expected[0])) == (offset < 0)

@@ -26,6 +26,7 @@ from stablemodels import (
     g_pnn,
     g_sp,
     graph_of,
+    has_cycle,
     interpretations_of,
     is_stable,
     loop_formula,
@@ -61,10 +62,13 @@ from stablemodels.semantics import (
     format_points,
 )
 from conftest import (
+    cyclic_scan,
     dependency_graph_scan,
     loop_oracle_scan,
+    masks,
     oracle_mismatches,
     run_cli,
+    sccs_scan,
     split_sweep_paths,
     strongly_connected_subsets_scan,
 )
@@ -264,18 +268,18 @@ def test_graphs_of_a_shared_head_match_rule_scan(t):
     assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
 
 
-@given(theories)
+@given(st.one_of(theories, negating_theories))
 def test_sp_graph_is_subgraph_of_pnn(t):
     assert subgraph_of(g_sp(t), g_pnn(t))
 
 
-@given(theories)
+@given(st.one_of(theories, negating_theories))
 def test_graph_vertices_are_theory_atoms(t):
     assert g_sp(t).vertices == theory_atoms(t)
     assert g_pnn(t).vertices == theory_atoms(t)
 
 
-@given(theories)
+@given(st.one_of(theories, negating_theories))
 def test_duplicate_members_leave_graphs_unchanged(t):
     assert g_sp(t + t) == g_sp(t)
     assert g_pnn(t + t) == g_pnn(t)
@@ -370,8 +374,9 @@ def test_loops_match_subset_scan(g):
 def test_budgeted_loops_give_all_loops_or_none(g, data):
     loops = strongly_connected_subsets(g)
     limit = data.draw(st.integers(0, len(loops) + 2))
-    budgeted = depgraph._loops(*depgraph._components(g), limit)
-    assert budgeted == (loops if len(loops) <= limit else None)
+    names, succ = depgraph._encoded(g)
+    budgeted = depgraph._loops(succ, depgraph._components(succ), limit)
+    assert budgeted == (masks(loops, names) if len(loops) <= limit else None)
 
 
 @st.composite
@@ -410,6 +415,40 @@ def test_loops_match_subset_scan_on_shaped_graphs(g):
     assert strongly_connected_subsets(g) == strongly_connected_subsets_scan(g)
 
 
+@settings(deadline=None)
+@given(st.one_of(graphs(), shaped_graphs()))
+def test_mask_loops_are_the_subset_scan_in_layout_order(g):
+    # In the classical pass's layout, ``interpretations_of`` order is by
+    # size, then descending int; the decoded masks are the scan's loops.
+    names, succ = depgraph._encoded(g)
+    loops = depgraph._all_loops(succ)
+    assert loops == sorted(sorted(loops, reverse=True), key=int.bit_count)
+    decoded = [frozenset(depgraph._named(ys, names)) for ys in loops]
+    assert decoded == strongly_connected_subsets_scan(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(graphs(), shaped_graphs()))
+def test_mask_components_match_reachability_scan(g):
+    names, succ = depgraph._encoded(g)
+    components = depgraph._components(succ)
+    decoded = [frozenset(depgraph._named(c, names)) for c in components]
+    assert decoded == sccs(g) == sccs_scan(g)
+    assert has_cycle(g) == cyclic_scan(g)
+
+
+@settings(deadline=None)
+@given(splits(), st.sampled_from(GraphKind))
+def test_split_names_the_first_straddling_component(split, kind):
+    # Condition (iii) names the first component, in lexicographic order,
+    # that meets both P and Q.
+    f, g, ps, qs = split
+    graph = dependency_graph_scan((And(f, g),), kind)
+    straddling = [c for c in sccs_scan(graph) if not (c <= ps or c <= qs)]
+    report = check_split(f, g, ps, qs, kind)
+    assert report.cond_iii_offender == (straddling[0] if straddling else None)
+
+
 def _loops_output(f, kind, interp):
     argv = ["loops", "--graph", kind.value, "-i", ",".join(interp)]
     code, out = run_cli(argv, print_formula(f))
@@ -425,7 +464,10 @@ def _draw_interpretation(f, data):
 
 
 @settings(deadline=None)
-@given(formulas, st.sampled_from(GraphKind), st.data())
+@given(
+    st.one_of(formulas, negating_formulas), st.sampled_from(GraphKind),
+    st.data(),
+)
 def test_loops_oracle_line_matches_loop_oracle_scan(f, kind, data):
     # Against the definitional oracle: ``stable_via_loops`` now runs the
     # CLI's own code, so comparing with it would test nothing.
@@ -512,7 +554,8 @@ def test_nes_text_matches_printed_nes(text):
     printer = loopformulas.NesPrinter(f)
     for ys in interpretations_of(atoms(f)):
         built = nes(f, ys)
-        assert printer.support(ys) == print_formula(neg(built))
+        support = printer.support(depgraph._mask(ys, printer.names))
+        assert support == print_formula(neg(built))
         argv = ["nes", f"--atoms={','.join(sorted(ys))}"]
         assert run_cli(argv, text) == (0, print_formula(built) + "\n")
 

@@ -41,7 +41,7 @@ from stablemodels.semantics import (
     _loops_that_pay,
     _per_model,
 )
-from conftest import P3_TEXT, count_calls, mset, sweep_paths
+from conftest import P3_TEXT, count_calls, masks, mset, sweep_paths
 
 TAUT = Implies(BOT, BOT)
 
@@ -333,7 +333,7 @@ class TestSweepPaths:
         c = _classical_pass(*_compile(t))
         assert len(c.models) == 4098
         loops = _loops_that_pay(c)
-        assert loops == strongly_connected_subsets(g_pnn(t))
+        assert loops == masks(strongly_connected_subsets(g_pnn(t)), c.names)
         assert len(loops) == 14
         assert _by_loops(c, loops) == _per_model(c)
 
@@ -351,16 +351,17 @@ class TestSweepPaths:
         assert mset("a", "b") in loops
         tables = _per_model(c)
         assert mset("a", "b") not in c.select(tables[1])
-        for order in itertools.permutations(loops):
+        for order in itertools.permutations(masks(loops, c.names)):
             assert _by_loops(c, list(order)) == tables
 
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
-        loops = _loops_that_pay(_classical_pass(*_compile(t)))
-        assert loops == [mset(f"a{i}") for i in range(8)]
+        c = _classical_pass(*_compile(t))
+        loops = _loops_that_pay(c)
+        assert loops == masks([mset(f"a{i}") for i in range(8)], c.names)
 
     def test_small_theory_skips_the_graph(self, p2, monkeypatch):
-        def no_graph(ops, kind):
+        def no_graph(ops, kind, names):
             raise AssertionError("graph built")
 
         monkeypatch.setattr(semantics, "_graph", no_graph)

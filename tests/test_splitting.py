@@ -228,4 +228,4 @@ class TestSplitWork:
     def test_graphs_built(self, monkeypatch, f, g, p, kind, graphs):
         builds = count_calls(monkeypatch, depgraph, "_graph")
         run_cli(["split", f, g, "--p", p, "--graph", kind])
-        assert [graph_kind for _, graph_kind in builds] == graphs
+        assert [graph_kind for _, graph_kind, _ in builds] == graphs
