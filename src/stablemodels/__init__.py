@@ -54,6 +54,7 @@ from .oracle import (
     choice_augment,
     classify_occurrences,
     format_models,
+    interpretations_of,
     is_pointwise_stable,
     is_stable,
     is_supported,
@@ -75,7 +76,6 @@ from .semantics import (
     analyze,
     classical_models,
     completion,
-    interpretations_of,
     pointwise_stable_models,
     stable_models,
     supported_models,

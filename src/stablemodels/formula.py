@@ -10,6 +10,7 @@ live in ``oracle``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -68,23 +69,13 @@ def neg(f: Formula) -> Formula:
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left-associated conjunction; empty input yields the tautology."""
     parts = list(parts)
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return functools.reduce(And, parts) if parts else TOP
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Left-associated disjunction; empty input yields bottom."""
     parts = list(parts)
-    if not parts:
-        return BOT
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return functools.reduce(Or, parts) if parts else BOT
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
@@ -143,39 +134,37 @@ def _compile(t: Iterable[Formula]) -> tuple[Ops, set[Atom]]:
     ``x`` is an atom's name, or a connective's left operand's op, and ``y``
     its right operand's op; the last op is the whole theory.  A node object
     that recurs, as ``not NES`` does in a loop formula and the operands of
-    ``<->`` do, gets one op: the walk visits each distinct node once.
+    ``<->`` do, gets one op: the walk visits each distinct node once.  It
+    keeps one stack: a connective met for the first time is pushed back,
+    then a None, then its operands, right under left; when the None pops,
+    both operands have their ops, and the connective below it gets its own.
     """
     ops: Ops = []
-    # Finished ops whose parents are not, and the binary nodes begun, each
-    # with the height of ``done`` at which both its operands are finished.
-    done: list[int] = []
-    pending: list[tuple[Formula, int]] = []
-    # Op by node id; no id is reused, as ``pending`` holds the root.
+    # Op by node id; no id is reused, as the stack holds the root to the end.
     compiled: dict[int, int] = {}
-    stack = [conj(t)]
+    stack: list = [conj(t)]
     while stack:
         g = stack.pop()
-        op = compiled.get(id(g))
-        if op is None:
-            kind = type(g)
-            if kind is AtomRef:
-                ops.append((_ATOM, g.name, 0))
-            elif kind is Bottom:
-                ops.append((_BOT, 0, 0))
+        if g is None:
+            g = stack.pop()
+            if type(g) is Implies:
+                x, y = g.antecedent, g.consequent
             else:
-                pending.append((g, len(done) + 2))
-                if kind is Implies:
-                    stack += (g.consequent, g.antecedent)
-                else:
-                    stack += (g.right, g.left)
-                continue
-            op = compiled[id(g)] = len(ops) - 1
-        done.append(op)
-        while pending and pending[-1][1] == len(done):
-            g = pending.pop()[0]
-            y = done.pop()
-            ops.append((_CODES[type(g)], done[-1], y))
-            done[-1] = compiled[id(g)] = len(ops) - 1
+                x, y = g.left, g.right
+            ops.append((_CODES[type(g)], compiled[id(x)], compiled[id(y)]))
+        elif id(g) in compiled:
+            continue
+        elif type(g) is AtomRef:
+            ops.append((_ATOM, g.name, 0))
+        elif type(g) is Bottom:
+            ops.append((_BOT, 0, 0))
+        elif type(g) is Implies:
+            stack += (g, None, g.consequent, g.antecedent)
+            continue
+        else:
+            stack += (g, None, g.right, g.left)
+            continue
+        compiled[id(g)] = len(ops) - 1
     return ops, {x for code, x, _ in ops if code == _ATOM}
 
 

@@ -34,7 +34,7 @@ from .formula import (
     print_formula,
     print_theory,
 )
-from .oracle import loop_oracle_models, reduct, satisfies, spos
+from .oracle import interpretations_of, loop_oracle_models, reduct, satisfies, spos
 from .semantics import (
     _analysis,
     _classical_pass,
@@ -43,7 +43,6 @@ from .semantics import (
     classical_models,
     format_interpretation,
     format_points,
-    interpretations_of,
     stable_models,
 )
 from .splitting import _split, split_conditions

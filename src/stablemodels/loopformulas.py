@@ -13,9 +13,13 @@ pass's layout of f's atoms (see ``depgraph``), is a copy of the base
 patched at the positions of Y's atoms.  Loops stay masks from the loop
 search to the output: the ``loops`` command prints each loop's support
 once, from its mask, and writes the loop formula around it;
-``nes_text`` is the ``nes`` command's text.  ``_loops`` is the oracles'
-one source of loops: the loops of a graph built from a compile's ops,
-or every nonempty atom subset, as masks.
+``nes_text`` is the ``nes`` command's text; it checks Y against the
+atoms the printer's walk found, so f is walked twice, once to print it
+and once for the template.  ``_loops`` is the loop oracles' one source
+of loops: the loops of a graph built from a compile's ops, or every
+nonempty atom subset, as masks read off ``semantics._layers``, the
+classical pass's tables of the points of each size, with no set of
+names built.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability, next to ``oracle.loop_oracle_models``,
@@ -57,15 +61,16 @@ from .formula import (
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
-    interpretations_of,
+    _layers,
+    _set_bits,
     loop_lemma_at,
 )
 
 
-def check_atoms(y: Iterable[Atom], universe: set[Atom]) -> frozenset[Atom]:
+def check_atoms(y: Iterable[Atom], universe: Iterable[Atom]) -> frozenset[Atom]:
     """``y`` as a frozenset; raises if it has an atom outside ``universe``."""
     ys = frozenset(y)
-    extra = ys - universe
+    extra = ys.difference(universe)
     if extra:
         raise AtomsOutsideFormulaError(extra)
     return ys
@@ -201,9 +206,10 @@ class NesPrinter:
 
 
 def nes_text(f: Formula, y: Iterable[Atom]) -> str:
-    """``print_formula(nes(f, y))``, printed by ``NesPrinter``."""
-    ys = check_atoms(y, _compile((f,))[1])
+    """``print_formula(nes(f, y))``, printed by ``NesPrinter``, whose walk
+    also gives f's atoms to check ``y`` against."""
     printer = NesPrinter(f)
+    ys = check_atoms(y, printer.names)
     return printer.text(_mask(ys, printer.names))
 
 
@@ -212,12 +218,14 @@ def _loops(
 ) -> Iterator[int]:
     """The loops of ``kind``'s graph of ``_compile``'s ``ops``, or every
     nonempty subset of their atoms if None, as masks in the layout
-    ``names`` of the atoms; nothing is built before the first ``next``."""
+    ``names`` of the atoms; nothing is built before the first ``next``.
+
+    The subsets are the points of the tables ``semantics._layers`` gives
+    for sizes 1 to n, each size's masks listed at once in descending
+    order, which in this layout is ``interpretations_of`` order."""
     if kind is None:
-        subsets = interpretations_of(names)
-        next(subsets)  # the empty set, which has no loop formula
-        for ys in subsets:
-            yield _mask(ys, names)
+        for layer in _layers(len(names))[1:]:
+            yield from _set_bits(layer, len(names))
     else:
         yield from _all_loops(_graph(ops, kind, names))
 

@@ -19,7 +19,11 @@ Every result of the workbench is checked against these:
 - ``choice_augment``: a split's parts as formulas, against which
   ``check_split``'s one sweep is tested;
 - ``format_models``: a model list as text, against which
-  ``semantics.format_points`` is tested.
+  ``semantics.format_points`` is tested;
+- ``interpretations_of``: every subset of a set of atoms, by size, then
+  lexicographically, the order in which every model list is given; the
+  predicates above and the all-subsets family of ``loop_oracle_models``
+  range over it, and ``loopformulas._loops`` is tested against it.
 
 This module may import from any module of the package.  No production
 module imports it or calls its names: only ``fuzz``, whose properties
@@ -30,8 +34,9 @@ definitions below and checks that.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .depgraph import GraphKind, _layout, _named
 from .errors import check_cap
@@ -56,8 +61,15 @@ from .semantics import (
     _rules_by_head,
     classical_models,
     format_interpretation,
-    interpretations_of,
 )
+
+
+def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
+    """All subsets of ``universe``, by cardinality then lexicographically."""
+    ordered = sorted(universe)
+    for k in range(len(ordered) + 1):
+        for combo in itertools.combinations(ordered, k):
+            yield frozenset(combo)
 
 
 def satisfies(i: Interpretation, f: Formula) -> bool:
@@ -285,8 +297,12 @@ def loop_oracle_models(
     ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
     ops, universe = _compile((f,))
     check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    names = _layout(universe)
-    loops = (frozenset(_named(ys, names)) for ys in _loops(ops, names, kind))
+    if kind is None:
+        # The empty set has no loop formula.
+        loops = itertools.islice(interpretations_of(universe), 1, None)
+    else:
+        names = _layout(universe)
+        loops = (frozenset(_named(ys, names)) for ys in _loops(ops, names, kind))
     lfs = (_loop_formula(f, ys) for ys in loops)
     return classical_models((f, *lfs), universe)
 

@@ -32,8 +32,8 @@ read in ``analyze`` from the sweep's classical pass.  Every enumerator
 is guarded by a hard cap (default 20 atoms), checked once the one walk
 of ``formula._compile`` has found the theory's atoms, before any table.
 Each class is a table over the 2**n points, read at the set bits of the
-classical table, which one scan lists in ``interpretations_of`` order:
-by cardinality, then lexicographically.
+classical table, which one scan lists in ``oracle.interpretations_of``
+order: by cardinality, then lexicographically.
 
 The sweep decides a list of parts, each an op with a set of kept
 atoms.  At <H, T> a choice ``A | not A`` holds exactly when A is in H
@@ -61,12 +61,14 @@ The definitions these enumerators are tested against, the reduct and
 the predicates ``is_stable``, ``is_pointwise_stable`` and
 ``is_supported``, live in ``oracle``; no production module imports it.
 
-This module owns the one subset enumerator, ``interpretations_of``, and
-the one evaluation core, from which ``loopformulas`` reads every loop
-oracle (``classical_models`` and ``loop_lemma_at``).  ``loop_lemma_at``
-applies the lemma behind the loop path at one classical model I instead
-of at every point: one pass over the ops decides a batch of loops, with
-bit j of every table standing for loop j.
+This module owns the one evaluation core, from which ``loopformulas``
+reads every loop oracle (``classical_models`` and ``loop_lemma_at``),
+and the tables of the points of each size (``_layers``), whose set bits
+are every atom subset as a mask.  No production module enumerates sets
+of atoms: ``oracle.interpretations_of`` is the test oracle's.
+``loop_lemma_at`` applies the lemma behind the loop path at one
+classical model I instead of at every point: one pass over the ops
+decides a batch of loops, with bit j of every table standing for loop j.
 
 It also renders model lists, from points rather than interpretations.
 A ``ModelReport`` holds a theory's classical pass and the points of its
@@ -122,14 +124,6 @@ from .formula import (
 Interpretation = frozenset[str]
 
 DEFAULT_CAP = 20
-
-
-def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
-    """All subsets of ``universe``, by cardinality then lexicographically."""
-    ordered = sorted(universe)
-    for k in range(len(ordered) + 1):
-        for combo in itertools.combinations(ordered, k):
-            yield frozenset(combo)
 
 
 def format_interpretation(i: Interpretation) -> str:

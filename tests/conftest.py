@@ -10,9 +10,13 @@ import stablemodels.depgraph as depgraph
 import stablemodels.formula as formula
 import stablemodels.semantics as semantics
 from stablemodels import (
+    TOP,
     And,
+    AtomRef,
+    Bottom,
     DepGraph,
     GraphKind,
+    Implies,
     analyze,
     atoms,
     check_split,
@@ -38,7 +42,7 @@ from stablemodels import (
 )
 from stablemodels.cli import main
 from stablemodels.depgraph import _mask
-from stablemodels.formula import _compile
+from stablemodels.formula import _AND, _ATOM, _BOT, _IMPLIES, _OR, _compile
 from stablemodels.oracle import satisfies_all
 from stablemodels.semantics import _by_loops, _classical_pass, _per_model
 
@@ -146,6 +150,37 @@ def sccs_scan(g):
         frozenset(w for w in reached[v] if v in reached[w]) for v in g.vertices
     }
     return sorted(components, key=lambda c: tuple(sorted(c)))
+
+
+def compile_scan(t):
+    """``formula._compile(t)`` by definition: a recursive postorder of the
+    left-associated conjunction of ``t`` (``TOP`` if empty) that numbers
+    each distinct node object once, after its operands, the left one
+    first, with a memo by ``id``.  The recursion bounds the depth."""
+    members = list(t)
+    root = members[0] if members else TOP
+    for member in members[1:]:
+        root = And(root, member)
+    ops = []
+    numbered = {}
+
+    def walk(g):
+        if id(g) not in numbered:
+            if isinstance(g, AtomRef):
+                op = (_ATOM, g.name, 0)
+            elif isinstance(g, Bottom):
+                op = (_BOT, 0, 0)
+            elif isinstance(g, Implies):
+                op = (_IMPLIES, walk(g.antecedent), walk(g.consequent))
+            else:
+                code = _AND if isinstance(g, And) else _OR
+                op = (code, walk(g.left), walk(g.right))
+            ops.append(op)
+            numbered[id(g)] = len(ops) - 1
+        return numbered[id(g)]
+
+    walk(root)
+    return ops, {x for code, x, _ in ops if code == _ATOM}
 
 
 def cyclic_scan(g):

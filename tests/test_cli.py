@@ -678,7 +678,9 @@ class TestLoopCapOnModels:
 
 
 class TestNes:
-    def test_prints_canonical_formula(self, capsys, monkeypatch):
+    # The printer's walk gives f's atoms to check the atoms against, so
+    # nothing compiles f.
+    def test_prints_canonical_formula(self, capsys, monkeypatch, compiles):
         code, out, _ = run(
             capsys,
             "nes",
@@ -689,18 +691,20 @@ class TestNes:
         )
         assert code == 0
         assert out.strip() == "bot & q"
+        assert compiles == []
 
-    def test_atoms_outside_formula(self, capsys, monkeypatch):
+    def test_atoms_outside_formula(self, capsys, monkeypatch, compiles):
         code, _, err = run(
             capsys,
             "nes",
             "--atoms",
-            "z",
+            "z,p,y",
             stdin="p & q",
             monkeypatch=monkeypatch,
         )
         assert code == 1
-        assert "z" in err
+        assert err == "error: atoms do not occur in the formula: y z\n"
+        assert compiles == []
 
 
 class TestSplit:

@@ -12,6 +12,7 @@ from stablemodels import (
     atoms,
     classify_occurrences,
     is_nondisjunctive_rule,
+    loop_formula,
     parse_formula,
     parse_theory,
     print_formula,
@@ -20,6 +21,18 @@ from stablemodels import (
     spos,
     theory_atoms,
 )
+from stablemodels.formula import (
+    _AND,
+    _ATOM,
+    _BOT,
+    _IMPLIES,
+    _OR,
+    _compile,
+    conj,
+    disj,
+    neg,
+)
+from conftest import compile_scan
 
 p, q, r, s = AtomRef("p"), AtomRef("q"), AtomRef("r"), AtomRef("s")
 
@@ -214,3 +227,43 @@ class TestNondisjunctive:
     def test_nested_head_is_not(self):
         assert not is_nondisjunctive_rule(parse_formula("p -> q -> r"))
         assert as_rule(parse_formula("p -> q -> r")) is None
+
+
+class TestFolds:
+    def test_empty(self):
+        assert conj([]) is TOP
+        assert disj(iter(())) is BOT
+
+    def test_left_associated(self):
+        assert conj(iter([p, q, r])) == And(And(p, q), r)
+        assert disj([p, q, r]) == Or(Or(p, q), r)
+        assert conj([p]) is p
+
+
+class TestCompile:
+    # The op numbering every module indexes: a postorder over the
+    # conjunction of the members, one op per distinct node object.
+    def test_empty_theory_is_top(self):
+        # bot -> bot, with one Bottom object on both sides.
+        ops = [(_BOT, 0, 0), (_IMPLIES, 0, 0)]
+        assert _compile(()) == compile_scan(()) == (ops, set())
+
+    def test_member_given_twice_gets_one_op(self):
+        x = Or(p, neg(q))
+        ops = [
+            (_ATOM, "p", 0), (_ATOM, "q", 0), (_BOT, 0, 0), (_IMPLIES, 1, 2),
+            (_OR, 0, 3), (_AND, 4, 4),
+        ]
+        assert _compile((x, x)) == compile_scan((x, x)) == (ops, {"p", "q"})
+
+    def test_loop_formula_shares_its_support(self):
+        # (p -> not NES) & (q -> not NES), with NES = (bot -> bot) & (q -> p)
+        # and not NES one object: op 7, compiled once.
+        lf = loop_formula(Implies(q, p), {"p", "q"})
+        ops = [
+            (_ATOM, "p", 0), (_BOT, 0, 0), (_IMPLIES, 1, 1), (_ATOM, "q", 0),
+            (_ATOM, "p", 0), (_IMPLIES, 3, 4), (_AND, 2, 5), (_IMPLIES, 6, 1),
+            (_IMPLIES, 0, 7), (_ATOM, "q", 0), (_IMPLIES, 9, 7),
+            (_AND, 8, 10),
+        ]
+        assert _compile((lf,)) == compile_scan((lf,)) == (ops, {"p", "q"})

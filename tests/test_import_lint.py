@@ -20,7 +20,9 @@ loop-formula lemma at one interpretation, is named by ``loopformulas``
 alone, so one module turns loops into loop verdicts.
 
 Subsets are enumerated in one place: ``itertools.combinations`` is used
-only inside ``semantics.interpretations_of``.  And loop search has one
+only inside ``oracle.interpretations_of``, so no production module
+enumerates sets of atoms; being an oracle name, ``interpretations_of``
+is called by no production module either.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
 other module prices or refuses loop enumeration by component size.  The
 per-path walks ``atoms`` and ``theory_atoms`` are called only in
@@ -69,7 +71,7 @@ ORACLE_NAMES = {
 }
 # The one module, besides ``semantics``, that may name the point lemma.
 POINT_LEMMA = ("loop_lemma_at", "loopformulas")
-SUBSET_ENUMERATOR = ("semantics", "interpretations_of")
+SUBSET_ENUMERATOR = ("oracle", "interpretations_of")
 CAP_OWNER = "depgraph"
 # The modules that may call each per-path walk of ``formula``.
 WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
@@ -333,8 +335,19 @@ def test_lint_flags_combinations_uses():
         "def pairs(u):\n"
         "    return [c for c in combinations(u, 2)]\n"
     )
-    assert combinations_uses(tree, "semantics") == [2, 6]
-    assert combinations_uses(tree, "depgraph") == [2, 4, 6]
+    assert combinations_uses(tree, "oracle") == [2, 6]
+    assert combinations_uses(tree, "semantics") == [2, 4, 6]
+
+
+def test_lint_flags_subset_enumerator_calls():
+    tree = ast.parse(
+        "from .oracle import interpretations_of\n"
+        "import stablemodels as s\n"
+        "def family(names):\n"
+        "    return list(s.interpretations_of(names))[1:]\n"
+    )
+    assert oracle_uses(tree, "loopformulas") == [1, 4]
+    assert oracle_uses(tree, "fuzz") == []
 
 
 @pytest.mark.parametrize(

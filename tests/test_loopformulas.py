@@ -32,8 +32,8 @@ from stablemodels import (
 )
 from stablemodels.cli import _WRITE_SLICE, main
 from stablemodels.depgraph import _layout, _mask
-from stablemodels.formula import neg
-from stablemodels.loopformulas import NesPrinter, nes_text
+from stablemodels.formula import _compile, neg
+from stablemodels.loopformulas import NesPrinter, _loops, nes_text
 from stablemodels.semantics import format_interpretation
 from conftest import masks, mset, run_cli
 
@@ -107,6 +107,15 @@ class TestAllSetsOracle:
         f = parse_formula(text)
         for i in interpretations_of(atoms(f)):
             assert stable_via_all_sets(i, f) == is_stable(i, (f,))
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_family_is_every_nonempty_subset_in_order(self, n):
+        # Over a1 .. an; at n = 10, "a10" sorts before "a2", so the
+        # masks must follow the names' order, not their numbers'.
+        ops, universe = _compile([AtomRef(f"a{k}") for k in range(1, n + 1)])
+        names = _layout(universe)
+        expected = masks(list(interpretations_of(names))[1:], names)
+        assert list(_loops(ops, names, None)) == expected
 
 
     # The five atoms a < b < c < d < e take the 31 nonempty subsets in

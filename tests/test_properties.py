@@ -53,7 +53,7 @@ from stablemodels.cli import (
     build_parser,
     command_parser,
 )
-from stablemodels.formula import neg
+from stablemodels.formula import _compile, neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.oracle import format_models
 from stablemodels.semantics import (
@@ -62,6 +62,7 @@ from stablemodels.semantics import (
     format_points,
 )
 from conftest import (
+    compile_scan,
     cyclic_scan,
     dependency_graph_scan,
     loop_oracle_scan,
@@ -258,6 +259,13 @@ def test_both_sweep_paths_match_definitional_scans(t):
 def test_graphs_match_rule_scan(t):
     assert g_sp(t) == dependency_graph_scan(t, GraphKind.SP)
     assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
+
+
+@given(st.one_of(theories, negating_theories, iff_theories))
+def test_compile_numbers_ops_as_a_recursive_postorder(t):
+    # ``iff_theories`` share the operands of each "<->"; every theory
+    # shares ``BOT``.
+    assert _compile(t) == compile_scan(t)
 
 
 @given(shared_heads)
