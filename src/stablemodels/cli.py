@@ -5,6 +5,10 @@ comes from a file argument or standard input ("-" also means stdin).
 A command's parser is built once per process, on the command's first
 call, and serves every later call; help, version and usage errors
 outside a command go through the full parser tree, built per call.
+Every command takes its input's op table from the parse
+(``parser.theory_ops``, ``formula_ops`` or ``split_ops``) and compiles
+nothing; a theory's members are built as formulas only for a
+completion.
 
 Exit codes:
   0  success
@@ -27,12 +31,12 @@ from .depgraph import (
     GraphKind,
     _all_loops,
     _cyclic,
+    _dot,
+    _edges,
     _graph,
     _layout,
     _mask,
     _named,
-    graph_of,
-    to_dot,
 )
 from .errors import (
     AtomsOutsideFormulaError,
@@ -41,7 +45,7 @@ from .errors import (
     NotAPartitionError,
     NotNondisjunctiveError,
 )
-from .formula import And, _compile, is_nondisjunctive_theory, print_formula
+from .formula import Ops, Theory, _formulas, _nondisjunctive, print_formula
 from .fuzz import (
     MAX_FUZZ_ATOMS,
     MAX_FUZZ_DEPTH,
@@ -49,7 +53,7 @@ from .fuzz import (
     run_fuzz,
 )
 from .loopformulas import NesPrinter, check_atoms, loop_verdicts, nes_text
-from .parser import parse_formula, parse_theory
+from .parser import formula_ops, split_ops, theory_ops
 from .semantics import (
     DEFAULT_CAP,
     _analysis,
@@ -78,9 +82,17 @@ def _parse_atom_list(text: str) -> frozenset[str]:
     return frozenset(a for a in text.replace(",", " ").split() if a)
 
 
+def _members(ops: Ops, roots: list[int]) -> Theory:
+    """The members whose ops are ``roots``, as formulas."""
+    nodes = _formulas(ops)
+    return tuple(nodes[r] for r in roots)
+
+
 def cmd_models(args) -> int:
-    theory = parse_theory(_read_input(args.input))
-    a = _analysis(theory, _compile(theory), args.cap)
+    ops, universe, roots = theory_ops(_read_input(args.input))
+    # Only a program has a completion, which is built from its members.
+    program = _members(ops, roots) if _nondisjunctive(ops, roots) else None
+    a = _analysis((ops, universe), args.cap, program)
     if args.json:
         print(a.to_json())
         return EXIT_OK
@@ -102,31 +114,30 @@ def cmd_models(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    theory = parse_theory(_read_input(args.input))
-    graph = graph_of(theory, GraphKind(args.graph))
+    ops, universe, _ = theory_ops(_read_input(args.input))
+    names = _layout(universe)
+    edges = _edges(_graph(ops, GraphKind(args.graph), names), names)
     if args.format == "dot":
-        sys.stdout.write(to_dot(graph, label=args.graph))
+        sys.stdout.write(_dot(reversed(names), edges, args.graph))
     else:
-        for (head, body) in graph.sorted_edges():
+        for (head, body) in edges:
             print(head, body)
     return EXIT_OK
 
 
 def cmd_tight(args) -> int:
-    theory = parse_theory(_read_input(args.input))
+    ops, universe, roots = theory_ops(_read_input(args.input))
     kind = GraphKind(args.graph)
-    compiled = _compile(theory)
-    ops = compiled[0]
-    names = _layout(compiled[1])
+    names = _layout(universe)
     cyclic = _cyclic(_graph(ops, kind, names))
     print(f"graph {kind.value}: {'cyclic' if cyclic else 'acyclic'}")
-    if is_nondisjunctive_theory(theory) and not (
+    if _nondisjunctive(ops, roots) and not (
         cyclic if kind is GraphKind.SP
         else _cyclic(_graph(ops, GraphKind.SP, names))
     ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
-            a = _analysis(theory, compiled, args.cap)
+            a = _analysis((ops, universe), args.cap, _members(ops, roots))
         except CapExceededError as exc:
             # The check is an extra; the verdict above stands.
             print(f"{claim} (not checked: {exc})")
@@ -174,9 +185,8 @@ def _print_loop(ys: list[str], support: str, end: str) -> None:
 
 
 def cmd_loops(args) -> int:
-    f = parse_formula(_read_input(args.input).strip())
+    ops, universe = formula_ops(_read_input(args.input).strip())
     kind = GraphKind(args.graph)
-    ops, universe = _compile((f,))
     names = _layout(universe)
     interp = args.interpretation
     if interp is not None:
@@ -184,7 +194,7 @@ def cmd_loops(args) -> int:
         interp = check_atoms(_parse_atom_list(interp), universe)
     loops = _all_loops(_graph(ops, kind, names))
     # The printer's layout is ``names``: both are f's atoms, sorted.
-    printer = NesPrinter(f)
+    printer = NesPrinter(ops)
     if interp is None:
         for ys in loops:
             _print_loop(_named(ys, names), printer.support(ys), "\n")
@@ -203,17 +213,16 @@ def cmd_loops(args) -> int:
 
 
 def cmd_nes(args) -> int:
-    f = parse_formula(_read_input(args.input).strip())
-    print(nes_text(f, _parse_atom_list(args.atoms)))
+    ops, _ = formula_ops(_read_input(args.input).strip())
+    print(nes_text(ops, _parse_atom_list(args.atoms)))
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    f = parse_formula(args.f)
-    g = parse_formula(args.g)
+    compiled = split_ops(args.f, args.g)
     ps = _parse_atom_list(args.p)
     kind = GraphKind(args.graph)
-    s = _split(_compile((And(f, g),)), ps, kind=kind, cap=args.cap)
+    s = _split(compiled, ps, kind=kind, cap=args.cap)
     if args.json:
         print(
             answer_json(

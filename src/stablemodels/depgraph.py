@@ -11,14 +11,15 @@ subformulas of each rule, not the enclosing member.
 One layout serves from the ops to the output: the classical pass's,
 in which atom ``names[j]`` of ``names = sorted(atoms, reverse=True)``
 is bit j (``_layout``).  Within one size, ``interpretations_of`` order
-is then descending int.  Both graphs are read from ``formula._compile``'s
-ops in two passes: one gives each op its body atoms as a mask, and one
+is then descending int.  Both graphs are read from an op table, the
+parser's or ``formula._compile``'s, in two passes: one gives each op its body atoms as a mask, and one
 carries down the strictly positive ops the body atoms of the rules
 above them, so a node that ``<->`` shares is visited once, not once per
 path to it.  The graph production reads is ``_graph``'s list of
 successor masks, one int per vertex; its components and its loops stay
-masks, and names are decoded only where text is written or a public
-function returns sets (``g_sp``, ``g_pnn``, ``graph_of``, ``sccs``,
+masks, and names are decoded only where text is written (``_edges``
+and ``_dot`` give the ``graph`` command's text) or a public function
+returns sets (``g_sp``, ``g_pnn``, ``graph_of``, ``sccs``,
 ``strongly_connected_subsets``).  ``oracle.rules_of`` is the definition
 the tests compare the graphs with.
 
@@ -143,14 +144,21 @@ def _graph(ops: Ops, kind: GraphKind, names: list[Atom]) -> list[int]:
     return succ
 
 
+def _edges(succ: list[int], names: list[Atom]) -> list[Edge]:
+    """The edges of the graph ``succ`` over the layout ``names``, sorted:
+    heads from the highest bit down, and each head's successors too."""
+    return [
+        (names[j], b)
+        for j in reversed(range(len(names)))
+        for b in _named(succ[j], names)
+    ]
+
+
 def _graph_of(t: Theory, kind: GraphKind) -> DepGraph:
     """``kind``'s graph of ``t``, decoded from its masks."""
     ops, atoms = _compile(t)
     names = _layout(atoms)
-    succ = _graph(ops, kind, names)
-    edges = (
-        (h, b) for h, mask in zip(names, succ) for b in _named(mask, names)
-    )
+    edges = _edges(_graph(ops, kind, names), names)
     return DepGraph(frozenset(names), frozenset(edges))
 
 
@@ -374,14 +382,19 @@ def _dot_id(atom: Atom) -> str:
     return f'"{atom}"' if atom.lower() in _DOT_KEYWORDS else atom
 
 
-def to_dot(g: DepGraph, label: str = "") -> str:
-    """DOT digraph with sorted vertex and edge statements."""
+def _dot(vertices: Iterable[Atom], edges: Iterable[Edge], label: str) -> str:
+    """The DOT digraph of ``vertices`` and ``edges``, in their order."""
     lines = ["digraph G {"]
     if label:
         lines.append(f'  label="{label}";')
-    for v in sorted(g.vertices):
+    for v in vertices:
         lines.append(f"  {_dot_id(v)};")
-    for (a, b) in g.sorted_edges():
+    for (a, b) in edges:
         lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(g: DepGraph, label: str = "") -> str:
+    """DOT digraph with sorted vertex and edge statements."""
+    return _dot(sorted(g.vertices), g.sorted_edges(), label)

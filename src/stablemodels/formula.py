@@ -1,11 +1,15 @@
-"""Formula AST, its compiled form, and printing.
+"""Formula AST, its op table, and printing from the ops.
 
 Formulas are built from atoms and bottom with the binary connectives
 ``&``, ``|`` and ``->``.  Negation and the biconditional are surface
 sugar only: ``not F`` is stored as ``F -> bot`` and ``F <-> G`` as the
-conjunction of both implications.  Production reads ``_compile``'s ops,
-one per distinct node; the walks that define the occurrence analyses
-live in ``oracle``.
+conjunction of both implications.  Production reads op tables, one op
+per distinct node: the parser emits them as it reads a text, and
+``_compile`` walks a tree into the same table; ``_formulas`` turns a
+table back into nodes.  ``print_tokens`` prints from the ops by index,
+so a text is printed with no tree; ``print_formula`` compiles its tree
+first.  The walks that define the occurrence analyses live in
+``oracle``.
 """
 
 from __future__ import annotations
@@ -124,6 +128,7 @@ def is_nondisjunctive_theory(t: Iterable[Formula]) -> bool:
 
 _ATOM, _BOT, _AND, _OR, _IMPLIES = range(5)
 _CODES = {And: _AND, Or: _OR, Implies: _IMPLIES}
+_NODES = {code: node for node, code in _CODES.items()}
 
 Ops = list[tuple[int, Atom | int, int]]
 
@@ -138,6 +143,8 @@ def _compile(t: Iterable[Formula]) -> tuple[Ops, set[Atom]]:
     keeps one stack: a connective met for the first time is pushed back,
     then a None, then its operands, right under left; when the None pops,
     both operands have their ops, and the connective below it gets its own.
+    The parser emits the same ops as it reads a text, and ``_formulas``
+    turns ops back into nodes.
     """
     ops: Ops = []
     # Op by node id; no id is reused, as the stack holds the root to the end.
@@ -168,35 +175,61 @@ def _compile(t: Iterable[Formula]) -> tuple[Ops, set[Atom]]:
     return ops, {x for code, x, _ in ops if code == _ATOM}
 
 
+def _formulas(ops: Ops) -> list[Formula]:
+    """The node of each op, in one pass: an op that several ops read is
+    one node that their nodes share, so ``_compile`` of a node gives its
+    ops back."""
+    nodes: list[Formula] = []
+    for code, x, y in ops:
+        if code == _ATOM:
+            nodes.append(AtomRef(x))
+        elif code == _BOT:
+            nodes.append(BOT)
+        else:
+            nodes.append(_NODES[code](nodes[x], nodes[y]))
+    return nodes
+
+
+def _nondisjunctive(ops: Ops, roots: Iterable[int]) -> bool:
+    """``is_nondisjunctive_theory`` of the members whose ops are ``roots``:
+    each is an atom, or an implication whose consequent is one."""
+    return all(
+        ops[r][0] == _ATOM
+        or ops[r][0] == _IMPLIES and ops[ops[r][2]][0] == _ATOM
+        for r in roots
+    )
+
+
 # ---------------------------------------------------------------------------
-# Printing.  Precedence levels, tightest first: atoms/bot, unary negation,
-# &, |, ->.  Implies(x, bot) is re-sugared to "not x".
+# Printing, from the ops.  Precedence levels, tightest first: atoms/bot,
+# unary negation, &, |, ->.  An implication into bot is re-sugared to
+# "not x".
 
 _LV_IMPL = 0
 _LV_OR = 1
 _LV_AND = 2
 _LV_NOT = 3
 
-# & and | -> (its level, infix text, minimum levels of its left and
-# right operands): both associate left; -> associates right.
+# The codes of & and | -> (its level, infix text, minimum levels of its
+# left and right operands): both associate left; -> associates right.
 _INFIX = {
-    And: (_LV_AND, " & ", _LV_AND, _LV_AND + 1),
-    Or: (_LV_OR, " | ", _LV_OR, _LV_OR + 1),
+    _AND: (_LV_AND, " & ", _LV_AND, _LV_AND + 1),
+    _OR: (_LV_OR, " | ", _LV_OR, _LV_OR + 1),
 }
 
 
-def print_tokens(f: Formula) -> tuple[list[str], dict[int, slice]]:
-    """The tokens of ``print_formula(f)``, and the span of the tokens of
-    each implication of ``f`` (without enclosing parentheses) by the
-    node's id.  An implication met again, as ``<->`` shares its
-    operands, has its tokens copied rather than walked again."""
+def print_tokens(ops: Ops, root: int) -> tuple[list[str], dict[int, slice]]:
+    """The tokens of the text of op ``root`` of ``ops``, and the span of
+    the tokens of each implication under it (without enclosing
+    parentheses) by its op.  An implication met again, as ``<->`` shares
+    its operands, has its tokens copied rather than walked again."""
     out: list[str] = []
     spans: dict = {}
-    # Items are (node, minimum level) pairs, literal text, and the ids
-    # of implications whose tokens end there, pushed in reverse so that
+    # Items are (op, minimum level) pairs, literal text, and the ops of
+    # implications whose tokens end there, pushed in reverse so that
     # they pop in output order.  An implication's entry in ``spans`` is
     # its first token's index until its tokens end.
-    stack: list = [(f, _LV_IMPL)]
+    stack: list = [(root, _LV_IMPL)]
     while stack:
         item = stack.pop()
         kind = type(item)
@@ -206,43 +239,40 @@ def print_tokens(f: Formula) -> tuple[list[str], dict[int, slice]]:
         if kind is int:
             spans[item] = slice(spans[item], len(out))
             continue
-        g, min_level = item
-        kind = type(g)
-        if kind is AtomRef:
-            out.append(g.name)
-        elif kind is Bottom:
+        op, min_level = item
+        code, x, y = ops[op]
+        if code == _ATOM:
+            out.append(x)
+        elif code == _BOT:
             out.append("bot")
-        elif kind is not Implies:
-            level, text, left_min, right_min = _INFIX[kind]
+        elif code != _IMPLIES:
+            level, text, left_min, right_min = _INFIX[code]
             if level < min_level:
                 out.append("(")
-                stack += (")", (g, _LV_IMPL))
+                stack += (")", (op, _LV_IMPL))
             else:
-                stack += ((g.right, right_min), text, (g.left, left_min))
-        elif min_level != _LV_IMPL and type(g.consequent) is not Bottom:
+                stack += ((y, right_min), text, (x, left_min))
+        elif min_level != _LV_IMPL and ops[y][0] != _BOT:
             # Only "not x" is never parenthesized: no operand asks for
             # a level above _LV_NOT.
             out.append("(")
-            stack += (")", (g, _LV_IMPL))
+            stack += (")", (op, _LV_IMPL))
         else:
-            key = id(g)
-            span = spans.setdefault(key, len(out))
+            span = spans.setdefault(op, len(out))
             if type(span) is slice:
                 out += out[span]
-            elif type(g.consequent) is Bottom:
+            elif ops[y][0] == _BOT:
                 out.append("not ")
-                stack += (key, (g.antecedent, _LV_NOT))
+                stack += (op, (x, _LV_NOT))
             else:
-                stack += (
-                    key, (g.consequent, _LV_IMPL), " -> ",
-                    (g.antecedent, _LV_OR),
-                )
+                stack += (op, (y, _LV_IMPL), " -> ", (x, _LV_OR))
     return out, spans
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text form; reparsing it yields a structurally equal AST."""
-    return "".join(print_tokens(f)[0])
+    ops = _compile((f,))[0]
+    return "".join(print_tokens(ops, len(ops) - 1)[0])
 
 
 def print_theory(t: Iterable[Formula]) -> str:

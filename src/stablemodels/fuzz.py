@@ -126,7 +126,7 @@ def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
     t, compiled = _sample_until(
         rng, lambda r: random_nondisjunctive_theory(r, pool, depth), _sp_acyclic
     )
-    a = _analysis(t, compiled)
+    a = _analysis(compiled, program=t)
     if a._supported != a._stable:
         sup, st = format_points(a._c.names, a._supported, a._stable)
         return (

@@ -3,19 +3,20 @@
 A loop formula is the conjunction, over the atoms A of Y, of
 A -> not NES(f, Y), one support shared by every conjunct.  The formulas
 as objects are built only in ``oracle`` (``nes`` and ``loop_formula``);
-production prints their text with ``NesPrinter``, whose one walk of f
-renders a template of NES(f, Y) for every Y: literal text, with a
-choice of text at each atom occurrence and around the antecedent of
-each rule F -> y, and f's own text cut from one printing of f.  The
-printer keeps the text for the empty set as a base list and each atom's
-positions in it; the text for a set Y, given as a mask in the classical
-pass's layout of f's atoms (see ``depgraph``), is a copy of the base
-patched at the positions of Y's atoms.  Loops stay masks from the loop
-search to the output: the ``loops`` command prints each loop's support
-once, from its mask, and writes the loop formula around it;
-``nes_text`` is the ``nes`` command's text; it checks Y against the
-atoms the printer's walk found, so f is walked twice, once to print it
-and once for the template.  ``_loops`` is the loop oracles' one source
+production prints their text with ``NesPrinter``, whose one walk of
+f's op table, as the parser emits it, renders a template of NES(f, Y)
+for every Y: literal text, with a choice of text at each atom
+occurrence and around the antecedent of each rule F -> y, and f's own
+text cut from one printing of f's ops.  So the ops are walked twice,
+once to print f and once for the template, and no formula object is
+built.  The printer keeps the text for the empty set as a base list and
+each atom's positions in it; the text for a set Y, given as a mask in
+the classical pass's layout of f's atoms (see ``depgraph``), is a copy
+of the base patched at the positions of Y's atoms.  Loops stay masks
+from the loop search to the output: the ``loops`` command prints each
+loop's support once, from its mask, and writes the loop formula around
+it; ``nes_text`` is the ``nes`` command's text; it checks Y against the
+atoms the printer's walk found.  ``_loops`` is the loop oracles' one source
 of loops: the loops of a graph built from a compile's ops, or every
 nonempty atom subset, as masks read off ``semantics._layers``, the
 classical pass's tables of the points of each size, with no set of
@@ -43,18 +44,18 @@ from typing import Iterable, Iterator, Optional
 from .depgraph import GraphKind, _all_loops, _graph, _layout, _mask, _named
 from .errors import AtomsOutsideFormulaError, check_cap
 from .formula import (
+    _AND,
+    _ATOM,
+    _BOT,
+    _IMPLIES,
     _INFIX,
     _LV_AND,
     _LV_NOT,
     _LV_OR,
-    And,
+    _OR,
     Atom,
-    AtomRef,
-    Bottom,
     Formula,
-    Implies,
     Ops,
-    Or,
     _compile,
     print_tokens,
 )
@@ -76,24 +77,25 @@ def check_atoms(y: Iterable[Atom], universe: Iterable[Atom]) -> frozenset[Atom]:
     return ys
 
 
-# The precedence level of NES(g) by the type of g: NES keeps atoms and
+# The precedence level of NES(g) by g's op code: NES keeps atoms and
 # bottom atomic (an atom of Y becomes bottom) and turns every
 # implication into a conjunction, so no level depends on Y.
 _NES_LEVEL = {
-    AtomRef: _LV_NOT, Bottom: _LV_NOT, And: _LV_AND, Or: _LV_OR,
-    Implies: _LV_AND,
+    _ATOM: _LV_NOT, _BOT: _LV_NOT, _AND: _LV_AND, _OR: _LV_OR,
+    _IMPLIES: _LV_AND,
 }
 
 
-def _nes_operand(g: Formula, min_level: int) -> tuple:
-    """The stack items, in reverse, of NES(g) as an operand at
-    ``min_level``."""
-    return (")", g, "(") if _NES_LEVEL[type(g)] < min_level else (g,)
+def _nes_operand(ops: Ops, g: int, min_level: int) -> tuple:
+    """The stack items, in reverse, of NES(g) for op ``g`` of ``ops`` as
+    an operand at ``min_level``."""
+    return (")", g, "(") if _NES_LEVEL[ops[g][0]] < min_level else (g,)
 
 
 class NesPrinter:
-    """The text of NES(f, Y) for any set Y of ``f``'s atoms, as
-    ``print_formula(nes(f, Y))`` prints it, from one walk of f.
+    """The text of NES(f, Y) for any set Y of the atoms of f, the formula
+    of the last op of ``ops``, as ``print_formula(nes(f, Y))`` prints it,
+    from one walk of the ops.
 
     NES(f, Y) differs from NES(f, {}) only where an atom of Y occurs:
     the atom prints ``bot``, and the first conjunct of NES(F -> y) prints
@@ -113,8 +115,9 @@ class NesPrinter:
     per template item.
     """
 
-    def __init__(self, f: Formula):
-        tokens, spans = print_tokens(f)
+    def __init__(self, ops: Ops):
+        root = len(ops) - 1
+        tokens, spans = print_tokens(ops, root)
         template: list = []
         # One object for each distinct literal run and atom choice: the
         # operands that ``<->`` shares repeat both many times.
@@ -123,50 +126,51 @@ class NesPrinter:
         # Each atom's choices, by their index in the base text below.
         positions: dict[Atom, list[int]] = {}
         run: list[str] = []
-        # Items are literal text, choices and the nodes whose NES is
+        # Items are literal text, choices and the ops whose NES is
         # printed there, pushed in reverse so that they pop in order.
-        stack: list = [f]
+        stack: list = [root]
         while stack:
             g = stack.pop()
             kind = type(g)
             if kind is str:
                 run.append(g)
                 continue
-            if kind is AtomRef:
-                g = atom_choices.setdefault(g.name, (g.name, "bot", g.name))
-                kind = tuple
+            if kind is int:
+                code, x, y = ops[g]
+                if code == _ATOM:
+                    g = atom_choices.setdefault(x, (x, "bot", x))
+                    kind = tuple
             if kind is tuple:
                 text = "".join(run)
                 template += (literals.setdefault(text, text), g)
                 positions.setdefault(g[0], []).append(len(template))
                 run.clear()
-            elif kind is Bottom:
+            elif code == _BOT:
                 run.append("bot")
-            elif kind is not Implies:
-                _, infix, left_min, right_min = _INFIX[kind]
+            elif code != _IMPLIES:
+                _, infix, left_min, right_min = _INFIX[code]
                 stack += (
-                    *_nes_operand(g.right, right_min), infix,
-                    *_nes_operand(g.left, left_min),
+                    *_nes_operand(ops, y, right_min), infix,
+                    *_nes_operand(ops, x, left_min),
                 )
             else:
-                left, right = g.antecedent, g.consequent
-                f_text = "".join(tokens[spans[id(g)]])
-                if type(right) is Bottom:
-                    stack += (f_text, " & ", *_nes_operand(left, _LV_NOT))
+                f_text = "".join(tokens[spans[g]])
+                consequent, head = ops[y][:2]
+                if consequent == _BOT:
+                    stack += (f_text, " & ", *_nes_operand(ops, x, _LV_NOT))
                     run.append("not ")
-                elif type(right) is AtomRef:
+                elif consequent == _ATOM:
                     # "(NES(F) -> y) & (", or "not NES(F) & (" for y in Y.
-                    y = right.name
                     open_, close = (
-                        ("not ", " & (") if _NES_LEVEL[type(left)] == _LV_NOT
+                        ("not ", " & (") if _NES_LEVEL[ops[x][0]] == _LV_NOT
                         else ("not (", ") & (")
                     )
                     stack += (
-                        ")", f_text, (y, close, f" -> {y}) & ("), left,
-                        (y, open_, "("),
+                        ")", f_text, (head, close, f" -> {head}) & ("), x,
+                        (head, open_, "("),
                     )
                 else:
-                    stack += (")", f_text, ") & (", right, " -> ", left)
+                    stack += (")", f_text, ") & (", y, " -> ", x)
                     run.append("(")
         text = "".join(run)
         template.append(literals.setdefault(text, text))
@@ -182,7 +186,8 @@ class NesPrinter:
         self.names = _layout(positions)
         self._positions = positions
         self._support = (
-            ("not ", "") if _NES_LEVEL[type(f)] == _LV_NOT else ("not (", ")")
+            ("not ", "") if _NES_LEVEL[ops[root][0]] == _LV_NOT
+            else ("not (", ")")
         )
 
     def _print(self, ys: int, head: str, tail: str) -> str:
@@ -205,10 +210,11 @@ class NesPrinter:
         return self._print(ys, *self._support)
 
 
-def nes_text(f: Formula, y: Iterable[Atom]) -> str:
-    """``print_formula(nes(f, y))``, printed by ``NesPrinter``, whose walk
-    also gives f's atoms to check ``y`` against."""
-    printer = NesPrinter(f)
+def nes_text(ops: Ops, y: Iterable[Atom]) -> str:
+    """``print_formula(nes(f, y))`` for the formula f of the last op of
+    ``ops``, printed by ``NesPrinter``, whose walk also gives f's atoms to
+    check ``y`` against."""
+    printer = NesPrinter(ops)
     ys = check_atoms(y, printer.names)
     return printer.text(_mask(ys, printer.names))
 

@@ -29,8 +29,9 @@ not built; else the loop search gives up as soon as it has found more
 loops than that, and the per-model path runs.  Supported models are the
 classical models where the support halves of ``completion`` hold too,
 read in ``analyze`` from the sweep's classical pass.  Every enumerator
-is guarded by a hard cap (default 20 atoms), checked once the one walk
-of ``formula._compile`` has found the theory's atoms, before any table.
+is guarded by a hard cap (default 20 atoms), checked once the theory's
+op table and atoms are known (from the parse, or from the one walk of
+``formula._compile``), before any table.
 Each class is a table over the 2**n points, read at the set bits of the
 classical table, which one scan lists in ``oracle.interpretations_of``
 order: by cardinality, then lexicographically.
@@ -748,14 +749,18 @@ class ModelReport:
 
 
 def _analysis(
-    t: Theory, compiled: tuple[Ops, set[Atom]], cap: int = DEFAULT_CAP
+    compiled: tuple[Ops, set[Atom]],
+    cap: int = DEFAULT_CAP,
+    program: Optional[Theory] = None,
 ) -> ModelReport:
-    """``analyze(t)``, where ``compiled`` is ``_compile(t)``."""
+    """``analyze(t)``, where ``compiled`` is ``_compile(t)`` and
+    ``program`` is t if every member is a nondisjunctive rule, else None:
+    the supported models and the completion are read from it."""
     c = _classical_pass(*compiled, cap=cap)
     stable, pointwise = _sweep(c)
     supported = comp = None
-    if is_nondisjunctive_theory(t):
-        comp = _completion(t, c.names)
+    if program is not None:
+        comp = _completion(program, c.names)
         supported = c.points(_supported(comp, c))
     return ModelReport(
         frozenset(c.names),
@@ -770,4 +775,5 @@ def _analysis(
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     """All four model classes of ``t`` from one classical pass."""
-    return _analysis(t, _compile(t), cap)
+    program = t if is_nondisjunctive_theory(t) else None
+    return _analysis(_compile(t), cap, program)

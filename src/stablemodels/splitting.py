@@ -18,8 +18,9 @@ whole, the part that keeps no atom.
 A ``SplitReport`` holds the offenders of the conditions, that pass and
 the points of the three lists on it, which the CLI renders and which
 the report builds as interpretations when they are read.  ``_split``,
-behind ``check_split``, takes a compile of F & G and its pnn graph if
-that has been built already.  ``oracle.choice_augment``, which builds
+behind ``check_split``, takes the op table of F & G (a compile, or
+``parser.split_ops`` for the CLI) and its pnn graph if that has been
+built already.  ``oracle.choice_augment``, which builds
 the parts as formulas, is the test oracle for that sweep.
 """
 
@@ -128,7 +129,7 @@ def _split(
     cap: int = DEFAULT_CAP,
     pnn: Optional[list[int]] = None,
 ) -> SplitReport:
-    """``check_split`` on ``compiled``, the ``_compile`` of F & G, whose
+    """``check_split`` on ``compiled``, the ops and atoms of F & G, whose
     pnn graph is ``pnn`` if it has been built, as ``_graph``'s masks in
     the layout of its atoms.  The sweep runs here, not when a list is
     read."""

@@ -328,6 +328,32 @@ class TestModelLists:
         assert stable is classical == "{}, {p}, {q}, {p q}"
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("models",), "p | q. q -> p."),
+        (("models", "--json"), "p | q. q -> p."),
+        (("graph",), P2),
+        (("graph", "--format", "edges"), P2),
+        (("nes", "--atoms", "p"), P3),
+        (("loops",), P3),
+        (("split", "not p -> q", "q & not not p", "--p", "p"), None),
+    ],
+    ids=["models", "models-json", "graph", "graph-edges", "nes", "loops",
+         "split"],
+)
+def test_commands_take_their_ops_from_the_parse(
+    capsys, monkeypatch, compiles, argv, stdin
+):
+    # The parse emits the ops: no command compiles its input.  Only a
+    # program, all of whose members are rules, has a completion whose
+    # support halves are compiled; "p | q" is not a rule.
+    code, out, _ = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code in (0, 3, 4)
+    assert out
+    assert compiles == []
+
+
 class TestTight:
     def test_p2_sp_acyclic_and_verified(
         self, capsys, monkeypatch, classical_passes
@@ -361,15 +387,15 @@ class TestTight:
         assert code == 3
 
     def test_compiles_its_input_once(self, capsys, monkeypatch, compiles):
-        # The input once, for both graphs and the check, then the
-        # completion's support halves.
+        # The parse gives the ops of both graphs and the check, so the
+        # one compile is of the completion's support halves.
         code, out, _ = run(
             capsys, "tight", stdin="p -> q. q -> r.", monkeypatch=monkeypatch
         )
         assert code == 0
         assert "(verified): {}" in out
-        assert len(compiles) == 2
-        assert len(compiles[0][0]) == 2  # the input's two rules
+        assert len(compiles) == 1
+        assert len(compiles[0][0]) == 3  # a support half per atom
 
     def test_over_cap_check_skipped_after_verdict(self, capsys, monkeypatch):
         chain = ". ".join(f"a{i + 1} -> a{i}" for i in range(25))
@@ -396,11 +422,13 @@ class TestLoops:
         assert [kind for _, kind, _ in graph_builds] == [GraphKind.PNN]
 
     def test_interpretation_compiles_once(self, capsys, monkeypatch, compiles):
+        # The graph, the verdicts and the printer read the parse's ops:
+        # nothing compiles f.
         code, _, _ = run(
             capsys, "loops", "-i", "p,q", stdin=P3, monkeypatch=monkeypatch
         )
         assert code == 0
-        assert len(compiles) == 1
+        assert compiles == []
 
     def test_sp_unsound_verdict(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -614,6 +642,22 @@ class TestDeepInputs:
         assert len(lines) == 2
         assert lines[0].startswith("loop {a}: ")
         assert lines[1] == f"interpretation {{a}} {verdict} by pnn-loop oracle"
+
+    @pytest.mark.parametrize("argv", [("nes", "--atoms", "a"), ("loops",)])
+    @pytest.mark.parametrize("connective", [" & ", " | "])
+    def test_op_printers_take_linear_time(
+        self, capsys, monkeypatch, argv, connective
+    ):
+        # 20 000 conjuncts or disjuncts, each printed once: a printer that
+        # builds a string per op, or copies its operands' pieces, is
+        # quadratic here.
+        text = connective.join(["a"] * 20_000)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert len(out) > len(text)
+        assert elapsed < 0.5, f"{elapsed:.2f} s for 20 000 operands"
 
     def test_deep_parentheses_parse_error_exit_1(self, capsys, monkeypatch):
         text = "(" * 3000 + "p" + ")" * 3000

@@ -33,7 +33,8 @@ module under ``src/`` calls ``oracle.choice_augment``, which builds a
 split's parts as formulas and is the oracle of ``check_split``'s one
 sweep.  ``cli`` does not name ``analyze``, which holds models as sets:
 every model list the CLI prints is rendered from the points of one
-classical pass.
+classical pass.  Nor does it name ``formula._compile``: every command
+takes its ops from the parse, which emits them as it reads the text.
 
 A name that a module may not use is matched wherever the module refers
 to it: as an imported name, under an alias, or as an attribute, such
@@ -78,6 +79,9 @@ WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
 # Per module, the names it may not use: the model lists of ``cli``
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze"}}
+# Per module, the compile it may not use: the CLI's ops come from the
+# parse.
+COMPILERS = {"cli": {"_compile"}}
 PART_BUILDER = {"choice_augment"}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
@@ -154,6 +158,11 @@ def point_lemma_uses(tree, module):
 def set_renderer_uses(tree, module):
     """Lines that name one of the ``SET_RENDERERS`` of ``module``."""
     return _uses(tree, SET_RENDERERS.get(module, set()))
+
+
+def compile_uses(tree, module):
+    """Lines that name one of the ``COMPILERS`` of ``module``."""
+    return _uses(tree, COMPILERS.get(module, set()))
 
 
 def combinations_uses(tree, module):
@@ -284,6 +293,25 @@ def test_lint_flags_set_renderer_imports():
     )
     assert set_renderer_uses(tree, "cli") == [1, 2, 5]
     assert set_renderer_uses(tree, "fuzz") == []
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_cli_takes_its_ops_from_the_parse(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert compile_uses(tree, path.stem) == []
+
+
+def test_lint_flags_compile_uses():
+    tree = ast.parse(
+        "from .formula import _compile, print_formula\n"
+        "import stablemodels.formula as formula\n"
+        "def cmd_loops(f):\n"
+        "    return formula._compile((f,))\n"
+    )
+    assert compile_uses(tree, "cli") == [1, 4]
+    assert compile_uses(tree, "semantics") == []
 
 
 def test_every_definition_is_used():

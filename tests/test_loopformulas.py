@@ -45,6 +45,11 @@ PQ = mset("p", "q")
 ALL_PQ = list(interpretations_of(PQ))
 
 
+def _printer(f):
+    """The ``NesPrinter`` of the formula ``f``, from its ops."""
+    return NesPrinter(_compile((f,))[0])
+
+
 class TestNes:
     def test_atom_cases(self):
         a = AtomRef("a")
@@ -286,7 +291,7 @@ def test_loop_formulas_print_a_long_conjunction_of_rules():
     f = _rule_chain(3000)
     loops = strongly_connected_subsets(graph_of((f,), GraphKind.PNN))
     assert loops[:3] == [mset("a0"), mset("a1"), mset("a10")]
-    printer = NesPrinter(f)
+    printer = _printer(f)
     for [a], mask in zip(loops[:3], masks(loops[:3], printer.names)):
         line = f"{a} -> {printer.support(mask)}"
         assert line == print_formula(loop_formula(f, {a}))
@@ -314,7 +319,7 @@ def _printing_peak(f, ys):
     """The support of ``ys`` in ``f`` and the ``tracemalloc`` peak of
     building the printer and printing it."""
     mask = _mask(ys, _layout(atoms(f)))
-    return _traced(lambda: NesPrinter(f).support(mask))
+    return _traced(lambda: _printer(f).support(mask))
 
 
 def _support_peak(n):
@@ -396,7 +401,7 @@ def test_deep_left_nesting_prints():
     f = f.antecedent
     for _ in range(2500):
         f = f.antecedent
-    printer = NesPrinter(f)
+    printer = _printer(f)
     assert printer.support(_mask({"a0"}, printer.names)) == print_formula(
         neg(nes(f, mset("a0")))
     )
@@ -436,10 +441,10 @@ def test_a_printer_prints_any_sequence_of_sets(text):
     order = sets * 2
     random.Random(28).shuffle(order)
     order += [frozenset(names), frozenset()]
-    printer = NesPrinter(f)
+    printer = _printer(f)
     for ys in order:
         built = nes(f, ys)
-        fresh = NesPrinter(f)
+        fresh = _printer(f)
         mask = _mask(ys, printer.names)
         assert printer.support(mask) == fresh.support(mask)
         assert printer.support(mask) == print_formula(neg(built))
@@ -455,12 +460,12 @@ def test_nes_text_on_the_benchmark_formulas(request_):
     # corpus has no ``nes`` request, so this is where ``text`` meets them.
     f = parse_formula(request_.stdin)
     kind = GraphKind(request_.argv[request_.argv.index("--graph") + 1])
-    printer = NesPrinter(f)
+    printer = _printer(f)
     loops = strongly_connected_subsets(graph_of((f,), kind))
     assert loops
     for ys in loops:
         built = nes(f, ys)
-        assert nes_text(f, ys) == print_formula(built)
+        assert nes_text(_compile((f,))[0], ys) == print_formula(built)
         support = printer.support(_mask(ys, printer.names))
         assert support == print_formula(neg(built))
 

@@ -16,12 +16,15 @@ from hypothesis import given, settings
 
 import reference_parser
 from stablemodels import (
+    And,
     FormulaParseError,
     parse_formula,
     parse_theory,
     print_formula,
     print_theory,
 )
+from stablemodels.formula import _BOT, _compile
+from stablemodels.parser import formula_ops, split_ops, theory_ops
 
 # The grammar's alphabet plus what it rejects: blanks of every kind,
 # comments with and without their newline, uppercase, junk characters,
@@ -67,6 +70,52 @@ def _outcome(parse, text, show=lambda parsed: parsed):
 def test_parses_as_the_reference_parser(text):
     for parse, reference in PARSERS:
         assert _outcome(parse, text) == _outcome(reference, text)
+
+
+OP_PARSERS = [
+    (lambda text: theory_ops(text)[:2], reference_parser.parse_theory),
+    (formula_ops, lambda text: (reference_parser.parse_formula(text),)),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts)
+def test_parse_emits_the_ops_of_compile(text):
+    # The reference builds its own tree, sharing the operands of "<->"
+    # and the one bottom as the parser does; ``_compile`` of that tree
+    # must be the parse's op table, op for op, with the same atoms.
+    for parse, reference in OP_PARSERS:
+        assert _outcome(parse, text) == _outcome(
+            lambda t: _compile(reference(t)), text
+        )
+
+
+def _split_reference(f, g):
+    return _compile((And(
+        reference_parser.parse_formula(f), reference_parser.parse_formula(g)
+    ),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts, texts)
+def test_split_emits_the_ops_of_compile(f, g):
+    assert _outcome(lambda _: split_ops(f, g), None) == _outcome(
+        lambda _: _split_reference(f, g), None
+    )
+
+
+@pytest.mark.parametrize(
+    "f, g, bottoms",
+    [("not a -> b", "c & not not a", 1), ("a | bot", "not (b <-> not a)", 1),
+     ("a", "not b", 1), ("a", "b", 0)],
+    ids=["nots-in-both", "bot-then-not", "not-in-g", "no-bottom"],
+)
+def test_split_shares_the_bottom_of_f(f, g, bottoms):
+    # g's ops continue f's table: one op of bottom in all, where
+    # ``_compile`` numbers the one ``BOT`` node.
+    ops, atoms = split_ops(f, g)
+    assert (ops, atoms) == _split_reference(f, g)
+    assert sum(code == _BOT for code, _, _ in ops) == bottoms
 
 
 def _named(message):

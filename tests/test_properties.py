@@ -28,6 +28,7 @@ from stablemodels import (
     graph_of,
     has_cycle,
     interpretations_of,
+    is_nondisjunctive_theory,
     is_stable,
     loop_formula,
     loop_oracle_models,
@@ -46,6 +47,7 @@ from stablemodels import (
     strongly_connected_subsets,
     subgraph_of,
     theory_atoms,
+    to_dot,
 )
 from stablemodels.cli import (
     COMMANDS,
@@ -53,9 +55,10 @@ from stablemodels.cli import (
     build_parser,
     command_parser,
 )
-from stablemodels.formula import _compile, neg
+from stablemodels.formula import _compile, _nondisjunctive, neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.oracle import format_models
+from stablemodels.parser import theory_ops
 from stablemodels.semantics import (
     answer_json,
     format_interpretation,
@@ -266,6 +269,28 @@ def test_compile_numbers_ops_as_a_recursive_postorder(t):
     # ``iff_theories`` share the operands of each "<->"; every theory
     # shares ``BOT``.
     assert _compile(t) == compile_scan(t)
+
+
+@given(
+    st.one_of(theories, negating_theories, programs, iff_theories,
+              shared_heads),
+    st.sampled_from(GraphKind),
+)
+def test_graph_command_prints_graph_of(t, kind):
+    # The command prints from the masks of the parse's ops; the library's
+    # ``DepGraph`` and ``to_dot`` are the reference, byte for byte.
+    text = print_theory(t)
+    g = graph_of(t, kind)
+    argv = ["graph", "--graph", kind.value]
+    assert run_cli(argv, text) == (0, to_dot(g, label=kind.value))
+    edges = "".join(f"{a} {b}\n" for a, b in g.sorted_edges())
+    assert run_cli([*argv, "--format", "edges"], text) == (0, edges)
+
+
+@given(st.one_of(theories, negating_theories, programs, wide_programs))
+def test_nondisjunctive_read_off_the_member_ops(t):
+    ops, _, roots = theory_ops(print_theory(t))
+    assert _nondisjunctive(ops, roots) == is_nondisjunctive_theory(t)
 
 
 @given(shared_heads)
@@ -559,7 +584,7 @@ def test_nes_text_matches_printed_nes(text):
     # loop line prints and the ``nes`` line against the printed NES
     # objects.
     f = parse_formula(text)
-    printer = loopformulas.NesPrinter(f)
+    printer = loopformulas.NesPrinter(_compile((f,))[0])
     for ys in interpretations_of(atoms(f)):
         built = nes(f, ys)
         support = printer.support(depgraph._mask(ys, printer.names))

@@ -222,7 +222,7 @@ class TestAnalyze:
         # Every candidate is stable, so both tables cover the candidates
         # and their points are the candidates' list itself.
         t = parse_theory("a | not a. b | not b. c | not c.")
-        report = semantics._analysis(t, _compile(t))
+        report = semantics._analysis(_compile(t))
         assert len(report._classical) == 8
         assert report._stable is report._classical
         assert report._pointwise is report._classical
