@@ -38,13 +38,7 @@ from .depgraph import (
     _mask,
     _named,
 )
-from .errors import (
-    AtomsOutsideFormulaError,
-    CapExceededError,
-    FormulaParseError,
-    NotAPartitionError,
-    NotNondisjunctiveError,
-)
+from .errors import CapExceededError, FormulaParseError, StableModelsError
 from .formula import Ops, Theory, _formulas, _nondisjunctive, print_formula
 from .fuzz import (
     MAX_FUZZ_ATOMS,
@@ -495,13 +489,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        AtomsOutsideFormulaError,
-        NotAPartitionError,
-        NotNondisjunctiveError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (StableModelsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -154,7 +154,7 @@ def _edges(succ: list[int], names: list[Atom]) -> list[Edge]:
     ]
 
 
-def _graph_of(t: Theory, kind: GraphKind) -> DepGraph:
+def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
     """``kind``'s graph of ``t``, decoded from its masks."""
     ops, atoms = _compile(t)
     names = _layout(atoms)
@@ -164,16 +164,12 @@ def _graph_of(t: Theory, kind: GraphKind) -> DepGraph:
 
 def g_sp(t: Theory) -> DepGraph:
     """Edges from strictly positive head atoms to strictly positive body atoms."""
-    return _graph_of(t, GraphKind.SP)
+    return graph_of(t, GraphKind.SP)
 
 
 def g_pnn(t: Theory) -> DepGraph:
     """Edges from strictly positive head atoms to positive nonnegated body atoms."""
-    return _graph_of(t, GraphKind.PNN)
-
-
-def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
-    return g_sp(t) if kind is GraphKind.SP else g_pnn(t)
+    return graph_of(t, GraphKind.PNN)
 
 
 def _encoded(g: DepGraph) -> tuple[list[Atom], list[int]]:

@@ -4,23 +4,22 @@ A loop formula is the conjunction, over the atoms A of Y, of
 A -> not NES(f, Y), one support shared by every conjunct.  The formulas
 as objects are built only in ``oracle`` (``nes`` and ``loop_formula``);
 production prints their text with ``NesPrinter``, whose one walk of
-f's op table, as the parser emits it, renders a template of NES(f, Y)
-for every Y: literal text, with a choice of text at each atom
-occurrence and around the antecedent of each rule F -> y, and f's own
-text cut from one printing of f's ops.  So the ops are walked twice,
-once to print f and once for the template, and no formula object is
-built.  The printer keeps the text for the empty set as a base list and
-each atom's positions in it; the text for a set Y, given as a mask in
-the classical pass's layout of f's atoms (see ``depgraph``), is a copy
-of the base patched at the positions of Y's atoms.  Loops stay masks
-from the loop search to the output: the ``loops`` command prints each
-loop's support once, from its mask, and writes the loop formula around
-it; ``nes_text`` is the ``nes`` command's text; it checks Y against the
-atoms the printer's walk found.  ``_loops`` is the loop oracles' one source
-of loops: the loops of a graph built from a compile's ops, or every
-nonempty atom subset, as masks read off ``semantics._layers``, the
-classical pass's tables of the points of each size, with no set of
-names built.
+f's op table, as the parser emits it, renders NES(f, Y) for every Y:
+the text for Y = {} as a base list, and for each atom its patches, the
+base indices where its text differs when it is in Y (each occurrence,
+and around the antecedent of each rule F -> y), with that text.  f's
+own text is cut from one printing of f's ops, so the ops are walked
+twice, once to print f and once for the base, and no formula object is
+built.  The text for a set Y, given as a mask in the classical pass's
+layout of f's atoms (see ``depgraph``), is a copy of the base with the
+patches of Y's atoms written in.  Loops stay masks from the loop search
+to the output: the ``loops`` command prints each loop's support once,
+from its mask, and writes the loop formula around it; ``nes_text`` is
+the ``nes`` command's text; it checks Y against the atoms the printer's
+walk found.  ``_loops`` is the loop oracles' one source of loops: the
+loops of a graph built from a compile's ops, or every nonempty atom
+subset, as masks read off ``semantics._layers``, the classical pass's
+tables of the points of each size, with no set of names built.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability, next to ``oracle.loop_oracle_models``,
@@ -99,32 +98,34 @@ class NesPrinter:
 
     NES(f, Y) differs from NES(f, {}) only where an atom of Y occurs:
     the atom prints ``bot``, and the first conjunct of NES(F -> y) prints
-    ``not NES(F)`` instead of ``(NES(F) -> y)``.  So the walk renders a
-    template: runs of literal text, each followed by a choice
-    ``(atom, text if it is in Y, text otherwise)``, one for each atom
-    occurrence and two around NES(F) in NES(F -> y).  The copies of an
+    ``not NES(F)`` instead of ``(NES(F) -> y)``.  So the walk appends to
+    one base list, the text for Y = {}: runs of literal text, each
+    followed by the text of a choice ``(atom, text if it is in Y, text
+    otherwise)``, one for each atom occurrence and two around NES(F) in
+    NES(F -> y).  For each choice it records a patch of its atom, the
+    choice's index in the base and its in-Y text.  The copies of an
     implication that NES(F -> G) = (NES F -> NES G) & (F -> G) holds are
     literal text, cut from the one printing of f by ``print_tokens``.
 
-    The walk also keeps the base text, the template printed for Y = {},
-    and each atom's positions in it, the indices of its choices.  Y is
-    given as a mask in ``names``, f's atoms in the classical pass's
-    layout.  Printing for a Y copies the base, writes the in-Y text of
-    each choice of Y's atoms at its position and joins, so its
+    The base opens with a slot for the head of a support and closes with
+    one for its tail.  Y is given as a mask in ``names``, f's atoms in
+    the classical pass's layout.  Printing for a Y copies the base, fills
+    the two slots, writes the patches of Y's atoms and joins once, so its
     Python-level work is one step per occurrence of an atom of Y, not one
-    per template item.
+    per item of the base.
     """
 
     def __init__(self, ops: Ops):
         root = len(ops) - 1
         tokens, spans = print_tokens(ops, root)
-        template: list = []
-        # One object for each distinct literal run and atom choice: the
-        # operands that ``<->`` shares repeat both many times.
+        # The text for Y = {}, between a slot for the head of a support
+        # and one for its tail.
+        base: list[str] = [""]
+        # One object for each distinct literal run: the operands that
+        # ``<->`` shares repeat them many times.
         literals: dict[str, str] = {}
-        atom_choices: dict[Atom, tuple[Atom, str, str]] = {}
-        # Each atom's choices, by their index in the base text below.
-        positions: dict[Atom, list[int]] = {}
+        # Each atom's patches: (index in ``base``, text when it is in Y).
+        patches: dict[Atom, list[tuple[int, str]]] = {}
         run: list[str] = []
         # Items are literal text, choices and the ops whose NES is
         # printed there, pushed in reverse so that they pop in order.
@@ -138,12 +139,13 @@ class NesPrinter:
             if kind is int:
                 code, x, y = ops[g]
                 if code == _ATOM:
-                    g = atom_choices.setdefault(x, (x, "bot", x))
+                    g = (x, "bot", x)
                     kind = tuple
             if kind is tuple:
+                # The choice ``(atom, text if it is in Y, text otherwise)``.
                 text = "".join(run)
-                template += (literals.setdefault(text, text), g)
-                positions.setdefault(g[0], []).append(len(template))
+                base += (literals.setdefault(text, text), g[2])
+                patches.setdefault(g[0], []).append((len(base) - 1, g[1]))
                 run.clear()
             elif code == _BOT:
                 run.append("bot")
@@ -173,18 +175,11 @@ class NesPrinter:
                     stack += (")", f_text, ") & (", y, " -> ", x)
                     run.append("(")
         text = "".join(run)
-        template.append(literals.setdefault(text, text))
-        self._template = template
-        # The text for Y = {}, with a slot before and after for the head
-        # and the tail of a support; template item j is at index j + 1.
-        self._base = [
-            "",
-            *[item if type(item) is str else item[2] for item in template],
-            "",
-        ]
-        # Every atom of f has a choice, so ``positions`` holds them all.
-        self.names = _layout(positions)
-        self._positions = positions
+        base += (literals.setdefault(text, text), "")
+        self._base = base
+        # Every atom of f has a choice, so ``patches`` holds them all.
+        self.names = _layout(patches)
+        self._patches = patches
         self._support = (
             ("not ", "") if _NES_LEVEL[ops[root][0]] == _LV_NOT
             else ("not (", ")")
@@ -194,10 +189,9 @@ class NesPrinter:
         out = self._base.copy()
         out[0] = head
         out[-1] = tail
-        template = self._template
         for a in _named(ys, self.names):
-            for index in self._positions[a]:
-                out[index] = template[index - 1][1]
+            for index, text in self._patches[a]:
+                out[index] = text
         return "".join(out)
 
     def text(self, ys: int) -> str:

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import stablemodels.cli as cli
 import stablemodels.semantics as semantics
 from stablemodels import analyze, parse_theory
 from stablemodels.cli import COMMANDS, build_parser, command_parser, main
 from stablemodels.depgraph import GraphKind
+from stablemodels.errors import StableModelsError
 from conftest import count_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -749,6 +751,20 @@ class TestNes:
         assert code == 1
         assert err == "error: atoms do not occur in the formula: y z\n"
         assert compiles == []
+
+    def test_any_workbench_error_exits_1(self, capsys, monkeypatch):
+        # Not only the subclasses a command is known to raise: the base
+        # class too ends in an error line, not a traceback.
+        def boom(ops, atoms):
+            raise StableModelsError("boom")
+
+        monkeypatch.setattr(cli, "nes_text", boom)
+        code, out, err = run(
+            capsys, "nes", "--atoms", "p", stdin="p", monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: boom\n"
 
 
 class TestSplit:

@@ -58,7 +58,7 @@ from stablemodels.cli import (
 from stablemodels.formula import _compile, _nondisjunctive, neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.oracle import format_models
-from stablemodels.parser import theory_ops
+from stablemodels.parser import formula_ops, theory_ops
 from stablemodels.semantics import (
     answer_json,
     format_interpretation,
@@ -591,6 +591,20 @@ def test_nes_text_matches_printed_nes(text):
         assert support == print_formula(neg(built))
         argv = ["nes", f"--atoms={','.join(sorted(ys))}"]
         assert run_cli(argv, text) == (0, print_formula(built) + "\n")
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        formulas.map(print_formula), negating_formulas.map(print_formula),
+        iff_texts,
+    )
+)
+def test_nes_printer_names_are_the_layout_of_the_parse(text):
+    # ``loops`` reads the printer's masks in the layout of the parse's
+    # atoms, with no translation between the two.
+    ops, universe = formula_ops(text)
+    assert loopformulas.NesPrinter(ops).names == depgraph._layout(universe)
 
 
 def _models_json(models):
