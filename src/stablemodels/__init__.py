@@ -9,18 +9,7 @@ formulas, and checks the splitting conditions for conjunctions.
 
 __version__ = "0.1.0"
 
-from .depgraph import (
-    DepGraph,
-    GraphKind,
-    g_pnn,
-    g_sp,
-    graph_of,
-    has_cycle,
-    sccs,
-    strongly_connected_subsets,
-    subgraph_of,
-    to_dot,
-)
+from .depgraph import GraphKind
 from .errors import (
     AtomsOutsideFormulaError,
     CapExceededError,
@@ -69,15 +58,23 @@ from .oracle import (
     spos,
 )
 from .parser import parse_formula, parse_theory
-from .semantics import (
-    DEFAULT_CAP,
-    Interpretation,
-    ModelReport,
+from .semantics import DEFAULT_CAP, Interpretation, ModelReport
+from .sets import (
+    DepGraph,
     analyze,
+    check_split,
     classical_models,
     completion,
+    g_pnn,
+    g_sp,
+    graph_of,
+    has_cycle,
     pointwise_stable_models,
+    sccs,
     stable_models,
+    strongly_connected_subsets,
+    subgraph_of,
     supported_models,
+    to_dot,
 )
-from .splitting import SplitReport, check_split
+from .splitting import SplitReport

@@ -8,20 +8,24 @@ occurrences for the "sp" graph, positive nonnegated occurrences for the
 "pnn" graph.  Polarity is evaluated relative to the body and head
 subformulas of each rule, not the enclosing member.
 
-One layout serves from the ops to the output: the classical pass's,
-in which atom ``names[j]`` of ``names = sorted(atoms, reverse=True)``
-is bit j (``_layout``).  Within one size, ``interpretations_of`` order
-is then descending int.  Both graphs are read from an op table, the
-parser's or ``formula._compile``'s, in two passes: one gives each op its body atoms as a mask, and one
-carries down the strictly positive ops the body atoms of the rules
-above them, so a node that ``<->`` shares is visited once, not once per
-path to it.  The graph production reads is ``_graph``'s list of
-successor masks, one int per vertex; its components and its loops stay
-masks, and names are decoded only where text is written (``_edges``
-and ``_dot`` give the ``graph`` command's text) or a public function
-returns sets (``g_sp``, ``g_pnn``, ``graph_of``, ``sccs``,
-``strongly_connected_subsets``).  ``oracle.rules_of`` is the definition
-the tests compare the graphs with.
+One layout serves from the ops to the output: the classical pass's, in
+which atom ``names[j]`` of ``names = sorted(atoms, reverse=True)`` is
+bit j (``_layout``).  Within one size, ``interpretations_of`` order is
+then descending int.  Both graphs are read from an op table, the parser's
+or ``formula._compile``'s, in two passes: one gives each op its body
+atoms as a mask, and one carries down the strictly positive ops the body
+atoms of the rules above them, so a node that ``<->`` shares is visited
+once, not once per path to it.  The graph production reads is
+``_graph``'s list of successor masks, one int per vertex; its components
+and its loops stay masks, and names are decoded only where text is
+written (``_edges`` and ``_dot`` give the ``graph`` command's
+text).  This module compiles no tree and returns no sets: the public
+functions that take a theory and return a ``DepGraph``, its components
+or its loops as sets (``g_sp``, ``g_pnn``, ``graph_of``, ``sccs``,
+``has_cycle``, ``strongly_connected_subsets``, ``subgraph_of``,
+``to_dot``) live in ``sets``, the set-level adapter, which decodes these
+masks.  ``oracle.rules_of`` is the definition the tests compare the
+graphs with.
 
 Loops (vertex sets inducing a strongly connected subgraph) are
 enumerated per strongly connected component: every singleton, plus the
@@ -32,13 +36,13 @@ from Kosaraju's algorithm on the masks, in steps linear in the graph.
 Given a limit, the search gives up as soon as it has found more loops
 than that.  The 16-vertex ``SUBSET_CAP`` applies to the largest
 component, not to the whole graph, and only ``_all_loops``, behind
-``strongly_connected_subsets`` and the ``loops`` command, checks it.
+``sets.strongly_connected_subsets`` and the ``loops`` command, checks
+it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import check_cap
@@ -50,11 +54,7 @@ from .formula import (
     _OR,
     Atom,
     Ops,
-    Theory,
-    _compile,
 )
-
-Edge = tuple[Atom, Atom]
 
 SUBSET_CAP = 16
 
@@ -62,15 +62,6 @@ SUBSET_CAP = 16
 class GraphKind(enum.Enum):
     SP = "sp"
     PNN = "pnn"
-
-
-@dataclass(frozen=True)
-class DepGraph:
-    vertices: frozenset[Atom]
-    edges: frozenset[Edge]
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
 
 def _layout(atoms: Iterable[Atom]) -> list[Atom]:
@@ -82,7 +73,8 @@ def _layout(atoms: Iterable[Atom]) -> list[Atom]:
 
 def _mask(atoms: Iterable[Atom], names: list[Atom]) -> int:
     """The mask of ``atoms``, all of them in ``names``, in that layout."""
-    return sum(1 << names.index(a) for a in set(atoms))
+    wanted = set(atoms)
+    return sum(1 << j for j, a in enumerate(names) if a in wanted)
 
 
 def _named(mask: int, names: list[Atom]) -> list[Atom]:
@@ -144,7 +136,7 @@ def _graph(ops: Ops, kind: GraphKind, names: list[Atom]) -> list[int]:
     return succ
 
 
-def _edges(succ: list[int], names: list[Atom]) -> list[Edge]:
+def _edges(succ: list[int], names: list[Atom]) -> list[tuple[Atom, Atom]]:
     """The edges of the graph ``succ`` over the layout ``names``, sorted:
     heads from the highest bit down, and each head's successors too."""
     return [
@@ -152,34 +144,6 @@ def _edges(succ: list[int], names: list[Atom]) -> list[Edge]:
         for j in reversed(range(len(names)))
         for b in _named(succ[j], names)
     ]
-
-
-def graph_of(t: Theory, kind: GraphKind) -> DepGraph:
-    """``kind``'s graph of ``t``, decoded from its masks."""
-    ops, atoms = _compile(t)
-    names = _layout(atoms)
-    edges = _edges(_graph(ops, kind, names), names)
-    return DepGraph(frozenset(names), frozenset(edges))
-
-
-def g_sp(t: Theory) -> DepGraph:
-    """Edges from strictly positive head atoms to strictly positive body atoms."""
-    return graph_of(t, GraphKind.SP)
-
-
-def g_pnn(t: Theory) -> DepGraph:
-    """Edges from strictly positive head atoms to positive nonnegated body atoms."""
-    return graph_of(t, GraphKind.PNN)
-
-
-def _encoded(g: DepGraph) -> tuple[list[Atom], list[int]]:
-    """The vertices of ``g`` in the layout and its successor masks."""
-    names = _layout(g.vertices)
-    bit = {v: j for j, v in enumerate(names)}
-    succ = [0] * len(names)
-    for (a, b) in g.edges:
-        succ[bit[a]] |= 1 << bit[b]
-    return names, succ
 
 
 def _transposed(succ: list[int]) -> list[int]:
@@ -195,7 +159,7 @@ def _transposed(succ: list[int]) -> list[int]:
 
 def _components(succ: list[int]) -> list[int]:
     """The strongly connected components of the graph ``succ``, as masks,
-    ordered as ``sccs`` orders them.
+    ordered as ``sets.sccs`` orders them.
 
     Kosaraju's algorithm over vertex indices, in a number of steps
     linear in the graph, each a few operations on masks: a depth-first
@@ -231,22 +195,11 @@ def _components(succ: list[int]) -> list[int]:
     return components
 
 
-def sccs(g: DepGraph) -> list[frozenset[Atom]]:
-    """Strongly connected components, ordered lexicographically."""
-    names, succ = _encoded(g)
-    return [frozenset(_named(comp, names)) for comp in _components(succ)]
-
-
 def _cyclic(succ: list[int]) -> bool:
     """True iff the graph ``succ`` has a directed cycle; self-loops count."""
     if any(mask >> j & 1 for j, mask in enumerate(succ)):
         return True
     return any(comp & (comp - 1) for comp in _components(succ))
-
-
-def has_cycle(g: DepGraph) -> bool:
-    """True iff the graph has a directed cycle; self-loops count."""
-    return _cyclic(_encoded(g)[1])
 
 
 def _reach(adjacency: list[int], start: int, allowed: int) -> int:
@@ -320,8 +273,9 @@ def _loops(
     succ: list[int], components: list[int], limit: float = float("inf")
 ) -> Optional[list[int]]:
     """The loops, as masks, of the graph ``succ`` with the ``_components``
-    ``components``, in ``strongly_connected_subsets`` order, or None as
-    soon as more than ``limit`` are found, counting the singletons first.
+    ``components``, in ``sets.strongly_connected_subsets`` order, or None
+    as soon as more than ``limit`` are found, counting the singletons
+    first.
     """
     loops = [comp for comp in components if not comp & (comp - 1)]
     if len(loops) > limit:
@@ -349,25 +303,6 @@ def _all_loops(succ: list[int]) -> list[int]:
     return _loops(succ, components)
 
 
-def strongly_connected_subsets(g: DepGraph) -> list[frozenset[Atom]]:
-    """All nonempty vertex subsets whose induced subgraph is strongly connected.
-
-    Singletons count whether or not they carry a self-loop.  Such a
-    subset lies inside one strongly connected component, so each
-    component with k > 1 vertices is searched on its own, branching on
-    its vertices with reachability pruning (``_component_loops``), and
-    ``SUBSET_CAP`` bounds the largest component, not the whole graph.
-    The result is in ``interpretations_of`` order: by size, then
-    lexicographically.
-    """
-    names, succ = _encoded(g)
-    return [frozenset(_named(ys, names)) for ys in _all_loops(succ)]
-
-
-def subgraph_of(small: DepGraph, big: DepGraph) -> bool:
-    return small.vertices <= big.vertices and small.edges <= big.edges
-
-
 # The DOT keywords, in any letter case: an atom so named is an ID only
 # when quoted.
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
@@ -378,7 +313,9 @@ def _dot_id(atom: Atom) -> str:
     return f'"{atom}"' if atom.lower() in _DOT_KEYWORDS else atom
 
 
-def _dot(vertices: Iterable[Atom], edges: Iterable[Edge], label: str) -> str:
+def _dot(
+    vertices: Iterable[Atom], edges: Iterable[tuple[Atom, Atom]], label: str
+) -> str:
     """The DOT digraph of ``vertices`` and ``edges``, in their order."""
     lines = ["digraph G {"]
     if label:
@@ -389,8 +326,3 @@ def _dot(vertices: Iterable[Atom], edges: Iterable[Edge], label: str) -> str:
         lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_dot(g: DepGraph, label: str = "") -> str:
-    """DOT digraph with sorted vertex and edge statements."""
-    return _dot(sorted(g.vertices), g.sorted_edges(), label)

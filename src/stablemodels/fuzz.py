@@ -39,12 +39,10 @@ from .semantics import (
     _analysis,
     _classical_pass,
     _sweep,
-    analyze,
-    classical_models,
     format_interpretation,
     format_points,
-    stable_models,
 )
+from .sets import analyze, classical_models, stable_models
 from .splitting import _split, split_conditions
 
 ATOM_POOL = ("a", "b", "c", "d")

@@ -33,6 +33,12 @@ bit j of its tables standing for loop j.  ``loop_verdicts`` gives
 their loops in batches of 1, 2, 4, 8 and so on.  The "pnn" variant is
 sound and complete; the "sp" variant is exposed deliberately because it
 is unsound, and the workbench reproduces its failure mode.
+
+Those two take a formula and a set of atoms, as the functions of
+``sets``, the set-level adapter, do, but they stay here: the
+benchmark's reference recorder imports ``stable_via_all_sets`` from
+this module.  The other set-level functions, the graphs, loops and
+model lists, live in ``sets``.
 """
 
 from __future__ import annotations
@@ -262,7 +268,7 @@ def _loop_oracle_at(
     """Whether ``i`` is in ``oracle.loop_oracle_models(f, kind)``, from one
     compile of f.  Only the family of every atom subset (None), 2^n sets,
     is held to ``DEFAULT_CAP``; a graph's loops are bounded by the
-    component cap of ``strongly_connected_subsets``.
+    component cap of ``sets.strongly_connected_subsets``.
 
     The verdicts stop at the first false one, so the loops come in
     batches of 1, 2, 4, 8 and so on, one pass over the ops each: at most

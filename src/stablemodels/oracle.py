@@ -59,9 +59,9 @@ from .semantics import (
     DEFAULT_CAP,
     Interpretation,
     _rules_by_head,
-    classical_models,
     format_interpretation,
 )
+from .sets import classical_models
 
 
 def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:

@@ -1,11 +1,16 @@
 """Interpretations and model enumeration.
 
-The four enumerators (``classical_models``, ``stable_models``,
-``supported_models``, ``pointwise_stable_models``) share one evaluation
-core over truth tables held as Python ints, and one evaluator with
-separate "here" and "there" tables.  ``analyze`` reads three classes
-from one sweep.  A classical pass over all 2**n interpretations gives
-the classical models and the there table of every implication.
+One evaluation core over truth tables held as Python ints, with one
+evaluator with separate "here" and "there" tables, serves the CLI and
+the four enumerators of ``sets``, the set-level adapter
+(``classical_models``, ``stable_models``, ``supported_models``,
+``pointwise_stable_models``).  This module takes op tables and hands
+out tables and points; the functions that take a theory as a tree and
+return models as sets, ``analyze`` and ``completion`` among them, live
+in ``sets``.  ``_analysis``, behind the ``models`` command and
+``sets.analyze``, reads three classes from one sweep.  A classical pass
+over all 2**n interpretations gives the classical models and the there
+table of every implication.
 Stability and pointwise stability then come from one of two paths:
 
 - per model: for each classical model I, one here-and-there pass over
@@ -27,11 +32,12 @@ model I.  Their prices give the number of loops up to which the loop
 path pays.  If that is not more than the n singleton loops, the graph is
 not built; else the loop search gives up as soon as it has found more
 loops than that, and the per-model path runs.  Supported models are the
-classical models where the support halves of ``completion`` hold too,
-read in ``analyze`` from the sweep's classical pass.  Every enumerator
-is guarded by a hard cap (default 20 atoms), checked once the theory's
-op table and atoms are known (from the parse, or from the one walk of
-``formula._compile``), before any table.
+classical models where the support halves of the completion hold too,
+read in ``_analysis`` from the sweep's classical pass; the completion
+is still built as a tree (``_completion``) and compiled for that.
+Every pass is guarded by a hard cap (default 20 atoms), checked once
+the theory's op table and atoms are known (from the parse, or from the
+one walk of ``formula._compile``), before any table.
 Each class is a table over the 2**n points, read at the set bits of the
 classical table, which one scan lists in ``oracle.interpretations_of``
 order: by cardinality, then lexicographically.
@@ -48,28 +54,29 @@ table has only the ``J = I`` bit among the J that keep its kept atoms
 of I; on the loop path, the pass for a loop Y refutes it at the points
 I that meet Y but hold none of its kept atoms of Y.
 
-That sweep answers ``splitting.check_split``.  F & G is compiled once,
-and its last op's operands are F's and G's ops; F & choice(Q) is the
-part of F's op with Q kept, and G & choice(P) that of G's op with P
-kept.  One classical pass over the universe of F & G gives the tables
-of F, G and F & G, and its candidates are the classical models of F or
-of G.  The choices add no pnn edge, so the loops of F & G cover each
-part's loops.  The path choice prices the per-model path over the
-candidates, and only the interpretations that some list holds are
-built.
+That sweep answers ``splitting._split``, behind ``sets.check_split``.
+F & G is compiled once, and its last op's operands are F's and G's
+ops; F & choice(Q) is the part of F's op with Q kept, and G & choice(P)
+that of G's op with P kept.  One classical pass over the universe of
+F & G gives the tables of F, G and F & G, and its candidates are the
+classical models of F or of G.  The choices add no pnn edge, so the
+loops of F & G cover each part's loops.  The path choice prices the
+per-model path over the candidates, and only the interpretations that
+some list holds are built.
 
 The definitions these enumerators are tested against, the reduct and
 the predicates ``is_stable``, ``is_pointwise_stable`` and
 ``is_supported``, live in ``oracle``; no production module imports it.
 
 This module owns the one evaluation core, from which ``loopformulas``
-reads every loop oracle (``classical_models`` and ``loop_lemma_at``),
-and the tables of the points of each size (``_layers``), whose set bits
-are every atom subset as a mask.  No production module enumerates sets
-of atoms: ``oracle.interpretations_of`` is the test oracle's.
-``loop_lemma_at`` applies the lemma behind the loop path at one
-classical model I instead of at every point: one pass over the ops
-decides a batch of loops, with bit j of every table standing for loop j.
+reads its loop oracles (``loop_lemma_at``) and ``oracle`` the models of
+the loop formulas (``sets.classical_models``), and the tables of the
+points of each size (``_layers``), whose set bits are every atom subset
+as a mask.  No production module enumerates sets of atoms:
+``oracle.interpretations_of`` is the test oracle's.  ``loop_lemma_at``
+applies the lemma behind the loop path at one classical model I instead
+of at every point: one pass over the ops decides a batch of loops, with
+bit j of every table standing for loop j.
 
 It also renders model lists, from points rather than interpretations.
 A ``ModelReport`` holds a theory's classical pass and the points of its
@@ -80,8 +87,8 @@ list itself.  ``format_points`` and ``answer_json`` (the ``models
 ``json.dumps(..., indent=2)`` writes them) render a point from two
 tables over the halves of its bits, one join per point, and a list
 object once however often it is given.  ``_models`` builds
-interpretations from the same tables: the public enumerators and a
-report's lists build one only for a point they return, once per pass,
+interpretations from the same tables: the enumerators of ``sets`` and
+a report's lists build one only for a point they return, once per pass,
 so an answer's lists share their models.
 """
 
@@ -119,7 +126,6 @@ from .formula import (
     _compile,
     as_rule,
     disj,
-    is_nondisjunctive_theory,
 )
 
 Interpretation = frozenset[str]
@@ -234,21 +240,6 @@ def answer_json(names: list[Atom], fields: Iterable[tuple[str, object]]) -> str:
     return "".join(["{\n  ", *pieces[1:], "\n}"])
 
 
-def classical_models(
-    t: Theory,
-    universe: Optional[Iterable[Atom]] = None,
-    cap: int = DEFAULT_CAP,
-) -> list[Interpretation]:
-    """All subsets of the universe satisfying every member of ``t``."""
-    return _classical_pass(*_compile(t), universe, cap).models
-
-
-def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
-    """Classical models whose here-and-there table holds at ``J = I`` only."""
-    c = _classical_pass(*_compile(t), cap=cap)
-    return c.select(_sweep(c)[0])
-
-
 def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
     """Bodies of the theory's rules, keyed by head atom, in rule order."""
     by_head: dict[Atom, list[Formula]] = {}
@@ -261,33 +252,8 @@ def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
     return by_head
 
 
-def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
-    """Classical models where the support halves of ``completion(t)`` hold."""
-    c = _classical_pass(*_compile(t), cap=cap)
-    return c.select(_supported(_completion(t, c.names), c))
-
-
-def pointwise_stable_models(
-    t: Theory, cap: int = DEFAULT_CAP
-) -> list[Interpretation]:
-    """Classical models whose here-and-there table is 0 at every ``I - {a}``."""
-    c = _classical_pass(*_compile(t), cap=cap)
-    return c.select(_sweep(c)[1])
-
-
-def completion(t: Theory) -> Theory:
-    """Clark completion of a nondisjunctive theory, desugared.
-
-    For each atom A, the biconditional between A and the disjunction of
-    the bodies of all rules with head A (bottom when there are none),
-    rendered as the conjunction of both implications.  Atoms are taken
-    in lexicographic order; disjuncts keep rule order, unsimplified.
-    """
-    return _completion(t, _compile(t)[1])
-
-
 def _completion(t: Theory, atoms: Iterable[Atom]) -> Theory:
-    """``completion(t)``, where ``atoms`` are the atoms of ``t``."""
+    """``sets.completion(t)``, where ``atoms`` are the atoms of ``t``."""
     by_head = _rules_by_head(t)
     out: list[Formula] = []
     for a in sorted(atoms):
@@ -476,11 +442,6 @@ class _Classical:
             self.listed = _set_bits(self.candidates, len(self.names))
         return self.listed
 
-    @property
-    def models(self) -> list[Interpretation]:
-        """The candidates."""
-        return self.build(self.keys)
-
     @functools.cached_property
     def pnn(self) -> list[int]:
         """The pnn graph of the ops in this pass's layout, as ``_graph``'s
@@ -503,10 +464,6 @@ class _Classical:
         if missing:
             built.update(zip(missing, _models(missing, self.names)))
         return list(map(built.__getitem__, keys))
-
-    def select(self, table: int) -> list[Interpretation]:
-        """The candidates at whose points ``table`` is 1."""
-        return self.build(self.points(table))
 
     def narrowed(self, table: int) -> _Classical:
         """This pass with the points where ``table`` is 1 as its only
@@ -753,7 +710,7 @@ def _analysis(
     cap: int = DEFAULT_CAP,
     program: Optional[Theory] = None,
 ) -> ModelReport:
-    """``analyze(t)``, where ``compiled`` is ``_compile(t)`` and
+    """``sets.analyze(t)``, where ``compiled`` is ``_compile(t)`` and
     ``program`` is t if every member is a nondisjunctive rule, else None:
     the supported models and the completion are read from it."""
     c = _classical_pass(*compiled, cap=cap)
@@ -771,9 +728,3 @@ def _analysis(
         supported,
         c.points(pointwise),
     )
-
-
-def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
-    """All four model classes of ``t`` from one classical pass."""
-    program = t if is_nondisjunctive_theory(t) else None
-    return _analysis(_compile(t), cap, program)

@@ -17,10 +17,11 @@ the pass carries F's op with Q kept and G's op with P kept, after the
 whole, the part that keeps no atom.
 A ``SplitReport`` holds the offenders of the conditions, that pass and
 the points of the three lists on it, which the CLI renders and which
-the report builds as interpretations when they are read.  ``_split``,
-behind ``check_split``, takes the op table of F & G (a compile, or
-``parser.split_ops`` for the CLI) and its pnn graph if that has been
-built already.  ``oracle.choice_augment``, which builds
+the report builds as interpretations when they are read.  ``_split``
+takes the op table of F & G (``parser.split_ops`` for the CLI) and its
+pnn graph if that has been built already; this module compiles no
+tree.  ``sets.check_split``, the library's entry, compiles F & G and
+calls it.  ``oracle.choice_augment``, which builds
 the parts as formulas, is the test oracle for that sweep.
 """
 
@@ -31,7 +32,7 @@ from typing import Iterable, Optional
 
 from .depgraph import GraphKind, _bodies, _components, _graph, _mask, _named
 from .errors import NotAPartitionError
-from .formula import And, Atom, Formula, Ops, _compile
+from .formula import Atom, Ops
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
@@ -129,10 +130,10 @@ def _split(
     cap: int = DEFAULT_CAP,
     pnn: Optional[list[int]] = None,
 ) -> SplitReport:
-    """``check_split`` on ``compiled``, the ops and atoms of F & G, whose
-    pnn graph is ``pnn`` if it has been built, as ``_graph``'s masks in
-    the layout of its atoms.  The sweep runs here, not when a list is
-    read."""
+    """``sets.check_split`` on ``compiled``, the ops and atoms of F & G,
+    whose pnn graph is ``pnn`` if it has been built, as ``_graph``'s
+    masks in the layout of its atoms.  The sweep runs here, not when a
+    list is read."""
     ops, universe = compiled
     ps = frozenset(p)
     qs = universe - ps if q is None else frozenset(q)
@@ -157,29 +158,3 @@ def _split(
         shown,
         *map(shown.points, (stable, part_f, part_g)),
     )
-
-
-def check_split(
-    f: Formula,
-    g: Formula,
-    p: Iterable[Atom],
-    q: Optional[Iterable[Atom]] = None,
-    kind: GraphKind = GraphKind.PNN,
-    cap: int = DEFAULT_CAP,
-) -> SplitReport:
-    """Evaluate the three splitting conditions and the stable-model equivalence.
-
-    ``q`` is by default the atoms of F & G outside ``p``.  F & G is
-    compiled once; its last op has F's and G's ops as its operands.  One
-    classical pass over the atoms of F & G gives the tables of F, G and
-    F & G and carries the parts: F & choice(Q) is F's op with Q kept, its
-    here-world keeping the atoms of Q that the there-world holds, and
-    G & choice(P) is G's op with P kept.  One sweep decides the whole,
-    the part that keeps no atom, and both parts.  Every list is over the
-    whole universe, which changes no part's list: no stable model holds
-    an atom outside its theory, and the model order is unchanged on a
-    sub-universe.  Part models are therefore comparable as sets.  Under
-    the pnn graph, the graph of the conditions is the one the sweep's
-    loop search reads.
-    """
-    return _split(_compile((And(f, g),)), p, q, kind, cap)

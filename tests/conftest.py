@@ -223,7 +223,7 @@ def sweep_paths(t, kind=GraphKind.PNN):
     c = _classical_pass(*_compile(t))
     loops = masks(strongly_connected_subsets(graph_of(t, kind)), c.names)
     return {
-        path: (c.models, *map(c.select, tables))
+        path: (c.build(c.keys), *(c.build(c.points(table)) for table in tables))
         for path, tables in (
             ("per-model", _per_model(c)),
             ("loop-indexed", _by_loops(c, loops)),

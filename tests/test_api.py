@@ -1,10 +1,13 @@
 """The library API: every name the package root exports stays exported."""
 
+import inspect
+
 import stablemodels
 import stablemodels.oracle as oracle
+import stablemodels.sets as sets
 
 # The names the package root exported before the definitions moved into
-# ``oracle``.
+# ``oracle`` and ``sets``.
 API = (
     "And AtomRef AtomsOutsideFormulaError BOT Bottom CapExceededError "
     "DEFAULT_CAP DepGraph Formula FormulaParseError GraphKind Implies "
@@ -26,6 +29,12 @@ MOVED = (
     "is_pointwise_stable is_stable is_supported loop_formula "
     "loop_oracle_models nes reduct reduct_theory rules_of satisfies spos"
 ).split()
+# Those of them that ``sets``, the set-level adapter, now defines.
+SET_LEVEL = (
+    "DepGraph analyze check_split classical_models completion g_pnn g_sp "
+    "graph_of has_cycle pointwise_stable_models sccs stable_models "
+    "strongly_connected_subsets subgraph_of supported_models to_dot"
+).split()
 
 
 def test_package_root_exports_every_name():
@@ -38,3 +47,22 @@ def test_package_root_exports_every_name():
         or getattr(oracle, name).__module__ != oracle.__name__
     ]
     assert misplaced == []
+
+
+def test_set_level_api_lives_in_sets():
+    misplaced = [
+        name
+        for name in SET_LEVEL
+        if getattr(stablemodels, name) is not getattr(sets, name, None)
+        or getattr(sets, name).__module__ != sets.__name__
+    ]
+    assert misplaced == []
+    # And every public function and class that ``sets`` defines is one.
+    defined = {
+        name
+        for name, value in vars(sets).items()
+        if (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == sets.__name__
+        and not name.startswith("_")
+    }
+    assert defined == set(SET_LEVEL)

@@ -661,6 +661,20 @@ class TestDeepInputs:
         assert len(out) > len(text)
         assert elapsed < 0.5, f"{elapsed:.2f} s for 20 000 operands"
 
+    def test_nes_of_every_atom_takes_linear_time(self, capsys, monkeypatch):
+        # Y is all 20 000 atoms of the conjunction: a mask built by one
+        # search of the layout per atom of Y is quadratic here.
+        names = [f"a{k}" for k in range(20_000)]
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "nes", "--atoms", ",".join(names),
+            stdin=" & ".join(names), monkeypatch=monkeypatch,
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.count("bot") == 20_000
+        assert elapsed < 1.0, f"{elapsed:.2f} s for 20 000 atoms in Y"
+
     def test_deep_parentheses_parse_error_exit_1(self, capsys, monkeypatch):
         text = "(" * 3000 + "p" + ")" * 3000
         code, out, err = run(

@@ -35,6 +35,15 @@ sweep.  ``cli`` does not name ``analyze``, which holds models as sets:
 every model list the CLI prints is rendered from the points of one
 classical pass.  Nor does it name ``formula._compile``: every command
 takes its ops from the parse, which emits them as it reads the text.
+``depgraph`` and ``splitting`` do not name it either: they read graphs
+and split conditions off op tables that their callers hold.
+
+The set-level API, which takes theories as trees and hands out graphs,
+loops and models as sets, lives in ``sets``, and production keeps op
+tables and masks only.  A module under ``src/`` other than ``sets``,
+``oracle``, ``fuzz`` and ``__init__`` may not import ``sets`` or one of
+the names that ``sets.py`` defines or assigns at its top level, read
+from its syntax tree as the oracle's names are.
 
 A name that a module may not use is matched wherever the module refers
 to it: as an imported name, under an alias, or as an attribute, such
@@ -80,8 +89,23 @@ WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze"}}
 # Per module, the compile it may not use: the CLI's ops come from the
-# parse.
-COMPILERS = {"cli": {"_compile"}}
+# parse, and the graph and split modules read the ops they are given.
+COMPILERS = dict.fromkeys(("cli", "depgraph", "splitting"), {"_compile"})
+# The modules that may import the set-level adapter: itself, the oracle,
+# the fuzz properties and the package's re-exports.
+SET_SIDE = {"sets", "oracle", "fuzz", "__init__"}
+SET_TREE = ast.parse(
+    (ROOT / "src" / "stablemodels" / "sets.py").read_text(encoding="utf-8")
+)
+# Its functions, classes and aliases such as ``Edge``.
+SET_NAMES = {
+    node.name for node in SET_TREE.body if isinstance(node, DEFINITIONS)
+} | {
+    target.id
+    for node in SET_TREE.body
+    if isinstance(node, ast.Assign)
+    for target in node.targets
+}
 PART_BUILDER = {"choice_augment"}
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
@@ -194,6 +218,19 @@ def universe_walk_calls(tree, module):
     return sorted(line for line, _ in _calls(tree, forbidden))
 
 
+def _imports(tree, names):
+    """Lines of the import statements that import a module or a name whose
+    last dotted part is one of ``names``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            paths = [getattr(node, "module", None) or ""]
+            paths += [alias.name for alias in node.names]
+            if any(p.split(".")[-1] in names for p in paths):
+                lines.append(node.lineno)
+    return lines
+
+
 def oracle_uses(tree, module):
     """Lines where ``module`` imports the ``oracle`` module or one of
     ``ORACLE_NAMES``, or calls or defines one of them; none if ``module``
@@ -201,15 +238,21 @@ def oracle_uses(tree, module):
     if module in ORACLE_SIDE:
         return []
     lines = [line for line, _ in _calls(tree, ORACLE_NAMES)]
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            paths = [getattr(node, "module", None) or ""]
-            paths += [alias.name for alias in node.names]
-            if any(p.split(".")[-1] in ORACLE_NAMES | {"oracle"} for p in paths):
-                lines.append(node.lineno)
-        elif isinstance(node, DEFINITIONS) and node.name in ORACLE_NAMES:
-            lines.append(node.lineno)
+    lines += _imports(tree, ORACLE_NAMES | {"oracle"})
+    lines += [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS) and node.name in ORACLE_NAMES
+    ]
     return sorted(lines)
+
+
+def set_level_imports(tree, module):
+    """Lines where ``module`` imports the ``sets`` module or one of
+    ``SET_NAMES``; none if ``module`` is on the set side."""
+    if module in SET_SIDE:
+        return []
+    return sorted(_imports(tree, SET_NAMES | {"sets"}))
 
 
 def part_builder_calls(tree):
@@ -312,6 +355,45 @@ def test_lint_flags_compile_uses():
     )
     assert compile_uses(tree, "cli") == [1, 4]
     assert compile_uses(tree, "semantics") == []
+
+
+def test_lint_flags_compile_uses_in_graph_and_split_modules():
+    tree = ast.parse(
+        "from .formula import Atom, _compile\n"
+        "import stablemodels.formula as formula\n"
+        "def graph_of(t, kind):\n"
+        "    return _graph(*formula._compile(t), kind)\n"
+    )
+    for module in ("depgraph", "splitting"):
+        assert compile_uses(tree, module) == [1, 4]
+    for module in ("formula", "semantics", "loopformulas", "sets"):
+        assert compile_uses(tree, module) == []
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_set_level_api_stays_out_of_production(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert set_level_imports(tree, path.stem) == []
+
+
+def test_lint_flags_set_level_imports():
+    tree = ast.parse(
+        "from .sets import stable_models\n"
+        "from stablemodels.sets import _encoded as encoded\n"
+        "import stablemodels.sets as s\n"
+        "from . import sets\n"
+        "from stablemodels import g_pnn, parse_theory\n"
+        "from .semantics import _sweep, format_points\n"
+        "from .depgraph import Edge\n"
+        "def models(t):\n"
+        "    return s.stable_models(t)\n"
+    )
+    for module in ("cli", "semantics", "depgraph", "splitting", "loopformulas"):
+        assert set_level_imports(tree, module) == [1, 2, 3, 4, 5, 7]
+    for module in SET_SIDE:
+        assert set_level_imports(tree, module) == []
 
 
 def test_every_definition_is_used():

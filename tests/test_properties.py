@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 import stablemodels.depgraph as depgraph
 import stablemodels.loopformulas as loopformulas
+import stablemodels.sets as sets
 from stablemodels import (
     BOT,
     And,
@@ -407,7 +408,7 @@ def test_loops_match_subset_scan(g):
 def test_budgeted_loops_give_all_loops_or_none(g, data):
     loops = strongly_connected_subsets(g)
     limit = data.draw(st.integers(0, len(loops) + 2))
-    names, succ = depgraph._encoded(g)
+    names, succ = sets._encoded(g)
     budgeted = depgraph._loops(succ, depgraph._components(succ), limit)
     assert budgeted == (masks(loops, names) if len(loops) <= limit else None)
 
@@ -453,7 +454,7 @@ def test_loops_match_subset_scan_on_shaped_graphs(g):
 def test_mask_loops_are_the_subset_scan_in_layout_order(g):
     # In the classical pass's layout, ``interpretations_of`` order is by
     # size, then descending int; the decoded masks are the scan's loops.
-    names, succ = depgraph._encoded(g)
+    names, succ = sets._encoded(g)
     loops = depgraph._all_loops(succ)
     assert loops == sorted(sorted(loops, reverse=True), key=int.bit_count)
     decoded = [frozenset(depgraph._named(ys, names)) for ys in loops]
@@ -463,7 +464,7 @@ def test_mask_loops_are_the_subset_scan_in_layout_order(g):
 @settings(deadline=None)
 @given(st.one_of(graphs(), shaped_graphs()))
 def test_mask_components_match_reachability_scan(g):
-    names, succ = depgraph._encoded(g)
+    names, succ = sets._encoded(g)
     components = depgraph._components(succ)
     decoded = [frozenset(depgraph._named(c, names)) for c in components]
     assert decoded == sccs(g) == sccs_scan(g)

@@ -301,7 +301,7 @@ class TestSweepPaths:
         # passes over 2**17 points would cost less than 3572 small ones.
         # The ring's 3588 loops would not, so the search gives up once it
         # has found more loops than the limit that still pays.
-        assert len(c.models) == 3572
+        assert len(c.build(c.keys)) == 3572
         limits, passes = [], []
         loops, reach = semantics._loops, depgraph._reach
 
@@ -331,7 +331,7 @@ class TestSweepPaths:
         rules += [f"not not a{i} -> a{i}" for i in range(12)]
         t = parse_theory(". ".join(rules) + ".")
         c = _classical_pass(*_compile(t))
-        assert len(c.models) == 4098
+        assert len(c.build(c.keys)) == 4098
         loops = _loops_that_pay(c)
         assert loops == masks(strongly_connected_subsets(g_pnn(t)), c.names)
         assert len(loops) == 14
@@ -350,7 +350,7 @@ class TestSweepPaths:
         loops = strongly_connected_subsets(g_pnn((f, g)))
         assert mset("a", "b") in loops
         tables = _per_model(c)
-        assert mset("a", "b") not in c.select(tables[1])
+        assert mset("a", "b") not in c.build(c.points(tables[1]))
         for order in itertools.permutations(masks(loops, c.names)):
             assert _by_loops(c, list(order)) == tables
 
