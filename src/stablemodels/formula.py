@@ -10,53 +10,104 @@ table back into nodes.  ``print_tokens`` prints from the ops by index,
 so a text is printed with no tree; ``print_formula`` compiles its tree
 first.  The walks that define the occurrence analyses live in
 ``oracle``.
+
+The nodes are ``Frozen`` values: equal only to a node of their own
+class with equal operands, hashed as the tuple of them, shown as
+``And(left=..., right=...)``, and immutable.  ``Value`` and ``Frozen``
+give the package's other small values (the reports, ``DepGraph``, the
+occurrences, ``FuzzResult``) the semantics that ``@dataclass`` and
+``@dataclass(frozen=True)`` would, written out by hand: importing
+``dataclasses`` pulls in ``inspect`` and ``ast`` and runs a code
+generator per class, a large share of the CLI's start-up
+(``tests/startup.py`` times it).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 Atom = str
 
 
-class Formula:
+class Value:
+    """Equality and repr read off ``_fields``, the names of a class's
+    fields in order, as ``@dataclass`` makes them: an object equals only
+    one of its own class with equal fields, and shows as
+    ``Name(field=value, ...)``.  Unhashable, as it is mutable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Value):
+    """A ``Value`` as ``@dataclass(frozen=True)`` makes it: hashed as the
+    tuple of its fields, and refusing assignment and deletion, so that
+    ``__init__`` sets its fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(Frozen):
     """Base class for AST nodes; all nodes are immutable and hashable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AtomRef(Formula):
-    __slots__ = ("name",)
-    name: Atom
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: Atom):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    __slots__ = ("antecedent", "consequent")
-    antecedent: Formula
-    consequent: Formula
+    __slots__ = _fields = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Formula, consequent: Formula):
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
 BOT = Bottom()

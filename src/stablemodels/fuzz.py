@@ -15,7 +15,6 @@ it can be fed back through the matching CLI subcommand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .depgraph import GraphKind, _cyclic, _graph, _layout
@@ -29,6 +28,7 @@ from .formula import (
     Ops,
     Or,
     Theory,
+    Value,
     _compile,
     atoms,
     print_formula,
@@ -108,12 +108,16 @@ def _sp_acyclic(t: Theory) -> Optional[tuple[Ops, set[Atom]]]:
     return None if _cyclic(sp) else compiled
 
 
-@dataclass
-class FuzzResult:
-    property_name: str
-    seed: int
-    checked: int
-    violations: list[str]
+class FuzzResult(Value):
+    _fields = ("property_name", "seed", "checked", "violations")
+
+    def __init__(
+        self, property_name: str, seed: int, checked: int, violations: list[str]
+    ):
+        self.property_name = property_name
+        self.seed = seed
+        self.checked = checked
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -35,7 +35,6 @@ definitions below and checks that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .depgraph import GraphKind, _layout, _named
@@ -47,6 +46,7 @@ from .formula import (
     AtomRef,
     Bottom,
     Formula,
+    Frozen,
     Implies,
     Or,
     Theory,
@@ -150,8 +150,7 @@ def format_models(models: list[Interpretation]) -> str:
     return ", ".join(map(format_interpretation, models)) or "(none)"
 
 
-@dataclass(frozen=True)
-class OccurrenceContext:
+class OccurrenceContext(Frozen):
     """Polarity data for one atom occurrence inside a host formula.
 
     ``antecedent_count`` is the number of implications whose antecedent
@@ -159,8 +158,11 @@ class OccurrenceContext:
     those implications has bottom as its consequent.
     """
 
-    antecedent_count: int
-    negated: bool
+    _fields = ("antecedent_count", "negated")
+
+    def __init__(self, antecedent_count: int, negated: bool):
+        object.__setattr__(self, "antecedent_count", antecedent_count)
+        object.__setattr__(self, "negated", negated)
 
     @property
     def strictly_positive(self) -> bool:
@@ -175,12 +177,14 @@ class OccurrenceContext:
         return not self.negated
 
 
-@dataclass(frozen=True)
-class RuleOccurrence:
+class RuleOccurrence(Frozen):
     """A strictly positive implication occurrence: Body -> Head."""
 
-    body: Formula
-    head: Formula
+    _fields = ("body", "head")
+
+    def __init__(self, body: Formula, head: Formula):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "head", head)
 
 
 def classify_occurrences(f: Formula) -> list[tuple[Atom, OccurrenceContext]]:

@@ -82,7 +82,10 @@ It also renders model lists, from points rather than interpretations.
 A ``ModelReport`` holds a theory's classical pass and the points of its
 four classes on it (``splitting.SplitReport`` does the same for a
 split); a class whose table covers every candidate is the candidates'
-list itself.  ``format_points`` and ``answer_json`` (the ``models
+list itself.  Both reports are ``formula.Frozen`` values that leave
+the pass out of their equality and repr, and are unhashable, as their
+lists are; the pass is a mutable ``formula.Value``, whose memos grow as
+lists are read.  ``format_points`` and ``answer_json`` (the ``models
 --json`` and ``split --json`` documents, byte for byte as
 ``json.dumps(..., indent=2)`` writes them) render a point from two
 tables over the halves of its bits, one join per point, and a list
@@ -98,7 +101,6 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from .depgraph import (
@@ -120,9 +122,11 @@ from .formula import (
     Atom,
     AtomRef,
     Formula,
+    Frozen,
     Implies,
     Ops,
     Theory,
+    Value,
     _compile,
     as_rule,
     disj,
@@ -406,31 +410,34 @@ def _layers(n: int) -> list[int]:
     return layers
 
 
-@dataclass
-class _Classical:
+class _Classical(Value):
     """One classical pass over all 2**n points, with atom j of ``names``,
     in descending order, as bit j.  So within one size, ``interpretations_of``
     order is descending bit index: two sets of one size first differ at
     some atom, and the set that holds it has the higher bit there.
     ``atom_tables`` maps each atom of ``names`` to its table."""
 
-    names: list[Atom]
-    ops: Ops
-    atom_tables: dict[Atom, int]
-    # Every op's table; the last is the theory's.
-    vals: list[int]
-    # Where some part holds: the candidates' table.
-    candidates: int
-    # The parts the sweep decides, the theory first, each with the mask
-    # of its kept atoms.
-    parts: tuple[tuple[int, int], ...]
-    # The candidates' points once listed (see ``keys``), and the
-    # interpretation at each point built so far, shared by every list
-    # read from this pass.
-    listed: Optional[list[int]] = field(default=None, init=False, repr=False)
-    built: dict[int, Interpretation] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _fields = ("names", "ops", "atom_tables", "vals", "candidates", "parts")
+
+    def __init__(
+        self, names: list[Atom], ops: Ops, atom_tables: dict[Atom, int],
+        vals: list[int], candidates: int, parts: tuple[tuple[int, int], ...],
+    ):
+        self.names = names
+        self.ops = ops
+        self.atom_tables = atom_tables
+        # Every op's table; the last is the theory's.
+        self.vals = vals
+        # Where some part holds: the candidates' table.
+        self.candidates = candidates
+        # The parts the sweep decides, the theory first, each with the
+        # mask of its kept atoms.
+        self.parts = parts
+        # The candidates' points once listed (see ``keys``), and the
+        # interpretation at each point built so far, shared by every
+        # list read from this pass.
+        self.listed: Optional[list[int]] = None
+        self.built: dict[int, Interpretation] = {}
 
     @property
     def keys(self) -> list[int]:
@@ -469,7 +476,9 @@ class _Classical:
         """This pass with the points where ``table`` is 1 as its only
         candidates, so that only they are listed.  ``table`` is 0 at every
         other point."""
-        return replace(self, candidates=table)
+        return _Classical(
+            self.names, self.ops, self.atom_tables, self.vals, table, self.parts
+        )
 
 
 def _classical_pass(
@@ -652,8 +661,7 @@ def _sweep(c: _Classical) -> tuple[int, ...]:
     return _by_loops(c, loops)
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(Frozen):
     """All four model classes of one theory, read from one classical pass.
 
     The report holds the pass and the points of each class on it, in
@@ -663,15 +671,27 @@ class ModelReport:
     member is a nondisjunctive rule.
     """
 
-    universe: frozenset[Atom]
-    completion_theory: Optional[Theory]
-    # The pass, whose memo grows as lists are read, is left out of the
-    # report's equality and repr; the universe names its points.
-    _c: _Classical = field(repr=False, compare=False)
-    _classical: list[int]
-    _stable: list[int]
-    _supported: Optional[list[int]]
-    _pointwise: list[int]
+    # The pass, ``_c``, whose memo grows as lists are read, is left out
+    # of the report's equality and repr; the universe names its points.
+    _fields = (
+        "universe", "completion_theory", "_classical", "_stable", "_supported",
+        "_pointwise",
+    )
+    # Unhashable, as its lists are.
+    __hash__ = None
+
+    def __init__(
+        self, universe: frozenset[Atom], completion_theory: Optional[Theory],
+        _c: _Classical, _classical: list[int], _stable: list[int],
+        _supported: Optional[list[int]], _pointwise: list[int],
+    ):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "completion_theory", completion_theory)
+        object.__setattr__(self, "_c", _c)
+        object.__setattr__(self, "_classical", _classical)
+        object.__setattr__(self, "_stable", _stable)
+        object.__setattr__(self, "_supported", _supported)
+        object.__setattr__(self, "_pointwise", _pointwise)
 
     @property
     def classical(self) -> list[Interpretation]:

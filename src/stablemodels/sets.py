@@ -15,7 +15,6 @@ that.  The CLI prints from the masks and points directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .depgraph import (
@@ -29,7 +28,9 @@ from .depgraph import (
     _layout,
     _named,
 )
-from .formula import And, Atom, Formula, Theory, _compile, is_nondisjunctive_theory
+from .formula import (
+    And, Atom, Formula, Frozen, Theory, _compile, is_nondisjunctive_theory
+)
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
@@ -45,10 +46,12 @@ from .splitting import SplitReport, _split
 Edge = tuple[Atom, Atom]
 
 
-@dataclass(frozen=True)
-class DepGraph:
-    vertices: frozenset[Atom]
-    edges: frozenset[Edge]
+class DepGraph(Frozen):
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset[Atom], edges: frozenset[Edge]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

@@ -1,10 +1,15 @@
-"""Value semantics of the package's classes.
+"""Value semantics of the package's classes, and what the CLI imports.
 
 A value equals only an object of its own class with equal fields, and
 hashes as the tuple of its fields; its repr is ``Name(field=value, ...)``.
 The reports leave their classical pass out of equality and repr, and are
 unhashable; the frozen classes refuse assignment and deletion.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,8 @@ from stablemodels import (
 from stablemodels.formula import _compile
 from stablemodels.fuzz import FuzzResult
 from stablemodels.semantics import _Classical, _classical_pass
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 p, q = AtomRef("p"), AtomRef("q")
 
@@ -71,10 +78,11 @@ HASHABLE = [
         "DepGraph(vertices=frozenset({'p'}), edges=frozenset())",
     ),
 ]
-HASHABLE_IDS = [type(value).__name__ for value, _, _ in HASHABLE]
 
 
-@pytest.mark.parametrize("value, fields, text", HASHABLE, ids=HASHABLE_IDS)
+@pytest.mark.parametrize(
+    "value, fields, text", HASHABLE, ids=[type(v).__name__ for v, _, _ in HASHABLE]
+)
 def test_hashable_values(value, fields, text):
     assert hash(value) == hash(fields)
     assert repr(value) == text
@@ -204,3 +212,20 @@ def test_narrowed_pass_has_fresh_memos():
     assert narrowed.keys == c.keys and narrowed.pnn == c.pnn
     assert c.narrowed(0).keys == []
 
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost: the CLI imports neither module, directly or through
+    a dependency, so a later import cannot quietly bring them back."""
+    probe = (
+        "import sys, stablemodels.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
