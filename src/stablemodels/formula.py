@@ -48,8 +48,13 @@ class Value:
         return NotImplemented
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({shown})"
+        # A plain loop: a comprehension or ``map`` would add a frame per
+        # level of a deep formula, which would then hit the recursion
+        # limit sooner than the dataclass repr did.
+        shown = []
+        for name, value in zip(self._fields, self._values()):
+            shown.append(f"{name}={value!r}")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
 class Frozen(Value):
