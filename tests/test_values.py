@@ -3,7 +3,9 @@
 A value equals only an object of its own class with equal fields, and
 hashes as the tuple of its fields; its repr is ``Name(field=value, ...)``.
 The reports leave their classical pass out of equality and repr, and are
-unhashable; the frozen classes refuse assignment and deletion.
+unhashable; the frozen classes refuse assignment and deletion.  Each
+constructor binds positional and keyword arguments to its parameters, in
+order, and refuses missing, extra, unknown and repeated ones.
 """
 
 import os
@@ -211,6 +213,68 @@ def test_narrowed_pass_has_fresh_memos():
         assert getattr(narrowed, name) is getattr(c, name)
     assert narrowed.keys == c.keys and narrowed.pnn == c.pnn
     assert c.narrowed(0).keys == []
+
+
+# Each of the twelve value classes, by an instance and its constructor's
+# parameters in order.  The reports' constructors also take their pass,
+# ``_c``, which their fields leave out.
+CONSTRUCTED = [(value, value._fields) for value, _, _ in HASHABLE] + [
+    (
+        analyze(parse_theory("p.")),
+        (
+            "universe", "completion_theory", "_c", "_classical", "_stable",
+            "_supported", "_pointwise",
+        ),
+    ),
+    (
+        split_report(),
+        (
+            "kind", "cond_i_offenders", "cond_ii_offenders",
+            "cond_iii_offender", "equivalence_holds", "_names", "_c",
+            "_whole", "_part_f", "_part_g",
+        ),
+    ),
+    (FuzzResult("x", 1, 2, []), FuzzResult._fields),
+    (classical_pass(), _Classical._fields),
+]
+
+
+@pytest.mark.parametrize(
+    "value, params", CONSTRUCTED, ids=[type(v).__name__ for v, _ in CONSTRUCTED]
+)
+def test_constructor_binds_positional_and_keyword_arguments(value, params):
+    cls = type(value)
+    args = [getattr(value, name) for name in params]
+    kwargs = dict(zip(params, args))
+    mixed = cls(*args[:1], **dict(zip(params[1:], args[1:])))
+    for other in (cls(*args), cls(**kwargs), mixed):
+        assert other == value
+        # Each argument is bound to its own name, ``_c`` included.
+        for name, arg in kwargs.items():
+            assert getattr(other, name) is arg
+
+
+@pytest.mark.parametrize(
+    "value, params", CONSTRUCTED, ids=[type(v).__name__ for v, _ in CONSTRUCTED]
+)
+def test_constructor_refuses_bad_arguments(value, params):
+    cls = type(value)
+    args = [getattr(value, name) for name in params]
+    kwargs = dict(zip(params, args))
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(*args, unknown=None)
+    with pytest.raises(TypeError):
+        cls(**kwargs, unknown=None)
+    for name in params:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in kwargs.items() if k != name})
+        with pytest.raises(TypeError):
+            cls(*args, **{name: kwargs[name]})
+    if params:
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
