@@ -19,7 +19,12 @@ occurrences, ``FuzzResult``) the semantics that ``@dataclass`` and
 ``@dataclass(frozen=True)`` would, written out by hand: importing
 ``dataclasses`` pulls in ``inspect`` and ``ast`` and runs a code
 generator per class, a large share of the CLI's start-up
-(``tests/startup.py`` times it).
+(``tests/startup.py`` times it).  Those values share one constructor,
+``Value.__init__``, which binds its arguments to the class's field
+names, or to ``_params`` where the constructor takes more than the
+fields.  The nodes, which fuzz builds by the tens of thousands per
+cycle, and ``semantics._Classical``, built once per analysed theory and
+setting its memos, keep explicit constructors, which bind faster.
 """
 
 from __future__ import annotations
@@ -34,10 +39,33 @@ class Value:
     """Equality and repr read off ``_fields``, the names of a class's
     fields in order, as ``@dataclass`` makes them: an object equals only
     one of its own class with equal fields, and shows as
-    ``Name(field=value, ...)``.  Unhashable, as it is mutable."""
+    ``Name(field=value, ...)``.  Unhashable, as it is mutable.
+
+    The one constructor binds its positional and keyword arguments to
+    ``_params``, the constructor's parameters in order, and sets each
+    with ``object.__setattr__``, which a ``Frozen`` value needs.  A class
+    sets ``_params`` only when its constructor also takes a value that
+    its fields leave out, as the reports take their pass; otherwise the
+    parameters are the fields.  The formula nodes and the classical pass
+    keep constructors of their own: fuzz builds tens of thousands of
+    nodes per cycle and a pass per analysed theory, and an explicit
+    signature binds them at about half the cost."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _params: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._params or self._fields
+        if kwargs or len(args) != len(names):
+            bound = dict(zip(names, args), **kwargs)
+            # Fewer names bound than arguments given: a name given twice,
+            # or too many arguments.
+            if len(bound) < len(args) + len(kwargs) or set(bound) != set(names):
+                raise TypeError(f"{type(self).__name__}() takes ({', '.join(names)})")
+            args = [bound[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -59,8 +87,8 @@ class Value:
 
 class Frozen(Value):
     """A ``Value`` as ``@dataclass(frozen=True)`` makes it: hashed as the
-    tuple of its fields, and refusing assignment and deletion, so that
-    ``__init__`` sets its fields with ``object.__setattr__``."""
+    tuple of its fields, and refusing assignment and deletion, so that a
+    constructor sets its fields with ``object.__setattr__``."""
 
     __slots__ = ()
 

@@ -111,14 +111,6 @@ def _sp_acyclic(t: Theory) -> Optional[tuple[Ops, set[Atom]]]:
 class FuzzResult(Value):
     _fields = ("property_name", "seed", "checked", "violations")
 
-    def __init__(
-        self, property_name: str, seed: int, checked: int, violations: list[str]
-    ):
-        self.property_name = property_name
-        self.seed = seed
-        self.checked = checked
-        self.violations = violations
-
     @property
     def ok(self) -> bool:
         return not self.violations

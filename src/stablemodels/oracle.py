@@ -160,10 +160,6 @@ class OccurrenceContext(Frozen):
 
     _fields = ("antecedent_count", "negated")
 
-    def __init__(self, antecedent_count: int, negated: bool):
-        object.__setattr__(self, "antecedent_count", antecedent_count)
-        object.__setattr__(self, "negated", negated)
-
     @property
     def strictly_positive(self) -> bool:
         return self.antecedent_count == 0
@@ -181,10 +177,6 @@ class RuleOccurrence(Frozen):
     """A strictly positive implication occurrence: Body -> Head."""
 
     _fields = ("body", "head")
-
-    def __init__(self, body: Formula, head: Formula):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "head", head)
 
 
 def classify_occurrences(f: Formula) -> list[tuple[Atom, OccurrenceContext]]:

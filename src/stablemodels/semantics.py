@@ -84,9 +84,11 @@ four classes on it (``splitting.SplitReport`` does the same for a
 split); a class whose table covers every candidate is the candidates'
 list itself.  Both reports are ``formula.Frozen`` values that leave
 the pass out of their equality and repr, and are unhashable, as their
-lists are; the pass is a mutable ``formula.Value``, whose memos grow as
-lists are read.  ``format_points`` and ``answer_json`` (the ``models
---json`` and ``split --json`` documents, byte for byte as
+lists are; their constructor, ``formula.Value``'s, takes the pass as
+``_c``, which ``_params`` names and ``_fields`` leaves out.  The pass
+is a mutable ``formula.Value``, whose memos grow as lists are read.
+``format_points`` and ``answer_json`` (the ``models --json`` and
+``split --json`` documents, byte for byte as
 ``json.dumps(..., indent=2)`` writes them) render a point from two
 tables over the halves of its bits, one join per point, and a list
 object once however often it is given.  ``_models`` builds
@@ -673,25 +675,13 @@ class ModelReport(Frozen):
 
     # The pass, ``_c``, whose memo grows as lists are read, is left out
     # of the report's equality and repr; the universe names its points.
-    _fields = (
-        "universe", "completion_theory", "_classical", "_stable", "_supported",
-        "_pointwise",
+    _params = (
+        "universe", "completion_theory", "_c", "_classical", "_stable",
+        "_supported", "_pointwise",
     )
+    _fields = tuple(name for name in _params if name != "_c")
     # Unhashable, as its lists are.
     __hash__ = None
-
-    def __init__(
-        self, universe: frozenset[Atom], completion_theory: Optional[Theory],
-        _c: _Classical, _classical: list[int], _stable: list[int],
-        _supported: Optional[list[int]], _pointwise: list[int],
-    ):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "completion_theory", completion_theory)
-        object.__setattr__(self, "_c", _c)
-        object.__setattr__(self, "_classical", _classical)
-        object.__setattr__(self, "_stable", _stable)
-        object.__setattr__(self, "_supported", _supported)
-        object.__setattr__(self, "_pointwise", _pointwise)
 
     @property
     def classical(self) -> list[Interpretation]:

@@ -49,10 +49,6 @@ Edge = tuple[Atom, Atom]
 class DepGraph(Frozen):
     _fields = ("vertices", "edges")
 
-    def __init__(self, vertices: frozenset[Atom], edges: frozenset[Edge]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

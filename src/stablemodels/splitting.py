@@ -32,13 +32,7 @@ from typing import Iterable, Optional
 from .depgraph import GraphKind, _bodies, _components, _graph, _mask, _named
 from .errors import NotAPartitionError
 from .formula import Atom, Frozen, Ops
-from .semantics import (
-    DEFAULT_CAP,
-    Interpretation,
-    _Classical,
-    _classical_pass,
-    _sweep,
-)
+from .semantics import DEFAULT_CAP, Interpretation, _classical_pass, _sweep
 
 
 class SplitReport(Frozen):
@@ -52,32 +46,15 @@ class SplitReport(Frozen):
     """
 
     # The pass, ``_c``, is left out of the report's equality and repr:
-    # its memo grows as lists are read.
-    _fields = (
+    # its memo grows as lists are read.  ``_names``, the atoms of F & G,
+    # name the points.
+    _params = (
         "kind", "cond_i_offenders", "cond_ii_offenders", "cond_iii_offender",
-        "equivalence_holds", "_names", "_whole", "_part_f", "_part_g",
+        "equivalence_holds", "_names", "_c", "_whole", "_part_f", "_part_g",
     )
+    _fields = tuple(name for name in _params if name != "_c")
     # Unhashable, as its lists are.
     __hash__ = None
-
-    def __init__(
-        self, kind: GraphKind, cond_i_offenders: frozenset[Atom],
-        cond_ii_offenders: frozenset[Atom],
-        cond_iii_offender: Optional[frozenset[Atom]], equivalence_holds: bool,
-        _names: list[Atom], _c: _Classical, _whole: list[int],
-        _part_f: list[int], _part_g: list[int],
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "cond_i_offenders", cond_i_offenders)
-        object.__setattr__(self, "cond_ii_offenders", cond_ii_offenders)
-        object.__setattr__(self, "cond_iii_offender", cond_iii_offender)
-        object.__setattr__(self, "equivalence_holds", equivalence_holds)
-        # The atoms of F & G, which name the points.
-        object.__setattr__(self, "_names", _names)
-        object.__setattr__(self, "_c", _c)
-        object.__setattr__(self, "_whole", _whole)
-        object.__setattr__(self, "_part_f", _part_f)
-        object.__setattr__(self, "_part_g", _part_g)
 
     @property
     def cond_i(self) -> bool:

@@ -34,7 +34,7 @@ from stablemodels import (
     parse_formula,
     parse_theory,
 )
-from stablemodels.formula import _compile
+from stablemodels.formula import Value, _compile
 from stablemodels.fuzz import FuzzResult
 from stablemodels.semantics import _Classical, _classical_pass
 
@@ -275,6 +275,17 @@ def test_constructor_refuses_bad_arguments(value, params):
     if params:
         with pytest.raises(TypeError):
             cls(*args[:-1])
+
+
+def test_values_share_one_constructor():
+    """Only the formula nodes, which fuzz builds in bulk, and the
+    classical pass, which also sets its memos, define their own."""
+    for cls in (
+        ModelReport, SplitReport, DepGraph, OccurrenceContext, RuleOccurrence,
+        FuzzResult,
+    ):
+        assert "__init__" not in vars(cls), cls
+        assert cls.__init__ is Value.__init__
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
