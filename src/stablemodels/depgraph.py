@@ -316,10 +316,11 @@ def _dot_id(atom: Atom) -> str:
 def _dot(
     vertices: Iterable[Atom], edges: Iterable[tuple[Atom, Atom]], label: str
 ) -> str:
-    """The DOT digraph of ``vertices`` and ``edges``, in their order."""
+    """The DOT digraph of ``vertices`` and ``edges``, in their order, and
+    ``label`` as a quoted string, its backslashes and quotes escaped."""
     lines = ["digraph G {"]
     if label:
-        lines.append(f'  label="{label}";')
+        lines.append('  label="%s";' % label.replace("\\", "\\\\").replace('"', '\\"'))
     for v in vertices:
         lines.append(f"  {_dot_id(v)};")
     for (a, b) in edges:

@@ -72,9 +72,13 @@ def g_pnn(t: Theory) -> DepGraph:
 
 
 def _encoded(g: DepGraph) -> tuple[list[Atom], list[int]]:
-    """The vertices of ``g`` in the layout and its successor masks."""
+    """The vertices of ``g`` in the layout and its successor masks; an
+    edge to or from an atom that is not a vertex raises ``ValueError``."""
     names = _layout(g.vertices)
     bit = {v: j for j, v in enumerate(names)}
+    stray = sorted(set().union(*g.edges).difference(bit))
+    if stray:
+        raise ValueError(f"edge endpoints not among the vertices: {stray}")
     succ = [0] * len(names)
     for (a, b) in g.edges:
         succ[bit[a]] |= 1 << bit[b]

@@ -94,6 +94,12 @@ class TestSccs:
         g = DepGraph(frozenset({"a", "b"}), frozenset())
         assert sccs(g) == [mset("a"), mset("b")]
 
+    @pytest.mark.parametrize("fn", [sccs, has_cycle, strongly_connected_subsets])
+    def test_edge_endpoints_must_be_vertices(self, fn):
+        g = DepGraph(frozenset({"a"}), frozenset({("a", "b"), ("c", "a")}))
+        with pytest.raises(ValueError, match=r"\['b', 'c'\]"):
+            fn(g)
+
 
 class TestStronglyConnectedSubsets:
     def test_p3_sp(self, p3):
@@ -215,6 +221,10 @@ class TestDot:
         assert "  q -> p;" in text
         assert "  p -> q;" in text
         assert 'label="sp";' in text
+
+    def test_label_escapes_backslashes_and_quotes(self):
+        text = to_dot(DepGraph(frozenset(), frozenset()), label='say "hi" \\n')
+        assert text == 'digraph G {\n  label="say \\"hi\\" \\\\n";\n}\n'
 
     def test_keyword_atoms_are_quoted(self):
         # DOT keywords, in any letter case, are IDs only when quoted.
