@@ -1,0 +1,75 @@
+"""Smoke tests of the measuring scripts beside the tests.
+
+``code_lines.py`` and ``startup.py`` report and check nothing, so a
+rename under ``src/`` could break them unnoticed: here the line counter
+runs on small snippets and on the package, and the start-up timer runs
+once.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import code_lines
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# A comment.\n"
+        "x = 1  # trailing\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        '        docstring."""\n'
+        '        return """a\n'
+        "b\n"
+        '"""\n'
+    )
+    # x = 1, class C, def f, and the three lines of the returned string.
+    assert code_lines.code_lines(source) == 6
+    assert code_lines.code_lines("# only a comment\n\n") == 0
+
+
+def test_code_lines_rows_add_up(capsys):
+    code_lines.main()
+    rows = dict(
+        line.rsplit(maxsplit=1) for line in capsys.readouterr().out.splitlines()
+    )
+    counts = {name: int(n) for name, n in rows.items()}
+    modules = {path.name for path in code_lines.PACKAGE.glob("*.py")}
+    assert modules and set(counts) - modules == {
+        "total", "without oracle.py", "without oracle, sets",
+    }
+    total = sum(counts[name] for name in modules)
+    assert all(counts[name] > 0 for name in modules)
+    assert counts["total"] == total
+    assert counts["without oracle.py"] == total - counts["oracle.py"]
+    assert counts["without oracle, sets"] == (
+        total - counts["oracle.py"] - counts["sets.py"]
+    )
+
+
+def test_startup_script_runs_once():
+    done = subprocess.run(
+        [sys.executable, str(TESTS / "startup.py"), "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["runs", "1"]
+    medians = [line.rsplit(maxsplit=2) for line in lines[1:]]
+    assert [label for label, _, _ in medians] == [
+        "no bytecode cache", "bytecode cache",
+    ]
+    assert all(unit == "ms" and float(ms) > 0 for _, ms, unit in medians)
