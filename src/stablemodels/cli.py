@@ -6,9 +6,12 @@ A command's parser is built once per process, on the command's first
 call, and serves every later call; help, version and usage errors
 outside a command go through the full parser tree, built per call.
 Every command takes its input's op table from the parse
-(``parser.theory_ops``, ``formula_ops`` or ``split_ops``) and compiles
-nothing; a theory's members are built as formulas only for a
-completion.
+(``parser.theory_ops``, ``formula_ops`` or ``split_ops``), compiles
+nothing and builds no formula: ``models`` prints a program's completion
+from the ops that ``semantics._completion`` appends to a copy of the
+parse's table, and ``tight`` decides whether its input is a program
+with ``semantics._rule``, the reader of one member that the completion
+uses, which copies no table.
 
 Exit codes:
   0  success
@@ -39,7 +42,7 @@ from .depgraph import (
     _named,
 )
 from .errors import CapExceededError, FormulaParseError, StableModelsError
-from .formula import Ops, Theory, _formulas, _nondisjunctive, print_formula
+from .formula import print_tokens
 from .fuzz import (
     MAX_FUZZ_ATOMS,
     MAX_FUZZ_DEPTH,
@@ -51,6 +54,7 @@ from .parser import formula_ops, split_ops, theory_ops
 from .semantics import (
     DEFAULT_CAP,
     _analysis,
+    _rule,
     answer_json,
     format_interpretation,
     format_points,
@@ -76,17 +80,9 @@ def _parse_atom_list(text: str) -> frozenset[str]:
     return frozenset(a for a in text.replace(",", " ").split() if a)
 
 
-def _members(ops: Ops, roots: list[int]) -> Theory:
-    """The members whose ops are ``roots``, as formulas."""
-    nodes = _formulas(ops)
-    return tuple(nodes[r] for r in roots)
-
-
 def cmd_models(args) -> int:
     ops, universe, roots = theory_ops(_read_input(args.input))
-    # Only a program has a completion, which is built from its members.
-    program = _members(ops, roots) if _nondisjunctive(ops, roots) else None
-    a = _analysis((ops, universe), args.cap, program)
+    a = _analysis(ops, universe, roots, args.cap)
     if args.json:
         print(a.to_json())
         return EXIT_OK
@@ -100,10 +96,11 @@ def cmd_models(args) -> int:
     if a._supported is not None:
         print("supported:", supported)
     print("pointwise stable:", pointwise)
-    if a.completion_theory is not None:
+    if a._completion is not None:
+        table, members = a._completion
         print("completion:")
-        for f in a.completion_theory:
-            print(" ", print_formula(f) + ".")
+        for r in members:
+            print(" ", "".join(print_tokens(table, r)[0]) + ".")
     return EXIT_OK
 
 
@@ -125,13 +122,13 @@ def cmd_tight(args) -> int:
     names = _layout(universe)
     cyclic = _cyclic(_graph(ops, kind, names))
     print(f"graph {kind.value}: {'cyclic' if cyclic else 'acyclic'}")
-    if _nondisjunctive(ops, roots) and not (
+    if all(_rule(ops, r) for r in roots) and not (
         cyclic if kind is GraphKind.SP
         else _cyclic(_graph(ops, GraphKind.SP, names))
     ):
         claim = "tight (sp graph acyclic): supported models = stable models"
         try:
-            a = _analysis((ops, universe), args.cap, _members(ops, roots))
+            a = _analysis(ops, universe, roots, args.cap)
         except CapExceededError as exc:
             # The check is an extra; the verdict above stands.
             print(f"{claim} (not checked: {exc})")

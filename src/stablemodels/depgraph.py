@@ -308,19 +308,27 @@ def _all_loops(succ: list[int]) -> list[int]:
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_id(atom: Atom) -> str:
-    """``atom`` as a DOT ID: quoted if it is a DOT keyword, else bare."""
-    return f'"{atom}"' if atom.lower() in _DOT_KEYWORDS else atom
+    """``atom`` as a DOT ID: bare if it is a DOT name,
+    ``[A-Za-z_][A-Za-z0-9_]*``, and no keyword, else a quoted string.
+    Every atom the parser reads is such a name."""
+    bare = atom.isascii() and atom.isidentifier()
+    return atom if bare and atom.lower() not in _DOT_KEYWORDS else _dot_string(atom)
 
 
 def _dot(
     vertices: Iterable[Atom], edges: Iterable[tuple[Atom, Atom]], label: str
 ) -> str:
     """The DOT digraph of ``vertices`` and ``edges``, in their order, and
-    ``label`` as a quoted string, its backslashes and quotes escaped."""
+    ``label`` as a quoted string."""
     lines = ["digraph G {"]
     if label:
-        lines.append('  label="%s";' % label.replace("\\", "\\\\").replace('"', '\\"'))
+        lines.append(f"  label={_dot_string(label)};")
     for v in vertices:
         lines.append(f"  {_dot_id(v)};")
     for (a, b) in edges:

@@ -5,11 +5,13 @@ Formulas are built from atoms and bottom with the binary connectives
 sugar only: ``not F`` is stored as ``F -> bot`` and ``F <-> G`` as the
 conjunction of both implications.  Production reads op tables, one op
 per distinct node: the parser emits them as it reads a text, and
-``_compile`` walks a tree into the same table; ``_formulas`` turns a
-table back into nodes.  ``print_tokens`` prints from the ops by index,
-so a text is printed with no tree; ``print_formula`` compiles its tree
-first.  The walks that define the occurrence analyses live in
-``oracle``.
+``_compile`` walks a tree into the same table; ``_formulas`` turns ops
+of a table back into nodes, for the parser's tree entry points and the
+set-level API.  ``print_tokens`` prints from the ops by index, so
+production prints every text, a program's completion included, with no
+tree; ``print_formula`` compiles its tree first, for the library and
+the fuzz messages.  The walks that define the occurrence analyses live
+in ``oracle``.
 
 The nodes are ``Frozen`` values: equal only to a node of their own
 class with equal operands, hashed as the tuple of them, shown as
@@ -160,12 +162,6 @@ def conj(parts: Iterable[Formula]) -> Formula:
     return functools.reduce(And, parts) if parts else TOP
 
 
-def disj(parts: Iterable[Formula]) -> Formula:
-    """Left-associated disjunction; empty input yields bottom."""
-    parts = list(parts)
-    return functools.reduce(Or, parts) if parts else BOT
-
-
 def atoms(f: Formula) -> frozenset[Atom]:
     """Atoms with at least one occurrence in ``f``."""
     out: set[Atom] = set()
@@ -259,10 +255,10 @@ def _compile(t: Iterable[Formula]) -> tuple[Ops, set[Atom]]:
     return ops, {x for code, x, _ in ops if code == _ATOM}
 
 
-def _formulas(ops: Ops) -> list[Formula]:
-    """The node of each op, in one pass: an op that several ops read is
-    one node that their nodes share, so ``_compile`` of a node gives its
-    ops back."""
+def _formulas(ops: Ops, roots: Iterable[int]) -> Theory:
+    """The node of each op of ``roots``, from one pass over the ops: an op
+    that several ops read is one node that their nodes share, so
+    ``_compile`` of a node gives its ops back."""
     nodes: list[Formula] = []
     for code, x, y in ops:
         if code == _ATOM:
@@ -271,17 +267,7 @@ def _formulas(ops: Ops) -> list[Formula]:
             nodes.append(BOT)
         else:
             nodes.append(_NODES[code](nodes[x], nodes[y]))
-    return nodes
-
-
-def _nondisjunctive(ops: Ops, roots: Iterable[int]) -> bool:
-    """``is_nondisjunctive_theory`` of the members whose ops are ``roots``:
-    each is an atom, or an implication whose consequent is one."""
-    return all(
-        ops[r][0] == _ATOM
-        or ops[r][0] == _IMPLIES and ops[ops[r][2]][0] == _ATOM
-        for r in roots
-    )
+    return tuple(nodes[r] for r in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .semantics import (
     format_interpretation,
     format_points,
 )
-from .sets import analyze, classical_models, stable_models
+from .sets import _member_ops, analyze, classical_models, stable_models
 from .splitting import _split, split_conditions
 
 ATOM_POOL = ("a", "b", "c", "d")
@@ -120,7 +120,7 @@ def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
     t, compiled = _sample_until(
         rng, lambda r: random_nondisjunctive_theory(r, pool, depth), _sp_acyclic
     )
-    a = _analysis(compiled, program=t)
+    a = _analysis(*compiled, _member_ops(compiled[0], len(t)))
     if a._supported != a._stable:
         sup, st = format_points(a._c.names, a._supported, a._stable)
         return (

@@ -38,7 +38,7 @@ import itertools
 from typing import Iterable, Iterator, Optional
 
 from .depgraph import GraphKind, _layout, _named
-from .errors import check_cap
+from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
     BOT,
     And,
@@ -51,6 +51,7 @@ from .formula import (
     Or,
     Theory,
     _compile,
+    as_rule,
     conj,
     neg,
 )
@@ -58,7 +59,6 @@ from .loopformulas import _loops, check_atoms
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
-    _rules_by_head,
     format_interpretation,
 )
 from .sets import classical_models
@@ -127,11 +127,13 @@ def is_stable(i: Interpretation, t: Theory) -> bool:
 
 def is_supported(i: Interpretation, t: Theory) -> bool:
     """Every atom of ``i`` heads some rule whose body ``i`` satisfies."""
-    by_head = _rules_by_head(t)
+    rules = [as_rule(f) for f in t]
+    if None in rules:
+        raise NotNondisjunctiveError(t[rules.index(None)])
     if not satisfies_all(i, t):
         return False
     return all(
-        any(satisfies(i, body) for body in by_head.get(a, ()))
+        any(head == a and satisfies(i, body) for body, head in rules)
         for a in i
     )
 

@@ -278,11 +278,10 @@ def theory_ops(text: str) -> tuple[Ops, set[Atom], list[int]]:
 def parse_formula(text: str) -> Formula:
     """Parse a single formula, which may span lines; the whole input must
     be consumed."""
-    return _formulas(formula_ops(text)[0])[-1]
+    return _formulas(formula_ops(text)[0], [-1])[0]
 
 
 def parse_theory(text: str) -> Theory:
     """Parse a sequence of formulas separated by '.' or newlines."""
     ops, _, roots = theory_ops(text)
-    nodes = _formulas(ops)
-    return tuple(nodes[r] for r in roots)
+    return _formulas(ops, roots)

@@ -33,8 +33,11 @@ path pays.  If that is not more than the n singleton loops, the graph is
 not built; else the loop search gives up as soon as it has found more
 loops than that, and the per-model path runs.  Supported models are the
 classical models where the support halves of the completion hold too,
-read in ``_analysis`` from the sweep's classical pass; the completion
-is still built as a tree (``_completion``) and compiled for that.
+read in ``_analysis`` from the sweep's classical pass.  The completion
+is read off the op table (``_completion``): its ops are appended to a
+copy of the theory's, reusing the rules' body ops, so no formula tree
+is built for it and nothing is compiled; ``models`` prints it from
+those ops.
 Every pass is guarded by a hard cap (default 20 atoms), checked once
 the theory's op table and atoms are known (from the parse, or from the
 one walk of ``formula._compile``), before any table.
@@ -114,24 +117,19 @@ from .depgraph import (
     _mask,
     _named,
 )
-from .errors import NotNondisjunctiveError, check_cap
+from .errors import check_cap
 from .formula import (
     _AND,
     _ATOM,
+    _BOT,
     _IMPLIES,
     _OR,
-    And,
     Atom,
-    AtomRef,
-    Formula,
     Frozen,
-    Implies,
     Ops,
     Theory,
     Value,
-    _compile,
-    as_rule,
-    disj,
+    _formulas,
 )
 
 Interpretation = frozenset[str]
@@ -246,27 +244,55 @@ def answer_json(names: list[Atom], fields: Iterable[tuple[str, object]]) -> str:
     return "".join(["{\n  ", *pieces[1:], "\n}"])
 
 
-def _rules_by_head(t: Theory) -> dict[Atom, list[Formula]]:
-    """Bodies of the theory's rules, keyed by head atom, in rule order."""
-    by_head: dict[Atom, list[Formula]] = {}
-    for f in t:
-        pair = as_rule(f)
-        if pair is None:
-            raise NotNondisjunctiveError(f)
-        body, head = pair
-        by_head.setdefault(head, []).append(body)
-    return by_head
+def _rule(ops: Ops, member: int) -> Optional[tuple[Atom, Optional[int]]]:
+    """The head atom and the body op of the op ``member`` of ``ops`` if it
+    is a rule, an atom or an implication into one, else None: ``as_rule``
+    over the ops, without the copy of the table that ``_completion`` makes.
+    A fact's body is None."""
+    code, x, y = ops[member]
+    if code == _ATOM:
+        return x, None
+    if code == _IMPLIES and ops[y][0] == _ATOM:
+        return ops[y][1], x
+    return None
 
 
-def _completion(t: Theory, atoms: Iterable[Atom]) -> Theory:
-    """``sets.completion(t)``, where ``atoms`` are the atoms of ``t``."""
-    by_head = _rules_by_head(t)
-    out: list[Formula] = []
-    for a in sorted(atoms):
-        body = disj(by_head.get(a, []))
-        ref = AtomRef(a)
-        out.append(And(Implies(ref, body), Implies(body, ref)))
-    return tuple(out)
+def _completion(
+    ops: Ops, members: Iterable[int]
+) -> Optional[tuple[Ops, list[int]]]:
+    """The completion of the theory whose members are the ops ``members``
+    of ``ops``: a copy of ``ops`` with the completion's ops appended, and
+    the op of each of its members.  None unless ``_rule`` reads every
+    member as a rule.
+
+    Per atom A of ``ops``, in sorted order, the member is
+    ``(A -> B) & (B -> A)``.  B is the left ``|``-fold of the bodies of
+    the rules with head A, in rule order, or ``bot`` if there are none.
+    A rule's body is its antecedent's op, and a fact's is ``bot -> bot``.
+    These are the formulas of ``sets.completion``, and ``print_tokens``
+    prints them as ``print_formula`` prints those.
+    """
+    rules = [_rule(ops, r) for r in members]
+    if None in rules:
+        return None
+    n = len(ops)
+    # The ops of the bodies of the rules of each head; the table gets an
+    # op of ``bot`` at n and one of ``bot -> bot``, a fact's body, at n + 1.
+    by_head: dict[Atom, list[int]] = {}
+    for head, body in rules:
+        by_head.setdefault(head, []).append(n + 1 if body is None else body)
+    atom_ops = {x: i for i, (code, x, _) in enumerate(ops) if code == _ATOM}
+    table = [*ops, (_BOT, 0, 0), (_IMPLIES, n, n)]
+    roots = []
+    for a, atom in sorted(atom_ops.items()):
+        body, *rest = by_head.get(a, [n])
+        for b in rest:
+            table.append((_OR, body, b))
+            body = len(table) - 1
+        table += ((_IMPLIES, atom, body), (_IMPLIES, body, atom))
+        table.append((_AND, len(table) - 2, len(table) - 1))
+        roots.append(len(table) - 1)
+    return table, roots
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +535,12 @@ def _classical_pass(
     return _Classical(names, ops, atom_tables, vals, candidates, masks)
 
 
-def _supported(comp: Theory, c: _Classical) -> int:
-    """The table of the support halves ``a -> (disjunction of a's
-    bodies)`` of the completion ``comp`` over ``c``'s points."""
-    ops, _ = _compile([f.left for f in comp])
-    full = itertools.repeat((1 << (1 << len(c.names))) - 1)
-    return _evaluate(ops, c.atom_tables, full)[-1]
+def _supported(table: Ops, roots: list[int], c: _Classical) -> int:
+    """The table over ``c``'s points of the support halves ``A -> B`` of
+    the completion members ``roots`` of ``_completion``'s ``table``."""
+    full = (1 << (1 << len(c.names))) - 1
+    vals = _evaluate(table, c.atom_tables, itertools.repeat(full))
+    return functools.reduce(operator.and_, [vals[table[r][1]] for r in roots], full)
 
 
 def _per_model(c: _Classical) -> tuple[int, ...]:
@@ -670,18 +696,24 @@ class ModelReport(Frozen):
     ``interpretations_of`` order; a list is built when it is read, each
     interpretation once per pass, so the lists share their models.
     ``supported`` and ``completion_theory`` are present only when every
-    member is a nondisjunctive rule.
+    member is a nondisjunctive rule.  The report holds the completion as
+    ``_completion`` returns it, a table and its members' ops, and
+    ``completion_theory`` builds the formulas only when it is read.
     """
 
     # The pass, ``_c``, whose memo grows as lists are read, is left out
     # of the report's equality and repr; the universe names its points.
     _params = (
-        "universe", "completion_theory", "_c", "_classical", "_stable",
+        "universe", "_completion", "_c", "_classical", "_stable",
         "_supported", "_pointwise",
     )
-    _fields = tuple(name for name in _params if name != "_c")
+    _fields = ("universe", "completion_theory") + _params[3:]
     # Unhashable, as its lists are.
     __hash__ = None
+
+    @property
+    def completion_theory(self) -> Optional[Theory]:
+        return None if self._completion is None else _formulas(*self._completion)
 
     @property
     def classical(self) -> list[Interpretation]:
@@ -716,19 +748,16 @@ class ModelReport(Frozen):
 
 
 def _analysis(
-    compiled: tuple[Ops, set[Atom]],
-    cap: int = DEFAULT_CAP,
-    program: Optional[Theory] = None,
+    ops: Ops, atoms: set[Atom], members: Iterable[int], cap: int = DEFAULT_CAP
 ) -> ModelReport:
-    """``sets.analyze(t)``, where ``compiled`` is ``_compile(t)`` and
-    ``program`` is t if every member is a nondisjunctive rule, else None:
-    the supported models and the completion are read from it."""
-    c = _classical_pass(*compiled, cap=cap)
+    """``sets.analyze(t)``, where ``ops`` and ``atoms`` are ``_compile(t)``
+    and ``members`` the op of each member of t.  If t is a program, its
+    supported models and its completion are read off ``_completion``'s
+    table."""
+    c = _classical_pass(ops, atoms, cap=cap)
     stable, pointwise = _sweep(c)
-    supported = comp = None
-    if program is not None:
-        comp = _completion(program, c.names)
-        supported = c.points(_supported(comp, c))
+    comp = _completion(ops, members)
+    supported = None if comp is None else c.points(_supported(*comp, c))
     return ModelReport(
         frozenset(c.names),
         comp,

@@ -6,7 +6,12 @@ loops and models as masks and points in the classical pass's layout
 between that and the library's public functions: each compiles its tree
 with ``formula._compile``, calls the mask functions, and decodes their
 answer into sets of atoms, ``DepGraph``s and lists of interpretations.
-The names here are re-exported, unchanged, by the package root.
+A theory's members are read off the ``And`` spine of its ops
+(``_member_ops``), so that ``analyze``, ``completion`` and
+``supported_models`` read the completion off the op table as the CLI
+does (``semantics._completion``); ``completion`` and a report's
+``completion_theory`` decode it into formulas.  The names here are
+re-exported, unchanged, by the package root.
 
 No production module imports this module; only the package root,
 ``oracle`` and ``fuzz`` do, and ``tests/test_import_lint.py`` checks
@@ -28,8 +33,9 @@ from .depgraph import (
     _layout,
     _named,
 )
+from .errors import NotNondisjunctiveError
 from .formula import (
-    And, Atom, Formula, Frozen, Theory, _compile, is_nondisjunctive_theory
+    And, Atom, Formula, Frozen, Ops, Theory, _compile, _formulas, as_rule
 )
 from .semantics import (
     DEFAULT_CAP,
@@ -137,10 +143,31 @@ def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     return c.build(c.points(_sweep(c)[0]))
 
 
+def _member_ops(ops: Ops, n: int) -> list[int]:
+    """The ops of the ``n`` members of a theory in the ops ``_compile``
+    gives it, read off the left-nested ``And`` spine that conjoins them."""
+    # Each And on the spine is replaced by its right operand and then its
+    # left, the spine's next And, so the stack ends with the last member
+    # at the bottom and the first at the top.
+    stack = [len(ops) - 1]
+    for _ in range(n - 1):
+        stack += ops[stack.pop()][:0:-1]
+    return stack[::-1][:n]
+
+
+def _completed(t: Theory, ops: Ops) -> tuple[Ops, list[int]]:
+    """``_completion`` of ``t``, whose compile gives ``ops``; raises
+    ``NotNondisjunctiveError`` naming the first member that is not a rule."""
+    comp = _completion(ops, _member_ops(ops, len(t)))
+    if comp is None:
+        raise NotNondisjunctiveError(next(f for f in t if as_rule(f) is None))
+    return comp
+
+
 def supported_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models where the support halves of ``completion(t)`` hold."""
     c = _classical_pass(*_compile(t), cap=cap)
-    return c.build(c.points(_supported(_completion(t, c.names), c)))
+    return c.build(c.points(_supported(*_completed(t, c.ops), c)))
 
 
 def pointwise_stable_models(
@@ -159,13 +186,13 @@ def completion(t: Theory) -> Theory:
     rendered as the conjunction of both implications.  Atoms are taken
     in lexicographic order; disjuncts keep rule order, unsimplified.
     """
-    return _completion(t, _compile(t)[1])
+    return _formulas(*_completed(t, _compile(t)[0]))
 
 
 def analyze(t: Theory, cap: int = DEFAULT_CAP) -> ModelReport:
     """All four model classes of ``t`` from one classical pass."""
-    program = t if is_nondisjunctive_theory(t) else None
-    return _analysis(_compile(t), cap, program)
+    ops, atoms = _compile(t)
+    return _analysis(ops, atoms, _member_ops(ops, len(t)), cap)
 
 
 def check_split(

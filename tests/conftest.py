@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import sys
 
@@ -10,6 +11,7 @@ import stablemodels.depgraph as depgraph
 import stablemodels.formula as formula
 import stablemodels.semantics as semantics
 from stablemodels import (
+    BOT,
     TOP,
     And,
     AtomRef,
@@ -17,7 +19,9 @@ from stablemodels import (
     DepGraph,
     GraphKind,
     Implies,
+    Or,
     analyze,
+    as_rule,
     atoms,
     check_split,
     classical_models,
@@ -206,6 +210,20 @@ def loop_oracle_scan(f, kind):
         for i in interpretations_of(universe)
         if satisfies(i, f) and all(satisfies(i, lf) for lf in lfs)
     ]
+
+
+def clark_completion(t):
+    """The Clark completion of the program ``t``, from its rules: per atom
+    A, in sorted order, ``(A -> B) & (B -> A)``, where B is the left
+    disjunction of the bodies of the rules with head A, in rule order, or
+    bottom if there are none."""
+    rules = [as_rule(f) for f in t]
+    members = []
+    for a in sorted(theory_atoms(t)):
+        bodies = [body for body, head in rules if head == a]
+        b = functools.reduce(Or, bodies) if bodies else BOT
+        members.append(And(Implies(AtomRef(a), b), Implies(b, AtomRef(a))))
+    return tuple(members)
 
 
 def masks(sets, names):

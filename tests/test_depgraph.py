@@ -241,6 +241,16 @@ class TestDot:
             "}\n"
         )
 
+    def test_other_atoms_are_quoted_and_escaped(self):
+        # An atom from the API need not be a DOT name: only
+        # [A-Za-z_][A-Za-z0-9_]* is bare, and a quoted ID escapes \ and ".
+        g = DepGraph(frozenset({'a"b', "1x"}), frozenset({('a"b', "1x")}))
+        assert to_dot(g) == (
+            'digraph G {\n  "1x";\n  "a\\"b";\n  "a\\"b" -> "1x";\n}\n'
+        )
+        g = DepGraph(frozenset({"a\\b", "_x1", "é"}), frozenset())
+        assert to_dot(g) == 'digraph G {\n  _x1;\n  "a\\\\b";\n  "é";\n}\n'
+
     def test_round_trip_of_edges(self, p2):
         g = g_pnn(p2)
         text = to_dot(g)

@@ -29,7 +29,6 @@ from stablemodels.formula import (
     _OR,
     _compile,
     conj,
-    disj,
     neg,
 )
 from conftest import compile_scan
@@ -232,11 +231,9 @@ class TestNondisjunctive:
 class TestFolds:
     def test_empty(self):
         assert conj([]) is TOP
-        assert disj(iter(())) is BOT
 
     def test_left_associated(self):
         assert conj(iter([p, q, r])) == And(And(p, q), r)
-        assert disj([p, q, r]) == Or(Or(p, q), r)
         assert conj([p]) is p
 
 

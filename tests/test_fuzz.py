@@ -84,12 +84,12 @@ class TestRunFuzz:
         assert {kind for _, kind, _ in graph_builds} == {GraphKind.PNN}
 
     @pytest.mark.parametrize(
-        ("prop", "count"), [("theorem1", 250), ("theorem2", 118)]
+        ("prop", "count"), [("theorem1", 150), ("theorem2", 118)]
     )
     def test_theorems_compile_each_sample_once(self, compiles, prop, count):
         # At seed 1, 150 and 118 sampled theories for 100 accepted ones,
         # each compiled once by ``accept``, whose compile the check reads;
-        # theorem1 also compiles the support halves of each accepted one.
+        # theorem1 reads the support halves off a copy of its ops.
         assert run_fuzz(prop, seed=1, count=100).ok
         assert len(compiles) == count
 

@@ -35,8 +35,12 @@ sweep.  ``cli`` does not name ``analyze``, which holds models as sets:
 every model list the CLI prints is rendered from the points of one
 classical pass.  Nor does it name ``formula._compile``: every command
 takes its ops from the parse, which emits them as it reads the text.
-``depgraph`` and ``splitting`` do not name it either: they read graphs
-and split conditions off op tables that their callers hold.
+It names neither ``formula._formulas`` nor ``print_formula`` either, so
+it builds no formula tree: it prints a completion from its ops with
+``print_tokens``.  ``depgraph``, ``splitting`` and ``semantics`` do not
+name ``_compile`` either: they read graphs, split conditions, models and
+the completion off op tables that their callers hold; and ``semantics``
+names no node class, so the completion is built as ops, not as a tree.
 
 The set-level API, which takes theories as trees and hands out graphs,
 loops and models as sets, lives in ``sets``, and production keeps op
@@ -88,9 +92,15 @@ WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
 # Per module, the names it may not use: the model lists of ``cli``
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze"}}
-# Per module, the compile it may not use: the CLI's ops come from the
-# parse, and the graph and split modules read the ops they are given.
-COMPILERS = dict.fromkeys(("cli", "depgraph", "splitting"), {"_compile"})
+# Per module, the tree builders it may not use: the CLI's ops come from
+# the parse and are printed as ops, and the graph, split and model
+# modules read the ops they are given.
+COMPILERS = {
+    "cli": {"_compile", "_formulas", "print_formula"},
+    "depgraph": {"_compile"},
+    "splitting": {"_compile"},
+    "semantics": {"_compile", "Bottom", "AtomRef", "And", "Or", "Implies"},
+}
 # The modules that may import the set-level adapter: itself, the oracle,
 # the fuzz properties and the package's re-exports.
 SET_SIDE = {"sets", "oracle", "fuzz", "__init__"}
@@ -348,13 +358,17 @@ def test_cli_takes_its_ops_from_the_parse(path):
 
 def test_lint_flags_compile_uses():
     tree = ast.parse(
-        "from .formula import _compile, print_formula\n"
+        "from .formula import _compile, print_tokens\n"
         "import stablemodels.formula as formula\n"
         "def cmd_loops(f):\n"
         "    return formula._compile((f,))\n"
+        "def cmd_models(ops, roots):\n"
+        "    for f in formula._formulas(ops, roots):\n"
+        "        print(formula.print_formula(f))\n"
     )
-    assert compile_uses(tree, "cli") == [1, 4]
-    assert compile_uses(tree, "semantics") == []
+    assert compile_uses(tree, "cli") == [1, 4, 6, 7]
+    assert compile_uses(tree, "semantics") == [1, 4]
+    assert compile_uses(tree, "sets") == []
 
 
 def test_lint_flags_compile_uses_in_graph_and_split_modules():
@@ -364,10 +378,22 @@ def test_lint_flags_compile_uses_in_graph_and_split_modules():
         "def graph_of(t, kind):\n"
         "    return _graph(*formula._compile(t), kind)\n"
     )
-    for module in ("depgraph", "splitting"):
+    for module in ("depgraph", "splitting", "semantics"):
         assert compile_uses(tree, module) == [1, 4]
-    for module in ("formula", "semantics", "loopformulas", "sets"):
+    for module in ("formula", "loopformulas", "sets"):
         assert compile_uses(tree, module) == []
+
+
+def test_lint_flags_node_classes_in_semantics():
+    tree = ast.parse(
+        "from .formula import And, AtomRef, Implies, _formulas\n"
+        "import stablemodels.formula as formula\n"
+        "def _completion(a, body):\n"
+        "    ref = AtomRef(a)\n"
+        "    return formula.And(Implies(ref, body), formula.Implies(body, ref))\n"
+    )
+    assert compile_uses(tree, "semantics") == [1, 1, 1, 4, 5, 5, 5]
+    assert compile_uses(tree, "depgraph") == []
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 import stablemodels.depgraph as depgraph
 import stablemodels.loopformulas as loopformulas
+import stablemodels.semantics as semantics
 import stablemodels.sets as sets
 from stablemodels import (
     BOT,
@@ -23,6 +24,7 @@ from stablemodels import (
     atoms,
     check_split,
     choice_augment,
+    completion,
     classify_occurrences,
     g_pnn,
     g_sp,
@@ -35,6 +37,7 @@ from stablemodels import (
     loop_oracle_models,
     nes,
     parse_formula,
+    parse_theory,
     print_formula,
     print_theory,
     reduct,
@@ -56,7 +59,7 @@ from stablemodels.cli import (
     build_parser,
     command_parser,
 )
-from stablemodels.formula import _compile, _nondisjunctive, neg
+from stablemodels.formula import _compile, neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.oracle import format_models
 from stablemodels.parser import formula_ops, theory_ops
@@ -66,6 +69,7 @@ from stablemodels.semantics import (
     format_points,
 )
 from conftest import (
+    clark_completion,
     compile_scan,
     cyclic_scan,
     dependency_graph_scan,
@@ -157,6 +161,22 @@ iff_texts = st.recursive(
     max_leaves=8,
 )
 iff_theories = st.lists(iff_texts.map(parse_formula), max_size=3).map(tuple)
+
+# Programs whose heads are a or b, so that heads repeat and c and d head
+# no rule: facts, and rules with bodies that may hold "<->".  The empty
+# program is drawn too.
+completion_heads = st.builds(AtomRef, st.sampled_from(("a", "b")))
+completion_programs = st.lists(
+    st.one_of(
+        completion_heads,
+        st.builds(
+            Implies,
+            st.one_of(formulas, iff_texts.map(parse_formula)),
+            completion_heads,
+        ),
+    ),
+    max_size=5,
+).map(tuple)
 
 
 @given(st.one_of(formulas, negating_formulas))
@@ -290,8 +310,37 @@ def test_graph_command_prints_graph_of(t, kind):
 
 @given(st.one_of(theories, negating_theories, programs, wide_programs))
 def test_nondisjunctive_read_off_the_member_ops(t):
+    # The completion's reader, and ``tight``'s reading of each member,
+    # decide whether the members are rules.
     ops, _, roots = theory_ops(print_theory(t))
-    assert _nondisjunctive(ops, roots) == is_nondisjunctive_theory(t)
+    program = semantics._completion(ops, roots) is not None
+    assert program == is_nondisjunctive_theory(t)
+    assert all(semantics._rule(ops, r) for r in roots) == program
+
+
+@given(st.one_of(theories, programs, iff_theories))
+def test_member_ops_are_the_parse_roots(t):
+    # The set-level API reads the members off the ``And`` spine of the
+    # compile's ops; the parse records them as it reads the text.
+    text = print_theory(t)
+    ops, _, roots = theory_ops(text)
+    assert sets._member_ops(_compile(parse_theory(text))[0], len(roots)) == roots
+
+
+@settings(deadline=None)
+@given(completion_programs)
+def test_completion_is_the_clark_completion(t):
+    # The library's completion, the report's and the lines ``models``
+    # prints, all read off the op table, against the completion built
+    # from the rules.
+    expected = clark_completion(t)
+    assert completion(t) == expected
+    assert analyze(t).completion_theory == expected
+    code, out = run_cli(["models"], print_theory(t))
+    assert code == 0
+    lines = out.splitlines()
+    printed = lines[lines.index("completion:") + 1:]
+    assert printed == ["  " + print_formula(f) + "." for f in expected]
 
 
 @given(shared_heads)

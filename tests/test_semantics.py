@@ -35,6 +35,7 @@ from stablemodels import (
 )
 from stablemodels import depgraph, semantics
 from stablemodels.formula import _compile
+from stablemodels.parser import theory_ops
 from stablemodels.semantics import (
     _by_loops,
     _classical_pass,
@@ -158,12 +159,12 @@ class TestSupported:
         assert "p | q" in str(info.value)
 
     def test_support_formulas_come_from_completion(self, p1, monkeypatch):
-        # From the completion of p1 over the atoms of its one compile.
+        # From the completion read off the ops of p1's one compile and
+        # the ops of its two members.
         calls = count_calls(monkeypatch, semantics, "_completion")
         assert supported_models(p1) == [frozenset(), mset("p", "q")]
-        assert [(t, sorted(names)) for t, names in calls] == [
-            (p1, ["p", "q", "r"])
-        ]
+        ops = _compile(p1)[0]
+        assert calls == [(ops, [2, len(ops) - 2])]
 
     def test_makes_no_stability_pass(self, p2, monkeypatch):
         def no_pass(*args):
@@ -221,8 +222,8 @@ class TestAnalyze:
     def test_free_choice_classes_are_the_classical_list(self):
         # Every candidate is stable, so both tables cover the candidates
         # and their points are the candidates' list itself.
-        t = parse_theory("a | not a. b | not b. c | not c.")
-        report = semantics._analysis(_compile(t))
+        t = "a | not a. b | not b. c | not c."
+        report = semantics._analysis(*theory_ops(t))
         assert len(report._classical) == 8
         assert report._stable is report._classical
         assert report._pointwise is report._classical

@@ -217,12 +217,14 @@ def test_narrowed_pass_has_fresh_memos():
 
 # Each of the twelve value classes, by an instance and its constructor's
 # parameters in order.  The reports' constructors also take their pass,
-# ``_c``, which their fields leave out.
+# ``_c``, which their fields leave out; a ``ModelReport`` takes its
+# completion as ops, ``_completion``, which its field
+# ``completion_theory`` decodes.
 CONSTRUCTED = [(value, value._fields) for value, _, _ in HASHABLE] + [
     (
         analyze(parse_theory("p.")),
         (
-            "universe", "completion_theory", "_c", "_classical", "_stable",
+            "universe", "_completion", "_c", "_classical", "_stable",
             "_supported", "_pointwise",
         ),
     ),
