@@ -37,7 +37,8 @@ read in ``_analysis`` from the sweep's classical pass.  The completion
 is read off the op table (``_completion``): its ops are appended to a
 copy of the theory's, reusing the rules' body ops, so no formula tree
 is built for it and nothing is compiled; ``models`` prints it from
-those ops.
+those ops, and ``_supported`` evaluates only them, after the pass's
+tables of the theory's ops.
 Every pass is guarded by a hard cap (default 20 atoms), checked once
 the theory's op table and atoms are known (from the parse, or from the
 one walk of ``formula._compile``), before any table.
@@ -84,17 +85,19 @@ bit j of every table standing for loop j.
 It also renders model lists, from points rather than interpretations.
 A ``ModelReport`` holds a theory's classical pass and the points of its
 four classes on it (``splitting.SplitReport`` does the same for a
-split); a class whose table covers every candidate is the candidates'
-list itself.  Both reports are ``formula.Frozen`` values that leave
-the pass out of their equality and repr, and are unhashable, as their
-lists are; their constructor, ``formula.Value``'s, takes the pass as
-``_c``, which ``_params`` names and ``_fields`` leaves out.  The pass
-is a mutable ``formula.Value``, whose memos grow as lists are read.
-``format_points`` and ``answer_json`` (the ``models --json`` and
-``split --json`` documents, byte for byte as
-``json.dumps(..., indent=2)`` writes them) render a point from two
-tables over the halves of its bits, one join per point, and a list
-object once however often it is given.  ``_models`` builds
+split).  The pass lists the points of each distinct table once
+(``_Classical.points``), so classes with equal tables share one list
+object, the candidates' list among them.  Both reports are
+``formula.Frozen`` values that leave the pass out of their equality and
+repr, and are unhashable, as their lists are; their constructor,
+``formula.Value``'s, takes the pass as ``_c``, which ``_params`` names
+and ``_fields`` leaves out.  The pass is a mutable ``formula.Value``,
+whose memos grow as lists are read.  ``format_points`` and
+``answer_json`` (the ``models --json`` and ``split --json`` documents,
+byte for byte as ``json.dumps(..., indent=2)`` writes them) render a
+point from two tables over the halves of its bits, one join per point,
+and a list object once however often it is given, so each distinct
+list of a pass once.  ``_models`` builds
 interpretations from the same tables: the enumerators of ``sets`` and
 a report's lists build one only for a point they return, once per pass,
 so an answer's lists share their models.
@@ -106,7 +109,7 @@ import functools
 import itertools
 import json
 import operator
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .depgraph import (
     GraphKind,
@@ -193,8 +196,8 @@ def _renderer(
 def format_points(names: list[Atom], *lists: list[int]) -> list[str]:
     """``format_models`` of each list of points over ``names``, in
     descending order (see ``_Classical``).  A list object given twice,
-    such as a class that ``_Classical.points`` gives as the candidates'
-    list itself, is rendered once."""
+    such as the one list that ``_Classical.points`` gives for two equal
+    tables, is rendered once."""
     render = _renderer(names, _TEXT_FORM)
     unique = {id(keys): keys for keys in lists}
     texts = {i: ", ".join(render(keys)) or "(none)" for i, keys in unique.items()}
@@ -328,8 +331,11 @@ def _atom_tables(n: int) -> list[int]:
     return tables
 
 
-def _evaluate(ops: Ops, here: dict[Atom, int], there: Iterator[int]) -> list[int]:
-    """The here table of every op.
+def _evaluate(
+    ops: Ops, here: dict[Atom, int], there: Iterator[int], vals: Sequence[int] = ()
+) -> list[int]:
+    """The here table of every op, after a copy of ``vals``, the tables of
+    the ops that come before ``ops`` in their table, if any.
 
     ``here`` maps each atom to its table in the here-world, and ``there``
     yields each implication's table in the there-world, in op order.
@@ -337,7 +343,7 @@ def _evaluate(ops: Ops, here: dict[Atom, int], there: Iterator[int]) -> list[int
     holds where it holds there and ``~A | B`` holds here.  With every
     there table all ones, this is classical truth.
     """
-    vals: list[int] = []
+    vals = [*vals]
     for code, x, y in ops:
         if code == _ATOM:
             v = here[x]
@@ -443,7 +449,9 @@ class _Classical(Value):
     in descending order, as bit j.  So within one size, ``interpretations_of``
     order is descending bit index: two sets of one size first differ at
     some atom, and the set that holds it has the higher bit there.
-    ``atom_tables`` maps each atom of ``names`` to its table."""
+    ``atom_tables`` maps each atom of ``names`` to its table.  Every list
+    of points the pass hands out comes from one memo, ``lists``, keyed by
+    the table of its points, so it lists each distinct table once."""
 
     _fields = ("names", "ops", "atom_tables", "vals", "candidates", "parts")
 
@@ -461,21 +469,17 @@ class _Classical(Value):
         # The parts the sweep decides, the theory first, each with the
         # mask of its kept atoms.
         self.parts = parts
-        # The candidates' points once listed (see ``keys``), and the
-        # interpretation at each point built so far, shared by every
+        # The points of each table listed so far (see ``points``), and
+        # the interpretation at each point built so far, shared by every
         # list read from this pass.
-        self.listed: Optional[list[int]] = None
+        self.lists: dict[int, list[int]] = {}
         self.built: dict[int, Interpretation] = {}
 
     @property
     def keys(self) -> list[int]:
-        """The candidates' points, in ``interpretations_of`` order, listed
-        only when a path or a list reads them."""
-        # Not a cached property: on Python 3.11 its lock costs about a
-        # microsecond, a sixth of a fuzz-size theory's pass.
-        if self.listed is None:
-            self.listed = _set_bits(self.candidates, len(self.names))
-        return self.listed
+        """The candidates' points, listed only when a path or a list reads
+        them."""
+        return self.points(self.candidates)
 
     @functools.cached_property
     def pnn(self) -> list[int]:
@@ -484,13 +488,13 @@ class _Classical(Value):
         return _graph(self.ops, GraphKind.PNN, self.names)
 
     def points(self, table: int) -> list[int]:
-        """The candidates' points where ``table`` is 1: ``keys`` itself
-        if that is all of them."""
-        if not self.candidates & ~table:
-            return self.keys
-        # The text's last digit is bit 0, so bit k is digit ~k.
-        bits = format(table, f"0{1 << len(self.names)}b")
-        return [k for k in self.keys if bits[~k] == "1"]
+        """The candidates' points where ``table`` is 1, in
+        ``interpretations_of`` order, listed once per distinct table: equal
+        tables give one list object."""
+        table &= self.candidates
+        if table not in self.lists:
+            self.lists[table] = _set_bits(table, len(self.names))
+        return self.lists[table]
 
     def build(self, keys: list[int]) -> list[Interpretation]:
         """The interpretation at each point of ``keys``, each built once."""
@@ -499,14 +503,6 @@ class _Classical(Value):
         if missing:
             built.update(zip(missing, _models(missing, self.names)))
         return list(map(built.__getitem__, keys))
-
-    def narrowed(self, table: int) -> _Classical:
-        """This pass with the points where ``table`` is 1 as its only
-        candidates, so that only they are listed.  ``table`` is 0 at every
-        other point."""
-        return _Classical(
-            self.names, self.ops, self.atom_tables, self.vals, table, self.parts
-        )
 
 
 def _classical_pass(
@@ -537,9 +533,11 @@ def _classical_pass(
 
 def _supported(table: Ops, roots: list[int], c: _Classical) -> int:
     """The table over ``c``'s points of the support halves ``A -> B`` of
-    the completion members ``roots`` of ``_completion``'s ``table``."""
+    the completion members ``roots`` of ``_completion``'s ``table``, whose
+    first ops are ``c``'s: only the ops that the completion appends are
+    evaluated, onto a copy of ``c``'s tables."""
     full = (1 << (1 << len(c.names))) - 1
-    vals = _evaluate(table, c.atom_tables, itertools.repeat(full))
+    vals = _evaluate(table[len(c.vals):], c.atom_tables, itertools.repeat(full), c.vals)
     return functools.reduce(operator.and_, [vals[table[r][1]] for r in roots], full)
 
 

@@ -16,13 +16,13 @@ atoms, of which its here-world keeps those that the there-world holds:
 the pass carries F's op with Q kept and G's op with P kept, after the
 whole, the part that keeps no atom.
 A ``SplitReport`` holds the offenders of the conditions, that pass and
-the points of the three lists on it, which the CLI renders and which
-the report builds as interpretations when they are read.  ``_split``
-takes the op table of F & G (``parser.split_ops`` for the CLI) and its
-pnn graph if that has been built already; this module compiles no
-tree.  ``sets.check_split``, the library's entry, compiles F & G and
-calls it.  ``oracle.choice_augment``, which builds
-the parts as formulas, is the test oracle for that sweep.
+the points of the three lists on it, each listed from its own table,
+which the CLI renders and which the report builds as interpretations
+when they are read.  ``_split`` takes the op table of F & G
+(``parser.split_ops`` for the CLI) and its pnn graph if that has been
+built already; this module compiles no tree.  ``sets.check_split``, the
+library's entry, compiles F & G and calls it.  ``oracle.choice_augment``,
+which builds the parts as formulas, is the test oracle for that sweep.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class SplitReport(Frozen):
     ``split_conditions`` gives them, and the stable models of the whole
     and of both parts.
 
-    The report holds a pass narrowed to the points that some list holds
-    and the points of each list on it; a list is built when it is read,
+    The report holds the split's pass and the points of each list on it,
+    one list object for equal lists; a list is built when it is read,
     each interpretation once, so the lists share their models.
     """
 
@@ -138,12 +138,11 @@ def _split(
     graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind, c.names)
     offenders = split_conditions(ops, c.names, ps, qs, graph)
     stable, _, part_f, part_g = _sweep(c)
-    shown = c.narrowed(stable | part_f | part_g)
     return SplitReport(
         kind,
         *offenders,
         stable == part_f & part_g,
-        shown.names,
-        shown,
-        *map(shown.points, (stable, part_f, part_g)),
+        c.names,
+        c,
+        *map(c.points, (stable, part_f, part_g)),
     )

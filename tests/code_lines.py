@@ -1,4 +1,5 @@
-"""Count the code lines of each module of ``src/stablemodels``.
+"""Count the code lines of each module of a package, by default
+``src/stablemodels``.
 
 A code line is a line that holds a token, less docstrings, comments and
 blank lines: a line inside a multi-line string holds that string's token,
@@ -8,13 +9,15 @@ without ``oracle.py``, the test oracle, and the total without both it
 and ``sets.py``, the set-level adapter that no production module
 imports.  It reports and checks nothing.
 
-Run it from anywhere::
+Run it from anywhere, with the path of another checkout's package to
+count that one::
 
-    python tests/code_lines.py
+    python tests/code_lines.py [PACKAGE]
 """
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -46,10 +49,12 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main():
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    package = Path(args[0]) if args else PACKAGE
     counts = {
         path.name: code_lines(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(package.glob("*.py"))
     }
     for name, count in counts.items():
         print(f"{name:20} {count:5}")

@@ -329,6 +329,31 @@ class TestModelLists:
         classical, stable = semantics.format_points(["q", "p"], keys, keys)
         assert stable is classical == "{}, {p}, {q}, {p q}"
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_equal_lists_are_rendered_once(self, capsys, monkeypatch, json_flag):
+        # The stable, supported and pointwise stable lists are equal, and
+        # differ from the classical list: two renders, not four.
+        renders = []
+        renderer = semantics._renderer
+
+        def counting(items, form):
+            render = renderer(items, form)
+
+            def counted(keys):
+                renders.append(keys)
+                return render(keys)
+
+            return counted
+
+        monkeypatch.setattr(semantics, "_renderer", counting)
+        code, out, _ = run(
+            capsys, "models", *json_flag, stdin="not q -> p.",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0 and "p" in out
+        # Over the names ["q", "p"]: {p}, {q}, {p q}, then {p}.
+        assert renders == [[2, 1, 3], [2]]
+
 
 @pytest.mark.parametrize(
     "argv, stdin",

@@ -351,6 +351,15 @@ def test_graphs_of_a_shared_head_match_rule_scan(t):
     assert g_pnn(t) == dependency_graph_scan(t, GraphKind.PNN)
 
 
+@given(st.one_of(theories, programs), st.data())
+def test_points_are_the_candidates_a_table_holds(t, data):
+    # Bits past the 2**n points and outside the candidates are drawn too.
+    c = semantics._classical_pass(*_compile(t))
+    table = data.draw(st.integers(-1, (1 << (2 << len(c.names))) - 1))
+    assert c.points(table) == [k for k in c.keys if table >> k & 1]
+    assert c.points(table) is c.points(table & c.candidates)
+
+
 @given(st.one_of(theories, negating_theories))
 def test_sp_graph_is_subgraph_of_pnn(t):
     assert subgraph_of(g_sp(t), g_pnn(t))

@@ -400,6 +400,32 @@ class TestPoints:
         assert counts == [sizes.count(w) for w in range(n + 1)]
 
 
+class TestPassMemo:
+    """``_Classical.points`` lists each distinct table of candidates once."""
+
+    def test_nothing_is_listed_before_it_is_read(self):
+        c = _classical_pass(*_compile(parse_theory("a | not a.")))
+        assert c.lists == {} and c.built == {}
+        assert c.build(c.keys) == [frozenset(), mset("a")]
+        assert list(c.lists) == [c.candidates]
+
+    def test_equal_tables_give_one_list(self):
+        c = _classical_pass(*_compile(parse_theory("a. b | not b.")))
+        b = c.atom_tables["b"]
+        # Tables equal on the candidates are equal tables.
+        assert c.points(b) is c.points(b | ~c.candidates) == [3]
+        assert c.keys is c.points(c.candidates) is c.points(-1)
+        assert c.points(0) == []
+
+    def test_bits_outside_the_candidates_are_never_listed(self, monkeypatch):
+        listed = count_calls(monkeypatch, semantics, "_set_bits")
+        c = _classical_pass(*_compile(parse_theory("a. b | not b.")))
+        assert c.points(~c.candidates) == []
+        assert c.keys == [2, 3]
+        assert all(table & ~c.candidates == 0 for table, _ in listed)
+        assert len(listed) == 2
+
+
 class TestCompile:
     def test_shared_subtrees_compile_once(self):
         # The loop formula puts one ``not NES`` object under both atoms.

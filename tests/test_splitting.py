@@ -206,16 +206,18 @@ class TestSplitWork:
     def test_loop_path_lists_only_the_answer(self, monkeypatch):
         # The path choice counts the candidates per size from their
         # table, so only the points that some list holds are listed.
+        # A classical model of F where c is true and b0 false is stable
+        # for neither part: some candidates lie outside the answer.
         listed = count_calls(monkeypatch, semantics, "_set_bits")
         sweeps = count_calls(monkeypatch, semantics, "_by_loops")
-        f, g = parse_formula(WIDE_F), parse_formula(WIDE_G)
-        report = check_split(f, g, WIDE_P.split(","), WIDE_Q.split(","))
+        f = parse_formula(WIDE_F + " & (c -> c)")
+        g = parse_formula(WIDE_G + " & (c -> b0)")
+        report = check_split(f, g, [*WIDE_P.split(","), "c"], WIDE_Q.split(","))
         assert len(sweeps) == 1
-        [(table, _)] = listed
-        shown = {
-            *report.stable_whole, *report.stable_part_f, *report.stable_part_g
-        }
-        assert table.bit_count() == len(shown) > 0
+        lists = report._whole, report._part_f, report._part_g
+        shown = sum({1 << k for keys in lists for k in keys})
+        assert report._c.candidates & ~shown and listed
+        assert all(table & ~shown == 0 for table, _ in listed)
 
     @pytest.mark.parametrize(
         ("f", "g", "p", "kind", "graphs"),

@@ -2,8 +2,8 @@
 
 ``code_lines.py`` and ``startup.py`` report and check nothing, so a
 rename under ``src/`` could break them unnoticed: here the line counter
-runs on small snippets and on the package, and the start-up timer runs
-once.
+runs on small snippets, on the package and on a package path given to
+it, and the start-up timer runs once.
 """
 
 import subprocess
@@ -40,7 +40,7 @@ def test_code_lines_skips_docstrings_comments_and_blanks():
 
 
 def test_code_lines_rows_add_up(capsys):
-    code_lines.main()
+    code_lines.main([])
     rows = dict(
         line.rsplit(maxsplit=1) for line in capsys.readouterr().out.splitlines()
     )
@@ -56,6 +56,22 @@ def test_code_lines_rows_add_up(capsys):
     assert counts["without oracle, sets"] == (
         total - counts["oracle.py"] - counts["sets.py"]
     )
+
+
+def test_code_lines_counts_the_package_it_is_given(tmp_path):
+    (tmp_path / "oracle.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "sets.py").write_text('"""Doc."""\nz = 3\n')
+    (tmp_path / "mod.py").write_text("# none\n\ndef f():\n    return 1\n")
+    done = subprocess.run(
+        [sys.executable, str(TESTS / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        f"{name:20} {count:5}" for name, count in [
+            ("mod.py", 2), ("oracle.py", 2), ("sets.py", 1), ("total", 5),
+            ("without oracle.py", 3), ("without oracle, sets", 2),
+        ]
+    ]
 
 
 def test_startup_script_runs_once():
