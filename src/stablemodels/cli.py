@@ -87,14 +87,15 @@ def cmd_models(args) -> int:
         print(a.to_json())
         return EXIT_OK
     names = a._c.names
-    classical, stable, supported, pointwise = format_points(
-        names, a._classical, a._stable, a._supported or [], a._pointwise
+    lists = a._classical, a._stable, a._pointwise, a._supported
+    classical, stable, pointwise, *supported = format_points(
+        names, *[keys for keys in lists if keys is not None]
     )
     print("universe:", " ".join(reversed(names)) or "(empty)")
     print("classical:", classical)
     print("stable:", stable)
-    if a._supported is not None:
-        print("supported:", supported)
+    if supported:
+        print("supported:", *supported)
     print("pointwise stable:", pointwise)
     if a._completion is not None:
         table, members = a._completion

@@ -11,7 +11,7 @@ in ``sets``.  ``_analysis``, behind the ``models`` command and
 ``sets.analyze``, reads three classes from one sweep.  A classical pass
 over all 2**n interpretations gives the classical models and the there
 table of every implication.
-Stability and pointwise stability then come from one of two paths:
+Stability and pointwise stability then come from one of three paths:
 
 - per model: for each classical model I, one here-and-there pass over
   the subsets of I;
@@ -24,14 +24,37 @@ Stability and pointwise stability then come from one of two paths:
   with the loops of the pnn graph but not with those of the sp graph, a
   classical model I is stable exactly when for no loop Y that meets I is
   <I - Y, I> a here-and-there model.  The singleton loops alone decide
-  pointwise stability.
+  pointwise stability;
+- by fixpoint: one least fixpoint over all 2**n points at once, for
+  theories in a syntactic class read off the op table
+  (``_fixpoint_rules``).  Split at its top-level ``&``s, each piece is a
+  constraint (``bot`` or a negation), a rule ``B -> H`` or a bare head
+  H, where H is an ``|`` of atoms, negations and ``bot``, B has no
+  implication outside a negation, and no two atoms of one head lie in
+  one component of the pnn graph (head-cycle-freedom, Ben-Eliyahu and
+  Dechter 1994).  A negation's value at <H, T> is its classical value
+  at T, so a body's value grows with H, and T is stable exactly when
+  the least fixpoint of the map below, started at the empty set, is T
+  (Gelfond and Lifschitz 1988; Lifschitz, Tang and Turner 1999 for
+  nested bodies).  The map takes H to the atoms a of T that head a
+  piece whose body holds at <H, T>, whose other head atoms are false in
+  T and whose negated head literals' formulas are true in T: shifting
+  each head onto one atom, which keeps the stable models of a
+  head-cycle-free theory.  Without head-cycle-freedom shifting loses
+  stable models, so such a theory takes one of the other paths.  If no
+  loop of the pnn graph has two atoms, the stable and pointwise stable
+  models coincide (every loop is a singleton); else the pointwise table
+  comes from the n singleton passes of the loop path.
 
-The path is chosen per theory by one cost model: one pass over 2**n
-points per loop, against one pass over 2**|I| points per classical
-model I.  Their prices give the number of loops up to which the loop
-path pays.  If that is not more than the n singleton loops, the graph is
-not built; else the loop search gives up as soon as it has found more
-loops than that, and the per-model path runs.  Supported models are the
+The path is chosen per theory by one cost model (``_path``), in passes
+over the points: one pass over 2**n points per loop, against one pass
+over 2**|I| points per classical model I, against the fixpoint's most
+steps.  A fixpoint step evaluates only the ops of the bodies that read
+an atom, so it is priced as their share of a pass.  The cheaper of the
+per-model and fixpoint prices gives the number of loops up to which the
+loop path pays.  If that is not more than the n singleton loops, the
+graph is not built for the loop path; else the loop search gives up as
+soon as it has found more loops than that.  Supported models are the
 classical models where the support halves of the completion hold too,
 read in ``_analysis`` from the sweep's classical pass.  The completion
 is read off the op table (``_completion``): its ops are appended to a
@@ -56,7 +79,9 @@ are the points where some part holds.  Each path decides every part in
 one loop: on the per-model path, a part is stable at I when its op's
 table has only the ``J = I`` bit among the J that keep its kept atoms
 of I; on the loop path, the pass for a loop Y refutes it at the points
-I that meet Y but hold none of its kept atoms of Y.
+I that meet Y but hold none of its kept atoms of Y; on the fixpoint
+path, a choice is a bare head of one atom, so a kept atom of T is in H
+from the start, and each part has its own fixpoint.
 
 That sweep answers ``splitting._split``, behind ``sets.check_split``.
 F & G is compiled once, and its last op's operands are F's and G's
@@ -64,8 +89,10 @@ ops; F & choice(Q) is the part of F's op with Q kept, and G & choice(P)
 that of G's op with P kept.  One classical pass over the universe of
 F & G gives the tables of F, G and F & G, and its candidates are the
 classical models of F or of G.  The choices add no pnn edge, so the
-loops of F & G cover each part's loops.  The path choice prices the
-per-model path over the candidates, and only the interpretations that
+loops of F & G cover each part's loops, and a part's pieces are pieces
+of F & G, so if F & G is in the fixpoint path's class, so is each
+part.  The path choice prices the per-model path over the candidates,
+a split asks for no pointwise table, and only the interpretations that
 some list holds are built.
 
 The definitions these enumerators are tested against, the reduct and
@@ -487,6 +514,11 @@ class _Classical(Value):
         successor masks, for the path choice and the split."""
         return _graph(self.ops, GraphKind.PNN, self.names)
 
+    @functools.cached_property
+    def components(self) -> list[int]:
+        """The strongly connected components of ``pnn``, as masks."""
+        return _components(self.pnn)
+
     def points(self, table: int) -> list[int]:
         """The candidates' points where ``table`` is 1, in
         ``interpretations_of`` order, listed once per distinct table: equal
@@ -638,6 +670,241 @@ def _by_loops(c: _Classical, loops: list[int]) -> tuple[int, ...]:
     return tables[0], pointwise, *tables[1:]
 
 
+# The fixpoint path reads each part's op as pieces, split at its
+# top-level ``&``s.  Per piece with a head atom: the mask of the head's
+# atoms, its negations' ops and its body's op, None for a bare head.  A
+# constraint, or a head with no atom, derives nothing: the classical
+# table covers it.
+Piece = tuple[int, tuple[int, ...], Optional[int]]
+
+# The places an op of a gated part may hold: on the spine of top-level
+# ``&``s, in a head, or in a body outside a negation.
+_SPINE, _HEAD, _BODY = 1, 2, 4
+
+
+class _Rules(Value):
+    """The rules of every part of a pass, as ``_by_fixpoint`` reads them.
+
+    ``bodies`` is one table of the body ops that read an atom, in op
+    order, each renumbered; ``index`` maps such an op of the pass's table
+    to its place there.  An operand that reads no atom, such as a
+    negation, is an atom op there named by its op in the pass's table,
+    and ``leaves`` lists those ops: at <H, T> its here table is its
+    classical table at T, by persistence.  ``pieces`` holds each part's pieces, and
+    ``heads`` the mask of each head of two or more atoms."""
+
+    _fields = ("bodies", "index", "leaves", "pieces", "heads")
+
+
+def _fixpoint_rules(c: _Classical) -> Optional[_Rules]:
+    """The rules of every part of ``c``, or None unless each piece of each
+    part's op is a constraint (``bot`` or a negation), a rule ``B -> H`` or
+    a bare ``H``: H an ``|`` tree of atoms, negations and ``bot``, and B
+    with no implication outside a negation.  Syntactic only: the heads
+    of two or more atoms are not yet checked for head-cycle-freedom.
+
+    One pass over the ops, parents first, gives each op its places; one
+    in op order gives each its head atoms and negations, and whether it
+    reads an atom outside a negation."""
+    ops = c.ops
+    places = [0] * len(ops)
+    for op, _ in c.parts:
+        places[op % len(ops)] |= _SPINE
+    for op in range(len(ops) - 1, -1, -1):
+        place = places[op]
+        if not place:
+            continue
+        code, x, y = ops[op]
+        if code == _BOT or code == _IMPLIES and ops[y][0] == _BOT:
+            continue
+        if code == _IMPLIES:
+            if place != _SPINE:
+                return None
+            places[x] |= _BODY
+            places[y] |= _HEAD
+            continue
+        if code == _AND and place & _HEAD:
+            return None
+        if code != _AND and place & _SPINE:
+            # An atom or an ``|`` on the spine is a bare head.
+            place = places[op] = place & _BODY | _HEAD
+        if code != _ATOM:
+            places[x] |= place
+            places[y] |= place
+    bit = {a: 1 << j for j, a in enumerate(c.names)}
+    # Per op in a head, its atoms' mask and its negations; per op in a
+    # body, whether it reads an atom.
+    atoms = [0] * len(ops)
+    negations: list[tuple[int, ...]] = [()] * len(ops)
+    reads = [False] * len(ops)
+    bodies: Ops = []
+    index: dict[int, int] = {}
+    leaves: list[int] = []
+    for op, place in enumerate(places):
+        if not place:
+            continue
+        code, x, y = ops[op]
+        if place & _HEAD:
+            if code == _ATOM:
+                atoms[op] = bit[x]
+            elif code == _OR:
+                atoms[op] = atoms[x] | atoms[y]
+                negations[op] = negations[x] + negations[y]
+            elif code == _IMPLIES:
+                negations[op] = (op,)
+        if not place & _BODY:
+            continue
+        if code == _AND or code == _OR:
+            if not reads[x] and not reads[y]:
+                continue
+            # An operand that reads no atom is a leaf.
+            for z in x, y:
+                if not reads[z] and z not in index:
+                    index[z] = len(bodies)
+                    leaves.append(z)
+                    bodies.append((_ATOM, z, 0))
+            x, y = index[x], index[y]
+        elif code != _ATOM:
+            continue
+        reads[op] = True
+        index[op] = len(bodies)
+        bodies.append((code, x, y))
+    parts: list[list[Piece]] = []
+    heads: list[int] = []
+    for op, _ in c.parts:
+        pieces: list[Piece] = []
+        seen: set[int] = set()
+        stack = [op % len(ops)]
+        while stack:
+            op = stack.pop()
+            if op in seen:
+                continue
+            seen.add(op)
+            code, x, y = ops[op]
+            if code == _AND:
+                stack += (y, x)
+                continue
+            body, head = (x, y) if code == _IMPLIES else (None, op)
+            if atoms[head]:
+                pieces.append((atoms[head], negations[head], body))
+                if atoms[head] & (atoms[head] - 1):
+                    heads.append(atoms[head])
+        parts.append(pieces)
+    index = {op: i for op, i in index.items() if reads[op]}
+    return _Rules(bodies, index, leaves, parts, heads)
+
+
+def _head_cycle_free(c: _Classical, heads: list[int]) -> bool:
+    """Whether no two atoms of one of ``heads`` lie in one component of
+    ``c``'s pnn graph, which is built only if there is a head."""
+    for head in heads:
+        for comp in c.components:
+            common = head & comp
+            if common & (common - 1):
+                return False
+    return True
+
+
+def _derivations(
+    c: _Classical, rules: _Rules
+) -> Iterator[tuple[int, dict[Atom, int], list[tuple[Atom, int, int]]]]:
+    """Per part of ``c``: its op; per atom, the table of the points where
+    the atom holds before any body is read (a kept atom, or one that a
+    bare head or a body that reads no atom derives); and per piece whose
+    body reads an atom, per head atom a, a's table ANDed with the tables
+    where the piece's other head atoms are false and its negated head
+    literals' formulas true, with the body's place in ``rules.bodies``.
+    A kept atom is left out of the pieces: it holds wherever T holds it."""
+    full = (1 << (1 << len(c.names))) - 1
+    for (op, kept), pieces in zip(c.parts, rules.pieces):
+        base = dict.fromkeys(c.names, 0)
+        for a in _named(kept, c.names):
+            base[a] = c.atom_tables[a]
+        derived = []
+        for atoms, negations, body in pieces:
+            # Where the piece's negated head literals are all false.
+            guard = full
+            for q in negations:
+                guard &= ~c.vals[q]
+            heads = _named(atoms, c.names)
+            for a in _named(atoms & ~kept, c.names):
+                table = c.atom_tables[a] & guard
+                for b in heads:
+                    if b != a:
+                        table &= ~c.atom_tables[b]
+                if body is None:
+                    base[a] |= table
+                elif body in rules.index:
+                    derived.append((a, rules.index[body], table))
+                else:
+                    base[a] |= c.vals[body] & table
+        yield op, base, derived
+
+
+def _fixpoint_price(c: _Classical, rules: _Rules) -> float:
+    """The most that ``_by_fixpoint``'s steps cost over ``c``'s parts, in
+    passes over all 2**n points.  A part makes at most one step more than
+    the atoms, not kept, that head a piece whose body reads an atom, or
+    none if there are none.  A step evaluates ``rules.bodies`` and sets
+    one table per such piece and head atom, so it is priced as that many
+    ops' share of a pass over the pass's ops."""
+    ops = 0
+    for (_, kept), pieces in zip(c.parts, rules.pieces):
+        derived = [
+            atoms & ~kept for atoms, _, body in pieces if body in rules.index
+        ]
+        steps = functools.reduce(operator.or_, derived, 0).bit_count()
+        if steps:
+            share = sum(map(int.bit_count, derived))
+            ops += (steps + 1) * (len(rules.bodies) + share)
+    return ops / len(c.ops) * _per_pass(c)
+
+
+def _by_fixpoint(
+    c: _Classical, rules: _Rules, pointwise: bool = True
+) -> tuple[Optional[int], ...]:
+    """The stable and pointwise stable tables of the theory, then the
+    stable table of each other part of ``c``, one least fixpoint per part
+    over all 2**n points at once; the pointwise table is None unless
+    ``pointwise``.
+
+    ``rules`` must be ``_fixpoint_rules(c)``, with every head
+    head-cycle-free.  Per part, the here table h_a of each atom a starts
+    at the points where a holds before any body is read
+    (``_derivations``).  Each step evaluates the bodies that read an atom
+    at <h, T> and sets h_a to those points, or to where a holds in T, its
+    other head atoms are false in T and its negated head literals' formulas
+    true in T, and some piece with a in its head has its body true.  h
+    only grows, and stays inside T; at a fixpoint the part is stable at
+    the classical models of its op where h is all of T.  With every loop
+    of the pnn graph a singleton, the pointwise table is the stable
+    table; else it comes from the n singleton passes of ``_by_loops``."""
+    here = {q: c.vals[q] for q in rules.leaves}
+    tables = []
+    for op, base, derived in _derivations(c, rules):
+        h = base
+        while derived:
+            here.update(h)
+            vals = _evaluate(rules.bodies, here, iter(()))
+            step = base.copy()
+            for a, body, table in derived:
+                step[a] |= vals[body] & table
+            if step == h:
+                break
+            h = step
+        missing = 0
+        for a, table in c.atom_tables.items():
+            missing |= table & ~h[a]
+        tables.append(c.vals[op] & ~missing)
+    stable = tables[0]
+    if not pointwise:
+        return stable, None, *tables[1:]
+    if any(comp & (comp - 1) for comp in c.components):
+        singletons = [1 << j for j in range(len(c.names))]
+        return stable, _by_loops(c, singletons)[1], *tables[1:]
+    return stable, stable, *tables[1:]
+
+
 # Cost model of the path choice, in units of one pass over a few points.
 # A pass over 2**w points costs about 1 + 2**w / _WIDE_BITS of them: on a
 # 63-op theory a pass costs 0.16 us per op up to w = 4, 0.34 us at
@@ -649,42 +916,86 @@ def _by_loops(c: _Classical, loops: list[int]) -> tuple[int, ...]:
 # 7 % and 10 % over always taking the faster one.  4 would miss 25 and
 # 32 (1 %), and 0 misses 177 and 196 (8 %).  13 is the least integer
 # that keeps every theory of at most 4 atoms (cost at most
-# 16 + 3**4 / 2048 < 13 + 4 * (1 + 16 / 2048)) per model, so that fuzz
-# checks the loop oracles against a path that uses no loops, and of the
-# values that do, it misses fewest on both samples.
+# 16 + 3**4 / 2048 < 13 + 4 * (1 + 16 / 2048)) off the loop path, so
+# that fuzz checks the loop oracles against paths that use no loops, and
+# of the values that do, it misses fewest on both samples.  Fuzz-size
+# theories in the fixpoint path's class with enough classical models
+# now take that path, which uses no loops for the stable table, and the
+# rest the per-model path; fuzz still never takes the loop path.  A
+# fixpoint step is priced at the share of a pass's ops that it
+# evaluates, at its most steps: on the 900 requests of the ``enumerate``
+# benchmark corpus the choice then picks the fastest of the three paths
+# for 895 (each path timed in process, best of 3).
 _WIDE_BITS = 2048
 _GRAPH_PASSES = 13
 
 
-def _loops_that_pay(c: _Classical) -> Optional[list[int]]:
-    """The pnn loops of ``c``'s theory, as masks in its layout, if one
-    pass per loop over all 2**n points costs less than one pass per
-    candidate I over 2**|I| points, else None.
+def _per_pass(c: _Classical) -> float:
+    """The price of one pass over all of ``c``'s 2**n points."""
+    return 1 + (1 << len(c.names)) / _WIDE_BITS
 
-    Both prices give one limit: the loop count up to which the loop path
-    pays.  The graph is built only if the n singleton loops stay under
-    it, and the loop search gives up as soon as it finds more loops.
-    """
+
+def _per_model_price(c: _Classical) -> float:
+    """The price of one pass per candidate I over 2**|I| points."""
     # The candidates of each width, counted without listing them.
     layers = _layers(len(c.names))
     counts = [(c.candidates & layer).bit_count() for layer in layers]
     points = sum(map(operator.lshift, counts, range(len(counts))))
-    per_model = sum(counts) + points / _WIDE_BITS
-    per_loop = 1 + (1 << len(c.names)) / _WIDE_BITS
-    limit = (per_model - _GRAPH_PASSES) / per_loop
+    return sum(counts) + points / _WIDE_BITS
+
+
+def _loops_that_pay(
+    c: _Classical, price: Optional[float] = None
+) -> Optional[list[int]]:
+    """The pnn loops of ``c``'s theory, as masks in its layout, if one
+    pass per loop over all 2**n points and the graph cost less than
+    ``price``, by default the per-model path's; else None.
+
+    The price gives the loop count up to which the loop path pays.  The
+    graph is built only if the n singleton loops stay under it, and the
+    loop search gives up as soon as it finds more loops.
+    """
+    if price is None:
+        price = _per_model_price(c)
+    limit = (price - _GRAPH_PASSES) / _per_pass(c)
     if limit <= len(c.names):
         return None
-    return _loops(c.pnn, _components(c.pnn), limit)
+    return _loops(c.pnn, c.components, limit)
 
 
-def _sweep(c: _Classical) -> tuple[int, ...]:
+def _path(
+    c: _Classical, pointwise: bool
+) -> Callable[[_Classical], tuple[Optional[int], ...]]:
+    """The cheapest of the three paths for ``c``, as a function of ``c``.
+
+    The fixpoint path is priced at its most steps, plus the graph if it
+    must be built (for a head of two or more atoms, or for the pointwise
+    table), plus the n singleton passes if the pointwise table is wanted
+    and the pnn graph has a loop of two or more atoms.  The loop path
+    must then beat the cheaper of the other two."""
+    price: float = _per_model_price(c)
+    path: Callable[[_Classical], tuple[Optional[int], ...]] = _per_model
+    # For the pointwise table the fixpoint path costs the graph at least.
+    rules = None if pointwise and price <= _GRAPH_PASSES else _fixpoint_rules(c)
+    if rules is not None:
+        graph = _GRAPH_PASSES if pointwise or rules.heads else 0
+        fixpoint = graph + _fixpoint_price(c, rules)
+        if fixpoint < price and _head_cycle_free(c, rules.heads):
+            if pointwise and any(comp & (comp - 1) for comp in c.components):
+                fixpoint += _per_pass(c) * len(c.names)
+            if fixpoint < price:
+                price = fixpoint
+                path = functools.partial(_by_fixpoint, rules=rules, pointwise=pointwise)
+    loops = _loops_that_pay(c, price)
+    return path if loops is None else functools.partial(_by_loops, loops=loops)
+
+
+def _sweep(c: _Classical, pointwise: bool = True) -> tuple[Optional[int], ...]:
     """The stable and pointwise stable tables of the theory of the
     classical pass ``c``, then the stable table of each other part, by
-    the cheaper path."""
-    loops = _loops_that_pay(c)
-    if loops is None:
-        return _per_model(c)
-    return _by_loops(c, loops)
+    the cheapest path (``_path``).  Without ``pointwise`` the pointwise
+    table may be None."""
+    return _path(c, pointwise)(c)
 
 
 class ModelReport(Frozen):

@@ -137,7 +137,7 @@ def _split(
         c.pnn = pnn
     graph = c.pnn if kind is GraphKind.PNN else _graph(ops, kind, c.names)
     offenders = split_conditions(ops, c.names, ps, qs, graph)
-    stable, _, part_f, part_g = _sweep(c)
+    stable, _, part_f, part_g = _sweep(c, pointwise=False)
     return SplitReport(
         kind,
         *offenders,

@@ -48,7 +48,14 @@ from stablemodels.cli import main
 from stablemodels.depgraph import _mask
 from stablemodels.formula import _AND, _ATOM, _BOT, _IMPLIES, _OR, _compile
 from stablemodels.oracle import satisfies_all
-from stablemodels.semantics import _by_loops, _classical_pass, _per_model
+from stablemodels.semantics import (
+    _by_fixpoint,
+    _by_loops,
+    _classical_pass,
+    _fixpoint_rules,
+    _head_cycle_free,
+    _per_model,
+)
 
 # Running examples used throughout the suite.
 P1_TEXT = "p -> q. q & not r -> p."
@@ -232,37 +239,57 @@ def masks(sets, names):
     return [_mask(ys, names) for ys in sets]
 
 
+def fixpoint_rules(c):
+    """``_fixpoint_rules(c)`` if every part of the pass ``c`` is in the
+    fixpoint path's class, head-cycle-free heads included, else None."""
+    rules = _fixpoint_rules(c)
+    if rules is None or not _head_cycle_free(c, rules.heads):
+        return None
+    return rules
+
+
 def sweep_paths(t, kind=GraphKind.PNN):
     """The classical, stable and pointwise stable lists of each path of
     ``analyze``'s sweep, called directly whatever path it would choose:
-    one here-and-there pass per classical model, and one pass per loop
-    of ``kind``'s graph (pnn is the production path), the loops given
-    as masks in the pass's layout."""
+    one here-and-there pass per classical model, one pass per loop of
+    ``kind``'s graph (pnn is the production path), the loops given as
+    masks in the pass's layout, and, if t is in its class, the least
+    fixpoint."""
     c = _classical_pass(*_compile(t))
     loops = masks(strongly_connected_subsets(graph_of(t, kind)), c.names)
+    paths = {"per-model": _per_model(c), "loop-indexed": _by_loops(c, loops)}
+    rules = fixpoint_rules(c)
+    if rules is not None:
+        paths["fixpoint"] = _by_fixpoint(c, rules)
     return {
         path: (c.build(c.keys), *(c.build(c.points(table)) for table in tables))
-        for path, tables in (
-            ("per-model", _per_model(c)),
-            ("loop-indexed", _by_loops(c, loops)),
-        )
+        for path, tables in paths.items()
     }
 
 
 def split_sweep_paths(f, g, ps, qs, kind=GraphKind.PNN):
     """``check_split``'s report on each path of its one sweep, forced as
     ``sweep_paths`` forces them: the path choice is replaced by one that
-    takes the per-model path, or the loop path over every loop of the
-    pnn graph of F & G, as masks in the pass's layout."""
+    takes the per-model path, the loop path over every loop of the pnn
+    graph of F & G, as masks in the pass's layout, or, if F & G is in its
+    class, the fixpoint path."""
     loops = strongly_connected_subsets(graph_of((And(f, g),), GraphKind.PNN))
     choices = {
-        "per-model": lambda c: None,
-        "loop-indexed": lambda c: masks(loops, c.names),
+        "per-model": lambda c, pointwise: _per_model,
+        "loop-indexed": lambda c, pointwise: functools.partial(
+            _by_loops, loops=masks(loops, c.names)
+        ),
     }
+    if fixpoint_rules(_classical_pass(*_compile((And(f, g),)))) is not None:
+        # The parts' pieces are pieces of F & G, and their graphs parts
+        # of its graph, so the parts are in the class too.
+        choices["fixpoint"] = lambda c, pointwise: functools.partial(
+            _by_fixpoint, rules=fixpoint_rules(c), pointwise=pointwise
+        )
     reports = {}
     for path, choice in choices.items():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(semantics, "_loops_that_pay", choice)
+            patch.setattr(semantics, "_path", choice)
             reports[path] = check_split(f, g, ps, qs, kind)
     return reports
 
@@ -274,7 +301,8 @@ def oracle_mismatches(t):
     classical models are also checked over a universe with two extra
     atoms, one sorting between the theory's atoms.  ``analyze``'s
     classical, stable and pointwise stable lists are checked too, and so
-    are those of both sweep paths.  Supported models are checked for
+    are those of every sweep path ``sweep_paths`` runs.  Supported models
+    are checked for
     nondisjunctive theories only.
     """
     universe = theory_atoms(t)

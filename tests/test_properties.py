@@ -32,6 +32,7 @@ from stablemodels import (
     has_cycle,
     interpretations_of,
     is_nondisjunctive_theory,
+    is_pointwise_stable,
     is_stable,
     loop_formula,
     loop_oracle_models,
@@ -59,11 +60,14 @@ from stablemodels.cli import (
     build_parser,
     command_parser,
 )
-from stablemodels.formula import _compile, neg
+from stablemodels.formula import _compile, conj, neg
 from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula
 from stablemodels.oracle import format_models
 from stablemodels.parser import formula_ops, theory_ops
 from stablemodels.semantics import (
+    _by_fixpoint,
+    _classical_pass,
+    _fixpoint_rules,
     answer_json,
     format_interpretation,
     format_points,
@@ -73,6 +77,7 @@ from conftest import (
     compile_scan,
     cyclic_scan,
     dependency_graph_scan,
+    fixpoint_rules,
     loop_oracle_scan,
     masks,
     oracle_mismatches,
@@ -117,7 +122,7 @@ rules = st.one_of(
 
 programs = st.lists(rules, max_size=4).map(tuple)
 
-# Up to six atoms, for the two sweep paths.
+# Up to six atoms, for the sweep paths.
 wide_names = st.sampled_from(("a", "b", "c", "d", "e", "f"))
 wide_formulas = st.recursive(
     st.one_of(st.just(BOT), st.builds(AtomRef, wide_names)),
@@ -135,6 +140,54 @@ wide_programs = st.lists(
         st.builds(Implies, wide_formulas, st.builds(AtomRef, wide_names)),
     ),
     max_size=6,
+).map(tuple)
+
+
+# Theories in the fixpoint path's syntactic class, up to six atoms:
+# rules, bare heads and constraints, some joined by "&".  A head is an "|" of atoms,
+# negations and bot, so it may be disjunctive and need not be
+# head-cycle-free; a body is an "&"/"|" tree of atoms, negations
+# (``not not a`` among them) and bot.
+wide_atoms = st.builds(AtomRef, wide_names)
+negations = st.builds(neg, st.one_of(wide_atoms, wide_formulas))
+gated_bodies = st.recursive(
+    st.one_of(wide_atoms, wide_atoms, negations, st.just(BOT)),
+    lambda child: st.one_of(st.builds(And, child, child), st.builds(Or, child, child)),
+    max_leaves=4,
+)
+gated_heads = st.recursive(
+    st.one_of(wide_atoms, wide_atoms, wide_atoms, negations, st.just(BOT)),
+    lambda child: st.builds(Or, child, child),
+    max_leaves=3,
+)
+gated_pieces = st.one_of(
+    st.builds(Implies, gated_bodies, gated_heads),
+    st.builds(Implies, gated_bodies, gated_heads),
+    gated_heads,
+    st.builds(neg, gated_bodies),
+)
+# Over three atoms, with disjunctive heads and atom bodies, two atoms of
+# one head often share a pnn cycle, so the head-cycle-freedom gate is
+# exercised.
+three_atoms = st.builds(AtomRef, st.sampled_from(("a", "b", "c")))
+cycle_heads = st.builds(
+    Or, three_atoms, st.one_of(three_atoms, st.builds(neg, three_atoms))
+)
+gated_theories = st.one_of(
+    st.lists(
+        st.one_of(gated_pieces, st.builds(And, gated_pieces, gated_pieces)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(
+        st.one_of(
+            st.builds(Implies, three_atoms, cycle_heads),
+            st.builds(Implies, three_atoms, three_atoms),
+            cycle_heads,
+        ),
+        min_size=2,
+        max_size=5,
+    ),
 ).map(tuple)
 
 
@@ -269,8 +322,27 @@ def test_enumerators_match_definitional_scans(t):
 @settings(deadline=None)
 @given(st.one_of(wide_theories, wide_programs))
 def test_both_sweep_paths_match_definitional_scans(t):
-    # ``oracle_mismatches`` runs the per-model and the loop-indexed path
-    # directly, whichever one ``analyze`` would choose.
+    # ``oracle_mismatches`` runs the per-model and the loop-indexed path,
+    # and the fixpoint path for a theory in its class, directly,
+    # whichever one ``analyze`` would choose.
+    assert oracle_mismatches(t) == []
+
+
+@settings(deadline=None)
+@given(gated_theories)
+def test_fixpoint_path_matches_definitional_scans(t):
+    # Every drawn theory passes the syntactic gate; only the
+    # head-cycle-free ones may take the fixpoint path.
+    c = _classical_pass(*_compile(t))
+    assert _fixpoint_rules(c) is not None
+    rules = fixpoint_rules(c)
+    if rules is not None:
+        stable, pointwise = _by_fixpoint(c, rules)
+        points = list(interpretations_of(c.names))
+        assert c.build(c.points(stable)) == [i for i in points if is_stable(i, t)]
+        assert c.build(c.points(pointwise)) == [
+            i for i in points if is_pointwise_stable(i, t)
+        ]
     assert oracle_mismatches(t) == []
 
 
@@ -421,8 +493,8 @@ split_formulas = st.recursive(
 
 
 @st.composite
-def splits(draw):
-    f, g = draw(split_formulas), draw(split_formulas)
+def splits(draw, parts=split_formulas):
+    f, g = draw(parts), draw(parts)
     universe = atoms(And(f, g))
     ps = frozenset()
     if universe:
@@ -430,12 +502,9 @@ def splits(draw):
     return f, g, ps, universe - ps
 
 
-@settings(deadline=None)
-@given(splits(), st.sampled_from(GraphKind))
-def test_split_sweep_paths_match_choice_augmented_enumeration(split, kind):
+def check_split_sweep_paths(f, g, ps, qs, kind):
     # The oracle is the route that builds each part as a formula and
     # enumerates it on its own.
-    f, g, ps, qs = split
     whole = stable_models((And(f, g),))
     part_f = stable_models((choice_augment(f, qs),))
     part_g = stable_models((choice_augment(g, ps),))
@@ -444,6 +513,21 @@ def test_split_sweep_paths_match_choice_augmented_enumeration(split, kind):
         lists = report.stable_whole, report.stable_part_f, report.stable_part_g
         assert lists == (whole, part_f, part_g), path
         assert report.equivalence_holds == (whole == both), path
+
+
+@settings(deadline=None)
+@given(splits(), st.sampled_from(GraphKind))
+def test_split_sweep_paths_match_choice_augmented_enumeration(split, kind):
+    check_split_sweep_paths(*split, kind)
+
+
+@settings(deadline=None)
+@given(splits(gated_theories.map(conj)), st.sampled_from(GraphKind))
+def test_split_fixpoint_path_matches_choice_augmented_enumeration(split, kind):
+    # F and G are conjunctions of pieces of the fixpoint path's class,
+    # so ``split_sweep_paths`` runs that path too unless a head of F & G
+    # is not head-cycle-free.
+    check_split_sweep_paths(*split, kind)
 
 
 @st.composite

@@ -37,12 +37,22 @@ from stablemodels import depgraph, semantics
 from stablemodels.formula import _compile
 from stablemodels.parser import theory_ops
 from stablemodels.semantics import (
+    _by_fixpoint,
     _by_loops,
     _classical_pass,
+    _fixpoint_rules,
     _loops_that_pay,
     _per_model,
+    _sweep,
 )
-from conftest import P3_TEXT, count_calls, masks, mset, sweep_paths
+from conftest import (
+    P3_TEXT,
+    count_calls,
+    fixpoint_rules,
+    masks,
+    mset,
+    sweep_paths,
+)
 
 TAUT = Implies(BOT, BOT)
 
@@ -367,6 +377,90 @@ class TestSweepPaths:
 
         monkeypatch.setattr(semantics, "_graph", no_graph)
         assert _loops_that_pay(_classical_pass(*_compile(p2))) is None
+
+
+def dense_ring(k):
+    """Choices on a ring of k atoms, each derived from the next two unless
+    c holds: one pnn component of k atoms, and c."""
+    rules = [f"a{i} | not a{i}" for i in range(k)]
+    rules += [f"a{(i + 1) % k} & a{(i + 2) % k} & not c -> a{i}" for i in range(k)]
+    return parse_theory(". ".join(rules) + ". c | not c.")
+
+
+class TestFixpointPath:
+    @pytest.mark.parametrize(
+        "text",
+        ["a1 | a0. a0 -> a1. a1 -> a0 | a0.",
+         "(c -> d) -> a. c | not c. d | not d.",
+         "((q -> p) -> p) -> p."],
+        ids=["not-head-cycle-free", "body-implication", "paper"],
+    )
+    def test_theories_outside_the_class_stay_off_the_path(self, monkeypatch, text):
+        t = parse_theory(text)
+        assert fixpoint_rules(_classical_pass(*_compile(t))) is None
+        fixpoints = count_calls(monkeypatch, semantics, "_by_fixpoint")
+        report = analyze(t)
+        assert not fixpoints
+        points = list(interpretations_of(theory_atoms(t)))
+        assert report.stable == [i for i in points if is_stable(i, t)]
+        assert report.pointwise_stable == [
+            i for i in points if is_pointwise_stable(i, t)
+        ]
+
+    def test_head_cycle_freedom_is_needed(self):
+        # a0 and a1 share a head and a pnn cycle.  {a0, a1} is stable,
+        # but forced, the fixpoint derives neither: by shifting, each
+        # needs the other false in T.
+        t = parse_theory("a1 | a0. a0 -> a1. a1 -> a0 | a0.")
+        c = _classical_pass(*_compile(t))
+        rules = _fixpoint_rules(c)
+        assert rules is not None and rules.heads
+        assert stable_models(t) == [mset("a0", "a1")]
+        assert _by_fixpoint(c, rules)[0] == 0
+
+    def test_here_tables_stay_inside_there(self, monkeypatch):
+        # Where b is false in T, ``not b -> a`` derives a, from which b,
+        # c, d and e would follow, one step each.  Inside T nothing does:
+        # b is false there, and where b is true a is not derived.  So
+        # the first step changes nothing.
+        t = parse_theory("not b -> a. a -> b. b -> c. c -> d. d -> e.")
+        c = _classical_pass(*_compile(t))
+        evaluations = count_calls(monkeypatch, semantics, "_evaluate")
+        assert _by_fixpoint(c, _fixpoint_rules(c)) == (0, 0)
+        assert len(evaluations) == 1
+
+    def test_free_choice_evaluates_no_body(self, monkeypatch):
+        t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
+        c = _classical_pass(*_compile(t))
+        fixpoints = count_calls(monkeypatch, semantics, "_by_fixpoint")
+        evaluations = count_calls(monkeypatch, semantics, "_evaluate")
+        graphs = count_calls(monkeypatch, depgraph, "_graph")
+        stable, pointwise = _sweep(c)
+        assert len(fixpoints) == 1 and not evaluations
+        # The graph, for the pointwise table: no loop of two atoms.
+        assert len(graphs) == 1
+        assert stable == pointwise == c.candidates == (1 << 256) - 1
+
+    def test_acyclic_pointwise_table_is_the_stable_table(self, monkeypatch):
+        t = parse_theory("a | not a. not a -> b. b & not a -> c. c -> d | e.")
+        loop_passes = count_calls(monkeypatch, semantics, "_by_loops")
+        fixpoints = count_calls(monkeypatch, semantics, "_by_fixpoint")
+        report = analyze(t)
+        assert len(fixpoints) == 1 and not loop_passes
+        assert report.stable == report.pointwise_stable == stable_models(t)
+        assert report.stable == [mset("a"), mset("b", "c", "d"), mset("b", "c", "e")]
+
+    def test_dense_ring_takes_the_fixpoint_path(self, monkeypatch):
+        # Many classical models and many loops; the pointwise table
+        # comes from the singleton passes, as the ring is one component.
+        c = _classical_pass(*_compile(dense_ring(8)))
+        tables = _per_model(c)
+        fixpoints = count_calls(monkeypatch, semantics, "_by_fixpoint")
+        loop_passes = count_calls(monkeypatch, semantics, "_by_loops")
+        assert _sweep(c) == tables
+        assert len(fixpoints) == 1
+        [(_, singletons)] = loop_passes
+        assert singletons == [1 << j for j in range(9)]
 
 
 @st.composite

@@ -126,8 +126,8 @@ class TestCheckSplit:
 
 # Choices on a0..a4 in F and on b0..b4 in G, and a rule in each:
 # 2**10 points, most of them classical models of F or of G, and only the
-# 10 singleton pnn loops, so the sweep takes the loop path.  The
-# conditions pass under both graphs.
+# 10 singleton pnn loops.  Every piece is a rule or a choice, so the
+# sweep takes the fixpoint path.  The conditions pass under both graphs.
 WIDE_F = " & ".join(
     [f"(a{i} | not a{i})" for i in range(5)] + ["(b0 & not b1 -> a0)"]
 )
@@ -139,13 +139,18 @@ WIDE_P = ",".join(f"a{i}" for i in range(5))
 
 WIDE_Q = ",".join(f"b{i}" for i in range(5))
 
+# The same split with an implication in F's rule's body: outside the
+# fixpoint path's class, so the sweep takes the loop path.
+NESTED_F = WIDE_F.replace("(b0 & not b1 -> a0)", "((b1 -> b0) & not b1 -> a0)")
+
 
 class TestSplitWork:
     @pytest.mark.parametrize(
         ("f", "g", "p", "q", "path"),
         [(F3, G3, "q", "p", "_per_model"),
-         (WIDE_F, WIDE_G, WIDE_P, WIDE_Q, "_by_loops")],
-        ids=["per-model", "loop-indexed"],
+         (NESTED_F, WIDE_G, WIDE_P, WIDE_Q, "_by_loops"),
+         (WIDE_F, WIDE_G, WIDE_P, WIDE_Q, "_by_fixpoint")],
+        ids=["per-model", "loop-indexed", "fixpoint"],
     )
     def test_one_compile_one_pass_one_sweep(
         self, monkeypatch, compiles, classical_passes, f, g, p, q, path
@@ -159,11 +164,28 @@ class TestSplitWork:
         self, monkeypatch
     ):
         # The empty interpretation is a model of F's part only, and each
-        # part is decided there on its own.
+        # part is decided there on its own.  G's body implication keeps
+        # the split off the fixpoint path.
         sweeps = count_calls(monkeypatch, semantics, "_per_model")
+        f, g = parse_formula("p | not p"), parse_formula("(p -> p) -> q")
+        report = check_split(f, g, {"p"})
+        assert len(sweeps) == 1
+        assert report.stable_part_f[0] == frozenset()
+        assert report.stable_whole == stable_models((f, g))
+        assert report.stable_part_f == stable_models((choice_augment(f, {"q"}),))
+        assert report.stable_part_g == stable_models((choice_augment(g, {"p"}),))
+
+    def test_fixpoint_path_decides_the_empty_candidate_per_part(
+        self, monkeypatch
+    ):
+        # As above, with G a fact: the parts are free choices and a fact,
+        # decided with no body to evaluate.
+        sweeps = count_calls(monkeypatch, semantics, "_by_fixpoint")
+        evaluations = count_calls(monkeypatch, semantics, "_evaluate")
         f, g = parse_formula("p | not p"), parse_formula("q")
         report = check_split(f, g, {"p"})
         assert len(sweeps) == 1
+        assert len(evaluations) == 1  # the classical pass
         assert report.stable_part_f[0] == frozenset()
         assert report.stable_whole == stable_models((f, g))
         assert report.stable_part_f == stable_models((choice_augment(f, {"q"}),))
@@ -203,14 +225,15 @@ class TestSplitWork:
         assert report.stable_whole == [frozenset()]
         assert len(sweeps) == 1
 
-    def test_loop_path_lists_only_the_answer(self, monkeypatch):
+    @staticmethod
+    def lists_only_the_answer(monkeypatch, f, path):
         # The path choice counts the candidates per size from their
         # table, so only the points that some list holds are listed.
         # A classical model of F where c is true and b0 false is stable
         # for neither part: some candidates lie outside the answer.
         listed = count_calls(monkeypatch, semantics, "_set_bits")
-        sweeps = count_calls(monkeypatch, semantics, "_by_loops")
-        f = parse_formula(WIDE_F + " & (c -> c)")
+        sweeps = count_calls(monkeypatch, semantics, path)
+        f = parse_formula(f + " & (c -> c)")
         g = parse_formula(WIDE_G + " & (c -> b0)")
         report = check_split(f, g, [*WIDE_P.split(","), "c"], WIDE_Q.split(","))
         assert len(sweeps) == 1
@@ -219,13 +242,21 @@ class TestSplitWork:
         assert report._c.candidates & ~shown and listed
         assert all(table & ~shown == 0 for table, _ in listed)
 
+    def test_loop_path_lists_only_the_answer(self, monkeypatch):
+        self.lists_only_the_answer(monkeypatch, NESTED_F, "_by_loops")
+
+    def test_fixpoint_path_lists_only_the_answer(self, monkeypatch):
+        self.lists_only_the_answer(monkeypatch, WIDE_F, "_by_fixpoint")
+
     @pytest.mark.parametrize(
         ("f", "g", "p", "kind", "graphs"),
         [(WIDE_F, WIDE_G, WIDE_P, "pnn", [PNN]),
-         (WIDE_F, WIDE_G, WIDE_P, "sp", [SP, PNN]),
-         # On the per-model path the sweep needs no pnn graph.
+         (NESTED_F, WIDE_G, WIDE_P, "sp", [SP, PNN]),
+         # The fixpoint path needs no pnn graph for heads of one atom,
+         # nor the per-model path.
+         (WIDE_F, WIDE_G, WIDE_P, "sp", [SP]),
          (F3, G3, "q", "sp", [SP])],
-        ids=["pnn", "sp-loop-indexed", "sp-per-model"],
+        ids=["pnn", "sp-loop-indexed", "sp-fixpoint", "sp-per-model"],
     )
     def test_graphs_built(self, monkeypatch, f, g, p, kind, graphs):
         builds = count_calls(monkeypatch, depgraph, "_graph")

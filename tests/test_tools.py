@@ -1,16 +1,19 @@
 """Smoke tests of the measuring scripts beside the tests.
 
-``code_lines.py`` and ``startup.py`` report and check nothing, so a
-rename under ``src/`` could break them unnoticed: here the line counter
-runs on small snippets, on the package and on a package path given to
-it, and the start-up timer runs once.
+``code_lines.py``, ``startup.py`` and ``scale.py`` report and check
+nothing, so a rename under ``src/`` could break them unnoticed: here the
+line counter runs on small snippets, on the package and on a package
+path given to it, the start-up timer runs once, and the scale ladder
+runs its smallest sizes.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import code_lines
+import scale
 
 TESTS = Path(__file__).resolve().parent
 
@@ -89,3 +92,24 @@ def test_startup_script_runs_once():
         "no bytecode cache", "bytecode cache",
     ]
     assert all(unit == "ms" and float(ms) > 0 for _, ms, unit in medians)
+
+
+def test_scale_ladder_runs_its_smallest_sizes():
+    done = subprocess.run(
+        [sys.executable, str(TESTS / "scale.py"), str(scale.PACKAGE),
+         "--max-atoms", "8", "--json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    assert [(row["family"], row["atoms"]) for row in rows] == [
+        ("ring", 5), ("hcf-blocks", 8), ("non-hcf-blocks", 8), ("free", 8),
+    ]
+    # Every point of free choice is stable; a block pair's count is the
+    # square of one block's.
+    assert [row["stable"] for row in rows] == [24, 64, 49, 256]
+    assert all(
+        row["path"] in ("per_model", "by_loops", "by_fixpoint")
+        and row["classical_s"] >= 0 and row["sweep_s"] >= 0
+        for row in rows
+    )
