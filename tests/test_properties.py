@@ -346,6 +346,32 @@ def test_fixpoint_path_matches_definitional_scans(t):
     assert oracle_mismatches(t) == []
 
 
+@st.composite
+def head_cycle_theories(draw):
+    """Theories of the syntactic class whose head x | y has x and y on one
+    pnn cycle: rules over two to four atoms that run round a cycle, the
+    head as a rule or a bare head, and up to two other pieces."""
+    names = draw(st.permutations(("a", "b", "c", "d")))
+    cycle = [AtomRef(a) for a in names[:draw(st.integers(2, 4))]]
+    rules = [Implies(cycle[i - 1], cycle[i]) for i in range(len(cycle))]
+    head = Or(cycle[0], cycle[draw(st.integers(1, len(cycle) - 1))])
+    body = draw(st.one_of(st.none(), gated_bodies))
+    rules.append(head if body is None else Implies(body, head))
+    rules += draw(st.lists(gated_pieces, max_size=2))
+    return tuple(draw(st.permutations(rules)))
+
+
+@settings(deadline=None)
+@given(head_cycle_theories())
+def test_head_cycles_stay_off_the_fixpoint_path(t):
+    c = _classical_pass(*_compile(t))
+    rules = _fixpoint_rules(c)
+    assert rules is not None and rules.heads
+    assert fixpoint_rules(c) is None
+    assert getattr(semantics._path(c, True), "func", None) is not _by_fixpoint
+    assert oracle_mismatches(t) == []
+
+
 @given(
     st.one_of(
         theories, negating_theories, programs, wide_theories, wide_programs,
