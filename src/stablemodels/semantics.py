@@ -944,19 +944,15 @@ def _per_model_price(c: _Classical) -> float:
     return sum(counts) + points / _WIDE_BITS
 
 
-def _loops_that_pay(
-    c: _Classical, price: Optional[float] = None
-) -> Optional[list[int]]:
+def _loops_that_pay(c: _Classical, price: float) -> Optional[list[int]]:
     """The pnn loops of ``c``'s theory, as masks in its layout, if one
     pass per loop over all 2**n points and the graph cost less than
-    ``price``, by default the per-model path's; else None.
+    ``price``, the cheapest other path's; else None.
 
     The price gives the loop count up to which the loop path pays.  The
     graph is built only if the n singleton loops stay under it, and the
     loop search gives up as soon as it finds more loops.
     """
-    if price is None:
-        price = _per_model_price(c)
     limit = (price - _GRAPH_PASSES) / _per_pass(c)
     if limit <= len(c.names):
         return None

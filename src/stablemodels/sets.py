@@ -140,7 +140,7 @@ def classical_models(
 def stable_models(t: Theory, cap: int = DEFAULT_CAP) -> list[Interpretation]:
     """Classical models whose here-and-there table holds at ``J = I`` only."""
     c = _classical_pass(*_compile(t), cap=cap)
-    return c.build(c.points(_sweep(c)[0]))
+    return c.build(c.points(_sweep(c, pointwise=False)[0]))
 
 
 def _member_ops(ops: Ops, n: int) -> list[int]:

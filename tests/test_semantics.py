@@ -43,6 +43,7 @@ from stablemodels.semantics import (
     _fixpoint_rules,
     _loops_that_pay,
     _per_model,
+    _per_model_price,
     _sweep,
 )
 from conftest import (
@@ -326,7 +327,7 @@ class TestSweepPaths:
 
         monkeypatch.setattr(semantics, "_loops", budgeted)
         monkeypatch.setattr(depgraph, "_reach", counted)
-        assert _loops_that_pay(c) is None
+        assert _loops_that_pay(c, _per_model_price(c)) is None
         [limit] = limits
         assert 17 < limit < 3588
         # At most 2k passes per loop found, up to the first loop over the
@@ -343,7 +344,7 @@ class TestSweepPaths:
         t = parse_theory(". ".join(rules) + ".")
         c = _classical_pass(*_compile(t))
         assert len(c.build(c.keys)) == 4098
-        loops = _loops_that_pay(c)
+        loops = _loops_that_pay(c, _per_model_price(c))
         assert loops == masks(strongly_connected_subsets(g_pnn(t)), c.names)
         assert len(loops) == 14
         assert _by_loops(c, loops) == _per_model(c)
@@ -368,7 +369,7 @@ class TestSweepPaths:
     def test_loop_path_taken_when_loops_pay(self):
         t = parse_theory(". ".join(f"a{i} | not a{i}" for i in range(8)) + ".")
         c = _classical_pass(*_compile(t))
-        loops = _loops_that_pay(c)
+        loops = _loops_that_pay(c, _per_model_price(c))
         assert loops == masks([mset(f"a{i}") for i in range(8)], c.names)
 
     def test_small_theory_skips_the_graph(self, p2, monkeypatch):
@@ -376,7 +377,8 @@ class TestSweepPaths:
             raise AssertionError("graph built")
 
         monkeypatch.setattr(semantics, "_graph", no_graph)
-        assert _loops_that_pay(_classical_pass(*_compile(p2))) is None
+        c = _classical_pass(*_compile(p2))
+        assert _loops_that_pay(c, _per_model_price(c)) is None
 
 
 def dense_ring(k):
