@@ -18,8 +18,9 @@ from its mask, and writes the loop formula around it; ``nes_text`` is
 the ``nes`` command's text; it checks Y against the atoms the printer's
 walk found.  ``_loops`` is the loop oracles' one source of loops: the
 loops of a graph built from a compile's ops, or every nonempty atom
-subset, as masks read off ``semantics._layers``, the classical pass's
-tables of the points of each size, with no set of names built.
+subset, as masks read off ``semantics._point_order``, the cached order of
+every point that the classical pass's lists are selected from, with no
+set of names built.
 
 The loop-based stability checks here serve as independent oracles
 against brute-force stability, next to ``oracle.loop_oracle_models``,
@@ -67,8 +68,7 @@ from .formula import (
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
-    _layers,
-    _set_bits,
+    _point_order,
     loop_lemma_at,
 )
 
@@ -226,12 +226,10 @@ def _loops(
     nonempty subset of their atoms if None, as masks in the layout
     ``names`` of the atoms; nothing is built before the first ``next``.
 
-    The subsets are the points of the tables ``semantics._layers`` gives
-    for sizes 1 to n, each size's masks listed at once in descending
-    order, which in this layout is ``interpretations_of`` order."""
+    The subsets are ``semantics._point_order``'s points past the first,
+    the empty set: every point in ``interpretations_of`` order."""
     if kind is None:
-        for layer in _layers(len(names))[1:]:
-            yield from _set_bits(layer, len(names))
+        yield from itertools.islice(_point_order(len(names))[0], 1, None)
     else:
         yield from _all_loops(_graph(ops, kind, names))
 

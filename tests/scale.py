@@ -17,10 +17,13 @@ Each family is a function from an atom count to theory text:
 For each family the sizes step up to 20 atoms.  A family stops at the
 first size whose classical pass and sweep together take longer than
 ``BUDGET`` seconds, and that row says so.  Per case the script reports
-the seconds of the classical pass and of the sweep, the path the sweep took
-(the first of ``_per_model``, ``_by_loops`` and ``_by_fixpoint`` it
-called) and the number of stable models.  It measures and checks
-nothing.
+the seconds of the classical pass, of the sweep and of listing the
+classical, stable and pointwise tables' points after it, the path the
+sweep took (the first of ``_per_model``, ``_by_loops`` and
+``_by_fixpoint`` it called), the number of stable models, and the peak
+traced memory (``tracemalloc``, in MiB) of one untimed repeat of all
+three, run after every ``functools`` cache of ``semantics`` is cleared,
+as a fresh process would start.  It measures and checks nothing.
 
 Run it from anywhere, with the path of another checkout's package to
 time that one::
@@ -32,6 +35,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stablemodels"
@@ -70,12 +74,29 @@ FAMILIES = {
     "ring": (ring, (5, 9, 13, 17, 20)),
     "hcf-blocks": (blocks(False), (8, 12, 16, 20)),
     "non-hcf-blocks": (blocks(True), (8, 12, 16, 20)),
-    "free": (lambda n: choices([f"a{i}" for i in range(n)]), (8, 12, 16, 20)),
+    "free": (lambda n: choices([f"a{i}" for i in range(n)]), (8, 12, 16, 18, 20)),
 }
 
 
+def run(semantics, ops, universe):
+    """The seconds of the case's classical pass, of its sweep and of
+    listing its classical, stable and pointwise tables, and its stable
+    model count."""
+    start = time.perf_counter()
+    c = semantics._classical_pass(ops, universe)
+    classical = time.perf_counter() - start
+    start = time.perf_counter()
+    stable, pointwise = semantics._sweep(c)
+    sweep = time.perf_counter() - start
+    start = time.perf_counter()
+    c.keys, c.points(stable), c.points(pointwise)
+    listing = time.perf_counter() - start
+    return classical, sweep, listing, stable.bit_count()
+
+
 def measure(semantics, theory_ops, family, n):
-    """One row: the case's times, path and stable model count."""
+    """One row: the case's times, path, stable model count and peak
+    traced memory."""
     text = ". ".join(FAMILIES[family][0](n)) + "."
     ops, universe, _ = theory_ops(text)
     taken = []
@@ -88,22 +109,28 @@ def measure(semantics, theory_ops, family, n):
             return path(*args, **kwargs)
         setattr(semantics, name, traced)
     try:
-        start = time.perf_counter()
-        c = semantics._classical_pass(ops, universe)
-        classical = time.perf_counter() - start
-        start = time.perf_counter()
-        tables = semantics._sweep(c)
-        sweep = time.perf_counter() - start
+        classical, sweep, listing, stable = run(semantics, ops, universe)
     finally:
         for name, path in originals.items():
             setattr(semantics, name, path)
+    for f in vars(semantics).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    tracemalloc.start()
+    try:
+        run(semantics, ops, universe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "family": family,
         "atoms": len(universe),
         "classical_s": round(classical, 4),
         "sweep_s": round(sweep, 4),
+        "list_s": round(listing, 4),
         "path": taken[0].lstrip("_") if taken else None,
-        "stable": tables[0].bit_count(),
+        "stable": stable,
+        "peak_mib": round(peak / 2**20, 3),
     }
 
 
@@ -130,12 +157,12 @@ def main(args, semantics, theory_ops):
         print(json.dumps(rows, indent=2))
         return
     print(f"{'family':15} {'atoms':>5} {'classical s':>11} {'sweep s':>8} "
-          f"{'path':>11} {'stable':>7}")
+          f"{'list s':>7} {'path':>11} {'stable':>7} {'peak MiB':>8}")
     for row in rows:
         note = "  over budget: larger sizes skipped" if row["over_budget"] else ""
         print(f"{row['family']:15} {row['atoms']:5} {row['classical_s']:11.4f} "
-              f"{row['sweep_s']:8.4f} {row['path'] or '-':>11} {row['stable']:7}"
-              + note)
+              f"{row['sweep_s']:8.4f} {row['list_s']:7.4f} {row['path'] or '-':>11} "
+              f"{row['stable']:7} {row['peak_mib']:8.3f}" + note)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@ import itertools
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from stablemodels import (
     BOT,
@@ -472,20 +472,53 @@ def truth_tables(draw):
     return draw(st.integers(0, (1 << (1 << n)) - 1)), n
 
 
+@st.composite
+def sized_tables(draw):
+    """An atom count n of at most 8 and a table of a chosen number of its
+    2**n points: none, a few, a count on either side of the sparse
+    threshold (``semantics._SPARSE``), nearly all, or all."""
+    n = draw(st.integers(0, 8))
+    size = 1 << n
+    # The least count that ``_set_bits`` lists by selection.
+    dense = -(-size // semantics._SPARSE)
+    counts = {0, 1, 2, 3, dense - 1, dense, size - 2, size - 1, size}
+    count = draw(st.sampled_from(sorted(c for c in counts if 0 <= c <= size)))
+    points = draw(st.permutations(range(size)))[:count]
+    return sum(1 << k for k in points), n
+
+
+def definitional_points(table, n):
+    """The points of ``table`` in ``interpretations_of`` order.  Point k
+    holds names[j] when bit j of k is set, with the names in descending
+    order as ``_classical_pass`` lays them out."""
+    names = sorted((f"a{j}" for j in range(n)), reverse=True)
+    masks = [sum(1 << names.index(a) for a in i) for i in interpretations_of(names)]
+    return [k for k in masks if table >> k & 1]
+
+
 class TestPoints:
-    @given(truth_tables())
+    # Uniform tables of four or more atoms are almost all dense; sized
+    # ones reach the scan and the selection on either side of the switch.
+    # Twice the default examples, so uniform tables keep about as many.
+    @settings(max_examples=200)
+    @given(st.one_of(truth_tables(), sized_tables()))
     def test_set_bits_in_interpretations_of_order(self, table_and_n):
-        # Point k holds names[j] when bit j of k is set, with the names
-        # in descending order as ``_classical_pass`` lays them out.
         table, n = table_and_n
-        names = sorted((f"a{j}" for j in range(n)), reverse=True)
-        expected = [
-            k
-            for i in interpretations_of(names)
-            for k in [sum(1 << names.index(a) for a in i)]
-            if table >> k & 1
-        ]
-        assert semantics._set_bits(table, n) == expected
+        assert semantics._set_bits(table, n) == definitional_points(table, n)
+
+    @pytest.mark.parametrize(
+        "table, n, points",
+        [(0, 0, []), (1, 0, [0]), (0, 1, []), (1, 1, [0]), (2, 1, [1]), (3, 1, [0, 1])],
+    )
+    def test_set_bits_of_no_atom_and_one(self, table, n, points):
+        assert semantics._set_bits(table, n) == points
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_point_order_is_interpretations_of_order(self, n):
+        order, read = semantics._point_order(n)
+        assert order == definitional_points((1 << (1 << n)) - 1, n)
+        # The getter reads a sequence at the order's points, in its order.
+        assert list(read(list(range(1 << n)))) == order
 
     @given(truth_tables())
     def test_layers_count_the_points_of_each_size(self, table_and_n):

@@ -111,5 +111,6 @@ def test_scale_ladder_runs_its_smallest_sizes():
     assert all(
         row["path"] in ("per_model", "by_loops", "by_fixpoint")
         and row["classical_s"] >= 0 and row["sweep_s"] >= 0
+        and row["list_s"] >= 0 and row["peak_mib"] > 0
         for row in rows
     )
