@@ -4,14 +4,15 @@ Formulas are built from atoms and bottom with the binary connectives
 ``&``, ``|`` and ``->``.  Negation and the biconditional are surface
 sugar only: ``not F`` is stored as ``F -> bot`` and ``F <-> G`` as the
 conjunction of both implications.  Production reads op tables, one op
-per distinct node: the parser emits them as it reads a text, and
-``_compile`` walks a tree into the same table; ``_formulas`` turns ops
-of a table back into nodes, for the parser's tree entry points and the
-set-level API.  ``print_tokens`` prints from the ops by index, so
-production prints every text, a program's completion included, with no
-tree; ``print_formula`` compiles its tree first, for the library and
-the fuzz messages.  The walks that define the occurrence analyses live
-in ``oracle``.
+per distinct node: the parser emits them as it reads a text, fuzz as
+it draws one, and ``_compile`` walks a tree into the same table;
+``_formulas`` turns ops of a table back into nodes, for the parser's
+tree entry points, the set-level API and fuzz's tree campaigns.
+``print_tokens`` prints from the ops by index, so production prints
+every text, a program's completion included, with no tree;
+``print_formula`` compiles its tree first, for the library and the
+messages of fuzz's tree campaigns.  The walks that define the
+occurrence analyses live in ``oracle``.
 
 The nodes are ``Frozen`` values: equal only to a node of their own
 class with equal operands, hashed as the tuple of them, shown as
@@ -24,9 +25,10 @@ generator per class, a large share of the CLI's start-up
 (``tests/startup.py`` times it).  Those values share one constructor,
 ``Value.__init__``, which binds its arguments to the class's field
 names, or to ``_params`` where the constructor takes more than the
-fields.  The nodes, which fuzz builds by the tens of thousands per
-cycle, and ``semantics._Classical``, built once per analysed theory and
-setting its memos, keep explicit constructors, which bind faster.
+fields.  The nodes, which fuzz's tree campaigns decode from drawn
+op tables (``_formulas``) and reduce by the tens of thousands per cycle,
+and ``semantics._Classical``, built once per analysed theory and setting
+its memos, keep explicit constructors, which bind faster.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class Value:
     sets ``_params`` only when its constructor also takes a value that
     its fields leave out, as the reports take their pass; otherwise the
     parameters are the fields.  The formula nodes and the classical pass
-    keep constructors of their own: fuzz builds tens of thousands of
-    nodes per cycle and a pass per analysed theory, and an explicit
-    signature binds them at about half the cost."""
+    keep constructors of their own: fuzz decodes and reduces tens of
+    thousands of nodes per cycle and builds a pass per analysed theory,
+    and an explicit signature binds them at about half the cost."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -168,12 +170,13 @@ def atoms(f: Formula) -> frozenset[Atom]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, AtomRef):
+        kind = type(g)
+        if kind is AtomRef:
             out.add(g.name)
-        elif isinstance(g, (And, Or)):
-            stack += (g.left, g.right)
-        elif isinstance(g, Implies):
+        elif kind is Implies:
             stack += (g.antecedent, g.consequent)
+        elif kind is And or kind is Or:
+            stack += (g.left, g.right)
     return frozenset(out)
 
 
@@ -223,8 +226,8 @@ def _compile(t: Iterable[Formula]) -> tuple[Ops, set[Atom]]:
     keeps one stack: a connective met for the first time is pushed back,
     then a None, then its operands, right under left; when the None pops,
     both operands have their ops, and the connective below it gets its own.
-    The parser emits the same ops as it reads a text, and ``_formulas``
-    turns ops back into nodes.
+    The parser emits the same ops as it reads a text, and fuzz as it
+    draws one; ``_formulas`` turns ops back into nodes.
     """
     ops: Ops = []
     # Op by node id; no id is reused, as the stack holds the root to the end.

@@ -7,6 +7,22 @@ from the pool a, b, c, d truncated to ``max_atoms``, and bounds the
 tree depth by ``max_depth``.  Leaves are an atom (uniform over the
 pool) or, with probability 1/(pool size + 1), bottom.
 
+The generator draws op tables, not trees: ``_Drawing`` appends each
+node's op ``(code, x, y)`` as soon as its operands are drawn, as the
+parser does when it reduces, so a table is numbered exactly as
+``formula._compile`` numbers the tree it describes.  The draws come in
+postorder, a connective's left operand before its right, so the random
+calls are those of building the tree node by node; every bottom shares
+one op, emitted where it is first drawn; a theory draws its member
+count first and appends an ``And`` of the members so far after each
+member from the second on, recording each member's op.  The campaigns
+on the tables (``theorem1``, ``theorem2``, ``splitting``,
+``sp-subgraph``, ``chain`` and the stable side of ``loop-oracle``)
+read a drawn table as the CLI reads a parsed one, with no compile;
+``random_formula``, ``random_theory`` and
+``random_nondisjunctive_theory`` decode a drawn table into nodes
+(``formula._formulas``) for the campaigns that test trees.
+
 Each property check returns None on success or a violation message; the
 counterexample always includes the generated theory text verbatim, so
 it can be fed back through the matching CLI subcommand.
@@ -19,30 +35,35 @@ from typing import Callable, Optional
 
 from .depgraph import GraphKind, _cyclic, _graph, _layout
 from .formula import (
+    _AND,
+    _ATOM,
+    _BOT,
+    _IMPLIES,
+    _OR,
     And,
     Atom,
     AtomRef,
-    BOT,
     Formula,
     Implies,
     Ops,
-    Or,
     Theory,
     Value,
     _compile,
+    _formulas,
     atoms,
     print_formula,
-    print_theory,
+    print_tokens,
 )
 from .oracle import interpretations_of, loop_oracle_models, reduct, satisfies, spos
 from .semantics import (
     _analysis,
     _classical_pass,
     _per_model,
+    _sweep,
     format_interpretation,
     format_points,
 )
-from .sets import _member_ops, analyze, classical_models, stable_models
+from .sets import classical_models
 from .splitting import _split, split_conditions
 
 ATOM_POOL = ("a", "b", "c", "d")
@@ -50,44 +71,126 @@ ATOM_POOL = ("a", "b", "c", "d")
 MAX_FUZZ_ATOMS = 4
 MAX_FUZZ_DEPTH = 4
 
+# The shapes of an inner node, drawn uniformly in this order: an atom,
+# bottom, a negation (an implication into bottom), and the three binary
+# connectives by their op codes.
+_NOT = -1
+_SHAPES = (_ATOM, _BOT, _NOT, _AND, _OR, _IMPLIES)
+
+#: A drawn table: its ops, its atoms and the op of each member.
+Table = tuple[Ops, set[Atom], list[int]]
+
+
+class _Drawing:
+    """One op table being drawn from ``rng`` over the atoms of ``pool``;
+    each method draws one node, appends its ops to ``ops`` and returns
+    its op."""
+
+    __slots__ = ("rng", "pool", "leaves", "ops", "atoms", "bot")
+
+    def __init__(self, rng: random.Random, pool: tuple[str, ...]):
+        self.rng = rng
+        self.pool = pool
+        # A leaf is an atom of the pool or, drawn last, bottom (None).
+        self.leaves = (*pool, None)
+        self.ops: Ops = []
+        self.atoms: set[Atom] = set()
+        # The one op of bottom, once drawn.
+        self.bot: Optional[int] = None
+
+    def bottom(self) -> int:
+        if self.bot is None:
+            self.ops.append((_BOT, 0, 0))
+            self.bot = len(self.ops) - 1
+        return self.bot
+
+    def atom(self, name: Atom) -> int:
+        self.atoms.add(name)
+        self.ops.append((_ATOM, name, 0))
+        return len(self.ops) - 1
+
+    def formula(self, depth: int) -> int:
+        """A formula of depth at most ``depth``."""
+        rng = self.rng
+        if depth <= 0:
+            leaf = rng.choice(self.leaves)
+            return self.bottom() if leaf is None else self.atom(leaf)
+        shape = rng.choice(_SHAPES)
+        if shape == _ATOM:
+            return self.atom(rng.choice(self.pool))
+        if shape == _BOT:
+            return self.bottom()
+        x = self.formula(depth - 1)
+        if shape == _NOT:
+            shape, y = _IMPLIES, self.bottom()
+        else:
+            y = self.formula(depth - 1)
+        self.ops.append((shape, x, y))
+        return len(self.ops) - 1
+
+    def rule(self, depth: int) -> int:
+        """A nondisjunctive rule ``body -> atom``, of depth at most ``depth``."""
+        body = self.formula(depth - 1)
+        head = self.atom(self.rng.choice(self.pool))
+        self.ops.append((_IMPLIES, body, head))
+        return len(self.ops) - 1
+
+    def theory(self, member: Callable[[int], int], depth: int) -> Table:
+        """One to three members drawn by ``member``, conjoined from the
+        left as ``_compile`` conjoins a theory's members."""
+        ops = self.ops
+        roots = []
+        for _ in range(self.rng.randint(1, 3)):
+            root = member(depth)
+            if roots:
+                ops.append((_AND, whole, root))
+                whole = len(ops) - 1
+            else:
+                whole = root
+            roots.append(root)
+        return ops, self.atoms, roots
+
+
+def _random_theory(rng: random.Random, pool, depth) -> Table:
+    d = _Drawing(rng, pool)
+    return d.theory(d.formula, depth)
+
+
+def _random_nondisjunctive_theory(rng: random.Random, pool, depth) -> Table:
+    d = _Drawing(rng, pool)
+    return d.theory(d.rule, depth)
+
 
 def random_formula(rng: random.Random, pool: tuple[str, ...], depth: int) -> Formula:
-    if depth <= 0:
-        leaves = list(pool) + ["bot"]
-        pick = rng.choice(leaves)
-        return BOT if pick == "bot" else AtomRef(pick)
-    node = rng.choice(("atom", "bot", "not", "and", "or", "implies"))
-    if node == "atom":
-        return AtomRef(rng.choice(pool))
-    if node == "bot":
-        return BOT
-    if node == "not":
-        return Implies(random_formula(rng, pool, depth - 1), BOT)
-    left = random_formula(rng, pool, depth - 1)
-    right = random_formula(rng, pool, depth - 1)
-    if node == "and":
-        return And(left, right)
-    if node == "or":
-        return Or(left, right)
-    return Implies(left, right)
+    """The formula of a drawn table."""
+    d = _Drawing(rng, pool)
+    return _formulas(d.ops, [d.formula(depth)])[0]
 
 
 def random_theory(
     rng: random.Random, pool: tuple[str, ...], depth: int
 ) -> Theory:
-    return tuple(
-        random_formula(rng, pool, depth)
-        for _ in range(rng.randint(1, 3))
-    )
+    """The theory of a drawn table."""
+    ops, _, roots = _random_theory(rng, pool, depth)
+    return _formulas(ops, roots)
 
 
 def random_nondisjunctive_theory(
     rng: random.Random, pool: tuple[str, ...], depth: int
 ) -> Theory:
-    return tuple(
-        Implies(random_formula(rng, pool, depth - 1), AtomRef(rng.choice(pool)))
-        for _ in range(rng.randint(1, 3))
-    )
+    """The program of a drawn table: every member is ``body -> atom``."""
+    ops, _, roots = _random_nondisjunctive_theory(rng, pool, depth)
+    return _formulas(ops, roots)
+
+
+def _text(ops: Ops, root: int) -> str:
+    """``print_formula`` of the node of op ``root``."""
+    return "".join(print_tokens(ops, root)[0])
+
+
+def _theory_text(ops: Ops, roots: list[int]) -> str:
+    """``print_theory`` of the members of ``roots``."""
+    return "\n".join(_text(ops, root) + "." for root in roots)
 
 
 def _sample_until(rng, make, accept, limit: int = 10000):
@@ -101,11 +204,11 @@ def _sample_until(rng, make, accept, limit: int = 10000):
     raise RuntimeError("rejection sampling failed to find an acceptable case")
 
 
-def _sp_acyclic(t: Theory) -> Optional[tuple[Ops, set[Atom]]]:
-    """The compile of ``t`` if its sp graph is acyclic, else None."""
-    compiled = _compile(t)
-    sp = _graph(compiled[0], GraphKind.SP, _layout(compiled[1]))
-    return None if _cyclic(sp) else compiled
+def _sp_acyclic(table: Table) -> Optional[Table]:
+    """``table`` if its sp graph is acyclic, else None."""
+    ops, universe, _ = table
+    sp = _graph(ops, GraphKind.SP, _layout(universe))
+    return None if _cyclic(sp) else table
 
 
 class FuzzResult(Value):
@@ -117,34 +220,34 @@ class FuzzResult(Value):
 
 
 def _check_theorem1(rng: random.Random, pool, depth) -> Optional[str]:
-    t, compiled = _sample_until(
-        rng, lambda r: random_nondisjunctive_theory(r, pool, depth), _sp_acyclic
+    _, (ops, universe, roots) = _sample_until(
+        rng, lambda r: _random_nondisjunctive_theory(r, pool, depth), _sp_acyclic
     )
-    a = _analysis(*compiled, _member_ops(compiled[0], len(t)))
+    a = _analysis(ops, universe, roots)
     if a._supported != a._stable:
         sup, st = format_points(a._c.names, a._supported, a._stable)
         return (
             "supported and stable models differ for a nondisjunctive theory "
-            f"with acyclic sp graph\ntheory:\n{print_theory(t)}\n"
+            f"with acyclic sp graph\ntheory:\n{_theory_text(ops, roots)}\n"
             f"supported: {sup}\nstable: {st}"
         )
     return None
 
 
 def _check_theorem2(rng: random.Random, pool, depth) -> Optional[str]:
-    t, compiled = _sample_until(
-        rng, lambda r: random_theory(r, pool, depth), _sp_acyclic
+    _, (ops, universe, roots) = _sample_until(
+        rng, lambda r: _random_theory(r, pool, depth), _sp_acyclic
     )
     # Both tables from the per-model path: the sweep's fixpoint path
     # takes the pointwise table to be the stable one when no loop has two
     # atoms, so comparing its tables would compare a table with itself.
-    c = _classical_pass(*compiled)
+    c = _classical_pass(ops, universe)
     st, pw = _per_model(c)
     if pw != st:
         pw_text, st_text = format_points(c.names, c.points(pw), c.points(st))
         return (
             "pointwise stable and stable models differ for a theory with "
-            f"acyclic sp graph\ntheory:\n{print_theory(t)}\n"
+            f"acyclic sp graph\ntheory:\n{_theory_text(ops, roots)}\n"
             f"pointwise stable: {pw_text}\n"
             f"stable: {st_text}"
         )
@@ -164,21 +267,27 @@ def _check_loop_oracle(kind: GraphKind):
     def check(rng: random.Random, pool, depth) -> Optional[str]:
         # One case in eight uses the adversarial template so the sp
         # negative control reliably trips; the pnn oracle must survive it.
+        # The stable list is read off the table; the loop oracles build
+        # their loop formulas from the tree.
         if len(pool) >= 2 and rng.random() < 0.125:
             f = _adversarial_loop_formula(rng, pool)
+            ops, universe = _compile((f,))
         else:
-            f = random_formula(rng, pool, depth)
-        stable = set(stable_models((f,)))
+            d = _Drawing(rng, pool)
+            ops, universe = d.ops, d.atoms
+            f = _formulas(ops, [d.formula(depth)])[0]
+        c = _classical_pass(ops, universe)
+        stable = set(c.build(c.points(_sweep(c, pointwise=False)[0])))
         by_all_sets = set(loop_oracle_models(f, None))
         by_loops = set(loop_oracle_models(f, kind))
-        for i in interpretations_of(atoms(f)):
+        for i in interpretations_of(universe):
             brute = i in stable
             all_sets = i in by_all_sets
             loops = i in by_loops
             if not (brute == all_sets == loops):
                 return (
                     f"loop oracle ({kind.value}) disagrees with brute force\n"
-                    f"theory:\n{print_formula(f)}.\n"
+                    f"theory:\n{_text(ops, len(ops) - 1)}.\n"
                     f"interpretation: {format_interpretation(i)}\n"
                     f"brute-force stable: {brute}, all-sets: {all_sets}, "
                     f"{kind.value}-loops: {loops}"
@@ -190,34 +299,36 @@ def _check_loop_oracle(kind: GraphKind):
 
 def _check_splitting(rng: random.Random, pool, depth) -> Optional[str]:
     def make(r: random.Random):
-        f = random_formula(r, pool, depth)
-        g = random_formula(r, pool, depth)
-        universe = sorted(atoms(And(f, g)))
+        # F, then G, then F & G, in one table: ``_compile((And(f, g),))``.
+        d = _Drawing(r, pool)
+        x = d.formula(depth)
+        d.ops.append((_AND, x, d.formula(depth)))
+        universe = sorted(d.atoms)
         ps = frozenset(a for a in universe if r.random() < 0.5)
-        return f, g, ps, frozenset(universe) - ps
+        return d.ops, d.atoms, ps, frozenset(universe) - ps
 
     def accept(case):
-        # The compile and pnn graph of F & G, which the split reads.
-        f, g, ps, qs = case
+        # The pnn graph of F & G, which the split reads.
+        ops, universe, ps, qs = case
         if not ps | qs:
             return None
-        compiled = _compile((And(f, g),))
-        names = _layout(compiled[1])
-        pnn = _graph(compiled[0], GraphKind.PNN, names)
-        if any(split_conditions(compiled[0], names, ps, qs, pnn)):
+        names = _layout(universe)
+        pnn = _graph(ops, GraphKind.PNN, names)
+        if any(split_conditions(ops, names, ps, qs, pnn)):
             return None
-        return compiled, pnn
+        return pnn
 
     # Neither split_conditions nor the split draws from rng, so the
     # sampled cases depend on the seed alone.
-    (f, g, ps, qs), (compiled, pnn) = _sample_until(rng, make, accept)
-    s = _split(compiled, ps, qs, GraphKind.PNN, pnn=pnn)
+    (ops, universe, ps, qs), pnn = _sample_until(rng, make, accept)
+    s = _split((ops, universe), ps, qs, GraphKind.PNN, pnn=pnn)
     if not s.equivalence_holds:
         [whole] = format_points(s._names, s._whole)
+        _, x, y = ops[-1]
         return (
             "splitting equivalence failed although pnn conditions pass\n"
-            f"theory:\n{print_formula(And(f, g))}.\n"
-            f"f: {print_formula(f)}\ng: {print_formula(g)}\n"
+            f"theory:\n{_text(ops, len(ops) - 1)}.\n"
+            f"f: {_text(ops, x)}\ng: {_text(ops, y)}\n"
             f"P: {sorted(ps)}  Q: {sorted(qs)}\n"
             f"stable whole: {whole}"
         )
@@ -266,23 +377,22 @@ def _check_lemma1(rng: random.Random, pool, depth) -> Optional[str]:
 
 
 def _check_sp_subgraph(rng: random.Random, pool, depth) -> Optional[str]:
-    t = random_theory(rng, pool, depth)
-    ops, universe = _compile(t)
+    ops, universe, roots = _random_theory(rng, pool, depth)
     names = _layout(universe)
     sp = _graph(ops, GraphKind.SP, names)
     pnn = _graph(ops, GraphKind.PNN, names)
-    # Both graphs have every atom of t as a vertex, in one layout.
+    # Both graphs have every atom of the theory as a vertex, in one layout.
     if any(s & ~p for s, p in zip(sp, pnn)):
         return (
             "sp graph is not a subgraph of the pnn graph\ntheory:\n"
-            f"{print_theory(t)}"
+            f"{_theory_text(ops, roots)}"
         )
     return None
 
 
 def _check_chain(rng: random.Random, pool, depth) -> Optional[str]:
-    t = random_theory(rng, pool, depth)
-    report = analyze(t)
+    ops, universe, roots = _random_theory(rng, pool, depth)
+    report = _analysis(ops, universe, roots)
     st = set(report.stable)
     pw = set(report.pointwise_stable)
     sup = report.supported
@@ -299,7 +409,7 @@ def _check_chain(rng: random.Random, pool, depth) -> Optional[str]:
         problem = "completion models differ from supported models"
     else:
         return None
-    return f"{problem}\ntheory:\n{print_theory(t)}"
+    return f"{problem}\ntheory:\n{_theory_text(ops, roots)}"
 
 
 Check = Callable[[random.Random, tuple[str, ...], int], Optional[str]]

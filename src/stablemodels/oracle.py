@@ -74,16 +74,17 @@ def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
 
 def satisfies(i: Interpretation, f: Formula) -> bool:
     """Classical truth of ``f`` under the assignment identified with ``i``."""
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, AtomRef):
+    kind = type(f)
+    if kind is AtomRef:
         return f.name in i
-    if isinstance(f, And):
+    if kind is Implies:
+        return not satisfies(i, f.antecedent) or satisfies(i, f.consequent)
+    if kind is And:
         return satisfies(i, f.left) and satisfies(i, f.right)
-    if isinstance(f, Or):
+    if kind is Or:
         return satisfies(i, f.left) or satisfies(i, f.right)
-    assert isinstance(f, Implies)
-    return not satisfies(i, f.antecedent) or satisfies(i, f.consequent)
+    assert kind is Bottom
+    return False
 
 
 def satisfies_all(i: Interpretation, t: Iterable[Formula]) -> bool:
@@ -93,18 +94,24 @@ def satisfies_all(i: Interpretation, t: Iterable[Formula]) -> bool:
 def reduct(f: Formula, i: Interpretation) -> Formula:
     """Replace every maximal subformula not satisfied by ``i`` with bottom.
 
-    Computed top-down: an unsatisfied node becomes bottom outright, a
-    satisfied node is rebuilt from the reducts of its children.
+    Computed bottom-up, so that each node's truth is found once: a
+    node's reduct is bottom exactly when ``i`` does not satisfy it, so
+    its truth is read off its operands' reducts, and a satisfied node is
+    rebuilt from them.
     """
-    if not satisfies(i, f):
+    kind = type(f)
+    if kind is AtomRef:
+        return f if f.name in i else BOT
+    if kind is Bottom:
         return BOT
-    if isinstance(f, And):
-        return And(reduct(f.left, i), reduct(f.right, i))
-    if isinstance(f, Or):
-        return Or(reduct(f.left, i), reduct(f.right, i))
-    if isinstance(f, Implies):
-        return Implies(reduct(f.antecedent, i), reduct(f.consequent, i))
-    return f
+    if kind is Implies:
+        x, y = reduct(f.antecedent, i), reduct(f.consequent, i)
+        return Implies(x, y) if x is BOT or y is not BOT else BOT
+    x, y = reduct(f.left, i), reduct(f.right, i)
+    if kind is And:
+        return And(x, y) if x is not BOT and y is not BOT else BOT
+    assert kind is Or
+    return Or(x, y) if x is not BOT or y is not BOT else BOT
 
 
 def reduct_theory(t: Theory, i: Interpretation) -> Theory:

@@ -1,9 +1,13 @@
+import hashlib
+import inspect
 import random
 import re
+import types
 
 import pytest
 
 import stablemodels.formula as formula
+import stablemodels.fuzz as fuzz
 import stablemodels.semantics as semantics
 import stablemodels.splitting as splitting
 from stablemodels import (
@@ -16,11 +20,13 @@ from stablemodels import (
 )
 from stablemodels.fuzz import (
     ATOM_POOL,
+    PROPERTIES,
     random_formula,
     random_nondisjunctive_theory,
     random_theory,
     run_fuzz,
 )
+from stablemodels.sets import _member_ops
 from conftest import count_calls
 
 
@@ -41,6 +47,96 @@ class TestGenerator:
         for _ in range(50):
             t = random_nondisjunctive_theory(rng, ATOM_POOL, 3)
             assert is_nondisjunctive_theory(t)
+
+
+def drawn_tables(module, seeds):
+    """For each seed, the table that ``module``'s drawer draws for each of
+    the three generators; the pool size and the depth cycle through 1 to
+    4 with the seed, so 2000 seeds give each pair 125 times."""
+    for seed in seeds:
+        pool = ATOM_POOL[: 1 + seed % 4]
+        depth = 1 + seed // 4 % 4
+        d = module._Drawing(random.Random(seed), pool)
+        yield (d.ops, d.atoms, [d.formula(depth)])
+        yield module._random_theory(random.Random(seed), pool, depth)
+        yield module._random_nondisjunctive_theory(random.Random(seed), pool, depth)
+
+
+def first_compile_mismatch(module, seeds):
+    """The first drawn table of ``drawn_tables`` whose ops or atoms differ
+    from ``_compile`` of its decoded tree, or whose member ops differ from
+    the ones ``sets._member_ops`` reads off them; None if there is none."""
+    for ops, universe, roots in drawn_tables(module, seeds):
+        tree = formula._formulas(ops, roots)
+        if formula._compile(tree) != (ops, universe):
+            return ops
+        if _member_ops(ops, len(roots)) != roots:
+            return ops
+    return None
+
+
+def mutant(old, new):
+    """The ``fuzz`` module with its one occurrence of ``old`` replaced by
+    ``new``, loaded beside the real one."""
+    source = inspect.getsource(fuzz)
+    assert source.count(old) == 1
+    module = types.ModuleType("stablemodels.fuzz_mutant")
+    module.__package__ = "stablemodels"
+    exec(compile(source.replace(old, new), fuzz.__file__, "exec"), module.__dict__)
+    return module
+
+
+DRAWER_MUTANTS = {
+    # Every bottom gets an op of its own.
+    "second-bottom": (
+        "        if self.bot is None:\n",
+        "        if True:\n",
+    ),
+    # An implication draws its consequent before its antecedent.
+    "consequent-first": (
+        "        x = self.formula(depth - 1)\n",
+        "        if shape == _IMPLIES:\n"
+        "            y = self.formula(depth - 1)\n"
+        "            x = self.formula(depth - 1)\n"
+        "            self.ops.append((shape, x, y))\n"
+        "            return len(self.ops) - 1\n"
+        "        x = self.formula(depth - 1)\n",
+    ),
+}
+
+
+class TestDrawer:
+    def test_drawn_tables_are_the_compiles_of_their_trees(self):
+        assert first_compile_mismatch(fuzz, range(2000)) is None
+
+    def test_decoders_decode_the_drawn_tables(self):
+        for seed in range(200):
+            depth = 1 + seed % 4
+            rng = random.Random(seed)
+            ops, _, roots = fuzz._random_theory(rng, ATOM_POOL, depth)
+            after = rng.random()
+            rng = random.Random(seed)
+            assert random_theory(rng, ATOM_POOL, depth) == formula._formulas(ops, roots)
+            assert rng.random() == after
+
+    @pytest.mark.parametrize("name", sorted(DRAWER_MUTANTS))
+    def test_mutant_drawers_are_caught(self, name):
+        assert first_compile_mismatch(mutant(*DRAWER_MUTANTS[name]), range(2000))
+
+    def test_campaign_outputs_are_pinned(self):
+        # sha256 over (property, seed, checked, violations) of every
+        # campaign at seeds 1 to 3, count 300, recorded when the generator
+        # built trees node by node: drawing op tables changes no case.
+        digest = hashlib.sha256()
+        for prop in PROPERTIES:
+            for seed in (1, 2, 3):
+                r = run_fuzz(prop, seed, 300)
+                digest.update(
+                    repr((r.property_name, r.seed, r.checked, r.violations)).encode()
+                )
+        assert digest.hexdigest() == (
+            "1ccccb70973778861973fded8719b810fce518d5f27afcb308bdb4e08b3fc956"
+        )
 
 
 class TestRunFuzz:
@@ -73,25 +169,50 @@ class TestRunFuzz:
     def test_splitting_builds_one_graph_per_case(
         self, monkeypatch, compiles, graph_builds
     ):
-        # One compile and one pnn graph per sampled case, in ``accept``;
-        # the split of each accepted case reads both (208 cases sampled
-        # for 100 accepted ones; 308 graphs were built when the split
-        # built its own).
+        # One pnn graph per sampled case, in ``accept``, read off the drawn
+        # table of F & G; the split of each accepted case reads both (208
+        # cases sampled for 100 accepted ones; 308 graphs were built when
+        # the split built its own).  No case is compiled.
         splits = count_calls(monkeypatch, splitting, "_split")
         assert run_fuzz("splitting", seed=1, count=100).ok
         assert len(splits) == 100
-        assert len(compiles) == len(graph_builds) == 208
+        assert len(graph_builds) == 208
         assert {kind for _, kind, _ in graph_builds} == {GraphKind.PNN}
+        assert compiles == []
 
     @pytest.mark.parametrize(
         ("prop", "count"), [("theorem1", 150), ("theorem2", 118)]
     )
-    def test_theorems_compile_each_sample_once(self, compiles, prop, count):
-        # At seed 1, 150 and 118 sampled theories for 100 accepted ones,
-        # each compiled once by ``accept``, whose compile the check reads;
-        # theorem1 reads the support halves off a copy of its ops.
+    def test_theorems_compile_no_sample(self, monkeypatch, compiles, prop, count):
+        # At seed 1, 150 and 118 sampled theories for 100 accepted ones;
+        # ``accept`` reads each drawn table, and so does the check.
+        samples = count_calls(monkeypatch, fuzz, "_sp_acyclic")
         assert run_fuzz(prop, seed=1, count=100).ok
-        assert len(compiles) == count
+        assert len(samples) == count
+        assert compiles == []
+
+    def test_sp_subgraph_compiles_no_sample(self, compiles):
+        assert run_fuzz("sp-subgraph", seed=1, count=100).ok
+        assert compiles == []
+
+    def test_chain_compiles_only_completions(self, monkeypatch, compiles):
+        # The drawn theories are analysed as drawn; the only compiles are
+        # of the completions of the programs among them, whose classical
+        # models the check compares with the supported list.
+        reports = []
+
+        def analysis(*args):
+            reports.append(semantics._analysis(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(fuzz, "_analysis", analysis)
+        assert run_fuzz("chain", seed=1, count=100).ok
+        assert len(reports) == 100
+        completions = [
+            r.completion_theory for r in reports if r.supported is not None
+        ]
+        assert completions
+        assert [args[0] for args in compiles] == completions
 
     def test_chain_prints_only_a_violation(self, monkeypatch):
         printed = count_calls(monkeypatch, formula, "print_tokens")
