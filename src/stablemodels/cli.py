@@ -44,8 +44,8 @@ from .depgraph import (
 from .errors import CapExceededError, FormulaParseError, StableModelsError
 from .formula import print_tokens
 from .fuzz import (
-    MAX_FUZZ_ATOMS,
-    MAX_FUZZ_DEPTH,
+    DEFAULT_FUZZ_ATOMS,
+    DEFAULT_FUZZ_DEPTH,
     PROPERTIES,
     run_fuzz,
 )
@@ -379,8 +379,8 @@ def _fuzz_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--max-atoms", type=int, default=MAX_FUZZ_ATOMS)
-    p.add_argument("--max-depth", type=int, default=MAX_FUZZ_DEPTH)
+    p.add_argument("--max-atoms", type=int, default=DEFAULT_FUZZ_ATOMS)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_FUZZ_DEPTH)
 
 
 class Command(NamedTuple):

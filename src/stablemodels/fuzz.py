@@ -3,9 +3,10 @@
 The generator is deliberately simple and fully documented so runs are
 reproducible: it draws from ``random.Random(seed)`` (Mersenne Twister,
 portable across platforms), chooses connectives uniformly, takes atoms
-from the pool a, b, c, d truncated to ``max_atoms``, and bounds the
-tree depth by ``max_depth``.  Leaves are an atom (uniform over the
-pool) or, with probability 1/(pool size + 1), bottom.
+from the pool a to h truncated to ``max_atoms`` (by default 4, so a, b,
+c, d; at most 8), and bounds the tree depth by ``max_depth`` (by default
+4; at most 6).  Leaves are an atom (uniform over the pool) or, with
+probability 1/(pool size + 1), bottom.
 
 The generator draws op tables, not trees: ``_Drawing`` appends each
 node's op ``(code, x, y)`` as soon as its operands are drawn, as the
@@ -17,10 +18,11 @@ one op, emitted where it is first drawn; a theory draws its member
 count first and appends an ``And`` of the members so far after each
 member from the second on, recording each member's op.  The campaigns
 on the tables (``theorem1``, ``theorem2``, ``splitting``,
-``sp-subgraph``, ``chain`` and the stable side of ``loop-oracle``)
-read a drawn table as the CLI reads a parsed one, with no compile;
-``random_formula``, ``random_theory`` and
-``random_nondisjunctive_theory`` decode a drawn table into nodes
+``sp-subgraph``, ``chain``, ``loop-oracle`` and ``loop-oracle-sp``)
+read a drawn table as the CLI reads a parsed one, with no compile; the
+loop oracles append their loop formulas to it as ops
+(``oracle._loop_formula_ops``).  ``random_formula``, ``random_theory``
+and ``random_nondisjunctive_theory`` decode a drawn table into nodes
 (``formula._formulas``) for the campaigns that test trees.
 
 Each property check returns None on success or a violation message; the
@@ -54,7 +56,8 @@ from .formula import (
     print_formula,
     print_tokens,
 )
-from .oracle import interpretations_of, loop_oracle_models, reduct, satisfies, spos
+from .loopformulas import _loops
+from .oracle import _loop_formula_tables, interpretations_of, reduct, satisfies, spos
 from .semantics import (
     _analysis,
     _classical_pass,
@@ -66,10 +69,12 @@ from .semantics import (
 from .sets import classical_models
 from .splitting import _split, split_conditions
 
-ATOM_POOL = ("a", "b", "c", "d")
+ATOM_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
 
-MAX_FUZZ_ATOMS = 4
-MAX_FUZZ_DEPTH = 4
+MAX_FUZZ_ATOMS = 8
+MAX_FUZZ_DEPTH = 6
+DEFAULT_FUZZ_ATOMS = 4
+DEFAULT_FUZZ_DEPTH = 4
 
 # The shapes of an inner node, drawn uniformly in this order: an atom,
 # bottom, a negation (an implication into bottom), and the three binary
@@ -267,32 +272,40 @@ def _check_loop_oracle(kind: GraphKind):
     def check(rng: random.Random, pool, depth) -> Optional[str]:
         # One case in eight uses the adversarial template so the sp
         # negative control reliably trips; the pnn oracle must survive it.
-        # The stable list is read off the table; the loop oracles build
-        # their loop formulas from the tree.
+        # The stable table is read off the table.  The loop formula of
+        # every nonempty atom set is appended to it as ops, and all are
+        # evaluated in one pass; kind's loops are among those sets, so
+        # each formula is built once and both conjunctions read it.
         if len(pool) >= 2 and rng.random() < 0.125:
-            f = _adversarial_loop_formula(rng, pool)
-            ops, universe = _compile((f,))
+            ops, universe = _compile((_adversarial_loop_formula(rng, pool),))
         else:
             d = _Drawing(rng, pool)
+            d.formula(depth)
             ops, universe = d.ops, d.atoms
-            f = _formulas(ops, [d.formula(depth)])[0]
         c = _classical_pass(ops, universe)
-        stable = set(c.build(c.points(_sweep(c, pointwise=False)[0])))
-        by_all_sets = set(loop_oracle_models(f, None))
-        by_loops = set(loop_oracle_models(f, kind))
-        for i in interpretations_of(universe):
-            brute = i in stable
-            all_sets = i in by_all_sets
-            loops = i in by_loops
-            if not (brute == all_sets == loops):
-                return (
-                    f"loop oracle ({kind.value}) disagrees with brute force\n"
-                    f"theory:\n{_text(ops, len(ops) - 1)}.\n"
-                    f"interpretation: {format_interpretation(i)}\n"
-                    f"brute-force stable: {brute}, all-sets: {all_sets}, "
-                    f"{kind.value}-loops: {loops}"
-                )
-        return None
+        if not c.candidates:
+            # No model: all three tables are empty.
+            return None
+        stable = _sweep(c, pointwise=False)[0] & c.candidates
+        every = list(_loops(ops, c.names, None))
+        tables = dict(zip(every, _loop_formula_tables(c, every)))
+        all_sets = loops = c.candidates
+        for table in tables.values():
+            all_sets &= table
+        for ys in _loops(ops, c.names, kind):
+            loops &= tables[ys]
+        if stable == all_sets == loops:
+            return None
+        # The first point where they differ, in ``interpretations_of`` order.
+        k = c.points((stable ^ all_sets) | (stable ^ loops))[0]
+        return (
+            f"loop oracle ({kind.value}) disagrees with brute force\n"
+            f"theory:\n{_text(ops, len(ops) - 1)}.\n"
+            f"interpretation: {format_interpretation(c.build([k])[0])}\n"
+            f"brute-force stable: {bool(stable >> k & 1)}, "
+            f"all-sets: {bool(all_sets >> k & 1)}, "
+            f"{kind.value}-loops: {bool(loops >> k & 1)}"
+        )
 
     return check
 
@@ -434,8 +447,8 @@ def run_fuzz(
     property_name: str,
     seed: int,
     count: int,
-    max_atoms: int = MAX_FUZZ_ATOMS,
-    max_depth: int = MAX_FUZZ_DEPTH,
+    max_atoms: int = DEFAULT_FUZZ_ATOMS,
+    max_depth: int = DEFAULT_FUZZ_DEPTH,
 ) -> FuzzResult:
     if property_name not in PROPERTIES:
         known = ", ".join(sorted(PROPERTIES))

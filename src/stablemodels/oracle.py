@@ -15,15 +15,20 @@ Every result of the workbench is checked against these:
   tested;
 - ``nes`` and ``loop_formula``: NES and loop formulas as formula
   objects, against which ``NesPrinter``'s text is tested, and
-  ``loop_oracle_models``, which evaluates them;
+  ``loop_oracle_models``, which builds the same formulas as ops appended
+  to its formula's op table (``_loop_formula_ops``, tested against
+  ``loop_formula``) and evaluates them classically, in one pass with
+  the formula: it compiles the formula once and builds no tree.  The
+  ``loop-oracle`` fuzz campaigns append them to a drawn table;
 - ``choice_augment``: a split's parts as formulas, against which
   ``check_split``'s one sweep is tested;
 - ``format_models``: a model list as text, against which
   ``semantics.format_points`` is tested;
 - ``interpretations_of``: every subset of a set of atoms, by size, then
   lexicographically, the order in which every model list is given; the
-  predicates above and the all-subsets family of ``loop_oracle_models``
-  range over it, and ``loopformulas._loops`` is tested against it.
+  predicates above range over it, and ``loopformulas._loops``, whose
+  family of every nonempty subset the loop oracles read, is tested
+  against it.
 
 This module may import from any module of the package.  No production
 module imports it or calls its names: only ``fuzz``, whose properties
@@ -37,9 +42,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
-from .depgraph import GraphKind, _layout, _named
+from .depgraph import GraphKind, _named
 from .errors import NotNondisjunctiveError, check_cap
 from .formula import (
+    _AND,
+    _ATOM,
+    _BOT,
+    _IMPLIES,
     BOT,
     And,
     Atom,
@@ -48,6 +57,7 @@ from .formula import (
     Formula,
     Frozen,
     Implies,
+    Ops,
     Or,
     Theory,
     _compile,
@@ -59,9 +69,11 @@ from .loopformulas import _loops, check_atoms
 from .semantics import (
     DEFAULT_CAP,
     Interpretation,
+    _Classical,
+    _classical_pass,
+    _evaluate,
     format_interpretation,
 )
-from .sets import classical_models
 
 
 def interpretations_of(universe: Iterable[Atom]) -> Iterator[Interpretation]:
@@ -295,21 +307,92 @@ def _loop_formula(f: Formula, ys: frozenset[Atom]) -> Formula:
     return conj(Implies(AtomRef(a), support) for a in sorted(ys))
 
 
+def _loop_formula_ops(
+    ops: Ops, names: list[Atom], loops: Iterable[int]
+) -> tuple[Ops, list[int]]:
+    """``ops``, the table of a formula F (its last op), followed by the ops
+    of the loop formula of each of ``loops``, and the op of each loop
+    formula.  The loops are nonempty masks in the layout ``names`` of F's
+    atoms.
+
+    The ops follow ``nes`` and ``loop_formula`` op by op, so that
+    ``_formulas`` decodes each to a formula equal to ``loop_formula(F, Y)``.
+    NES(F, Y) maps each op of F to an op: an atom of Y to the one bottom
+    op, appended if F has none; any other atom, and bottom, to itself; a
+    conjunction or disjunction to the op of its operands' images, itself
+    when those are its own operands; and an implication F -> G to
+    (NES F -> NES G) & (F -> G), whose second conjunct is F -> G's own op.
+    ``not NES`` is one op, read by each A -> not NES for A in Y, in atom
+    order, which are conjoined from the left as ``conj`` does.
+    """
+    table = [*ops]
+    bot = next((j for j, (code, _, _) in enumerate(ops) if code == _BOT), None)
+    if bot is None:
+        bot = len(table)
+        table.append((_BOT, 0, 0))
+    # Each atom's bit in the layout, and one op of it.
+    bit = {a: 1 << j for j, a in enumerate(names)}
+    atom_op = {x: j for j, (code, x, _) in enumerate(ops) if code == _ATOM}
+    roots = []
+    for ys in loops:
+        # The op of NES of each op of F.
+        image: list[int] = []
+        for j, (code, x, y) in enumerate(ops):
+            if code == _ATOM:
+                image.append(bot if ys & bit[x] else j)
+            elif code == _BOT:
+                image.append(j)
+            else:
+                v = j
+                if image[x] != x or image[y] != y:
+                    v = len(table)
+                    table.append((code, image[x], image[y]))
+                if code == _IMPLIES:
+                    table.append((_AND, v, j))
+                    v = len(table) - 1
+                image.append(v)
+        support = len(table)
+        table.append((_IMPLIES, image[-1], bot))
+        root = None
+        for a in _named(ys, names):
+            table.append((_IMPLIES, atom_op[a], support))
+            if root is not None:
+                table.append((_AND, root, len(table) - 1))
+            root = len(table) - 1
+        roots.append(root)
+    return table, roots
+
+
+def _loop_formula_tables(c: _Classical, loops: Iterable[int]) -> list[int]:
+    """The classical table over ``c``'s points of the loop formula of each
+    of ``loops``, masks in ``c``'s layout: the ops that
+    ``_loop_formula_ops`` appends to ``c``'s are evaluated, onto a copy
+    of ``c``'s tables, as ``semantics._supported`` evaluates a completion.
+
+    The formulas are evaluated as written, every there table all ones.
+    Clearing Y in the here-world instead would give the same tables by
+    the loop path's own method (``semantics._by_loops``), and the loop
+    oracles would compare that path with itself."""
+    table, roots = _loop_formula_ops(c.ops, c.names, loops)
+    full = (1 << (1 << len(c.names))) - 1
+    vals = _evaluate(table[len(c.vals):], c.atom_tables, itertools.repeat(full), c.vals)
+    return [vals[r] for r in roots]
+
+
 def loop_oracle_models(
     f: Formula, kind: Optional[GraphKind]
 ) -> list[Interpretation]:
     """The classical models of ``f`` and the loop formulas of the loops of
-    ``kind``'s graph (every nonempty atom subset if None), over ``f``'s atoms."""
+    ``kind``'s graph (every nonempty atom subset if None), over ``f``'s
+    atoms: one classical pass of ``f``'s ops with the loop formulas' ops
+    appended (``_loop_formula_tables``)."""
     ops, universe = _compile((f,))
     check_cap(len(universe), DEFAULT_CAP, "loop-formula enumeration")
-    if kind is None:
-        # The empty set has no loop formula.
-        loops = itertools.islice(interpretations_of(universe), 1, None)
-    else:
-        names = _layout(universe)
-        loops = (frozenset(_named(ys, names)) for ys in _loops(ops, names, kind))
-    lfs = (_loop_formula(f, ys) for ys in loops)
-    return classical_models((f, *lfs), universe)
+    c = _classical_pass(ops, universe)
+    models = c.candidates
+    for table in _loop_formula_tables(c, _loops(ops, c.names, kind)):
+        models &= table
+    return c.build(c.points(models))
 
 
 def choice_augment(f: Formula, xs: Iterable[Atom]) -> Formula:

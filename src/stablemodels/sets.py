@@ -13,9 +13,9 @@ does (``semantics._completion``); ``completion`` and a report's
 ``completion_theory`` decode it into formulas.  The names here are
 re-exported, unchanged, by the package root.
 
-No production module imports this module; only the package root,
-``oracle`` and ``fuzz`` do, and ``tests/test_import_lint.py`` checks
-that.  The CLI prints from the masks and points directly.
+No production module imports this module; only the package root and
+``fuzz`` do, and ``tests/test_import_lint.py`` checks that.  The CLI
+prints from the masks and points directly.
 """
 
 from __future__ import annotations

@@ -45,9 +45,11 @@ from stablemodels import (
     theory_atoms,
 )
 from stablemodels.cli import main
-from stablemodels.depgraph import _mask
-from stablemodels.formula import _AND, _ATOM, _BOT, _IMPLIES, _OR, _compile
-from stablemodels.oracle import satisfies_all
+from stablemodels.depgraph import _layout, _mask
+from stablemodels.formula import (
+    _AND, _ATOM, _BOT, _IMPLIES, _OR, _compile, _formulas, neg
+)
+from stablemodels.oracle import _loop_formula_ops, nes, satisfies_all
 from stablemodels.semantics import (
     _by_fixpoint,
     _by_loops,
@@ -217,6 +219,39 @@ def loop_oracle_scan(f, kind):
         for i in interpretations_of(universe)
         if satisfies(i, f) and all(satisfies(i, lf) for lf in lfs)
     ]
+
+
+def appended_loop_formula_mismatches(f):
+    """The nonempty atom sets Y of ``f`` whose loop formula, as the ops
+    that ``oracle._loop_formula_ops`` appends to ``f``'s and decoded by
+    ``_formulas``, differs from ``loop_formula(f, Y)``, or whose conjuncts
+    A -> not NES do not all read one op, equal to ``neg(nes(f, Y))``.
+    The appended ops must also read only ops before them, keep ``f``'s
+    ops as they are, and use one bottom op in all."""
+    ops, universe = _compile((f,))
+    names = _layout(universe)
+    family = list(interpretations_of(universe))[1:]
+    table, roots = _loop_formula_ops(ops, names, masks(family, names))
+    assert table[: len(ops)] == ops
+    assert [code for code, _, _ in table].count(_BOT) == 1
+    assert all(
+        code in (_ATOM, _BOT) or x < j and y < j
+        for j, (code, x, y) in enumerate(table)
+    )
+    bad = []
+    for ys, root in zip(family, roots):
+        # The conjuncts, off the left spine of the conjunction.
+        conjuncts = [root]
+        for _ in range(len(ys) - 1):
+            conjuncts[-1:] = table[conjuncts[-1]][:0:-1]
+        supports = {table[op][2] for op in conjuncts}
+        support = _formulas(table, supports)[0] if len(supports) == 1 else None
+        if (
+            _formulas(table, [root])[0] != loop_formula(f, ys)
+            or support != neg(nes(f, ys))
+        ):
+            bad.append(ys)
+    return bad
 
 
 def clark_completion(t):

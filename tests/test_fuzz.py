@@ -8,6 +8,7 @@ import pytest
 
 import stablemodels.formula as formula
 import stablemodels.fuzz as fuzz
+import stablemodels.oracle as oracle
 import stablemodels.semantics as semantics
 import stablemodels.splitting as splitting
 from stablemodels import (
@@ -15,6 +16,7 @@ from stablemodels import (
     atoms,
     is_nondisjunctive_theory,
     is_stable,
+    loop_oracle_models,
     parse_formula,
     stable_via_loops,
 )
@@ -27,7 +29,7 @@ from stablemodels.fuzz import (
     run_fuzz,
 )
 from stablemodels.sets import _member_ops
-from conftest import count_calls
+from conftest import count_calls, run_cli
 
 
 class TestGenerator:
@@ -75,14 +77,14 @@ def first_compile_mismatch(module, seeds):
     return None
 
 
-def mutant(old, new):
-    """The ``fuzz`` module with its one occurrence of ``old`` replaced by
+def mutant(old, new, real=fuzz):
+    """The module ``real`` with its one occurrence of ``old`` replaced by
     ``new``, loaded beside the real one."""
-    source = inspect.getsource(fuzz)
+    source = inspect.getsource(real)
     assert source.count(old) == 1
-    module = types.ModuleType("stablemodels.fuzz_mutant")
+    module = types.ModuleType(real.__name__ + "_mutant")
     module.__package__ = "stablemodels"
-    exec(compile(source.replace(old, new), fuzz.__file__, "exec"), module.__dict__)
+    exec(compile(source.replace(old, new), real.__file__, "exec"), module.__dict__)
     return module
 
 
@@ -101,6 +103,20 @@ DRAWER_MUTANTS = {
         "            self.ops.append((shape, x, y))\n"
         "            return len(self.ops) - 1\n"
         "        x = self.formula(depth - 1)\n",
+    ),
+}
+
+
+BUILDER_MUTANTS = {
+    # NES(F -> G) loses its conjunct F -> G.
+    "no-own-implication": (
+        "                if code == _IMPLIES:\n",
+        "                if False:\n",
+    ),
+    # NES keeps the last atom of Y, in atom order, in place.
+    "atom-kept": (
+        "bot if ys & bit[x] else j",
+        "bot if ys & (ys - 1) & bit[x] else j",
     ),
 }
 
@@ -227,7 +243,7 @@ class TestRunFuzz:
         with pytest.raises(ValueError):
             run_fuzz("chain", seed=0, count=1, max_atoms=9)
         with pytest.raises(ValueError):
-            run_fuzz("chain", seed=0, count=1, max_depth=9)
+            run_fuzz("chain", seed=0, count=1, max_depth=7)
         with pytest.raises(ValueError):
             run_fuzz("chain", seed=0, count=-5)
 
@@ -253,6 +269,47 @@ class TestRunFuzz:
         a = run_fuzz("loop-oracle-sp", seed=1, count=100)
         b = run_fuzz("loop-oracle-sp", seed=1, count=100)
         assert a.violations == b.violations
+
+
+class TestLoopOracleCampaigns:
+    @pytest.mark.parametrize("prop", ["loop-oracle", "loop-oracle-sp"])
+    def test_compile_only_their_templates(self, monkeypatch, compiles, prop):
+        # ``compiles`` counts through every binding of ``_compile``,
+        # ``fuzz._compile`` and ``oracle._compile`` among them: a drawn
+        # table is read as drawn, with the loop formulas appended to it.
+        templates = []
+        template = fuzz._adversarial_loop_formula
+
+        def adversarial(*args):
+            templates.append(template(*args))
+            return templates[-1]
+
+        monkeypatch.setattr(fuzz, "_adversarial_loop_formula", adversarial)
+        run_fuzz(prop, seed=1, count=100)
+        assert templates
+        assert compiles == [((f,),) for f in templates]
+
+    def test_loop_oracle_models_compiles_once(self, compiles, p3):
+        for kind in (None, *GraphKind):
+            compiles.clear()
+            loop_oracle_models(p3, kind)
+            assert compiles == [((p3,),)]
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_MUTANTS))
+    def test_mutant_builders_are_caught(self, monkeypatch, name):
+        builder = mutant(*BUILDER_MUTANTS[name], real=oracle)
+        monkeypatch.setattr(
+            fuzz, "_loop_formula_tables", builder._loop_formula_tables
+        )
+        assert not run_fuzz("loop-oracle", seed=1, count=200).ok
+
+    def test_widest_limits_run(self):
+        code, out = run_cli([
+            "fuzz", "--property", "loop-oracle", "--count", "20",
+            "--max-atoms", "8", "--max-depth", "6",
+        ])
+        assert code == 0
+        assert "max-atoms: 8  max-depth: 6" in out
 
 
 class TestNegativeControl:

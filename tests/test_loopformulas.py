@@ -35,7 +35,7 @@ from stablemodels.depgraph import _layout, _mask
 from stablemodels.formula import _compile, neg
 from stablemodels.loopformulas import NesPrinter, _loops, nes_text
 from stablemodels.semantics import format_interpretation
-from conftest import masks, mset, run_cli
+from conftest import appended_loop_formula_mismatches, masks, mset, run_cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -90,6 +90,31 @@ class TestLoopFormula:
         f = parse_formula("p & q")
         # nes(f, {p}) = bot & q, unsatisfiable.
         assert classical_models((loop_formula(f, {"p"}),), PQ) == ALL_PQ
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # No bottom op: the loop formulas append one.
+        "p -> q",
+        # An atom with several ops.
+        "(p -> q) & (q -> p) | p & not q",
+        # <-> shares its operands' ops between both implications.
+        "p <-> (q | not r)",
+        "p",
+        # The adversarial template of the loop-oracle campaigns.
+        "(p -> q) & (((q -> p) -> p) -> p)",
+    ],
+)
+def test_pinned_appended_loop_formulas_decode_to_the_tree_ones(text):
+    assert appended_loop_formula_mismatches(parse_formula(text)) == []
+
+
+def test_iff_operands_share_their_ops():
+    # So the <-> case above has ops that several ops read.
+    shared = _compile((parse_formula("p <-> (q | not r)"),))[0]
+    spelled = _compile((parse_formula("(p -> q | not r) & (q | not r -> p)"),))[0]
+    assert len(shared) < len(spelled)
 
 
 class TestAllSetsOracle:

@@ -73,6 +73,7 @@ from stablemodels.semantics import (
     format_points,
 )
 from conftest import (
+    appended_loop_formula_mismatches,
     clark_completion,
     compile_scan,
     cyclic_scan,
@@ -479,8 +480,10 @@ def test_duplicate_members_leave_graphs_unchanged(t):
 @given(st.integers(0, 2**32), st.sampled_from(GraphKind))
 def test_check_split_matches_pointwise_stability_scan(seed, kind):
     rng = random.Random(seed)
-    f = random_formula(rng, ATOM_POOL, 3)
-    g = random_formula(rng, ATOM_POOL, 3)
+    # The first four atoms, so that the is_stable scans stay at 3**4.
+    pool = ATOM_POOL[:4]
+    f = random_formula(rng, pool, 3)
+    g = random_formula(rng, pool, 3)
     universe = atoms(And(f, g))
     ps = frozenset(a for a in sorted(universe) if rng.random() < 0.5)
     qs = universe - ps
@@ -711,6 +714,16 @@ def test_loop_oracles_match_satisfies_scan(f):
                 else stable_via_loops(i, f, kind)
             )
             assert verdict == (i in accepted)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        formulas, negating_formulas, iff_texts.map(parse_formula)
+    )
+)
+def test_appended_loop_formulas_decode_to_the_tree_ones(f):
+    assert appended_loop_formula_mismatches(f) == []
 
 
 @settings(deadline=None)
