@@ -2,11 +2,16 @@
 
 The generator is deliberately simple and fully documented so runs are
 reproducible: it draws from ``random.Random(seed)`` (Mersenne Twister,
-portable across platforms), chooses connectives uniformly, takes atoms
-from the pool a to h truncated to ``max_atoms`` (by default 4, so a, b,
-c, d; at most 8), and bounds the tree depth by ``max_depth`` (by default
-4; at most 6).  Leaves are an atom (uniform over the pool) or, with
-probability 1/(pool size + 1), bottom.
+portable across platforms), takes atoms from the pool a to h truncated
+to ``max_atoms`` (by default 4, so a, b, c, d; at most 8), and bounds
+the tree depth by ``max_depth`` (by default 4; at most 6).  While depth
+remains, each node is one of six shapes, drawn uniformly: an atom (uniform
+over the pool), bottom, a negation, ``&``, ``|`` or ``->``.  An atom or
+bottom ends its branch, so a node has operands with probability 2/3
+only, and drawn formulas stay small even at the widest limits: at
+depth 6 over 8 atoms, 5000 formulas drawn at seed 1 have a median of 5
+ops.  At the depth bound a node is a leaf: an atom (uniform over the
+pool) or, with probability 1/(pool size + 1), bottom.
 
 The generator draws op tables, not trees: ``_Drawing`` appends each
 node's op ``(code, x, y)`` as soon as its operands are drawn, as the

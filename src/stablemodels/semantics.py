@@ -49,7 +49,7 @@ Stability and pointwise stability then come from one of three paths:
 The path is chosen per theory by one cost model (``_path``), in passes
 over the points: one pass over 2**n points per loop, against one pass
 over 2**|I| points per classical model I, against the fixpoint's most
-steps.  A fixpoint step evaluates only the ops of the bodies that read
+steps.  A fixpoint step evaluates only copies of the body ops that read
 an atom, so it is priced as their share of a pass.  The cheaper of the
 per-model and fixpoint prices gives the number of loops up to which the
 loop path pays.  If that is not more than the n singleton loops, the
@@ -103,14 +103,17 @@ the predicates ``is_stable``, ``is_pointwise_stable`` and
 ``is_supported``, live in ``oracle``; no production module imports it.
 
 This module owns the one evaluation core, from which ``loopformulas``
-reads its loop oracles (``loop_lemma_at``) and ``oracle`` the models of
-the loop formulas (``sets.classical_models``), and the cached order of
-every point (``_point_order``), every atom subset as a mask.  No
-production module enumerates sets of atoms: ``oracle.interpretations_of``
-is the test oracle's.  ``loop_lemma_at`` applies the lemma behind the
-loop path at one classical model I instead of at every point: one pass
-over the ops decides a batch of loops, with bit j of every table
-standing for loop j.
+reads its loop oracles (``loop_lemma_at``), and the cached order of
+every point (``_point_order``), every atom subset as a mask.  The
+completion (``_supported``), the loop oracles of ``oracle``
+(``oracle._loop_formula_tables``) and the fixpoint steps
+(``_by_fixpoint``) share one idiom: ops appended to a pass's table, of
+which only the appended ones are evaluated, onto a copy of the pass's
+tables.  No production module enumerates sets of atoms:
+``oracle.interpretations_of`` is the test oracle's.  ``loop_lemma_at``
+applies the lemma behind the loop path at one classical model I instead
+of at every point: one pass over the ops decides a batch of loops, with
+bit j of every table standing for loop j.
 
 It also renders model lists, from points rather than interpretations.
 A ``ModelReport`` holds a theory's classical pass and the points of its
@@ -719,23 +722,20 @@ def _by_loops(c: _Classical, loops: list[int]) -> tuple[int, ...]:
 # table covers it.
 Piece = tuple[int, tuple[int, ...], Optional[int]]
 
-# The places an op of a gated part may hold: on the spine of top-level
-# ``&``s, in a head, or in a body outside a negation.
-_SPINE, _HEAD, _BODY = 1, 2, 4
-
 
 class _Rules(Value):
     """The rules of every part of a pass, as ``_by_fixpoint`` reads them.
 
-    ``bodies`` is one table of the body ops that read an atom, in op
-    order, each renumbered; ``index`` maps such an op of the pass's table
-    to its place there.  An operand that reads no atom, such as a
-    negation, is an atom op there named by its op in the pass's table,
-    and ``leaves`` lists those ops: at <H, T> its here table is its
-    classical table at T, by persistence.  ``pieces`` holds each part's pieces, and
-    ``heads`` the mask of each head of two or more atoms."""
+    ``bodies`` holds a copy of each body op that reads an atom outside a
+    negation, in op order, to be appended to the pass's table: a copied
+    atom reads the here-world, and an operand that reads no atom, such as
+    a negation, stays the pass's own op, whose classical table at T is
+    its here table at <H, T>, by persistence.  ``index`` maps each copied
+    op to its copy's op in the appended table.  ``pieces`` holds each
+    part's pieces, and ``heads`` the mask of each head of two or more
+    atoms."""
 
-    _fields = ("bodies", "index", "leaves", "pieces", "heads")
+    _fields = ("bodies", "index", "pieces", "heads")
 
 
 def _fixpoint_rules(c: _Classical) -> Optional[_Rules]:
@@ -745,72 +745,29 @@ def _fixpoint_rules(c: _Classical) -> Optional[_Rules]:
     with no implication outside a negation.  Syntactic only: the heads
     of two or more atoms are not yet checked for head-cycle-freedom.
 
-    One pass over the ops, parents first, gives each op its places; one
-    in op order gives each its head atoms and negations, and whether it
-    reads an atom outside a negation."""
+    One pass in op order types every op as a head, its atoms' mask and
+    negations' ops or None, and as a body, the mask of the atoms it reads
+    outside a negation or None if it holds an implication outside one;
+    a walk of each part's spine of ``&``s then checks its pieces."""
     ops = c.ops
-    places = [0] * len(ops)
-    for op, _ in c.parts:
-        places[op % len(ops)] |= _SPINE
-    for op in range(len(ops) - 1, -1, -1):
-        place = places[op]
-        if not place:
-            continue
-        code, x, y = ops[op]
-        if code == _BOT or code == _IMPLIES and ops[y][0] == _BOT:
-            continue
-        if code == _IMPLIES:
-            if place != _SPINE:
-                return None
-            places[x] |= _BODY
-            places[y] |= _HEAD
-            continue
-        if code == _AND and place & _HEAD:
-            return None
-        if code != _AND and place & _SPINE:
-            # An atom or an ``|`` on the spine is a bare head.
-            place = places[op] = place & _BODY | _HEAD
-        if code != _ATOM:
-            places[x] |= place
-            places[y] |= place
     bit = {a: 1 << j for j, a in enumerate(c.names)}
-    # Per op in a head, its atoms' mask and its negations; per op in a
-    # body, whether it reads an atom.
-    atoms = [0] * len(ops)
-    negations: list[tuple[int, ...]] = [()] * len(ops)
-    reads = [False] * len(ops)
-    bodies: Ops = []
-    index: dict[int, int] = {}
-    leaves: list[int] = []
-    for op, place in enumerate(places):
-        if not place:
-            continue
-        code, x, y = ops[op]
-        if place & _HEAD:
-            if code == _ATOM:
-                atoms[op] = bit[x]
-            elif code == _OR:
-                atoms[op] = atoms[x] | atoms[y]
-                negations[op] = negations[x] + negations[y]
-            elif code == _IMPLIES:
-                negations[op] = (op,)
-        if not place & _BODY:
-            continue
-        if code == _AND or code == _OR:
-            if not reads[x] and not reads[y]:
-                continue
-            # An operand that reads no atom is a leaf.
-            for z in x, y:
-                if not reads[z] and z not in index:
-                    index[z] = len(bodies)
-                    leaves.append(z)
-                    bodies.append((_ATOM, z, 0))
-            x, y = index[x], index[y]
-        elif code != _ATOM:
-            continue
-        reads[op] = True
-        index[op] = len(bodies)
-        bodies.append((code, x, y))
+    head_types: list[Optional[tuple[int, tuple[int, ...]]]] = []
+    reads: list[Optional[int]] = []
+    for op, (code, x, y) in enumerate(ops):
+        head_type: Optional[tuple[int, tuple[int, ...]]] = None
+        read: Optional[int] = None
+        if code == _ATOM:
+            head_type, read = (bit[x], ()), bit[x]
+        elif code == _BOT or code == _IMPLIES and ops[y][0] == _BOT:
+            head_type, read = (0, () if code == _BOT else (op,)), 0
+        elif code != _IMPLIES:
+            if reads[x] is not None and reads[y] is not None:
+                read = reads[x] | reads[y]
+            left, right = head_types[x], head_types[y]
+            if code == _OR and left and right:
+                head_type = (left[0] | right[0], left[1] + right[1])
+        head_types.append(head_type)
+        reads.append(read)
     parts: list[list[Piece]] = []
     heads: list[int] = []
     for op, _ in c.parts:
@@ -826,14 +783,35 @@ def _fixpoint_rules(c: _Classical) -> Optional[_Rules]:
             if code == _AND:
                 stack += (y, x)
                 continue
-            body, head = (x, y) if code == _IMPLIES else (None, op)
-            if atoms[head]:
-                pieces.append((atoms[head], negations[head], body))
-                if atoms[head] & (atoms[head] - 1):
-                    heads.append(atoms[head])
+            # A negation is a bare head with no atom.
+            rule = code == _IMPLIES and head_types[op] is None
+            body, head = (x, y) if rule else (None, op)
+            if head_types[head] is None or rule and reads[x] is None:
+                return None
+            atoms, negations = head_types[head]
+            if atoms:
+                pieces.append((atoms, negations, body))
+                if atoms & (atoms - 1):
+                    heads.append(atoms)
         parts.append(pieces)
-    index = {op: i for op, i in index.items() if reads[op]}
-    return _Rules(bodies, index, leaves, parts, heads)
+    # The body ops that read an atom, copied in op order.
+    stack = [body for pieces in parts for _, _, body in pieces if body is not None]
+    copied: set[int] = set()
+    while stack:
+        op = stack.pop()
+        if reads[op] and op not in copied:
+            copied.add(op)
+            if ops[op][0] != _ATOM:
+                stack += ops[op][1:]
+    bodies: Ops = []
+    index: dict[int, int] = {}
+    for op in sorted(copied):
+        code, x, y = ops[op]
+        if code != _ATOM:
+            x, y = index.get(x, x), index.get(y, y)
+        index[op] = len(ops) + len(bodies)
+        bodies.append((code, x, y))
+    return _Rules(bodies, index, parts, heads)
 
 
 def _head_cycle_free(c: _Classical, heads: list[int]) -> bool:
@@ -855,8 +833,9 @@ def _derivations(
     bare head or a body that reads no atom derives); and per piece whose
     body reads an atom, per head atom a, a's table ANDed with the tables
     where the piece's other head atoms are false and its negated head
-    literals' formulas true, with the body's place in ``rules.bodies``.
-    A kept atom is left out of the pieces: it holds wherever T holds it."""
+    literals' formulas true, with the op of the body's copy (see
+    ``_Rules``).  A kept atom is left out of the pieces: it holds
+    wherever T holds it."""
     full = (1 << (1 << len(c.names))) - 1
     for (op, kept), pieces in zip(c.parts, rules.pieces):
         base = dict.fromkeys(c.names, 0)
@@ -913,24 +892,26 @@ def _by_fixpoint(
     ``rules`` must be ``_fixpoint_rules(c)``, with every head
     head-cycle-free.  Per part, the here table h_a of each atom a starts
     at the points where a holds before any body is read
-    (``_derivations``).  Each step evaluates the bodies that read an atom
-    at <h, T> and sets h_a to those points, or to where a holds in T, its
-    other head atoms are false in T and its negated head literals' formulas
-    true in T, and some piece with a in its head has its body true.  h
+    (``_derivations``).  Each step evaluates the copies of the bodies
+    that read an atom at <h, T>, onto a copy of the pass's tables, as
+    ``_supported`` evaluates the completion, and sets h_a to those
+    points, or to where a holds in T, its other head atoms are false in
+    T and its negated head literals' formulas true in T, and some piece
+    with a in its head has its body true.  h
     only grows, and stays inside T; at a fixpoint the part is stable at
     the classical models of its op where h is all of T.  With every loop
     of the pnn graph a singleton, the pointwise table is the stable
     table; else it comes from the n singleton passes of ``_by_loops``."""
-    here = {q: c.vals[q] for q in rules.leaves}
     tables = []
     for op, base, derived in _derivations(c, rules):
         h = base
         while derived:
-            here.update(h)
-            vals = _evaluate(rules.bodies, here, iter(()))
+            vals = _evaluate(rules.bodies, h, iter(()), c.vals)
             step = base.copy()
             for a, body, table in derived:
                 step[a] |= vals[body] & table
+            # Not held through the singleton passes of the pointwise table.
+            del vals
             if step == h:
                 break
             h = step

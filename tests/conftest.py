@@ -1,8 +1,10 @@
 import argparse
 import contextlib
 import functools
+import inspect
 import io
 import sys
+import types
 
 import pytest
 
@@ -272,6 +274,66 @@ def masks(sets, names):
     """Each of ``sets`` as its mask in the layout ``names``, as the loop
     path of the sweep takes loops."""
     return [_mask(ys, names) for ys in sets]
+
+
+def fixpoint_class_scan(t):
+    """The atoms of each head of two or more atoms of ``t``'s pieces, in
+    piece order, if t is in the fixpoint path's syntactic class, else
+    None; by the class's statement over formula nodes, not over ops.
+
+    The members of t are split at their top-level ``And``s, each node
+    once, left before right.  Each piece must be bottom, a negation, a
+    rule ``B -> H`` or a bare ``H``: H an ``Or`` tree of atoms, negations
+    and bottom, and B with no ``Implies`` outside a negation."""
+
+    def negation(f):
+        return isinstance(f, Implies) and isinstance(f.consequent, Bottom)
+
+    def head(f):
+        if isinstance(f, AtomRef):
+            return {f.name}
+        if isinstance(f, Bottom) or negation(f):
+            return set()
+        if isinstance(f, Or):
+            left, right = head(f.left), head(f.right)
+            return None if left is None or right is None else left | right
+        return None
+
+    def body(f):
+        if isinstance(f, (And, Or)):
+            return body(f.left) and body(f.right)
+        return not isinstance(f, Implies) or negation(f)
+
+    heads, seen, stack = [], set(), list(reversed(t))
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+            continue
+        if isinstance(f, Implies) and not negation(f):
+            if not body(f.antecedent):
+                return None
+            f = f.consequent
+        atoms = head(f)
+        if atoms is None:
+            return None
+        if len(atoms) > 1:
+            heads.append(atoms)
+    return heads
+
+
+def mutant(old, new, real):
+    """The module ``real`` with its one occurrence of ``old`` replaced by
+    ``new``, loaded beside the real one."""
+    source = inspect.getsource(real)
+    assert source.count(old) == 1
+    module = types.ModuleType(real.__name__ + "_mutant")
+    module.__package__ = "stablemodels"
+    exec(compile(source.replace(old, new), real.__file__, "exec"), module.__dict__)
+    return module
 
 
 def fixpoint_rules(c):

@@ -1,8 +1,6 @@
 import hashlib
-import inspect
 import random
 import re
-import types
 
 import pytest
 
@@ -29,7 +27,7 @@ from stablemodels.fuzz import (
     run_fuzz,
 )
 from stablemodels.sets import _member_ops
-from conftest import count_calls, run_cli
+from conftest import count_calls, mutant, run_cli
 
 
 class TestGenerator:
@@ -75,17 +73,6 @@ def first_compile_mismatch(module, seeds):
         if _member_ops(ops, len(roots)) != roots:
             return ops
     return None
-
-
-def mutant(old, new, real=fuzz):
-    """The module ``real`` with its one occurrence of ``old`` replaced by
-    ``new``, loaded beside the real one."""
-    source = inspect.getsource(real)
-    assert source.count(old) == 1
-    module = types.ModuleType(real.__name__ + "_mutant")
-    module.__package__ = "stablemodels"
-    exec(compile(source.replace(old, new), real.__file__, "exec"), module.__dict__)
-    return module
 
 
 DRAWER_MUTANTS = {
@@ -137,7 +124,9 @@ class TestDrawer:
 
     @pytest.mark.parametrize("name", sorted(DRAWER_MUTANTS))
     def test_mutant_drawers_are_caught(self, name):
-        assert first_compile_mismatch(mutant(*DRAWER_MUTANTS[name]), range(2000))
+        assert first_compile_mismatch(
+            mutant(*DRAWER_MUTANTS[name], real=fuzz), range(2000)
+        )
 
     def test_campaign_outputs_are_pinned(self):
         # sha256 over (property, seed, checked, violations) of every

@@ -6,7 +6,8 @@ import json
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, find, given, settings
 
 import stablemodels.depgraph as depgraph
 import stablemodels.loopformulas as loopformulas
@@ -78,9 +79,11 @@ from conftest import (
     compile_scan,
     cyclic_scan,
     dependency_graph_scan,
+    fixpoint_class_scan,
     fixpoint_rules,
     loop_oracle_scan,
     masks,
+    mutant,
     oracle_mismatches,
     run_cli,
     sccs_scan,
@@ -329,21 +332,42 @@ def test_both_sweep_paths_match_definitional_scans(t):
     assert oracle_mismatches(t) == []
 
 
+def fixpoint_matches_scans(module, t):
+    """Whether ``module``'s fixpoint path, if its gate takes t and every
+    head is head-cycle-free, gives the stable and pointwise stable models
+    of the ``is_stable`` and ``is_pointwise_stable`` scans."""
+    c = module._classical_pass(*_compile(t))
+    rules = module._fixpoint_rules(c)
+    if rules is None or not module._head_cycle_free(c, rules.heads):
+        return True
+    stable, pointwise = module._by_fixpoint(c, rules)
+    points = list(interpretations_of(c.names))
+    return c.build(c.points(stable)) == [
+        i for i in points if is_stable(i, t)
+    ] and c.build(c.points(pointwise)) == [
+        i for i in points if is_pointwise_stable(i, t)
+    ]
+
+
+def gate_matches_class_scan(module, t):
+    """Whether ``module``'s ``_fixpoint_rules`` takes t exactly when
+    ``fixpoint_class_scan`` does, with the same heads of two or more
+    atoms, as masks."""
+    c = module._classical_pass(*_compile(t))
+    rules = module._fixpoint_rules(c)
+    heads = fixpoint_class_scan(t)
+    if rules is None or heads is None:
+        return rules is None and heads is None
+    return rules.heads == masks(heads, c.names)
+
+
 @settings(deadline=None)
 @given(gated_theories)
 def test_fixpoint_path_matches_definitional_scans(t):
     # Every drawn theory passes the syntactic gate; only the
     # head-cycle-free ones may take the fixpoint path.
-    c = _classical_pass(*_compile(t))
-    assert _fixpoint_rules(c) is not None
-    rules = fixpoint_rules(c)
-    if rules is not None:
-        stable, pointwise = _by_fixpoint(c, rules)
-        points = list(interpretations_of(c.names))
-        assert c.build(c.points(stable)) == [i for i in points if is_stable(i, t)]
-        assert c.build(c.points(pointwise)) == [
-            i for i in points if is_pointwise_stable(i, t)
-        ]
+    assert _fixpoint_rules(_classical_pass(*_compile(t))) is not None
+    assert fixpoint_matches_scans(semantics, t)
     assert oracle_mismatches(t) == []
 
 
@@ -371,6 +395,62 @@ def test_head_cycles_stay_off_the_fixpoint_path(t):
     assert fixpoint_rules(c) is None
     assert getattr(semantics._path(c, True), "func", None) is not _by_fixpoint
     assert oracle_mismatches(t) == []
+
+
+# Theories in and out of the fixpoint path's class, for its gate.
+gate_theories = st.one_of(
+    theories, negating_theories, programs, iff_theories, gated_theories,
+    head_cycle_theories(),
+)
+
+
+@settings(deadline=None)
+@given(gate_theories)
+def test_fixpoint_gate_is_the_class_scan(t):
+    # Both directions: a gate that wrongly rejects a theory fails here,
+    # though the sweep's paths would still agree.
+    assert gate_matches_class_scan(semantics, t)
+
+
+# Edits of the fixpoint path's reader, each of which the two properties
+# above must catch.
+READER_MUTANTS = {
+    # An atom of a body reads its own op, the classical table, not the
+    # here-world.
+    "atom-reads-there": (
+        "        index[op] = len(ops) + len(bodies)\n",
+        "        if code == _ATOM:\n"
+        "            index[op] = op\n"
+        "            continue\n"
+        "        index[op] = len(ops) + len(bodies)\n",
+    ),
+    # The typing takes an implication in a body as reading no atom.
+    "implication-in-body": (
+        "        read: Optional[int] = None\n",
+        "        read: Optional[int] = 0 if code == _IMPLIES else None\n",
+    ),
+    # The typing gives a negation no head type.
+    "negation-not-a-head": (
+        "            head_type, read = (0, () if code == _BOT else (op,)), 0\n",
+        "            head_type, read = (0, ()) if code == _BOT else None, 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_MUTANTS))
+def test_mutant_fixpoint_readers_are_caught(name):
+    reader = mutant(*READER_MUTANTS[name], real=semantics)
+    # ``find`` raises unless some draw tells the mutant from the scans.
+    find(
+        gate_theories,
+        lambda t: not (
+            gate_matches_class_scan(reader, t) and fixpoint_matches_scans(reader, t)
+        ),
+        settings=settings(
+            max_examples=500, derandomize=True, database=None,
+            phases=[Phase.generate],
+        ),
+    )
 
 
 @given(
