@@ -26,9 +26,13 @@ on the tables (``theorem1``, ``theorem2``, ``splitting``,
 ``sp-subgraph``, ``chain``, ``loop-oracle`` and ``loop-oracle-sp``)
 read a drawn table as the CLI reads a parsed one, with no compile; the
 loop oracles append their loop formulas to it as ops
-(``oracle._loop_formula_ops``).  ``random_formula``, ``random_theory``
-and ``random_nondisjunctive_theory`` decode a drawn table into nodes
-(``formula._formulas``) for the campaigns that test trees.
+(``oracle._loop_formula_ops``), and their adversarial template is a
+table written out, the ops that ``_compile`` gives its tree.  ``chain``
+reads the report's point lists, and compares the supported points with
+the models of the completion's own table (``semantics._completion``),
+read by a classical pass of its own.  Only ``random_formula`` decodes a
+drawn table into nodes (``formula._formulas``), for the two campaigns
+whose subject is the tree: ``reduct-lemma`` and ``lemma1``.
 
 Each property check returns None on success or a violation message; the
 counterexample always includes the generated theory text verbatim, so
@@ -47,15 +51,10 @@ from .formula import (
     _BOT,
     _IMPLIES,
     _OR,
-    And,
     Atom,
-    AtomRef,
     Formula,
-    Implies,
     Ops,
-    Theory,
     Value,
-    _compile,
     _formulas,
     atoms,
     print_formula,
@@ -71,7 +70,6 @@ from .semantics import (
     format_interpretation,
     format_points,
 )
-from .sets import classical_models
 from .splitting import _split, split_conditions
 
 ATOM_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -177,22 +175,6 @@ def random_formula(rng: random.Random, pool: tuple[str, ...], depth: int) -> For
     return _formulas(d.ops, [d.formula(depth)])[0]
 
 
-def random_theory(
-    rng: random.Random, pool: tuple[str, ...], depth: int
-) -> Theory:
-    """The theory of a drawn table."""
-    ops, _, roots = _random_theory(rng, pool, depth)
-    return _formulas(ops, roots)
-
-
-def random_nondisjunctive_theory(
-    rng: random.Random, pool: tuple[str, ...], depth: int
-) -> Theory:
-    """The program of a drawn table: every member is ``body -> atom``."""
-    ops, _, roots = _random_nondisjunctive_theory(rng, pool, depth)
-    return _formulas(ops, roots)
-
-
 def _text(ops: Ops, root: int) -> str:
     """``print_formula`` of the node of op ``root``."""
     return "".join(print_tokens(ops, root)[0])
@@ -264,13 +246,18 @@ def _check_theorem2(rng: random.Random, pool, depth) -> Optional[str]:
     return None
 
 
-def _adversarial_loop_formula(rng: random.Random, pool) -> Formula:
-    # The (x -> y) & (((y -> x) -> x) -> x) shape: its sp graph misses
-    # the (x, y) edge, so sp-based loop checking wrongly accepts {x, y}.
+def _adversarial_loop_formula(rng: random.Random, pool) -> tuple[Ops, set[Atom]]:
+    """The op table and atoms of ``(x -> y) & (((y -> x) -> x) -> x)`` for
+    two distinct atoms of ``pool``, numbered as ``_compile`` numbers it.
+    Its sp graph misses the (x, y) edge, so sp-based loop checking
+    wrongly accepts {x, y}."""
     x = rng.choice(pool)
-    y = rng.choice([a for a in pool if a != x] or [x])
-    xr, yr = AtomRef(x), AtomRef(y)
-    return And(Implies(xr, yr), Implies(Implies(Implies(yr, xr), xr), xr))
+    y = rng.choice([a for a in pool if a != x])
+    ops = [
+        (_ATOM, x, 0), (_ATOM, y, 0), (_IMPLIES, 0, 1), (_IMPLIES, 1, 0),
+        (_IMPLIES, 3, 0), (_IMPLIES, 4, 0), (_AND, 2, 5),
+    ]
+    return ops, {x, y}
 
 
 def _check_loop_oracle(kind: GraphKind):
@@ -282,7 +269,7 @@ def _check_loop_oracle(kind: GraphKind):
         # evaluated in one pass; kind's loops are among those sets, so
         # each formula is built once and both conjunctions read it.
         if len(pool) >= 2 and rng.random() < 0.125:
-            ops, universe = _compile((_adversarial_loop_formula(rng, pool),))
+            ops, universe = _adversarial_loop_formula(rng, pool)
         else:
             d = _Drawing(rng, pool)
             d.formula(depth)
@@ -408,22 +395,29 @@ def _check_sp_subgraph(rng: random.Random, pool, depth) -> Optional[str]:
     return None
 
 
+def _completion_models(table: Ops, roots: list[int], universe) -> list[int]:
+    """The points where every member ``roots`` of the completion ``table``
+    holds, read from a classical pass of its own over the theory's atoms
+    ``universe``, so in the layout of the report's points."""
+    c = _classical_pass(table, universe)
+    every = c.candidates
+    for r in roots:
+        every &= c.vals[r]
+    return c.points(every)
+
+
 def _check_chain(rng: random.Random, pool, depth) -> Optional[str]:
     ops, universe, roots = _random_theory(rng, pool, depth)
     report = _analysis(ops, universe, roots)
-    st = set(report.stable)
-    pw = set(report.pointwise_stable)
-    sup = report.supported
+    # The report's point lists, all in one layout of the theory's atoms.
+    st, pw, sup = set(report._stable), set(report._pointwise), report._supported
     if not st <= pw:
         problem = "a stable model is not pointwise stable"
-    elif not pw <= set(report.classical):
+    elif not pw <= set(report._classical):
         problem = "a pointwise stable model is not classical"
     elif sup is not None and not st <= set(sup):
         problem = "a stable model is not supported"
-    # Both lists are in ``interpretations_of`` order over the universe.
-    elif sup is not None and sup != classical_models(
-        report.completion_theory, report.universe
-    ):
+    elif sup is not None and sup != _completion_models(*report._completion, universe):
         problem = "completion models differ from supported models"
     else:
         return None

@@ -25,7 +25,12 @@ alone (``_sweep(c, pointwise=False)``, on a second, untimed classical
 pass), the number of stable models, and the peak
 traced memory (``tracemalloc``, in MiB) of one untimed repeat of all
 three, run after every ``functools`` cache of ``semantics`` is cleared,
-as a fresh process would start.  It measures and checks nothing.
+as a fresh process would start.  Each time is the median of ``REPEATS``
+repeats, the whole case and its stable part alternating, each on a
+classical pass of its own, since single runs of one case swing widely.
+The first repeat also refills the caches that the memory run before it
+cleared, and the median keeps that one slow repeat out.  It measures
+and checks nothing.
 
 Run it from anywhere, with the path of another checkout's package to
 time that one::
@@ -35,6 +40,7 @@ time that one::
 
 import argparse
 import json
+import statistics
 import sys
 import time
 import tracemalloc
@@ -44,6 +50,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stablemodels"
 PATHS = ("_per_model", "_by_loops", "_by_fixpoint")
 # Seconds of classical pass and sweep past which a family stops.
 BUDGET = 2.0
+# Timed repeats of each case, whose median each time column reports.
+REPEATS = 3
 
 
 def choices(atoms):
@@ -107,7 +115,7 @@ def stable_part(semantics, ops, universe):
 
 
 def measure(semantics, theory_ops, family, n):
-    """One row: the case's times, path, stable model count and peak
+    """One row: the case's median times, path, stable model count and peak
     traced memory."""
     text = ". ".join(FAMILIES[family][0](n)) + "."
     ops, universe, _ = theory_ops(text)
@@ -120,12 +128,16 @@ def measure(semantics, theory_ops, family, n):
             taken.append(name)
             return path(*args, **kwargs)
         setattr(semantics, name, traced)
+    runs, parts = [], []
     try:
-        classical, sweep, listing, stable = run(semantics, ops, universe)
+        for _ in range(REPEATS):
+            runs.append(run(semantics, ops, universe))
+            parts.append(stable_part(semantics, ops, universe))
     finally:
         for name, path in originals.items():
             setattr(semantics, name, path)
-    stable_s = stable_part(semantics, ops, universe)
+    classical, sweep, listing = map(statistics.median, list(zip(*runs))[:3])
+    stable_s, stable = statistics.median(parts), runs[0][3]
     for f in vars(semantics).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()

@@ -28,9 +28,10 @@ from stablemodels import (
     supported_models,
 )
 from stablemodels.cli import main
+from stablemodels.formula import _formulas
 from stablemodels.fuzz import (
-    random_nondisjunctive_theory,
-    random_theory,
+    _random_nondisjunctive_theory,
+    _random_theory,
     run_fuzz,
 )
 from conftest import oracle_mismatches
@@ -154,6 +155,7 @@ def test_criterion_8_enumerators_match_oracle():
     pool = ("a", "b", "c", "d", "e", "f")
     ok = True
     for case in range(1000):
-        make = random_nondisjunctive_theory if case % 2 else random_theory
-        ok &= not oracle_mismatches(make(rng, pool, 4))
+        make = _random_nondisjunctive_theory if case % 2 else _random_theory
+        ops, _, roots = make(rng, pool, 4)
+        ok &= not oracle_mismatches(_formulas(ops, roots))
     report("8 (enumerators match the definitional oracle, 1000 theories)", ok)

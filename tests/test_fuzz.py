@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 
@@ -10,43 +11,61 @@ import stablemodels.oracle as oracle
 import stablemodels.semantics as semantics
 import stablemodels.splitting as splitting
 from stablemodels import (
+    And,
+    AtomRef,
     GraphKind,
+    Implies,
     atoms,
-    is_nondisjunctive_theory,
     is_stable,
     loop_oracle_models,
     parse_formula,
     stable_via_loops,
 )
-from stablemodels.fuzz import (
-    ATOM_POOL,
-    PROPERTIES,
-    random_formula,
-    random_nondisjunctive_theory,
-    random_theory,
-    run_fuzz,
-)
+from stablemodels.fuzz import ATOM_POOL, PROPERTIES, random_formula, run_fuzz
 from stablemodels.sets import _member_ops
 from conftest import count_calls, mutant, run_cli
 
 
+# The campaigns that read drawn op tables, and compile none.
+TABLE_CAMPAIGNS = [
+    "theorem1", "theorem2", "splitting", "sp-subgraph", "chain",
+    "loop-oracle", "loop-oracle-sp",
+]
+
+
+class Picks:
+    """A stand-in for ``random.Random`` whose ``choice`` returns the given
+    picks in turn, each one from the sequence that it is offered."""
+
+    def __init__(self, *picks):
+        self.picks = iter(picks)
+
+    def choice(self, seq):
+        pick = next(self.picks)
+        assert pick in seq
+        return pick
+
+
 class TestGenerator:
     def test_deterministic_from_seed(self):
-        a = random_theory(random.Random(7), ATOM_POOL, 4)
-        b = random_theory(random.Random(7), ATOM_POOL, 4)
+        a = fuzz._random_theory(random.Random(7), ATOM_POOL, 4)
+        b = fuzz._random_theory(random.Random(7), ATOM_POOL, 4)
         assert a == b
 
     def test_respects_atom_pool(self):
         pool = ATOM_POOL[:2]
         rng = random.Random(3)
         for _ in range(50):
+            ops, universe, _ = fuzz._random_theory(rng, pool, 4)
+            assert {x for code, x, _ in ops if code == formula._ATOM} == universe
+            assert universe <= set(pool)
             assert atoms(random_formula(rng, pool, 4)) <= set(pool)
 
     def test_nondisjunctive_generator(self):
         rng = random.Random(5)
         for _ in range(50):
-            t = random_nondisjunctive_theory(rng, ATOM_POOL, 3)
-            assert is_nondisjunctive_theory(t)
+            ops, _, roots = fuzz._random_nondisjunctive_theory(rng, ATOM_POOL, 3)
+            assert None not in [semantics._rule(ops, r) for r in roots]
 
 
 def drawn_tables(module, seeds):
@@ -113,14 +132,23 @@ class TestDrawer:
         assert first_compile_mismatch(fuzz, range(2000)) is None
 
     def test_decoders_decode_the_drawn_tables(self):
+        # ``random_formula`` decodes the table that the same draws give.
         for seed in range(200):
             depth = 1 + seed % 4
             rng = random.Random(seed)
-            ops, _, roots = fuzz._random_theory(rng, ATOM_POOL, depth)
+            d = fuzz._Drawing(rng, ATOM_POOL)
+            [tree] = formula._formulas(d.ops, [d.formula(depth)])
             after = rng.random()
             rng = random.Random(seed)
-            assert random_theory(rng, ATOM_POOL, depth) == formula._formulas(ops, roots)
+            assert random_formula(rng, ATOM_POOL, depth) == tree
             assert rng.random() == after
+
+    def test_adversarial_template_is_the_compile_of_its_tree(self):
+        for x, y in itertools.permutations(ATOM_POOL, 2):
+            xr, yr = AtomRef(x), AtomRef(y)
+            tree = And(Implies(xr, yr), Implies(Implies(Implies(yr, xr), xr), xr))
+            template = fuzz._adversarial_loop_formula(Picks(x, y), ATOM_POOL)
+            assert template == formula._compile((tree,))
 
     @pytest.mark.parametrize("name", sorted(DRAWER_MUTANTS))
     def test_mutant_drawers_are_caught(self, name):
@@ -196,14 +224,18 @@ class TestRunFuzz:
         assert len(samples) == count
         assert compiles == []
 
-    def test_sp_subgraph_compiles_no_sample(self, compiles):
-        assert run_fuzz("sp-subgraph", seed=1, count=100).ok
+    @pytest.mark.parametrize("prop", TABLE_CAMPAIGNS)
+    def test_table_campaigns_compile_nothing(self, monkeypatch, compiles, prop):
+        # ``compiles`` counts through every binding of ``_compile``: a
+        # drawn table is read as drawn, the loop oracles' template is
+        # written out as ops, and ``chain`` reads the completion's table.
+        templates = count_calls(monkeypatch, fuzz, "_adversarial_loop_formula")
+        run_fuzz(prop, seed=1, count=100)
         assert compiles == []
+        assert bool(templates) == prop.startswith("loop-oracle")
 
-    def test_chain_compiles_only_completions(self, monkeypatch, compiles):
-        # The drawn theories are analysed as drawn; the only compiles are
-        # of the completions of the programs among them, whose classical
-        # models the check compares with the supported list.
+    def test_chain_checks_the_completions_of_its_programs(self, monkeypatch):
+        # One completion check per drawn program, on the completion's table.
         reports = []
 
         def analysis(*args):
@@ -211,13 +243,23 @@ class TestRunFuzz:
             return reports[-1]
 
         monkeypatch.setattr(fuzz, "_analysis", analysis)
+        checked = count_calls(monkeypatch, fuzz, "_completion_models")
         assert run_fuzz("chain", seed=1, count=100).ok
         assert len(reports) == 100
-        completions = [
-            r.completion_theory for r in reports if r.supported is not None
-        ]
+        completions = [r._completion for r in reports if r._completion is not None]
         assert completions
-        assert [args[0] for args in compiles] == completions
+        assert [args[:2] for args in checked] == completions
+
+    def test_mutant_supported_is_caught_by_chain(self, monkeypatch):
+        # The supported table skips the last support half, so it holds
+        # points where the last atom of the completion is unsupported.
+        broken = mutant("for r in roots]", "for r in roots[:-1]]", real=semantics)
+        monkeypatch.setattr(fuzz, "_analysis", broken._analysis)
+        result = run_fuzz("chain", seed=1, count=400)
+        assert result.violations
+        assert result.violations[0].startswith(
+            "case 50: completion models differ from supported models\n"
+        )
 
     def test_chain_prints_only_a_violation(self, monkeypatch):
         printed = count_calls(monkeypatch, formula, "print_tokens")
@@ -261,23 +303,6 @@ class TestRunFuzz:
 
 
 class TestLoopOracleCampaigns:
-    @pytest.mark.parametrize("prop", ["loop-oracle", "loop-oracle-sp"])
-    def test_compile_only_their_templates(self, monkeypatch, compiles, prop):
-        # ``compiles`` counts through every binding of ``_compile``,
-        # ``fuzz._compile`` and ``oracle._compile`` among them: a drawn
-        # table is read as drawn, with the loop formulas appended to it.
-        templates = []
-        template = fuzz._adversarial_loop_formula
-
-        def adversarial(*args):
-            templates.append(template(*args))
-            return templates[-1]
-
-        monkeypatch.setattr(fuzz, "_adversarial_loop_formula", adversarial)
-        run_fuzz(prop, seed=1, count=100)
-        assert templates
-        assert compiles == [((f,),) for f in templates]
-
     def test_loop_oracle_models_compiles_once(self, compiles, p3):
         for kind in (None, *GraphKind):
             compiles.clear()

@@ -25,10 +25,11 @@ enumerates sets of atoms; being an oracle name, ``interpretations_of``
 is called by no production module either.  And loop search has one
 cost model: ``SUBSET_CAP`` is named only in ``depgraph``, so that no
 other module prices or refuses loop enumeration by component size.  The
-per-path walks ``atoms`` and ``theory_atoms`` are called only in
-``formula``, which defines them, and in ``fuzz``: every analysis takes
-a theory's atoms and its graphs from the ops of ``formula._compile``,
-whose walk visits each distinct node once, not once per path.  No
+per-path walk ``theory_atoms`` is called only in ``formula``, which
+defines it, and ``atoms`` only there and in ``fuzz``, on the trees that
+``reduct-lemma`` and ``lemma1`` test: every analysis takes a theory's
+atoms and its graphs from the ops of ``formula._compile``, whose walk
+visits each distinct node once, not once per path.  No
 module under ``src/`` calls ``oracle.choice_augment``, which builds a
 split's parts as formulas and is the oracle of ``check_split``'s one
 sweep.  ``cli`` does not name ``analyze``, which holds models as sets:
@@ -41,13 +42,18 @@ it builds no formula tree: it prints a completion from its ops with
 name ``_compile`` either: they read graphs, split conditions, models and
 the completion off op tables that their callers hold; and ``semantics``
 names no node class, so the completion is built as ops, not as a tree.
+``fuzz`` names neither ``_compile`` nor a node class: its table
+campaigns read the tables they draw, its adversarial template is
+written out as ops, and ``formula._formulas`` alone builds the trees
+that ``reduct-lemma`` and ``lemma1`` test.
 
 The set-level API, which takes theories as trees and hands out graphs,
 loops and models as sets, lives in ``sets``, and production keeps op
-tables and masks only.  A module under ``src/`` other than ``sets``,
-``oracle``, ``fuzz`` and ``__init__`` may not import ``sets`` or one of
-the names that ``sets.py`` defines or assigns at its top level, read
-from its syntax tree as the oracle's names are.
+tables and masks only.  A module under ``src/`` other than ``sets`` and
+``__init__`` may not import ``sets`` or one of the names that
+``sets.py`` defines or assigns at its top level, read from its syntax
+tree as the oracle's names are; the oracle and the fuzz properties
+included.
 
 A name that a module may not use is matched wherever the module refers
 to it: as an imported name, under an alias, or as an attribute, such
@@ -87,23 +93,26 @@ ORACLE_NAMES = {
 POINT_LEMMA = ("loop_lemma_at", "loopformulas")
 SUBSET_ENUMERATOR = ("oracle", "interpretations_of")
 CAP_OWNER = "depgraph"
-# The modules that may call each per-path walk of ``formula``.
-WALK_CALLERS = dict.fromkeys(("atoms", "theory_atoms"), {"formula", "fuzz"})
+# The modules that may call each per-path walk of ``formula``: ``fuzz``
+# walks the trees of the campaigns whose subject is the tree.
+WALK_CALLERS = {"atoms": {"formula", "fuzz"}, "theory_atoms": {"formula"}}
 # Per module, the names it may not use: the model lists of ``cli``
 # come from points, not from sets.
 SET_RENDERERS = {"cli": {"analyze"}}
 # Per module, the tree builders it may not use: the CLI's ops come from
-# the parse and are printed as ops, and the graph, split and model
-# modules read the ops they are given.
+# the parse and are printed as ops, the graph, split and model modules
+# read the ops they are given, and the fuzz properties read the tables
+# they draw or write out.
 COMPILERS = {
     "cli": {"_compile", "_formulas", "print_formula"},
     "depgraph": {"_compile"},
     "splitting": {"_compile"},
     "semantics": {"_compile", "Bottom", "AtomRef", "And", "Or", "Implies"},
+    "fuzz": {"_compile", "Bottom", "AtomRef", "And", "Or", "Implies"},
 }
-# The modules that may import the set-level adapter: itself, the oracle,
-# the fuzz properties and the package's re-exports.
-SET_SIDE = {"sets", "oracle", "fuzz", "__init__"}
+# The modules that may import the set-level adapter: itself and the
+# package's re-exports.
+SET_SIDE = {"sets", "__init__"}
 SET_TREE = ast.parse(
     (ROOT / "src" / "stablemodels" / "sets.py").read_text(encoding="utf-8")
 )
@@ -396,6 +405,20 @@ def test_lint_flags_node_classes_in_semantics():
     assert compile_uses(tree, "depgraph") == []
 
 
+def test_lint_flags_compiles_and_node_classes_in_fuzz():
+    tree = ast.parse(
+        "from .formula import And, AtomRef, Implies, _compile, _formulas\n"
+        "import stablemodels.formula as formula\n"
+        "def template(x, y):\n"
+        "    xr, yr = AtomRef(x), AtomRef(y)\n"
+        "    return _compile((And(Implies(xr, yr), formula.Or(xr, yr)),))\n"
+        "def random_formula(ops, root):\n"
+        "    return formula._formulas(ops, [root])[0]\n"
+    )
+    assert compile_uses(tree, "fuzz") == [1, 1, 1, 1, 4, 4, 5, 5, 5, 5]
+    assert compile_uses(tree, "oracle") == []
+
+
 @pytest.mark.parametrize(
     "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
 )
@@ -420,6 +443,19 @@ def test_lint_flags_set_level_imports():
         assert set_level_imports(tree, module) == [1, 2, 3, 4, 5, 7]
     for module in SET_SIDE:
         assert set_level_imports(tree, module) == []
+
+
+def test_lint_flags_set_level_imports_in_oracle_and_fuzz():
+    tree = ast.parse(
+        "from .sets import classical_models\n"
+        "from .semantics import _analysis\n"
+        "import stablemodels.sets as sets\n"
+        "def chain(report):\n"
+        "    return sets.classical_models(report.completion_theory, ())\n"
+    )
+    for module in ("oracle", "fuzz"):
+        assert set_level_imports(tree, module) == [1, 3]
+    assert set_level_imports(tree, "__init__") == []
 
 
 def test_every_definition_is_used():
@@ -561,7 +597,8 @@ def test_lint_flags_universe_walk_calls():
     )
     assert universe_walk_calls(tree, "semantics") == [4, 6, 7, 8]
     assert universe_walk_calls(tree, "loopformulas") == [4, 6, 7, 8]
-    assert universe_walk_calls(tree, "fuzz") == []
+    # ``fuzz`` may walk a tree's atoms, but no theory's.
+    assert universe_walk_calls(tree, "fuzz") == [4, 6, 8]
     assert universe_walk_calls(tree, "formula") == []
 
 
